@@ -11,33 +11,36 @@
 //! `cargo run --release -p marnet-bench --bin perf_report`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use marnet_bench::scenarios::{run_recovery_counted, RecoveryMechanism};
+use marnet_bench::scenarios::{run_recovery_instrumented, RecoveryMechanism, RecoveryOutcome};
 use marnet_core::fec::{xor_into, xor_into_scalar};
 use marnet_sim::engine::Simulator;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::event::{TraceEvent, TraceKind};
 use marnet_telemetry::recorder::TraceSink;
+use marnet_telemetry::TelemetryOptions;
 
 /// Virtual seconds of AR traffic per iteration. Short enough for a sane
 /// Criterion batch, long enough to dwarf scenario setup.
 const SIM_SECS: u64 = 5;
 
-/// Events one `run_recovery` iteration processes, measured once so the
-/// throughput annotation reflects events rather than iterations.
-fn events_per_iter(mechanism: RecoveryMechanism) -> u64 {
-    run_recovery_counted(40, 0.05, mechanism, SIM_SECS, 11).1
+/// One iteration of the E11 recovery scenario with telemetry off: the
+/// outcome and the events processed. The event count, measured once per
+/// group, makes the throughput annotation reflect events rather than
+/// iterations.
+fn recovery_iter(mechanism: RecoveryMechanism) -> (RecoveryOutcome, u64) {
+    let (out, events, _) =
+        run_recovery_instrumented(40, 0.05, mechanism, SIM_SECS, 11, &TelemetryOptions::disabled());
+    (out, events)
 }
 
 /// Deadline-gated ARQ + FEC on a lossy 40 ms path: the full sender →
 /// link → receiver → feedback pipeline the perf work targets.
 fn bench_engine_events_per_sec(c: &mut Criterion) {
     let mechanism = RecoveryMechanism::ArqFecK8;
-    let events = events_per_iter(mechanism);
+    let events = recovery_iter(mechanism).1;
     let mut g = c.benchmark_group("engine_events_per_sec");
     g.throughput(Throughput::Elements(events));
-    g.bench_function("run_recovery/arq+fec-k8", |b| {
-        b.iter(|| black_box(run_recovery_counted(40, 0.05, mechanism, SIM_SECS, 11)))
-    });
+    g.bench_function("run_recovery/arq+fec-k8", |b| b.iter(|| black_box(recovery_iter(mechanism))));
     g.finish();
 }
 
@@ -45,12 +48,10 @@ fn bench_engine_events_per_sec(c: &mut Criterion) {
 /// pressure on the link queues and the receiver's dedup path.
 fn bench_multipath_duplication(c: &mut Criterion) {
     let mechanism = RecoveryMechanism::Duplicate;
-    let events = events_per_iter(mechanism);
+    let events = recovery_iter(mechanism).1;
     let mut g = c.benchmark_group("multipath_duplication");
     g.throughput(Throughput::Elements(events));
-    g.bench_function("run_recovery/duplicate", |b| {
-        b.iter(|| black_box(run_recovery_counted(40, 0.05, mechanism, SIM_SECS, 11)))
-    });
+    g.bench_function("run_recovery/duplicate", |b| b.iter(|| black_box(recovery_iter(mechanism))));
     g.finish();
 }
 

@@ -3,13 +3,16 @@
 //! the costs that bound how much experiment a CPU-second buys.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use marnet_bench::scenarios::{run_fairness, run_table2, Table2Scenario};
+use marnet_bench::scenarios::{
+    fairness_config, run_fairness_config_instrumented, run_table2_instrumented, Table2Scenario,
+};
 use marnet_edge::placement::synthetic_metro;
 use marnet_sim::engine::{Actor, Event, SimCtx, Simulator};
 use marnet_sim::link::{Bandwidth, LinkParams};
 use marnet_sim::packet::Packet;
 use marnet_sim::rng::derive_rng;
 use marnet_sim::time::{SimDuration, SimTime};
+use marnet_telemetry::TelemetryOptions;
 use marnet_transport::nic::TxPath;
 use marnet_transport::tcp::{DataSource, Reno, TcpConfig, TcpReceiver, TcpSender};
 
@@ -90,8 +93,18 @@ fn bench_tcp_transfer(c: &mut Criterion) {
 fn bench_table2(c: &mut Criterion) {
     let mut g = c.benchmark_group("scenario");
     g.sample_size(20);
+    let off = TelemetryOptions::disabled();
     g.bench_function("table2_cloud_wifi_50_probes", |b| {
-        b.iter(|| black_box(run_table2(Table2Scenario::CloudServerWifi, 50, 400, 400, 1)))
+        b.iter(|| {
+            black_box(run_table2_instrumented(
+                Table2Scenario::CloudServerWifi,
+                50,
+                400,
+                400,
+                1,
+                &off,
+            ))
+        })
     });
     g.finish();
 }
@@ -100,8 +113,10 @@ fn bench_table2(c: &mut Criterion) {
 fn bench_ar_second(c: &mut Criterion) {
     let mut g = c.benchmark_group("protocol");
     g.sample_size(10);
+    let cfg = fairness_config(10.0, true, SimDuration::from_millis(15));
+    let off = TelemetryOptions::disabled();
     g.bench_function("ar_vs_tcp_5s", |b| {
-        b.iter(|| black_box(run_fairness(10.0, 1, true, SimDuration::from_millis(15), 5, 3)))
+        b.iter(|| black_box(run_fairness_config_instrumented(10.0, 1, &cfg, 5, 3, &off)))
     });
     g.finish();
 }

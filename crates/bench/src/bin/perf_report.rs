@@ -41,8 +41,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use marnet_bench::scenarios::{
-    run_cityscale_counted, run_cityscale_instrumented, run_queueing_counted,
-    run_queueing_instrumented, run_recovery_counted, run_recovery_instrumented, run_table2_counted,
+    run_cityscale_instrumented, run_queueing_instrumented, run_recovery_instrumented,
     run_table2_instrumented, RecoveryMechanism, Table2Scenario,
 };
 use marnet_sim::queue::QueueConfig;
@@ -191,22 +190,25 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// One matrix row: how to run a scenario with the recorder off and on.
+/// Runs a scenario at the given size; returns the simulator event count
+/// and the number of trace events the recorder kept.
+type RunFn = Box<dyn Fn(u64, &TelemetryOptions) -> (u64, usize)>;
+
+/// One matrix row: a scenario and the three sizes (virtual seconds, or
+/// probes for the offload row) it is run at.
 struct Workload {
     label: &'static str,
     scenario: String,
-    /// Untimed warm-up round: fault in code paths and allocator arenas.
-    warm: Box<dyn Fn()>,
-    /// One timed round, recorder off; returns the event count.
-    run: Box<dyn Fn() -> u64>,
-    /// One timed tax-scale round, recorder off. The recording tax is a
-    /// ratio of two rates, so it needs runs long enough for wall-clock
-    /// noise to cancel; small scenarios use a stretched virtual duration
-    /// here while keeping `run` at its baseline-comparable scale.
-    tax_off: Box<dyn Fn() -> u64>,
-    /// One timed tax-scale round with the flight recorder on; returns the
-    /// event count and asserts the trace actually captured something.
-    tax_on: Box<dyn Fn() -> u64>,
+    /// Size of the untimed warm-up round: fault in code paths and
+    /// allocator arenas.
+    warm: u64,
+    /// Size of a timed round, at baseline-comparable scale.
+    full: u64,
+    /// Size of a recording-tax round. The tax is a ratio of two rates, so
+    /// it needs runs long enough for wall-clock noise to cancel; small
+    /// scenarios stretch their virtual duration here.
+    tax: u64,
+    run: RunFn,
 }
 
 /// One measured workload.
@@ -266,7 +268,9 @@ const RATE_FLOOR_FRAC: f64 = 0.5;
 const PEAK_SLACK_FRAC: f64 = 1.25;
 
 fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
-    (w.warm)();
+    let off = TelemetryOptions::disabled();
+    let trace = TelemetryOptions { trace_capacity: Some(DEFAULT_TRACE_CAPACITY), metrics: false };
+    (w.run)(w.warm, &off);
 
     let mut best = 0.0f64;
     let mut sum = 0.0f64;
@@ -275,7 +279,7 @@ fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
     for _ in 0..reps {
         let t0 = Instant::now();
-        let ev = (w.run)();
+        let ev = (w.run)(w.full, &off).0;
         let dt = t0.elapsed().as_secs_f64();
         assert!(ev > 0, "{}: scenario must process events", w.label);
         let rate = ev as f64 / dt;
@@ -293,7 +297,13 @@ fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
     // the reported tax is the median pair ratio (so one descheduled run
     // does not flip the result).
     let mut pair_pcts: Vec<f64> = Vec::with_capacity(traced_reps);
-    (w.tax_on)(); // warm the trace-path code before timing it
+    let tax_off = || (w.run)(w.tax, &off).0;
+    let tax_on = || {
+        let (ev, recorded) = (w.run)(w.tax, &trace);
+        assert!(recorded > 0, "{}: recorder must capture events", w.label);
+        ev
+    };
+    tax_on(); // warm the trace-path code before timing it
     let time = |f: &dyn Fn() -> u64| {
         let t0 = Instant::now();
         let ev = f();
@@ -303,10 +313,10 @@ fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
         // Palindrome order (off, on, on, off) is symmetric under linear
         // drift, and the per-side best-of-two discards a one-sided
         // descheduling hiccup.
-        let off_a = time(&*w.tax_off);
-        let on_a = time(&*w.tax_on);
-        let on_b = time(&*w.tax_on);
-        let off_b = time(&*w.tax_off);
+        let off_a = time(&tax_off);
+        let on_a = time(&tax_on);
+        let on_b = time(&tax_on);
+        let off_b = time(&tax_off);
         pair_pcts.push((off_a.max(off_b) / on_a.max(on_b) - 1.0) * 100.0);
     }
     pair_pcts.sort_by(|a, b| a.total_cmp(b));
@@ -332,9 +342,6 @@ fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
 
 /// The five-scenario matrix at the given scale.
 fn workloads(smoke: bool) -> Vec<Workload> {
-    fn trace() -> TelemetryOptions {
-        TelemetryOptions { trace_capacity: Some(DEFAULT_TRACE_CAPACITY), metrics: false }
-    }
     let recovery_secs: u64 = if smoke { 2 } else { 30 };
     // The full recovery/offload rounds finish in single-digit
     // milliseconds; the tax ratio needs tens of milliseconds per round to
@@ -355,16 +362,13 @@ fn workloads(smoke: bool) -> Vec<Workload> {
         scenario: format!(
             "run_recovery(rtt=40ms, loss=5%, {mechanism:?}, {recovery_secs} virtual sec, seed 11)"
         ),
-        warm: Box::new(move || {
-            run_recovery_counted(40, 0.05, mechanism, recovery_secs.min(3), 11);
-        }),
-        run: Box::new(move || run_recovery_counted(40, 0.05, mechanism, recovery_secs, 11).1),
-        tax_off: Box::new(move || run_recovery_counted(40, 0.05, mechanism, tax_secs, 11).1),
-        tax_on: Box::new(move || {
+        warm: recovery_secs.min(3),
+        full: recovery_secs,
+        tax: tax_secs,
+        run: Box::new(move |secs, telemetry| {
             let (_, ev, capture) =
-                run_recovery_instrumented(40, 0.05, mechanism, tax_secs, 11, &trace());
-            assert!(!capture.events.is_empty(), "recorder must capture events");
-            ev
+                run_recovery_instrumented(40, 0.05, mechanism, secs, 11, telemetry);
+            (ev, capture.events.len())
         }),
     };
 
@@ -380,26 +384,19 @@ fn workloads(smoke: bool) -> Vec<Workload> {
             scenario: format!(
                 "run_table2(CloudServerWifi, probes={probes}, 400 B up/down, seed 42)"
             ),
-            warm: Box::new(move || {
-                run_table2_counted(Table2Scenario::CloudServerWifi, probes.min(40), 400, 400, 42);
-            }),
-            run: Box::new(move || {
-                run_table2_counted(Table2Scenario::CloudServerWifi, probes, 400, 400, 42).1
-            }),
-            tax_off: Box::new(move || {
-                run_table2_counted(Table2Scenario::CloudServerWifi, tax_probes, 400, 400, 42).1
-            }),
-            tax_on: Box::new(move || {
+            warm: probes.min(40),
+            full: probes,
+            tax: tax_probes,
+            run: Box::new(|probes, telemetry| {
                 let (_, ev, capture) = run_table2_instrumented(
                     Table2Scenario::CloudServerWifi,
-                    tax_probes,
+                    probes,
                     400,
                     400,
                     42,
-                    &trace(),
+                    telemetry,
                 );
-                assert!(!capture.events.is_empty(), "recorder must capture events");
-                ev
+                (ev, capture.events.len())
             }),
         },
         Workload {
@@ -408,33 +405,21 @@ fn workloads(smoke: bool) -> Vec<Workload> {
                 "run_queueing(2 Gb/s uplink, drop-tail 1000, 900 MAR + 100 bulk flows, \
                  {cell_secs} virtual sec, seed 7)"
             ),
-            warm: Box::new({
-                let cell = cell.clone();
-                move || {
-                    run_queueing_counted(2_000.0, cell.clone(), 0, 900, 100, cell_secs.min(1), 7);
-                }
-            }),
-            run: Box::new({
-                let cell = cell.clone();
-                move || run_queueing_counted(2_000.0, cell.clone(), 0, 900, 100, cell_secs, 7).1
-            }),
-            tax_off: Box::new({
-                let cell = cell.clone();
-                move || run_queueing_counted(2_000.0, cell.clone(), 0, 900, 100, cell_secs, 7).1
-            }),
-            tax_on: Box::new(move || {
+            warm: cell_secs.min(1),
+            full: cell_secs,
+            tax: cell_secs,
+            run: Box::new(move |secs, telemetry| {
                 let (_, ev, capture) = run_queueing_instrumented(
                     2_000.0,
                     cell.clone(),
                     0,
                     900,
                     100,
-                    cell_secs,
+                    secs,
                     7,
-                    &trace(),
+                    telemetry,
                 );
-                assert!(!capture.events.is_empty(), "recorder must capture events");
-                ev
+                (ev, capture.events.len())
             }),
         },
         Workload {
@@ -443,16 +428,13 @@ fn workloads(smoke: bool) -> Vec<Workload> {
                 "run_cityscale(clients={flow_clients}, backhaul=10 Gb/s, {flow_secs} virtual \
                  sec, seed 42)"
             ),
-            warm: Box::new(move || {
-                run_cityscale_counted(flow_clients, 10.0, flow_secs.min(2), 42);
-            }),
-            run: Box::new(move || run_cityscale_counted(flow_clients, 10.0, flow_secs, 42).1),
-            tax_off: Box::new(move || run_cityscale_counted(flow_clients, 10.0, flow_secs, 42).1),
-            tax_on: Box::new(move || {
+            warm: flow_secs.min(2),
+            full: flow_secs,
+            tax: flow_secs,
+            run: Box::new(move |secs, telemetry| {
                 let (_, ev, capture) =
-                    run_cityscale_instrumented(flow_clients, 10.0, flow_secs, 42, &trace());
-                assert!(!capture.events.is_empty(), "recorder must capture events");
-                ev
+                    run_cityscale_instrumented(flow_clients, 10.0, secs, 42, telemetry);
+                (ev, capture.events.len())
             }),
         },
     ]

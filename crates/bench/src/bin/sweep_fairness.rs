@@ -5,10 +5,11 @@
 //! TCP — the Vegas problem the paper cites; loosening it (towards
 //! loss-only) buys fairness at the cost of queueing delay.
 
-use marnet_bench::scenarios::run_fairness;
+use marnet_bench::scenarios::{fairness_config, run_fairness_config_instrumented};
 use marnet_bench::{fmt, print_table, write_json};
 use marnet_sim::stats::jain_index;
 use marnet_sim::time::SimDuration;
+use marnet_telemetry::TelemetryOptions;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,8 +37,17 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, react_to_loss, threshold) in modes {
+        let cfg = fairness_config(bottleneck, react_to_loss, threshold);
         for n_tcp in [1usize, 2, 4] {
-            let out = run_fairness(bottleneck, n_tcp, react_to_loss, threshold, secs, 23);
+            let out = run_fairness_config_instrumented(
+                bottleneck,
+                n_tcp,
+                &cfg,
+                secs,
+                23,
+                &TelemetryOptions::disabled(),
+            )
+            .0;
             let ar_mbps = out.ar.borrow().received_bytes as f64 * 8.0 / secs as f64 / 1e6;
             let tcp_each: Vec<f64> = out
                 .tcp

@@ -3,10 +3,11 @@
 //! §IV-A-4 cites) and near-ubiquitous LTE: service availability and
 //! latency versus the LTE byte bill.
 
-use marnet_bench::scenarios::run_multipath_commute;
+use marnet_bench::scenarios::{commute_config, run_multipath_commute_config_instrumented};
 use marnet_bench::{fmt, print_table, write_json};
 use marnet_core::class::StreamKind;
 use marnet_core::multipath::MultipathPolicy;
+use marnet_telemetry::TelemetryOptions;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -29,7 +30,13 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, policy) in policies {
-        let out = run_multipath_commute(policy, secs, 42);
+        let out = run_multipath_commute_config_instrumented(
+            &commute_config(policy),
+            secs,
+            42,
+            &TelemetryOptions::disabled(),
+        )
+        .0;
         let r = out.receiver.borrow();
         let s = out.sender.borrow();
         let video = r.by_kind.get(&StreamKind::VideoInter);

@@ -4,9 +4,10 @@
 //! queueing, for a paced MAR stream sharing the uplink with a greedy
 //! TCP upload.
 
-use marnet_bench::scenarios::run_queueing;
+use marnet_bench::scenarios::run_queueing_instrumented;
 use marnet_bench::{fmt, print_table, write_json};
 use marnet_sim::queue::QueueConfig;
+use marnet_telemetry::TelemetryOptions;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -34,7 +35,17 @@ fn main() {
 
     let mut rows = Vec::new();
     for (label, queue, prio) in configs {
-        let out = run_queueing(2.0, queue, prio, 1, 1, secs, 7);
+        let out = run_queueing_instrumented(
+            2.0,
+            queue,
+            prio,
+            1,
+            1,
+            secs,
+            7,
+            &TelemetryOptions::disabled(),
+        )
+        .0;
         let mar = out.mar[0].borrow();
         let mut h = mar.latency_ms.clone();
         // Offered: 1.5 Mb/s in 1200 B packets.

@@ -1,77 +1,27 @@
 //! # marnet-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index). Every binary prints the regenerated rows/series to stdout and
-//! writes a machine-readable JSON artifact to `results/<name>.json`.
+//! [`scenarios`] holds the shared topologies, one entry point each: it
+//! takes the scenario's parameters (the AR scenarios take an `&ArConfig`),
+//! a seed and `&TelemetryOptions`, and returns the outcome, the simulator
+//! event count and the telemetry capture. Callers that want no telemetry
+//! pass `&TelemetryOptions::disabled()` and take `.0`.
 //!
-//! Run them all with `cargo run -p marnet-bench --bin <name>`; the
-//! Criterion micro-benchmarks live under `benches/`.
+//! One single-seed binary per table/figure of the paper (see DESIGN.md §4
+//! for the index) prints the regenerated rows/series and writes
+//! `results/<name>.json`; run one with `cargo run -p marnet-bench --bin
+//! <name>`. The experiments with replicates, confidence intervals,
+//! `--trace` and `--metrics` (E2, E9, E11, E16, E17) are `marnet-lab`
+//! experiments built on the same scenarios. The Criterion
+//! micro-benchmarks live under `benches/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod scenarios;
 
-use marnet_telemetry::{TelemetryOptions, DEFAULT_TRACE_CAPACITY};
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;
-
-/// Telemetry/parallelism CLI flags shared by the experiment binaries:
-/// `--trace <path>`, `--metrics` and `--threads <n>`, all off by default so
-/// existing artifacts stay byte-identical.
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryFlags {
-    /// What the scenario should capture.
-    pub options: TelemetryOptions,
-    /// Where to write the binary trace, when `--trace` was given.
-    pub trace_path: Option<PathBuf>,
-    /// Worker threads for embarrassingly parallel scenario grids
-    /// (`--threads <n>`, default 1).
-    pub threads: usize,
-}
-
-/// Parses [`TelemetryFlags`] from `std::env::args`, ignoring flags it does
-/// not know (binaries with extra flags parse those separately).
-///
-/// # Panics
-///
-/// Panics on a `--trace` or `--threads` flag with a missing or (for
-/// `--threads`) non-numeric value — experiment binaries fail loudly.
-pub fn parse_telemetry_flags() -> TelemetryFlags {
-    let mut flags = TelemetryFlags { threads: 1, ..TelemetryFlags::default() };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trace" => {
-                let path = args.next().expect("--trace requires a file path");
-                flags.trace_path = Some(PathBuf::from(path));
-                flags.options.trace_capacity = Some(DEFAULT_TRACE_CAPACITY);
-            }
-            "--metrics" => flags.options.metrics = true,
-            "--threads" => {
-                let n = args.next().expect("--threads requires a count");
-                flags.threads = n.parse().expect("--threads value must be a number");
-            }
-            _ => {}
-        }
-    }
-    flags.threads = flags.threads.max(1);
-    flags
-}
-
-/// Writes recorded trace events to `path` and reports the artifact, or does
-/// nothing if no trace was requested.
-///
-/// # Panics
-///
-/// Panics if the trace file cannot be written.
-pub fn write_trace(flags: &TelemetryFlags, events: &[marnet_telemetry::TraceEvent]) {
-    if let Some(path) = &flags.trace_path {
-        marnet_telemetry::file::write_file(path, events).expect("write trace file");
-        println!("\n[trace] {} ({} events)", path.display(), events.len());
-    }
-}
 
 /// Prints a Markdown-ish table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

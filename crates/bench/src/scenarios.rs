@@ -35,6 +35,43 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
+// Telemetry wiring shared by every scenario
+// ---------------------------------------------------------------------------
+
+/// The simulator for one run with `telemetry` wired in, plus the registry
+/// its metrics go to when metrics are on. With everything off no recorder
+/// and no registry exist, so the run is the uninstrumented one.
+fn instrumented_sim(
+    seed: u64,
+    telemetry: &TelemetryOptions,
+) -> (Simulator, Option<Rc<MetricsRegistry>>) {
+    let mut sim = Simulator::new(seed);
+    if let Some(cap) = telemetry.trace_capacity {
+        sim.enable_flight_recorder(cap);
+    }
+    let registry = telemetry.metrics.then(|| {
+        let reg = MetricsRegistry::new();
+        sim.enable_metrics(&reg);
+        reg
+    });
+    (sim, registry)
+}
+
+/// Collects what the run recorded: the trace, and a snapshot of the
+/// registry (the scenario's own counters, if it published any, plus the
+/// link counters added here).
+fn finish_telemetry(
+    sim: &mut Simulator,
+    registry: Option<Rc<MetricsRegistry>>,
+) -> TelemetryCapture {
+    let metrics = registry.map(|reg| {
+        sim.publish_link_metrics(&reg);
+        reg.snapshot()
+    });
+    TelemetryCapture { events: sim.take_trace(), metrics }
+}
+
+// ---------------------------------------------------------------------------
 // Table II scenarios
 // ---------------------------------------------------------------------------
 
@@ -117,50 +154,13 @@ impl Actor for Forwarder {
 }
 
 /// Runs one Table II scenario: `probes` offload transactions of
-/// `request_bytes` up / `response_bytes` down; returns the RTT samples.
-pub fn run_table2(
-    scenario: Table2Scenario,
-    probes: u64,
-    request_bytes: u32,
-    response_bytes: u32,
-    seed: u64,
-) -> Rc<RefCell<ProbeStats>> {
-    run_table2_instrumented(
-        scenario,
-        probes,
-        request_bytes,
-        response_bytes,
-        seed,
-        &TelemetryOptions::disabled(),
-    )
-    .0
-}
-
-/// [`run_table2`], additionally returning the number of simulator events
-/// processed — the offload row of the `perf_report` matrix.
-pub fn run_table2_counted(
-    scenario: Table2Scenario,
-    probes: u64,
-    request_bytes: u32,
-    response_bytes: u32,
-    seed: u64,
-) -> (Rc<RefCell<ProbeStats>>, u64) {
-    let (stats, events, _) = run_table2_instrumented(
-        scenario,
-        probes,
-        request_bytes,
-        response_bytes,
-        seed,
-        &TelemetryOptions::disabled(),
-    );
-    (stats, events)
-}
-
-/// [`run_table2`] with optional flight-recorder and metrics capture.
+/// `request_bytes` up / `response_bytes` down; returns the RTT samples,
+/// the number of simulator events processed and whatever `telemetry`
+/// asked to capture.
 ///
-/// With everything off (the default options) this is exactly `run_table2`:
-/// the simulator's trace hooks stay on the disabled branch and no registry
-/// is created, so results are byte-identical.
+/// With telemetry disabled the simulator's trace hooks stay on the
+/// disabled branch and no registry is created, so results are
+/// byte-identical to an uninstrumented run — as for every scenario below.
 pub fn run_table2_instrumented(
     scenario: Table2Scenario,
     probes: u64,
@@ -169,17 +169,7 @@ pub fn run_table2_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (Rc<RefCell<ProbeStats>>, u64, TelemetryCapture) {
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let registry = if telemetry.metrics {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        Some(reg)
-    } else {
-        None
-    };
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let hops = scenario.hops();
     let n = hops.len();
     // Actors: client, (n-1) forwarders each way, server.
@@ -227,11 +217,7 @@ pub fn run_table2_instrumented(
     sim.install_actor(server, ProbeServer::new(1, TxPath::Link(rev_links[0]), response_bytes));
     let events = sim.run_until(SimTime::from_secs(probes / 20 + 30));
 
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
-        reg.snapshot()
-    });
-    let capture = TelemetryCapture { events: sim.take_trace(), metrics };
+    let capture = finish_telemetry(&mut sim, registry);
     (stats, events, capture)
 }
 
@@ -355,20 +341,16 @@ impl Actor for GreedyArApp {
     }
 }
 
-/// Runs one AR flow against `n_tcp` Reno flows over a shared bottleneck.
-///
-/// `react_to_loss` toggles the AR protocol's loss-based fairness fallback
-/// (§VI-B's trade-off knob); `latency_threshold` is the delay-congestion
-/// trigger.
-pub fn run_fairness(
+/// The AR configuration of the E14 sweep: `react_to_loss` toggles the
+/// protocol's loss-based fairness fallback (§VI-B's trade-off knob),
+/// `latency_threshold` is the delay-congestion trigger, and the rate is
+/// capped at the bottleneck.
+pub fn fairness_config(
     bottleneck_mbps: f64,
-    n_tcp: usize,
     react_to_loss: bool,
     latency_threshold: SimDuration,
-    secs: u64,
-    seed: u64,
-) -> FairnessOutcome {
-    let cfg = ArConfig {
+) -> ArConfig {
+    ArConfig {
         congestion: CongestionConfig {
             latency_threshold,
             react_to_loss,
@@ -376,34 +358,12 @@ pub fn run_fairness(
             ..CongestionConfig::default()
         },
         ..ArConfig::default()
-    };
-    run_fairness_with_config(bottleneck_mbps, n_tcp, &cfg, secs, seed)
+    }
 }
 
-/// [`run_fairness`] with the full AR protocol configuration supplied by the
-/// caller — the policy-search entry point (`marnet-lab train` compiles a
-/// candidate `PolicyParams` into the config it passes here).
-pub fn run_fairness_with_config(
-    bottleneck_mbps: f64,
-    n_tcp: usize,
-    cfg: &ArConfig,
-    secs: u64,
-    seed: u64,
-) -> FairnessOutcome {
-    run_fairness_config_instrumented(
-        bottleneck_mbps,
-        n_tcp,
-        cfg,
-        secs,
-        seed,
-        &TelemetryOptions::disabled(),
-    )
-    .0
-}
-
-/// [`run_fairness_with_config`] with optional telemetry capture; the
-/// shared body behind every fairness entry point (`marnet-lab racecheck`
-/// uses the captured trace to localize tie-order divergences).
+/// Runs one AR flow configured by `cfg` (the sweep's [`fairness_config`],
+/// or a `marnet-lab train` candidate) against `n_tcp` Reno flows over a
+/// shared bottleneck.
 pub fn run_fairness_config_instrumented(
     bottleneck_mbps: f64,
     n_tcp: usize,
@@ -412,17 +372,7 @@ pub fn run_fairness_config_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (FairnessOutcome, u64, TelemetryCapture) {
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let registry = if telemetry.metrics {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        Some(reg)
-    } else {
-        None
-    };
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let left = sim.reserve_actor();
     let right = sim.reserve_actor();
     let params =
@@ -478,11 +428,7 @@ pub fn run_fairness_config_instrumented(
     sim.install_actor(left, left_nic);
     sim.install_actor(right, right_nic);
     let events = sim.run_until(SimTime::from_secs(secs));
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
-        reg.snapshot()
-    });
-    let capture = TelemetryCapture { events: sim.take_trace(), metrics };
+    let capture = finish_telemetry(&mut sim, registry);
     (FairnessOutcome { ar, ar_sender, tcp }, events, capture)
 }
 
@@ -504,53 +450,6 @@ pub struct QueueingOutcome {
 /// share a `up_mbps` uplink governed by `queue`; returns every flow's
 /// outcome. With `(1, 1)` this is the paper's E13 household; larger
 /// counts give the multi-tenant uplink E17-style scenarios reuse.
-pub fn run_queueing(
-    up_mbps: f64,
-    queue: QueueConfig,
-    mar_prio: u8,
-    n_mar: usize,
-    n_bulk: usize,
-    secs: u64,
-    seed: u64,
-) -> QueueingOutcome {
-    run_queueing_instrumented(
-        up_mbps,
-        queue,
-        mar_prio,
-        n_mar,
-        n_bulk,
-        secs,
-        seed,
-        &TelemetryOptions::disabled(),
-    )
-    .0
-}
-
-/// [`run_queueing`], additionally returning the number of simulator events
-/// processed — the dense-cell row of the `perf_report` matrix.
-pub fn run_queueing_counted(
-    up_mbps: f64,
-    queue: QueueConfig,
-    mar_prio: u8,
-    n_mar: usize,
-    n_bulk: usize,
-    secs: u64,
-    seed: u64,
-) -> (QueueingOutcome, u64) {
-    let (outcome, events, _) = run_queueing_instrumented(
-        up_mbps,
-        queue,
-        mar_prio,
-        n_mar,
-        n_bulk,
-        secs,
-        seed,
-        &TelemetryOptions::disabled(),
-    );
-    (outcome, events)
-}
-
-/// [`run_queueing`] with optional flight-recorder and metrics capture.
 #[allow(clippy::too_many_arguments)]
 pub fn run_queueing_instrumented(
     up_mbps: f64,
@@ -562,17 +461,7 @@ pub fn run_queueing_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (QueueingOutcome, u64, TelemetryCapture) {
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let registry = if telemetry.metrics {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        Some(reg)
-    } else {
-        None
-    };
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let cpe = sim.reserve_actor();
     let isp = sim.reserve_actor();
     let up = sim.add_link(
@@ -624,11 +513,7 @@ pub fn run_queueing_instrumented(
     sim.install_actor(cpe, cpe_nic);
     sim.install_actor(isp, isp_nic);
     let events = sim.run_until(SimTime::from_secs(secs));
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
-        reg.snapshot()
-    });
-    let capture = TelemetryCapture { events: sim.take_trace(), metrics };
+    let capture = finish_telemetry(&mut sim, registry);
     (QueueingOutcome { mar, bulk }, events, capture)
 }
 
@@ -685,11 +570,11 @@ impl RecoveryMechanism {
         Self::ALL.into_iter().find(|m| m.label() == label)
     }
 
-    /// The `(recovery policy, FEC group, duplicate)` knobs this mechanism
-    /// sets on [`ArConfig`].
-    fn knobs(self) -> (RecoveryPolicy, Option<usize>, bool) {
+    /// The AR configuration that runs this mechanism: the default config
+    /// with the recovery policy, FEC group and duplication set.
+    pub fn config(self) -> ArConfig {
         let off = RecoveryPolicy { enabled: false, ..Default::default() };
-        match self {
+        let (recovery, fec_group, duplicate_recovery) = match self {
             RecoveryMechanism::None => (off, None, false),
             RecoveryMechanism::ArqGated => (RecoveryPolicy::default(), None, false),
             RecoveryMechanism::ArqAlways => {
@@ -699,7 +584,8 @@ impl RecoveryMechanism {
             RecoveryMechanism::FecK8 => (off, Some(8), false),
             RecoveryMechanism::ArqFecK8 => (RecoveryPolicy::default(), Some(8), false),
             RecoveryMechanism::Duplicate => (off, None, true),
-        }
+        };
+        ArConfig { recovery, fec_group, duplicate_recovery, ..ArConfig::default() }
     }
 }
 
@@ -756,43 +642,9 @@ impl Actor for RefStream {
     }
 }
 
-/// Runs one §VI-C recovery configuration: 30 FPS of 6 KB reference frames
-/// with a 75 ms deadline over a lossy `rtt_ms` path, recovered by
-/// `mechanism`, for `secs` of virtual time.
-pub fn run_recovery(
-    rtt_ms: u64,
-    loss: f64,
-    mechanism: RecoveryMechanism,
-    secs: u64,
-    seed: u64,
-) -> RecoveryOutcome {
-    run_recovery_counted(rtt_ms, loss, mechanism, secs, seed).0
-}
-
-/// [`run_recovery`], additionally returning the number of simulator events
-/// processed — the denominator of the `engine_events_per_sec` benchmark and
-/// the `perf_report` allocs-per-event figure.
-pub fn run_recovery_counted(
-    rtt_ms: u64,
-    loss: f64,
-    mechanism: RecoveryMechanism,
-    secs: u64,
-    seed: u64,
-) -> (RecoveryOutcome, u64) {
-    let (outcome, events, _) = run_recovery_instrumented(
-        rtt_ms,
-        loss,
-        mechanism,
-        secs,
-        seed,
-        &TelemetryOptions::disabled(),
-    );
-    (outcome, events)
-}
-
-/// [`run_recovery_counted`] with optional flight-recorder and metrics
-/// capture; with the default (disabled) options it is byte-identical to the
-/// uninstrumented run.
+/// [`run_recovery_config_instrumented`] under `mechanism`'s
+/// [`RecoveryMechanism::config`] — the form the E11 sweep and the perf
+/// matrix call.
 pub fn run_recovery_instrumented(
     rtt_ms: u64,
     loss: f64,
@@ -801,49 +653,13 @@ pub fn run_recovery_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (RecoveryOutcome, u64, TelemetryCapture) {
-    run_recovery_with_pooling(rtt_ms, loss, mechanism, secs, seed, telemetry, true)
+    run_recovery_config_instrumented(rtt_ms, loss, &mechanism.config(), secs, seed, telemetry)
 }
 
-/// [`run_recovery_instrumented`] with an explicit payload-pooling switch.
-/// `pooling: false` forces every hot-path buffer to a fresh allocation; the
-/// identity tests compare both modes byte-for-byte to prove the pools are
-/// observationally inert (see [`ArConfig::pooling`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_recovery_with_pooling(
-    rtt_ms: u64,
-    loss: f64,
-    mechanism: RecoveryMechanism,
-    secs: u64,
-    seed: u64,
-    telemetry: &TelemetryOptions,
-    pooling: bool,
-) -> (RecoveryOutcome, u64, TelemetryCapture) {
-    let (recovery, fec_group, duplicate) = mechanism.knobs();
-    let cfg = ArConfig {
-        recovery,
-        fec_group,
-        duplicate_recovery: duplicate,
-        pooling,
-        ..ArConfig::default()
-    };
-    run_recovery_config_instrumented(rtt_ms, loss, &cfg, secs, seed, telemetry)
-}
-
-/// [`run_recovery`] with the full AR protocol configuration supplied by
-/// the caller — the policy-search entry point. The second (duplication)
-/// path is installed when the config duplicates the recovery class.
-pub fn run_recovery_with_config(
-    rtt_ms: u64,
-    loss: f64,
-    cfg: &ArConfig,
-    secs: u64,
-    seed: u64,
-) -> RecoveryOutcome {
-    run_recovery_config_instrumented(rtt_ms, loss, cfg, secs, seed, &TelemetryOptions::disabled()).0
-}
-
-/// [`run_recovery_with_config`] with optional telemetry capture; the shared
-/// body behind every recovery entry point.
+/// Runs one §VI-C recovery configuration: 30 FPS of 6 KB reference frames
+/// with a 75 ms deadline over a lossy `rtt_ms` path, recovered as `cfg`
+/// says, for `secs` of virtual time. The second (duplication) path is
+/// installed when the config duplicates the recovery class.
 pub fn run_recovery_config_instrumented(
     rtt_ms: u64,
     loss: f64,
@@ -854,17 +670,7 @@ pub fn run_recovery_config_instrumented(
 ) -> (RecoveryOutcome, u64, TelemetryCapture) {
     let duplicate = cfg.duplicate_recovery;
     let pooling = cfg.pooling;
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let registry = if telemetry.metrics {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        Some(reg)
-    } else {
-        None
-    };
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
     let one_way = SimDuration::from_millis_f64(rtt_ms as f64 / 2.0);
@@ -914,15 +720,13 @@ pub fn run_recovery_config_instrumented(
         delivered_total_pct: delivered / offered * 100.0,
         overhead_pct: (sent_bytes as f64 / goodput_bytes.max(1.0) - 1.0) * 100.0,
     };
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
-        s.publish_usage(&reg, "core.class");
+    if let Some(reg) = &registry {
+        s.publish_usage(reg, "core.class");
         reg.counter("core.recovery.fec_recovered").add(r.fec_recovered);
         reg.counter("core.recovery.duplicates").add(r.duplicates);
         reg.counter("core.recovery.abandoned_holes").add(r.abandoned_holes);
-        reg.snapshot()
-    });
-    let capture = TelemetryCapture { events: sim.take_trace(), metrics };
+    }
+    let capture = finish_telemetry(&mut sim, registry);
     (outcome, events, capture)
 }
 
@@ -965,6 +769,25 @@ impl FaultScenario {
     /// Parses a [`FaultScenario::label`] back.
     pub fn from_label(label: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|s| s.label() == label)
+    }
+
+    /// The protocol stack of one arm of the fault sweep. The baseline arm
+    /// is the pre-hardening stack: ARQ without the deadline gate, no
+    /// watchdog, no outage-aware degradation and no session
+    /// re-establishment — after a cold edge restart it keeps stamping the
+    /// dead epoch, which the restarted peer discards. The hardened arm
+    /// gates retransmissions on the deadline and runs the watchdog / outage
+    /// degradation / probe / resync loop ([`OutageConfig::hardened`]).
+    pub fn stack_config(hardened: bool) -> ArConfig {
+        let (recovery, outage) = if hardened {
+            (RecoveryPolicy::default(), OutageConfig::hardened())
+        } else {
+            (
+                RecoveryPolicy { deadline_gated: false, ..Default::default() },
+                OutageConfig::default(),
+            )
+        };
+        ArConfig { recovery, outage, fec_group: None, ..ArConfig::default() }
     }
 }
 
@@ -1061,74 +884,12 @@ impl Actor for RetransmitSampler {
     }
 }
 
-/// [`run_faults_instrumented`] without telemetry capture.
-pub fn run_faults(
-    scenario: FaultScenario,
-    hardened: bool,
-    fault_ms: u64,
-    secs: u64,
-    seed: u64,
-) -> FaultsOutcome {
-    run_faults_instrumented(scenario, hardened, fault_ms, secs, seed, &TelemetryOptions::disabled())
-        .0
-}
-
 /// Runs the chaos scenario: 30 FPS of 15 KB droppable recovery-class
 /// frames with a 75 ms deadline over a clean 20 ms RTT path, hit by
-/// `scenario` at t = 2 s for `fault_ms`, for `secs` (> 2) of virtual time.
-///
-/// `hardened` selects the protocol stack under test: the hardened arm runs
-/// deadline-gated ARQ plus [`OutageConfig::hardened`] (watchdog detection,
-/// outage-aware degradation, probe-based recovery); the baseline arm is the
-/// naive stack — ungated ARQ, blind to outages. The whole run is a function
-/// of `(scenario, hardened, fault_ms, secs, seed)`: byte-identical
-/// artifacts at any thread count.
-pub fn run_faults_instrumented(
-    scenario: FaultScenario,
-    hardened: bool,
-    fault_ms: u64,
-    secs: u64,
-    seed: u64,
-    telemetry: &TelemetryOptions,
-) -> (FaultsOutcome, u64, TelemetryCapture) {
-    // The baseline arm is the pre-hardening stack: ARQ without the
-    // deadline gate, no watchdog, no outage-aware degradation and no
-    // session re-establishment — after a cold edge restart it keeps
-    // stamping the dead epoch, which the restarted peer discards. The
-    // hardened arm gates retransmissions on the deadline and runs the
-    // watchdog / outage degradation / probe / resync loop.
-    let (recovery, outage) = if hardened {
-        (RecoveryPolicy::default(), OutageConfig::hardened())
-    } else {
-        (RecoveryPolicy { deadline_gated: false, ..Default::default() }, OutageConfig::default())
-    };
-    let cfg = ArConfig { recovery, outage, fec_group: None, ..ArConfig::default() };
-    run_faults_config_instrumented(scenario, &cfg, fault_ms, secs, seed, telemetry)
-}
-
-/// [`run_faults`] with the full AR protocol configuration supplied by the
-/// caller — the policy-search entry point (the portfolio runs candidates
-/// with the hardened outage profile plus their searched recovery knobs).
-pub fn run_faults_with_config(
-    scenario: FaultScenario,
-    cfg: &ArConfig,
-    fault_ms: u64,
-    secs: u64,
-    seed: u64,
-) -> FaultsOutcome {
-    run_faults_config_instrumented(
-        scenario,
-        cfg,
-        fault_ms,
-        secs,
-        seed,
-        &TelemetryOptions::disabled(),
-    )
-    .0
-}
-
-/// [`run_faults_with_config`] with optional telemetry capture; the shared
-/// body behind every fault-injection entry point.
+/// `scenario` at t = 2 s for `fault_ms`, for `secs` (> 2) of virtual time,
+/// under the protocol stack `cfg` (a [`FaultScenario::stack_config`] arm,
+/// or a `marnet-lab train` candidate). The whole run is a function of its
+/// arguments: byte-identical artifacts at any thread count.
 pub fn run_faults_config_instrumented(
     scenario: FaultScenario,
     cfg: &ArConfig,
@@ -1140,17 +901,7 @@ pub fn run_faults_config_instrumented(
     let fault_at = SimTime::from_secs(2);
     let fault_end = fault_at + SimDuration::from_millis(fault_ms);
     let horizon = SimTime::from_secs(secs);
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let registry = if telemetry.metrics {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        Some(reg)
-    } else {
-        None
-    };
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
     let monitor = sim.reserve_actor();
@@ -1230,16 +981,14 @@ pub fn run_faults_config_instrumented(
         recovery_probes: s.recovery_probes,
         session_resyncs: s.session_resyncs,
     };
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
-        s.publish_usage(&reg, "core.class");
+    if let Some(reg) = &registry {
+        s.publish_usage(reg, "core.class");
         reg.counter("core.faults.retransmits").add(s.retransmits);
         reg.counter("core.faults.outages_detected").add(s.outages_detected);
         reg.counter("core.faults.recovery_probes").add(s.recovery_probes);
         reg.counter("core.faults.session_resyncs").add(s.session_resyncs);
-        reg.snapshot()
-    });
-    let capture = TelemetryCapture { events: sim.take_trace(), metrics };
+    }
+    let capture = finish_telemetry(&mut sim, registry);
     (outcome, events, capture)
 }
 
@@ -1256,39 +1005,21 @@ pub struct MultipathOutcome {
     pub sender: Rc<RefCell<ArSenderStats>>,
 }
 
+/// The default AR configuration running the §VI-D multipath `policy`.
+pub fn commute_config(policy: MultipathPolicy) -> ArConfig {
+    ArConfig { policy, ..ArConfig::default() }
+}
+
 /// A commuting MAR user: WiFi with urban-walk coverage + always-on LTE,
-/// running the given §VI-D policy for `secs`.
-pub fn run_multipath_commute(policy: MultipathPolicy, secs: u64, seed: u64) -> MultipathOutcome {
-    let cfg = ArConfig { policy, ..ArConfig::default() };
-    run_multipath_commute_with_config(&cfg, secs, seed)
-}
-
-/// [`run_multipath_commute`] with the full AR protocol configuration
-/// supplied by the caller — the policy-search entry point.
-pub fn run_multipath_commute_with_config(cfg: &ArConfig, secs: u64, seed: u64) -> MultipathOutcome {
-    run_multipath_commute_config_instrumented(cfg, secs, seed, &TelemetryOptions::disabled()).0
-}
-
-/// [`run_multipath_commute_with_config`] with optional telemetry capture;
-/// the shared body behind every commute entry point (`marnet-lab
-/// racecheck` uses the captured trace to localize tie-order divergences).
+/// running `cfg` (a [`commute_config`] policy, or a `marnet-lab train`
+/// candidate) for `secs`.
 pub fn run_multipath_commute_config_instrumented(
     cfg: &ArConfig,
     secs: u64,
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (MultipathOutcome, u64, TelemetryCapture) {
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let registry = if telemetry.metrics {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        Some(reg)
-    } else {
-        None
-    };
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
     let app = sim.reserve_actor();
@@ -1352,11 +1083,7 @@ pub fn run_multipath_commute_config_instrumented(
     sim.install_actor(app, GreedyArApp { sender: snd, next_id: 0 });
 
     let events = sim.run_until(SimTime::from_secs(secs));
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
-        reg.snapshot()
-    });
-    let capture = TelemetryCapture { events: sim.take_trace(), metrics };
+    let capture = finish_telemetry(&mut sim, registry);
     (MultipathOutcome { receiver: receiver_stats, sender: sender_stats }, events, capture)
 }
 
@@ -1416,32 +1143,6 @@ pub struct CityscaleOutcome {
 /// approaches the backhaul capacity the foreground share collapses below
 /// the MAR stream's rate and the cell's queue — and with it the QoE —
 /// degrades: the paper's metro-scale capacity argument, measured.
-pub fn run_cityscale(clients: u64, backhaul_gbps: f64, secs: u64, seed: u64) -> CityscaleOutcome {
-    run_cityscale_counted(clients, backhaul_gbps, secs, seed).0
-}
-
-/// [`run_cityscale`], additionally returning the number of simulator
-/// events processed — the denominator of the `flow_events_per_sec`
-/// benchmark.
-pub fn run_cityscale_counted(
-    clients: u64,
-    backhaul_gbps: f64,
-    secs: u64,
-    seed: u64,
-) -> (CityscaleOutcome, u64) {
-    let (outcome, events, _) = run_cityscale_instrumented(
-        clients,
-        backhaul_gbps,
-        secs,
-        seed,
-        &TelemetryOptions::disabled(),
-    );
-    (outcome, events)
-}
-
-/// [`run_cityscale_counted`] with optional flight-recorder and metrics
-/// capture; with the default (disabled) options it is byte-identical to
-/// the uninstrumented run.
 pub fn run_cityscale_instrumented(
     clients: u64,
     backhaul_gbps: f64,
@@ -1449,17 +1150,7 @@ pub fn run_cityscale_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (CityscaleOutcome, u64, TelemetryCapture) {
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let registry = if telemetry.metrics {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        Some(reg)
-    } else {
-        None
-    };
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
 
     // Packet-level focus region: the cell. The edge NIC owns the
     // downlink; the MAR source paces packets through it to the sink.
@@ -1526,8 +1217,7 @@ pub fn run_cityscale_instrumented(
 
     let events = sim.run_until(SimTime::from_secs(secs));
 
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
+    if let Some(reg) = &registry {
         let fl = fluid.borrow();
         reg.counter("flow.started").add(fl.started);
         reg.counter("flow.finished").add(fl.finished);
@@ -1535,9 +1225,8 @@ pub fn run_cityscale_instrumented(
         let bg = background_stats.borrow();
         reg.counter("flow.workload.offered").add(bg.offered);
         reg.counter("flow.workload.completed").add(bg.completed);
-        reg.snapshot()
-    });
-    let capture = TelemetryCapture { events: sim.take_trace(), metrics };
+    }
+    let capture = finish_telemetry(&mut sim, registry);
     let outcome = CityscaleOutcome { mar, background: background_stats, fluid, regions };
     (outcome, events, capture)
 }
@@ -1547,11 +1236,25 @@ mod tests {
     use super::*;
     use marnet_telemetry::TraceKind;
 
+    fn off() -> TelemetryOptions {
+        TelemetryOptions::disabled()
+    }
+
+    /// The fault sweep's grid point: a 500 ms fault in a 6 s run, seed 42.
+    fn faults(scenario: FaultScenario, hardened: bool) -> FaultsOutcome {
+        let cfg = FaultScenario::stack_config(hardened);
+        run_faults_config_instrumented(scenario, &cfg, 500, 6, 42, &off()).0
+    }
+
+    fn cityscale(clients: u64, secs: u64, seed: u64) -> CityscaleOutcome {
+        run_cityscale_instrumented(clients, 1.0, secs, seed, &off()).0
+    }
+
     #[test]
     fn table2_rtts_match_the_paper_rows() {
         for scenario in Table2Scenario::ALL {
             let (_, _, expected_ms) = scenario.labels();
-            let stats = run_table2(scenario, 100, 400, 400, 3);
+            let stats = run_table2_instrumented(scenario, 100, 400, 400, 3, &off()).0;
             let st = stats.borrow();
             assert_eq!(st.received, 100, "{scenario:?} lost probes");
             let mut h = st.rtt_ms.clone();
@@ -1578,7 +1281,8 @@ mod tests {
         // In loss-only mode (delay signal effectively disabled) the AR
         // protocol competes like an AIMD flow and holds its share; the
         // delay-sensitive mode's starvation is measured by the E14 sweep.
-        let out = run_fairness(10.0, 1, true, SimDuration::from_secs(10), 30, 7);
+        let cfg = fairness_config(10.0, true, SimDuration::from_secs(10));
+        let out = run_fairness_config_instrumented(10.0, 1, &cfg, 30, 7, &off()).0;
         let ar_bytes = out.ar.borrow().received_bytes as f64;
         let tcp_bytes = out.tcp[0].borrow().goodput_bytes as f64;
         assert!(ar_bytes > 0.0 && tcp_bytes > 0.0);
@@ -1590,16 +1294,9 @@ mod tests {
 
     #[test]
     fn queueing_priority_protects_mar_latency() {
-        let bloated = run_queueing(2.0, QueueConfig::bloated_uplink(), 0, 1, 1, 30, 9);
-        let prio = run_queueing(
-            2.0,
-            QueueConfig::StrictPriority { bands: 4, cap_packets_per_band: 250 },
-            0,
-            1,
-            1,
-            30,
-            9,
-        );
+        let run = |queue| run_queueing_instrumented(2.0, queue, 0, 1, 1, 30, 9, &off()).0;
+        let bloated = run(QueueConfig::bloated_uplink());
+        let prio = run(QueueConfig::StrictPriority { bands: 4, cap_packets_per_band: 250 });
         let bl = bloated.mar[0].borrow().latency_ms.clone();
         let pr = prio.mar[0].borrow().latency_ms.clone();
         let mut bl2 = bl.clone();
@@ -1614,12 +1311,44 @@ mod tests {
         assert!(prio.bulk[0].borrow().goodput_bytes > 1_000_000);
     }
 
+    /// A metrics-on run carries live queue gauges for its links although
+    /// the scenario enables metrics before it adds them, and turning
+    /// telemetry on changes nothing the run computes.
+    #[test]
+    fn metrics_cover_every_link_and_leave_the_run_unchanged() {
+        let run = |telemetry: &TelemetryOptions| {
+            run_queueing_instrumented(2.0, QueueConfig::bloated_uplink(), 0, 1, 1, 5, 9, telemetry)
+        };
+        let scalars = |o: &QueueingOutcome| {
+            let mar = o.mar[0].borrow();
+            (mar.packets, mar.latency_ms.values().to_vec(), o.bulk[0].borrow().goodput_bytes)
+        };
+        let metered = TelemetryOptions { trace_capacity: None, metrics: true };
+        let (on, on_events, capture) = run(&metered);
+        let snap = capture.metrics.expect("metrics on must snapshot");
+        for link in 0..2 {
+            assert!(snap.gauges.contains_key(&format!("sim.link.{link}.queue_packets")));
+            assert!(snap.gauges.contains_key(&format!("sim.link.{link}.queue_bytes")));
+        }
+        let delay = &snap.series["sim.link.0.queue_delay_ms"];
+        assert!(!delay.is_empty(), "the bloated uplink must record queue delay");
+        assert!(delay.iter().any(|b| b.max > 100.0), "bufferbloat shows in the series");
+
+        let (plain, off_events, bare) = run(&off());
+        assert!(bare.metrics.is_none() && bare.events.is_empty());
+        assert_eq!(scalars(&on), scalars(&plain));
+        assert_eq!(on_events, off_events);
+    }
+
     #[test]
     fn multipath_policies_trade_lte_bytes_for_availability() {
         let secs = 120;
-        let wifi_only = run_multipath_commute(MultipathPolicy::WifiOnly, secs, 21);
-        let preferred = run_multipath_commute(MultipathPolicy::WifiPreferred, secs, 21);
-        let aggregate = run_multipath_commute(MultipathPolicy::Aggregate, secs, 21);
+        let run = |policy| {
+            run_multipath_commute_config_instrumented(&commute_config(policy), secs, 21, &off()).0
+        };
+        let wifi_only = run(MultipathPolicy::WifiOnly);
+        let preferred = run(MultipathPolicy::WifiPreferred);
+        let aggregate = run(MultipathPolicy::Aggregate);
         let lte = |o: &MultipathOutcome| o.sender.borrow().cellular_bytes;
         let delivered = |o: &MultipathOutcome| {
             o.receiver.borrow().by_kind.values().map(|k| k.delivered).sum::<u64>()
@@ -1642,15 +1371,15 @@ mod tests {
 
     #[test]
     fn fault_runs_are_deterministic() {
-        let a = run_faults(FaultScenario::LinkOutage, true, 500, 6, 42);
-        let b = run_faults(FaultScenario::LinkOutage, true, 500, 6, 42);
+        let a = faults(FaultScenario::LinkOutage, true);
+        let b = faults(FaultScenario::LinkOutage, true);
         assert_eq!(a, b, "same inputs must reproduce the outcome bit for bit");
     }
 
     #[test]
     fn hardened_stack_beats_baseline_on_link_outage_recovery() {
-        let baseline = run_faults(FaultScenario::LinkOutage, false, 500, 6, 42);
-        let hardened = run_faults(FaultScenario::LinkOutage, true, 500, 6, 42);
+        let baseline = faults(FaultScenario::LinkOutage, false);
+        let hardened = faults(FaultScenario::LinkOutage, true);
         let b_ms = baseline.recovery_ms.expect("baseline recovers from a pure link outage");
         let h_ms = hardened.recovery_ms.expect("hardened recovers from a pure link outage");
         // Freshest-frame retention: the hardened arm banks the newest frame
@@ -1665,8 +1394,8 @@ mod tests {
 
     #[test]
     fn cold_edge_crash_is_fatal_without_session_resync() {
-        let baseline = run_faults(FaultScenario::EdgeCrash, false, 500, 6, 42);
-        let hardened = run_faults(FaultScenario::EdgeCrash, true, 500, 6, 42);
+        let baseline = faults(FaultScenario::EdgeCrash, false);
+        let hardened = faults(FaultScenario::EdgeCrash, true);
         // The baseline keeps stamping the dead epoch after the cold
         // restart; the fresh incarnation discards every packet and QoE
         // never returns (censored at the horizon).
@@ -1680,8 +1409,8 @@ mod tests {
 
     #[test]
     fn warm_edge_reboot_is_benign_for_both_arms() {
-        let baseline = run_faults(FaultScenario::EdgeReboot, false, 500, 6, 42);
-        let hardened = run_faults(FaultScenario::EdgeReboot, true, 500, 6, 42);
+        let baseline = faults(FaultScenario::EdgeReboot, false);
+        let hardened = faults(FaultScenario::EdgeReboot, true);
         // No state loss → no epoch bump → no resync needed; both arms
         // recover within about one frame budget and hardening costs
         // nothing. The half-second hole is NACKed but its deadlines are
@@ -1701,8 +1430,9 @@ mod tests {
     #[test]
     fn outage_trace_degradation_engages_within_one_rtt() {
         let telemetry = TelemetryOptions { trace_capacity: Some(1 << 15), metrics: false };
+        let cfg = FaultScenario::stack_config(true);
         let (outcome, _, capture) =
-            run_faults_instrumented(FaultScenario::LinkOutage, true, 500, 6, 42, &telemetry);
+            run_faults_config_instrumented(FaultScenario::LinkOutage, &cfg, 500, 6, 42, &telemetry);
         let events = &capture.events;
         let first = |kind: TraceKind| {
             events.iter().find(|e| e.kind == kind).map(|e| e.t).unwrap_or_else(|| {
@@ -1750,8 +1480,8 @@ mod tests {
         // propagation + serialization. Overload: offered ≈ 3.6 Gb/s —
         // the foreground share collapses below the MAR stream's 6 Mb/s
         // and queueing delay dominates.
-        let light = run_cityscale(2_000, 1.0, 6, 13);
-        let heavy = run_cityscale(20_000, 1.0, 6, 13);
+        let light = cityscale(2_000, 6, 13);
+        let heavy = cityscale(20_000, 6, 13);
         let light_p95 = light.mar.borrow().latency_ms.clone().p95().unwrap();
         let heavy_p95 = heavy.mar.borrow().latency_ms.clone().p95().unwrap();
         assert!(light_p95 < 20.0, "unloaded cell p95 {light_p95} ms");
@@ -1785,8 +1515,8 @@ mod tests {
                 o.fluid.borrow().recomputes,
             )
         };
-        let a = run_cityscale(5_000, 1.0, 4, 29);
-        let b = run_cityscale(5_000, 1.0, 4, 29);
+        let a = cityscale(5_000, 4, 29);
+        let b = cityscale(5_000, 4, 29);
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 }

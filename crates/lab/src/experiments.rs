@@ -1,7 +1,8 @@
 //! The built-in experiments: the paper's Table II RTT measurement, the
-//! §VI-C recovery sweep and the §III offload-decision sweep, each ported
-//! from its single-seed `marnet-bench` binary onto the replicated runner
-//! so its table gains mean ± 95% CI columns.
+//! §VI-C recovery sweep, the §III offload-decision sweep, the E16 fault
+//! sweep and the E17 city-scale sweep, each a `marnet-bench` scenario on
+//! the replicated runner so its table carries mean ± 95% CI columns.
+//! `--replicates 1` is the single-seed quick look.
 
 use crate::agg::PointSummary;
 use crate::runner::{TrialCtx, TrialReport};
@@ -10,11 +11,12 @@ use marnet_app::compute::{ComputeModel, DbAccess, FrameWork, NetParams};
 use marnet_app::device::DeviceClass;
 use marnet_app::strategy::OffloadStrategy;
 use marnet_bench::scenarios::{
-    cityscale_offered_gbps, run_cityscale_instrumented, run_faults_instrumented,
+    cityscale_offered_gbps, run_cityscale_instrumented, run_faults_config_instrumented,
     run_recovery_instrumented, run_table2_instrumented, FaultScenario, RecoveryMechanism,
     Table2Scenario,
 };
 use marnet_bench::{fmt, print_table};
+use marnet_core::fec;
 use marnet_sim::link::Bandwidth;
 use marnet_sim::time::SimDuration;
 use marnet_telemetry::TelemetryOptions;
@@ -225,6 +227,29 @@ fn render_recovery(points: &[PointSummary]) {
         &["Mechanism", "RTT", "In budget", "Delivered", "Byte overhead", "n"],
         &rows,
     );
+
+    // The analytic §VI-C rule and FEC frontier the simulated rows sit on.
+    println!("\n§VI-C analytic checks:");
+    println!(
+        "  Retransmission viable iff RTT ≤ 37.5 ms (one retransmit within\n\
+         a 75 ms budget at 30 FPS): gate passes at 20/36 ms, refuses at 60+."
+    );
+    if let Some(loss) = points.first().and_then(|p| p.params["loss"].as_float()) {
+        println!("  XOR FEC frontier at p = {loss}:");
+        for k in [1usize, 2, 4, 8, 16] {
+            println!(
+                "    k={k:>2}: overhead {:>5}%  residual message loss {:>6}%",
+                fmt(fec::overhead(k) * 100.0, 1),
+                fmt(fec::residual_loss(k, loss) * 100.0, 3)
+            );
+        }
+    }
+    println!(
+        "\nShape check: below 37.5 ms RTT the deadline-gated ARQ matches\n\
+         always-ARQ; above it, gated ARQ stops wasting bytes on hopeless\n\
+         retransmissions and FEC/duplication become the only ways to lift\n\
+         in-budget delivery — at their respective byte costs."
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -255,8 +280,9 @@ fn sweep_faults(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Expe
         let hardened = point.param("stack").as_str() == Some("hardened");
         let fault_ms = point.param("fault_ms").as_int().expect("int") as u64;
         let secs = point.param("secs").as_int().expect("int") as u64;
+        let cfg = FaultScenario::stack_config(hardened);
         let (out, _, capture) =
-            run_faults_instrumented(scenario, hardened, fault_ms, secs, ctx.seed, &telemetry);
+            run_faults_config_instrumented(scenario, &cfg, fault_ms, secs, ctx.seed, &telemetry);
         // Censor non-recoveries at the horizon: a run whose QoE never came
         // back contributes the worst possible recovery time instead of
         // silently dropping out of the percentiles.

@@ -2,7 +2,8 @@
 //! byte-identical at any thread count, and fully reproducible from the
 //! spec and seed alone.
 
-use marnet_bench::scenarios::{run_recovery_with_pooling, RecoveryMechanism};
+use marnet_bench::scenarios::{run_recovery_config_instrumented, RecoveryMechanism};
+use marnet_core::config::ArConfig;
 use marnet_lab::artifact::Artifact;
 use marnet_lab::runner::{run_experiment, TrialCtx, TrialReport};
 use marnet_lab::spec::{GridPoint, ParamValue, ScenarioSpec};
@@ -83,8 +84,9 @@ fn recovery_artifact(
         let rtt = point.param("rtt_ms").as_int().unwrap() as u64;
         let loss = point.param("loss_pct").as_float().unwrap() / 100.0;
         let telemetry = TelemetryOptions { trace_capacity: Some(1 << 12), metrics: false };
+        let cfg = ArConfig { pooling, ..mech.config() };
         let (outcome, events, capture) =
-            run_recovery_with_pooling(rtt, loss, mech, 2, ctx.seed, &telemetry, pooling);
+            run_recovery_config_instrumented(rtt, loss, &cfg, 2, ctx.seed, &telemetry);
         let mut report = TrialReport::new();
         report.scalar("delivered_in_budget_pct", outcome.delivered_in_budget_pct);
         report.scalar("delivered_total_pct", outcome.delivered_total_pct);

@@ -10,6 +10,7 @@ use marnet_lab::experiments;
 use marnet_lab::runner::run_experiment;
 use marnet_lab::TrialReport;
 use marnet_telemetry::TelemetryOptions;
+use std::path::Path;
 
 /// `(name, spec_hash)` for every built-in experiment at `--replicates 8
 /// --seed 42`, the configuration the committed reference artifacts use.
@@ -32,6 +33,27 @@ fn builtin_experiment_spec_hashes_match_goldens() {
             "spec hash drifted for {name}: artifacts keyed by the old hash \
              no longer correspond to this spec"
         );
+    }
+}
+
+/// Every committed reference artifact loads and records the hash of the
+/// spec the current code builds at the artifact's own `(replicates, seed)`
+/// — so `--baseline results/lab_<name>.json` compares like with like.
+#[test]
+fn committed_artifacts_match_their_rebuilt_spec_hashes() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for name in experiments::NAMES {
+        let path = results.join(format!("lab_{name}.json"));
+        let artifact = Artifact::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let exp = experiments::build(
+            name,
+            artifact.replicates,
+            artifact.seed,
+            &TelemetryOptions::disabled(),
+        )
+        .expect("built-in experiment");
+        assert_eq!(artifact.spec_hash, format!("{:016x}", exp.spec.spec_hash()), "{name}");
+        assert_eq!(artifact.failed_trials, 0, "{name}");
     }
 }
 

@@ -21,6 +21,7 @@ use marnet_telemetry::{
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::fmt;
+use std::rc::Rc;
 
 /// Identifier of an actor within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -130,11 +131,32 @@ fn actor_slot_mut(
     &mut actors[id.index()]
 }
 
-/// Live metric handles for one link, created by [`Simulator::enable_metrics`].
+/// Live metric handles for one link.
 struct LinkGauges {
     queue_packets: Gauge,
     queue_bytes: Gauge,
     queue_delay_ms: TimeHistogram,
+}
+
+impl LinkGauges {
+    fn register(registry: &MetricsRegistry, i: usize) -> Self {
+        LinkGauges {
+            queue_packets: registry.gauge(&format!("sim.link.{i}.queue_packets")),
+            queue_bytes: registry.gauge(&format!("sim.link.{i}.queue_bytes")),
+            // 100 ms buckets: fine enough to see bufferbloat build up,
+            // coarse enough to stay small over multi-minute runs.
+            queue_delay_ms: registry
+                .time_histogram(&format!("sim.link.{i}.queue_delay_ms"), 100_000_000),
+        }
+    }
+}
+
+/// Live link metrics, set by [`Simulator::enable_metrics`]: one gauge set
+/// per link, and the registry [`Simulator::add_link`] registers later
+/// links in.
+struct LinkMetrics {
+    registry: Rc<MetricsRegistry>,
+    gauges: Vec<LinkGauges>,
 }
 
 /// Tie-break source key of events scheduled outside any handler (setup
@@ -164,7 +186,7 @@ pub struct SimCtx {
     stopped: bool,
     events_processed: u64,
     trace: TraceSink,
-    link_gauges: Option<Vec<LinkGauges>>,
+    link_metrics: Option<LinkMetrics>,
 }
 
 impl fmt::Debug for SimCtx {
@@ -560,8 +582,8 @@ impl SimCtx {
     /// packet was just dequeued). No-op unless metrics were enabled.
     #[inline]
     fn note_queue_metrics(&self, link: LinkId, dequeue_delay_nanos: Option<u64>) {
-        let Some(gauges) = &self.link_gauges else { return };
-        let Some(g) = gauges.get(link.index()) else { return };
+        let Some(metrics) = &self.link_metrics else { return };
+        let Some(g) = metrics.gauges.get(link.index()) else { return };
         let l = link_rt(&self.links, link);
         g.queue_packets.set(l.queue.len_packets() as f64);
         g.queue_bytes.set(l.queue.len_bytes() as f64);
@@ -618,7 +640,7 @@ impl Simulator {
                 stopped: false,
                 events_processed: 0,
                 trace: TraceSink::Off,
-                link_gauges: None,
+                link_metrics: None,
             },
             actors: Vec::new(), // marnet-lint: allow(hot-path-alloc): Simulator construction, once per trial
             started: Vec::new(), // marnet-lint: allow(hot-path-alloc): Simulator construction, once per trial
@@ -665,6 +687,9 @@ impl Simulator {
     /// Adds a directed link from `src` to `dst`.
     pub fn add_link(&mut self, src: ActorId, dst: ActorId, params: LinkParams) -> LinkId {
         let id = LinkId(self.ctx.links.len() as u32);
+        if let Some(metrics) = &mut self.ctx.link_metrics {
+            metrics.gauges.push(LinkGauges::register(&metrics.registry, id.index()));
+        }
         let rng = crate::rng::derive_rng(self.ctx.seed, &format!("sim.link.{}", id.index()));
         self.ctx.links.push(LinkRuntime {
             src,
@@ -833,20 +858,11 @@ impl Simulator {
     }
 
     /// Registers per-link queue metrics (occupancy gauges and a queue-delay
-    /// time series) in `registry` and keeps them live during the run. Call
-    /// after the topology is built; links added later are not instrumented.
-    pub fn enable_metrics(&mut self, registry: &MetricsRegistry) {
-        let gauges = (0..self.ctx.links.len())
-            .map(|i| LinkGauges {
-                queue_packets: registry.gauge(&format!("sim.link.{i}.queue_packets")),
-                queue_bytes: registry.gauge(&format!("sim.link.{i}.queue_bytes")),
-                // 100 ms buckets: fine enough to see bufferbloat build up,
-                // coarse enough to stay small over multi-minute runs.
-                queue_delay_ms: registry
-                    .time_histogram(&format!("sim.link.{i}.queue_delay_ms"), 100_000_000),
-            })
-            .collect();
-        self.ctx.link_gauges = Some(gauges);
+    /// time series) in `registry` and keeps them live during the run, for
+    /// the links that exist now and every link added afterwards.
+    pub fn enable_metrics(&mut self, registry: &Rc<MetricsRegistry>) {
+        let gauges = (0..self.ctx.links.len()).map(|i| LinkGauges::register(registry, i)).collect();
+        self.ctx.link_metrics = Some(LinkMetrics { registry: Rc::clone(registry), gauges });
     }
 
     /// Publishes each link's cumulative [`LinkStats`] counters into

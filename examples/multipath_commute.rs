@@ -9,7 +9,8 @@
 
 use marnet::arcore::class::StreamKind;
 use marnet::arcore::multipath::MultipathPolicy;
-use marnet_bench::scenarios::run_multipath_commute;
+use marnet_bench::scenarios::{commute_config, run_multipath_commute_config_instrumented};
+use marnet_telemetry::TelemetryOptions;
 
 fn main() {
     let secs = 180;
@@ -20,7 +21,13 @@ fn main() {
         ("2: WiFi preferred, 4G when WiFi is out", MultipathPolicy::WifiPreferred),
         ("3: WiFi and 4G simultaneously", MultipathPolicy::Aggregate),
     ] {
-        let out = run_multipath_commute(policy, secs, 7);
+        let out = run_multipath_commute_config_instrumented(
+            &commute_config(policy),
+            secs,
+            7,
+            &TelemetryOptions::disabled(),
+        )
+        .0;
         let r = out.receiver.borrow();
         let s = out.sender.borrow();
         let video = r.by_kind.get(&StreamKind::VideoInter);

@@ -12,8 +12,9 @@ use marnet::sim::link::{Bandwidth, LinkParams, LossModel};
 use marnet::sim::packet::Payload;
 use marnet::sim::time::{SimDuration, SimTime};
 use marnet::transport::nic::TxPath;
-use marnet_bench::scenarios::{run_fig3, run_queueing};
+use marnet_bench::scenarios::{run_fig3, run_queueing_instrumented};
 use marnet_sim::queue::QueueConfig;
+use marnet_telemetry::TelemetryOptions;
 
 struct App {
     sender: ActorId,
@@ -143,8 +144,11 @@ fn fig3_effect_holds_with_the_paper_buffer_sizes() {
 fn aqm_rescues_what_bufferbloat_destroys() {
     // §VI-H end to end: same MAR stream + same bulk upload; only the queue
     // discipline changes.
-    let bloat = run_queueing(2.0, QueueConfig::bloated_uplink(), 0, 1, 1, 20, 5);
-    let codel = run_queueing(2.0, QueueConfig::codel_default(), 0, 1, 1, 20, 5);
+    let run = |queue| {
+        run_queueing_instrumented(2.0, queue, 0, 1, 1, 20, 5, &TelemetryOptions::disabled()).0
+    };
+    let bloat = run(QueueConfig::bloated_uplink());
+    let codel = run(QueueConfig::codel_default());
     let bloat_p95 = bloat.mar[0].borrow().latency_ms.clone().p95().unwrap();
     let codel_p95 = codel.mar[0].borrow().latency_ms.clone().p95().unwrap();
     assert!(
