@@ -3,7 +3,11 @@
 //! number (simulator events per wall-clock second on the E11 recovery
 //! scenario); `multipath_duplication` doubles the packet volume over a
 //! second path; `timer_cancel_churn` isolates the indexed heap's
-//! schedule/cancel cycle, the pattern every retransmission timer follows.
+//! schedule/cancel cycle, the pattern every retransmission timer follows,
+//! and `timer_rearm_churn` the in-place move that replaces it where a
+//! timer is only ever pushed back; `same_instant_message_deep` bounces
+//! zero-delay messages over 10⁵ parked timers, the city-scale pattern the
+//! same-instant lane exists for.
 //!
 //! `cargo bench -p marnet-bench --bench engine_hot` measures;
 //! `cargo bench -p marnet-bench --bench engine_hot -- --test` smoke-runs
@@ -13,7 +17,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use marnet_bench::scenarios::{run_recovery_instrumented, RecoveryMechanism, RecoveryOutcome};
 use marnet_core::fec::{xor_into, xor_into_scalar};
-use marnet_sim::engine::Simulator;
+use marnet_sim::engine::{Actor, ActorId, Event, SimCtx, Simulator};
+use marnet_sim::packet::Payload;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::event::{TraceEvent, TraceKind};
 use marnet_telemetry::recorder::TraceSink;
@@ -59,8 +64,6 @@ fn bench_multipath_duplication(c: &mut Criterion) {
 /// fire one sentinel. The indexed heap must remove each cancelled timer
 /// in O(log n) without leaving residue for later pops to step over.
 fn bench_timer_cancel_churn(c: &mut Criterion) {
-    use marnet_sim::engine::{Actor, Event, SimCtx};
-
     const BATCH: usize = 1_000;
 
     struct Churner;
@@ -86,6 +89,93 @@ fn bench_timer_cancel_churn(c: &mut Criterion) {
             sim.add_actor(Churner);
             black_box(sim.run_until(SimTime::from_secs(1)))
         })
+    });
+    g.finish();
+}
+
+/// Re-arm churn: one timer pushed back over and over among a batch of
+/// parked ones — what a retransmission timer does on every ACK and the
+/// fluid tier's completion timer on every flow start. Each move is one
+/// sift where the entry sits, not a removal plus an insertion.
+fn bench_timer_rearm_churn(c: &mut Criterion) {
+    const PARKED: u64 = 1_000;
+    const MOVES: u64 = 1_000;
+
+    struct Mover;
+    impl Actor for Mover {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            if matches!(ev, Event::Start) {
+                for i in 0..PARKED {
+                    ctx.schedule_timer(SimDuration::from_millis(500 + i), 1);
+                }
+                let mut h = ctx.schedule_timer(SimDuration::from_millis(1), 2);
+                for i in 0..MOVES {
+                    h = ctx.rearm_timer(h, SimDuration::from_millis(2 + i % 400), 2);
+                }
+            }
+        }
+    }
+
+    let mut g = c.benchmark_group("timer_rearm_churn");
+    g.throughput(Throughput::Elements(MOVES));
+    g.bench_function("rearm_1k_over_1k_parked", |b| {
+        b.iter(|| {
+            let mut sim = Simulator::new(7);
+            sim.add_actor(Mover);
+            black_box(sim.run_until(SimTime::from_millis(1)))
+        })
+    });
+    g.finish();
+}
+
+/// Zero-delay message ping-pong over a deep heap: 10⁵ parked timers (one
+/// think timer per city-scale client) and two actors bouncing a message
+/// within one instant. Through the heap every bounce sifts up past the
+/// parked timers and straight back down; through the same-instant lane it
+/// never touches them.
+fn bench_same_instant_message_deep(c: &mut Criterion) {
+    const PARKED: u64 = 100_000;
+    const BOUNCES: u64 = 10_000;
+
+    struct Bouncer {
+        peer: ActorId,
+        park: u64,
+        left: u64,
+    }
+    impl Actor for Bouncer {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            match ev {
+                Event::Start => {
+                    for i in 0..self.park {
+                        ctx.schedule_timer(SimDuration::from_secs(3_600 + i), 0);
+                    }
+                    if self.park > 0 {
+                        ctx.send_message(self.peer, Payload::empty());
+                    }
+                }
+                Event::Message { .. } if self.left > 0 => {
+                    self.left -= 1;
+                    ctx.send_message(self.peer, Payload::empty());
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let mut g = c.benchmark_group("same_instant_message_deep");
+    g.throughput(Throughput::Elements(BOUNCES));
+    g.bench_function("ping_pong_10k_over_100k_parked", |b| {
+        // The timers are parked once, by the two start events; every
+        // iteration continues the ping-pong at the (unchanged) instant.
+        let mut sim = Simulator::new(7);
+        let a = sim.reserve_actor();
+        let z = sim.reserve_actor();
+        sim.install_actor(a, Bouncer { peer: z, park: PARKED, left: u64::MAX });
+        sim.install_actor(z, Bouncer { peer: a, park: 0, left: u64::MAX });
+        sim.set_event_limit(2);
+        sim.run_until(SimTime::from_secs(1));
+        sim.set_event_limit(BOUNCES);
+        b.iter(|| black_box(sim.run_until(SimTime::from_secs(1))))
     });
     g.finish();
 }
@@ -167,6 +257,8 @@ criterion_group!(
     bench_engine_events_per_sec,
     bench_multipath_duplication,
     bench_timer_cancel_churn,
+    bench_timer_rearm_churn,
+    bench_same_instant_message_deep,
     bench_fec_parity_throughput,
     bench_recorder_record_hot,
 );

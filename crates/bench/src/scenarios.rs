@@ -17,7 +17,7 @@ use marnet_flow::fluid::{FluidNetwork, FluidStats};
 use marnet_flow::hybrid::Coupling;
 use marnet_flow::workload::{BackgroundWorkload, WorkloadConfig, WorkloadStats};
 use marnet_radio::coverage::{CoverageActor, CoverageModel};
-use marnet_sim::engine::{Actor, ActorId, Event, SimCtx, Simulator};
+use marnet_sim::engine::{Actor, ActorId, Event, QueueStats, SimCtx, Simulator};
 use marnet_sim::link::{Bandwidth, LinkParams, LossModel};
 use marnet_sim::packet::{Payload, PayloadPool};
 use marnet_sim::queue::QueueConfig;
@@ -1128,6 +1128,9 @@ pub struct CityscaleOutcome {
     pub fluid: Rc<RefCell<FluidStats>>,
     /// The fidelity partition the scenario was built from.
     pub regions: RegionMap,
+    /// What the event queue did: heap vs. same-instant-lane insertions,
+    /// timer re-arms, peak depth (diagnostics, in no artifact).
+    pub queue: QueueStats,
 }
 
 /// E17: one packet-level MAR cell surrounded by `clients` flow-level
@@ -1227,7 +1230,8 @@ pub fn run_cityscale_instrumented(
         reg.counter("flow.workload.completed").add(bg.completed);
     }
     let capture = finish_telemetry(&mut sim, registry);
-    let outcome = CityscaleOutcome { mar, background: background_stats, fluid, regions };
+    let queue = sim.ctx().queue_stats();
+    let outcome = CityscaleOutcome { mar, background: background_stats, fluid, regions, queue };
     (outcome, events, capture)
 }
 
@@ -1498,6 +1502,32 @@ mod tests {
         // The partition is recorded: the cell is packet-level, the fluid
         // tier fluid, and the downlink is the (only) boundary.
         assert_eq!(heavy.regions.boundaries().len(), 1);
+    }
+
+    #[test]
+    fn cityscale_messages_skip_the_heap_and_the_fluid_timer_moves_in_place() {
+        // The mechanism behind the city-scale speed: flow starts, flow
+        // completions and rate updates are same-instant messages, and the
+        // fluid tier moves its one completion timer on each of them.
+        let out = cityscale(20_000, 4, 31);
+        let q = out.queue;
+        let pushes = q.heap_pushes + q.lane_pushes;
+        assert!(
+            q.lane_pushes * 10 > pushes * 4,
+            "only {} of {pushes} pushes took the same-instant lane",
+            q.lane_pushes
+        );
+        // Every recompute with a flow in progress re-arms; only the few
+        // that find the timer just fired (or nothing to wait for) do not.
+        let recomputes = out.fluid.borrow().recomputes;
+        assert!(
+            q.rearms * 10 > recomputes * 7,
+            "{} re-arms over {recomputes} recomputes",
+            q.rearms
+        );
+        assert_eq!(q.cancels, 0, "nothing in this scenario cancels a timer outright");
+        // One think timer per client is pending throughout.
+        assert!(q.peak_depth >= 20_000, "peak queue depth {}", q.peak_depth);
     }
 
     #[test]

@@ -363,9 +363,6 @@ impl FluidNetwork {
         }
 
         // One pending timer for the earliest completion across classes.
-        if let Some(handle) = self.pending.take() {
-            ctx.cancel_timer(handle);
-        }
         let mut earliest: Option<SimDuration> = None;
         for c in &self.classes {
             if c.rate_bps <= 0.0 {
@@ -382,9 +379,18 @@ impl FluidNetwork {
                 earliest = Some(earliest.map_or(d, |e| e.min(d)));
             }
         }
-        if let Some(delay) = earliest {
-            self.pending = Some(ctx.schedule_timer(delay, 0));
-        }
+        // Every flow start and finish lands here, so the timer is moved
+        // where it sits in the event queue rather than cancelled and
+        // scheduled afresh.
+        self.pending = match (self.pending.take(), earliest) {
+            (Some(handle), Some(delay)) => Some(ctx.rearm_timer(handle, delay, 0)),
+            (None, Some(delay)) => Some(ctx.schedule_timer(delay, 0)),
+            (Some(handle), None) => {
+                ctx.cancel_timer(handle);
+                None
+            }
+            (None, None) => None,
+        };
     }
 }
 

@@ -6,11 +6,16 @@
 //! direct messages — through a mutable [`SimCtx`] that lets them schedule
 //! future events and transmit packets.
 //!
-//! Determinism: the event heap orders by `(time, insertion sequence)`, so
-//! simultaneous events fire in the order they were scheduled, and all
-//! randomness comes from per-link RNG streams derived from the simulation
-//! seed (see [`crate::rng::derive_rng`]).
+//! Determinism: the event queue orders by `(time, phase, ord, seq)` — the
+//! intra-instant phase (link departures, then work committed from earlier
+//! instants, then work spawned within the instant), the tie-break policy's
+//! source order (constant under the default FIFO policy) and the insertion
+//! sequence — so under FIFO simultaneous events of one phase fire in the
+//! order they were scheduled, and all randomness comes from per-link RNG
+//! streams derived from the simulation seed (see
+//! [`crate::rng::derive_rng`]).
 
+pub use crate::eventq::QueueStats;
 use crate::eventq::{CancelToken, EventQueue, Phase};
 use crate::link::{Bandwidth, Jitter, LinkId, LinkParams, LinkStats, LossModel};
 use crate::packet::{Packet, Payload};
@@ -40,7 +45,8 @@ impl fmt::Display for ActorId {
     }
 }
 
-/// Handle to a scheduled timer, usable with [`SimCtx::cancel_timer`].
+/// Handle to a scheduled timer, usable with [`SimCtx::cancel_timer`] and
+/// [`SimCtx::rearm_timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerHandle(CancelToken);
 
@@ -235,9 +241,18 @@ impl SimCtx {
         self.stopped = true;
     }
 
-    /// Pending events in the queue (diagnostics).
+    /// Pending events in the queue (diagnostics), including the current
+    /// instant's not-yet-delivered messages.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// What the event queue has done so far (diagnostics): how many
+    /// insertions went through the heap and how many through the
+    /// same-instant lane, in-place re-arms, cancellations and the most
+    /// events that were pending at once.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     /// Pending cancellable timers (diagnostics). With true removal this is
@@ -277,6 +292,17 @@ impl SimCtx {
         self.schedule_timer_for(id, delay, tag)
     }
 
+    /// The queue key of a timer armed now to fire after `delay`.
+    fn timer_key(&mut self, delay: SimDuration) -> (SimTime, u64, Phase) {
+        let t = self.now.saturating_add(delay);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // A timer for a future instant is that instant's `Carry` work; a
+        // zero-delay timer fires within the current instant, i.e. `Spawn`.
+        let phase = if t > self.now { Phase::Carry } else { Phase::Spawn };
+        (t, seq, phase)
+    }
+
     /// Schedules a [`Event::Timer`] for an arbitrary actor after `delay`.
     pub fn schedule_timer_for(
         &mut self,
@@ -284,20 +310,25 @@ impl SimCtx {
         delay: SimDuration,
         tag: u64,
     ) -> TimerHandle {
-        let t = self.now.saturating_add(delay);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // A timer for a future instant is that instant's `Carry` work; a
-        // zero-delay timer fires within the current instant, i.e. `Spawn`.
-        let phase = if t > self.now { Phase::Carry } else { Phase::Spawn };
-        let token = self.queue.push_cancellable(
-            t,
-            seq,
-            self.src,
-            phase,
-            Dest::Actor { id: target, event: Event::Timer { tag } },
-        );
-        TimerHandle(token)
+        let (t, seq, phase) = self.timer_key(delay);
+        let dest = Dest::Actor { id: target, event: Event::Timer { tag } };
+        TimerHandle(self.queue.push_cancellable(t, seq, self.src, phase, dest))
+    }
+
+    /// Moves a timer: exactly [`SimCtx::cancel_timer`] on `handle` followed
+    /// by [`SimCtx::schedule_timer`], but a still-pending timer is re-keyed
+    /// where it sits in the event queue instead of being removed and
+    /// inserted again. `handle` is dead afterwards; if it had already fired
+    /// or been cancelled this is a plain `schedule_timer`.
+    pub fn rearm_timer(
+        &mut self,
+        handle: TimerHandle,
+        delay: SimDuration,
+        tag: u64,
+    ) -> TimerHandle {
+        let (t, seq, phase) = self.timer_key(delay);
+        let dest = Dest::Actor { id: self.current_actor, event: Event::Timer { tag } };
+        TimerHandle(self.queue.rearm(handle.0, t, seq, self.src, phase, dest))
     }
 
     /// Cancels a pending timer, removing it from the event queue
@@ -1273,6 +1304,230 @@ mod tests {
         sim.add_actor(Stopper);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.now(), SimTime::from_millis(1));
+    }
+
+    /// Logs `(time in ms, what)` for every timer and message it receives.
+    struct Recorder {
+        log: Rc<RefCell<Vec<(u64, u64)>>>,
+    }
+
+    impl Recorder {
+        fn note(&self, ctx: &SimCtx, what: u64) {
+            self.log.borrow_mut().push((ctx.now().as_nanos() / 1_000_000, what));
+        }
+    }
+
+    fn message_value(mut msg: Payload) -> u64 {
+        msg.take::<u64>().unwrap()
+    }
+
+    #[test]
+    fn stop_mid_instant_keeps_the_lane_for_the_next_run() {
+        struct Burst {
+            peer: ActorId,
+        }
+        impl Actor for Burst {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                if matches!(ev, Event::Start) {
+                    ctx.schedule_timer_for(self.peer, SimDuration::from_millis(1), 9);
+                    for m in 1..=3u64 {
+                        ctx.send_message(self.peer, Payload::new(m));
+                    }
+                }
+            }
+        }
+        struct StopOnFirst(Recorder);
+        impl Actor for StopOnFirst {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                match ev {
+                    Event::Start => self.0.note(ctx, 100),
+                    Event::Timer { tag } => self.0.note(ctx, tag),
+                    Event::Message { msg, .. } => {
+                        let m = message_value(msg);
+                        self.0.note(ctx, m);
+                        if m == 1 {
+                            ctx.stop();
+                        }
+                    }
+                    Event::Packet { .. } => {}
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        let peer = sim.reserve_actor();
+        sim.add_actor(Burst { peer });
+        sim.install_actor(peer, StopOnFirst(Recorder { log: Rc::clone(&log) }));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*log.borrow(), vec![(0, 100), (0, 1)]);
+        assert_eq!(sim.now(), SimTime::ZERO);
+        // Two undelivered messages wait in the lane, the timer in the heap;
+        // the diagnostics see all three.
+        assert_eq!(sim.ctx().pending_events(), 3);
+        assert_eq!(sim.ctx().pending_timers(), 1);
+        assert!(format!("{:?}", sim.ctx()).contains("pending_events: 3"));
+        let stats = sim.ctx().queue_stats();
+        assert_eq!(
+            (stats.lane_pushes, stats.heap_pushes),
+            (5, 1),
+            "2 starts + 3 messages; 1 timer"
+        );
+        // An actor installed between the runs starts at the same instant,
+        // behind the messages already waiting for it.
+        sim.add_actor(StopOnFirst(Recorder { log: Rc::clone(&log) }));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*log.borrow(), vec![(0, 100), (0, 1), (0, 2), (0, 3), (0, 100), (1, 9)]);
+        assert_eq!(sim.ctx().pending_events(), 0);
+    }
+
+    #[test]
+    fn a_departure_at_the_current_instant_runs_ahead_of_the_lane() {
+        struct Sender {
+            link: LinkId,
+            seen: Rc<RefCell<Vec<(u64, u64)>>>,
+        }
+        impl Actor for Sender {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                let me = ctx.self_id();
+                match ev {
+                    Event::Start => {
+                        ctx.send_message(me, Payload::new(1u64));
+                        // A zero-size packet serializes instantly: its
+                        // departure is a `Drain` entry for this very
+                        // instant, pushed while the lane is non-empty.
+                        let id = ctx.next_packet_id();
+                        ctx.transmit(self.link, Packet::new(id, 0, 0, ctx.now()));
+                        ctx.send_message(me, Payload::new(2u64));
+                    }
+                    Event::Message { msg, .. } => {
+                        let sent = ctx.link_stats(self.link).tx_packets;
+                        self.seen.borrow_mut().push((message_value(msg), sent));
+                    }
+                    Event::Packet { .. } => self.seen.borrow_mut().push((3, 1)),
+                    Event::Timer { .. } => {}
+                }
+            }
+        }
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        let a = sim.reserve_actor();
+        let link =
+            sim.add_link(a, a, LinkParams::new(Bandwidth::from_mbps(1.0), SimDuration::ZERO));
+        sim.install_actor(a, Sender { link, seen: Rc::clone(&seen) });
+        sim.run_until(SimTime::from_secs(1));
+        // The departure ran before either message (both saw the packet
+        // sent); the arrival it spawned queued behind them.
+        assert_eq!(*seen.borrow(), vec![(1, 1), (2, 1), (3, 1)]);
+        assert_eq!(sim.now(), SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn zero_delay_timer_keeps_its_place_among_same_instant_messages() {
+        struct Mixed(Recorder);
+        impl Actor for Mixed {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                let me = ctx.self_id();
+                match ev {
+                    Event::Start => {
+                        ctx.send_message(me, Payload::new(1u64));
+                        ctx.schedule_timer(SimDuration::ZERO, 2);
+                        ctx.send_message(me, Payload::new(3u64));
+                        let cancelled = ctx.schedule_timer(SimDuration::ZERO, 4);
+                        ctx.send_message(me, Payload::new(5u64));
+                        ctx.cancel_timer(cancelled);
+                    }
+                    Event::Timer { tag } => self.0.note(ctx, tag),
+                    Event::Message { msg, .. } => self.0.note(ctx, message_value(msg)),
+                    Event::Packet { .. } => {}
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        sim.add_actor(Mixed(Recorder { log: Rc::clone(&log) }));
+        sim.run_until(SimTime::from_secs(1));
+        // Messages wait in the lane, the timers in the heap; the merged
+        // order is still the order they were scheduled in.
+        assert_eq!(*log.borrow(), vec![(0, 1), (0, 2), (0, 3), (0, 5)]);
+    }
+
+    #[test]
+    fn rearm_timer_moves_a_pending_timer_and_kills_the_old_handle() {
+        struct Mover(Recorder);
+        impl Actor for Mover {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                match ev {
+                    Event::Start => {
+                        ctx.schedule_timer(SimDuration::from_millis(25), 0);
+                        let h1 = ctx.schedule_timer(SimDuration::from_millis(30), 1);
+                        let h2 = ctx.rearm_timer(h1, SimDuration::from_millis(10), 2);
+                        // The superseded handle is dead: this must not
+                        // cancel the moved timer.
+                        ctx.cancel_timer(h1);
+                        assert_eq!(ctx.pending_timers(), 2);
+                        let h3 = ctx.rearm_timer(h2, SimDuration::from_millis(20), 3);
+                        ctx.cancel_timer(h2);
+                        assert_ne!(h3, h2);
+                        assert_eq!(ctx.pending_timers(), 2);
+                    }
+                    Event::Timer { tag } => self.0.note(ctx, tag),
+                    _ => {}
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        sim.add_actor(Mover(Recorder { log: Rc::clone(&log) }));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*log.borrow(), vec![(20, 3), (25, 0)]);
+        let stats = sim.ctx().queue_stats();
+        assert_eq!((stats.rearms, stats.cancels, stats.heap_pushes), (2, 0, 2));
+    }
+
+    #[test]
+    fn rearm_timer_on_a_fired_or_cancelled_handle_schedules_afresh() {
+        struct Late {
+            rec: Recorder,
+            fired: Option<TimerHandle>,
+            cancelled: Option<TimerHandle>,
+        }
+        impl Actor for Late {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                match ev {
+                    Event::Start => {
+                        self.fired = Some(ctx.schedule_timer(SimDuration::from_millis(10), 1));
+                        let h = ctx.schedule_timer(SimDuration::from_millis(20), 2);
+                        ctx.cancel_timer(h);
+                        self.cancelled = Some(h);
+                    }
+                    Event::Timer { tag: 1 } => {
+                        self.rec.note(ctx, 1);
+                        // Both handles are dead by now (and the fired one's
+                        // queue slot is free for reuse).
+                        let fired = self.fired.take().unwrap();
+                        let cancelled = self.cancelled.take().unwrap();
+                        ctx.rearm_timer(fired, SimDuration::from_millis(5), 3);
+                        ctx.rearm_timer(cancelled, SimDuration::from_millis(7), 4);
+                        // Still dead: neither touches the fresh timers.
+                        ctx.cancel_timer(fired);
+                        ctx.cancel_timer(cancelled);
+                    }
+                    Event::Timer { tag } => self.rec.note(ctx, tag),
+                    _ => {}
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        sim.add_actor(Late {
+            rec: Recorder { log: Rc::clone(&log) },
+            fired: None,
+            cancelled: None,
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*log.borrow(), vec![(10, 1), (15, 3), (17, 4)]);
+        let stats = sim.ctx().queue_stats();
+        assert_eq!((stats.rearms, stats.cancels, stats.heap_pushes), (0, 1, 4));
     }
 
     #[test]

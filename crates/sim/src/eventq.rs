@@ -1,4 +1,5 @@
-//! The engine's event queue: an indexed 4-ary min-heap with true removal.
+//! The engine's event queue: an indexed 4-ary min-heap with true removal,
+//! fronted by a same-instant FIFO lane.
 //!
 //! The run loop pops the earliest `(time, phase, ord, seq)` entry; cancellation (timers
 //! only) removes the entry from the heap immediately in O(log n) instead of
@@ -7,8 +8,8 @@
 //! outlives its cancellation — and removes the per-pop tombstone lookup the
 //! previous `BinaryHeap + HashSet` scheme paid on *every* event.
 //!
-//! The heap itself orders only 32-byte `(time, ord, seq, slot)` keys; event
-//! payloads are parked in a pooled slot slab and never move during sifts.
+//! The heap itself orders only 32-byte `(time, phase, ord, seq, slot)` keys;
+//! event payloads are parked in a pooled slot slab and never move during sifts.
 //! With payloads the size of a `Packet` plus its `Event` wrapper, sifting
 //! keys instead of nodes is the difference between one cache line per level
 //! and several. Slab slots are recycled through a free list, so steady-state
@@ -45,9 +46,27 @@
 //! program order through the trailing raw `seq`, which also keeps the
 //! order total.
 //!
+//! # The same-instant lane
+//!
+//! Most insertions on a busy run are zero-delay messages: plain `Spawn`
+//! entries for the instant being executed, popped again before the clock
+//! moves. Through the heap each one is appended at the tail, sifts up past
+//! every parked timer and is popped straight back with a full-depth
+//! sift-down. They skip the heap instead: plain `Spawn` entries with
+//! `ord == 0` for one instant wait in a FIFO threaded through the slab
+//! (the `pos` word of a plain occupied slot is otherwise unused, so the
+//! lane is a head and a tail index and allocates nothing). Entries join
+//! only in ascending `seq`, so the lane is sorted by the full key, and
+//! every pop takes whichever of lane front and heap root has the smaller
+//! key: pop order is the one total order above by construction, under
+//! every policy (`ord == 0` is every entry under FIFO and almost none
+//! under the perturbing policies, whose entries simply stay in the heap).
+//!
 //! Every entry owns a slab slot; cancellable entries additionally hand out a
 //! [`CancelToken`] carrying `(slot, seq)`. The globally unique `seq` guards
 //! against slot reuse, so cancelling an already-fired timer is a cheap no-op.
+//! [`EventQueue::rearm`] moves a pending cancellable entry to a new key
+//! where it sits — one sift instead of a removal plus an insertion.
 
 use crate::config::TieBreak;
 use crate::time::SimTime;
@@ -57,7 +76,7 @@ use crate::time::SimTime;
 /// level but far fewer cache-missing moves.
 const D: usize = 4;
 
-/// Sentinel for "no slot" (end of the free list).
+/// Sentinel for "no slot" (end of the free list, end of the lane).
 const NO_SLOT: u32 = u32::MAX;
 
 /// Sentinel sequence marking a slab slot as free.
@@ -96,6 +115,27 @@ pub(crate) enum Phase {
     Spawn = 2,
 }
 
+/// What the queue has done so far: where insertions went and how timers
+/// were moved. Plain counters for tests and diagnostics, deliberately not
+/// part of any metrics artifact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Entries inserted into the heap (fresh timers, future messages and
+    /// packets, link departures).
+    pub heap_pushes: u64,
+    /// Entries that bypassed the heap through the same-instant lane.
+    pub lane_pushes: u64,
+    /// Pending timers moved to a new deadline in place.
+    pub rearms: u64,
+    /// Pending timers removed by cancellation.
+    pub cancels: u64,
+    /// The most entries pending at once, heap and lane together.
+    pub peak_depth: u64,
+}
+
+/// The full ordering key.
+type Key = (SimTime, Phase, u64, u64);
+
 /// A heap element: the ordering key plus the slab slot of its payload.
 /// `ord` is the policy-computed tie-break component (zero under FIFO),
 /// fixed at insertion so sifts never re-derive it. The `phase` rides in
@@ -111,7 +151,7 @@ struct Entry {
 
 impl Entry {
     #[inline]
-    fn key(&self) -> (SimTime, Phase, u64, u64) {
+    fn key(&self) -> Key {
         (self.time, self.phase, self.ord, self.seq)
     }
 
@@ -125,20 +165,66 @@ impl Entry {
 struct Slot<T> {
     /// `Some` while the slot is occupied.
     item: Option<T>,
-    /// Heap position while occupied (cancellable entries only); next
-    /// free-list entry while free.
+    /// While occupied: the heap position (cancellable entries), the next
+    /// lane slot (lane entries), nothing (plain heap entries). While free:
+    /// the next free-list slot.
     pos: u32,
     /// Sequence of the stored entry; [`FREE`] while free.
     seq: u64,
 }
 
-/// An indexed 4-ary min-heap over `(time, phase, ord, seq)`.
+/// Resolves a slab index held by a heap entry, the lane or a validated
+/// token. Free functions over the field (the `link_rt` pattern in
+/// `engine`), so the indexing invariant lives in exactly one place each.
+#[inline]
+fn slot_ref<T>(slots: &[Slot<T>], slab: usize) -> &Slot<T> {
+    // marnet-lint: allow(panic-path): heap entries and lane links only ever hold indices of live slab slots
+    &slots[slab]
+}
+
+/// Mutable counterpart of [`slot_ref`].
+#[inline]
+fn slot_mut<T>(slots: &mut [Slot<T>], slab: usize) -> &mut Slot<T> {
+    // marnet-lint: allow(panic-path): heap entries and lane links only ever hold indices of live slab slots
+    &mut slots[slab]
+}
+
+/// The heap entry at position `i`.
+#[inline]
+fn entry_at(heap: &[Entry], i: usize) -> Entry {
+    // marnet-lint: allow(panic-path): sifts and removals only visit positions below `heap.len()`
+    heap[i]
+}
+
+/// Writes the heap entry at position `i`.
+#[inline]
+fn set_entry(heap: &mut [Entry], i: usize, entry: Entry) {
+    // marnet-lint: allow(panic-path): sifts and removals only visit positions below `heap.len()`
+    heap[i] = entry;
+}
+
+/// Where the next entry to pop sits.
+#[derive(Clone, Copy)]
+enum Front {
+    Lane,
+    Heap,
+}
+
+/// An indexed 4-ary min-heap over `(time, phase, ord, seq)` plus the
+/// same-instant lane (see the module docs).
 pub(crate) struct EventQueue<T> {
     heap: Vec<Entry>,
     slots: Vec<Slot<T>>,
     free_head: u32,
     n_cancellable: usize,
     tie_break: TieBreak,
+    /// First and last slab slot of the lane; [`NO_SLOT`] while it is empty.
+    lane_head: u32,
+    lane_tail: u32,
+    lane_len: usize,
+    /// The instant every lane entry is scheduled for.
+    lane_time: SimTime,
+    stats: QueueStats,
 }
 
 impl<T> EventQueue<T> {
@@ -158,16 +244,22 @@ impl<T> EventQueue<T> {
             free_head: NO_SLOT,
             n_cancellable: 0,
             tie_break,
+            lane_head: NO_SLOT,
+            lane_tail: NO_SLOT,
+            lane_len: 0,
+            lane_time: SimTime::ZERO,
+            stats: QueueStats::default(),
         }
     }
 
+    /// Pending entries, heap and lane together.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane_len
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Pending cancellable timers (diagnostics; not a tombstone count).
@@ -175,11 +267,22 @@ impl<T> EventQueue<T> {
         self.n_cancellable
     }
 
+    pub(crate) fn stats(&self) -> QueueStats {
+        // Every pending entry owns a slab slot and the slab never shrinks,
+        // so its length is the high-water mark of pending entries.
+        QueueStats { peak_depth: self.slots.len() as u64, ..self.stats }
+    }
+
     /// Inserts a non-cancellable entry scheduled by source `src`, in the
     /// given intra-instant [`Phase`].
     #[inline]
     pub(crate) fn push(&mut self, time: SimTime, seq: u64, src: u64, phase: Phase, item: T) {
-        self.insert(time, seq, src, phase, item, false);
+        let ord = self.tie_break.ord_of(src);
+        if phase == Phase::Spawn && ord == 0 && self.lane_accepts(time, seq) {
+            self.push_lane(time, seq, item);
+        } else {
+            self.insert(time, seq, ord, phase, item, 0);
+        }
     }
 
     /// Inserts a cancellable entry and returns its token. Cancellable
@@ -193,114 +296,225 @@ impl<T> EventQueue<T> {
         phase: Phase,
         item: T,
     ) -> CancelToken {
-        let slot = self.insert(time, seq, src, phase, item, true);
+        let ord = self.tie_break.ord_of(src);
+        let slot = self.insert(time, seq, ord, phase, item, CANCEL_BIT);
         self.n_cancellable += 1;
         CancelToken { slot, seq }
+    }
+
+    /// Parks `item` in a slab slot (recycled if one is free) and returns
+    /// the slot's index. Always inlined: as a call of its own it copies
+    /// the item through the stack once more on every insertion.
+    #[inline(always)]
+    fn alloc_slot(&mut self, item: T, pos: u32, seq: u64) -> u32 {
+        match self.free_head {
+            NO_SLOT => {
+                self.slots.push(Slot { item: Some(item), pos, seq });
+                (self.slots.len() - 1) as u32
+            }
+            head => {
+                let s = slot_mut(&mut self.slots, head as usize);
+                self.free_head = s.pos;
+                *s = Slot { item: Some(item), pos, seq };
+                head
+            }
+        }
+    }
+
+    /// Takes the item out of an occupied slab slot and threads the slot
+    /// onto the free list; returns the item with the slot's `pos` and `seq`.
+    #[inline]
+    fn release_slot(&mut self, slab: usize) -> (T, u32, u64) {
+        let slot = slot_mut(&mut self.slots, slab);
+        // marnet-lint: allow(panic-path): a slab slot is occupied while the heap or the lane refers to it
+        let item = slot.item.take().expect("occupied slot");
+        let (pos, seq) = (slot.pos, slot.seq);
+        slot.pos = self.free_head;
+        slot.seq = FREE;
+        self.free_head = slab as u32;
+        (item, pos, seq)
     }
 
     fn insert(
         &mut self,
         time: SimTime,
         seq: u64,
-        src: u64,
+        ord: u64,
         phase: Phase,
         item: T,
-        cancellable: bool,
+        tag: u32,
     ) -> u32 {
-        let pos = self.heap.len() as u32;
-        let slot = match self.free_head {
-            NO_SLOT => {
-                self.slots.push(Slot { item: Some(item), pos, seq });
-                (self.slots.len() - 1) as u32
-            }
-            head => {
-                let s = &mut self.slots[head as usize];
-                self.free_head = s.pos;
-                *s = Slot { item: Some(item), pos, seq };
-                head
-            }
-        };
-        let tag = if cancellable { CANCEL_BIT } else { 0 };
-        let ord = self.tie_break.ord_of(src);
+        let pos = self.heap.len();
+        let slot = self.alloc_slot(item, pos as u32, seq);
         self.heap.push(Entry { time, ord, seq, slot: slot | tag, phase });
-        self.sift_up(pos as usize);
+        self.stats.heap_pushes += 1;
+        self.sift_up(pos);
         slot
+    }
+
+    /// Whether a plain `Spawn` entry with `ord == 0` may join the lane: the
+    /// lane holds one instant's entries in ascending `seq`, which is what
+    /// keeps it sorted by the full key.
+    #[inline]
+    fn lane_accepts(&self, time: SimTime, seq: u64) -> bool {
+        self.lane_tail == NO_SLOT
+            || (time == self.lane_time && seq > slot_ref(&self.slots, self.lane_tail as usize).seq)
+    }
+
+    /// Appends to the lane. Out of line: `push` is inlined into every
+    /// scheduling site of the engine, and this half of it would bloat all
+    /// of them (measured on the Table II ping-pong, which never uses it).
+    #[inline(never)]
+    fn push_lane(&mut self, time: SimTime, seq: u64, item: T) {
+        let slot = self.alloc_slot(item, NO_SLOT, seq);
+        match self.lane_tail {
+            NO_SLOT => {
+                self.lane_head = slot;
+                self.lane_time = time;
+            }
+            tail => slot_mut(&mut self.slots, tail as usize).pos = slot,
+        }
+        self.lane_tail = slot;
+        self.lane_len += 1;
+        self.stats.lane_pushes += 1;
+    }
+
+    fn pop_lane(&mut self) -> (SimTime, u64, T) {
+        let (item, next, seq) = self.release_slot(self.lane_head as usize);
+        self.lane_head = next;
+        if next == NO_SLOT {
+            self.lane_tail = NO_SLOT;
+        }
+        self.lane_len -= 1;
+        (self.lane_time, seq, item)
+    }
+
+    /// The time of the earliest pending entry and where it sits: whichever
+    /// of lane front and heap root has the smaller full key.
+    #[inline]
+    fn front(&self) -> Option<(SimTime, Front)> {
+        let root = self.heap.first();
+        if self.lane_head == NO_SLOT {
+            return root.map(|e| (e.time, Front::Heap));
+        }
+        let lane_seq = slot_ref(&self.slots, self.lane_head as usize).seq;
+        let lane_key: Key = (self.lane_time, Phase::Spawn, 0, lane_seq);
+        match root {
+            Some(e) if e.key() < lane_key => Some((e.time, Front::Heap)),
+            _ => Some((self.lane_time, Front::Lane)),
+        }
+    }
+
+    fn pop_front(&mut self, front: Front) -> (SimTime, u64, T) {
+        match front {
+            Front::Lane => self.pop_lane(),
+            Front::Heap => self.remove_at(0),
+        }
     }
 
     /// Removes the earliest entry.
     #[cfg(test)]
     pub(crate) fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let (entry, item) = self.remove_at(0);
-        Some((entry.time, entry.seq, item))
+        self.pop_at_most(SimTime::MAX)
     }
 
     /// Removes the earliest entry if its time is `<= end` — the run loop's
     /// fused peek-and-pop.
     pub(crate) fn pop_at_most(&mut self, end: SimTime) -> Option<(SimTime, u64, T)> {
-        if self.heap.first()?.time > end {
+        let (time, front) = self.front()?;
+        if time > end {
             return None;
         }
-        let (entry, item) = self.remove_at(0);
-        Some((entry.time, entry.seq, item))
+        Some(self.pop_front(front))
     }
 
     /// Removes the earliest entry if its time is `<= end` *and* `pred`
     /// accepts it. The run loop uses this to coalesce back-to-back
-    /// deliveries on one link: the root is inspected in place, so a
+    /// deliveries on one link: the entry is inspected in place, so a
     /// declined peek costs a comparison and no heap movement.
     pub(crate) fn pop_at_most_if(
         &mut self,
         end: SimTime,
         pred: impl FnOnce(SimTime, &T) -> bool,
     ) -> Option<(SimTime, u64, T)> {
-        let first = self.heap.first()?;
-        if first.time > end {
+        let (time, front) = self.front()?;
+        if time > end {
             return None;
         }
-        let time = first.time;
-        // marnet-lint: allow(panic-path): a heap entry's slab index is live by the insert/remove invariant
-        let root = self.slots[first.slab()].item.as_ref()?;
-        if !pred(time, root) {
+        let slab = match front {
+            Front::Lane => self.lane_head as usize,
+            Front::Heap => self.heap.first()?.slab(),
+        };
+        if !pred(time, slot_ref(&self.slots, slab).item.as_ref()?) {
             return None;
         }
-        let (entry, item) = self.remove_at(0);
-        Some((entry.time, entry.seq, item))
+        Some(self.pop_front(front))
+    }
+
+    /// The heap position of the pending entry behind `token`, if it has
+    /// not fired, been cancelled or had its slot reused.
+    fn pending_pos(&self, token: CancelToken) -> Option<usize> {
+        let slot = self.slots.get(token.slot as usize)?;
+        if slot.seq != token.seq {
+            return None;
+        }
+        let pos = slot.pos as usize;
+        debug_assert_eq!(entry_at(&self.heap, pos).seq, token.seq);
+        Some(pos)
     }
 
     /// Removes the entry behind `token` if it is still pending. Returns
     /// `true` if an entry was removed.
     pub(crate) fn cancel(&mut self, token: CancelToken) -> bool {
-        let Some(slot) = self.slots.get(token.slot as usize) else {
+        let Some(pos) = self.pending_pos(token) else {
             return false;
         };
-        if slot.seq != token.seq {
-            return false; // already fired, already cancelled, or slot reused
-        }
-        let pos = slot.pos as usize;
-        // marnet-lint: allow(panic-path): debug-only check; `pos` is maintained by update_pos
-        debug_assert_eq!(self.heap[pos].seq, token.seq);
         self.remove_at(pos);
+        self.stats.cancels += 1;
         true
     }
 
-    /// Removes and returns the entry at heap position `pos` and its item,
-    /// restoring the heap property and recycling the slab slot.
-    fn remove_at(&mut self, pos: usize) -> (Entry, T) {
+    /// [`EventQueue::cancel`] followed by [`EventQueue::push_cancellable`],
+    /// done where the entry sits when it is still pending: same slot, new
+    /// key and item, one sift in whichever direction the key moved. Pop
+    /// order depends on keys alone, so the two forms cannot be told apart;
+    /// a dead token falls back to a fresh insertion.
+    pub(crate) fn rearm(
+        &mut self,
+        token: CancelToken,
+        time: SimTime,
+        seq: u64,
+        src: u64,
+        phase: Phase,
+        item: T,
+    ) -> CancelToken {
+        let Some(pos) = self.pending_pos(token) else {
+            return self.push_cancellable(time, seq, src, phase, item);
+        };
+        let slot = slot_mut(&mut self.slots, token.slot as usize);
+        slot.item = Some(item);
+        slot.seq = seq;
+        let ord = self.tie_break.ord_of(src);
+        set_entry(
+            &mut self.heap,
+            pos,
+            Entry { time, ord, seq, slot: token.slot | CANCEL_BIT, phase },
+        );
+        if !self.sift_up(pos) {
+            self.sift_down(pos);
+        }
+        self.stats.rearms += 1;
+        CancelToken { slot: token.slot, seq }
+    }
+
+    /// Removes the entry at heap position `pos` and returns its time, `seq`
+    /// and item, restoring the heap property and recycling the slab slot.
+    fn remove_at(&mut self, pos: usize) -> (SimTime, u64, T) {
         let entry = self.heap.swap_remove(pos);
-        let slab = entry.slab();
-        // marnet-lint: allow(panic-path): a heap entry's slab index is live by the insert/remove invariant
-        let slot = &mut self.slots[slab];
-        // marnet-lint: allow(panic-path): a slab slot is occupied while its entry is in the heap
-        let item = slot.item.take().expect("occupied slot");
+        let (item, _, _) = self.release_slot(entry.slab());
         if entry.slot & CANCEL_BIT != 0 {
             self.n_cancellable -= 1;
         }
-        // Thread the slot onto the free list.
-        *slot = Slot { item: None, pos: self.free_head, seq: FREE };
-        self.free_head = slab as u32;
         if pos < self.heap.len() {
             // The swapped-in tail entry may belong above or below `pos`.
             self.update_pos(pos);
@@ -308,7 +522,7 @@ impl<T> EventQueue<T> {
                 self.sift_down(pos);
             }
         }
-        (entry, item)
+        (entry.time, entry.seq, item)
     }
 
     /// Records `i` as the heap position of the entry currently stored
@@ -316,11 +530,9 @@ impl<T> EventQueue<T> {
     /// a plain entry).
     #[inline]
     fn update_pos(&mut self, i: usize) {
-        // marnet-lint: allow(panic-path): callers pass heap positions < len
-        let slot = self.heap[i].slot;
-        if slot & CANCEL_BIT != 0 {
-            // marnet-lint: allow(panic-path): a heap entry's slab index is live by the insert/remove invariant
-            self.slots[(slot & !CANCEL_BIT) as usize].pos = i as u32;
+        let entry = entry_at(&self.heap, i);
+        if entry.slot & CANCEL_BIT != 0 {
+            slot_mut(&mut self.slots, entry.slab()).pos = i as u32;
         }
     }
 
@@ -328,36 +540,35 @@ impl<T> EventQueue<T> {
     /// Hole-based: displaced entries shift one level, the moving entry is
     /// written once at its final position.
     fn sift_up(&mut self, mut i: usize) -> bool {
-        // marnet-lint: allow(panic-path): callers pass heap positions < len
-        let entry = self.heap[i];
+        let entry = entry_at(&self.heap, i);
         let key = entry.key();
         let start = i;
         while i > 0 {
             let parent = (i - 1) / D;
-            // marnet-lint: allow(panic-path): parent of an in-bounds position is in bounds
-            if key >= self.heap[parent].key() {
+            let above = entry_at(&self.heap, parent);
+            if key >= above.key() {
                 break;
             }
-            // marnet-lint: allow(panic-path): both positions proved in bounds above
-            self.heap[i] = self.heap[parent];
+            set_entry(&mut self.heap, i, above);
             self.update_pos(i);
             i = parent;
         }
         if i == start {
             return false;
         }
-        // marnet-lint: allow(panic-path): `i` only ever moved to in-bounds parents
-        self.heap[i] = entry;
+        set_entry(&mut self.heap, i, entry);
         self.update_pos(i);
         true
     }
 
     /// Moves the entry at `i` down to its place (hole-based, as
-    /// [`EventQueue::sift_up`]).
+    /// [`EventQueue::sift_up`]). Always inlined: with a second caller
+    /// (`rearm`) the compiler otherwise stops folding it into `remove_at`,
+    /// which costs every pop of a shallow queue a call.
+    #[inline(always)]
     fn sift_down(&mut self, mut i: usize) {
         let len = self.heap.len();
-        // marnet-lint: allow(panic-path): callers pass heap positions < len
-        let entry = self.heap[i];
+        let entry = entry_at(&self.heap, i);
         let key = entry.key();
         loop {
             let first_child = i * D + 1;
@@ -365,24 +576,20 @@ impl<T> EventQueue<T> {
                 break;
             }
             let mut best = first_child;
-            let last_child = (first_child + D).min(len);
-            for c in first_child + 1..last_child {
-                // marnet-lint: allow(panic-path): `c` and `best` bounded by `last_child <= len`
-                if self.heap[c].key() < self.heap[best].key() {
+            for c in first_child + 1..(first_child + D).min(len) {
+                if entry_at(&self.heap, c).key() < entry_at(&self.heap, best).key() {
                     best = c;
                 }
             }
-            // marnet-lint: allow(panic-path): `best` bounded by `last_child <= len`
-            if self.heap[best].key() >= key {
+            let below = entry_at(&self.heap, best);
+            if below.key() >= key {
                 break;
             }
-            // marnet-lint: allow(panic-path): both positions proved in bounds above
-            self.heap[i] = self.heap[best];
+            set_entry(&mut self.heap, i, below);
             self.update_pos(i);
             i = best;
         }
-        // marnet-lint: allow(panic-path): `i` only ever moved to in-bounds children
-        self.heap[i] = entry;
+        set_entry(&mut self.heap, i, entry);
         self.update_pos(i);
     }
 }
@@ -390,6 +597,7 @@ impl<T> EventQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -552,40 +760,182 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_cancel_preserves_order_of_survivors() {
-        // Deterministic pseudo-random interleaving, checked against a naive
-        // sorted-vector model.
+    fn same_instant_spawns_bypass_the_heap_and_still_count() {
         let mut q = EventQueue::new();
-        let mut model: Vec<(SimTime, u64)> = Vec::new();
-        let mut tokens = Vec::new();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut rnd = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
+        let tok = q.push_cancellable(t(10), 0, 0, Phase::Carry, "timer");
+        assert_eq!(q.pop().map(|(_, _, v)| v), Some("timer"));
+        // The instant is now t=10: its messages queue up in the lane...
+        q.push(t(10), 1, 0, Phase::Spawn, "m1");
+        q.push(t(10), 2, 0, Phase::Spawn, "m2");
+        // ...while a zero-delay timer, a drain and a future entry go to the heap.
+        let zero = q.push_cancellable(t(10), 3, 0, Phase::Spawn, "zero-delay");
+        q.push(t(10), 4, 0, Phase::Spawn, "m3");
+        q.push(t(10), 5, 0, Phase::Drain, "drain");
+        q.push(t(20), 6, 0, Phase::Carry, "later");
+        assert_eq!(q.len(), 6, "lane entries are pending entries");
+        let stats = q.stats();
+        assert_eq!((stats.lane_pushes, stats.heap_pushes), (3, 4));
+        assert_eq!(stats.peak_depth, 6);
+        assert!(!q.cancel(tok));
+        // Full-key order: the drain first, then the spawns by seq with the
+        // zero-delay timer in its place, then the next instant.
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        assert_eq!(order, ["drain", "m1", "m2", "zero-delay", "m3", "later"]);
+        assert!(!q.cancel(zero));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_if_inspects_the_lane_front_without_disturbing_it() {
+        let mut q = EventQueue::new();
+        q.push(t(10), 0, 0, Phase::Spawn, "a");
+        q.push(t(10), 1, 0, Phase::Spawn, "b");
+        assert_eq!(q.stats().lane_pushes, 2);
+        assert!(q.pop_at_most_if(t(50), |_, v| *v == "b").is_none());
+        assert!(q.pop_at_most_if(t(5), |_, _| true).is_none());
+        assert!(q.pop_at_most(t(5)).is_none());
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q.pop_at_most_if(t(10), |time, v| time == t(10) && *v == "a"),
+            Some((t(10), 0, "a"))
+        );
+        assert_eq!(q.pop(), Some((t(10), 1, "b")));
+    }
+
+    #[test]
+    fn rearm_moves_a_pending_entry_in_place_and_kills_the_old_token() {
+        let mut q = EventQueue::new();
+        for seq in 0..64u64 {
+            q.push(t(seq + 1), seq, 0, Phase::Carry, seq);
+        }
+        let tok = q.push_cancellable(t(40), 64, 0, Phase::Carry, 1000);
+        let slots = q.slots.len();
+        // Earlier (sift up), then later (sift down): same slot both times.
+        let tok2 = q.rearm(tok, t(2), 65, 0, Phase::Carry, 1001);
+        let tok3 = q.rearm(tok2, t(60), 66, 0, Phase::Carry, 1002);
+        assert_eq!((tok3.slot, q.slots.len()), (tok.slot, slots));
+        assert_eq!((q.stats().rearms, q.stats().cancels), (2, 0));
+        assert_eq!((q.len(), q.cancellable_len()), (65, 1));
+        assert!(!q.cancel(tok) && !q.cancel(tok2), "superseded tokens are dead");
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, _, v)| v)).collect();
+        let mut want: Vec<u64> = (0..64).collect();
+        want.insert(60, 1002); // after the plain t=60 entry (seq 59 < 66)
+        assert_eq!(order, want);
+        // The entry has fired: re-arming its token is a fresh insertion.
+        let tok4 = q.rearm(tok3, t(70), 67, 0, Phase::Carry, 1003);
+        assert_eq!((q.stats().rearms, q.len()), (2, 1));
+        assert!(q.cancel(tok4));
+    }
+
+    /// One step of the differential test below.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push { dt: u64, phase: Phase, src: u64 },
+        PushCancellable { dt: u64, phase: Phase, src: u64 },
+        Cancel { pick: usize },
+        Rearm { pick: usize, dt: u64, phase: Phase, src: u64 },
+        Pop { dt: u64 },
+        PopIf { dt: u64, parity: u64 },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // (kind, dt, phase, src, pick). Small ranges on purpose: ties in
+        // time, phase and source are the interesting cases, and `dt == 0`
+        // is the current instant (zero-delay timers, lane traffic).
+        (0u8..8, 0u64..4, 0u8..3, 0u64..3, 0usize..1 << 16).prop_map(
+            |(kind, dt, phase, src, pick)| {
+                let phase = [Phase::Drain, Phase::Carry, Phase::Spawn][usize::from(phase)];
+                match kind {
+                    0..=2 => Op::Push { dt, phase, src },
+                    3 => Op::PushCancellable { dt, phase, src },
+                    4 => Op::Cancel { pick },
+                    5 => Op::Rearm { pick, dt, phase, src },
+                    6 => Op::Pop { dt },
+                    _ => Op::PopIf { dt, parity: src % 2 },
+                }
+            },
+        )
+    }
+
+    /// Replays `ops` on a queue and on a sorted-`Vec` model of the full
+    /// key; every return value and the final drain must agree.
+    fn check_against_model(policy: TieBreak, ops: &[Op]) {
+        let mut q = EventQueue::with_tie_break(policy);
+        // (key, item), kept sorted; seqs are unique, so keys are too.
+        let mut model: Vec<(Key, u64)> = Vec::new();
+        let mut tokens: Vec<CancelToken> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let at = |now: SimTime, dt: u64| now + crate::time::SimDuration::from_millis(dt);
+        let place = |model: &mut Vec<(Key, u64)>, key: Key, item: u64| {
+            let i = model.partition_point(|(k, _)| *k < key);
+            model.insert(i, (key, item));
         };
-        for seq in 0..500u64 {
-            let time = t(rnd() % 50);
-            if seq % 3 == 0 {
-                // Same phase as the plain entries: this test models plain
-                // `(time, seq)` order, and phases would outrank it.
-                tokens.push((q.push_cancellable(time, seq, seq, Phase::Spawn, seq), time, seq));
-            } else {
-                q.push(time, seq, seq, Phase::Spawn, seq);
-                model.push((time, seq));
+        let forget = |model: &mut Vec<(Key, u64)>, seq: u64| {
+            let before = model.len();
+            model.retain(|(k, _)| k.3 != seq);
+            model.len() < before
+        };
+        for (seq, &op) in (0u64..).zip(ops) {
+            match op {
+                Op::Push { dt, phase, src } => {
+                    q.push(at(now, dt), seq, src, phase, seq);
+                    place(&mut model, (at(now, dt), phase, policy.ord_of(src), seq), seq);
+                }
+                Op::PushCancellable { dt, phase, src } => {
+                    tokens.push(q.push_cancellable(at(now, dt), seq, src, phase, seq));
+                    place(&mut model, (at(now, dt), phase, policy.ord_of(src), seq), seq);
+                }
+                Op::Cancel { pick } if !tokens.is_empty() => {
+                    // Tokens are never retired, so dead ones get picked too.
+                    let tok = tokens[pick % tokens.len()];
+                    assert_eq!(q.cancel(tok), forget(&mut model, tok.seq));
+                }
+                Op::Rearm { pick, dt, phase, src } if !tokens.is_empty() => {
+                    let i = pick % tokens.len();
+                    let was_pending = forget(&mut model, tokens[i].seq);
+                    let rearms = q.stats().rearms;
+                    tokens[i] = q.rearm(tokens[i], at(now, dt), seq, src, phase, seq);
+                    assert_eq!(q.stats().rearms - rearms, u64::from(was_pending));
+                    place(&mut model, (at(now, dt), phase, policy.ord_of(src), seq), seq);
+                }
+                Op::Cancel { .. } | Op::Rearm { .. } => {}
+                Op::Pop { dt } => {
+                    let due = model.first().is_some_and(|(k, _)| k.0 <= at(now, dt));
+                    let want = due.then(|| model.remove(0)).map(|(k, item)| (k.0, k.3, item));
+                    assert_eq!(q.pop_at_most(at(now, dt)), want);
+                    now = want.map_or(now, |(time, _, _)| time);
+                }
+                Op::PopIf { dt, parity } => {
+                    let due = model
+                        .first()
+                        .is_some_and(|(k, item)| k.0 <= at(now, dt) && item % 2 == parity);
+                    let want = due.then(|| model.remove(0)).map(|(k, item)| (k.0, k.3, item));
+                    assert_eq!(q.pop_at_most_if(at(now, dt), |_, item| item % 2 == parity), want);
+                    now = want.map_or(now, |(time, _, _)| time);
+                }
+            }
+            assert_eq!(q.len(), model.len());
+        }
+        let drained: Vec<(SimTime, u64, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        let want: Vec<(SimTime, u64, u64)> =
+            model.iter().map(|(k, item)| (k.0, k.3, *item)).collect();
+        assert_eq!(drained, want);
+        assert_eq!((q.len(), q.cancellable_len()), (0, 0));
+    }
+
+    proptest! {
+        /// Random push / push_cancellable / cancel / rearm / pop sequences
+        /// pop in exactly the order of the full key under every policy —
+        /// the lane and in-place re-arm change where entries wait, never
+        /// when they leave.
+        #[test]
+        fn queue_matches_a_sorted_model_under_every_policy(
+            ops in prop::collection::vec(op(), 1..400),
+            seed in any::<u64>(),
+        ) {
+            for policy in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(seed)] {
+                check_against_model(policy, &ops);
             }
         }
-        for (i, (tok, time, seq)) in tokens.into_iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(q.cancel(tok));
-            } else {
-                model.push((time, seq));
-            }
-        }
-        model.sort();
-        let popped: Vec<(SimTime, u64)> =
-            std::iter::from_fn(|| q.pop().map(|(time, seq, _)| (time, seq))).collect();
-        assert_eq!(popped, model);
     }
 }

@@ -184,14 +184,16 @@ proptest! {
         prop_assert_eq!(run(seed, loss), run(seed, loss));
     }
 
-    /// Random interleavings of schedule / cancel / transmit drive the
-    /// indexed event queue through its full API. Two properties: the
-    /// observed event trace is identical across runs (the `(time, seq)`
-    /// order is a function of the script alone), and a timer cancelled
-    /// strictly before its deadline never fires.
+    /// Random interleavings of schedule / cancel / re-arm / transmit
+    /// drive the indexed event queue through its full API. Three
+    /// properties: the observed event trace is identical across runs (the
+    /// pop order is a function of the script alone), a timer
+    /// cancelled or moved strictly before its deadline never fires under
+    /// its old tag, and `rearm_timer` is indistinguishable from
+    /// `cancel_timer` followed by `schedule_timer`.
     #[test]
     fn schedule_cancel_transmit_interleaving_is_deterministic(
-        script in prop::collection::vec((0u8..3, 1u64..5_000, 0u8..8), 1..120),
+        script in prop::collection::vec((0u8..4, 1u64..5_000, 0u8..8), 1..120),
     ) {
         use std::cell::RefCell;
         use std::collections::HashSet;
@@ -205,6 +207,8 @@ proptest! {
             link: LinkId,
             script: Vec<(u8, u64, u8)>,
             pc: usize,
+            /// Move timers with `rearm_timer` (else cancel + schedule).
+            in_place: bool,
             next_tag: u64,
             // Live handles with their tag and absolute deadline.
             armed: Vec<(TimerHandle, u64, SimTime)>,
@@ -236,6 +240,23 @@ proptest! {
                                 self.forbidden.insert(tag);
                             }
                         }
+                        3 if !self.armed.is_empty() => {
+                            let i = usize::from(extra) % self.armed.len();
+                            let (old, old_tag, deadline) = self.armed.swap_remove(i);
+                            if deadline > ctx.now() {
+                                self.forbidden.insert(old_tag);
+                            }
+                            let tag = self.next_tag;
+                            self.next_tag += 1;
+                            let d = SimDuration::from_micros(delay);
+                            let h = if self.in_place {
+                                ctx.rearm_timer(old, d, tag)
+                            } else {
+                                ctx.cancel_timer(old);
+                                ctx.schedule_timer(d, tag)
+                            };
+                            self.armed.push((h, tag, ctx.now() + d));
+                        }
                         2 => {
                             let id = ctx.next_packet_id();
                             let size = 40 + u32::from(extra) * 100;
@@ -265,7 +286,7 @@ proptest! {
             }
         }
 
-        fn run(script: &[(u8, u64, u8)]) -> Vec<(u64, u8, u64)> {
+        fn run(script: &[(u8, u64, u8)], in_place: bool) -> Vec<(u64, u8, u64)> {
             let trace: Trace = Rc::new(RefCell::new(Vec::new()));
             let mut sim = Simulator::new(99);
             let a = sim.reserve_actor();
@@ -280,6 +301,7 @@ proptest! {
                 link: l,
                 script: script.to_vec(),
                 pc: 0,
+                in_place,
                 next_tag: 0,
                 armed: Vec::new(),
                 forbidden: HashSet::new(),
@@ -290,6 +312,8 @@ proptest! {
             Rc::try_unwrap(trace).expect("sim dropped").into_inner()
         }
 
-        prop_assert_eq!(run(&script), run(&script));
+        let moved_in_place = run(&script, true);
+        prop_assert_eq!(&moved_in_place, &run(&script, true));
+        prop_assert_eq!(&moved_in_place, &run(&script, false));
     }
 }

@@ -176,12 +176,16 @@ impl TcpSender {
     }
 
     fn arm_rto(&mut self, ctx: &mut SimCtx) {
-        if let Some(h) = self.rto_timer.take() {
-            ctx.cancel_timer(h);
-        }
+        let pending = self.rto_timer.take();
         if self.snd_una < self.next_seq {
-            let rto = self.rtt.rto() * u64::from(self.rto_backoff);
-            self.rto_timer = Some(ctx.schedule_timer(rto.min(RttEstimator::MAX_RTO), TAG_RTO));
+            let rto = (self.rtt.rto() * u64::from(self.rto_backoff)).min(RttEstimator::MAX_RTO);
+            // Restarted on every ACK that advances: move the timer in place.
+            self.rto_timer = Some(match pending {
+                Some(h) => ctx.rearm_timer(h, rto, TAG_RTO),
+                None => ctx.schedule_timer(rto, TAG_RTO),
+            });
+        } else if let Some(h) = pending {
+            ctx.cancel_timer(h);
         }
     }
 
