@@ -7,7 +7,9 @@
 //! and `timer_rearm_churn` the in-place move that replaces it where a
 //! timer is only ever pushed back; `same_instant_message_deep` bounces
 //! zero-delay messages over 10⁵ parked timers, the city-scale pattern the
-//! same-instant lane exists for.
+//! same-instant lane exists for; `in_flight_deep` keeps a bandwidth-delay
+//! product of packets in flight on one link over 10³ periodic timers, the
+//! dense-cell pattern the links' delay lines exist for.
 //!
 //! `cargo bench -p marnet-bench --bench engine_hot` measures;
 //! `cargo bench -p marnet-bench --bench engine_hot -- --test` smoke-runs
@@ -18,7 +20,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use marnet_bench::scenarios::{run_recovery_instrumented, RecoveryMechanism, RecoveryOutcome};
 use marnet_core::fec::{xor_into, xor_into_scalar};
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx, Simulator};
-use marnet_sim::packet::Payload;
+use marnet_sim::link::{Bandwidth, LinkId, LinkParams};
+use marnet_sim::packet::{Packet, Payload};
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::event::{TraceEvent, TraceKind};
 use marnet_telemetry::recorder::TraceSink;
@@ -180,6 +183,76 @@ fn bench_same_instant_message_deep(c: &mut Criterion) {
     g.finish();
 }
 
+/// A saturated long link over a field of periodic timers: the dense
+/// cell's queue shape without its transports. 2 Gb/s × 10 ms of 1250-byte
+/// packets is 2 000 arrivals pending at every instant, each scheduled
+/// behind the previous one; through the heap every one of them sifts among
+/// the 1 000 timers and each other, through the link's delay line none
+/// does.
+fn bench_in_flight_deep(c: &mut Criterion) {
+    const TIMERS: u64 = 1_000;
+    const BURST: u64 = 10;
+    const EVENTS: u64 = 20_000;
+    /// Serialization time of one packet; the source offers `BURST` packets
+    /// every `BURST` slots, so the link never idles and its queue never
+    /// overflows.
+    const SLOT: SimDuration = SimDuration::from_micros(5);
+
+    struct Source {
+        link: LinkId,
+    }
+    impl Actor for Source {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            if matches!(ev, Event::Start | Event::Timer { .. }) {
+                for _ in 0..BURST {
+                    let id = ctx.next_packet_id();
+                    ctx.transmit(self.link, Packet::new(id, 0, 1250, ctx.now()));
+                }
+                ctx.schedule_timer(SLOT * BURST, 0);
+            }
+        }
+    }
+    /// Receives the packets and owns the periodic timers (10 ms period,
+    /// staggered 10 µs apart).
+    struct Field;
+    impl Actor for Field {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            match ev {
+                Event::Start => {
+                    for i in 0..TIMERS {
+                        ctx.schedule_timer(SimDuration::from_micros(10 * (i + 1)), 1);
+                    }
+                }
+                Event::Timer { tag } => {
+                    ctx.schedule_timer(SimDuration::from_millis(10), tag);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let mut g = c.benchmark_group("in_flight_deep");
+    g.throughput(Throughput::Elements(EVENTS));
+    g.bench_function("2k_in_flight_over_1k_timers", |b| {
+        let mut sim = Simulator::new(7);
+        let src = sim.reserve_actor();
+        let dst = sim.reserve_actor();
+        let link = sim.add_link(
+            src,
+            dst,
+            LinkParams::new(Bandwidth::from_mbps(2_000.0), SimDuration::from_millis(10)),
+        );
+        sim.install_actor(src, Source { link });
+        sim.install_actor(dst, Field);
+        // Fill the pipe once; every iteration continues the steady state.
+        sim.run_until(SimTime::from_millis(20));
+        assert!(sim.ctx().pending_events() > 2_900, "the link must be full");
+        sim.set_event_limit(EVENTS);
+        b.iter(|| black_box(sim.run_until(SimTime::MAX)))
+    });
+    g.finish();
+}
+
 /// XOR parity accumulation over one FEC group of reference frames:
 /// the unrolled u64-lane `xor_into` against the byte-at-a-time scalar
 /// reference it must match bit-for-bit. The 6 001-byte block keeps a
@@ -259,6 +332,7 @@ criterion_group!(
     bench_timer_cancel_churn,
     bench_timer_rearm_churn,
     bench_same_instant_message_deep,
+    bench_in_flight_deep,
     bench_fec_parity_throughput,
     bench_recorder_record_hot,
 );

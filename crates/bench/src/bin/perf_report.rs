@@ -5,7 +5,7 @@
 //! under a counting allocator and records, per scenario:
 //!
 //! * **events/sec** — best of `reps` wall-clock rounds (best-of filters
-//!   scheduler noise; the mean is reported alongside),
+//!   scheduler noise; the median and the mean are reported alongside),
 //! * **allocs/event** — allocator calls per simulator event,
 //! * **peak heap proxy** — the high-water mark of live allocated bytes, and
 //! * **trace overhead** — the same workload with the flight recorder on,
@@ -22,7 +22,9 @@
 //! is compared against the per-mode entry in the ratchet file
 //! (`results/PERF_RATCHET.json`), the run fails on a regression beyond
 //! the documented slack, and any improvement tightens the stored bar so
-//! the gate only ever ratchets forward. `--max-trace-overhead-pct <p>`
+//! the gate only ever ratchets forward. The events/s bar moves on the
+//! *median* rep: a best-of over 2–4 ms rounds is one lucky rep away from
+//! a floor the next honest run cannot meet. `--max-trace-overhead-pct <p>`
 //! additionally bounds the headline (arq+fec-k8) recording overhead.
 //!
 //! The committed `results/BENCH_sim.json` also carries the pre-overhaul
@@ -217,6 +219,7 @@ struct Measurement {
     scenario: String,
     events: u64,
     best_events_per_sec: f64,
+    median_events_per_sec: f64,
     mean_events_per_sec: f64,
     allocs_per_event: f64,
     peak_heap_bytes: i64,
@@ -267,13 +270,23 @@ const ALLOC_SLACK: f64 = 0.02;
 const RATE_FLOOR_FRAC: f64 = 0.5;
 const PEAK_SLACK_FRAC: f64 = 1.25;
 
+/// The median of `values` (the mean of the middle two for an even count).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(|a, b| a.total_cmp(b));
+    let hi = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[hi]
+    } else {
+        (values[hi - 1] + values[hi]) / 2.0
+    }
+}
+
 fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
     let off = TelemetryOptions::disabled();
     let trace = TelemetryOptions { trace_capacity: Some(DEFAULT_TRACE_CAPACITY), metrics: false };
     (w.run)(w.warm, &off);
 
-    let mut best = 0.0f64;
-    let mut sum = 0.0f64;
+    let mut rates: Vec<f64> = Vec::with_capacity(reps);
     let mut total_events = 0u64;
     let a0 = ALLOCS.load(Ordering::Relaxed);
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -282,9 +295,7 @@ fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
         let ev = (w.run)(w.full, &off).0;
         let dt = t0.elapsed().as_secs_f64();
         assert!(ev > 0, "{}: scenario must process events", w.label);
-        let rate = ev as f64 / dt;
-        best = best.max(rate);
-        sum += rate;
+        rates.push(ev as f64 / dt);
         total_events += ev;
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - a0;
@@ -319,20 +330,16 @@ fn measure(w: &Workload, reps: usize, traced_reps: usize) -> Measurement {
         let off_b = time(&tax_off);
         pair_pcts.push((off_a.max(off_b) / on_a.max(on_b) - 1.0) * 100.0);
     }
-    pair_pcts.sort_by(|a, b| a.total_cmp(b));
-    let trace_overhead_pct = if pair_pcts.len() % 2 == 1 {
-        pair_pcts[pair_pcts.len() / 2]
-    } else {
-        let hi = pair_pcts.len() / 2;
-        (pair_pcts[hi - 1] + pair_pcts[hi]) / 2.0
-    };
+    let trace_overhead_pct = median(&mut pair_pcts);
+    let best = rates.iter().copied().fold(0.0, f64::max);
 
     Measurement {
         label: w.label,
         scenario: w.scenario.clone(),
         events: total_events / reps as u64,
         best_events_per_sec: best,
-        mean_events_per_sec: sum / reps as f64,
+        mean_events_per_sec: rates.iter().sum::<f64>() / reps as f64,
+        median_events_per_sec: median(&mut rates),
         allocs_per_event: allocs as f64 / total_events as f64,
         peak_heap_bytes: peak,
         traced_events_per_sec: best / (1.0 + trace_overhead_pct / 100.0),
@@ -446,6 +453,7 @@ fn json_entry(m: &Measurement, smoke: bool) -> Value {
         ("scenario", Value::String(m.scenario.clone())),
         ("events_per_run", Value::UInt(m.events)),
         ("events_per_sec_best", rate(m.best_events_per_sec)),
+        ("events_per_sec_median", rate(m.median_events_per_sec)),
         ("events_per_sec_mean", rate(m.mean_events_per_sec)),
         ("allocs_per_event", f3(m.allocs_per_event)),
         ("peak_heap_bytes", Value::Int(m.peak_heap_bytes)),
@@ -470,15 +478,15 @@ fn json_entry(m: &Measurement, smoke: bool) -> Value {
     obj(&pairs)
 }
 
-/// Applies the ratchet gate: compares each row against `path`'s entry for
-/// this mode, records failures, tightens the stored bar on improvement,
-/// and writes the file back. Returns the regression messages (empty =
-/// pass).
-fn apply_ratchet(path: &str, mode: &str, measurements: &[Measurement]) -> Vec<String> {
-    let root: Value = match std::fs::read_to_string(path) {
-        Ok(body) => serde_json::from_str(&body).expect("ratchet file must be valid JSON"),
-        Err(_) => Value::Object(vec![("schema".to_string(), Value::UInt(1))]),
-    };
+/// The ratchet gate on a parsed ratchet file: compares each row against
+/// `root`'s entry for this mode and tightens the stored bar on
+/// improvement. Returns the new file contents and the regression messages
+/// (empty = pass).
+///
+/// The events/s bar (`events_per_sec_best`: the best bar any run has set)
+/// is compared with and raised to the run's *median* rep, so one lucky rep
+/// neither passes a slow run nor leaves a floor later runs cannot meet.
+fn ratchet(root: &Value, mode: &str, measurements: &[Measurement]) -> (Value, Vec<String>) {
     let lookup = |label: &str| -> Option<Value> {
         let section = root.as_object()?.iter().find(|(k, _)| k == mode)?.1.as_object()?;
         section.iter().find(|(k, _)| k == label).map(|(_, v)| v.clone())
@@ -490,10 +498,10 @@ fn apply_ratchet(path: &str, mode: &str, measurements: &[Measurement]) -> Vec<St
     let mut failures = Vec::new();
     let mut section: Vec<(String, Value)> = Vec::new();
     for m in measurements {
-        let (mut best, mut allocs, mut peak) =
-            (m.best_events_per_sec, m.allocs_per_event, m.peak_heap_bytes as f64);
+        let (mut bar, mut allocs, mut peak) =
+            (m.median_events_per_sec, m.allocs_per_event, m.peak_heap_bytes as f64);
         if let Some(e) = lookup(m.label) {
-            let r_best = field(&e, "events_per_sec_best").unwrap_or(0.0);
+            let r_bar = field(&e, "events_per_sec_best").unwrap_or(0.0);
             let r_allocs = field(&e, "allocs_per_event").unwrap_or(f64::INFINITY);
             let r_peak = field(&e, "peak_heap_bytes").unwrap_or(f64::INFINITY);
             if m.allocs_per_event > r_allocs + ALLOC_SLACK {
@@ -506,13 +514,13 @@ fn apply_ratchet(path: &str, mode: &str, measurements: &[Measurement]) -> Vec<St
             // runs on shared CI machines whose absolute speed is
             // arbitrary, while allocs/event and peak-heap are
             // deterministic on any runner.
-            if mode == "full" && m.best_events_per_sec < r_best * RATE_FLOOR_FRAC {
+            if mode == "full" && m.median_events_per_sec < r_bar * RATE_FLOOR_FRAC {
                 failures.push(format!(
-                    "{}: {:.2} Mev/s fell below {:.0}% of ratchet {:.2} Mev/s",
+                    "{}: median {:.2} Mev/s fell below {:.0}% of ratchet {:.2} Mev/s",
                     m.label,
-                    m.best_events_per_sec / 1e6,
+                    m.median_events_per_sec / 1e6,
                     RATE_FLOOR_FRAC * 100.0,
-                    r_best / 1e6
+                    r_bar / 1e6
                 ));
             }
             if (m.peak_heap_bytes as f64) > r_peak * PEAK_SLACK_FRAC {
@@ -526,14 +534,14 @@ fn apply_ratchet(path: &str, mode: &str, measurements: &[Measurement]) -> Vec<St
             }
             // Each field ratchets forward independently: the stored bar
             // only ever tightens.
-            best = best.max(r_best);
+            bar = bar.max(r_bar);
             allocs = allocs.min(r_allocs);
             peak = peak.min(r_peak);
         }
         section.push((
             m.label.to_string(),
             obj(&[
-                ("events_per_sec_best", rate(best)),
+                ("events_per_sec_best", rate(bar)),
                 ("allocs_per_event", f3(allocs)),
                 ("peak_heap_bytes", Value::UInt(peak.round().max(0.0) as u64)),
             ]),
@@ -551,8 +559,18 @@ fn apply_ratchet(path: &str, mode: &str, measurements: &[Measurement]) -> Vec<St
     }
     pairs.push((mode.to_string(), Value::Object(section)));
     pairs.sort_by(|a, b| (a.0 != "schema").cmp(&(b.0 != "schema")).then(a.0.cmp(&b.0)));
-    let body =
-        serde_json::to_string_pretty(&Value::Object(pairs)).expect("serialize ratchet") + "\n";
+    (Value::Object(pairs), failures)
+}
+
+/// Applies [`ratchet`] to the file at `path` and writes the tightened file
+/// back. Returns the regression messages (empty = pass).
+fn apply_ratchet(path: &str, mode: &str, measurements: &[Measurement]) -> Vec<String> {
+    let root: Value = match std::fs::read_to_string(path) {
+        Ok(body) => serde_json::from_str(&body).expect("ratchet file must be valid JSON"),
+        Err(_) => Value::Object(vec![("schema".to_string(), Value::UInt(1))]),
+    };
+    let (root, failures) = ratchet(&root, mode, measurements);
+    let body = serde_json::to_string_pretty(&root).expect("serialize ratchet") + "\n";
     std::fs::write(path, body).expect("write ratchet file");
     println!("ratchet      {path} [{mode}] updated");
     failures
@@ -593,11 +611,12 @@ fn main() {
 
     for m in &measurements {
         println!(
-            "{:<16} {:>9} events/run  best {:>6.2} Mev/s  mean {:>6.2} Mev/s  \
+            "{:<16} {:>9} events/run  best {:>6.2} Mev/s  median {:>6.2}  mean {:>6.2}  \
              {:.3} allocs/event  peak {} KiB  trace tax {:.1}%",
             m.label,
             m.events,
             m.best_events_per_sec / 1e6,
+            m.median_events_per_sec / 1e6,
             m.mean_events_per_sec / 1e6,
             m.allocs_per_event,
             m.peak_heap_bytes / 1024,
@@ -670,5 +689,67 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A measurement whose timed reps ran at `rates` events/s.
+    fn measured(label: &'static str, rates: &[f64]) -> Measurement {
+        let mut sorted = rates.to_vec();
+        Measurement {
+            label,
+            scenario: String::new(),
+            events: 1_000,
+            best_events_per_sec: rates.iter().copied().fold(0.0, f64::max),
+            mean_events_per_sec: rates.iter().sum::<f64>() / rates.len() as f64,
+            median_events_per_sec: median(&mut sorted),
+            allocs_per_event: 0.5,
+            peak_heap_bytes: 1_000,
+            traced_events_per_sec: 0.0,
+            trace_overhead_pct: 0.0,
+        }
+    }
+
+    fn stored_bar(root: &Value, mode: &str, label: &str) -> Option<f64> {
+        let entry = |v: &Value, k: &str| {
+            v.as_object()?.iter().find(|(key, _)| key == k).map(|e| e.1.clone())
+        };
+        entry(&entry(&entry(root, mode)?, label)?, "events_per_sec_best")?.as_f64()
+    }
+
+    #[test]
+    fn median_takes_the_middle_rep() {
+        assert_eq!(median(&mut [3.0, 9.0, 1.0]), 3.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [7.0]), 7.0);
+    }
+
+    #[test]
+    fn one_outlier_rep_does_not_move_the_stored_events_bar() {
+        let empty = Value::Object(vec![("schema".to_string(), Value::UInt(1))]);
+        let (root, failures) = ratchet(&empty, "full", &[measured("row", &[5e6; 5])]);
+        assert!(failures.is_empty());
+        assert_eq!(stored_bar(&root, "full", "row"), Some(5e6));
+        // Four honest reps and one lucky one: best-of says 9 M events/s,
+        // the bar stays where the honest reps are.
+        let lucky = measured("row", &[4.9e6, 9e6, 5e6, 4.8e6, 4.9e6]);
+        assert_eq!(lucky.best_events_per_sec, 9e6);
+        let (root, failures) = ratchet(&root, "full", &[lucky]);
+        assert!(failures.is_empty());
+        assert_eq!(stored_bar(&root, "full", "row"), Some(5e6));
+        // A run that is faster on most reps does tighten it, to its median.
+        let faster = measured("row", &[6.1e6, 6e6, 6.3e6, 5.9e6, 6e6]);
+        let (root, _) = ratchet(&root, "full", &[faster]);
+        assert_eq!(stored_bar(&root, "full", "row"), Some(6e6));
+        // One lucky rep does not rescue a run whose median is under the
+        // floor either; the smoke section was never touched.
+        let slow = measured("row", &[2e6, 2.1e6, 7e6, 2e6, 1.9e6]);
+        let (root, failures) = ratchet(&root, "full", &[slow]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert_eq!(stored_bar(&root, "full", "row"), Some(6e6));
+        assert_eq!(stored_bar(&root, "smoke", "row"), None);
     }
 }

@@ -59,13 +59,25 @@ fn instrumented_sim(
 
 /// Collects what the run recorded: the trace, and a snapshot of the
 /// registry (the scenario's own counters, if it published any, plus the
-/// link counters added here).
+/// link counters and the event queue's `sim.engine.queue.*` counters
+/// added here, after the run).
 fn finish_telemetry(
     sim: &mut Simulator,
     registry: Option<Rc<MetricsRegistry>>,
 ) -> TelemetryCapture {
     let metrics = registry.map(|reg| {
         sim.publish_link_metrics(&reg);
+        let q = sim.ctx().queue_stats();
+        for (name, value) in [
+            ("heap_pushes", q.heap_pushes),
+            ("lane_pushes", q.lane_pushes),
+            ("line_pushes", q.line_pushes),
+            ("rearms", q.rearms),
+            ("cancels", q.cancels),
+            ("peak_depth", q.peak_depth),
+        ] {
+            reg.counter(&format!("sim.engine.queue.{name}")).add(value);
+        }
         reg.snapshot()
     });
     TelemetryCapture { events: sim.take_trace(), metrics }
@@ -444,6 +456,9 @@ pub struct QueueingOutcome {
     pub mar: Vec<Rc<RefCell<UdpSinkStats>>>,
     /// Per-bulk-upload receiver stats, in flow order.
     pub bulk: Vec<Rc<RefCell<TcpReceiverStats>>>,
+    /// What the event queue did: heap vs. same-instant-lane vs. delay-line
+    /// insertions, peak depth (diagnostics, in no artifact).
+    pub queue: QueueStats,
 }
 
 /// `n_mar` paced 1.5 Mb/s MAR streams and `n_bulk` greedy TCP uploads
@@ -514,7 +529,8 @@ pub fn run_queueing_instrumented(
     sim.install_actor(isp, isp_nic);
     let events = sim.run_until(SimTime::from_secs(secs));
     let capture = finish_telemetry(&mut sim, registry);
-    (QueueingOutcome { mar, bulk }, events, capture)
+    let queue = sim.ctx().queue_stats();
+    (QueueingOutcome { mar, bulk, queue }, events, capture)
 }
 
 // ---------------------------------------------------------------------------
@@ -1128,8 +1144,8 @@ pub struct CityscaleOutcome {
     pub fluid: Rc<RefCell<FluidStats>>,
     /// The fidelity partition the scenario was built from.
     pub regions: RegionMap,
-    /// What the event queue did: heap vs. same-instant-lane insertions,
-    /// timer re-arms, peak depth (diagnostics, in no artifact).
+    /// What the event queue did: heap vs. same-instant-lane vs. delay-line
+    /// insertions, timer re-arms, peak depth (diagnostics, in no artifact).
     pub queue: QueueStats,
 }
 
@@ -1243,6 +1259,11 @@ mod tests {
     fn off() -> TelemetryOptions {
         TelemetryOptions::disabled()
     }
+
+    /// Events of the 200-flow DropTail cell below (400 Mb/s, 180 MAR + 20
+    /// bulk flows, 2 s, seed 7), counted before the event queue had delay
+    /// lines.
+    const DENSE_CELL_EVENTS: u64 = 447_096;
 
     /// The fault sweep's grid point: a 500 ms fault in a 6 s run, seed 42.
     fn faults(scenario: FaultScenario, hardened: bool) -> FaultsOutcome {
@@ -1505,13 +1526,47 @@ mod tests {
     }
 
     #[test]
+    fn dense_cell_packets_in_flight_wait_in_the_links_lines_not_the_heap() {
+        // The mechanism behind the dense cell's speed: NIC forwards are
+        // same-instant messages, and every departure and (constant-delay)
+        // arrival sorts behind the previous one on its link, so only the
+        // flows' timers are left to the heap — and moving entries between
+        // the queue's structures adds or removes no event.
+        let metered = TelemetryOptions { trace_capacity: None, metrics: true };
+        let queue = QueueConfig::DropTail { cap_packets: 1_000 };
+        let (out, events, capture) =
+            run_queueing_instrumented(400.0, queue, 0, 180, 20, 2, 7, &metered);
+        assert_eq!(events, DENSE_CELL_EVENTS, "an event was added or removed");
+        let q = out.queue;
+        let pushes = q.heap_pushes + q.lane_pushes + q.line_pushes;
+        assert!(
+            (q.lane_pushes + q.line_pushes) * 100 >= pushes * 55,
+            "only {} lane + {} line of {pushes} pushes bypassed the heap",
+            q.lane_pushes,
+            q.line_pushes
+        );
+        assert!(q.line_pushes > q.lane_pushes / 2, "the lines carry the packets: {q:?}");
+        // A metrics-on run publishes the same counters, after the run.
+        let snap = capture.metrics.expect("metrics on must snapshot");
+        let counter = |name: &str| snap.counters[&format!("sim.engine.queue.{name}")];
+        assert_eq!(
+            [counter("heap_pushes"), counter("lane_pushes"), counter("line_pushes")],
+            [q.heap_pushes, q.lane_pushes, q.line_pushes]
+        );
+        assert_eq!(
+            [counter("rearms"), counter("cancels"), counter("peak_depth")],
+            [q.rearms, q.cancels, q.peak_depth]
+        );
+    }
+
+    #[test]
     fn cityscale_messages_skip_the_heap_and_the_fluid_timer_moves_in_place() {
         // The mechanism behind the city-scale speed: flow starts, flow
         // completions and rate updates are same-instant messages, and the
         // fluid tier moves its one completion timer on each of them.
         let out = cityscale(20_000, 4, 31);
         let q = out.queue;
-        let pushes = q.heap_pushes + q.lane_pushes;
+        let pushes = q.heap_pushes + q.lane_pushes + q.line_pushes;
         assert!(
             q.lane_pushes * 10 > pushes * 4,
             "only {} of {pushes} pushes took the same-instant lane",

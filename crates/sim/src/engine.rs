@@ -14,9 +14,17 @@
 //! order they were scheduled, and all randomness comes from per-link RNG
 //! streams derived from the simulation seed (see
 //! [`crate::rng::derive_rng`]).
+//!
+//! Where an event waits is the queue's business, not the order's: every
+//! link registers two delay lines with the queue and schedules its packet
+//! arrivals through one and its departures through the other, so the
+//! packets in flight on a loaded link — each due after the one before —
+//! queue up in a FIFO instead of being sorted through the heap (see
+//! `eventq`; an arrival that jitter or a shortened delay puts out of order
+//! takes the heap as before).
 
 pub use crate::eventq::QueueStats;
-use crate::eventq::{CancelToken, EventQueue, Phase};
+use crate::eventq::{CancelToken, EventQueue, LineId, Phase};
 use crate::link::{Bandwidth, Jitter, LinkId, LinkParams, LinkStats, LossModel};
 use crate::packet::{Packet, Payload};
 use crate::time::{SimDuration, SimTime};
@@ -105,6 +113,10 @@ struct LinkRuntime {
     up: bool,
     ge_bad: bool,
     in_flight: Option<Packet>,
+    /// The event queue's delay lines for this link's packet arrivals and
+    /// for its (at most one pending) departure.
+    arrivals: LineId,
+    departures: LineId,
     stats: LinkStats,
     rng: ChaCha12Rng,
 }
@@ -242,15 +254,16 @@ impl SimCtx {
     }
 
     /// Pending events in the queue (diagnostics), including the current
-    /// instant's not-yet-delivered messages.
+    /// instant's not-yet-delivered messages and the packets in flight on
+    /// links.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
     /// What the event queue has done so far (diagnostics): how many
-    /// insertions went through the heap and how many through the
-    /// same-instant lane, in-place re-arms, cancellations and the most
-    /// events that were pending at once.
+    /// insertions went through the heap, how many through the same-instant
+    /// lane and how many through the links' delay lines, in-place re-arms,
+    /// cancellations and the most events that were pending at once.
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
@@ -261,29 +274,37 @@ impl SimCtx {
         self.queue.cancellable_len()
     }
 
+    /// The phase of an actor event or packet arrival scheduled now for
+    /// `time`. Work splits by causal age: work committed to a future
+    /// instant (`Carry`) outranks work spawned within that instant
+    /// (`Spawn`), so e.g. a periodic timer colliding with a same-instant
+    /// message never decides this-tick-vs-next-tick by schedule accident.
+    /// Phases outrank the tie-break policy; see `eventq`.
+    #[inline]
+    fn phase_at(&self, time: SimTime) -> Phase {
+        if time > self.now {
+            Phase::Carry
+        } else {
+            Phase::Spawn
+        }
+    }
+
+    /// Schedules an actor event.
     fn push(&mut self, time: SimTime, dest: Dest) {
-        // Departures drain a transmit queue (freeing a slot), so a slot
-        // freed at `t` is visible to every arrival at `t` under any
-        // equal-timestamp order — without it, a departure/arrival tie at a
-        // full drop-tail queue decides admit-vs-drop by schedule accident.
-        // Everything else splits by causal age: work committed to a future
-        // instant (`Carry`) outranks work spawned within that instant
-        // (`Spawn`), so e.g. a periodic timer colliding with a same-instant
-        // message never decides this-tick-vs-next-tick by schedule
-        // accident. Phases outrank the tie-break policy; see `eventq`.
-        let phase = match dest {
-            Dest::LinkDeparture { .. } => Phase::Drain,
-            Dest::Actor { .. } | Dest::LinkArrival { .. } => {
-                if time > self.now {
-                    Phase::Carry
-                } else {
-                    Phase::Spawn
-                }
-            }
-        };
+        let phase = self.phase_at(time);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(time, seq, self.src, phase, dest);
+    }
+
+    /// Schedules a link's own event through one of its delay lines: on a
+    /// link with constant delay every arrival sorts behind the previous
+    /// one, so the queue keeps them in a FIFO instead of its heap (an
+    /// out-of-order one goes to the heap; see `eventq`).
+    fn push_line(&mut self, line: LineId, time: SimTime, phase: Phase, dest: Dest) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push_line(line, time, seq, self.src, phase, dest);
     }
 
     /// Schedules a [`Event::Timer`] for the current actor after `delay`.
@@ -299,8 +320,7 @@ impl SimCtx {
         self.next_seq += 1;
         // A timer for a future instant is that instant's `Carry` work; a
         // zero-delay timer fires within the current instant, i.e. `Spawn`.
-        let phase = if t > self.now { Phase::Carry } else { Phase::Spawn };
-        (t, seq, phase)
+        (t, seq, self.phase_at(t))
     }
 
     /// Schedules a [`Event::Timer`] for an arbitrary actor after `delay`.
@@ -435,7 +455,18 @@ impl SimCtx {
                 }
                 let ser = l.rate.serialization_time(pkt.size);
                 l.in_flight = Some(pkt);
-                self.push(now.saturating_add(ser), Dest::LinkDeparture { link });
+                let line = l.departures;
+                // Departures drain a transmit queue (freeing a slot), and
+                // `Drain` leads its instant: a slot freed at `t` is visible
+                // to every arrival at `t` under any equal-timestamp order —
+                // without it, a departure/arrival tie at a full drop-tail
+                // queue decides admit-vs-drop by schedule accident.
+                self.push_line(
+                    line,
+                    now.saturating_add(ser),
+                    Phase::Drain,
+                    Dest::LinkDeparture { link },
+                );
             }
             None => {
                 l.busy = false;
@@ -504,7 +535,9 @@ impl SimCtx {
                 }
             };
             let arrival = now.saturating_add(l.delay + jitter);
-            self.push(arrival, Dest::LinkArrival { link, packet: pkt });
+            let line = l.arrivals;
+            let phase = self.phase_at(arrival);
+            self.push_line(line, arrival, phase, Dest::LinkArrival { link, packet: pkt });
         }
         self.start_tx(link);
     }
@@ -735,6 +768,8 @@ impl Simulator {
             up: params.up,
             ge_bad: false,
             in_flight: None,
+            arrivals: self.ctx.queue.add_line(),
+            departures: self.ctx.queue.add_line(),
             stats: LinkStats::default(),
             rng,
         });
@@ -953,6 +988,23 @@ mod tests {
         Probe { log: Rc::clone(log), echo_link: None }
     }
 
+    /// Transmits `burst` packets of 1250 bytes on `link` at start.
+    struct BurstSender {
+        link: LinkId,
+        burst: u64,
+    }
+
+    impl Actor for BurstSender {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            if matches!(ev, Event::Start) {
+                for _ in 0..self.burst {
+                    let id = ctx.next_packet_id();
+                    ctx.transmit(self.link, Packet::new(id, 0, 1250, ctx.now()));
+                }
+            }
+        }
+    }
+
     #[test]
     fn start_events_fire_once() {
         let log = Rc::new(RefCell::new(Vec::new()));
@@ -1002,18 +1054,7 @@ mod tests {
             b,
             LinkParams::new(Bandwidth::from_mbps(1.0), SimDuration::from_millis(5)),
         );
-        struct Sender {
-            link: LinkId,
-        }
-        impl Actor for Sender {
-            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
-                if matches!(ev, Event::Start) {
-                    let id = ctx.next_packet_id();
-                    ctx.transmit(self.link, Packet::new(id, 0, 1250, ctx.now()));
-                }
-            }
-        }
-        sim.install_actor(a, Sender { link: l });
+        sim.install_actor(a, BurstSender { link: l, burst: 1 });
         sim.install_actor(b, probe(&log));
         sim.run_until(SimTime::from_secs(1));
         let log = log.borrow();
@@ -1029,20 +1070,7 @@ mod tests {
         let a = sim.reserve_actor();
         let b = sim.reserve_actor();
         let l = sim.add_link(a, b, LinkParams::new(Bandwidth::from_mbps(1.0), SimDuration::ZERO));
-        struct Burst {
-            link: LinkId,
-        }
-        impl Actor for Burst {
-            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
-                if matches!(ev, Event::Start) {
-                    for _ in 0..3 {
-                        let id = ctx.next_packet_id();
-                        ctx.transmit(self.link, Packet::new(id, 0, 1250, ctx.now()));
-                    }
-                }
-            }
-        }
-        sim.install_actor(a, Burst { link: l });
+        sim.install_actor(a, BurstSender { link: l, burst: 3 });
         sim.install_actor(b, probe(&log));
         sim.run_until(SimTime::from_secs(1));
         let times: Vec<SimTime> =
@@ -1380,6 +1408,165 @@ mod tests {
         assert_eq!(sim.ctx().pending_events(), 0);
     }
 
+    /// The `(time in µs, packet id)` of every packet delivery in `log`.
+    fn deliveries(log: &Rc<RefCell<Vec<(SimTime, String)>>>) -> Vec<(u64, u64)> {
+        log.borrow()
+            .iter()
+            .filter_map(|(t, e)| {
+                Some((t.as_nanos() / 1_000, e.strip_prefix("pkt:")?.parse().ok()?))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn jittered_arrivals_that_overtake_go_to_the_heap_and_deliver_in_key_order() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(5);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        // 1 ms per packet, up to 4 ms of jitter: arrivals overtake freely.
+        let params = LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(5))
+            .with_jitter(Jitter::Uniform { max: SimDuration::from_millis(4) })
+            .with_queue(QueueConfigLarge());
+        let l = sim.add_link(a, b, params);
+        sim.install_actor(a, BurstSender { link: l, burst: 200 });
+        sim.install_actor(b, probe(&log));
+        sim.run_to_completion();
+        let got = deliveries(&log);
+        assert_eq!(got.len(), 200);
+        // Key order: by arrival time, equal times by departure (= id) order.
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "deliveries out of key order");
+        assert!(got.windows(2).any(|w| w[0].1 > w[1].1), "the jitter never reordered anything");
+        // 200 departures always join their line (one pending at a time);
+        // of the 200 arrivals, those that sort below the line's tail are
+        // heap pushes — and nothing else is.
+        let stats = sim.ctx().queue_stats();
+        assert_eq!(stats.lane_pushes, 2, "the two start events");
+        assert_eq!(stats.line_pushes + stats.heap_pushes, 400);
+        assert!(stats.line_pushes > 200 && stats.heap_pushes > 20, "{stats:?}");
+    }
+
+    #[test]
+    fn shrinking_the_delay_with_packets_in_flight_delivers_in_key_order() {
+        struct Shrinker {
+            link: LinkId,
+        }
+        impl Actor for Shrinker {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                match ev {
+                    Event::Start => {
+                        ctx.schedule_timer(SimDuration::from_micros(2_500), 0);
+                    }
+                    Event::Timer { .. } => {
+                        ctx.set_link_delay(self.link, SimDuration::from_millis(1))
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        // 1 ms per packet: departures at 1..=5 ms, 20 ms of delay at first.
+        let l = sim.add_link(
+            a,
+            b,
+            LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(20)),
+        );
+        sim.install_actor(a, BurstSender { link: l, burst: 5 });
+        sim.install_actor(b, probe(&log));
+        sim.add_actor(Shrinker { link: l });
+        sim.run_to_completion();
+        // Packets 0 and 1 left with the old delay; 2, 3 and 4 overtake them.
+        assert_eq!(
+            deliveries(&log),
+            vec![(4_000, 2), (5_000, 3), (6_000, 4), (21_000, 0), (22_000, 1)]
+        );
+        // The three overtaking arrivals sort below their line's tail (the
+        // 22 ms arrival), so they and the timer are the heap's only entries.
+        let stats = sim.ctx().queue_stats();
+        assert_eq!((stats.heap_pushes, stats.line_pushes, stats.lane_pushes), (4, 7, 3));
+    }
+
+    #[test]
+    fn zero_delay_arrivals_are_spawns_of_the_departure_instant() {
+        // On a zero-delay link the arrival is scheduled for the departure's
+        // own instant, i.e. `Spawn`: it goes through the line like any
+        // other and runs after the instant's carries.
+        struct TimerThenPacket {
+            log: Rc<RefCell<Vec<(SimTime, String)>>>,
+        }
+        impl Actor for TimerThenPacket {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                if matches!(ev, Event::Start) {
+                    ctx.schedule_timer(SimDuration::from_millis(1), 7);
+                }
+                probe(&self.log).on_event(ctx, ev);
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        let l = sim.add_link(a, b, LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::ZERO));
+        sim.install_actor(a, BurstSender { link: l, burst: 2 });
+        sim.install_actor(b, TimerThenPacket { log: Rc::clone(&log) });
+        sim.run_to_completion();
+        let ms = SimTime::from_millis;
+        let want = [(ms(0), "start"), (ms(1), "timer:7"), (ms(1), "pkt:0"), (ms(2), "pkt:1")];
+        let got = log.borrow();
+        assert_eq!(got.len(), want.len());
+        assert!(got.iter().zip(want).all(|((t, e), (wt, we))| (*t, e.as_str()) == (wt, we)));
+        let stats = sim.ctx().queue_stats();
+        assert_eq!((stats.heap_pushes, stats.line_pushes, stats.lane_pushes), (1, 4, 2));
+    }
+
+    #[test]
+    fn stop_mid_run_keeps_the_packets_in_flight_for_the_next_run() {
+        struct StopOnFirstPacket {
+            log: Rc<RefCell<Vec<(SimTime, String)>>>,
+        }
+        impl Actor for StopOnFirstPacket {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                let first = matches!(&ev, Event::Packet { packet, .. } if packet.id == 0);
+                probe(&self.log).on_event(ctx, ev);
+                if first {
+                    ctx.stop();
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        // 1 ms per packet and 5 ms of delay: packet 0 arrives at 6 ms.
+        let l = sim.add_link(
+            a,
+            b,
+            LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(5)),
+        );
+        sim.install_actor(a, BurstSender { link: l, burst: 8 });
+        sim.install_actor(b, StopOnFirstPacket { log: Rc::clone(&log) });
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.now(), SimTime::from_millis(6));
+        assert_eq!(deliveries(&log), vec![(6_000, 0)]);
+        // Packets 1..=5 are in flight (5 left at 6 ms, ahead of the
+        // arrival: `Drain` leads the instant) and 6 is being serialized:
+        // five entries wait in the arrivals line and one in the
+        // departures line, and the diagnostics count them.
+        assert_eq!(sim.ctx().pending_events(), 6);
+        assert_eq!(sim.ctx().pending_timers(), 0);
+        assert!(format!("{:?}", sim.ctx()).contains("pending_events: 6"));
+        let stats = sim.ctx().queue_stats();
+        assert_eq!((stats.heap_pushes, stats.line_pushes), (0, 7 + 6));
+        sim.run_until(SimTime::from_secs(1));
+        let rest: Vec<(u64, u64)> = (1..8).map(|i| (6_000 + i * 1_000, i)).collect();
+        assert_eq!(deliveries(&log)[1..], rest);
+        assert_eq!(sim.ctx().pending_events(), 0);
+        assert_eq!(sim.ctx().queue_stats().line_pushes, 16);
+    }
+
     #[test]
     fn a_departure_at_the_current_instant_runs_ahead_of_the_lane() {
         struct Sender {
@@ -1419,6 +1606,9 @@ mod tests {
         // sent); the arrival it spawned queued behind them.
         assert_eq!(*seen.borrow(), vec![(1, 1), (2, 1), (3, 1)]);
         assert_eq!(sim.now(), SimTime::from_secs(1));
+        // Departure and arrival waited in the link's lines, not the heap.
+        let stats = sim.ctx().queue_stats();
+        assert_eq!((stats.heap_pushes, stats.line_pushes, stats.lane_pushes), (0, 2, 3));
     }
 
     #[test]

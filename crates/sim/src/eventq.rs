@@ -1,5 +1,5 @@
 //! The engine's event queue: an indexed 4-ary min-heap with true removal,
-//! fronted by a same-instant FIFO lane.
+//! fronted by a same-instant FIFO lane and per-link delay lines.
 //!
 //! The run loop pops the earliest `(time, phase, ord, seq)` entry; cancellation (timers
 //! only) removes the entry from the heap immediately in O(log n) instead of
@@ -62,6 +62,30 @@
 //! every policy (`ord == 0` is every entry under FIFO and almost none
 //! under the perturbing policies, whose entries simply stay in the heap).
 //!
+//! # Delay lines
+//!
+//! A link schedules its packets' arrivals at `departure + delay`, one
+//! departure after another: on a loaded link a bandwidth-delay product of
+//! entries is pending at every instant, and each was pushed with a larger
+//! key than the one before. Sorting them through the heap is sorting a
+//! sorted sequence. A *delay line* ([`EventQueue::add_line`]) is a FIFO of
+//! heap entries (the payloads stay in the slab, as for the heap) that an
+//! entry pushed through it ([`EventQueue::push_line`]) joins only when its
+//! full key is greater than the line's tail; any other entry — a jittered
+//! arrival that overtakes, a shortened link delay, a perturbing policy's
+//! `ord` — goes to the heap exactly as a plain [`EventQueue::push`] would.
+//! Each line is therefore sorted by the full key, and a small 4-ary *front
+//! heap* holds the front key of every non-empty line, so the pop takes the
+//! smallest of heap root, lane front and front-heap root: three structures
+//! that each yield their own minimum, merged by the one total order above.
+//!
+//! Lane and lines are two mechanisms because they exploit two different
+//! facts: the lane's entries share one instant, phase and `ord`, so it
+//! stores no keys at all (a head and a tail index into the slab), while a
+//! line's entries differ in time and need their 32-byte keys kept.
+//!
+//! # Slots and tokens
+//!
 //! Every entry owns a slab slot; cancellable entries additionally hand out a
 //! [`CancelToken`] carrying `(slot, seq)`. The globally unique `seq` guards
 //! against slot reuse, so cancelling an already-fired timer is a cheap no-op.
@@ -70,6 +94,7 @@
 
 use crate::config::TieBreak;
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Branching factor. A 4-ary heap halves the depth of a binary heap, which
 /// wins on dispatch-heavy workloads: pops do a few more comparisons per
@@ -94,6 +119,10 @@ pub(crate) struct CancelToken {
     slot: u32,
     seq: u64,
 }
+
+/// Handle to a delay line registered with [`EventQueue::add_line`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LineId(u32);
 
 /// Intra-instant ordering phase: which half of a timestamp an entry runs
 /// in. Phases outrank the [`TieBreak`]-computed `ord`, so they are engine
@@ -120,24 +149,29 @@ pub(crate) enum Phase {
 /// part of any metrics artifact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Entries inserted into the heap (fresh timers, future messages and
-    /// packets, link departures).
+    /// Entries inserted into the heap (fresh timers, future messages, and
+    /// link arrivals and departures that would have broken their delay
+    /// line's order).
     pub heap_pushes: u64,
     /// Entries that bypassed the heap through the same-instant lane.
     pub lane_pushes: u64,
+    /// Entries that bypassed the heap through a delay line (in-order link
+    /// arrivals and departures).
+    pub line_pushes: u64,
     /// Pending timers moved to a new deadline in place.
     pub rearms: u64,
     /// Pending timers removed by cancellation.
     pub cancels: u64,
-    /// The most entries pending at once, heap and lane together.
+    /// The most entries pending at once — heap, lane and lines together.
     pub peak_depth: u64,
 }
 
 /// The full ordering key.
 type Key = (SimTime, Phase, u64, u64);
 
-/// A heap element: the ordering key plus the slab slot of its payload.
-/// `ord` is the policy-computed tie-break component (zero under FIFO),
+/// A heap or delay-line element: the ordering key plus the slab slot of its
+/// payload (in the front heap: the index of the line the key is the front
+/// of). `ord` is the policy-computed tie-break component (zero under FIFO),
 /// fixed at insertion so sifts never re-derive it. The `phase` rides in
 /// what was padding, so the entry stays 32 bytes.
 #[derive(Clone, Copy)]
@@ -173,19 +207,19 @@ struct Slot<T> {
     seq: u64,
 }
 
-/// Resolves a slab index held by a heap entry, the lane or a validated
-/// token. Free functions over the field (the `link_rt` pattern in
+/// Resolves a slab index held by a heap or line entry, the lane or a
+/// validated token. Free functions over the field (the `link_rt` pattern in
 /// `engine`), so the indexing invariant lives in exactly one place each.
 #[inline]
 fn slot_ref<T>(slots: &[Slot<T>], slab: usize) -> &Slot<T> {
-    // marnet-lint: allow(panic-path): heap entries and lane links only ever hold indices of live slab slots
+    // marnet-lint: allow(panic-path): heap and line entries and lane links only ever hold indices of live slab slots
     &slots[slab]
 }
 
 /// Mutable counterpart of [`slot_ref`].
 #[inline]
 fn slot_mut<T>(slots: &mut [Slot<T>], slab: usize) -> &mut Slot<T> {
-    // marnet-lint: allow(panic-path): heap entries and lane links only ever hold indices of live slab slots
+    // marnet-lint: allow(panic-path): heap and line entries and lane links only ever hold indices of live slab slots
     &mut slots[slab]
 }
 
@@ -203,15 +237,158 @@ fn set_entry(heap: &mut [Entry], i: usize, entry: Entry) {
     heap[i] = entry;
 }
 
+/// Records `i` as the main-heap position of `entry` if it is cancellable
+/// (no one looks up the position of a plain entry).
+#[inline]
+fn note_pos<T>(slots: &mut [Slot<T>], entry: Entry, i: usize) {
+    if entry.slot & CANCEL_BIT != 0 {
+        slot_mut(slots, entry.slab()).pos = i as u32;
+    }
+}
+
+/// Moves the entry at `i` of a 4-ary min-heap up to its place; returns
+/// `true` if it moved. Hole-based: displaced entries shift one level, the
+/// moving entry is written once at its final position. `placed` hears of
+/// every entry written to a new position — the main heap mirrors
+/// cancellable entries' positions into the slab, the front heap has no one
+/// to tell.
+#[inline(always)]
+fn sift_up(heap: &mut [Entry], mut i: usize, mut placed: impl FnMut(Entry, usize)) -> bool {
+    let entry = entry_at(heap, i);
+    let key = entry.key();
+    let start = i;
+    while i > 0 {
+        let parent = (i - 1) / D;
+        let above = entry_at(heap, parent);
+        if key >= above.key() {
+            break;
+        }
+        set_entry(heap, i, above);
+        placed(above, i);
+        i = parent;
+    }
+    if i == start {
+        return false;
+    }
+    set_entry(heap, i, entry);
+    placed(entry, i);
+    true
+}
+
+/// Moves the entry at `i` down to its place (hole-based, as [`sift_up`]).
+#[inline(always)]
+fn sift_down(heap: &mut [Entry], mut i: usize, mut placed: impl FnMut(Entry, usize)) {
+    let len = heap.len();
+    let entry = entry_at(heap, i);
+    let key = entry.key();
+    loop {
+        let first_child = i * D + 1;
+        if first_child >= len {
+            break;
+        }
+        let mut best = first_child;
+        for c in first_child + 1..(first_child + D).min(len) {
+            if entry_at(heap, c).key() < entry_at(heap, best).key() {
+                best = c;
+            }
+        }
+        let below = entry_at(heap, best);
+        if below.key() >= key {
+            break;
+        }
+        set_entry(heap, i, below);
+        placed(below, i);
+        i = best;
+    }
+    set_entry(heap, i, entry);
+    placed(entry, i);
+}
+
+/// The delay lines and the front heap over them (see the module docs).
+/// Orders keys only: the entries' slab slots are the queue's business.
+#[derive(Default)]
+struct DelayLines {
+    /// The lines, each sorted by the full key.
+    lines: Vec<VecDeque<Entry>>,
+    /// 4-ary min-heap of the front key of every non-empty line; the
+    /// entry's `slot` is the line's index.
+    fronts: Vec<Entry>,
+    /// Entries in all lines together.
+    len: usize,
+}
+
+impl DelayLines {
+    fn add(&mut self) -> LineId {
+        self.lines.push(VecDeque::new());
+        LineId((self.lines.len() - 1) as u32)
+    }
+
+    /// Resolves a line index held by a [`LineId`] or a front-heap entry.
+    #[inline]
+    fn line(&mut self, line: u32) -> &mut VecDeque<Entry> {
+        // marnet-lint: allow(panic-path): LineIds are only minted by `add` for this queue, and the front heap only holds indices of its lines
+        &mut self.lines[line as usize]
+    }
+
+    /// The key an entry must exceed to join `line`; `None` while it is empty.
+    #[inline]
+    fn tail_key(&mut self, line: LineId) -> Option<Key> {
+        self.line(line.0).back().map(Entry::key)
+    }
+
+    /// Appends `entry`, whose key exceeds [`DelayLines::tail_key`]; the
+    /// first entry of a line puts the line's key in the front heap.
+    #[inline]
+    fn push(&mut self, line: LineId, entry: Entry) {
+        let entries = self.line(line.0);
+        let first = entries.is_empty();
+        entries.push_back(entry);
+        self.len += 1;
+        if first {
+            let pos = self.fronts.len();
+            self.fronts.push(Entry { slot: line.0, ..entry });
+            sift_up(&mut self.fronts, pos, |_, _| {});
+        }
+    }
+
+    /// The entry with the smallest key in any line: the front of the line
+    /// the front heap's root is the key of.
+    fn front(&mut self) -> Option<&Entry> {
+        let line = self.fronts.first()?.slot;
+        self.line(line).front()
+    }
+
+    /// Removes the entry with the smallest key, putting its line's next
+    /// key (if any) in its place in the front heap.
+    fn pop(&mut self) -> Entry {
+        let line = entry_at(&self.fronts, 0).slot;
+        let entries = self.line(line);
+        // marnet-lint: allow(panic-path): a line is non-empty while the front heap holds its key
+        let entry = entries.pop_front().expect("non-empty line");
+        match entries.front() {
+            Some(&next) => set_entry(&mut self.fronts, 0, Entry { slot: line, ..next }),
+            None => {
+                self.fronts.swap_remove(0);
+            }
+        }
+        if !self.fronts.is_empty() {
+            sift_down(&mut self.fronts, 0, |_, _| {});
+        }
+        self.len -= 1;
+        entry
+    }
+}
+
 /// Where the next entry to pop sits.
 #[derive(Clone, Copy)]
 enum Front {
     Lane,
     Heap,
+    Line,
 }
 
 /// An indexed 4-ary min-heap over `(time, phase, ord, seq)` plus the
-/// same-instant lane (see the module docs).
+/// same-instant lane and the delay lines (see the module docs).
 pub(crate) struct EventQueue<T> {
     heap: Vec<Entry>,
     slots: Vec<Slot<T>>,
@@ -224,6 +401,7 @@ pub(crate) struct EventQueue<T> {
     lane_len: usize,
     /// The instant every lane entry is scheduled for.
     lane_time: SimTime,
+    lines: DelayLines,
     stats: QueueStats,
 }
 
@@ -248,13 +426,19 @@ impl<T> EventQueue<T> {
             lane_tail: NO_SLOT,
             lane_len: 0,
             lane_time: SimTime::ZERO,
+            lines: DelayLines::default(),
             stats: QueueStats::default(),
         }
     }
 
-    /// Pending entries, heap and lane together.
+    /// Registers an empty delay line (see the module docs).
+    pub(crate) fn add_line(&mut self) -> LineId {
+        self.lines.add()
+    }
+
+    /// Pending entries — heap, lane and lines together.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len() + self.lane_len
+        self.heap.len() + self.lane_len + self.lines.len
     }
 
     #[cfg(test)]
@@ -283,6 +467,30 @@ impl<T> EventQueue<T> {
         } else {
             self.insert(time, seq, ord, phase, item, 0);
         }
+    }
+
+    /// [`EventQueue::push`] for an entry expected to sort behind everything
+    /// already pushed through `line`: it joins the line when its full key is
+    /// greater than the line's tail, and the heap otherwise — either way it
+    /// pops in key order.
+    pub(crate) fn push_line(
+        &mut self,
+        line: LineId,
+        time: SimTime,
+        seq: u64,
+        src: u64,
+        phase: Phase,
+        item: T,
+    ) {
+        let ord = self.tie_break.ord_of(src);
+        let tail = self.lines.tail_key(line);
+        if tail.is_some_and(|tail| (time, phase, ord, seq) <= tail) {
+            self.insert(time, seq, ord, phase, item, 0);
+            return;
+        }
+        let slot = self.alloc_slot(item, NO_SLOT, seq);
+        self.lines.push(line, Entry { time, ord, seq, slot, phase });
+        self.stats.line_pushes += 1;
     }
 
     /// Inserts a cancellable entry and returns its token. Cancellable
@@ -389,26 +597,38 @@ impl<T> EventQueue<T> {
         (self.lane_time, seq, item)
     }
 
+    fn pop_line(&mut self) -> (SimTime, u64, T) {
+        let entry = self.lines.pop();
+        let (item, _, _) = self.release_slot(entry.slab());
+        (entry.time, entry.seq, item)
+    }
+
     /// The time of the earliest pending entry and where it sits: whichever
-    /// of lane front and heap root has the smaller full key.
+    /// of heap root, front-heap root and lane front has the smallest full
+    /// key (keys are unique, so there are no ties to break).
     #[inline]
     fn front(&self) -> Option<(SimTime, Front)> {
-        let root = self.heap.first();
-        if self.lane_head == NO_SLOT {
-            return root.map(|e| (e.time, Front::Heap));
+        let mut best = self.heap.first().map(|e| (e.key(), Front::Heap));
+        if let Some(line) = self.lines.fronts.first() {
+            if best.is_none_or(|(key, _)| line.key() < key) {
+                best = Some((line.key(), Front::Line));
+            }
         }
-        let lane_seq = slot_ref(&self.slots, self.lane_head as usize).seq;
-        let lane_key: Key = (self.lane_time, Phase::Spawn, 0, lane_seq);
-        match root {
-            Some(e) if e.key() < lane_key => Some((e.time, Front::Heap)),
-            _ => Some((self.lane_time, Front::Lane)),
+        if self.lane_head != NO_SLOT {
+            let lane_seq = slot_ref(&self.slots, self.lane_head as usize).seq;
+            let lane_key: Key = (self.lane_time, Phase::Spawn, 0, lane_seq);
+            if best.is_none_or(|(key, _)| lane_key < key) {
+                best = Some((lane_key, Front::Lane));
+            }
         }
+        best.map(|(key, front)| (key.0, front))
     }
 
     fn pop_front(&mut self, front: Front) -> (SimTime, u64, T) {
         match front {
             Front::Lane => self.pop_lane(),
             Front::Heap => self.remove_at(0),
+            Front::Line => self.pop_line(),
         }
     }
 
@@ -444,6 +664,7 @@ impl<T> EventQueue<T> {
         let slab = match front {
             Front::Lane => self.lane_head as usize,
             Front::Heap => self.heap.first()?.slab(),
+            Front::Line => self.lines.front()?.slab(),
         };
         if !pred(time, slot_ref(&self.slots, slab).item.as_ref()?) {
             return None;
@@ -516,8 +737,8 @@ impl<T> EventQueue<T> {
             self.n_cancellable -= 1;
         }
         if pos < self.heap.len() {
-            // The swapped-in tail entry may belong above or below `pos`.
-            self.update_pos(pos);
+            // The swapped-in tail entry may belong above or below `pos`
+            // (whichever sift settles it records its position).
             if !self.sift_up(pos) {
                 self.sift_down(pos);
             }
@@ -525,72 +746,19 @@ impl<T> EventQueue<T> {
         (entry.time, entry.seq, item)
     }
 
-    /// Records `i` as the heap position of the entry currently stored
-    /// there, if that entry is cancellable (no one looks up the position of
-    /// a plain entry).
-    #[inline]
-    fn update_pos(&mut self, i: usize) {
-        let entry = entry_at(&self.heap, i);
-        if entry.slot & CANCEL_BIT != 0 {
-            slot_mut(&mut self.slots, entry.slab()).pos = i as u32;
-        }
+    /// [`sift_up`] on the main heap.
+    fn sift_up(&mut self, i: usize) -> bool {
+        let slots = &mut self.slots;
+        sift_up(&mut self.heap, i, |entry, pos| note_pos(slots, entry, pos))
     }
 
-    /// Moves the entry at `i` up to its place; returns `true` if it moved.
-    /// Hole-based: displaced entries shift one level, the moving entry is
-    /// written once at its final position.
-    fn sift_up(&mut self, mut i: usize) -> bool {
-        let entry = entry_at(&self.heap, i);
-        let key = entry.key();
-        let start = i;
-        while i > 0 {
-            let parent = (i - 1) / D;
-            let above = entry_at(&self.heap, parent);
-            if key >= above.key() {
-                break;
-            }
-            set_entry(&mut self.heap, i, above);
-            self.update_pos(i);
-            i = parent;
-        }
-        if i == start {
-            return false;
-        }
-        set_entry(&mut self.heap, i, entry);
-        self.update_pos(i);
-        true
-    }
-
-    /// Moves the entry at `i` down to its place (hole-based, as
-    /// [`EventQueue::sift_up`]). Always inlined: with a second caller
+    /// [`sift_down`] on the main heap. Always inlined: with a second caller
     /// (`rearm`) the compiler otherwise stops folding it into `remove_at`,
     /// which costs every pop of a shallow queue a call.
     #[inline(always)]
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let entry = entry_at(&self.heap, i);
-        let key = entry.key();
-        loop {
-            let first_child = i * D + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut best = first_child;
-            for c in first_child + 1..(first_child + D).min(len) {
-                if entry_at(&self.heap, c).key() < entry_at(&self.heap, best).key() {
-                    best = c;
-                }
-            }
-            let below = entry_at(&self.heap, best);
-            if below.key() >= key {
-                break;
-            }
-            set_entry(&mut self.heap, i, below);
-            self.update_pos(i);
-            i = best;
-        }
-        set_entry(&mut self.heap, i, entry);
-        self.update_pos(i);
+    fn sift_down(&mut self, i: usize) {
+        let slots = &mut self.slots;
+        sift_down(&mut self.heap, i, |entry, pos| note_pos(slots, entry, pos));
     }
 }
 
@@ -831,6 +999,7 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Push { dt: u64, phase: Phase, src: u64 },
+        PushLine { line: usize, dt: u64, phase: Phase, src: u64 },
         PushCancellable { dt: u64, phase: Phase, src: u64 },
         Cancel { pick: usize },
         Rearm { pick: usize, dt: u64, phase: Phase, src: u64 },
@@ -838,11 +1007,16 @@ mod tests {
         PopIf { dt: u64, parity: u64 },
     }
 
+    /// Delay lines in the differential test.
+    const LINES: usize = 3;
+
     fn op() -> impl Strategy<Value = Op> {
         // (kind, dt, phase, src, pick). Small ranges on purpose: ties in
         // time, phase and source are the interesting cases, and `dt == 0`
-        // is the current instant (zero-delay timers, lane traffic).
-        (0u8..8, 0u64..4, 0u8..3, 0u64..3, 0usize..1 << 16).prop_map(
+        // is the current instant (zero-delay timers, lane traffic). With
+        // the clock advancing a few milliseconds per pop, about as many
+        // line pushes land below their line's tail as above it.
+        (0u8..10, 0u64..4, 0u8..3, 0u64..3, 0usize..1 << 16).prop_map(
             |(kind, dt, phase, src, pick)| {
                 let phase = [Phase::Drain, Phase::Carry, Phase::Spawn][usize::from(phase)];
                 match kind {
@@ -851,7 +1025,8 @@ mod tests {
                     4 => Op::Cancel { pick },
                     5 => Op::Rearm { pick, dt, phase, src },
                     6 => Op::Pop { dt },
-                    _ => Op::PopIf { dt, parity: src % 2 },
+                    7 => Op::PopIf { dt, parity: src % 2 },
+                    _ => Op::PushLine { line: pick % LINES, dt, phase, src },
                 }
             },
         )
@@ -861,8 +1036,12 @@ mod tests {
     /// key; every return value and the final drain must agree.
     fn check_against_model(policy: TieBreak, ops: &[Op]) {
         let mut q = EventQueue::with_tie_break(policy);
+        let lines: Vec<LineId> = (0..LINES).map(|_| q.add_line()).collect();
         // (key, item), kept sorted; seqs are unique, so keys are too.
         let mut model: Vec<(Key, u64)> = Vec::new();
+        // The keys that should be waiting in each line, in order: a push
+        // joins iff it sorts behind the line's tail.
+        let mut in_line: Vec<VecDeque<Key>> = vec![VecDeque::new(); LINES];
         let mut tokens: Vec<CancelToken> = Vec::new();
         let mut now = SimTime::ZERO;
         let at = |now: SimTime, dt: u64| now + crate::time::SimDuration::from_millis(dt);
@@ -875,11 +1054,42 @@ mod tests {
             model.retain(|(k, _)| k.3 != seq);
             model.len() < before
         };
+        // Removes the model's first entry (from its line too, whose front
+        // it must be if it is in one).
+        let take_first = |model: &mut Vec<(Key, u64)>, in_line: &mut Vec<VecDeque<Key>>| {
+            let (key, item) = model.remove(0);
+            for line in in_line.iter_mut() {
+                assert!(!line.iter().skip(1).any(|k| *k == key), "popped from mid-line");
+                if line.front() == Some(&key) {
+                    line.pop_front();
+                }
+            }
+            (key.0, key.3, item)
+        };
         for (seq, &op) in (0u64..).zip(ops) {
             match op {
                 Op::Push { dt, phase, src } => {
                     q.push(at(now, dt), seq, src, phase, seq);
                     place(&mut model, (at(now, dt), phase, policy.ord_of(src), seq), seq);
+                }
+                Op::PushLine { line, dt, phase, src } => {
+                    let key = (at(now, dt), phase, policy.ord_of(src), seq);
+                    let joins = in_line[line].back().is_none_or(|tail| key > *tail);
+                    let before = q.stats();
+                    q.push_line(lines[line], at(now, dt), seq, src, phase, seq);
+                    let after = q.stats();
+                    assert_eq!(
+                        (
+                            after.line_pushes - before.line_pushes,
+                            after.heap_pushes - before.heap_pushes
+                        ),
+                        (u64::from(joins), u64::from(!joins)),
+                        "an entry joins its line iff it sorts behind the tail"
+                    );
+                    if joins {
+                        in_line[line].push_back(key);
+                    }
+                    place(&mut model, key, seq);
                 }
                 Op::PushCancellable { dt, phase, src } => {
                     tokens.push(q.push_cancellable(at(now, dt), seq, src, phase, seq));
@@ -901,7 +1111,7 @@ mod tests {
                 Op::Cancel { .. } | Op::Rearm { .. } => {}
                 Op::Pop { dt } => {
                     let due = model.first().is_some_and(|(k, _)| k.0 <= at(now, dt));
-                    let want = due.then(|| model.remove(0)).map(|(k, item)| (k.0, k.3, item));
+                    let want = due.then(|| take_first(&mut model, &mut in_line));
                     assert_eq!(q.pop_at_most(at(now, dt)), want);
                     now = want.map_or(now, |(time, _, _)| time);
                 }
@@ -909,7 +1119,7 @@ mod tests {
                     let due = model
                         .first()
                         .is_some_and(|(k, item)| k.0 <= at(now, dt) && item % 2 == parity);
-                    let want = due.then(|| model.remove(0)).map(|(k, item)| (k.0, k.3, item));
+                    let want = due.then(|| take_first(&mut model, &mut in_line));
                     assert_eq!(q.pop_at_most_if(at(now, dt), |_, item| item % 2 == parity), want);
                     now = want.map_or(now, |(time, _, _)| time);
                 }
@@ -924,10 +1134,10 @@ mod tests {
     }
 
     proptest! {
-        /// Random push / push_cancellable / cancel / rearm / pop sequences
-        /// pop in exactly the order of the full key under every policy —
-        /// the lane and in-place re-arm change where entries wait, never
-        /// when they leave.
+        /// Random push / push_line / push_cancellable / cancel / rearm / pop
+        /// sequences pop in exactly the order of the full key under every
+        /// policy — the lane, the delay lines and in-place re-arm change
+        /// where entries wait, never when they leave.
         #[test]
         fn queue_matches_a_sorted_model_under_every_policy(
             ops in prop::collection::vec(op(), 1..400),
