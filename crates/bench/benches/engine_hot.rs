@@ -18,7 +18,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use marnet_bench::scenarios::{run_recovery_instrumented, RecoveryMechanism, RecoveryOutcome};
-use marnet_core::fec::{xor_into, xor_into_scalar};
+use marnet_core::fec::xor_into;
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx, Simulator};
 use marnet_sim::link::{Bandwidth, LinkId, LinkParams};
 use marnet_sim::packet::{Packet, Payload};
@@ -253,11 +253,10 @@ fn bench_in_flight_deep(c: &mut Criterion) {
     g.finish();
 }
 
-/// XOR parity accumulation over one FEC group of reference frames:
-/// the unrolled u64-lane `xor_into` against the byte-at-a-time scalar
-/// reference it must match bit-for-bit. The 6 001-byte block keeps a
-/// ragged 1-byte tail in play so the lane path's remainder handling is
-/// part of the measured loop.
+/// XOR parity accumulation over one FEC group of reference frames with
+/// the unrolled u64-lane `xor_into`. The 6 001-byte block keeps a ragged
+/// 1-byte tail in play so the lane path's remainder handling is part of
+/// the measured loop.
 fn bench_fec_parity_throughput(c: &mut Criterion) {
     const K: usize = 8;
     const BLOCK: usize = 6_001;
@@ -276,24 +275,14 @@ fn bench_fec_parity_throughput(c: &mut Criterion) {
             black_box(parity.len())
         })
     });
-    g.bench_function("xor_into/scalar", |b| {
-        let mut parity = Vec::with_capacity(BLOCK);
-        b.iter(|| {
-            parity.clear();
-            for block in &blocks {
-                xor_into_scalar(&mut parity, black_box(block));
-            }
-            black_box(parity.len())
-        })
-    });
     g.finish();
 }
 
-/// The recorder's per-event cost in each [`TraceSink`] mode: `off` is the
-/// one-load-one-branch floor every untraced run pays, `ring` the plain
-/// ring-buffer reference path, `chunked` the double-buffered sink the
-/// engine enables for live tracing. Capacity exceeds the batch so the
-/// bench measures recording, not wrap-around rotation.
+/// The recorder's per-event cost in each [`TraceSink`] state: `off` is the
+/// one-load-one-branch floor every untraced run pays, `chunked` the
+/// chunk-flushed ring the engine enables for live tracing. Capacity
+/// exceeds the batch so the bench measures recording, not wrap-around
+/// rotation.
 fn bench_recorder_record_hot(c: &mut Criterion) {
     const BATCH: u64 = 4_096;
     const CAPACITY: usize = 1 << 13;
@@ -302,7 +291,6 @@ fn bench_recorder_record_hot(c: &mut Criterion) {
     g.throughput(Throughput::Elements(BATCH));
     for (label, make) in [
         ("off", TraceSink::default as fn() -> TraceSink),
-        ("ring", || TraceSink::ring(CAPACITY)),
         ("chunked", || TraceSink::chunked(CAPACITY)),
     ] {
         g.bench_function(label, |b| {

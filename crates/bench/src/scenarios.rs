@@ -685,7 +685,6 @@ pub fn run_recovery_config_instrumented(
     telemetry: &TelemetryOptions,
 ) -> (RecoveryOutcome, u64, TelemetryCapture) {
     let duplicate = cfg.duplicate_recovery;
-    let pooling = cfg.pooling;
     let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
@@ -715,9 +714,8 @@ pub fn run_recovery_config_instrumented(
     let sender = ArSender::new(1, cfg.clone(), paths);
     let sstats = sender.stats();
     sim.install_actor(snd, sender);
-    let mut receiver =
+    let receiver =
         ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down), TxPath::Link(down)]);
-    receiver.set_pooling(pooling);
     let rstats = receiver.stats();
     sim.install_actor(rcv, receiver);
     sim.add_actor(RefStream::new(snd, 6_000, false));

@@ -76,11 +76,6 @@ pub struct ArConfig {
     pub duplicate_recovery: bool,
     /// Watchdog/outage handling (disabled by default).
     pub outage: OutageConfig,
-    /// Recycle payload buffers through slab pools on the hot send/receive
-    /// paths. Artifacts are byte-identical either way; `false` forces a
-    /// fresh allocation per payload, which the determinism suite uses to
-    /// prove pooling is observationally inert.
-    pub pooling: bool,
 }
 
 impl Default for ArConfig {
@@ -97,7 +92,6 @@ impl Default for ArConfig {
             policy: MultipathPolicy::WifiPreferred,
             duplicate_recovery: false,
             outage: OutageConfig::default(),
-            pooling: true,
         }
     }
 }

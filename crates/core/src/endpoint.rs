@@ -21,7 +21,7 @@ use crate::wire::{feedback_size, ArFeedback, ArPacket, FecInfo, FragmentId, AR_H
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx};
 use marnet_sim::hash::{FxHashMap, FxHashSet};
 use marnet_sim::link::LinkId;
-use marnet_sim::packet::{Packet, PayloadPool};
+use marnet_sim::packet::{Packet, Payload, PayloadPool};
 use marnet_sim::stats::{Histogram, RateMeter, TimeSeries};
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{component, ClassUsage, DropReason, MetricsRegistry, TraceEvent};
@@ -181,6 +181,48 @@ fn sender_path_mut(paths: &mut [SenderPath], idx: usize) -> &mut SenderPath {
     &mut paths[idx]
 }
 
+/// The parity packet of FEC group `group`: `head` (its `fec` unset) plus
+/// the coverage list of `accum`, built in an idle slot of `pool` when
+/// there is one. A slot, fresh or reused, is overwritten whole and keeps
+/// only its `covered` allocation, cleared and refilled, so nothing of a
+/// retired packet survives.
+fn parity_payload(
+    pool: &mut PayloadPool<ArPacket>,
+    head: &ArPacket,
+    group: u64,
+    accum: &[(FragmentId, u32)],
+) -> Payload {
+    pool.prepare(
+        || head.clone(),
+        |ar| {
+            let mut covered = ar.fec.take().map(|fec| fec.covered).unwrap_or_default();
+            covered.clear();
+            covered.extend(accum.iter().map(|(f, _)| *f));
+            *ar =
+                ArPacket { fec: Some(FecInfo { group, covered, is_parity: true }), ..head.clone() };
+        },
+    )
+}
+
+/// The feedback packet `head` (its `nacks` empty) reporting `nacks`: the
+/// counterpart of [`parity_payload`], with the NACK list as the one
+/// recycled allocation.
+fn feedback_payload(
+    pool: &mut PayloadPool<ArFeedback>,
+    head: &ArFeedback,
+    nacks: &[u64],
+) -> Payload {
+    pool.prepare(
+        || head.clone(),
+        |fb| {
+            let mut list = std::mem::take(&mut fb.nacks);
+            list.clear();
+            list.extend_from_slice(nacks);
+            *fb = ArFeedback { nacks: list, ..head.clone() };
+        },
+    )
+}
+
 /// The sending endpoint of the AR protocol.
 pub struct ArSender {
     conn: u64,
@@ -249,7 +291,6 @@ impl ArSender {
     /// Panics if `paths` is empty.
     pub fn new(conn: u64, cfg: ArConfig, paths: Vec<SenderPathConfig>) -> Self {
         assert!(!paths.is_empty(), "need at least one path");
-        let pooling = cfg.pooling;
         let sched = DegradationScheduler::new(cfg.stale_after, cfg.backlog_ticks);
         let mp = MultipathScheduler::new(cfg.policy, cfg.duplicate_recovery);
         let paths = paths
@@ -284,19 +325,12 @@ impl ArSender {
             last_feedback_at: None,
             last_send_at: None,
             grace_until: None,
-            data_pool: PayloadPool::new().with_enabled(pooling),
-            parity_pool: PayloadPool::new().with_enabled(pooling),
-            qos_pool: PayloadPool::new().with_enabled(pooling),
+            data_pool: PayloadPool::new(),
+            parity_pool: PayloadPool::new(),
+            qos_pool: PayloadPool::new(),
             tick_out: TickOutcome::default(),
             snap_scratch: Vec::new(), // marnet-lint: allow(hot-path-alloc): constructor; the scratch is reused every tick
         }
-    }
-
-    /// Enables or disables payload pooling (see [`ArConfig::pooling`]).
-    pub fn set_pooling(&mut self, enabled: bool) {
-        self.data_pool.set_enabled(enabled);
-        self.parity_pool.set_enabled(enabled);
-        self.qos_pool.set_enabled(enabled);
     }
 
     /// Registers the application actor that should receive [`QosSignal`]s,
@@ -477,60 +511,30 @@ impl ArSender {
         let seq = p.next_seq;
         p.next_seq += 1;
 
-        let (conn, epoch, now) = (self.conn, self.peer_epoch, ctx.now());
-        // Both closures borrow the accumulated coverage immutably; the
-        // parity pool is a disjoint field, so the recycled slot's `Vec`
-        // capacity is refilled straight from the accumulator.
+        let now = ctx.now();
+        let head = ArPacket {
+            conn: self.conn,
+            epoch: self.peer_epoch,
+            path: path_idx,
+            seq,
+            msg_id: 0,
+            frag_index: 0,
+            frag_count: 0,
+            msg_size: 0,
+            kind: StreamKind::VideoReference,
+            class: TrafficClass::BestEffortWithRecovery,
+            created: now,
+            origin: None,
+            deadline: None,
+            ts: now,
+            fec: None,
+            is_retransmit: false,
+        };
+        // The parity pool is a field disjoint from the paths, so the
+        // recycled slot's coverage list is refilled straight from the
+        // accumulator.
         let accum = &sender_path(&self.paths, path_idx).fec_accum;
-        let payload = self.parity_pool.prepare(
-            || ArPacket {
-                conn,
-                epoch,
-                path: path_idx,
-                seq,
-                msg_id: 0,
-                frag_index: 0,
-                frag_count: 0,
-                msg_size: 0,
-                kind: StreamKind::VideoReference,
-                class: TrafficClass::BestEffortWithRecovery,
-                created: now,
-                origin: None,
-                deadline: None,
-                ts: now,
-                fec: Some(FecInfo {
-                    group,
-                    covered: accum.iter().map(|(f, _)| *f).collect(),
-                    is_parity: true,
-                }),
-                is_retransmit: false,
-            },
-            |ar| {
-                ar.conn = conn;
-                ar.epoch = epoch;
-                ar.path = path_idx;
-                ar.seq = seq;
-                ar.msg_id = 0;
-                ar.frag_index = 0;
-                ar.frag_count = 0;
-                ar.msg_size = 0;
-                ar.kind = StreamKind::VideoReference;
-                ar.class = TrafficClass::BestEffortWithRecovery;
-                ar.created = now;
-                ar.origin = None;
-                ar.deadline = None;
-                ar.ts = now;
-                ar.is_retransmit = false;
-                let fec = ar
-                    .fec
-                    // marnet-lint: allow(hot-path-alloc): first parity for this pool slot only; later groups reuse
-                    .get_or_insert_with(|| FecInfo { group, covered: Vec::new(), is_parity: true });
-                fec.group = group;
-                fec.is_parity = true;
-                fec.covered.clear();
-                fec.covered.extend(accum.iter().map(|(f, _)| *f));
-            },
-        );
+        let payload = parity_payload(&mut self.parity_pool, &head, group, accum);
         sender_path_mut(&mut self.paths, path_idx).fec_accum.clear();
         let id = ctx.next_packet_id();
         let pkt = Packet::new(id, self.conn, max_size + AR_HEADER_BYTES, ctx.now())
@@ -1290,14 +1294,6 @@ impl ArReceiver {
         }
     }
 
-    /// Enables or disables payload pooling (see
-    /// [`ArConfig::pooling`](crate::config::ArConfig::pooling)); on by
-    /// default.
-    pub fn set_pooling(&mut self, enabled: bool) {
-        self.fb_pool.set_enabled(enabled);
-        self.delivered_pool.set_enabled(enabled);
-    }
-
     /// Registers an application actor to receive [`Delivered`]
     /// notifications, builder style.
     #[must_use]
@@ -1607,35 +1603,19 @@ impl ArReceiver {
             path.last_feedback_at = Some(now);
             let cum_seq = if path.cum_next > 0 { Some(path.cum_next - 1) } else { None };
             let ts_echo = path.last_ts;
-            let (conn, epoch) = (self.conn, self.epoch);
-            // Both closures borrow the NACK scratch immutably; the recycled
-            // slot's `nacks` capacity is refilled from it in place.
-            let nacks = &self.nack_scratch;
-            let payload = self.fb_pool.prepare(
-                || ArFeedback {
-                    conn,
-                    epoch,
-                    path: i,
-                    cum_seq,
-                    nacks: nacks.clone(),
-                    new_losses,
-                    ts_echo,
-                    echo_delay,
-                    recv_rate,
-                },
-                |fb| {
-                    fb.conn = conn;
-                    fb.epoch = epoch;
-                    fb.path = i;
-                    fb.cum_seq = cum_seq;
-                    fb.nacks.clear();
-                    fb.nacks.extend_from_slice(nacks);
-                    fb.new_losses = new_losses;
-                    fb.ts_echo = ts_echo;
-                    fb.echo_delay = echo_delay;
-                    fb.recv_rate = recv_rate;
-                },
-            );
+            let head = ArFeedback {
+                conn: self.conn,
+                epoch: self.epoch,
+                path: i,
+                cum_seq,
+                // marnet-lint: allow(hot-path-alloc): an empty list never allocates; the pooled slot's is refilled in place
+                nacks: Vec::new(),
+                new_losses,
+                ts_echo,
+                echo_delay,
+                recv_rate,
+            };
+            let payload = feedback_payload(&mut self.fb_pool, &head, &self.nack_scratch);
             let size = feedback_size(self.nack_scratch.len());
             let id = ctx.next_packet_id();
             let pkt = Packet::new(id, self.conn, size, ctx.now())
@@ -2052,5 +2032,71 @@ mod tests {
         sender.on_feedback(ctx, &fb);
         sender.on_feedback(ctx, &fb);
         assert_eq!(sstats.borrow().session_resyncs, 0);
+    }
+
+    // The two `prepare` sites that keep part of a retired slot (its list
+    // allocation) instead of overwriting it with a ready-made value — the
+    // only places pooling could change what a payload contains. Each test
+    // retires a slot holding a long list, reuses it for a shorter one with
+    // every scalar changed, and compares against a value built from
+    // scratch.
+
+    #[test]
+    fn reused_parity_slot_equals_a_fresh_packet() {
+        let frag =
+            |msg_id, frag_index| FragmentId { seq: 40 + u64::from(frag_index), msg_id, frag_index };
+        let head = |n: u64| ArPacket {
+            conn: n,
+            epoch: n as u32 + 1,
+            path: n as usize + 2,
+            seq: n + 3,
+            msg_id: 0,
+            frag_index: 0,
+            frag_count: 0,
+            msg_size: 0,
+            kind: StreamKind::VideoReference,
+            class: TrafficClass::BestEffortWithRecovery,
+            created: SimTime::from_millis(n + 4),
+            origin: None,
+            deadline: None,
+            ts: SimTime::from_millis(n + 4),
+            fec: None,
+            is_retransmit: false,
+        };
+        let long: Vec<_> = (0..8).map(|i| (frag(7, i), 1_200)).collect();
+        let short = vec![(frag(9, 0), 800), (frag(9, 1), 640)];
+        let mut pool = PayloadPool::new();
+        drop(parity_payload(&mut pool, &head(10), 5, &long));
+        let reused = parity_payload(&mut pool, &head(20), 6, &short);
+        assert_eq!(pool.len(), 1, "the second packet must reuse the first one's slot");
+        let fresh = ArPacket {
+            fec: Some(FecInfo { group: 6, covered: vec![frag(9, 0), frag(9, 1)], is_parity: true }),
+            ..head(20)
+        };
+        let reused = reused.downcast_ref::<ArPacket>().expect("an ArPacket payload");
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn reused_feedback_slot_equals_a_fresh_feedback() {
+        let head = |n: u64| ArFeedback {
+            conn: n,
+            epoch: n as u32 + 1,
+            path: n as usize + 2,
+            cum_seq: Some(n + 3),
+            nacks: Vec::new(),
+            new_losses: n + 4,
+            ts_echo: Some(SimTime::from_millis(n + 5)),
+            echo_delay: SimDuration::from_millis(n + 6),
+            recv_rate: Some(n as f64 + 7.0),
+        };
+        let long: Vec<u64> = (100..109).collect();
+        let mut pool = PayloadPool::new();
+        drop(feedback_payload(&mut pool, &head(10), &long));
+        let reused = feedback_payload(&mut pool, &head(20), &[31, 33]);
+        assert_eq!(pool.len(), 1, "the second feedback must reuse the first one's slot");
+        let fresh = ArFeedback { nacks: vec![31, 33], ..head(20) };
+        let reused = reused.downcast_ref::<ArFeedback>().expect("an ArFeedback payload");
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
     }
 }

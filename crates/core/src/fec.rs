@@ -111,7 +111,7 @@ const XOR_STRIDE: usize = 32;
 /// `from_ne_bytes`/`to_ne_bytes` slice conversion — fully safe, stable
 /// Rust that the compiler lowers to wide loads/stores — with a scalar
 /// tail for the ragged remainder. Byte order is irrelevant because XOR is
-/// bytewise. See `xor_into_scalar` for the reference implementation the
+/// bytewise. See `xor_into_scalar` (test-only) for the reference the
 /// unit tests compare against.
 pub fn xor_into(acc: &mut Vec<u8>, block: &[u8]) {
     if acc.len() < block.len() {
@@ -135,9 +135,10 @@ pub fn xor_into(acc: &mut Vec<u8>, block: &[u8]) {
 }
 
 /// The plain bytewise XOR accumulate — reference semantics for
-/// [`xor_into`], kept for the correctness tests and the
-/// `fec_parity_throughput` benchmark's scalar baseline.
-pub fn xor_into_scalar(acc: &mut Vec<u8>, block: &[u8]) {
+/// [`xor_into`], kept as the oracle its ragged-length test compares
+/// against.
+#[cfg(test)]
+fn xor_into_scalar(acc: &mut Vec<u8>, block: &[u8]) {
     if acc.len() < block.len() {
         acc.resize(block.len(), 0);
     }
@@ -173,7 +174,7 @@ pub fn overhead(k: usize) -> f64 {
 /// data packet is recoverable.
 ///
 /// Group ids are assigned sequentially by the encoder, so the tracker is a
-/// direct-mapped table of [`WAYS`] slots indexed by `id % WAYS`: every
+/// direct-mapped table of `WAYS` slots indexed by `id % WAYS`: every
 /// lookup is one probe, and a group is naturally retired when the group
 /// `WAYS` ids later claims its slot — far beyond any plausible reorder
 /// window. Retired slots keep their `Vec` capacity, so steady-state

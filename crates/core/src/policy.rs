@@ -116,7 +116,7 @@ impl PolicyParams {
     }
 
     /// Writes the tunable subset onto `cfg`, leaving everything else (MTU,
-    /// tick, rate bounds, outage handling, pooling, ...) untouched.
+    /// tick, rate bounds, outage handling, ...) untouched.
     pub fn apply(&self, cfg: &mut ArConfig) {
         cfg.stale_after = SimDuration::from_millis_f64(self.stale_after_ms);
         cfg.backlog_ticks = self.backlog_ticks;
@@ -178,11 +178,12 @@ mod tests {
 
     #[test]
     fn apply_leaves_non_tunable_fields_alone() {
-        let mut cfg = ArConfig { mtu: 900, pooling: false, ..ArConfig::default() };
+        let tick = SimDuration::from_millis(2);
+        let mut cfg = ArConfig { mtu: 900, tick, ..ArConfig::default() };
         let p = PolicyParams { beta: 0.6, ..PolicyParams::default() };
         p.apply(&mut cfg);
         assert_eq!(cfg.mtu, 900);
-        assert!(!cfg.pooling);
+        assert_eq!(cfg.tick, tick);
         assert_eq!(cfg.congestion.beta, 0.6);
         // Rate bounds are application properties, not searched policy.
         assert_eq!(cfg.congestion.min_rate, 10_000.0);

@@ -241,14 +241,6 @@ impl FluidNetwork {
         Rc::clone(&self.stats)
     }
 
-    /// Enables or disables payload pooling for completion notifications.
-    /// On by default; the forced-fresh path exists so the pooling-identity
-    /// tests can prove artifacts do not depend on it.
-    pub fn set_pooling(&mut self, enabled: bool) {
-        self.done_pool.set_enabled(enabled);
-        self.rate_pool.set_enabled(enabled);
-    }
-
     /// Advances every class's service counter to `now`.
     fn advance(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_update);

@@ -81,12 +81,6 @@ impl BackgroundWorkload {
         Rc::clone(&self.stats)
     }
 
-    /// Enables or disables payload pooling for transfer hand-offs (on by
-    /// default; see the pooling-identity tests).
-    pub fn set_pooling(&mut self, enabled: bool) {
-        self.start_pool.set_enabled(enabled);
-    }
-
     /// Exponential think-time draw, clamped away from zero.
     fn think(&mut self) -> SimDuration {
         // The substream exists from Event::Start on; timers and

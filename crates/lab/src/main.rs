@@ -25,7 +25,6 @@ use marnet_lab::experiments;
 use marnet_lab::runner::run_experiment;
 use marnet_lab::train;
 use marnet_telemetry::{file as trace_file, TelemetryOptions, DEFAULT_TRACE_CAPACITY};
-use marnet_trainer::Engine;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -166,8 +165,8 @@ fn racecheck_main(args: &[String]) -> ExitCode {
 }
 
 fn train_usage() -> String {
-    "usage: marnet-lab train [--engine cem|es] [--generations N] [--population N]\n\
-     \u{20}                       [--elites N] [--replicates N] [--threads N] [--seed S]\n\
+    "usage: marnet-lab train [--generations N] [--population N] [--elites N]\n\
+     \u{20}                       [--replicates N] [--threads N] [--seed S]\n\
      \u{20}                       [--out PATH] [--baseline PATH] [--smoke]"
         .to_string()
 }
@@ -175,7 +174,6 @@ fn train_usage() -> String {
 /// Parses and runs `marnet-lab train`. Exit codes follow the workspace
 /// convention: 0 ok, 1 findings (baseline drift), 2 usage or I/O error.
 fn train_main(args: &[String]) -> ExitCode {
-    let mut engine = Engine::Cem;
     let mut generations = None;
     let mut population = None;
     let mut elites = None;
@@ -196,11 +194,6 @@ fn train_main(args: &[String]) -> ExitCode {
                 "--help" | "-h" => {
                     println!("{}", train_usage());
                     std::process::exit(0);
-                }
-                "--engine" => {
-                    let label = value("--engine")?;
-                    engine = Engine::from_label(label)
-                        .ok_or_else(|| format!("unknown engine {label:?} (cem or es)"))?;
                 }
                 "--generations" => {
                     generations = Some(
@@ -250,7 +243,6 @@ fn train_main(args: &[String]) -> ExitCode {
     let defaults =
         if smoke { train::TrainOptions::smoke() } else { train::TrainOptions::default() };
     let opts = train::TrainOptions {
-        engine,
         seed,
         generations: generations.unwrap_or(defaults.generations),
         population: population.unwrap_or(defaults.population),
@@ -269,9 +261,8 @@ fn train_main(args: &[String]) -> ExitCode {
     }
 
     println!(
-        "[train] {} search: {} generations × {} candidates × {} members × {} replicates \
+        "[train] cem search: {} generations × {} candidates × {} members × {} replicates \
          = {} sims on {} threads (seed {}{})",
-        opts.engine.label(),
         opts.generations,
         opts.population,
         train::MEMBERS.len(),
@@ -386,10 +377,23 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
+        // `Artifact::diff` skips points the baseline does not have; with
+        // none in common it would report "no drift" about nothing.
+        let shares_a_point =
+            artifact.points.iter().any(|p| baseline.points.iter().any(|b| b.params == p.params));
+        if !shares_a_point {
+            eprintln!(
+                "[lab] baseline {} shares no grid point with this run (it is a {:?} artifact, \
+                 this run is {:?}): nothing to compare",
+                baseline_path.display(),
+                baseline.experiment,
+                artifact.experiment
+            );
+            return ExitCode::from(2);
+        }
         if baseline.experiment != artifact.experiment {
             eprintln!(
-                "[baseline] warning: baseline is a {:?} artifact, this run is {:?} — \
-                 no points will match",
+                "[baseline] warning: baseline is a {:?} artifact, this run is {:?}",
                 baseline.experiment, artifact.experiment
             );
         }
@@ -406,13 +410,16 @@ fn main() -> ExitCode {
                 baseline_path.display()
             );
             for d in &drifts {
+                // A zero baseline has no relative change (`diff` stores NaN).
+                let pct = if d.relative_change.is_nan() {
+                    "n/a".to_string()
+                } else {
+                    let delta = d.current_mean - d.baseline_mean;
+                    format!("{:+.1}%", delta / d.baseline_mean.abs() * 100.0)
+                };
                 println!(
-                    "  {} :: {}: {:.4} -> {:.4} ({:+.1}%)",
-                    d.point,
-                    d.metric,
-                    d.baseline_mean,
-                    d.current_mean,
-                    (d.current_mean - d.baseline_mean) / d.baseline_mean.abs() * 100.0
+                    "  {} :: {}: {:.4} -> {:.4} ({pct})",
+                    d.point, d.metric, d.baseline_mean, d.current_mean
                 );
             }
             return ExitCode::FAILURE;

@@ -2,7 +2,7 @@
 //! policy space.
 //!
 //! The trainer/evaluator split: `marnet-trainer` owns the search space and
-//! the engines (CEM / (μ+λ) ES) but never runs a simulation; this module
+//! the engine (CEM) but never runs a simulation; this module
 //! is the evaluator. Each generation's population is compiled into
 //! [`ArConfig`]s and fanned across worker threads through the lab's
 //! [`run_experiment`] runner (candidate × portfolio-member grid,
@@ -22,7 +22,7 @@
 //! the §VI-D multipath commute, a 500 ms link outage under the hardened
 //! stack), a fairness-to-TCP scenario (Jain index on a shared
 //! bottleneck), and tracks byte overhead — folded into the
-//! `(qoe, fairness, overhead)` objective vector the engines rank. The
+//! `(qoe, fairness, overhead)` objective vector the engine ranks. The
 //! city-scale hybrid smoke runs **once per training run** as an
 //! engine-stack canary recorded in the artifact: its outcome is
 //! policy-independent (no AR endpoint in that scenario), so putting it in
@@ -43,8 +43,8 @@ use marnet_sim::stats::jain_index;
 use marnet_telemetry::{TelemetryOptions, TraceEvent};
 use marnet_trainer::artifact::fnv1a;
 use marnet_trainer::{
-    run_search, select_tuned, ComparisonRow, Engine, Evaluated, Evaluation, FrontArtifact,
-    FrontEntry, Objectives, PolicySpace, TrainConfig, TrainResult, SCHEMA_VERSION,
+    run_search, select_tuned, ComparisonRow, Evaluated, Evaluation, FrontArtifact, FrontEntry,
+    Objectives, PolicySpace, TrainConfig, TrainResult, SCHEMA_VERSION,
 };
 use rand::Rng;
 use serde::Serialize;
@@ -107,11 +107,14 @@ pub(crate) const FULL_TIER: Tier =
 pub(crate) const SMOKE_TIER: Tier =
     Tier { recovery_secs: 4, offload_secs: 8, faults_secs: 4, fairness_secs: 5, canary_secs: 1 };
 
+/// The search engine's label in the artifact and the training spec. CEM
+/// is the only engine; the field stays so schema v1 and the golden train
+/// hash do not move.
+const ENGINE_LABEL: &str = "cem";
+
 /// Resolved options of one training run.
 #[derive(Debug, Clone)]
 pub struct TrainOptions {
-    /// Search engine.
-    pub engine: Engine,
     /// Base seed; candidate sampling and CRN evaluation streams derive
     /// from it.
     pub seed: u64,
@@ -120,7 +123,7 @@ pub struct TrainOptions {
     /// Candidates per generation (generation 0 includes the paper-default
     /// incumbent as candidate 0).
     pub population: u32,
-    /// Elite / parent count.
+    /// Elite count.
     pub elites: u32,
     /// Replicates per candidate per portfolio member.
     pub replicates: u32,
@@ -133,7 +136,6 @@ pub struct TrainOptions {
 impl Default for TrainOptions {
     fn default() -> Self {
         TrainOptions {
-            engine: Engine::Cem,
             seed: 42,
             generations: 4,
             population: 12,
@@ -196,7 +198,7 @@ pub fn train_hash(opts: &TrainOptions) -> String {
     let train_spec = TrainSpec {
         schema_version: SCHEMA_VERSION,
         space: PolicySpace::ar_default(),
-        engine: opts.engine.label().to_string(),
+        engine: ENGINE_LABEL.to_string(),
         seed: opts.seed,
         generations: opts.generations,
         population: opts.population,
@@ -447,7 +449,6 @@ pub fn run_training(opts: &TrainOptions) -> (TrainResult, FrontArtifact) {
     let train_hash = train_hash(opts);
 
     let cfg = TrainConfig {
-        engine: opts.engine,
         seed: opts.seed,
         generations: opts.generations,
         population: opts.population,
@@ -495,7 +496,7 @@ pub fn run_training(opts: &TrainOptions) -> (TrainResult, FrontArtifact) {
     let artifact = FrontArtifact {
         schema_version: SCHEMA_VERSION,
         experiment: "train".to_string(),
-        engine: opts.engine.label().to_string(),
+        engine: ENGINE_LABEL.to_string(),
         seed: opts.seed,
         generations: opts.generations,
         population: opts.population,

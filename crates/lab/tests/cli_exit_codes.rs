@@ -107,8 +107,6 @@ fn train_usage_and_io_errors_exit_two() {
     assert_eq!(lab_bin().args(["train", "--frob"]).status().expect("run").code(), Some(2));
     // Dangling flag value.
     assert_eq!(lab_bin().args(["train", "--seed"]).status().expect("run").code(), Some(2));
-    // Unknown engine.
-    assert_eq!(lab_bin().args(["train", "--engine", "sgd"]).status().expect("run").code(), Some(2));
     // Elites above the population size.
     assert_eq!(
         lab_bin()
@@ -137,5 +135,10 @@ fn usage_and_io_errors_exit_two() {
     // Unreadable baseline: I/O error.
     let out = tmp("lab_ec_io.json");
     let st = run_small(&out, &["--baseline", "/nonexistent/baseline.json"]);
+    assert_eq!(st.code(), Some(2));
+    // A baseline that shares no grid point with the run (another
+    // experiment's artifact): nothing was compared, so not "no drift".
+    let other = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/lab_sweep_recovery.json");
+    let st = run_small(&tmp("lab_ec_disjoint.json"), &["--baseline", other]);
     assert_eq!(st.code(), Some(2));
 }

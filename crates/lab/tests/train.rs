@@ -5,14 +5,13 @@
 //! QoE scenario without degrading fairness-to-TCP beyond its band).
 
 use marnet_lab::train::{run_training, train_hash, TrainOptions, FAIRNESS_BAND};
-use marnet_trainer::{Engine, FrontArtifact};
+use marnet_trainer::FrontArtifact;
 use std::path::PathBuf;
 
 /// The smallest budget that still exercises both generations' sampling,
 /// the elite refit, and every portfolio member.
 fn tiny_opts(threads: usize) -> TrainOptions {
     TrainOptions {
-        engine: Engine::Cem,
         seed: 7,
         generations: 2,
         population: 3,

@@ -703,7 +703,7 @@ impl Simulator {
                 src: SRC_SETUP,
                 stopped: false,
                 events_processed: 0,
-                trace: TraceSink::Off,
+                trace: TraceSink::default(),
                 link_metrics: None,
             },
             actors: Vec::new(), // marnet-lint: allow(hot-path-alloc): Simulator construction, once per trial

@@ -196,13 +196,15 @@ pub const DEFAULT_POOL_SLOTS: usize = 64;
 /// [`Payload::take`] would deep-clone and defeat the pool.
 ///
 /// Determinism: the pool changes where a value lives, never what it
-/// contains — artifacts are byte-identical with pooling on or off (see
-/// `set_enabled`, which exists so tests can prove exactly that).
+/// contains, provided `update` leaves the reused value equal to a freshly
+/// built one. An `update` that overwrites the whole value (`|s| *s = v`)
+/// cannot leak state; the two that keep a list allocation of the retired
+/// value are pinned by the slot-reuse tests in `marnet-core`'s endpoint
+/// module.
 pub struct PayloadPool<T> {
     slots: Vec<Payload>,
     cursor: usize,
     max_slots: usize,
-    enabled: bool,
     _marker: std::marker::PhantomData<T>,
 }
 
@@ -220,32 +222,8 @@ impl<T: Any + Clone + fmt::Debug> PayloadPool<T> {
             slots: Vec::new(),
             cursor: 0,
             max_slots: max_slots.max(1),
-            enabled: true,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Sets the enabled flag, builder style.
-    #[must_use]
-    pub fn with_enabled(mut self, enabled: bool) -> Self {
-        self.set_enabled(enabled);
-        self
-    }
-
-    /// Enables or disables reuse. A disabled pool always allocates fresh
-    /// and retains nothing — the forced-fresh reference path used by the
-    /// pooling-identity tests.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.slots.clear();
-            self.cursor = 0;
-        }
-    }
-
-    /// Returns `true` while reuse is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of payload slots currently retained.
@@ -263,27 +241,24 @@ impl<T: Any + Clone + fmt::Debug> PayloadPool<T> {
     ///
     /// When an idle slot exists, `update` mutates the retired value in
     /// place and the returned payload is a refcount bump of that slot —
-    /// zero allocations. Otherwise (or with reuse disabled) the value is
-    /// freshly allocated; an enabled pool below its slot cap retains a
-    /// clone so later calls can reuse it.
+    /// zero allocations. Otherwise the value is freshly allocated; a pool
+    /// below its slot cap retains a clone so later calls can reuse it.
     pub fn prepare(&mut self, init: impl FnOnce() -> T, update: impl FnOnce(&mut T)) -> Payload {
-        if self.enabled {
-            let n = self.slots.len();
-            for step in 0..n {
-                let i = (self.cursor + step) % n;
+        let n = self.slots.len();
+        for step in 0..n {
+            let i = (self.cursor + step) % n;
+            // marnet-lint: allow(panic-path): `% n` indexes an n-long vec
+            if let Some(value) = self.slots[i].try_mut::<T>() {
+                update(value);
+                self.cursor = (i + 1) % n;
                 // marnet-lint: allow(panic-path): `% n` indexes an n-long vec
-                if let Some(value) = self.slots[i].try_mut::<T>() {
-                    update(value);
-                    self.cursor = (i + 1) % n;
-                    // marnet-lint: allow(panic-path): `% n` indexes an n-long vec
-                    return self.slots[i].clone();
-                }
+                return self.slots[i].clone();
             }
         }
         let mut value = init();
         update(&mut value);
         let payload = Payload::new(value);
-        if self.enabled && self.slots.len() < self.max_slots {
+        if self.slots.len() < self.max_slots {
             self.slots.push(payload.clone());
         }
         payload
@@ -301,7 +276,6 @@ impl<T> fmt::Debug for PayloadPool<T> {
         f.debug_struct("PayloadPool")
             .field("slots", &self.slots.len())
             .field("max_slots", &self.max_slots)
-            .field("enabled", &self.enabled)
             .finish()
     }
 }
@@ -490,16 +464,6 @@ mod tests {
         }
         assert_eq!(pool.len(), 1, "steady state keeps one slot");
         assert_eq!(clones.get(), 0, "reuse must never clone the value");
-    }
-
-    #[test]
-    fn disabled_pool_always_allocates_fresh() {
-        let mut pool: PayloadPool<Header> = PayloadPool::new();
-        pool.set_enabled(false);
-        let a = pool.prepare(|| Header { seq: 0, tag: String::new() }, |h| h.seq = 7);
-        assert!(pool.is_empty());
-        assert!(a.is_unique(), "no pool reference retained");
-        assert_eq!(a.downcast_ref::<Header>().unwrap().seq, 7);
     }
 
     #[test]

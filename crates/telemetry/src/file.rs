@@ -6,9 +6,10 @@
 //! deterministic runs of the same seed produce byte-identical files —
 //! which is what makes `marnet-trace diff` meaningful.
 //!
-//! Writes go through a `.tmp` file renamed into place, the same atomic
-//! pattern `marnet-lab` uses for artifacts: readers never observe a
-//! half-written trace.
+//! Writes go through a hidden `.{file_name}.tmp` sibling renamed into
+//! place, the same atomic pattern `marnet-lab` uses for artifacts: readers
+//! never observe a half-written trace, and no two targets share a staging
+//! file.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -51,7 +52,10 @@ pub fn decode(bytes: &[u8]) -> io::Result<Vec<TraceEvent>> {
 /// Writes `events` to `path` atomically (temp file + rename).
 pub fn write_file(path: &Path, events: &[TraceEvent]) -> io::Result<()> {
     let bytes = encode(events);
-    let tmp = path.with_extension("tmp");
+    let file_name = path.file_name().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "trace path has no file name")
+    })?;
+    let tmp = path.with_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
@@ -117,6 +121,29 @@ mod tests {
         write_file(&dir.join("b.trc"), &events).unwrap();
         assert_eq!(read_file(&path).unwrap(), events);
         assert_eq!(fs::read(&path).unwrap(), fs::read(dir.join("b.trc")).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn same_stem_traces_do_not_share_a_staging_file() {
+        // `run.tmp` is a target like any other, and the name an
+        // extension-swapping staging file of its two siblings would take.
+        let dir = std::env::temp_dir().join("marnet-telemetry-stem-test");
+        let _ = fs::remove_dir_all(&dir);
+        let events = sample();
+        let names = ["run.bin", "run.tmp", "run.trc"];
+        for (i, name) in names.iter().enumerate() {
+            write_file(&dir.join(name), &events[..=i]).unwrap();
+        }
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(read_file(&dir.join(name)).unwrap(), events[..=i], "{name}");
+        }
+        let mut left: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, names, "no staging file may be left behind");
         let _ = fs::remove_dir_all(&dir);
     }
 }

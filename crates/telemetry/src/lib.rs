@@ -7,19 +7,16 @@
 //!
 //! Three pieces, all zero-overhead when disabled:
 //!
-//! * **Flight recorder** ([`FlightRecorder`], [`TraceSink`]) — a
-//!   fixed-capacity ring buffer of compact 32-byte binary [`TraceEvent`]s
-//!   (packet enqueue/drop/dequeue, link busy/idle, class admit/degrade, FEC
-//!   repair, path switch, offload dispatch) stamped with sim time and a
-//!   component id. The [`Recorder`] trait's disabled implementation
-//!   ([`NullRecorder`]) is a monomorphized no-op; the engine-facing
-//!   [`TraceSink`] compiles the disabled case down to one predictable
-//!   branch per hook.
+//! * **Flight recorder** ([`TraceSink`]) — a fixed-capacity ring buffer of
+//!   compact 32-byte binary [`TraceEvent`]s (packet enqueue/drop/dequeue,
+//!   link busy/idle, class admit/degrade, FEC repair, path switch, offload
+//!   dispatch) stamped with sim time and a component id. The disabled sink
+//!   costs one predictable branch per hook.
 //! * **Metrics registry** ([`MetricsRegistry`]) — named counters, gauges
 //!   and sim-time-bucketed histograms with cheap `Cell`-based handles,
 //!   snapshot into a serializable [`MetricsSnapshot`] that `marnet-lab`
 //!   flushes into schema-v2 artifacts.
-//! * **Trace files** ([`file`]) — a small binary container
+//! * **Trace files** ([`mod@file`]) — a small binary container
 //!   (`MARTRC01` magic + fixed-size records) read by the `marnet-trace`
 //!   CLI, which dumps/filters traces, reconstructs per-flow timelines,
 //!   computes queue-delay distributions (the bufferbloat view) and diffs
@@ -42,7 +39,7 @@ pub mod usage;
 pub use diff::{first_divergence, TraceDiff};
 pub use event::{component, DropReason, TraceEvent, TraceKind};
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, TimeBucket, TimeHistogram};
-pub use recorder::{ChunkedRecorder, FlightRecorder, NullRecorder, Recorder, TraceSink};
+pub use recorder::TraceSink;
 pub use usage::ClassUsage;
 
 /// Default flight-recorder ring capacity used by CLI `--trace` flags:

@@ -1,56 +1,24 @@
-//! Recorders: where trace events go.
+//! The flight recorder: where trace events go.
 //!
-//! The [`Recorder`] trait is the generic interface — code that is generic
-//! over `R: Recorder` monomorphizes [`NullRecorder`] into literally nothing
-//! (its `record` is an empty inline function). Object-safe callers that
-//! cannot be generic (the simulator engine stores `Box<dyn Actor>`s and
-//! cannot grow a type parameter) use [`TraceSink`], a two-state enum whose
-//! disabled arm costs one predictable branch per hook.
+//! The simulator stores `Box<dyn Actor>`s and cannot grow a type
+//! parameter, so it holds one concrete [`TraceSink`]: off, or recording
+//! through a small cache-hot chunk into a fixed-capacity ring. Every hook
+//! goes through [`TraceSink::emit_with`], whose off case costs one load
+//! and one predictable branch.
 
 use crate::event::TraceEvent;
 
-/// A sink for trace events.
-pub trait Recorder {
-    /// Records one event.
-    fn record(&mut self, ev: TraceEvent);
-
-    /// `false` if recording is a no-op — callers may skip building events.
-    #[inline]
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The disabled recorder: a zero-sized, monomorphized no-op.
-///
-/// Generic code instantiated with `NullRecorder` compiles to exactly the
-/// uninstrumented code — the `engine_events_per_sec` benchmark is the
-/// regression gate for this property.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline(always)]
-    fn record(&mut self, _ev: TraceEvent) {}
-
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
-/// A fixed-capacity ring buffer of trace events: the flight recorder.
+/// A fixed-capacity ring buffer of trace events.
 ///
 /// Once full, the newest event overwrites the oldest — a crash or a
 /// surprising result always leaves the *last* `capacity` events, which is
 /// what post-mortem debugging wants. Recording never allocates after the
 /// ring is full.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
+#[derive(Debug)]
+struct FlightRecorder {
     buf: Vec<TraceEvent>,
     cap: usize,
     next: usize,
-    total: u64,
 }
 
 impl FlightRecorder {
@@ -59,66 +27,31 @@ impl FlightRecorder {
     /// The full ring is reserved up front: on demand-paged systems the
     /// reservation is address space until written, and pre-sizing keeps
     /// doubling-growth memcpys out of recorded (timed) runs.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);
-        FlightRecorder { buf: Vec::with_capacity(cap), cap, next: 0, total: 0 }
-    }
-
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total events ever recorded, including overwritten ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.total
-    }
-
-    /// The held events in chronological (recording) order.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        if self.buf.len() < self.cap {
-            self.buf.clone()
-        } else {
-            // `next` points at the oldest surviving event.
-            let mut out = Vec::with_capacity(self.buf.len());
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-            out
-        }
+        FlightRecorder { buf: Vec::with_capacity(cap), cap, next: 0 }
     }
 
     /// Takes the held events in chronological (recording) order, leaving
-    /// the recorder empty. Unlike [`FlightRecorder::events`] this moves
-    /// the buffer out instead of cloning it — the capture path uses it so
-    /// ending a traced run costs at most one in-place rotation, not a
-    /// ring-sized copy.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        let mut out = std::mem::take(&mut self.buf);
+    /// the recorder empty with a fresh reservation. The buffer is moved
+    /// out, not cloned, so ending a traced run costs at most one in-place
+    /// rotation, not a ring-sized copy.
+    fn take_events(&mut self) -> Vec<TraceEvent> {
+        let mut out = std::mem::replace(&mut self.buf, Vec::with_capacity(self.cap));
         if out.len() == self.cap {
             // `next` points at the oldest surviving event once wrapped.
             out.rotate_left(self.next);
         }
         self.next = 0;
-        self.total = 0;
         out
     }
 
     /// Records a batch of events with bulk slice copies. The resulting
-    /// recorder state (`buf`, `next`, `total`) is *identical* to calling
-    /// [`Recorder::record`] once per event — the batch-equivalence unit
-    /// test pins this — so chunked recording cannot change artifacts.
-    pub fn record_batch(&mut self, events: &[TraceEvent]) {
-        self.total += events.len() as u64;
+    /// recorder state (`buf`, `next`) is *identical* to recording the
+    /// events one at a time — the batch-equivalence unit test pins this
+    /// against the per-event `record` below — so chunked recording cannot
+    /// change artifacts.
+    fn record_batch(&mut self, events: &[TraceEvent]) {
         let mut src = events;
         if self.buf.len() < self.cap {
             // Fill phase: `next == buf.len()` here (the ring has never
@@ -143,12 +76,11 @@ impl FlightRecorder {
         self.buf[..src.len() - first].copy_from_slice(&src[first..]);
         self.next = (start + src.len()) % self.cap;
     }
-}
 
-impl Recorder for FlightRecorder {
-    #[inline]
+    /// Records one event: the obvious ring write, kept as the test oracle
+    /// that `record_batch` and the chunked sink are compared against.
+    #[cfg(test)]
     fn record(&mut self, ev: TraceEvent) {
-        self.total += 1;
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -161,139 +93,64 @@ impl Recorder for FlightRecorder {
     }
 }
 
-/// Events per chunk of a [`ChunkedRecorder`]: 2048 × 32-byte events =
+/// Events per chunk of an enabled [`TraceSink`]: 2048 × 32-byte events =
 /// 64 KiB, the top of the 4–64 KiB window that stays resident in L1/L2
 /// while amortizing the flush into the (potentially tens-of-MiB) ring.
 pub const CHUNK_EVENTS: usize = 2048;
 
-/// A double-buffered flight recorder: the record() fast path is a bump
-/// write into a small cache-hot chunk; full chunks are flushed into the
-/// backing [`FlightRecorder`] ring with bulk copies
-/// ([`FlightRecorder::record_batch`]).
+/// The engine-facing sink: off (the default), or recording through a
+/// chunk-flushed ring.
 ///
-/// Per event this removes the ring's total-counter update, wrap branch
-/// and cold-cache ring write; artifacts are unchanged because the flush
-/// is state-equivalent to per-event recording.
-#[derive(Debug, Clone)]
-pub struct ChunkedRecorder {
-    ring: FlightRecorder,
+/// The fast path of an enabled sink is a bump write into a small
+/// cache-hot chunk; full chunks are flushed into the backing ring with
+/// bulk copies. Per event this avoids the ring's wrap branch and
+/// cold-cache write; artifacts are unchanged because the flush is
+/// state-equivalent to per-event recording. [`TraceSink::emit_with`] takes
+/// a closure so the off case skips event construction entirely.
+#[derive(Debug, Default)]
+pub struct TraceSink {
+    /// `None` while recording is off.
+    ring: Option<FlightRecorder>,
     chunk: Vec<TraceEvent>,
 }
 
-impl ChunkedRecorder {
-    /// A recorder whose backing ring holds at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        let chunk = Vec::with_capacity(CHUNK_EVENTS.min(capacity.max(1)));
-        ChunkedRecorder { ring: FlightRecorder::new(capacity), chunk }
-    }
-
-    /// The backing ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Total events ever recorded, including overwritten ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.ring.total_recorded() + self.chunk.len() as u64
-    }
-
-    /// Flushes the active chunk into the backing ring.
-    pub fn flush(&mut self) {
-        self.ring.record_batch(&self.chunk);
-        self.chunk.clear();
-    }
-
-    /// The held events in chronological order (flushes first).
-    pub fn events(&mut self) -> Vec<TraceEvent> {
-        self.flush();
-        self.ring.events()
-    }
-
-    /// Takes the held events in chronological order (flushes first),
-    /// leaving the recorder empty without copying the ring.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        self.flush();
-        self.ring.take_events()
-    }
-}
-
-impl Recorder for ChunkedRecorder {
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        // The chunk was created with its full capacity, so the push below
-        // never reallocates: `record` is a bounds check and a bump write.
-        if self.chunk.len() == self.chunk.capacity() {
-            self.flush();
-        }
-        self.chunk.push(ev);
-    }
-}
-
-/// The engine-facing sink: off, or recording into a [`FlightRecorder`]
-/// (plain ring) or [`ChunkedRecorder`] (chunk-flushed ring, the default
-/// for live tracing).
-///
-/// The simulator cannot be generic over a `Recorder` (its actors are trait
-/// objects), so it holds this enum instead. Every hook goes through
-/// [`TraceSink::emit_with`], which takes a closure so the disabled case
-/// skips event construction entirely — the cost is one load and one
-/// predictable branch.
-#[derive(Debug, Default)]
-pub enum TraceSink {
-    /// Recording disabled (the default).
-    #[default]
-    Off,
-    /// Recording straight into a ring buffer (kept as the un-chunked
-    /// reference path; see the `recorder_record_hot` benchmark).
-    Ring(FlightRecorder),
-    /// Recording through a chunk-flushed ring.
-    Chunked(ChunkedRecorder),
-}
-
 impl TraceSink {
-    /// A sink recording into a fresh plain ring of `capacity` events.
-    pub fn ring(capacity: usize) -> Self {
-        TraceSink::Ring(FlightRecorder::new(capacity))
-    }
-
-    /// A sink recording through a fresh chunk-flushed ring of `capacity`
-    /// events — what the engine enables for live tracing.
+    /// A sink recording through a chunk-flushed ring of `capacity` events
+    /// — what the engine enables for live tracing.
     pub fn chunked(capacity: usize) -> Self {
-        TraceSink::Chunked(ChunkedRecorder::new(capacity))
+        TraceSink {
+            ring: Some(FlightRecorder::new(capacity)),
+            chunk: Vec::with_capacity(CHUNK_EVENTS.min(capacity.max(1))),
+        }
     }
 
     /// `true` while events are being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        !matches!(self, TraceSink::Off)
+        self.ring.is_some()
     }
 
     /// Records the event built by `f`, or does nothing when off.
     #[inline]
     pub fn emit_with(&mut self, f: impl FnOnce() -> TraceEvent) {
-        match self {
-            TraceSink::Off => {}
-            TraceSink::Ring(r) => r.record(f()),
-            TraceSink::Chunked(r) => r.record(f()),
+        if let Some(ring) = &mut self.ring {
+            // The chunk was created with its full capacity, so the push
+            // below never reallocates: a bounds check and a bump write.
+            if self.chunk.len() == self.chunk.capacity() {
+                ring.record_batch(&self.chunk);
+                self.chunk.clear();
+            }
+            self.chunk.push(f());
         }
     }
 
     /// Takes the recorded events in chronological order, resetting the sink
     /// to a fresh ring of the same capacity. Returns an empty vec when off.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        match self {
-            TraceSink::Off => Vec::new(),
-            TraceSink::Ring(r) => {
-                let events = r.take_events();
-                *r = FlightRecorder::new(r.capacity());
-                events
-            }
-            TraceSink::Chunked(r) => {
-                let events = r.take_events();
-                *r = ChunkedRecorder::new(r.capacity());
-                events
-            }
-        }
+        let Some(ring) = &mut self.ring else { return Vec::new() };
+        ring.record_batch(&self.chunk);
+        self.chunk.clear();
+        ring.take_events()
     }
 }
 
@@ -306,38 +163,29 @@ mod tests {
         TraceEvent::packet_deliver(i, component::link(0), i, 0, 100)
     }
 
-    /// A generic driver, as instrumented library code would be written.
-    fn drive<R: Recorder>(r: &mut R, n: u64) {
+    fn drive(r: &mut FlightRecorder, n: u64) {
         for i in 0..n {
-            if r.is_enabled() {
-                r.record(ev(i));
-            }
+            r.record(ev(i));
         }
     }
 
-    #[test]
-    fn null_recorder_is_disabled_noop() {
-        let mut r = NullRecorder;
-        drive(&mut r, 10); // compiles to nothing; just must not panic
-        assert!(!r.is_enabled());
+    fn times(events: &[TraceEvent]) -> Vec<u64> {
+        events.iter().map(|e| e.t).collect()
     }
 
     #[test]
     fn ring_keeps_the_newest_events_in_order() {
         let mut r = FlightRecorder::new(4);
         drive(&mut r, 10);
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.total_recorded(), 10);
-        let times: Vec<u64> = r.events().iter().map(|e| e.t).collect();
-        assert_eq!(times, vec![6, 7, 8, 9]);
+        assert_eq!(r.buf.len(), 4);
+        assert_eq!(times(&r.take_events()), vec![6, 7, 8, 9]);
     }
 
     #[test]
     fn ring_below_capacity_keeps_everything() {
         let mut r = FlightRecorder::new(100);
         drive(&mut r, 5);
-        let times: Vec<u64> = r.events().iter().map(|e| e.t).collect();
-        assert_eq!(times, vec![0, 1, 2, 3, 4]);
+        assert_eq!(times(&r.take_events()), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -345,8 +193,7 @@ mod tests {
         let mut r = FlightRecorder::new(0);
         r.record(ev(1));
         r.record(ev(2));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.events()[0].t, 2);
+        assert_eq!(times(&r.take_events()), vec![2]);
     }
 
     #[test]
@@ -366,9 +213,7 @@ mod tests {
                 for &e in &chunk {
                     reference.record(e);
                 }
-                assert_eq!(batched.events(), reference.events(), "cap {cap} after {i} events");
-                assert_eq!(batched.total_recorded(), reference.total_recorded());
-                assert_eq!(batched.len(), reference.len());
+                assert_eq!(batched.buf, reference.buf, "cap {cap} after {i} events");
                 assert_eq!(batched.next, reference.next, "internal cursor must match too");
             }
         }
@@ -377,37 +222,36 @@ mod tests {
     #[test]
     fn chunked_recorder_matches_plain_ring() {
         for total in [0u64, 5, CHUNK_EVENTS as u64, CHUNK_EVENTS as u64 * 3 + 17] {
-            let mut chunked = ChunkedRecorder::new(64);
+            let mut chunked = TraceSink::chunked(64);
             let mut plain = FlightRecorder::new(64);
             for i in 0..total {
-                chunked.record(ev(i));
+                chunked.emit_with(|| ev(i));
                 plain.record(ev(i));
             }
-            assert_eq!(chunked.total_recorded(), total);
-            assert_eq!(chunked.events(), plain.events(), "after {total} events");
+            assert_eq!(chunked.take_events(), plain.take_events(), "after {total} events");
         }
     }
 
     #[test]
     fn take_events_matches_events_before_and_after_wrap() {
-        for n in [3u64, 4, 10] {
-            let mut a = FlightRecorder::new(4);
-            let mut b = FlightRecorder::new(4);
-            drive(&mut a, n);
-            drive(&mut b, n);
-            assert_eq!(a.take_events(), b.events(), "n={n}");
-            assert!(a.is_empty(), "take leaves the ring empty");
+        for (n, want) in [(3u64, vec![0, 1, 2]), (4, vec![0, 1, 2, 3]), (10, vec![6, 7, 8, 9])] {
+            let mut r = FlightRecorder::new(4);
+            drive(&mut r, n);
+            assert_eq!(times(&r.take_events()), want, "n={n}");
+            assert!(r.buf.is_empty(), "take leaves the ring empty");
         }
     }
 
     #[test]
     fn chunked_sink_take_matches_ring_sink() {
+        // A chunk smaller than the run and a ring smaller than the chunk
+        // total: the sink flushes mid-run and the ring wraps.
         let mut a = TraceSink::chunked(16);
-        let mut b = TraceSink::ring(16);
+        let mut b = FlightRecorder::new(16);
         assert!(a.is_enabled());
         for i in 0..100 {
             a.emit_with(|| ev(i));
-            b.emit_with(|| ev(i));
+            b.record(ev(i));
         }
         assert_eq!(a.take_events(), b.take_events());
         assert!(a.take_events().is_empty(), "take resets the chunked sink");
@@ -416,7 +260,7 @@ mod tests {
 
     #[test]
     fn sink_off_records_nothing_and_takes_empty() {
-        let mut s = TraceSink::Off;
+        let mut s = TraceSink::default();
         let mut built = 0;
         s.emit_with(|| {
             built += 1;
@@ -429,12 +273,12 @@ mod tests {
 
     #[test]
     fn sink_ring_records_and_resets_on_take() {
-        let mut s = TraceSink::ring(8);
-        assert!(s.is_enabled());
+        // Fewer events than one chunk: `take_events` must flush the
+        // partial chunk before it moves the ring out.
+        let mut s = TraceSink::chunked(8);
         s.emit_with(|| ev(1));
         s.emit_with(|| ev(2));
-        let events = s.take_events();
-        assert_eq!(events.len(), 2);
+        assert_eq!(times(&s.take_events()), vec![1, 2]);
         assert!(s.take_events().is_empty(), "take resets the ring");
         assert!(s.is_enabled(), "sink stays enabled after take");
     }

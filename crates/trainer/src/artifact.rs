@@ -68,7 +68,8 @@ pub struct FrontArtifact {
     pub schema_version: u32,
     /// Artifact kind tag, always `"train"`.
     pub experiment: String,
-    /// Engine label (`cem` / `es`).
+    /// Engine label; always `cem`, the one search engine, kept so schema
+    /// v1 artifacts and spec hashes do not move.
     pub engine: String,
     /// Base seed of the run.
     pub seed: u64,

@@ -1,5 +1,5 @@
-//! The search engines: cross-entropy method (CEM) and a (μ+λ) evolution
-//! strategy, both generic over a population evaluator.
+//! The search engine: the cross-entropy method (CEM), generic over a
+//! population evaluator.
 //!
 //! Determinism contract: candidate `c` of generation `g` is sampled from
 //! the ChaCha12 substream `derive_rng(seed, "train/{g}/{c}")` — one
@@ -9,7 +9,7 @@
 //! pure function of its inputs and the emitted artifact is byte-identical
 //! at any `--threads`.
 //!
-//! Both engines seed generation 0 with the paper-default incumbent as
+//! Generation 0 is seeded with the paper-default incumbent as
 //! candidate 0: the search can only match or improve on the incumbent
 //! under its own scalarization, and the tuned-vs-default comparison is
 //! paired exactly (the evaluator uses common random numbers, see
@@ -21,43 +21,10 @@ use marnet_core::policy::PolicyParams;
 use marnet_sim::rng::derive_rng;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use std::cmp::Ordering;
-
-/// Which search engine drives the outer loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Cross-entropy method: a diagonal Gaussian refit to the elite set
-    /// each generation.
-    Cem,
-    /// (μ+λ) evolution strategy: the μ best survive and spawn λ mutated
-    /// offspring with a decaying mutation width.
-    MuPlusLambdaEs,
-}
-
-impl Engine {
-    /// The stable label used in flags and artifacts.
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Cem => "cem",
-            Engine::MuPlusLambdaEs => "es",
-        }
-    }
-
-    /// Parses a [`Engine::label`] back.
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "cem" => Some(Engine::Cem),
-            "es" => Some(Engine::MuPlusLambdaEs),
-            _ => None,
-        }
-    }
-}
 
 /// Budget and hyper-parameters of one search run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
-    /// The engine.
-    pub engine: Engine,
     /// Base seed; every candidate derives its own substream.
     pub seed: u64,
     /// Number of generations (outer-loop iterations).
@@ -65,7 +32,7 @@ pub struct TrainConfig {
     /// Population per generation (λ); generation 0 includes the incumbent
     /// as candidate 0.
     pub population: u32,
-    /// Elite count (CEM) / parent count μ (ES).
+    /// Elite count: the best candidates the distribution is refit to.
     pub elites: u32,
     /// Initial sampling width in the normalized unit cube.
     pub init_sigma: f64,
@@ -79,7 +46,6 @@ pub struct TrainConfig {
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
-            engine: Engine::Cem,
             seed: 42,
             generations: 8,
             population: 16,
@@ -154,7 +120,8 @@ fn rank_desc(scalars: &[f64]) -> Vec<usize> {
     idx
 }
 
-/// Runs the configured search. `eval_population` receives the generation
+/// Runs the search: a diagonal Gaussian in the normalized unit cube,
+/// refit to the elite set each generation. `eval_population` receives the generation
 /// number and the sampled population and must return one [`Evaluation`]
 /// per candidate, in order; it is called once per generation.
 ///
@@ -173,11 +140,9 @@ where
     let incumbent = space.default_point();
     let mut archive: Vec<Evaluated> = Vec::new();
 
-    // CEM state: the sampling distribution.
+    // The sampling distribution.
     let mut mean = normalize(space, &incumbent);
     let mut sigma = vec![cfg.init_sigma; n];
-    // ES state: the surviving parents (point, scalar).
-    let mut parents: Vec<(PolicyPoint, f64)> = Vec::new();
 
     for g in 0..cfg.generations {
         let population: Vec<PolicyPoint> = (0..cfg.population)
@@ -186,22 +151,7 @@ where
                     return incumbent.clone();
                 }
                 let mut rng = derive_rng(cfg.seed, &format!("train/{g}/{c}"));
-                match cfg.engine {
-                    Engine::Cem => sample(space, &mean, &sigma, &mut rng),
-                    Engine::MuPlusLambdaEs => {
-                        if g == 0 {
-                            sample(space, &mean, &sigma, &mut rng)
-                        } else {
-                            // Decaying mutation width around a uniformly
-                            // chosen parent.
-                            let width =
-                                (cfg.init_sigma * 0.8f64.powi(g as i32)).max(cfg.sigma_floor);
-                            let pick = rng.gen_range(0..parents.len());
-                            let center = normalize(space, &parents[pick].0);
-                            sample(space, &center, &vec![width; n], &mut rng)
-                        }
-                    }
-                }
+                sample(space, &mean, &sigma, &mut rng)
             })
             .collect();
 
@@ -220,37 +170,17 @@ where
             });
         }
 
-        // Distribution / parent update from this generation's ranking.
+        // Refit the distribution to this generation's elites.
         let ranked = rank_desc(&scalars);
         let elites = &ranked[..(cfg.elites as usize).min(ranked.len())];
-        match cfg.engine {
-            Engine::Cem => {
-                let elite_norms: Vec<Vec<f64>> =
-                    elites.iter().map(|&i| normalize(space, &population[i])).collect();
-                for d in 0..n {
-                    let m =
-                        elite_norms.iter().map(|v| v[d]).sum::<f64>() / elite_norms.len() as f64;
-                    let var = elite_norms.iter().map(|v| (v[d] - m) * (v[d] - m)).sum::<f64>()
-                        / elite_norms.len() as f64;
-                    mean[d] = m;
-                    sigma[d] = var.sqrt().max(cfg.sigma_floor);
-                }
-            }
-            Engine::MuPlusLambdaEs => {
-                // μ best of parents ∪ offspring survive; parents listed
-                // first so ties prefer the established survivor.
-                let mut pool: Vec<(PolicyPoint, f64)> = parents.clone();
-                pool.extend(elites.iter().map(|&i| (population[i].clone(), scalars[i])));
-                pool.extend(
-                    ranked[(cfg.elites as usize).min(ranked.len())..]
-                        .iter()
-                        .map(|&i| (population[i].clone(), scalars[i])),
-                );
-                pool.sort_by(|a, b| b.1.total_cmp(&a.1).then(Ordering::Equal));
-                pool.dedup_by(|a, b| a.0 == b.0);
-                pool.truncate(cfg.elites as usize);
-                parents = pool;
-            }
+        let elite_norms: Vec<Vec<f64>> =
+            elites.iter().map(|&i| normalize(space, &population[i])).collect();
+        for d in 0..n {
+            let m = elite_norms.iter().map(|v| v[d]).sum::<f64>() / elite_norms.len() as f64;
+            let var = elite_norms.iter().map(|v| (v[d] - m) * (v[d] - m)).sum::<f64>()
+                / elite_norms.len() as f64;
+            mean[d] = m;
+            sigma[d] = var.sqrt().max(cfg.sigma_floor);
         }
     }
 
@@ -317,42 +247,38 @@ mod tests {
             .collect()
     }
 
-    fn small_cfg(engine: Engine) -> TrainConfig {
-        TrainConfig { engine, generations: 4, population: 8, elites: 3, ..TrainConfig::default() }
+    fn small_cfg() -> TrainConfig {
+        TrainConfig { generations: 4, population: 8, elites: 3, ..TrainConfig::default() }
     }
 
     #[test]
     fn search_is_deterministic() {
         let space = PolicySpace::ar_default();
-        for engine in [Engine::Cem, Engine::MuPlusLambdaEs] {
-            let a = run_search(&space, &small_cfg(engine), |_, pop| synthetic(pop));
-            let b = run_search(&space, &small_cfg(engine), |_, pop| synthetic(pop));
-            assert_eq!(a.archive, b.archive);
-            assert_eq!(a.front, b.front);
-            assert_eq!(a.best_index, b.best_index);
-        }
+        let a = run_search(&space, &small_cfg(), |_, pop| synthetic(pop));
+        let b = run_search(&space, &small_cfg(), |_, pop| synthetic(pop));
+        assert_eq!(a.archive, b.archive);
+        assert_eq!(a.front, b.front);
+        assert_eq!(a.best_index, b.best_index);
     }
 
     #[test]
     fn every_candidate_respects_bounds_and_incumbent_leads() {
         let space = PolicySpace::ar_default();
-        for engine in [Engine::Cem, Engine::MuPlusLambdaEs] {
-            let r = run_search(&space, &small_cfg(engine), |_, pop| synthetic(pop));
-            assert_eq!(r.archive.len(), 4 * 8);
-            for e in &r.archive {
-                assert!(space.contains(&e.point), "{engine:?} emitted {:?}", e.point);
-            }
-            assert_eq!(r.archive[0].point, space.default_point());
-            // The incumbent is in the archive, so the best scalar can
-            // never be worse than the incumbent's.
-            assert!(r.archive[r.best_index].scalar >= r.archive[0].scalar);
+        let r = run_search(&space, &small_cfg(), |_, pop| synthetic(pop));
+        assert_eq!(r.archive.len(), 4 * 8);
+        for e in &r.archive {
+            assert!(space.contains(&e.point), "search emitted {:?}", e.point);
         }
+        assert_eq!(r.archive[0].point, space.default_point());
+        // The incumbent is in the archive, so the best scalar can
+        // never be worse than the incumbent's.
+        assert!(r.archive[r.best_index].scalar >= r.archive[0].scalar);
     }
 
     #[test]
     fn front_is_non_dominated() {
         let space = PolicySpace::ar_default();
-        let r = run_search(&space, &small_cfg(Engine::Cem), |_, pop| synthetic(pop));
+        let r = run_search(&space, &small_cfg(), |_, pop| synthetic(pop));
         assert!(!r.front.is_empty());
         for &a in &r.front {
             for &b in &r.front {
@@ -368,7 +294,7 @@ mod tests {
     #[test]
     fn cem_improves_on_the_synthetic_landscape() {
         let space = PolicySpace::ar_default();
-        let cfg = TrainConfig { generations: 6, population: 16, ..small_cfg(Engine::Cem) };
+        let cfg = TrainConfig { generations: 6, population: 16, ..small_cfg() };
         let r = run_search(&space, &cfg, |_, pop| synthetic(pop));
         assert!(
             r.archive[r.best_index].scalar > r.archive[0].scalar,
@@ -379,19 +305,11 @@ mod tests {
     #[test]
     fn select_tuned_respects_the_fairness_band() {
         let space = PolicySpace::ar_default();
-        let r = run_search(&space, &small_cfg(Engine::Cem), |_, pop| synthetic(pop));
+        let r = run_search(&space, &small_cfg(), |_, pop| synthetic(pop));
         let tuned = select_tuned(&r, 0.05);
         let (inc, t) = (&r.archive[0], &r.archive[tuned]);
         assert!(t.scalar >= inc.scalar);
         assert!(t.evaluation.objectives.fairness >= inc.evaluation.objectives.fairness - 0.05);
         assert!(t.evaluation.detail["qoe/synthetic"] >= inc.evaluation.detail["qoe/synthetic"]);
-    }
-
-    #[test]
-    fn engine_labels_round_trip() {
-        for e in [Engine::Cem, Engine::MuPlusLambdaEs] {
-            assert_eq!(Engine::from_label(e.label()), Some(e));
-        }
-        assert_eq!(Engine::from_label("sgd"), None);
     }
 }

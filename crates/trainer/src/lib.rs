@@ -35,6 +35,6 @@ pub mod objective;
 pub mod space;
 
 pub use artifact::{ComparisonRow, FrontArtifact, FrontEntry, SCHEMA_VERSION};
-pub use engine::{run_search, select_tuned, Engine, Evaluated, TrainConfig, TrainResult};
+pub use engine::{run_search, select_tuned, Evaluated, TrainConfig, TrainResult};
 pub use objective::{pareto_front, Evaluation, Objectives, ScalarWeights};
 pub use space::{DimKind, Dimension, PolicyPoint, PolicySpace};

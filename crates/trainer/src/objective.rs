@@ -1,7 +1,7 @@
 //! Objectives, dominance and Pareto fronts.
 //!
 //! A candidate's fitness is a three-axis vector: QoE and fairness-to-TCP
-//! are maximized, overhead is minimized. The engines need a single
+//! are maximized, overhead is minimized. The engine needs a single
 //! number to rank elites, so a fixed linear scalarization is applied on
 //! top — but selection pressure and reporting are kept separate: the
 //! emitted artifact carries the full non-dominated front, not just the
@@ -36,7 +36,7 @@ impl Objectives {
         ge && gt
     }
 
-    /// The fixed linear scalarization the engines rank elites by.
+    /// The fixed linear scalarization the engine ranks elites by.
     pub fn scalarized(&self, w: &ScalarWeights) -> f64 {
         w.qoe * self.qoe + w.fairness * self.fairness - w.overhead * self.overhead
     }

@@ -60,8 +60,8 @@ impl Dimension {
         v.is_finite() && v == self.clamp(v)
     }
 
-    /// Maps a legal value into the normalized unit interval the engines
-    /// sample in.
+    /// Maps a legal value into the normalized unit interval the engine
+    /// samples in.
     pub fn normalize(&self, v: f64) -> f64 {
         (v - self.lo) / (self.hi - self.lo)
     }

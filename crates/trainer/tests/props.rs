@@ -3,8 +3,8 @@
 //! seed and budget, and the reported front is genuinely non-dominated.
 
 use marnet_trainer::{
-    pareto_front, run_search, select_tuned, Engine, Evaluation, Objectives, PolicyPoint,
-    PolicySpace, TrainConfig,
+    pareto_front, run_search, select_tuned, Evaluation, Objectives, PolicyPoint, PolicySpace,
+    TrainConfig,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -55,18 +55,15 @@ proptest! {
     }
 
     /// Same seed + budget ⇒ bit-identical archive, front and tuned pick,
-    /// for both engines and arbitrary landscapes.
+    /// for arbitrary landscapes.
     #[test]
     fn search_is_a_pure_function_of_seed_and_budget(
         seed in any::<u64>(),
-        engine_ix in 0usize..2,
         target_ms in 60.0f64..400.0,
         beta_weight in 0.0f64..80.0,
     ) {
-        let engine = [Engine::Cem, Engine::MuPlusLambdaEs][engine_ix];
         let space = PolicySpace::ar_default();
         let cfg = TrainConfig {
-            engine,
             seed,
             generations: 3,
             population: 6,

@@ -103,13 +103,6 @@ impl Nic {
         }
     }
 
-    /// Enables or disables delivery-payload pooling (on by default).
-    /// Artifacts are byte-identical either way; `false` forces a fresh
-    /// allocation per delivered packet.
-    pub fn set_pooling(&mut self, enabled: bool) {
-        self.deliver_pool.set_enabled(enabled);
-    }
-
     /// Registers `endpoint` to receive packets whose flow id is `flow`,
     /// builder style.
     #[must_use]
