@@ -1,27 +1,23 @@
-//! # marnet-bench — the experiment harness
+//! # marnet-bench — the scenario library and the perf harness
 //!
-//! [`scenarios`] holds the shared topologies, one entry point each: it
-//! takes the scenario's parameters (the AR scenarios take an `&ArConfig`),
-//! a seed and `&TelemetryOptions`, and returns the outcome, the simulator
-//! event count and the telemetry capture. Callers that want no telemetry
-//! pass `&TelemetryOptions::disabled()` and take `.0`.
+//! [`scenarios`] holds every simulated topology of the reproduction, one
+//! entry point each: it takes the scenario's parameters (the AR scenarios
+//! take an `&ArConfig`), a seed and `&TelemetryOptions`, and returns the
+//! outcome, the simulator event count and the telemetry capture. Callers
+//! that want no telemetry pass `&TelemetryOptions::disabled()` and take
+//! `.0`.
 //!
-//! One single-seed binary per table/figure of the paper (see DESIGN.md §4
-//! for the index) prints the regenerated rows/series and writes
-//! `results/<name>.json`; run one with `cargo run -p marnet-bench --bin
-//! <name>`. The experiments with replicates, confidence intervals,
-//! `--trace` and `--metrics` (E2, E9, E11, E16, E17) are `marnet-lab`
-//! experiments built on the same scenarios. The Criterion
-//! micro-benchmarks live under `benches/`.
+//! The experiments that regenerate the paper's tables and figures are
+//! `marnet-lab` experiments built on these scenarios (DESIGN.md §4 has the
+//! index; `cargo run -p marnet-lab -- <name>`). This crate's one binary is
+//! `perf_report`, the event-core perf matrix; the Criterion
+//! micro-benchmarks live under `benches/`. [`print_table`] and [`fmt`] are
+//! the table printer the lab's renderers use.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod scenarios;
-
-use serde::Serialize;
-use std::fs;
-use std::path::PathBuf;
 
 /// Prints a Markdown-ish table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -47,27 +43,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row);
     }
-}
-
-/// Writes a JSON artifact under `results/`, creating the directory.
-///
-/// The write is atomic: the body lands in a temp file next to the target
-/// which is then renamed into place, so a crash mid-write can never leave
-/// a truncated artifact behind.
-///
-/// # Panics
-///
-/// Panics if the artifact cannot be serialized or written — experiment
-/// binaries should fail loudly rather than drop results.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from("results");
-    fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    let body = serde_json::to_string_pretty(value).expect("serialize results");
-    let tmp = dir.join(format!(".{name}.json.tmp"));
-    fs::write(&tmp, body).expect("write results");
-    fs::rename(&tmp, &path).expect("publish results");
-    println!("\n[artifact] {}", path.display());
 }
 
 /// Formats a float with the given precision; NaN prints as `-` and
@@ -104,20 +79,6 @@ mod tests {
         // ...while genuinely negative results keep theirs.
         assert_eq!(fmt(-0.06, 1), "-0.1");
         assert_eq!(fmt(-1.0, 1), "-1.0");
-    }
-
-    #[test]
-    fn write_json_is_atomic_and_readable() {
-        let dir = std::env::temp_dir().join(format!("marnet_bench_wj_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let prev = std::env::current_dir().unwrap();
-        std::env::set_current_dir(&dir).unwrap();
-        write_json("atomic_check", &vec![1u64, 2, 3]);
-        let body = fs::read_to_string("results/atomic_check.json").unwrap();
-        assert!(body.contains('1') && body.contains('3'));
-        assert!(!PathBuf::from("results/.atomic_check.json.tmp").exists());
-        std::env::set_current_dir(prev).unwrap();
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Shared experiment topologies, reused by the binaries and the
-//! integration tests.
+//! The simulated topologies, one entry point each — shared by the lab's
+//! experiments, `perf_report`, the Criterion benches and the integration
+//! tests.
 
 use marnet_core::class::{Priority, StreamKind};
 use marnet_core::config::{ArConfig, OutageConfig};
 use marnet_core::congestion::CongestionConfig;
+use marnet_core::degradation::QosSignal;
 use marnet_core::endpoint::{
     ArReceiver, ArReceiverStats, ArSender, ArSenderStats, Delivered, SenderPathConfig, Submit,
 };
@@ -17,9 +19,14 @@ use marnet_flow::fluid::{FluidNetwork, FluidStats};
 use marnet_flow::hybrid::Coupling;
 use marnet_flow::workload::{BackgroundWorkload, WorkloadConfig, WorkloadStats};
 use marnet_radio::coverage::{CoverageActor, CoverageModel};
+use marnet_radio::dcf::{submit, Dot11Params, WifiCell, WifiSetRate, WifiStation};
+use marnet_radio::profiles::{LinkDirection, RadioTechnology};
+use marnet_radio::variance::{
+    modulate_links, Ar1LogRate, ConstantRate, MarkovRate, RateProcess, ScriptedRate,
+};
 use marnet_sim::engine::{Actor, ActorId, Event, QueueStats, SimCtx, Simulator};
-use marnet_sim::link::{Bandwidth, LinkParams, LossModel};
-use marnet_sim::packet::{Payload, PayloadPool};
+use marnet_sim::link::{Bandwidth, LinkId, LinkParams, LossModel};
+use marnet_sim::packet::{Packet, Payload, PayloadPool};
 use marnet_sim::queue::QueueConfig;
 use marnet_sim::region::{Fidelity, RegionMap};
 use marnet_sim::rng::derive_rng;
@@ -28,7 +35,7 @@ use marnet_telemetry::{MetricsRegistry, TelemetryCapture, TelemetryOptions};
 use marnet_transport::nic::{Nic, TxPath};
 use marnet_transport::probe::{ProbeClient, ProbeServer, ProbeStats};
 use marnet_transport::tcp::{
-    DataSource, Reno, TcpConfig, TcpReceiver, TcpReceiverStats, TcpSender,
+    DataSource, Reno, TcpConfig, TcpFlowStats, TcpReceiver, TcpReceiverStats, TcpSender,
 };
 use marnet_transport::udp::{UdpSink, UdpSinkStats, UdpSource};
 use std::cell::RefCell;
@@ -234,6 +241,113 @@ pub fn run_table2_instrumented(
 }
 
 // ---------------------------------------------------------------------------
+// Fig. 2: the 802.11 performance anomaly
+// ---------------------------------------------------------------------------
+
+/// Saturating traffic source for one station of a [`WifiCell`].
+#[derive(Debug)]
+struct Saturator {
+    cell: ActorId,
+    station: usize,
+    frame_bytes: u32,
+}
+
+impl Actor for Saturator {
+    fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+        if matches!(ev, Event::Start | Event::Timer { .. }) {
+            for _ in 0..4 {
+                let id = ctx.next_packet_id();
+                let pkt = Packet::new(id, self.station as u64, self.frame_bytes, ctx.now());
+                ctx.send_message(self.cell, submit(self.station, pkt));
+            }
+            ctx.schedule_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+}
+
+/// Changes one station's PHY rate on schedule (walking between zones).
+#[derive(Debug)]
+struct Walker {
+    cell: ActorId,
+    station: usize,
+    schedule: Vec<(SimTime, f64)>,
+    next: usize,
+}
+
+impl Actor for Walker {
+    fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+        if matches!(ev, Event::Start | Event::Timer { .. }) {
+            while let Some(&(at, rate)) = self.schedule.get(self.next) {
+                if at > ctx.now() {
+                    ctx.schedule_timer(at.saturating_since(ctx.now()), 0);
+                    break;
+                }
+                let set = WifiSetRate { station: self.station, phy_rate_mbps: rate };
+                ctx.send_message(self.cell, Payload::new(set));
+                self.next += 1;
+            }
+        }
+    }
+}
+
+/// Outcome of the Fig. 2 run.
+#[derive(Debug)]
+pub struct Fig2Outcome {
+    /// What the cell delivered for station A, then B (the sinks' `meter`s
+    /// hold the throughput timelines).
+    pub stations: [Rc<RefCell<UdpSinkStats>>; 2],
+}
+
+/// Fig. 2: stations A and B saturate one 802.11g cell with `frame_bytes`
+/// frames. A stays at `a_rate_mbps`; B spends `phase_secs` in each of
+/// `b_zones_mbps` in turn (walking outward), so the run lasts
+/// `b_zones_mbps.len() × phase_secs`.
+pub fn run_fig2(
+    a_rate_mbps: f64,
+    b_zones_mbps: &[f64],
+    frame_bytes: u32,
+    phase_secs: u64,
+    seed: u64,
+    telemetry: &TelemetryOptions,
+) -> (Fig2Outcome, u64, TelemetryCapture) {
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let cell = sim.reserve_actor();
+    let wired = LinkParams::new(Bandwidth::from_gbps(1.0), SimDuration::from_micros(100))
+        .with_queue(QueueConfig::DropTail { cap_packets: 10_000 });
+    // One wired hop and one sink per station (a frame's flow id is its
+    // station index).
+    let mut attach = |station: u64| {
+        let sink = UdpSink::new(station);
+        let stats = sink.stats();
+        let sink = sim.add_actor(sink);
+        (sim.add_link(cell, sink, wired.clone()), stats)
+    };
+    let (out_a, a) = attach(0);
+    let (out_b, b) = attach(1);
+    let b_start = b_zones_mbps.first().copied().unwrap_or(a_rate_mbps);
+    sim.install_actor(
+        cell,
+        WifiCell::new(
+            Dot11Params::dot11g(),
+            vec![
+                WifiStation { phy_rate_mbps: a_rate_mbps, out: out_a },
+                WifiStation { phy_rate_mbps: b_start, out: out_b },
+            ],
+        ),
+    );
+    sim.add_actor(Saturator { cell, station: 0, frame_bytes });
+    sim.add_actor(Saturator { cell, station: 1, frame_bytes });
+    let schedule = (1u64..)
+        .zip(b_zones_mbps.iter().skip(1))
+        .map(|(phase, &rate)| (SimTime::from_secs(phase * phase_secs), rate))
+        .collect();
+    sim.add_actor(Walker { cell, station: 1, schedule, next: 0 });
+    let events = sim.run_until(SimTime::from_secs(b_zones_mbps.len() as u64 * phase_secs));
+    let capture = finish_telemetry(&mut sim, registry);
+    (Fig2Outcome { stations: [a, b] }, events, capture)
+}
+
+// ---------------------------------------------------------------------------
 // Fig. 3: antiparallel TCP on an asymmetric link
 // ---------------------------------------------------------------------------
 
@@ -258,8 +372,9 @@ pub fn run_fig3(
     uploads: usize,
     secs: u64,
     seed: u64,
-) -> Fig3Outcome {
-    let mut sim = Simulator::new(seed);
+    telemetry: &TelemetryOptions,
+) -> (Fig3Outcome, u64, TelemetryCapture) {
+    let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let cpe = sim.reserve_actor(); // client-side gateway
     let bras = sim.reserve_actor(); // ISP-side gateway
     let (down_params, up_params) = marnet_radio::asymmetry::asymmetric_pair(
@@ -310,8 +425,9 @@ pub fn run_fig3(
 
     sim.install_actor(cpe, client_nic);
     sim.install_actor(bras, isp_nic);
-    sim.run_until(SimTime::from_secs(secs));
-    Fig3Outcome { download, uploads: upload_stats, upload_starts }
+    let events = sim.run_until(SimTime::from_secs(secs));
+    let capture = finish_telemetry(&mut sim, registry);
+    (Fig3Outcome { download, uploads: upload_stats, upload_starts }, events, capture)
 }
 
 // ---------------------------------------------------------------------------
@@ -329,25 +445,46 @@ pub struct FairnessOutcome {
     pub tcp: Vec<Rc<RefCell<TcpReceiverStats>>>,
 }
 
-/// A saturating AR application: offers more than the link fits so the
-/// protocol's congestion control decides the rate.
+/// A 30 FPS video feed that never adapts: one droppable interframe of
+/// `frame_bytes` with a `deadline` per tick, plus 100 B of critical
+/// metadata when `metadata` is set.
 #[derive(Debug)]
-struct GreedyArApp {
+struct VideoFeed {
     sender: ActorId,
     next_id: u64,
+    frame_bytes: u32,
+    deadline: SimDuration,
+    metadata: bool,
 }
 
-impl Actor for GreedyArApp {
+impl VideoFeed {
+    /// A saturating feed — 12 KB frames + metadata ≈ 2.9 Mb/s offered,
+    /// more than the E12/E14 links fit, so the protocol's congestion
+    /// control decides the rate.
+    fn greedy(sender: ActorId) -> Self {
+        VideoFeed {
+            sender,
+            next_id: 0,
+            frame_bytes: 12_000,
+            deadline: SimDuration::from_millis(200),
+            metadata: true,
+        }
+    }
+}
+
+impl Actor for VideoFeed {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
         if matches!(ev, Event::Start | Event::Timer { .. }) {
             let now = ctx.now();
-            // 30 FPS of 12 KB droppable frames + metadata ≈ 2.9 Mb/s offered.
-            let frame = ArMessage::new(self.next_id, StreamKind::VideoInter, 12_000, now)
-                .with_deadline(now + SimDuration::from_millis(200));
-            let meta = ArMessage::new(self.next_id + 1, StreamKind::Metadata, 100, now);
-            self.next_id += 2;
+            let frame = ArMessage::new(self.next_id, StreamKind::VideoInter, self.frame_bytes, now)
+                .with_deadline(now + self.deadline);
             ctx.send_message(self.sender, Payload::new(Submit(frame)));
-            ctx.send_message(self.sender, Payload::new(Submit(meta)));
+            self.next_id += 1;
+            if self.metadata {
+                let meta = ArMessage::new(self.next_id, StreamKind::Metadata, 100, now);
+                ctx.send_message(self.sender, Payload::new(Submit(meta)));
+                self.next_id += 1;
+            }
             ctx.schedule_timer(SimDuration::from_millis(33), 0);
         }
     }
@@ -409,7 +546,7 @@ pub fn run_fairness_config_instrumented(
     let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Nic(right)]);
     let ar = receiver.stats();
     sim.install_actor(ar_rcv, receiver);
-    sim.install_actor(app, GreedyArApp { sender: ar_snd, next_id: 0 });
+    sim.install_actor(app, VideoFeed::greedy(ar_snd));
     left_nic.add_route(1, ar_snd);
     right_nic.add_route(1, ar_rcv);
 
@@ -579,11 +716,6 @@ impl RecoveryMechanism {
             RecoveryMechanism::ArqFecK8 => "arq+fec-k8",
             RecoveryMechanism::Duplicate => "duplicate",
         }
-    }
-
-    /// Parses a [`RecoveryMechanism::label`] back.
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|m| m.label() == label)
     }
 
     /// The AR configuration that runs this mechanism: the default config
@@ -1010,12 +1142,14 @@ pub fn run_faults_config_instrumented(
 // Multipath commute (E12)
 // ---------------------------------------------------------------------------
 
-/// Outcome of a multipath-policy commute run.
+/// Outcome of a run whose subject is one AR flow: the E12 commute and
+/// the single-path scenarios (X1, X3, X4).
 #[derive(Debug)]
-pub struct MultipathOutcome {
-    /// Receiver stats (deliveries, deadline ratio).
+pub struct ArFlowOutcome {
+    /// Receiver stats (deliveries, latency, deadline ratio).
     pub receiver: Rc<RefCell<ArReceiverStats>>,
-    /// Sender stats (cellular bytes = the LTE bill).
+    /// Sender stats (shed bytes, congestion events, cellular bytes = the
+    /// LTE bill).
     pub sender: Rc<RefCell<ArSenderStats>>,
 }
 
@@ -1032,7 +1166,7 @@ pub fn run_multipath_commute_config_instrumented(
     secs: u64,
     seed: u64,
     telemetry: &TelemetryOptions,
-) -> (MultipathOutcome, u64, TelemetryCapture) {
+) -> (ArFlowOutcome, u64, TelemetryCapture) {
     let (mut sim, registry) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
@@ -1094,11 +1228,382 @@ pub fn run_multipath_commute_config_instrumented(
     );
     let receiver_stats = receiver.stats();
     sim.install_actor(rcv, receiver);
-    sim.install_actor(app, GreedyArApp { sender: snd, next_id: 0 });
+    sim.install_actor(app, VideoFeed::greedy(snd));
 
     let events = sim.run_until(SimTime::from_secs(secs));
     let capture = finish_telemetry(&mut sim, registry);
-    (MultipathOutcome { receiver: receiver_stats, sender: sender_stats }, events, capture)
+    (ArFlowOutcome { receiver: receiver_stats, sender: sender_stats }, events, capture)
+}
+
+// ---------------------------------------------------------------------------
+// One AR flow on one path (Fig. 4, X1, X3, X4)
+// ---------------------------------------------------------------------------
+
+/// One AR flow on one path, wired and waiting for its application: sender
+/// and receiver installed on an `up`/`down` link pair, the sender's QoS
+/// signals addressed to the reserved `app` slot. A scenario installs its
+/// application there, adds what else it needs (a link modulator, a
+/// competing flow) and calls [`SinglePath::run`].
+struct SinglePath {
+    sim: Simulator,
+    registry: Option<Rc<MetricsRegistry>>,
+    /// The AR sender, where the application submits.
+    snd: ActorId,
+    /// Reserved for the application.
+    app: ActorId,
+    /// The data direction — the link the scenarios modulate.
+    up: LinkId,
+    flow: ArFlowOutcome,
+}
+
+impl SinglePath {
+    fn new(
+        cfg: &ArConfig,
+        up: LinkParams,
+        down: LinkParams,
+        seed: u64,
+        telemetry: &TelemetryOptions,
+    ) -> Self {
+        let (mut sim, registry) = instrumented_sim(seed, telemetry);
+        let snd = sim.reserve_actor();
+        let rcv = sim.reserve_actor();
+        let app = sim.reserve_actor();
+        let up = sim.add_link(snd, rcv, up);
+        let down = sim.add_link(rcv, snd, down);
+        let sender = ArSender::new(
+            1,
+            cfg.clone(),
+            vec![SenderPathConfig { role: PathRole::Wifi, tx: TxPath::Link(up), link: Some(up) }],
+        )
+        .with_qos_target(app);
+        let sender_stats = sender.stats();
+        sim.install_actor(snd, sender);
+        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+        let receiver_stats = receiver.stats();
+        sim.install_actor(rcv, receiver);
+        let flow = ArFlowOutcome { receiver: receiver_stats, sender: sender_stats };
+        SinglePath { sim, registry, snd, app, up, flow }
+    }
+
+    /// A symmetric path: `mbps` and `one_way` in both directions.
+    fn symmetric(
+        cfg: &ArConfig,
+        mbps: f64,
+        one_way: SimDuration,
+        seed: u64,
+        telemetry: &TelemetryOptions,
+    ) -> Self {
+        let params = LinkParams::new(Bandwidth::from_mbps(mbps), one_way);
+        SinglePath::new(cfg, params.clone(), params, seed, telemetry)
+    }
+
+    fn run(mut self, secs: u64) -> (ArFlowOutcome, u64, TelemetryCapture) {
+        let events = self.sim.run_until(SimTime::from_secs(secs));
+        if let Some(reg) = &self.registry {
+            self.flow.sender.borrow().publish_usage(reg, "core.class");
+        }
+        let capture = finish_telemetry(&mut self.sim, self.registry);
+        (self.flow, events, capture)
+    }
+}
+
+/// The Fig. 4 application: four sub-streams — connection metadata, sensor
+/// data, video reference frames and interframes — whose video quality
+/// follows the sender's QoS signals, interframes first.
+#[derive(Debug)]
+struct Fig4App {
+    sender: ActorId,
+    next_id: u64,
+    frame: u64,
+    inter_bytes: u32,
+    ref_bytes: u32,
+    consecutive_degrades: u32,
+}
+
+impl Actor for Fig4App {
+    fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+        match ev {
+            Event::Start | Event::Timer { .. } => {
+                let now = ctx.now();
+                let deadline = now + SimDuration::from_millis(150);
+                let is_ref = self.frame.is_multiple_of(10);
+                self.frame += 1;
+                let mut send = |id: u64, kind: StreamKind, bytes: u32, dl: bool| {
+                    let mut m = ArMessage::new(id, kind, bytes, now);
+                    if dl {
+                        m = m.with_deadline(deadline);
+                    }
+                    ctx.send_message(self.sender, Payload::new(Submit(m)));
+                };
+                let id = self.next_id;
+                self.next_id += 4;
+                if is_ref {
+                    send(id, StreamKind::VideoReference, self.ref_bytes, true);
+                } else {
+                    send(id, StreamKind::VideoInter, self.inter_bytes, true);
+                }
+                send(id + 1, StreamKind::Sensor, 400, true);
+                send(id + 2, StreamKind::Metadata, 100, false);
+                ctx.schedule_timer(SimDuration::from_millis(33), 0);
+            }
+            Event::Message { msg, .. } => match msg.map_ref(|s: &QosSignal| *s) {
+                Some(QosSignal::Degrade { severity, .. }) => {
+                    self.consecutive_degrades += 1;
+                    // Interframes are the first adjustable variable;
+                    // reference frames only under severe or *persistent*
+                    // congestion ("temporarily reduce the quality and
+                    // number of reference frames").
+                    self.inter_bytes = (self.inter_bytes * 7 / 10).max(800);
+                    if severity >= 2 || self.consecutive_degrades > 15 {
+                        self.ref_bytes = (self.ref_bytes * 8 / 10).max(4_000);
+                    }
+                }
+                Some(QosSignal::Headroom { .. }) => {
+                    self.consecutive_degrades = 0;
+                    self.inter_bytes = (self.inter_bytes * 11 / 10).min(16_000);
+                    self.ref_bytes = (self.ref_bytes * 21 / 20).min(20_000);
+                }
+                None => {}
+            },
+            _ => {}
+        }
+    }
+}
+
+/// Outcome of the Fig. 4 run: a TCP flow and an AR flow, each alone on
+/// its own copy of the same scripted link.
+#[derive(Debug)]
+pub struct Fig4Outcome {
+    /// TCP sender stats (its `cwnd_series` is the figure's upper panel).
+    pub tcp: Rc<RefCell<TcpFlowStats>>,
+    /// TCP receiver stats (goodput meter).
+    pub tcp_receiver: Rc<RefCell<TcpReceiverStats>>,
+    /// The AR flow (per-kind send meters, deliveries, shed messages).
+    pub ar: ArFlowOutcome,
+}
+
+/// Fig. 4: a 30 ms RTT link whose capacity steps through `rates_mbps`,
+/// `phase_secs` each (the figure's two loss events), carrying — on two
+/// independent copies in one simulator — a greedy TCP Reno flow and the
+/// AR protocol with the figure's four sub-streams.
+pub fn run_fig4(
+    rates_mbps: &[f64],
+    phase_secs: u64,
+    seed: u64,
+    telemetry: &TelemetryOptions,
+) -> (Fig4Outcome, u64, TelemetryCapture) {
+    let first_mbps = rates_mbps.first().copied().unwrap_or(0.0);
+    let one_way = SimDuration::from_millis(15);
+    let script = || {
+        let steps = (0u64..)
+            .zip(rates_mbps)
+            .map(|(phase, &mbps)| {
+                (SimTime::from_secs(phase * phase_secs), Bandwidth::from_mbps(mbps))
+            })
+            .collect();
+        Box::new(ScriptedRate::new(steps))
+    };
+    let interval = SimDuration::from_millis(100);
+
+    let mut path =
+        SinglePath::symmetric(&ArConfig::default(), first_mbps, one_way, seed, telemetry);
+    modulate_links(&mut path.sim, vec![path.up], script(), interval);
+    path.sim.install_actor(
+        path.app,
+        Fig4App {
+            sender: path.snd,
+            next_id: 0,
+            frame: 0,
+            inter_bytes: 16_000,
+            ref_bytes: 20_000,
+            consecutive_degrades: 0,
+        },
+    );
+
+    // The TCP baseline, on links of its own (connection 2: the AR flow is 1).
+    let sim = &mut path.sim;
+    let s = sim.reserve_actor();
+    let r = sim.reserve_actor();
+    let params = LinkParams::new(Bandwidth::from_mbps(first_mbps), one_way);
+    let fwd = sim.add_link(s, r, params.clone());
+    let rev = sim.add_link(r, s, params);
+    modulate_links(sim, vec![fwd], script(), interval);
+    let sender =
+        TcpSender::new(2, TxPath::Link(fwd), TcpConfig::default(), Box::new(Reno::new(1460)));
+    let tcp = sender.stats();
+    sim.install_actor(s, sender);
+    let receiver = TcpReceiver::new(2, TxPath::Link(rev));
+    let tcp_receiver = receiver.stats();
+    sim.install_actor(r, receiver);
+
+    let (ar, events, capture) = path.run(rates_mbps.len() as u64 * phase_secs);
+    (Fig4Outcome { tcp, tcp_receiver, ar }, events, capture)
+}
+
+/// Offered ≈ 4 Mb/s of video (20 KB reference frame every tenth tick,
+/// interframes from 15 KB) plus metadata; with `adaptive` the interframe
+/// size follows the sender's QoS signals.
+#[derive(Debug)]
+struct OverloadApp {
+    sender: ActorId,
+    next_id: u64,
+    frame: u64,
+    inter_bytes: u32,
+    adaptive: bool,
+}
+
+impl Actor for OverloadApp {
+    fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+        match ev {
+            Event::Start | Event::Timer { .. } => {
+                let now = ctx.now();
+                let deadline = now + SimDuration::from_millis(100);
+                let is_ref = self.frame.is_multiple_of(10);
+                self.frame += 1;
+                let kind = if is_ref { StreamKind::VideoReference } else { StreamKind::VideoInter };
+                let bytes = if is_ref { 20_000 } else { self.inter_bytes };
+                let id = self.next_id;
+                self.next_id += 2;
+                let m = ArMessage::new(id, kind, bytes, now).with_deadline(deadline);
+                ctx.send_message(self.sender, Payload::new(Submit(m)));
+                let meta = ArMessage::new(id + 1, StreamKind::Metadata, 100, now);
+                ctx.send_message(self.sender, Payload::new(Submit(meta)));
+                ctx.schedule_timer(SimDuration::from_millis(33), 0);
+            }
+            Event::Message { msg, .. } if self.adaptive => match msg.map_ref(|s: &QosSignal| *s) {
+                Some(QosSignal::Degrade { .. }) => {
+                    self.inter_bytes = (self.inter_bytes * 7 / 10).max(1_000);
+                }
+                Some(QosSignal::Headroom { .. }) => {
+                    self.inter_bytes = (self.inter_bytes * 11 / 10).min(15_000);
+                }
+                None => {}
+            },
+            _ => {}
+        }
+    }
+}
+
+/// The scheduler arm of the X1 ablation: the default configuration, or —
+/// without `backlog_control` — backlog-pressure shedding switched off, so
+/// the scheduler degenerates to delay-everything-until-late (messages
+/// past their deadline are still shed: droppable classes are defined by
+/// their deadlines).
+pub fn ablation_config(backlog_control: bool) -> ArConfig {
+    if backlog_control {
+        ArConfig::default()
+    } else {
+        ArConfig {
+            stale_after: SimDuration::from_secs(3_600),
+            backlog_ticks: 1e9,
+            ..ArConfig::default()
+        }
+    }
+}
+
+/// X1: ≈ 4 Mb/s of video with 100 ms deadlines offered into a `link_mbps`
+/// link (20 ms RTT) under scheduler configuration `cfg`; `adaptive` lets
+/// the application lower its interframe quality on QoS signals.
+pub fn run_ablation(
+    cfg: &ArConfig,
+    adaptive: bool,
+    link_mbps: f64,
+    secs: u64,
+    seed: u64,
+    telemetry: &TelemetryOptions,
+) -> (ArFlowOutcome, u64, TelemetryCapture) {
+    let mut path =
+        SinglePath::symmetric(cfg, link_mbps, SimDuration::from_millis(10), seed, telemetry);
+    let app = OverloadApp { sender: path.snd, next_id: 0, frame: 0, inter_bytes: 15_000, adaptive };
+    path.sim.install_actor(path.app, app);
+    path.run(secs)
+}
+
+/// The link-rate processes of the X3 sweep: one mean, rising variance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RateVariance {
+    /// The mean rate, always.
+    Constant,
+    /// AR(1) lognormal wander, σ = 0.15 decades, ρ = 0.9.
+    Ar1Mild,
+    /// AR(1) lognormal wander, σ = 0.35 decades, ρ = 0.9.
+    Ar1Heavy,
+    /// Two-state Markov chain between the mean rate and 100 kb/s — the
+    /// abrupt order-of-magnitude drops §IV-A-1 reports for HSPA+.
+    Markov,
+}
+
+impl RateVariance {
+    /// The process around `mean`, drawing from its own substream of `seed`.
+    fn process(self, mean: Bandwidth, seed: u64) -> Box<dyn RateProcess> {
+        match self {
+            RateVariance::Constant => Box::new(ConstantRate(mean)),
+            RateVariance::Ar1Mild => {
+                Box::new(Ar1LogRate::new(mean, 0.15, 0.9, derive_rng(seed, "var.mild")))
+            }
+            RateVariance::Ar1Heavy => {
+                Box::new(Ar1LogRate::new(mean, 0.35, 0.9, derive_rng(seed, "var.heavy")))
+            }
+            RateVariance::Markov => Box::new(MarkovRate::new(
+                mean,
+                Bandwidth::from_kbps(100.0),
+                0.05,
+                0.25,
+                derive_rng(seed, "var.markov"),
+            )),
+        }
+    }
+}
+
+/// X3: 30 FPS of 6 KB frames with 100 ms deadlines (≈ 1.5 Mb/s) plus
+/// metadata over a 40 ms RTT link whose rate follows `variance` around
+/// `mean_mbps`, resampled every 200 ms.
+pub fn run_variance(
+    variance: RateVariance,
+    mean_mbps: f64,
+    secs: u64,
+    seed: u64,
+    telemetry: &TelemetryOptions,
+) -> (ArFlowOutcome, u64, TelemetryCapture) {
+    let one_way = SimDuration::from_millis(20);
+    let mut path = SinglePath::symmetric(&ArConfig::default(), mean_mbps, one_way, seed, telemetry);
+    let process = variance.process(Bandwidth::from_mbps(mean_mbps), seed);
+    modulate_links(&mut path.sim, vec![path.up], process, SimDuration::from_millis(200));
+    let feed = VideoFeed {
+        sender: path.snd,
+        next_id: 0,
+        frame_bytes: 6_000,
+        deadline: SimDuration::from_millis(100),
+        metadata: true,
+    };
+    path.sim.install_actor(path.app, feed);
+    path.run(secs)
+}
+
+/// X4: a 30 FPS video uplink offering `offered_mbps` with 75 ms deadlines
+/// over one sampled realization of `tech`'s calibrated §IV-A link profile
+/// (uplink for the data, downlink for the feedback).
+pub fn run_access_feed(
+    tech: RadioTechnology,
+    offered_mbps: f64,
+    secs: u64,
+    seed: u64,
+    telemetry: &TelemetryOptions,
+) -> (ArFlowOutcome, u64, TelemetryCapture) {
+    let profile = tech.profile();
+    let mut rng = derive_rng(seed, "sweep5g");
+    let up = profile.sample_link_params(LinkDirection::Uplink, &mut rng);
+    let down = profile.sample_link_params(LinkDirection::Downlink, &mut rng);
+    let mut path = SinglePath::new(&ArConfig::default(), up, down, seed, telemetry);
+    let feed = VideoFeed {
+        sender: path.snd,
+        next_id: 0,
+        frame_bytes: (offered_mbps * 1e6 / 30.0 / 8.0) as u32,
+        deadline: SimDuration::from_millis(75),
+        metadata: false,
+    };
+    path.sim.install_actor(path.app, feed);
+    path.run(secs)
 }
 
 // ---------------------------------------------------------------------------
@@ -1289,7 +1794,7 @@ mod tests {
 
     #[test]
     fn fig3_uploads_starve_the_download() {
-        let out = run_fig3(10.0, 1.0, 1000, 2, 60, 5);
+        let out = run_fig3(10.0, 1.0, 1000, 2, 60, 5, &off()).0;
         let dl = out.download.borrow();
         // Before the first upload starts the download fills the pipe; after
         // the uploads saturate the uplink, ACKs drown and goodput collapses.
@@ -1372,8 +1877,8 @@ mod tests {
         let wifi_only = run(MultipathPolicy::WifiOnly);
         let preferred = run(MultipathPolicy::WifiPreferred);
         let aggregate = run(MultipathPolicy::Aggregate);
-        let lte = |o: &MultipathOutcome| o.sender.borrow().cellular_bytes;
-        let delivered = |o: &MultipathOutcome| {
+        let lte = |o: &ArFlowOutcome| o.sender.borrow().cellular_bytes;
+        let delivered = |o: &ArFlowOutcome| {
             o.receiver.borrow().by_kind.values().map(|k| k.delivered).sum::<u64>()
         };
         // LTE usage: WifiOnly ≤ WifiPreferred ≤ Aggregate (policy 1 barely

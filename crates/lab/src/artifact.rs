@@ -287,6 +287,37 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A metric that does not exist for a trial (here: NaN in two of four
+    /// replicates, and in every replicate of one point) is omitted from
+    /// the report, so the artifact stays loadable and diffable.
+    #[test]
+    fn nan_scalars_are_omitted_and_the_artifact_round_trips() {
+        let spec = ScenarioSpec::new("artifact-nan", 3, 4)
+            .with_axis("x", vec![ParamValue::Int(1), ParamValue::Int(2)]);
+        let run = run_experiment(&spec, 2, |point, ctx| {
+            let mut r = TrialReport::new();
+            r.scalar("always", f64::from(ctx.replicate));
+            let exists = point.index == 0 && ctx.replicate % 2 == 0;
+            r.scalar("sometimes", if exists { 5.0 } else { f64::NAN });
+            r.scalar_opt("never", None);
+            r
+        });
+        let a = Artifact::from_run(&run);
+        let sometimes = &a.points[0].scalars["sometimes"];
+        assert_eq!((sometimes.count, sometimes.mean), (2, 5.0), "replicates that reported it");
+        assert!(!a.points[1].scalars.contains_key("sometimes"));
+        assert_eq!(a.points[1].scalars["always"].count, 4);
+        assert!(!a.to_json().contains("null"), "no non-finite number reaches the JSON");
+
+        let dir = std::env::temp_dir().join(format!("marnet_lab_art4_{}", std::process::id()));
+        let path = dir.join("nan.json");
+        a.write(&path).unwrap();
+        let back = Artifact::load(&path).expect("an artifact with absent metrics loads");
+        assert_eq!(a, back);
+        assert!(back.diff(&a).is_empty(), "no drift against itself");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn load_rejects_future_schema() {
         let mut a = artifact_for(0.0);

@@ -1,8 +1,22 @@
-//! The built-in experiments: the paper's Table II RTT measurement, the
-//! §VI-C recovery sweep, the §III offload-decision sweep, the E16 fault
-//! sweep and the E17 city-scale sweep, each a `marnet-bench` scenario on
-//! the replicated runner so its table carries mean ± 95% CI columns.
-//! `--replicates 1` is the single-seed quick look.
+//! The built-in experiments: every table, figure and sweep of the paper
+//! reproduction (DESIGN.md §4) as a spec, a trial function and a table
+//! renderer on the replicated runner, so each row carries mean ± 95% CI
+//! columns and lands in a schema-v1 artifact. `--replicates 1` is the
+//! single-seed quick look.
+//!
+//! A simulated experiment's trial calls its one `marnet-bench` scenario
+//! entry point with `ctx.seed` and the run's `TelemetryOptions`; a
+//! closed-form one computes inside the trial from the crate catalogues
+//! (and records no telemetry). Every constant that shapes a run is a spec
+//! parameter, hence under the spec hash; a hand-picked list of rows is one
+//! axis of labelled values (`labels` / `labelled`). This file holds the
+//! framework and the five experiments that were born here (E2, E9, E11,
+//! E16, E17); the rest are grouped by kind in the submodules.
+
+mod extensions;
+mod figures;
+mod sweeps;
+mod tables;
 
 use crate::agg::PointSummary;
 use crate::runner::{TrialCtx, TrialReport};
@@ -45,84 +59,235 @@ impl std::fmt::Debug for Experiment {
     }
 }
 
-/// Names of the built-in experiments, in menu order.
-pub const NAMES: [&str; 5] =
-    ["table2_rtt", "sweep_recovery", "sweep_offload", "sweep_faults", "sweep_cityscale"];
+/// Names of the built-in experiments, in the order of DESIGN.md §4
+/// (E1–E17, then the extensions X1–X5).
+pub const NAMES: [&str; 22] = [
+    "table1_devices",
+    "table2_rtt",
+    "fig2_anomaly",
+    "fig3_asymmetry",
+    "fig4_degradation",
+    "fig5_distribution",
+    "table_wireless",
+    "table_asymmetry",
+    "sweep_offload",
+    "sweep_placement",
+    "sweep_recovery",
+    "sweep_multipath",
+    "sweep_queueing",
+    "sweep_fairness",
+    "table_bitrates",
+    "sweep_faults",
+    "sweep_cityscale",
+    "ablation_degradation",
+    "table_privacy",
+    "sweep_variance",
+    "sweep_5g",
+    "sweep_caching",
+];
 
 /// Builds the named experiment, or `None` for an unknown name. The
 /// telemetry options are cloned into the trial closure: every replicate
 /// of an instrumented experiment records/meters with the same settings.
+/// (Closed-form experiments take none: they have nothing to record.)
 pub fn build(
     name: &str,
     replicates: u32,
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> Option<Experiment> {
-    match name {
-        "table2_rtt" => Some(table2_rtt(replicates, seed, telemetry.clone())),
-        "sweep_recovery" => Some(sweep_recovery(replicates, seed, telemetry.clone())),
-        "sweep_offload" => Some(sweep_offload(replicates, seed)),
-        "sweep_faults" => Some(sweep_faults(replicates, seed, telemetry.clone())),
-        "sweep_cityscale" => Some(sweep_cityscale(replicates, seed, telemetry.clone())),
-        _ => None,
+    let spec = ScenarioSpec::new(name, seed, replicates);
+    let t = || telemetry.clone();
+    Some(match name {
+        "table1_devices" => tables::table1_devices(spec),
+        "table2_rtt" => table2_rtt(spec, t()),
+        "fig2_anomaly" => figures::fig2_anomaly(spec, t()),
+        "fig3_asymmetry" => figures::fig3_asymmetry(spec, t()),
+        "fig4_degradation" => figures::fig4_degradation(spec, t()),
+        "fig5_distribution" => figures::fig5_distribution(spec),
+        "table_wireless" => tables::table_wireless(spec),
+        "table_asymmetry" => tables::table_asymmetry(spec),
+        "sweep_offload" => sweep_offload(spec),
+        "sweep_placement" => sweeps::sweep_placement(spec),
+        "sweep_recovery" => sweep_recovery(spec, t()),
+        "sweep_multipath" => sweeps::sweep_multipath(spec, t()),
+        "sweep_queueing" => sweeps::sweep_queueing(spec, t()),
+        "sweep_fairness" => sweeps::sweep_fairness(spec, t()),
+        "table_bitrates" => tables::table_bitrates(spec),
+        "sweep_faults" => sweep_faults(spec, t()),
+        "sweep_cityscale" => sweep_cityscale(spec, t()),
+        "ablation_degradation" => extensions::ablation_degradation(spec, t()),
+        "table_privacy" => tables::table_privacy(spec),
+        "sweep_variance" => extensions::sweep_variance(spec, t()),
+        "sweep_5g" => extensions::sweep_5g(spec, t()),
+        "sweep_caching" => extensions::sweep_caching(spec),
+        _ => return None,
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Shared by every experiment: labelled axes, parameter and cell helpers
+// ---------------------------------------------------------------------------
+
+/// A grid point's (or point summary's) parameter assignment.
+type Params = BTreeMap<String, ParamValue>;
+
+/// The sweep axis over a list of labelled values: the labels go into the
+/// spec (and under its hash); [`labelled`] maps one back to its value.
+fn labels<L: AsRef<str>, T>(values: &[(L, T)]) -> Vec<ParamValue> {
+    values.iter().map(|(label, _)| ParamValue::Str(label.as_ref().to_string())).collect()
+}
+
+/// The value that `params[key]` labels among `values`.
+///
+/// # Panics
+///
+/// Panics if the parameter is missing or labels none of `values` — the
+/// axis was built by [`labels`] from the same list, so a miss is a
+/// programming error in the experiment definition.
+fn labelled<L: AsRef<str>, T: Clone>(values: &[(L, T)], params: &Params, key: &str) -> T {
+    let label = params.get(key).and_then(ParamValue::as_str);
+    values
+        .iter()
+        .find(|(l, _)| Some(l.as_ref()) == label)
+        .map(|(_, value)| value.clone())
+        .unwrap_or_else(|| panic!("parameter {key:?} = {label:?} labels no known value"))
+}
+
+/// The numeric parameter `key` (an `Int` coerces).
+fn float(point: &GridPoint, key: &str) -> f64 {
+    point.param(key).as_float().unwrap_or_else(|| panic!("parameter {key:?} is not numeric"))
+}
+
+/// The non-negative integer parameter `key`.
+fn uint(point: &GridPoint, key: &str) -> u64 {
+    point
+        .param(key)
+        .as_int()
+        .and_then(|v| u64::try_from(v).ok())
+        .unwrap_or_else(|| panic!("parameter {key:?} is not a non-negative integer"))
+}
+
+/// A yes/no outcome as a scalar, so its mean is the share of replicates
+/// that said yes.
+fn flag(yes: bool) -> f64 {
+    if yes {
+        1.0
+    } else {
+        0.0
     }
 }
 
-/// `mean ± ci` cell text.
-fn pm(mean: f64, ci: f64, prec: usize) -> String {
-    format!("{} ± {}", fmt(mean, prec), fmt(ci, prec))
+/// The mean of metric `key`, NaN (which [`fmt`] prints as `-`) when no
+/// replicate reported it.
+fn mean(p: &PointSummary, key: &str) -> f64 {
+    p.scalars.get(key).map_or(f64::NAN, |m| m.mean)
+}
+
+/// `mean ± ci<unit>` of metric `key`, `-` when no replicate reported it.
+fn pm(p: &PointSummary, key: &str, prec: usize, unit: &str) -> String {
+    match p.scalars.get(key) {
+        Some(m) => format!("{} ± {}{unit}", fmt(m.mean, prec), fmt(m.ci95, prec)),
+        None => "-".to_string(),
+    }
+}
+
+/// How one column of a rendered table fills its cell from a point. A
+/// metric no replicate reported prints `-`.
+enum Cell<'a> {
+    /// The parameter `key`, then a unit.
+    Param(&'a str, &'a str),
+    /// `mean ± ci` of metric `key` at a precision, then a unit.
+    Pm(&'a str, usize, &'a str),
+    /// The mean of metric `key` alone (a closed-form value), then a unit.
+    Mean(&'a str, usize, &'a str),
+    /// `yes` / `no` of a [`flag`] metric: what most replicates said.
+    YesNo(&'a str),
+    /// Replicates that completed.
+    N,
+    /// Anything else, from the point and the row's key prefix.
+    With(&'a dyn Fn(&PointSummary, &str) -> String),
+}
+
+/// One table row per point, no key prefix.
+fn each(points: &[PointSummary]) -> impl Iterator<Item = (&PointSummary, String)> {
+    points.iter().map(|p| (p, String::new()))
+}
+
+/// Prints a table of `(header, cell)` columns with one row per `(point,
+/// prefix)`. The prefix goes before every parameter and metric key the
+/// columns name, so one run whose phases report `phase1.x`, `phase2.x`, …
+/// renders as one row per phase.
+fn table<'p>(
+    title: &str,
+    rows: impl IntoIterator<Item = (&'p PointSummary, String)>,
+    cols: &[(&str, Cell)],
+) {
+    let headers: Vec<&str> = cols.iter().map(|(header, _)| *header).collect();
+    let rows: Vec<Vec<String>> = rows
+        .into_iter()
+        .map(|(p, prefix)| {
+            let key = |k: &str| format!("{prefix}{k}");
+            cols.iter()
+                .map(|(_, cell)| match cell {
+                    Cell::Param(k, unit) => match p.params.get(&key(k)) {
+                        Some(value) => format!("{value}{unit}"),
+                        None => "-".to_string(),
+                    },
+                    Cell::Pm(k, prec, unit) => pm(p, &key(k), *prec, unit),
+                    Cell::Mean(k, prec, unit) => match p.scalars.get(&key(k)) {
+                        Some(m) => format!("{}{unit}", fmt(m.mean, *prec)),
+                        None => "-".to_string(),
+                    },
+                    Cell::YesNo(k) => match p.scalars.get(&key(k)) {
+                        Some(m) => if m.mean >= 0.5 { "yes" } else { "no" }.to_string(),
+                        None => "-".to_string(),
+                    },
+                    Cell::N => p.replicates_ok.to_string(),
+                    Cell::With(text) => text(p, &prefix),
+                })
+                .collect()
+        })
+        .collect();
+    print_table(title, &headers, &rows);
 }
 
 // ---------------------------------------------------------------------------
 // Table II
 // ---------------------------------------------------------------------------
 
-fn scenario_key(s: Table2Scenario) -> &'static str {
-    match s {
-        Table2Scenario::LocalServerWifi => "local_wifi",
-        Table2Scenario::CloudServerWifi => "cloud_wifi",
-        Table2Scenario::UniversityServerWifi => "university_wifi",
-        Table2Scenario::CloudServerLte => "cloud_lte",
-    }
-}
+/// Axis labels of the four Table II scenarios, in table order.
+const TABLE2_SCENARIOS: [(&str, Table2Scenario); 4] = [
+    ("local_wifi", Table2Scenario::LocalServerWifi),
+    ("cloud_wifi", Table2Scenario::CloudServerWifi),
+    ("university_wifi", Table2Scenario::UniversityServerWifi),
+    ("cloud_lte", Table2Scenario::CloudServerLte),
+];
 
-fn scenario_from_key(key: &str) -> Table2Scenario {
-    Table2Scenario::ALL
-        .into_iter()
-        .find(|&s| scenario_key(s) == key)
-        .unwrap_or_else(|| panic!("unknown Table II scenario key {key:?}"))
-}
-
-fn table2_rtt(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Experiment {
-    let spec = ScenarioSpec::new("table2_rtt", seed, replicates)
+fn table2_rtt(spec: ScenarioSpec, telemetry: TelemetryOptions) -> Experiment {
+    let spec = spec
         .with_param("probes", ParamValue::Int(200))
         .with_param("request_bytes", ParamValue::Int(400))
         .with_param("response_bytes", ParamValue::Int(400))
-        .with_axis(
-            "scenario",
-            Table2Scenario::ALL
-                .into_iter()
-                .map(|s| ParamValue::Str(scenario_key(s).to_string()))
-                .collect(),
-        );
+        .with_axis("scenario", labels(&TABLE2_SCENARIOS));
     let trial = Box::new(move |point: &GridPoint, ctx: &TrialCtx| {
-        let scenario = scenario_from_key(point.param("scenario").as_str().expect("str"));
-        let probes = point.param("probes").as_int().expect("int") as u64;
-        let request = point.param("request_bytes").as_int().expect("int") as u32;
-        let response = point.param("response_bytes").as_int().expect("int") as u32;
+        let scenario = labelled(&TABLE2_SCENARIOS, &point.params, "scenario");
+        let probes = uint(point, "probes");
+        let request = uint(point, "request_bytes") as u32;
+        let response = uint(point, "response_bytes") as u32;
         let (stats, _events, capture) =
             run_table2_instrumented(scenario, probes, request, response, ctx.seed, &telemetry);
         let st = stats.borrow();
         let mut h = st.rtt_ms.clone();
-        let median = h.median().unwrap_or(f64::NAN);
+        let median = h.median();
         let mut report = TrialReport::new();
         report
-            .scalar("median_ms", median)
-            .scalar("mean_ms", h.mean().unwrap_or(f64::NAN))
-            .scalar("p95_ms", h.p95().unwrap_or(f64::NAN))
+            .scalar_opt("median_ms", median)
+            .scalar_opt("mean_ms", h.mean())
+            .scalar_opt("p95_ms", h.p95())
             .scalar("received", st.received as f64)
             // One offload transaction per RTT, as in the paper's 20 FPS note.
-            .scalar("fps_supportable", 1000.0 / median)
+            .scalar_opt("fps_supportable", median.map(|ms| 1000.0 / ms))
             .samples("rtt_ms", st.rtt_ms.values().to_vec());
         drop(st);
         report.capture(capture);
@@ -132,40 +297,21 @@ fn table2_rtt(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Experi
 }
 
 fn render_table2(points: &[PointSummary]) {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            let scenario = scenario_from_key(p.params["scenario"].as_str().expect("str"));
-            let (platform, connection, paper_ms) = scenario.labels();
-            let median = &p.scalars["median_ms"];
-            let p95 = &p.scalars["p95_ms"];
-            let fps = &p.scalars["fps_supportable"];
-            let pooled = &p.samples["rtt_ms"];
-            vec![
-                platform.to_string(),
-                connection.to_string(),
-                format!("{paper_ms} ms"),
-                format!("{} ms", pm(median.mean, median.ci95, 1)),
-                format!("{} ms", pm(p95.mean, p95.ci95, 1)),
-                format!("{} ms", fmt(pooled.p99, 1)),
-                pm(fps.mean, fps.ci95, 1),
-                format!("{}", p.replicates_ok),
-            ]
-        })
-        .collect();
-    print_table(
+    let row = |p: &PointSummary| labelled(&TABLE2_SCENARIOS, &p.params, "scenario").labels();
+    let pooled_p99 = |p: &PointSummary| p.samples.get("rtt_ms").map_or(f64::NAN, |s| s.p99);
+    table(
         "Table II — offload link RTT, mean ± 95% CI across replicates",
+        each(points),
         &[
-            "Platform",
-            "Connection",
-            "Paper RTT",
-            "Median (sim)",
-            "p95 (sim)",
-            "pooled p99",
-            "fps supportable",
-            "n",
+            ("Platform", Cell::With(&|p, _| row(p).0.to_string())),
+            ("Connection", Cell::With(&|p, _| row(p).1.to_string())),
+            ("Paper RTT", Cell::With(&|p, _| format!("{} ms", row(p).2))),
+            ("Median (sim)", Cell::Pm("median_ms", 1, " ms")),
+            ("p95 (sim)", Cell::Pm("p95_ms", 1, " ms")),
+            ("pooled p99", Cell::With(&|p, _| format!("{} ms", fmt(pooled_p99(p), 1)))),
+            ("fps supportable", Cell::Pm("fps_supportable", 1, "")),
+            ("n", Cell::N),
         ],
-        &rows,
     );
 }
 
@@ -173,25 +319,18 @@ fn render_table2(points: &[PointSummary]) {
 // §VI-C recovery sweep
 // ---------------------------------------------------------------------------
 
-fn sweep_recovery(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Experiment {
-    let spec = ScenarioSpec::new("sweep_recovery", seed, replicates)
+fn sweep_recovery(spec: ScenarioSpec, telemetry: TelemetryOptions) -> Experiment {
+    let spec = spec
         .with_param("loss", ParamValue::Float(0.03))
         .with_param("secs", ParamValue::Int(30))
-        .with_axis(
-            "mechanism",
-            RecoveryMechanism::ALL
-                .into_iter()
-                .map(|m| ParamValue::Str(m.label().to_string()))
-                .collect(),
-        )
+        .with_axis("mechanism", labels(&RecoveryMechanism::ALL.map(|m| (m.label(), m))))
         .with_axis("rtt_ms", [20i64, 36, 60, 120].into_iter().map(ParamValue::Int).collect());
     let trial = Box::new(move |point: &GridPoint, ctx: &TrialCtx| {
-        let mechanism =
-            RecoveryMechanism::from_label(point.param("mechanism").as_str().expect("str"))
-                .expect("known mechanism");
-        let rtt = point.param("rtt_ms").as_int().expect("int") as u64;
-        let loss = point.param("loss").as_float().expect("float");
-        let secs = point.param("secs").as_int().expect("int") as u64;
+        let mechanisms = RecoveryMechanism::ALL.map(|m| (m.label(), m));
+        let mechanism = labelled(&mechanisms, &point.params, "mechanism");
+        let rtt = uint(point, "rtt_ms");
+        let loss = float(point, "loss");
+        let secs = uint(point, "secs");
         let (out, _, capture) =
             run_recovery_instrumented(rtt, loss, mechanism, secs, ctx.seed, &telemetry);
         let mut report = TrialReport::new();
@@ -206,26 +345,17 @@ fn sweep_recovery(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Ex
 }
 
 fn render_recovery(points: &[PointSummary]) {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            let budget = &p.scalars["delivered_in_budget_pct"];
-            let total = &p.scalars["delivered_total_pct"];
-            let overhead = &p.scalars["overhead_pct"];
-            vec![
-                p.params["mechanism"].to_string(),
-                format!("{} ms", p.params["rtt_ms"]),
-                format!("{}%", pm(budget.mean, budget.ci95, 1)),
-                format!("{}%", pm(total.mean, total.ci95, 1)),
-                format!("{}%", pm(overhead.mean, overhead.ci95, 1)),
-                format!("{}", p.replicates_ok),
-            ]
-        })
-        .collect();
-    print_table(
+    table(
         "E11 — recovery at 3% loss, 75 ms budget, mean ± 95% CI across replicates",
-        &["Mechanism", "RTT", "In budget", "Delivered", "Byte overhead", "n"],
-        &rows,
+        each(points),
+        &[
+            ("Mechanism", Cell::Param("mechanism", "")),
+            ("RTT", Cell::Param("rtt_ms", " ms")),
+            ("In budget", Cell::Pm("delivered_in_budget_pct", 1, "%")),
+            ("Delivered", Cell::Pm("delivered_total_pct", 1, "%")),
+            ("Byte overhead", Cell::Pm("overhead_pct", 1, "%")),
+            ("n", Cell::N),
+        ],
     );
 
     // The analytic §VI-C rule and FEC frontier the simulated rows sit on.
@@ -256,30 +386,21 @@ fn render_recovery(points: &[PointSummary]) {
 // E16 fault-injection sweep (marnet-faults)
 // ---------------------------------------------------------------------------
 
-/// Arm labels for the `hardened` axis.
-const FAULT_ARMS: [&str; 2] = ["baseline", "hardened"];
+/// The `stack` axis: is the protocol stack the hardened one?
+const FAULT_ARMS: [(&str, bool); 2] = [("baseline", false), ("hardened", true)];
 
-fn sweep_faults(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Experiment {
-    let spec = ScenarioSpec::new("sweep_faults", seed, replicates)
+fn sweep_faults(spec: ScenarioSpec, telemetry: TelemetryOptions) -> Experiment {
+    let spec = spec
         .with_param("fault_ms", ParamValue::Int(500))
         .with_param("secs", ParamValue::Int(6))
-        .with_axis(
-            "scenario",
-            FaultScenario::ALL
-                .into_iter()
-                .map(|s| ParamValue::Str(s.label().to_string()))
-                .collect(),
-        )
-        .with_axis(
-            "stack",
-            FAULT_ARMS.into_iter().map(|a| ParamValue::Str(a.to_string())).collect(),
-        );
+        .with_axis("scenario", labels(&FaultScenario::ALL.map(|s| (s.label(), s))))
+        .with_axis("stack", labels(&FAULT_ARMS));
     let trial = Box::new(move |point: &GridPoint, ctx: &TrialCtx| {
-        let scenario = FaultScenario::from_label(point.param("scenario").as_str().expect("str"))
-            .expect("known fault scenario");
-        let hardened = point.param("stack").as_str() == Some("hardened");
-        let fault_ms = point.param("fault_ms").as_int().expect("int") as u64;
-        let secs = point.param("secs").as_int().expect("int") as u64;
+        let scenarios = FaultScenario::ALL.map(|s| (s.label(), s));
+        let scenario = labelled(&scenarios, &point.params, "scenario");
+        let hardened = labelled(&FAULT_ARMS, &point.params, "stack");
+        let fault_ms = uint(point, "fault_ms");
+        let secs = uint(point, "secs");
         let cfg = FaultScenario::stack_config(hardened);
         let (out, _, capture) =
             run_faults_config_instrumented(scenario, &cfg, fault_ms, secs, ctx.seed, &telemetry);
@@ -292,7 +413,7 @@ fn sweep_faults(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Expe
         report
             .scalar("delivered_in_budget_pct", out.delivered_in_budget_pct)
             .scalar("qoe_under_fault_pct", out.qoe_under_fault_pct)
-            .scalar("recovered", if out.recovery_ms.is_some() { 1.0 } else { 0.0 })
+            .scalar("recovered", flag(out.recovery_ms.is_some()))
             .scalar("retransmits_during_fault", out.retransmits_during_fault as f64)
             .scalar("retransmits", out.retransmits as f64)
             .scalar("outages_detected", out.outages_detected as f64)
@@ -306,44 +427,24 @@ fn sweep_faults(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Expe
 }
 
 fn render_faults(points: &[PointSummary]) {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            let budget = &p.scalars["delivered_in_budget_pct"];
-            let qoe = &p.scalars["qoe_under_fault_pct"];
-            let recovery = &p.samples["recovery_ms"];
-            let recovered = &p.scalars["recovered"];
-            let rtx_fault = &p.scalars["retransmits_during_fault"];
-            let resyncs = &p.scalars["session_resyncs"];
-            vec![
-                p.params["scenario"].to_string(),
-                p.params["stack"].to_string(),
-                format!("{}%", pm(qoe.mean, qoe.ci95, 1)),
-                format!("{} ms", fmt(recovery.p50, 1)),
-                format!("{} ms", fmt(recovery.p99, 1)),
-                format!("{}%", fmt(recovered.mean * 100.0, 0)),
-                format!("{}%", pm(budget.mean, budget.ci95, 1)),
-                fmt(rtx_fault.mean, 1),
-                fmt(resyncs.mean, 1),
-                format!("{}", p.replicates_ok),
-            ]
-        })
-        .collect();
-    print_table(
+    let recovery = |p: &PointSummary, q: fn(&crate::agg::SampleSummary) -> f64| {
+        format!("{} ms", fmt(p.samples.get("recovery_ms").map_or(f64::NAN, q), 1))
+    };
+    table(
         "E16 — 500 ms faults at t=2 s: QoE under fault and time-to-QoE-restored (censored at horizon)",
+        each(points),
         &[
-            "Fault",
-            "Stack",
-            "QoE under fault",
-            "recovery p50",
-            "recovery p99",
-            "recovered",
-            "In budget (run)",
-            "rtx in fault",
-            "resyncs",
-            "n",
+            ("Fault", Cell::Param("scenario", "")),
+            ("Stack", Cell::Param("stack", "")),
+            ("QoE under fault", Cell::Pm("qoe_under_fault_pct", 1, "%")),
+            ("recovery p50", Cell::With(&|p, _| recovery(p, |r| r.p50))),
+            ("recovery p99", Cell::With(&|p, _| recovery(p, |r| r.p99))),
+            ("recovered", Cell::With(&|p, _| format!("{}%", fmt(mean(p, "recovered") * 100.0, 0)))),
+            ("In budget (run)", Cell::Pm("delivered_in_budget_pct", 1, "%")),
+            ("rtx in fault", Cell::Mean("retransmits_during_fault", 1, "")),
+            ("resyncs", Cell::Mean("session_resyncs", 1, "")),
+            ("n", Cell::N),
         ],
-        &rows,
     );
 }
 
@@ -354,8 +455,8 @@ fn render_faults(points: &[PointSummary]) {
 /// The MAR frame budget used for the in-budget QoE column, as in E11.
 const CITYSCALE_BUDGET_MS: f64 = 75.0;
 
-fn sweep_cityscale(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> Experiment {
-    let spec = ScenarioSpec::new("sweep_cityscale", seed, replicates)
+fn sweep_cityscale(spec: ScenarioSpec, telemetry: TelemetryOptions) -> Experiment {
+    let spec = spec
         .with_param("backhaul_gbps", ParamValue::Float(10.0))
         .with_param("secs", ParamValue::Int(3))
         .with_axis(
@@ -363,9 +464,9 @@ fn sweep_cityscale(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> E
             [25_000i64, 50_000, 100_000].into_iter().map(ParamValue::Int).collect(),
         );
     let trial = Box::new(move |point: &GridPoint, ctx: &TrialCtx| {
-        let clients = point.param("clients").as_int().expect("int") as u64;
-        let backhaul = point.param("backhaul_gbps").as_float().expect("float");
-        let secs = point.param("secs").as_int().expect("int") as u64;
+        let clients = uint(point, "clients");
+        let backhaul = float(point, "backhaul_gbps");
+        let secs = uint(point, "secs");
         let (out, events, capture) =
             run_cityscale_instrumented(clients, backhaul, secs, ctx.seed, &telemetry);
         let mar = out.mar.borrow();
@@ -380,8 +481,8 @@ fn sweep_cityscale(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> E
         let mut report = TrialReport::new();
         report
             .scalar("offered_gbps", cityscale_offered_gbps(clients))
-            .scalar("mar_p50_ms", h.median().unwrap_or(f64::NAN))
-            .scalar("mar_p95_ms", h.p95().unwrap_or(f64::NAN))
+            .scalar_opt("mar_p50_ms", h.median())
+            .scalar_opt("mar_p95_ms", h.p95())
             .scalar("mar_delivery_pct", mar.packets as f64 / offered * 100.0)
             .scalar("mar_in_budget_pct", in_budget as f64 / offered * 100.0)
             .scalar("bg_offered", bg.offered as f64)
@@ -397,39 +498,19 @@ fn sweep_cityscale(replicates: u32, seed: u64, telemetry: TelemetryOptions) -> E
 }
 
 fn render_cityscale(points: &[PointSummary]) {
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            let p50 = &p.scalars["mar_p50_ms"];
-            let p95 = &p.scalars["mar_p95_ms"];
-            let delivery = &p.scalars["mar_delivery_pct"];
-            let budget = &p.scalars["mar_in_budget_pct"];
-            let completed = &p.scalars["bg_completed"];
-            vec![
-                p.params["clients"].to_string(),
-                format!("{} Gb/s", fmt(p.scalars["offered_gbps"].mean, 1)),
-                format!("{} ms", pm(p50.mean, p50.ci95, 1)),
-                format!("{} ms", pm(p95.mean, p95.ci95, 1)),
-                format!("{}%", pm(delivery.mean, delivery.ci95, 1)),
-                format!("{}%", pm(budget.mean, budget.ci95, 1)),
-                fmt(completed.mean, 0),
-                format!("{}", p.replicates_ok),
-            ]
-        })
-        .collect();
-    print_table(
+    table(
         "E17 — city-scale background load vs one packet-level MAR cell (10 Gb/s backhaul), mean ± 95% CI",
+        each(points),
         &[
-            "Clients",
-            "Offered bg",
-            "MAR p50",
-            "MAR p95",
-            "Delivered",
-            "In budget",
-            "bg transfers done",
-            "n",
+            ("Clients", Cell::Param("clients", "")),
+            ("Offered bg", Cell::Mean("offered_gbps", 1, " Gb/s")),
+            ("MAR p50", Cell::Pm("mar_p50_ms", 1, " ms")),
+            ("MAR p95", Cell::Pm("mar_p95_ms", 1, " ms")),
+            ("Delivered", Cell::Pm("mar_delivery_pct", 1, "%")),
+            ("In budget", Cell::Pm("mar_in_budget_pct", 1, "%")),
+            ("bg transfers done", Cell::Mean("bg_completed", 0, "")),
+            ("n", Cell::N),
         ],
-        &rows,
     );
 }
 
@@ -437,24 +518,18 @@ fn render_cityscale(points: &[PointSummary]) {
 // §III offload-decision sweep
 // ---------------------------------------------------------------------------
 
-fn device_key(d: DeviceClass) -> &'static str {
-    match d {
-        DeviceClass::SmartGlasses => "glasses",
-        DeviceClass::Smartphone => "phone",
-        DeviceClass::Laptop => "laptop",
-        _ => "other",
-    }
-}
+/// Axis labels of the Table I device classes, in table order.
+const DEVICES: [(&str, DeviceClass); 6] = [
+    ("glasses", DeviceClass::SmartGlasses),
+    ("phone", DeviceClass::Smartphone),
+    ("tablet", DeviceClass::Tablet),
+    ("laptop", DeviceClass::Laptop),
+    ("desktop", DeviceClass::Desktop),
+    ("cloud", DeviceClass::Cloud),
+];
 
-const OFFLOAD_DEVICES: [DeviceClass; 3] =
-    [DeviceClass::SmartGlasses, DeviceClass::Smartphone, DeviceClass::Laptop];
-
-fn device_from_key(key: &str) -> DeviceClass {
-    OFFLOAD_DEVICES
-        .into_iter()
-        .find(|&d| device_key(d) == key)
-        .unwrap_or_else(|| panic!("unknown device key {key:?}"))
-}
+/// The devices a MAR user wears or carries: the rows of E9 and X2.
+const USER_DEVICES: [(&str, DeviceClass); 3] = [DEVICES[0], DEVICES[1], DEVICES[3]];
 
 /// Single-letter tag of strategy `idx` in canonical order.
 fn strategy_letter(idx: usize) -> &'static str {
@@ -467,15 +542,9 @@ fn strategy_letter(idx: usize) -> &'static str {
     }
 }
 
-fn sweep_offload(replicates: u32, seed: u64) -> Experiment {
-    let spec = ScenarioSpec::new("sweep_offload", seed, replicates)
-        .with_axis(
-            "device",
-            OFFLOAD_DEVICES
-                .into_iter()
-                .map(|d| ParamValue::Str(device_key(d).to_string()))
-                .collect(),
-        )
+fn sweep_offload(spec: ScenarioSpec) -> Experiment {
+    let spec = spec
+        .with_axis("device", labels(&USER_DEVICES))
         .with_axis(
             "rtt_ms",
             [4i64, 10, 20, 36, 60, 90, 120].into_iter().map(ParamValue::Int).collect(),
@@ -485,9 +554,9 @@ fn sweep_offload(replicates: u32, seed: u64) -> Experiment {
             [0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0].into_iter().map(ParamValue::Float).collect(),
         );
     let trial = Box::new(|point: &GridPoint, _ctx: &TrialCtx| {
-        let device = device_from_key(point.param("device").as_str().expect("str")).spec();
-        let rtt = point.param("rtt_ms").as_int().expect("int") as u64;
-        let up = point.param("uplink_mbps").as_float().expect("float");
+        let device = labelled(&USER_DEVICES, &point.params, "device").spec();
+        let rtt = uint(point, "rtt_ms");
+        let up = float(point, "uplink_mbps");
         let work = FrameWork::vision_pipeline();
         let model = ComputeModel::new(30.0, work)
             .with_db(DbAccess::browser())
@@ -511,7 +580,7 @@ fn sweep_offload(replicates: u32, seed: u64) -> Experiment {
         report
             .scalar("winner_ms", est.per_frame.as_millis_f64())
             .scalar("winner_idx", winner_idx as f64)
-            .scalar("feasible", if est.feasible() { 1.0 } else { 0.0 });
+            .scalar("feasible", flag(est.feasible()));
         report
     });
     Experiment { spec, trial, render: render_offload }
@@ -523,8 +592,8 @@ fn render_offload(points: &[PointSummary]) {
     for p in points {
         by_device.entry(p.params["device"].to_string()).or_default().push(p);
     }
-    for device in OFFLOAD_DEVICES {
-        let Some(cells) = by_device.get(device_key(device)) else { continue };
+    for (key, device) in USER_DEVICES {
+        let Some(cells) = by_device.get(key) else { continue };
         let mut rtts: Vec<i64> = cells.iter().filter_map(|p| p.params["rtt_ms"].as_int()).collect();
         rtts.dedup();
         let mut uplinks: Vec<f64> =
@@ -542,13 +611,12 @@ fn render_offload(points: &[PointSummary]) {
                     });
                     row.push(match cell {
                         Some(p) => {
-                            let feasible = p.scalars["feasible"].mean >= 0.5;
-                            let tag = if feasible {
-                                strategy_letter(p.scalars["winner_idx"].mean.round() as usize)
+                            let tag = if mean(p, "feasible") >= 0.5 {
+                                strategy_letter(mean(p, "winner_idx").round() as usize)
                             } else {
                                 "∅"
                             };
-                            format!("{tag} {}", fmt(p.scalars["winner_ms"].mean, 0))
+                            format!("{tag} {}", fmt(mean(p, "winner_ms"), 0))
                         }
                         None => "-".to_string(),
                     });
@@ -606,13 +674,39 @@ mod tests {
         assert!(bare.metrics.is_none());
     }
 
+    /// A scenario that gained its telemetry pair in the port (Fig. 3)
+    /// records when asked and computes the same numbers either way.
+    #[test]
+    fn newly_instrumented_scenario_traces_without_perturbing_its_scalars() {
+        let shorten = |mut point: GridPoint| {
+            point.params.insert("secs".into(), ParamValue::Int(25));
+            point
+        };
+        let ctx = TrialCtx { point_index: 0, replicate: 0, seed: 42 };
+        let traced = build("fig3_asymmetry", 1, 42, &TelemetryOptions::full(1 << 16)).unwrap();
+        let point = shorten(traced.spec.expand_grid().remove(0));
+        let report = (traced.trial)(&point, &ctx);
+        assert!(!report.events.is_empty(), "tracing on must record events");
+        let snap = report.metrics.expect("metrics on must snapshot");
+        assert!(snap.gauges.contains_key("sim.link.1.queue_packets"), "the uplink is metered");
+        let plain = build("fig3_asymmetry", 1, 42, &TelemetryOptions::disabled()).unwrap();
+        let bare = (plain.trial)(&point, &ctx);
+        assert_eq!(bare.scalars, report.scalars);
+        assert!(bare.scalars["uploads1.download_mbps"] < bare.scalars["uploads0.download_mbps"]);
+        assert!(bare.events.is_empty() && bare.metrics.is_none());
+    }
+
     #[test]
     fn scenario_and_device_keys_round_trip() {
-        for s in Table2Scenario::ALL {
-            assert_eq!(scenario_from_key(scenario_key(s)), s);
+        let axis = labels(&TABLE2_SCENARIOS);
+        for (value, (_, scenario)) in axis.into_iter().zip(TABLE2_SCENARIOS) {
+            let params = Params::from([("scenario".to_string(), value)]);
+            assert_eq!(labelled(&TABLE2_SCENARIOS, &params, "scenario"), scenario);
         }
-        for d in OFFLOAD_DEVICES {
-            assert_eq!(device_from_key(device_key(d)), d);
+        // The E9 rows are a subset of the Table I axis, under the same labels.
+        for (label, device) in USER_DEVICES {
+            let params = Params::from([("device".to_string(), ParamValue::Str(label.into()))]);
+            assert_eq!(labelled(&DEVICES, &params, "device"), device);
         }
     }
 

@@ -15,6 +15,8 @@
 //! trace file, concatenated in `(point, replicate)` order so the file too
 //! is byte-identical at any thread count; `--metrics` merges each point's
 //! replicate metric snapshots into a schema-v2 `metrics` artifact section.
+//! Either flag on an experiment that runs no simulation (the closed-form
+//! tables and sweeps) is a usage error: there is nothing to capture.
 //!
 //! Exit codes follow the workspace convention shared by `marnet-trace`
 //! and `marnet-lint`: 0 ok, 1 findings (baseline drift or failed
@@ -344,6 +346,20 @@ fn main() -> ExitCode {
     }
 
     let artifact = Artifact::from_run(&run);
+    // A closed-form experiment builds no simulator, so it has nothing to
+    // trace or meter; say so instead of writing an empty trace.
+    let events = args.trace.is_some().then(|| run.trace_events());
+    let untraced = events.as_ref().is_some_and(Vec::is_empty);
+    let unmetered = args.metrics && artifact.metrics.is_none();
+    if untraced || unmetered {
+        eprintln!(
+            "[lab] {} recorded no telemetry (a closed-form experiment runs no simulation): \
+             {} has nothing to write",
+            spec.name,
+            if untraced { "--trace" } else { "--metrics" },
+        );
+        return ExitCode::from(2);
+    }
     (experiment.render)(&artifact.points);
 
     let out = args
@@ -360,9 +376,8 @@ fn main() -> ExitCode {
         artifact.spec_hash
     );
 
-    if let Some(trace_path) = &args.trace {
-        let events = run.trace_events();
-        if let Err(e) = trace_file::write_file(trace_path, &events) {
+    if let (Some(trace_path), Some(events)) = (&args.trace, &events) {
+        if let Err(e) = trace_file::write_file(trace_path, events) {
             eprintln!("[lab] failed to write trace {}: {e}", trace_path.display());
             return ExitCode::from(2);
         }

@@ -43,9 +43,24 @@ impl TrialReport {
         Self::default()
     }
 
-    /// Records a scalar metric.
+    /// Records a scalar metric. A non-finite value records nothing: a
+    /// metric that does not exist for this trial is absent from the
+    /// report (and from the point's `count` of replicates reporting it),
+    /// never a NaN that would poison the cross-replicate mean and that the
+    /// artifact's JSON cannot carry.
     pub fn scalar(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
-        self.scalars.insert(key.into(), value);
+        if value.is_finite() {
+            self.scalars.insert(key.into(), value);
+        }
+        self
+    }
+
+    /// Records a scalar metric that may not exist for this trial (the
+    /// percentile of an empty histogram): `None` records nothing.
+    pub fn scalar_opt(&mut self, key: impl Into<String>, value: Option<f64>) -> &mut Self {
+        if let Some(value) = value {
+            self.scalar(key, value);
+        }
         self
     }
 

@@ -141,4 +141,21 @@ fn usage_and_io_errors_exit_two() {
     let other = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/lab_sweep_recovery.json");
     let st = run_small(&tmp("lab_ec_disjoint.json"), &["--baseline", other]);
     assert_eq!(st.code(), Some(2));
+    // Telemetry flags on an experiment that runs no simulation: nothing
+    // was captured, so neither an empty trace nor an artifact is written.
+    let out = tmp("lab_ec_untraced.json");
+    let trace = tmp("lab_ec_untraced.bin");
+    let _ = std::fs::remove_file(&out);
+    let closed_form = |extra: &[&str]| {
+        lab_bin()
+            .args(["sweep_offload", "--replicates", "1", "--threads", "1", "--out"])
+            .arg(&out)
+            .args(extra)
+            .status()
+            .expect("run marnet-lab")
+            .code()
+    };
+    assert_eq!(closed_form(&["--trace", trace.to_str().unwrap()]), Some(2));
+    assert_eq!(closed_form(&["--metrics"]), Some(2));
+    assert!(!out.exists() && !trace.exists(), "a refused run must write nothing");
 }

@@ -13,13 +13,32 @@ use marnet_telemetry::TelemetryOptions;
 use std::path::Path;
 
 /// `(name, spec_hash)` for every built-in experiment at `--replicates 8
-/// --seed 42`, the configuration the committed reference artifacts use.
-const GOLDEN_SPEC_HASHES: [(&str, u64); 5] = [
+/// --seed 42`, the configuration the committed reference artifacts use
+/// (Table II's is committed at `--replicates 2`, so its file records
+/// another hash; the test below rebuilds each at its own replicates).
+const GOLDEN_SPEC_HASHES: [(&str, u64); 22] = [
+    ("table1_devices", 0x356d_8404_8356_4e75),
     ("table2_rtt", 0x157f_f182_3e33_b013),
-    ("sweep_recovery", 0xcc61_0c13_0853_e855),
+    ("fig2_anomaly", 0x2efa_dbaf_0c21_05d8),
+    ("fig3_asymmetry", 0xa585_50c9_31f7_27fa),
+    ("fig4_degradation", 0x6280_c79e_098b_5612),
+    ("fig5_distribution", 0x3bfc_2fe7_2c55_21d3),
+    ("table_wireless", 0xf82b_d566_d334_f9c8),
+    ("table_asymmetry", 0x87f4_5e86_a23b_4b3c),
     ("sweep_offload", 0xddde_06b2_685f_01d0),
+    ("sweep_placement", 0x0540_c54d_8c0e_43c8),
+    ("sweep_recovery", 0xcc61_0c13_0853_e855),
+    ("sweep_multipath", 0xbdcc_e9e4_c612_e318),
+    ("sweep_queueing", 0xf544_2988_416c_c8b2),
+    ("sweep_fairness", 0x3e8a_e7b1_0550_507e),
+    ("table_bitrates", 0x0adc_b023_af2c_481c),
     ("sweep_faults", 0xbd12_7632_99a1_e71f),
     ("sweep_cityscale", 0x4512_7ec1_5412_aefc),
+    ("ablation_degradation", 0xf56f_445d_6f70_1c4b),
+    ("table_privacy", 0xce76_96a8_7ee9_4512),
+    ("sweep_variance", 0x3901_10a3_5332_d23d),
+    ("sweep_5g", 0x5404_713d_889c_5782),
+    ("sweep_caching", 0xef03_1808_88d4_9ead),
 ];
 
 #[test]

@@ -42,21 +42,7 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     // scenarios or the runner — the lab implements the inner loop and
     // depends on trainer, not the other way around.
     ("trainer", &["sim", "core"]),
-    (
-        "bench",
-        &[
-            "sim",
-            "radio",
-            "transport",
-            "core",
-            "app",
-            "edge",
-            "privacy",
-            "telemetry",
-            "faults",
-            "flow",
-        ],
-    ),
+    ("bench", &["sim", "radio", "transport", "core", "edge", "telemetry", "faults", "flow"]),
     (
         "lab",
         &[

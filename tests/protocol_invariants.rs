@@ -132,7 +132,7 @@ fn duplication_never_double_delivers() {
 fn fig3_effect_holds_with_the_paper_buffer_sizes() {
     // The paper's Fig. 3 claim end to end: a single upload through a
     // 1000-packet uplink buffer destroys a concurrent download.
-    let out = run_fig3(10.0, 1.0, 1000, 1, 50, 3);
+    let out = run_fig3(10.0, 1.0, 1000, 1, 50, 3, &TelemetryOptions::disabled()).0;
     let dl = out.download.borrow();
     let before = dl.goodput_meter.mean_mbps(2.0, out.upload_starts[0]);
     let after = dl.goodput_meter.mean_mbps(out.upload_starts[0] + 5.0, 50.0);
