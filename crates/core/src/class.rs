@@ -176,21 +176,32 @@ impl<V> KindMap<V> {
         KindMap::default()
     }
 
+    /// The slot of `kind`: the one place (with [`KindMap::kind_slot_mut`])
+    /// that turns a kind into an array position.
+    fn kind_slot(&self, kind: StreamKind) -> &Option<V> {
+        // The enum discriminant indexes a same-arity array.
+        &self.slots[kind as usize]
+    }
+
+    /// Mutable counterpart of [`KindMap::kind_slot`].
+    fn kind_slot_mut(&mut self, kind: StreamKind) -> &mut Option<V> {
+        // marnet-lint: allow(panic-path): enum discriminant indexes a same-arity array
+        &mut self.slots[kind as usize]
+    }
+
     /// The value for `kind`, if one was ever inserted.
     pub fn get(&self, kind: &StreamKind) -> Option<&V> {
-        self.slots[*kind as usize].as_ref()
+        self.kind_slot(*kind).as_ref()
     }
 
     /// Mutable access to the value for `kind`.
     pub fn get_mut(&mut self, kind: &StreamKind) -> Option<&mut V> {
-        // marnet-lint: allow(panic-path): enum discriminant indexes a same-arity array
-        self.slots[*kind as usize].as_mut()
+        self.kind_slot_mut(*kind).as_mut()
     }
 
     /// The value for `kind`, inserting `f()` first if absent.
     pub fn get_or_insert_with(&mut self, kind: StreamKind, f: impl FnOnce() -> V) -> &mut V {
-        // marnet-lint: allow(panic-path): enum discriminant indexes a same-arity array
-        self.slots[kind as usize].get_or_insert_with(f)
+        self.kind_slot_mut(kind).get_or_insert_with(f)
     }
 
     /// The value for `kind`, inserting the default first if absent.
@@ -198,13 +209,12 @@ impl<V> KindMap<V> {
     where
         V: Default,
     {
-        // marnet-lint: allow(panic-path): enum discriminant indexes a same-arity array
-        self.slots[kind as usize].get_or_insert_with(V::default)
+        self.get_or_insert_with(kind, V::default)
     }
 
     /// Iterates over present `(kind, value)` pairs in enum order.
     pub fn iter(&self) -> impl Iterator<Item = (StreamKind, &V)> {
-        ALL_STREAM_KINDS.iter().zip(&self.slots).filter_map(|(k, v)| Some((*k, v.as_ref()?)))
+        self.into_iter()
     }
 
     /// Iterates over present values in enum order.
@@ -216,24 +226,14 @@ impl<V> KindMap<V> {
 /// Iterator over present `(kind, value)` pairs in enum order.
 #[derive(Debug)]
 pub struct KindMapIter<'a, V> {
-    slots: &'a [Option<V>; ALL_STREAM_KINDS.len()],
-    pos: usize,
+    slots: std::iter::Zip<std::slice::Iter<'static, StreamKind>, std::slice::Iter<'a, Option<V>>>,
 }
 
 impl<'a, V> Iterator for KindMapIter<'a, V> {
     type Item = (StreamKind, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < ALL_STREAM_KINDS.len() {
-            let i = self.pos;
-            self.pos += 1;
-            // marnet-lint: allow(panic-path): `i < ALL_STREAM_KINDS.len()` by the loop bound
-            if let Some(v) = &self.slots[i] {
-                // marnet-lint: allow(panic-path): `i < ALL_STREAM_KINDS.len()` by the loop bound
-                return Some((ALL_STREAM_KINDS[i], v));
-            }
-        }
-        None
+        self.slots.find_map(|(kind, v)| Some((*kind, v.as_ref()?)))
     }
 }
 
@@ -241,9 +241,9 @@ impl<'a, V> IntoIterator for &'a KindMap<V> {
     type Item = (StreamKind, &'a V);
     type IntoIter = KindMapIter<'a, V>;
 
-    /// `for (kind, v) in &map` — same order and filtering as [`KindMap::iter`].
+    /// `for (kind, v) in &map` — the same iterator as [`KindMap::iter`].
     fn into_iter(self) -> KindMapIter<'a, V> {
-        KindMapIter { slots: &self.slots, pos: 0 }
+        KindMapIter { slots: ALL_STREAM_KINDS.iter().zip(&self.slots) }
     }
 }
 
@@ -251,7 +251,7 @@ impl<V> std::ops::Index<&StreamKind> for KindMap<V> {
     type Output = V;
     /// Panics (like `HashMap` indexing) when `kind` has no entry.
     fn index(&self, kind: &StreamKind) -> &V {
-        self.slots[*kind as usize].as_ref().expect("no entry for stream kind")
+        self.kind_slot(*kind).as_ref().expect("no entry for stream kind")
     }
 }
 

@@ -160,13 +160,13 @@ impl DegradationScheduler {
                 if q.iter().filter(|m| m.priority.can_drop()).count() < 2 {
                     continue;
                 }
-                // Walk back-to-front: submissions are chronological, so the
-                // first droppable of a kind seen from the back is the newest.
-                // marnet-lint: allow(hot-path-alloc): outage-only branch, off the per-event path
+                // Walk back-to-front, rotating the queue once in place:
+                // submissions are chronological, so the first droppable of
+                // a kind seen from the back is the newest.
                 let mut seen: Vec<crate::class::StreamKind> = Vec::new();
-                let mut kept = VecDeque::with_capacity(q.len());
                 let mut removed = 0u64;
-                while let Some(m) = q.pop_back() {
+                for _ in 0..q.len() {
+                    let Some(m) = q.pop_back() else { break };
                     if m.priority.can_drop() {
                         if seen.contains(&m.kind) {
                             removed += u64::from(m.size);
@@ -176,16 +176,15 @@ impl DegradationScheduler {
                         }
                         seen.push(m.kind);
                     }
-                    kept.push_front(m);
+                    q.push_front(m);
                 }
-                *q = kept;
                 self.queued_bytes -= removed;
             }
         }
 
         // 1. Shed late droppable messages everywhere. Most ticks shed
-        // nothing, so scan first and rebuild the queue only when a stale
-        // message is actually present.
+        // nothing, so scan first; when a stale message is present, rotate
+        // the queue once in place — survivors keep their order.
         let stale_after = self.stale_after;
         let is_stale = |m: &ArMessage| {
             m.priority.can_drop()
@@ -195,17 +194,16 @@ impl DegradationScheduler {
             if !q.iter().any(is_stale) {
                 continue;
             }
-            let mut kept = VecDeque::with_capacity(q.len());
             let mut removed = 0u64;
-            while let Some(m) = q.pop_front() {
+            for _ in 0..q.len() {
+                let Some(m) = q.pop_front() else { break };
                 if is_stale(&m) {
                     removed += u64::from(m.size);
                     out.dropped.push(DroppedMessage { message: m, reason: DropReason::Late });
                 } else {
-                    kept.push_back(m);
+                    q.push_back(m);
                 }
             }
-            *q = kept;
             self.queued_bytes -= removed;
         }
 
@@ -371,6 +369,31 @@ mod tests {
         let out = s.tick(SimTime::from_millis(200), 0.0);
         assert_eq!(out.dropped.len(), 1);
         assert_eq!(out.dropped[0].reason, DropReason::Late);
+    }
+
+    #[test]
+    fn interleaved_stale_messages_are_shed_in_place() {
+        // A backlog horizon wide enough that only staleness sheds.
+        let mut s = DegradationScheduler::new(SimDuration::from_millis(100), 1e6);
+        // Nine interframes in one priority queue; every third one was
+        // created 150 ms before the rest and is stale (> 100 ms) at the tick.
+        for id in 0..9u32 {
+            let created_ms = if id % 3 == 1 { 0 } else { 150 };
+            s.submit(msg(u64::from(id), StreamKind::VideoInter, 100 + id, created_ms));
+        }
+        let before = s.queued_bytes();
+        // One byte of budget: the head message leaves (work conserving).
+        let out = s.tick(SimTime::from_millis(160), 1.0);
+        let shed: Vec<u64> = out.dropped.iter().map(|d| d.message.id).collect();
+        assert_eq!(shed, vec![1, 4, 7], "the stale ones, in submission order");
+        assert!(out.dropped.iter().all(|d| d.reason == DropReason::Late));
+        assert_eq!(out.sent.iter().map(|m| m.id).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(s.queued_bytes(), before - (101 + 104 + 107) - 100);
+        // The survivors kept submission order.
+        let out = s.tick(SimTime::from_millis(161), 10_000.0);
+        assert_eq!(out.sent.iter().map(|m| m.id).collect::<Vec<_>>(), vec![2, 3, 5, 6, 8]);
+        assert!(out.dropped.is_empty());
+        assert_eq!(s.queued_bytes(), 0);
     }
 
     #[test]

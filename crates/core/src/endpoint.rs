@@ -300,7 +300,7 @@ impl ArSender {
                 ctrl: DelayCongestionController::new(cfg.congestion),
                 next_seq: 0,
                 fec_group: 0,
-                fec_accum: Vec::new(), // marnet-lint: allow(hot-path-alloc): per-path constructor, once per sender
+                fec_accum: Vec::new(),
             })
             .collect();
         ArSender {
@@ -329,7 +329,7 @@ impl ArSender {
             parity_pool: PayloadPool::new(),
             qos_pool: PayloadPool::new(),
             tick_out: TickOutcome::default(),
-            snap_scratch: Vec::new(), // marnet-lint: allow(hot-path-alloc): constructor; the scratch is reused every tick
+            snap_scratch: Vec::new(),
         }
     }
 
@@ -440,7 +440,7 @@ impl ArSender {
             origin,
             deadline,
             ts,
-            // marnet-lint: allow(hot-path-alloc): an empty covered list never allocates; parity refills in place
+            // An empty covered list never allocates; parity refills in place.
             fec: fec_group.map(|group| FecInfo { group, covered: Vec::new(), is_parity: false }),
             is_retransmit,
         };
@@ -501,11 +501,9 @@ impl ArSender {
 
     fn emit_parity(&mut self, ctx: &mut SimCtx, path_idx: usize) {
         let p = sender_path_mut(&mut self.paths, path_idx);
-        if p.fec_accum.is_empty() {
+        let Some(max_size) = p.fec_accum.iter().map(|(_, s)| *s).max() else {
             return;
-        }
-        // marnet-lint: allow(panic-path): fec_accum was checked non-empty just above
-        let max_size = p.fec_accum.iter().map(|(_, s)| *s).max().expect("non-empty");
+        };
         let group = p.fec_group;
         p.fec_group += 1;
         let seq = p.next_seq;
@@ -1288,9 +1286,9 @@ impl ArReceiver {
             stats: Rc::new(RefCell::new(ArReceiverStats::default())),
             fb_pool: PayloadPool::new(),
             delivered_pool: PayloadPool::new(),
-            nack_scratch: Vec::new(), // marnet-lint: allow(hot-path-alloc): receiver constructor, once per trial
-            abandon_scratch: Vec::new(), // marnet-lint: allow(hot-path-alloc): receiver constructor, once per trial
-            asm_free: Vec::new(), // marnet-lint: allow(hot-path-alloc): receiver constructor, once per trial
+            nack_scratch: Vec::new(),
+            abandon_scratch: Vec::new(),
+            asm_free: Vec::new(),
         }
     }
 
@@ -1464,10 +1462,10 @@ impl ArReceiver {
                             v.clear();
                             v
                         }
-                        None => Vec::new(), // marnet-lint: allow(hot-path-alloc): recycle deque empty only during warmup
+                        None => Vec::new(), // recycle deque empty only during warmup
                     }
                 } else {
-                    Vec::new() // marnet-lint: allow(hot-path-alloc): warmup only, until 64 parity groups accumulate
+                    Vec::new() // warmup only, until 64 parity groups accumulate
                 };
                 pkt.payload.map_ref(|ar: &ArPacket| {
                     if let Some(fec) = &ar.fec {
@@ -1608,7 +1606,7 @@ impl ArReceiver {
                 epoch: self.epoch,
                 path: i,
                 cum_seq,
-                // marnet-lint: allow(hot-path-alloc): an empty list never allocates; the pooled slot's is refilled in place
+                // An empty list never allocates; the pooled slot's is refilled in place.
                 nacks: Vec::new(),
                 new_losses,
                 ts_echo,

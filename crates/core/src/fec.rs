@@ -37,7 +37,6 @@ impl XorEncoder {
     /// Panics if `k` is zero.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "group size must be positive");
-        // marnet-lint: allow(hot-path-alloc): encoder constructor, once per sender path
         XorEncoder { k, parity: Vec::new(), in_group: 0 }
     }
 

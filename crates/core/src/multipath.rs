@@ -138,7 +138,6 @@ pub struct MultipathScheduler {
 impl MultipathScheduler {
     /// Creates a scheduler with the given policy.
     pub fn new(policy: MultipathPolicy, duplicate_recovery: bool) -> Self {
-        // marnet-lint: allow(hot-path-alloc): construction-time; `Vec::new` does not allocate
         MultipathScheduler { policy, duplicate_recovery, deficits: Vec::new() }
     }
 
@@ -147,12 +146,10 @@ impl MultipathScheduler {
         self.policy
     }
 
-    fn wifi(snaps: &[PathSnapshot]) -> Option<usize> {
-        snaps.iter().position(|s| s.role == PathRole::Wifi)
-    }
-
-    fn cellular(snaps: &[PathSnapshot]) -> Option<usize> {
-        snaps.iter().position(|s| s.role == PathRole::Cellular)
+    /// The first path of `role` that is currently up, if there is one.
+    fn first_up(snaps: &[PathSnapshot], role: PathRole) -> Option<usize> {
+        let (i, first) = snaps.iter().enumerate().find(|(_, s)| s.role == role)?;
+        first.up.then_some(i)
     }
 
     fn lowest_rtt_up(snaps: &[PathSnapshot]) -> Option<usize> {
@@ -166,8 +163,9 @@ impl MultipathScheduler {
 
     fn weighted_pick(&mut self, snaps: &[PathSnapshot], size: u32) -> Option<usize> {
         if self.deficits.len() != snaps.len() {
-            // marnet-lint: allow(hot-path-alloc): reallocated only when the path set changes size
-            self.deficits = vec![0.0; snaps.len()];
+            // The path set changed size: start over from zero credit.
+            self.deficits.clear();
+            self.deficits.resize(snaps.len(), 0.0);
         }
         // Deficit round robin weighted by rate: add rate-proportional
         // credit, pick the up path with the largest credit.
@@ -175,21 +173,19 @@ impl MultipathScheduler {
         if total_rate <= 0.0 {
             return None;
         }
-        for (i, s) in snaps.iter().enumerate() {
+        for (deficit, s) in self.deficits.iter_mut().zip(snaps) {
             if s.up {
-                // marnet-lint: allow(panic-path): `deficits` resized to `snaps.len()` above
-                self.deficits[i] += s.rate.max(1.0) / total_rate * f64::from(size);
+                *deficit += s.rate.max(1.0) / total_rate * f64::from(size);
             }
         }
-        let best = snaps
-            .iter()
+        let (best, (deficit, _)) = self
+            .deficits
+            .iter_mut()
+            .zip(snaps)
             .enumerate()
-            .filter(|(_, s)| s.up)
-            // marnet-lint: allow(panic-path): `deficits` resized to `snaps.len()` above
-            .max_by(|(i, _), (j, _)| self.deficits[*i].total_cmp(&self.deficits[*j]))
-            .map(|(i, _)| i)?;
-        // marnet-lint: allow(panic-path): `best` enumerated from `snaps`
-        self.deficits[best] -= f64::from(size);
+            .filter(|(_, (_, s))| s.up)
+            .max_by(|(_, (a, _)), (_, (b, _))| a.total_cmp(b))?;
+        *deficit -= f64::from(size);
         Some(best)
     }
 
@@ -208,30 +204,19 @@ impl MultipathScheduler {
         if snaps.is_empty() {
             return Picks::new();
         }
-        let wifi = Self::wifi(snaps);
-        let cell = Self::cellular(snaps);
-        // marnet-lint: allow(panic-path): `wifi` is a position into `snaps`
-        let wifi_up = wifi.is_some_and(|i| snaps[i].up);
-
         let primary = match self.policy {
-            MultipathPolicy::WifiOnly => {
-                if wifi_up {
-                    wifi
-                } else if class == TrafficClass::Critical || priority == Priority::Highest {
-                    // marnet-lint: allow(panic-path): `cell` is a position into `snaps`
-                    cell.filter(|&i| snaps[i].up)
+            MultipathPolicy::WifiOnly => Self::first_up(snaps, PathRole::Wifi).or_else(|| {
+                let must_not_stall =
+                    class == TrafficClass::Critical || priority == Priority::Highest;
+                if must_not_stall {
+                    Self::first_up(snaps, PathRole::Cellular)
                 } else {
                     None
                 }
-            }
-            MultipathPolicy::WifiPreferred => {
-                if wifi_up {
-                    wifi
-                } else {
-                    // marnet-lint: allow(panic-path): `cell` is a position into `snaps`
-                    cell.filter(|&i| snaps[i].up).or_else(|| Self::lowest_rtt_up(snaps))
-                }
-            }
+            }),
+            MultipathPolicy::WifiPreferred => Self::first_up(snaps, PathRole::Wifi)
+                .or_else(|| Self::first_up(snaps, PathRole::Cellular))
+                .or_else(|| Self::lowest_rtt_up(snaps)),
             MultipathPolicy::Aggregate => {
                 let latency_bound = priority.band() == 0 || class == TrafficClass::Critical;
                 if latency_bound {
@@ -356,6 +341,53 @@ mod tests {
         let (rc, rp) = StreamKind::VideoReference.default_class();
         let picked = s.select(&wifi_lte(false), rc, rp, 1000);
         assert_eq!(picked, vec![1]);
+    }
+
+    /// The picks of every policy under every availability of a WiFi + LTE
+    /// pair, one fresh scheduler (duplication on) per cell of the table.
+    #[test]
+    fn select_picks_per_policy_and_availability() {
+        const KINDS: [StreamKind; 6] = [
+            StreamKind::Metadata,
+            StreamKind::VideoReference,
+            StreamKind::VideoInter,
+            // Three in a row: the deficit counters carry between picks.
+            StreamKind::Bulk,
+            StreamKind::Bulk,
+            StreamKind::Bulk,
+        ];
+        use MultipathPolicy::{Aggregate, WifiOnly, WifiPreferred};
+        // (policy, wifi up, cellular up, the picks for each of KINDS in turn)
+        let table: [(MultipathPolicy, bool, bool, [&[usize]; 6]); 12] = [
+            (WifiOnly, true, true, [&[0], &[0], &[0], &[0], &[0], &[0]]),
+            (WifiOnly, false, true, [&[1], &[1], &[], &[], &[], &[]]),
+            (WifiOnly, true, false, [&[0], &[0], &[0], &[0], &[0], &[0]]),
+            (WifiOnly, false, false, [&[]; 6]),
+            (WifiPreferred, true, true, [&[0], &[0, 1], &[0], &[0], &[0], &[0]]),
+            (WifiPreferred, false, true, [&[1], &[1], &[1], &[1], &[1], &[1]]),
+            (WifiPreferred, true, false, [&[0], &[0], &[0], &[0], &[0], &[0]]),
+            (WifiPreferred, false, false, [&[]; 6]),
+            (Aggregate, true, true, [&[0], &[0, 1], &[0], &[1], &[0], &[0]]),
+            (Aggregate, false, true, [&[1], &[1], &[1], &[1], &[1], &[1]]),
+            (Aggregate, true, false, [&[0], &[0], &[0], &[0], &[0], &[0]]),
+            (Aggregate, false, false, [&[]; 6]),
+        ];
+        for (policy, wifi_up, cell_up, want) in table {
+            let snaps = [
+                snap(PathRole::Wifi, wifi_up, 10, 500_000.0),
+                snap(PathRole::Cellular, cell_up, 40, 250_000.0),
+            ];
+            let mut s = MultipathScheduler::new(policy, true);
+            for (kind, want) in KINDS.iter().zip(want) {
+                let (class, prio) = kind.default_class();
+                let got = s.select(&snaps, class, prio, 1000);
+                assert_eq!(
+                    got.as_slice(),
+                    want,
+                    "{policy:?}, wifi up {wifi_up}, cell up {cell_up}, {kind:?}"
+                );
+            }
+        }
     }
 
     #[test]

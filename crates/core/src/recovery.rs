@@ -282,7 +282,6 @@ pub struct RetransmitBuffer {
 impl Default for RetransmitBuffer {
     fn default() -> Self {
         RetransmitBuffer {
-            // marnet-lint: allow(hot-path-alloc): construction-time; `Vec::new` does not allocate
             paths: Vec::new(),
             earliest_deadline: None,
             cap: DEFAULT_RETRANSMIT_CAP,

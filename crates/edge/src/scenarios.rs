@@ -16,7 +16,6 @@
 //! executor — and spreads droppable video across both, reproducing the
 //! figure's "offload latency-sensitive information to other devices" idea.
 
-use crate::selection::ServerOption;
 use marnet_app::compute::{ComputeModel, FrameWork};
 use marnet_app::device::DeviceClass;
 use marnet_app::pipeline::MarClient;
@@ -33,7 +32,6 @@ use marnet_sim::link::{Bandwidth, LinkParams};
 use marnet_sim::rng::derive_rng;
 use marnet_sim::stats::Histogram;
 use marnet_sim::time::{SimDuration, SimTime};
-use marnet_telemetry::MetricsRegistry;
 use marnet_transport::nic::TxPath;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -78,7 +76,6 @@ impl fmt::Display for DistributionScenario {
 /// Description of one path's far end.
 #[derive(Debug, Clone)]
 struct Endpoint {
-    name: &'static str,
     role: PathRole,
     /// One-way latency of the access path.
     one_way: SimDuration,
@@ -93,15 +90,15 @@ fn endpoints(scenario: DistributionScenario) -> [Endpoint; 2] {
     // university 72 ms, cloud-over-LTE 120 ms; D2D from the §IV-A profiles.
     match scenario {
         DistributionScenario::MultipathMultiServer => [
+            // university
             Endpoint {
-                name: "university",
                 role: PathRole::Wifi,
                 one_way: SimDuration::from_millis(5),
                 rate: Bandwidth::from_mbps(25.0),
                 gflops: 2_000.0,
             },
+            // cloud
             Endpoint {
-                name: "cloud",
                 role: PathRole::Cellular,
                 one_way: SimDuration::from_millis(60),
                 rate: Bandwidth::from_mbps(8.0),
@@ -109,15 +106,15 @@ fn endpoints(scenario: DistributionScenario) -> [Endpoint; 2] {
             },
         ],
         DistributionScenario::HomeWifiD2d => [
+            // home-pc
             Endpoint {
-                name: "home-pc",
                 role: PathRole::DeviceToDevice,
                 one_way: SimDuration::from_millis(2),
                 rate: Bandwidth::from_mbps(80.0),
                 gflops: 500.0,
             },
+            // cloud
             Endpoint {
-                name: "cloud",
                 role: PathRole::Wifi,
                 one_way: SimDuration::from_millis(18),
                 rate: Bandwidth::from_mbps(20.0),
@@ -125,15 +122,15 @@ fn endpoints(scenario: DistributionScenario) -> [Endpoint; 2] {
             },
         ],
         DistributionScenario::LteDirectD2d => [
+            // phone-helper
             Endpoint {
-                name: "phone-helper",
                 role: PathRole::DeviceToDevice,
                 one_way: SimDuration::from_millis(6),
                 rate: Bandwidth::from_mbps(100.0),
                 gflops: 15.0,
             },
+            // cloud
             Endpoint {
-                name: "cloud",
                 role: PathRole::Cellular,
                 one_way: SimDuration::from_millis(60),
                 rate: Bandwidth::from_mbps(8.0),
@@ -141,15 +138,15 @@ fn endpoints(scenario: DistributionScenario) -> [Endpoint; 2] {
             },
         ],
         DistributionScenario::WifiDirectD2d => [
+            // phone-helper
             Endpoint {
-                name: "phone-helper",
                 role: PathRole::DeviceToDevice,
                 one_way: SimDuration::from_millis(4),
                 rate: Bandwidth::from_mbps(60.0),
                 gflops: 15.0,
             },
+            // cloud
             Endpoint {
-                name: "cloud",
                 role: PathRole::Cellular,
                 one_way: SimDuration::from_millis(60),
                 rate: Bandwidth::from_mbps(8.0),
@@ -200,8 +197,6 @@ pub struct ScenarioOutcome {
     pub sender: Rc<RefCell<ArSenderStats>>,
     /// Per-executor receiver statistics, figure order.
     pub receivers: Vec<Rc<RefCell<ArReceiverStats>>>,
-    /// Server options per path, for the §VI-E selection analysis.
-    pub options: Vec<Vec<ServerOption>>,
 }
 
 impl fmt::Debug for ScenarioOutcome {
@@ -219,43 +214,13 @@ impl ScenarioOutcome {
 
 /// Builds and runs one Fig. 5 scenario for `secs` simulated seconds.
 pub fn run_scenario(scenario: DistributionScenario, seed: u64, secs: u64) -> ScenarioOutcome {
-    run_scenario_inner(scenario, seed, secs, None)
-}
-
-/// Like [`run_scenario`], but additionally publishes per-executor load and
-/// D2D offload metrics into `registry`:
-///
-/// * `edge.server.{name}.delivered_bytes` / `.fec_recovered` /
-///   `.feedback_sent` — receiver-side counters per executor;
-/// * `edge.server.{name}.load_bytes_per_sec` — mean offered load gauge;
-/// * `edge.d2d.{name}.delivered_bytes` — bytes served by device-to-device
-///   helpers (one-hop direct links);
-/// * `edge.class.{kind}.*` — the sender's per-class usage counters;
-/// * `edge.sender.cellular_bytes` — bytes steered onto cellular paths.
-pub fn run_scenario_metrics(
-    scenario: DistributionScenario,
-    seed: u64,
-    secs: u64,
-    registry: &MetricsRegistry,
-) -> ScenarioOutcome {
-    run_scenario_inner(scenario, seed, secs, Some(registry))
-}
-
-fn run_scenario_inner(
-    scenario: DistributionScenario,
-    seed: u64,
-    secs: u64,
-    registry: Option<&MetricsRegistry>,
-) -> ScenarioOutcome {
     let eps = endpoints(scenario);
     let mut sim = Simulator::new(seed);
     let snd = sim.reserve_actor();
     let client = sim.reserve_actor();
 
     let mut paths = Vec::new();
-    let mut receivers = Vec::new();
     let mut rx_stats = Vec::new();
-    let mut options: Vec<Vec<ServerOption>> = vec![Vec::new(), Vec::new()];
     let loop_hist = Rc::new(RefCell::new(Histogram::new()));
     let crit_hist = Rc::new(RefCell::new(Histogram::new()));
     let work = FrameWork::vision_pipeline();
@@ -286,13 +251,6 @@ fn run_scenario_inner(
                 critical_latency_ms: Rc::clone(&crit_hist),
             },
         );
-        receivers.push(rcv);
-
-        options[i].push(ServerOption {
-            name: ep.name.to_string(),
-            rtt: ep.one_way * 2,
-            compute_gflops: ep.gflops,
-        });
     }
 
     let cfg = ArConfig { policy: MultipathPolicy::Aggregate, ..ArConfig::default() };
@@ -317,24 +275,6 @@ fn run_scenario_inner(
 
     sim.run_until(SimTime::from_secs(secs));
 
-    if let Some(reg) = registry {
-        for (ep, st) in eps.iter().zip(&rx_stats) {
-            let st = st.borrow();
-            reg.counter(&format!("edge.server.{}.delivered_bytes", ep.name)).add(st.received_bytes);
-            reg.counter(&format!("edge.server.{}.fec_recovered", ep.name)).add(st.fec_recovered);
-            reg.counter(&format!("edge.server.{}.feedback_sent", ep.name)).add(st.feedback_sent);
-            reg.gauge(&format!("edge.server.{}.load_bytes_per_sec", ep.name))
-                .set(st.received_bytes as f64 / secs.max(1) as f64);
-            if ep.role == PathRole::DeviceToDevice {
-                reg.counter(&format!("edge.d2d.{}.delivered_bytes", ep.name))
-                    .add(st.received_bytes);
-            }
-        }
-        let s = sender_stats.borrow();
-        s.publish_usage(reg, "edge.class");
-        reg.counter("edge.sender.cellular_bytes").add(s.cellular_bytes);
-    }
-
     let loop_latency_ms = loop_hist.borrow().clone();
     let critical_latency_ms = crit_hist.borrow().clone();
     ScenarioOutcome {
@@ -343,7 +283,6 @@ fn run_scenario_inner(
         critical_latency_ms,
         sender: sender_stats,
         receivers: rx_stats,
-        options,
     }
 }
 
@@ -398,19 +337,6 @@ mod tests {
         let mut out = run_scenario(DistributionScenario::WifiDirectD2d, 11, 6);
         let crit = out.critical_latency_ms.median().unwrap();
         assert!(crit < 20.0, "critical median {crit} ms");
-    }
-
-    #[test]
-    fn metrics_variant_publishes_server_load() {
-        let reg = MetricsRegistry::new();
-        let out = run_scenario_metrics(DistributionScenario::HomeWifiD2d, 5, 6, &reg);
-        let snap = reg.snapshot();
-        let pc = snap.counters.get("edge.server.home-pc.delivered_bytes").copied().unwrap_or(0);
-        assert!(pc > 0, "home PC saw no traffic");
-        assert!(snap.counters.contains_key("edge.d2d.home-pc.delivered_bytes"));
-        assert!(snap.gauges.contains_key("edge.server.cloud.load_bytes_per_sec"));
-        // The registry mirrors what the plain outcome reports.
-        assert_eq!(pc, out.receivers[0].borrow().received_bytes);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! discipline in the pooled modules, seeded randomness in sim-facing
 //! code — can follow calls out of those entry points and audit the
 //! helpers they lean on, instead of trusting a hand-maintained file
-//! list. `marnet-lint --call-graph PATH` emits the graph as a stable
-//! JSON artifact that CI diffs against the committed baseline.
+//! list. The graph lives in memory for the length of one pass; nothing
+//! is exported.
 //!
 //! ## Soundness model (token-level, no type information)
 //!
@@ -35,8 +35,11 @@
 //!   `Iterator::collect`, not a stray workspace `fn collect`), and the
 //!   same-crate guard keeps that noise out. The trade is a little
 //!   completeness for not marking the whole workspace reachable through
-//!   `push`/`new`-style names; the edge itself is still in the graph
-//!   and the JSON artifact.
+//!   `push`/`new`-style names; the edge itself is still in the graph.
+//!   What the closure therefore does *not* reach: cross-crate method
+//!   calls (`PayloadPool::prepare` from `core`) and ambiguous names
+//!   (`DelayLines::pop`). A pragma in such a function suppresses nothing
+//!   and is reported as unused.
 //!
 //! Calls that resolve to no workspace definition (std, dependencies,
 //! tuple-struct constructors, enum variants) produce no edge. Test-only
@@ -47,9 +50,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::tokens::{Token, TokenKind, TokenStream};
-
-/// Schema version of the JSON artifact emitted by [`CallGraph::render_json`].
-pub const CALLGRAPH_SCHEMA_VERSION: u32 = 1;
 
 /// One function definition discovered in the workspace.
 #[derive(Debug, Clone)]
@@ -63,9 +63,6 @@ pub struct FnDef {
     pub file: String,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
-    /// 1-based first and last line of the body (equal to `line` for
-    /// bodyless trait signatures).
-    pub span: (usize, usize),
     /// Token-index range of the body within the file's stream
     /// (empty for bodyless signatures).
     pub tok_span: (usize, usize),
@@ -86,17 +83,6 @@ pub enum EdgeKind {
     Path,
     /// `recv.name(…)` resolved to every definition of that name.
     Method,
-}
-
-impl EdgeKind {
-    /// Wire name used in the JSON artifact.
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgeKind::Direct => "direct",
-            EdgeKind::Path => "path",
-            EdgeKind::Method => "method",
-        }
-    }
 }
 
 /// One resolved call: `fns[from]` calls `fns[to]`.
@@ -231,53 +217,6 @@ impl CallGraph {
             }
         }
     }
-
-    /// Renders the graph as a stable JSON artifact: nodes sorted by
-    /// qualified path, edges by (caller, callee, kind), both
-    /// deduplicated, no line numbers (the artifact is committed and
-    /// diffed in CI; lines would churn on every edit).
-    pub fn render_json(&self) -> String {
-        let mut nodes: Vec<(String, &str)> = self
-            .fns
-            .iter()
-            .filter(|d| !d.is_test)
-            .map(|d| (d.path.clone(), d.file.as_str()))
-            .collect();
-        nodes.sort();
-        nodes.dedup();
-        let mut edges: Vec<(String, String, &str)> = self
-            .edges
-            .iter()
-            .filter(|e| !self.fns[e.from].is_test && !self.fns[e.to].is_test)
-            .map(|e| (self.fns[e.from].path.clone(), self.fns[e.to].path.clone(), e.kind.name()))
-            .collect();
-        edges.sort();
-        edges.dedup();
-
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"schema_version\": {CALLGRAPH_SCHEMA_VERSION},\n  \"nodes\": ["
-        ));
-        for (i, (path, file)) in nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {{\"path\": \"{path}\", \"file\": \"{file}\"}}"));
-        }
-        out.push_str(if nodes.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str("  \"edges\": [");
-        for (i, (from, to, kind)) in edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"from\": \"{from}\", \"to\": \"{to}\", \"kind\": \"{kind}\"}}"
-            ));
-        }
-        out.push_str(if edges.is_empty() { "],\n" } else { "\n  ],\n" });
-        out.push_str(&format!("  \"fns\": {}, \"calls\": {}\n}}\n", nodes.len(), edges.len()));
-        out
-    }
 }
 
 /// The crate segment of a qualified path (`sim::engine::push` → `sim`).
@@ -344,7 +283,7 @@ fn collect_defs(f: &FileInput<'_>, file_idx: usize, out: &mut Vec<FnDef>) {
             }
             "fn" if t.kind == TokenKind::Word => {
                 if let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokenKind::Word) {
-                    let (tok_span, end_line, next) = fn_body(toks, i + 2);
+                    let (tok_span, next) = fn_body(toks, i + 2);
                     let mut path: Vec<&str> = base.iter().map(String::as_str).collect();
                     path.extend(stack.iter().map(|(s, _)| s.as_str()));
                     path.push(&name.text);
@@ -353,7 +292,6 @@ fn collect_defs(f: &FileInput<'_>, file_idx: usize, out: &mut Vec<FnDef>) {
                         path: path.join("::"),
                         file: f.rel_path.to_string(),
                         line: t.line,
-                        span: (t.line, end_line.max(t.line)),
                         tok_span,
                         file_idx,
                         is_test: in_test(t.line),
@@ -417,17 +355,17 @@ fn impl_segment(toks: &[Token], at: usize) -> Option<(String, usize)> {
 }
 
 /// Finds the body of a `fn` whose signature starts at `toks[from]`
-/// (just past the name). Returns the body token span, its last line,
-/// and the index to resume scanning from. Bodyless signatures (trait
-/// methods ending in `;`) return an empty span.
-fn fn_body(toks: &[Token], from: usize) -> ((usize, usize), usize, usize) {
+/// (just past the name). Returns the body token span and the index to
+/// resume scanning from. Bodyless signatures (trait methods ending in
+/// `;`) return an empty span.
+fn fn_body(toks: &[Token], from: usize) -> ((usize, usize), usize) {
     let mut j = from;
     let mut angle = 0usize;
     while j < toks.len() {
         match toks[j].text.as_str() {
             "<" => angle += 1,
             ">" if angle > 0 && !toks[j - 1].text.starts_with('-') => angle -= 1,
-            ";" if angle == 0 => return ((j, j), toks[j].line, j + 1),
+            ";" if angle == 0 => return ((j, j), j + 1),
             "{" if angle == 0 => {
                 let start = j;
                 let mut d = 1usize;
@@ -440,14 +378,13 @@ fn fn_body(toks: &[Token], from: usize) -> ((usize, usize), usize, usize) {
                     }
                     j += 1;
                 }
-                let end_line = toks.get(j.saturating_sub(1)).map_or(0, |t| t.line);
-                return ((start, j), end_line, j);
+                return ((start, j), j);
             }
             _ => {}
         }
         j += 1;
     }
-    ((from, from), toks.last().map_or(0, |t| t.line), toks.len())
+    ((from, from), toks.len())
 }
 
 /// Collects and resolves every call site in one file.
@@ -732,7 +669,6 @@ mod tests {
         assert!(g.fns[idx(&g, "sim::tests::t_helper")].is_test);
         let reached = g.reachable(&[idx(&g, "sim::tests::t_helper")], |_| true);
         assert!(reached.is_empty(), "test fns are never roots");
-        assert!(!g.render_json().contains("t_helper"));
     }
 
     #[test]
@@ -809,17 +745,5 @@ mod tests {
                  \nreached before: {r1:?}\nreached after: {r2:?}"
             );
         }
-    }
-
-    #[test]
-    fn json_is_stable_and_counts_match() {
-        let src = "pub fn a() { b(); } pub fn b() {}";
-        let (g, _) = graph(&[("sim", "crates/sim/src/lib.rs", src)]);
-        let json = g.render_json();
-        assert!(json.starts_with("{\n  \"schema_version\": 1"));
-        assert!(json.contains("\"path\": \"sim::a\""));
-        assert!(json.contains("\"from\": \"sim::a\", \"to\": \"sim::b\", \"kind\": \"direct\""));
-        assert!(json.ends_with("\"fns\": 2, \"calls\": 1\n}\n"));
-        assert_eq!(json, g.render_json(), "rendering is deterministic");
     }
 }

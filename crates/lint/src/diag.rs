@@ -36,9 +36,9 @@ pub enum Rule {
     /// `unwrap()`/`expect()`/`panic!`-family/slice-indexing in the
     /// event-core hot-path modules.
     PanicPath,
-    /// Fresh heap allocation (`Vec::new`, `vec!`, `Box::new`, `.to_vec()`)
-    /// in the event-core hot-path modules, which recycle buffers through
-    /// pools and scratch vectors.
+    /// A call that allocates (`Box::new`, `vec!`, `.to_vec()`,
+    /// `::with_capacity`) in the event-core hot-path modules, which
+    /// recycle buffers through pools and scratch vectors.
     HotPathAlloc,
     /// A crate dependency that violates the workspace layering DAG.
     Layering,
@@ -67,7 +67,7 @@ pub const ALL_RULES: &[Rule] = &[
 ];
 
 impl Rule {
-    /// The kebab-case name used in pragmas, CLI flags, and JSON.
+    /// The kebab-case name used in pragmas, `--list-rules`, and JSON.
     pub fn name(self) -> &'static str {
         match self {
             Rule::WallClock => "wall-clock",

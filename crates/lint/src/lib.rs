@@ -10,7 +10,7 @@
 //! offline, so no `syn`; see [`tokens`]) feeding a rule engine that
 //! emits machine-readable JSON plus human `file:line` output.
 //!
-//! The rules (each individually deny-able; see DESIGN.md §11):
+//! The rules (all denied — any finding fails the run; see DESIGN.md §11):
 //!
 //! | rule             | protects                                          |
 //! |------------------|---------------------------------------------------|
@@ -19,7 +19,7 @@
 //! | `env-read`       | runs reproducible from the spec hash              |
 //! | `map-iter`       | no hasher-dependent order reaches an artifact     |
 //! | `panic-path`     | the event-core hot path degrades, never aborts    |
-//! | `hot-path-alloc` | pooled hot paths allocate ~zero per event         |
+//! | `hot-path-alloc` | no allocating call on a pooled hot path           |
 //! | `float-order`    | no NaN-undefined or hasher-ordered float result   |
 //! | `layering`       | the crate DAG (`sim` reusable, `telemetry` leaf)  |
 //! | `unsafe-hygiene` | every determinism argument is a safe-Rust one     |
@@ -37,13 +37,15 @@
 //! graph (see [`callgraph`]) lets the entry-point-scoped families
 //! (`panic-path`, `hot-path-alloc`, `unseeded-rng`) follow calls out of
 //! their file lists and audit the helpers those entry points lean on.
-//! `marnet-lint --call-graph PATH` exports the graph as a stable JSON
-//! artifact that CI diffs against the committed baseline.
+//! The stale-pragma audit runs after that propagation, over every file:
+//! a pragma nothing consumed is an `unused-pragma` finding wherever it
+//! sits, so the suppression inventory cannot outlive its reasons.
 //!
-//! Run it with `cargo run -p marnet-lint -- --deny-all` (exit codes:
-//! 0 clean, 1 findings, 2 usage error); `tests/workspace_clean.rs` runs
-//! the same pass in `cargo test`, so CI fails on any undocumented
-//! violation.
+//! Run it with `cargo run -p marnet-lint` (exit codes: 0 clean,
+//! 1 findings, 2 usage error); `tests/workspace_clean.rs` runs the same
+//! pass in `cargo test` and holds the product-code pragma count to a
+//! budget, so CI fails on any undocumented violation and the inventory
+//! can only ratchet down.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,32 +1,19 @@
 //! The `marnet-lint` CLI.
 //!
 //! ```text
-//! marnet-lint [--root PATH] [--format text|json] [--deny-all]
-//!             [--deny RULE] [--allow RULE] [--list-rules]
-//!             [--call-graph PATH]
+//! marnet-lint [--root PATH] [--format text|json] [--list-rules]
 //! ```
 //!
-//! All rules are denied by default (strict by default); `--allow RULE`
-//! downgrades one to report-only, `--deny RULE` re-enables it, and
-//! `--deny-all` resets to the strict default (what CI passes, so the
-//! gate survives accidental `--allow` creep in the invocation).
-//!
-//! Exit codes follow the workspace convention: 0 ok (no denied
-//! findings), 1 findings, 2 usage error.
+//! Every rule is denied: any finding fails the run. Exit codes follow
+//! the workspace convention: 0 ok (no findings), 1 findings, 2 usage
+//! error.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use marnet_lint::diag::ALL_RULES;
-use marnet_lint::{find_workspace_root, lint_workspace, render_json, render_text, Rule};
+use marnet_lint::{find_workspace_root, lint_workspace, render_json, render_text, ALL_RULES};
 
-const USAGE: &str = "usage: marnet-lint [--root PATH] [--format text|json] [--deny-all]
-                   [--deny RULE] [--allow RULE] [--list-rules]
-                   [--call-graph PATH]
-
---call-graph PATH writes the workspace call graph as JSON (`-` for
-stdout); CI diffs it against the committed baseline.
+const USAGE: &str = "usage: marnet-lint [--root PATH] [--format text|json] [--list-rules]
 
 exit codes: 0 ok, 1 findings, 2 usage error";
 
@@ -48,8 +35,6 @@ fn main() -> ExitCode {
 fn run() -> Result<ExitCode, String> {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut denied: BTreeSet<Rule> = ALL_RULES.iter().copied().collect();
-    let mut call_graph_out: Option<String> = None;
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -63,14 +48,6 @@ fn run() -> Result<ExitCode, String> {
                     "json" => Format::Json,
                     other => return Err(format!("unknown format `{other}`\n{USAGE}")),
                 }
-            }
-            "--deny-all" => denied = ALL_RULES.iter().copied().collect(),
-            "--call-graph" => call_graph_out = Some(value("--call-graph")?),
-            "--deny" => {
-                denied.insert(parse_rule(&value("--deny")?)?);
-            }
-            "--allow" => {
-                denied.remove(&parse_rule(&value("--allow")?)?);
             }
             "--list-rules" => {
                 for rule in ALL_RULES {
@@ -99,41 +76,19 @@ fn run() -> Result<ExitCode, String> {
     }
 
     let report = lint_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    if let Some(path) = call_graph_out {
-        let json = report.call_graph.render_json();
-        if path == "-" {
-            print!("{json}");
-        } else {
-            std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "call graph: {} fns, {} call edges -> {path}",
-                report.call_graph.fns.len(),
-                report.call_graph.edges.len()
-            );
-        }
-    }
     match format {
         Format::Text => {
             print!("{}", render_text(&report.findings));
             eprintln!(
-                "scanned {} files across {} crates",
-                report.files_scanned, report.crates_checked
+                "scanned {} files across {} crates; call graph: {} fns, {} call edges",
+                report.files_scanned,
+                report.crates_checked,
+                report.call_graph.fns.len(),
+                report.call_graph.edges.len()
             );
         }
         Format::Json => print!("{}", render_json(&report.findings)),
     }
 
-    let denied_hits = report.findings.iter().filter(|d| denied.contains(&d.rule)).count();
-    if denied_hits > 0 {
-        Ok(ExitCode::FAILURE)
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
-fn parse_rule(name: &str) -> Result<Rule, String> {
-    Rule::from_name(name).ok_or_else(|| {
-        let known: Vec<&str> = ALL_RULES.iter().map(|r| r.name()).collect();
-        format!("unknown rule `{name}` (known: {})\n{USAGE}", known.join(", "))
-    })
+    Ok(if report.findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }

@@ -11,7 +11,8 @@
 //!   simulation, not its test harness.
 //! * Findings are suppressed only by an explicit, reasoned pragma on the
 //!   same line or the line directly above ([`crate::pragma`]); a pragma
-//!   that suppresses nothing is itself reported, so stale suppressions
+//!   that suppresses nothing — here or, in a workspace pass, in any span
+//!   the call graph reaches — is itself reported, so stale suppressions
 //!   cannot linger.
 
 use crate::diag::{Diagnostic, Rule};
@@ -53,18 +54,84 @@ const DEFAULT_CTORS: &[&str] = &["new", "default", "with_capacity", "from"];
 /// Macros that abort the current trial.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Scans one file, returning its (pragma-filtered) diagnostics.
-pub fn scan_file(src: &str, scope: &FileScope) -> Vec<Diagnostic> {
-    scan_stream(&tokenize(src), scope)
+/// One file's pragma ledger: which pragmas exist and which have
+/// suppressed something so far. The workspace walker keeps suppressing
+/// through it while it audits reached helpers, and only then asks for
+/// [`PragmaLedger::unused`].
+pub(crate) struct PragmaLedger {
+    /// Each pragma with whether it has suppressed a finding yet.
+    pragmas: Vec<(Pragma, bool)>,
+    test_ranges: Vec<std::ops::RangeInclusive<usize>>,
 }
 
-/// Scans an already-tokenized file (the workspace walker tokenizes once
-/// and shares the stream with the call-graph builder).
-pub fn scan_stream(stream: &TokenStream, scope: &FileScope) -> Vec<Diagnostic> {
+impl PragmaLedger {
+    /// True when `line` sits inside a `#[cfg(test)]` / `#[test]` item.
+    pub fn in_test(&self, line: usize) -> bool {
+        self.test_ranges.iter().any(|r| r.contains(&line))
+    }
+
+    /// Applies pragma suppression to raw findings: a pragma silences
+    /// findings of its rule on its own line or the line directly below.
+    /// The same-line pragma is preferred, so consecutive pragma'd lines
+    /// each consume their own pragma instead of the first one claiming
+    /// both. Consumed pragmas are marked used.
+    pub fn suppress(&mut self, raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
+        let mut findings: Vec<Diagnostic> = Vec::new();
+        'raw: for d in raw {
+            for same_line in [true, false] {
+                for (p, used) in &mut self.pragmas {
+                    let hit = if same_line { p.line == d.line } else { p.line + 1 == d.line };
+                    if p.rule == d.rule && hit {
+                        *used = true;
+                        continue 'raw;
+                    }
+                }
+            }
+            findings.push(d);
+        }
+        findings
+    }
+
+    /// One `unused-pragma` finding per pragma outside test code that has
+    /// suppressed nothing — whatever its rule and wherever the file sits:
+    /// a rule that does not apply here leaves its pragma just as stale.
+    pub fn unused(&self, rel_path: &str) -> Vec<Diagnostic> {
+        self.pragmas
+            .iter()
+            .filter(|(p, used)| !used && !self.in_test(p.line))
+            .map(|(p, _)| Diagnostic {
+                rule: Rule::UnusedPragma,
+                file: rel_path.to_string(),
+                line: p.line,
+                message: format!("pragma `allow({})` suppresses nothing here; remove it", p.rule),
+            })
+            .collect()
+    }
+}
+
+/// Scans one file on its own, returning its (pragma-filtered)
+/// diagnostics, stale pragmas included.
+pub fn scan_file(src: &str, scope: &FileScope) -> Vec<Diagnostic> {
+    let (mut findings, ledger) = scan_stream(&tokenize(src), scope);
+    findings.extend(ledger.unused(&scope.rel_path));
+    findings
+}
+
+/// Scans an already-tokenized file under its direct scope (the workspace
+/// walker tokenizes once and shares the stream with the call-graph
+/// builder). Stale pragmas are not reported here: a pragma may yet be
+/// consumed by a finding the call graph propagates into this file.
+pub(crate) fn scan_stream(
+    stream: &TokenStream,
+    scope: &FileScope,
+) -> (Vec<Diagnostic>, PragmaLedger) {
     let toks = &stream.tokens;
     let (pragmas, pragma_errors) = pragma::collect(&stream.comments);
-    let test_ranges = test_line_ranges(toks);
-    let in_test = |line: usize| test_ranges.iter().any(|r| r.contains(&line));
+    let mut ledger = PragmaLedger {
+        pragmas: pragmas.into_iter().map(|p| (p, false)).collect(),
+        test_ranges: test_line_ranges(toks),
+    };
+    let in_test = |line: usize| ledger.in_test(line);
 
     let mut raw: Vec<Diagnostic> = Vec::new();
     let mut push = |rule: Rule, line: usize, message: String| {
@@ -84,11 +151,9 @@ pub fn scan_stream(stream: &TokenStream, scope: &FileScope) -> Vec<Diagnostic> {
         push(Rule::UnsafeHygiene, 1, "crate root is missing `#![forbid(unsafe_code)]`".into());
     }
 
-    let mut used = vec![false; pragmas.len()];
-    let mut findings = suppress(raw, &pragmas, &mut used);
-
+    let mut findings = ledger.suppress(raw);
     for e in pragma_errors {
-        if !in_test(e.line) {
+        if !ledger.in_test(e.line) {
             findings.push(Diagnostic {
                 rule: Rule::BadPragma,
                 file: scope.rel_path.clone(),
@@ -97,60 +162,7 @@ pub fn scan_stream(stream: &TokenStream, scope: &FileScope) -> Vec<Diagnostic> {
             });
         }
     }
-    for (p, used) in pragmas.iter().zip(used) {
-        // Only audit pragmas for rules this file is actually subject to —
-        // and leave test code alone. (Pragmas suppressing call-graph-
-        // propagated findings in out-of-scope files are honored by the
-        // workspace walker but not audited here: the walker cannot know
-        // locally whether a reachability path still exists.)
-        let enabled = match p.rule {
-            Rule::WallClock
-            | Rule::ThreadId
-            | Rule::EnvRead
-            | Rule::MapIter
-            | Rule::FloatOrder
-            | Rule::UnseededRng => scope.determinism,
-            Rule::PanicPath => scope.panic_path,
-            Rule::HotPathAlloc => scope.hot_alloc,
-            Rule::UnsafeHygiene => scope.hygiene,
-            _ => false,
-        };
-        if enabled && !used && !in_test(p.line) {
-            findings.push(Diagnostic {
-                rule: Rule::UnusedPragma,
-                file: scope.rel_path.clone(),
-                line: p.line,
-                message: format!("pragma `allow({})` suppresses nothing here; remove it", p.rule),
-            });
-        }
-    }
-    findings
-}
-
-/// Applies pragma suppression to raw findings: a pragma silences
-/// findings of its rule on its own line or the line directly below. The
-/// same-line pragma is preferred, so consecutive pragma'd lines each
-/// consume their own pragma instead of the first one claiming both.
-/// Marks consumed pragmas in `used` (for the stale-pragma audit).
-pub(crate) fn suppress(
-    raw: Vec<Diagnostic>,
-    pragmas: &[Pragma],
-    used: &mut [bool],
-) -> Vec<Diagnostic> {
-    let mut findings: Vec<Diagnostic> = Vec::new();
-    'raw: for d in raw {
-        for same_line in [true, false] {
-            for (i, p) in pragmas.iter().enumerate() {
-                let hit = if same_line { p.line == d.line } else { p.line + 1 == d.line };
-                if p.rule == d.rule && hit {
-                    used[i] = true;
-                    continue 'raw;
-                }
-            }
-        }
-        findings.push(d);
-    }
-    findings
+    (findings, ledger)
 }
 
 /// True when the stream carries `#![forbid(unsafe_code)]`.
@@ -655,51 +667,42 @@ pub(crate) fn scan_panic_path(
     }
 }
 
-/// The allocation-discipline family for pooled hot-path modules: fresh
-/// heap allocations that should instead recycle through `PayloadPool`
-/// slots or retained scratch buffers. `Vec::new()` itself is lazy, but a
-/// vector born on the hot path grows on the hot path — cold-path births
-/// (constructors, drains) carry a reasoned pragma instead.
+/// The allocation-discipline family for pooled hot-path modules: calls
+/// that allocate when they run — `Box::new`, `vec![…]`, `.to_vec()` and
+/// `<Type>::with_capacity(…)` — and should instead recycle through
+/// `PayloadPool` slots or retained scratch buffers. `::new()` of a
+/// collection is not flagged: it cannot allocate, and what the collection
+/// later grows to is measured exactly by the perf matrix's
+/// `allocs_per_event` ratchet, which no lexical rule can stand in for.
 pub(crate) fn scan_hot_alloc(
     toks: &[Token],
     in_test: &dyn Fn(usize) -> bool,
     push: &mut dyn FnMut(Rule, usize, String),
 ) {
+    const ADVICE: &str = "in a pooled hot-path module; recycle through a pool or scratch \
+                          buffer (or pragma a cold path)";
     for i in 0..toks.len() {
         let line = toks[i].line;
         if in_test(line) {
             continue;
         }
-        let ctor = (word_at(toks, i, "Vec") || word_at(toks, i, "Box"))
-            && punct_at(toks, i + 1, "::")
-            && word_at(toks, i + 2, "new");
-        if ctor {
-            push(
-                Rule::HotPathAlloc,
-                line,
-                format!(
-                    "`{}::new` in a pooled hot-path module; recycle through a pool or \
-                     scratch buffer (or pragma a cold path)",
-                    toks[i].text
-                ),
-            );
+        if word_at(toks, i, "Box") && punct_at(toks, i + 1, "::") && word_at(toks, i + 2, "new") {
+            push(Rule::HotPathAlloc, line, format!("`Box::new` allocates {ADVICE}"));
         }
         if word_at(toks, i, "vec") && punct_at(toks, i + 1, "!") {
-            push(
-                Rule::HotPathAlloc,
-                line,
-                "`vec!` allocates per call in a pooled hot-path module; recycle through \
-                 a pool or scratch buffer (or pragma a cold path)"
-                    .into(),
-            );
+            push(Rule::HotPathAlloc, line, format!("`vec!` allocates per call {ADVICE}"));
         }
         if punct_at(toks, i, ".") && word_at(toks, i + 1, "to_vec") && punct_at(toks, i + 2, "(") {
+            push(Rule::HotPathAlloc, toks[i + 1].line, format!("`.to_vec()` deep-copies {ADVICE}"));
+        }
+        if punct_at(toks, i, "::")
+            && word_at(toks, i + 1, "with_capacity")
+            && punct_at(toks, i + 2, "(")
+        {
             push(
                 Rule::HotPathAlloc,
                 toks[i + 1].line,
-                "`.to_vec()` deep-copies in a pooled hot-path module; recycle through \
-                 a pool or scratch buffer (or pragma a cold path)"
-                    .into(),
+                format!("`::with_capacity` allocates up front {ADVICE}"),
             );
         }
     }
@@ -868,22 +871,27 @@ mod tests {
 
     #[test]
     fn hot_path_allocs_are_flagged_and_pragma_suppresses() {
-        let src = "
-            fn hot(xs: &[u8]) -> Vec<u8> {
-                let a: Vec<u8> = Vec::new();
-                let b = vec![0u8; 4];
-                let c = Box::new(4u32);
-                drop((a, b, c));
-                xs.to_vec()
-            }
+        for (src, hits) in [
+            ("fn f() { let a: Vec<u8> = Vec::new(); }", 0),
+            ("fn f() { let q: VecDeque<u8> = VecDeque::new(); }", 0),
+            ("fn f() { let s = String::new(); }", 0),
+            ("fn f(n: usize) { let a: Vec<u8> = Vec::with_capacity(n); }", 1),
+            ("fn f(n: usize) { let q = VecDeque::<u8>::with_capacity(n); }", 1),
+            ("fn f(n: usize) { let b = vec![0u8; n]; }", 1),
+            ("fn f(x: u32) { let c = Box::new(x); }", 1),
+            ("fn f(s: &[u8]) -> Vec<u8> { s.to_vec() }", 1),
+        ] {
+            let d = scan(src, false, true, false);
+            assert_eq!(d.len(), hits, "{src}: {d:?}");
+            assert!(d.iter().all(|d| d.rule == Rule::HotPathAlloc), "{src}: {d:?}");
+            // Without hot-path scope the family stays silent.
+            assert!(scan(src, true, false, false).is_empty(), "{src}");
+        }
+        let cold = "
             // marnet-lint: allow(hot-path-alloc): constructor runs once per sim, not per event
-            fn cold() -> Vec<u8> { Vec::new() }
+            fn cold() -> Vec<u8> { vec![0; 4] }
         ";
-        let d = scan(src, false, true, false);
-        assert_eq!(d.len(), 4, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == Rule::HotPathAlloc));
-        // Without hot-path scope the family stays silent.
-        assert!(scan(src, true, false, false).is_empty());
+        assert!(scan(cold, false, true, false).is_empty());
     }
 
     #[test]

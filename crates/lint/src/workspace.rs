@@ -26,7 +26,10 @@
 //! allocation / seeded-randomness rules, and its findings carry a
 //! "reachable from"
 //! witness. Pragmas in the helper's file suppress propagated findings
-//! the same way they suppress direct ones.
+//! the same way they suppress direct ones, and only after propagation is
+//! the stale-pragma audit run: a pragma that neither the direct scan nor
+//! any reached span consumed is an `unused-pragma` finding, whichever
+//! file it sits in.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -36,8 +39,7 @@ use std::path::{Path, PathBuf};
 use crate::callgraph::{CallGraph, FileInput};
 use crate::diag::{self, Diagnostic, Rule};
 use crate::layering;
-use crate::pragma;
-use crate::rules::{self, scan_stream, FileScope};
+use crate::rules::{self, scan_stream, FileScope, PragmaLedger};
 use crate::tokens::{tokenize, TokenStream};
 
 /// Crates whose library code faces the simulator and must stay
@@ -65,8 +67,8 @@ pub const HOT_PATH: &[&str] =
 
 /// Pooled hot-path modules under the allocation-discipline rule: the
 /// modules whose per-event work the perf matrix holds to near-zero
-/// allocs/event. Fresh `Vec::new`/`vec!`/`Box::new`/`.to_vec()` here must
-/// either recycle through a pool/scratch buffer or carry a reasoned
+/// allocs/event. A `vec!`/`Box::new`/`.to_vec()`/`::with_capacity` here
+/// must either recycle through a pool/scratch buffer or carry a reasoned
 /// pragma naming the cold path.
 pub const HOT_ALLOC: &[&str] = &[
     "crates/sim/src/engine.rs",
@@ -85,7 +87,7 @@ pub struct Report {
     pub files_scanned: usize,
     /// Crate manifests checked for layering.
     pub crates_checked: usize,
-    /// The workspace call graph (also exported via `--call-graph`).
+    /// The workspace call graph the propagated families walked.
     pub call_graph: CallGraph,
 }
 
@@ -95,6 +97,8 @@ struct ScannedFile {
     rel_path: String,
     scope: FileScope,
     stream: TokenStream,
+    /// The file's pragmas and which of them have suppressed something.
+    pragmas: PragmaLedger,
 }
 
 /// Runs every rule over the workspace rooted at `root` (the directory
@@ -131,8 +135,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         .map(|f| FileInput { crate_name: &f.crate_name, rel_path: &f.rel_path, stream: &f.stream })
         .collect();
     let graph = CallGraph::build(&inputs);
-    propagate(&graph, &scanned, &mut report.findings);
+    propagate(&graph, &mut scanned, &mut report.findings);
     report.call_graph = graph;
+    for f in &scanned {
+        report.findings.extend(f.pragmas.unused(&f.rel_path));
+    }
 
     diag::sort(&mut report.findings);
     Ok(report)
@@ -153,7 +160,7 @@ struct Family {
 /// Phase two: for each entry-point-scoped family, walk the call graph
 /// from every function defined in a directly-covered file and audit the
 /// helpers it reaches in files the family does not directly cover.
-fn propagate(graph: &CallGraph, scanned: &[ScannedFile], findings: &mut Vec<Diagnostic>) {
+fn propagate(graph: &CallGraph, scanned: &mut [ScannedFile], findings: &mut Vec<Diagnostic>) {
     let families: &[Family] = &[
         Family { covered: |s| s.panic_path, scan: rules::scan_panic_path },
         Family { covered: |s| s.hot_alloc, scan: rules::scan_hot_alloc },
@@ -171,7 +178,7 @@ fn propagate(graph: &CallGraph, scanned: &[ScannedFile], findings: &mut Vec<Diag
             .collect();
         targets.sort_by_key(|&(def, _)| (graph.fns[def].file_idx, graph.fns[def].line));
 
-        // Group by file so pragmas are collected once per file.
+        // Group by file: findings are de-duplicated per file.
         let mut by_file: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
         for (def, root) in targets {
             let fi = graph.fns[def].file_idx;
@@ -181,11 +188,7 @@ fn propagate(graph: &CallGraph, scanned: &[ScannedFile], findings: &mut Vec<Diag
             }
         }
         for (fi, defs) in by_file {
-            let file = &scanned[fi];
-            let (pragmas, _) = pragma::collect(&file.stream.comments);
-            let test_ranges = rules::test_line_ranges(&file.stream.tokens);
-            let in_test = |line: usize| test_ranges.iter().any(|r| r.contains(&line));
-            let mut used = vec![false; pragmas.len()];
+            let file = &mut scanned[fi];
             let mut seen: BTreeSet<(usize, Rule)> = BTreeSet::new();
             for (def, root) in defs {
                 let d = &graph.fns[def];
@@ -207,9 +210,10 @@ fn propagate(graph: &CallGraph, scanned: &[ScannedFile], findings: &mut Vec<Diag
                             ),
                         });
                     };
+                    let in_test = |line: usize| file.pragmas.in_test(line);
                     (family.scan)(&file.stream.tokens[s..e], &in_test, &mut push);
                 }
-                for f in rules::suppress(raw, &pragmas, &mut used) {
+                for f in file.pragmas.suppress(raw) {
                     // Nested fns are contained in their parent's span;
                     // dedup so a finding is not reported per enclosure.
                     if seen.insert((f.line, f.rule)) {
@@ -256,13 +260,15 @@ fn scan_crate(
         };
         let source = fs::read_to_string(&file)?;
         let stream = tokenize(&source);
-        report.findings.extend(scan_stream(&stream, &scope));
+        let (findings, pragmas) = scan_stream(&stream, &scope);
+        report.findings.extend(findings);
         report.files_scanned += 1;
         scanned.push(ScannedFile {
             crate_name: name.to_string(),
             rel_path: scope.rel_path.clone(),
             scope,
             stream,
+            pragmas,
         });
     }
     Ok(())

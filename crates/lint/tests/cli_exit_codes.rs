@@ -18,11 +18,8 @@ fn fixture_root() -> PathBuf {
 
 #[test]
 fn clean_workspace_exits_zero() {
-    let st = lint_bin()
-        .args(["--deny-all", "--format", "json", "--root"])
-        .arg(repo_root())
-        .status()
-        .expect("run");
+    let st =
+        lint_bin().args(["--format", "json", "--root"]).arg(repo_root()).status().expect("run");
     assert_eq!(st.code(), Some(0), "the tree at HEAD must lint clean");
 }
 
@@ -33,35 +30,15 @@ fn seeded_violations_exit_one() {
 }
 
 #[test]
-fn allowing_every_fixture_rule_exits_zero() {
-    let mut cmd = lint_bin();
-    cmd.arg("--root").arg(fixture_root());
-    for rule in [
-        "wall-clock",
-        "thread-id",
-        "env-read",
-        "map-iter",
-        "unseeded-rng",
-        "float-order",
-        "panic-path",
-        "hot-path-alloc",
-        "layering",
-        "unsafe-hygiene",
-        "bad-pragma",
-        "unused-pragma",
-    ] {
-        cmd.args(["--allow", rule]);
-    }
-    assert_eq!(cmd.status().expect("run").code(), Some(0));
-}
-
-#[test]
 fn usage_errors_exit_two() {
     // Unknown flag.
     assert_eq!(lint_bin().arg("--frob").status().expect("run").code(), Some(2));
-    // Unknown rule name.
+    // The severity and export switches are gone: all four are unknown flags.
     let st = lint_bin().args(["--deny", "warp-drive"]).status().expect("run");
     assert_eq!(st.code(), Some(2));
+    for gone in ["--deny-all", "--allow", "--call-graph"] {
+        assert_eq!(lint_bin().arg(gone).status().expect("run").code(), Some(2), "{gone}");
+    }
     // Dangling flag value.
     assert_eq!(lint_bin().arg("--root").status().expect("run").code(), Some(2));
     // Root without a manifest.

@@ -1,6 +1,9 @@
 //! Fixture crate root: exactly one seeded violation per source-level
 //! determinism rule, plus the missing `#![forbid(unsafe_code)]` that
-//! seeds the hygiene finding at line 1. Never compiled — only scanned.
+//! seeds the hygiene finding at line 1. The stale pragma names
+//! `panic-path`, whose hot-path file list does not cover this file: only
+//! the audit that runs after call-graph propagation can report it.
+//! Never compiled — only scanned.
 
 pub fn wall_clock() -> u64 {
     let t = Instant::now();
@@ -25,7 +28,7 @@ pub fn bad_pragma() -> u64 {
     0
 }
 
-// marnet-lint: allow(env-read): nothing below reads the environment
+// marnet-lint: allow(panic-path): nothing below can panic
 pub fn stale() -> u64 {
     0
 }

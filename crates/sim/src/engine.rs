@@ -698,7 +698,7 @@ impl Simulator {
                 queue: EventQueue::with_tie_break(config.tie_break),
                 next_seq: 0,
                 next_packet_id: 0,
-                links: Vec::new(), // marnet-lint: allow(hot-path-alloc): Simulator construction, once per trial
+                links: Vec::new(),
                 current_actor: ActorId(u32::MAX),
                 src: SRC_SETUP,
                 stopped: false,
@@ -706,8 +706,8 @@ impl Simulator {
                 trace: TraceSink::default(),
                 link_metrics: None,
             },
-            actors: Vec::new(), // marnet-lint: allow(hot-path-alloc): Simulator construction, once per trial
-            started: Vec::new(), // marnet-lint: allow(hot-path-alloc): Simulator construction, once per trial
+            actors: Vec::new(),
+            started: Vec::new(),
             event_limit: u64::MAX,
         }
     }

@@ -326,7 +326,8 @@ impl DelayLines {
     /// Resolves a line index held by a [`LineId`] or a front-heap entry.
     #[inline]
     fn line(&mut self, line: u32) -> &mut VecDeque<Entry> {
-        // marnet-lint: allow(panic-path): LineIds are only minted by `add` for this queue, and the front heap only holds indices of its lines
+        // LineIds are only minted by `add` for this queue, and the front
+        // heap only holds indices of its lines.
         &mut self.lines[line as usize]
     }
 
@@ -363,7 +364,7 @@ impl DelayLines {
     fn pop(&mut self) -> Entry {
         let line = entry_at(&self.fronts, 0).slot;
         let entries = self.line(line);
-        // marnet-lint: allow(panic-path): a line is non-empty while the front heap holds its key
+        // A line is non-empty while the front heap holds its key.
         let entry = entries.pop_front().expect("non-empty line");
         match entries.front() {
             Some(&next) => set_entry(&mut self.fronts, 0, Entry { slot: line, ..next }),
@@ -415,9 +416,7 @@ impl<T> EventQueue<T> {
 
     pub(crate) fn with_tie_break(tie_break: TieBreak) -> Self {
         EventQueue {
-            // marnet-lint: allow(hot-path-alloc): construction-time; `Vec::new` does not allocate
             heap: Vec::new(),
-            // marnet-lint: allow(hot-path-alloc): construction-time; `Vec::new` does not allocate
             slots: Vec::new(),
             free_head: NO_SLOT,
             n_cancellable: 0,

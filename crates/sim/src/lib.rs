@@ -84,7 +84,6 @@ pub mod region;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod topology;
 
 /// Convenience re-exports of the types needed by almost every simulation.
 pub mod prelude {
@@ -99,5 +98,4 @@ pub mod prelude {
     pub use crate::rng::derive_rng;
     pub use crate::stats::{Histogram, OnlineStats, RateMeter, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::topology::TopologyBuilder;
 }

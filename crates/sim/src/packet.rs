@@ -218,7 +218,6 @@ impl<T: Any + Clone + fmt::Debug> PayloadPool<T> {
     /// beyond the cap falls back to fresh allocation.
     pub fn with_max_slots(max_slots: usize) -> Self {
         PayloadPool {
-            // marnet-lint: allow(hot-path-alloc): construction-time; `Vec::new` does not allocate
             slots: Vec::new(),
             cursor: 0,
             max_slots: max_slots.max(1),
@@ -247,11 +246,10 @@ impl<T: Any + Clone + fmt::Debug> PayloadPool<T> {
         let n = self.slots.len();
         for step in 0..n {
             let i = (self.cursor + step) % n;
-            // marnet-lint: allow(panic-path): `% n` indexes an n-long vec
+            // `% n` keeps `i` inside the n-long `slots`.
             if let Some(value) = self.slots[i].try_mut::<T>() {
                 update(value);
                 self.cursor = (i + 1) % n;
-                // marnet-lint: allow(panic-path): `% n` indexes an n-long vec
                 return self.slots[i].clone();
             }
         }

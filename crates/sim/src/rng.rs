@@ -26,17 +26,13 @@ use rand_chacha::ChaCha12Rng;
 /// assert_ne!(x, y);
 /// ```
 pub fn derive_rng(seed: u64, label: &str) -> ChaCha12Rng {
-    let mut key = [0u8; 32];
-    // marnet-lint: allow(panic-path): constant ranges into a fixed [u8; 32]
-    key[..8].copy_from_slice(&seed.to_le_bytes());
     let h1 = fnv1a(label.as_bytes(), 0xcbf2_9ce4_8422_2325);
     let h2 = fnv1a(label.as_bytes(), h1 ^ seed);
-    // marnet-lint: allow(panic-path): constant ranges into a fixed [u8; 32]
-    key[8..16].copy_from_slice(&h1.to_le_bytes());
-    // marnet-lint: allow(panic-path): constant ranges into a fixed [u8; 32]
-    key[16..24].copy_from_slice(&h2.to_le_bytes());
-    // marnet-lint: allow(panic-path): constant ranges into a fixed [u8; 32]
-    key[24..32].copy_from_slice(&(h1.wrapping_mul(h2) | 1).to_le_bytes());
+    let words = [seed, h1, h2, h1.wrapping_mul(h2) | 1];
+    let mut key = [0u8; 32];
+    for (chunk, word) in key.chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
     ChaCha12Rng::from_seed(key)
 }
 

@@ -270,7 +270,6 @@ impl RateMeter {
     /// Panics if `bucket` is zero.
     pub fn new(bucket: SimDuration) -> Self {
         assert!(bucket > SimDuration::ZERO, "bucket width must be positive");
-        // marnet-lint: allow(hot-path-alloc): construction-time; `Vec::new` does not allocate
         RateMeter { bucket, buckets: Vec::new() }
     }
 

@@ -29,6 +29,7 @@ impl FlightRecorder {
     /// doubling-growth memcpys out of recorded (timed) runs.
     fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);
+        // marnet-lint: allow(hot-path-alloc): enable-time constructor, once per recorded run
         FlightRecorder { buf: Vec::with_capacity(cap), cap, next: 0 }
     }
 
@@ -120,6 +121,7 @@ impl TraceSink {
     pub fn chunked(capacity: usize) -> Self {
         TraceSink {
             ring: Some(FlightRecorder::new(capacity)),
+            // marnet-lint: allow(hot-path-alloc): enable-time constructor, once per recorded run
             chunk: Vec::with_capacity(CHUNK_EVENTS.min(capacity.max(1))),
         }
     }
