@@ -9,7 +9,10 @@
 //! zero-delay messages over 10⁵ parked timers, the city-scale pattern the
 //! same-instant lane exists for; `in_flight_deep` keeps a bandwidth-delay
 //! product of packets in flight on one link over 10³ periodic timers, the
-//! dense-cell pattern the links' delay lines exist for.
+//! dense-cell pattern the links' delay lines exist for;
+//! `parked_timers_deep` churns 10⁵ think timers beside one hot timer, with
+//! the think timers in the event queue or in a `TimerBank`, the city-scale
+//! pattern the bank exists for.
 //!
 //! `cargo bench -p marnet-bench --bench engine_hot` measures;
 //! `cargo bench -p marnet-bench --bench engine_hot -- --test` smoke-runs
@@ -23,6 +26,7 @@ use marnet_sim::engine::{Actor, ActorId, Event, SimCtx, Simulator};
 use marnet_sim::link::{Bandwidth, LinkId, LinkParams};
 use marnet_sim::packet::{Packet, Payload};
 use marnet_sim::time::{SimDuration, SimTime};
+use marnet_sim::timers::TimerBank;
 use marnet_telemetry::event::{TraceEvent, TraceKind};
 use marnet_telemetry::recorder::TraceSink;
 use marnet_telemetry::TelemetryOptions;
@@ -131,8 +135,8 @@ fn bench_timer_rearm_churn(c: &mut Criterion) {
     g.finish();
 }
 
-/// Zero-delay message ping-pong over a deep heap: 10⁵ parked timers (one
-/// think timer per city-scale client) and two actors bouncing a message
+/// Zero-delay message ping-pong over a deep heap: 10⁵ parked timers (a
+/// population with an engine timer per member) and two actors bouncing a message
 /// within one instant. Through the heap every bounce sifts up past the
 /// parked timers and straight back down; through the same-instant lane it
 /// never touches them.
@@ -253,6 +257,89 @@ fn bench_in_flight_deep(c: &mut Criterion) {
     g.finish();
 }
 
+/// A population's think timers beside one hot timer: 10⁵ clients whose
+/// timers fire and are scheduled again about 2 s out (one every 20 µs),
+/// and an actor whose single timer fires every 10 µs — the city-scale
+/// shape, where the fluid tier's completion timer is the hot one. With
+/// every think timer an event-queue entry the hot timer sifts through a
+/// nine-level heap on each pop and push; with the think timers in a bank
+/// the queue holds two entries and only the bank's own 24-byte heap is
+/// deep.
+fn bench_parked_timers_deep(c: &mut Criterion) {
+    const CLIENTS: u64 = 100_000;
+    const EVENTS: u64 = 20_000;
+
+    /// The next think time of `client`: 1 s plus 31 hashed bits of
+    /// nanoseconds (Fibonacci hashing), so 1–3.15 s.
+    fn think(client: u64, round: u64) -> SimDuration {
+        let bits = (client ^ round << 32).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
+        SimDuration::from_nanos(1_000_000_000 + bits)
+    }
+
+    struct Thinkers {
+        bank: Option<TimerBank>,
+        round: u64,
+    }
+    impl Thinkers {
+        fn schedule(&mut self, ctx: &mut SimCtx, client: u64) {
+            self.round += 1;
+            let delay = think(client, self.round);
+            match &mut self.bank {
+                Some(bank) => bank.schedule(ctx, delay, client),
+                None => {
+                    ctx.schedule_timer(delay, client);
+                }
+            }
+        }
+    }
+    impl Actor for Thinkers {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            match ev {
+                Event::Start => {
+                    if let Some(bank) = &mut self.bank {
+                        bank.reserve(CLIENTS as usize);
+                    }
+                    for client in 0..CLIENTS {
+                        self.schedule(ctx, client);
+                    }
+                }
+                Event::Timer { tag } => {
+                    if let Some(bank) = &mut self.bank {
+                        bank.fired(ctx);
+                    }
+                    self.schedule(ctx, tag);
+                }
+                _ => {}
+            }
+        }
+    }
+    struct Hot;
+    impl Actor for Hot {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            if matches!(ev, Event::Start | Event::Timer { .. }) {
+                ctx.schedule_timer(SimDuration::from_micros(10), 0);
+            }
+        }
+    }
+
+    let mut g = c.benchmark_group("parked_timers_deep");
+    g.throughput(Throughput::Elements(EVENTS));
+    for (label, banked) in [("plain_100k", false), ("banked_100k", true)] {
+        g.bench_function(label, |b| {
+            let mut sim = Simulator::new(7);
+            sim.add_actor(Thinkers { bank: banked.then(TimerBank::new), round: 0 });
+            sim.add_actor(Hot);
+            // Past the first think times; every iteration continues the
+            // steady state.
+            sim.run_until(SimTime::from_secs(3));
+            assert_eq!(sim.ctx().pending_timers(), if banked { 2 } else { CLIENTS as usize + 1 });
+            sim.set_event_limit(EVENTS);
+            b.iter(|| black_box(sim.run_until(SimTime::MAX)))
+        });
+    }
+    g.finish();
+}
+
 /// XOR parity accumulation over one FEC group of reference frames with
 /// the unrolled u64-lane `xor_into`. The 6 001-byte block keeps a ragged
 /// 1-byte tail in play so the lane path's remainder handling is part of
@@ -321,6 +408,7 @@ criterion_group!(
     bench_timer_rearm_churn,
     bench_same_instant_message_deep,
     bench_in_flight_deep,
+    bench_parked_timers_deep,
     bench_fec_parity_throughput,
     bench_recorder_record_hot,
 );

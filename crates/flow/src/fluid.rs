@@ -16,14 +16,16 @@
 //! by all of them. A flow arriving at `t₀` with `size` bytes finishes
 //! when `S(t) = S(t₀) + size`, independent of what other flows do in
 //! between. Each class therefore keeps one monotone service counter and
-//! a min-heap of finish levels; a flow event costs `O(log n)` instead of
-//! `O(n)`, which is what makes 10⁵ concurrent clients tractable
+//! its finish levels in order (a sorted run backed by a min-heap, see
+//! `Completions`); a flow event costs `O(log n)` at worst — `O(1)` when
+//! transfers are of one size, whose finish levels arrive sorted — instead
+//! of `O(n)`, which is what makes 10⁵ concurrent clients tractable
 //! (DESIGN §13 gives the argument in full).
 //!
 //! # Determinism
 //!
-//! State lives in `Vec`s ordered by creation; the heap breaks finish-level
-//! ties by flow id; completion timers are quantized by *ceiling* to whole
+//! State lives in `Vec`s ordered by creation; completions order
+//! finish-level ties by flow id; completion timers are quantized by *ceiling* to whole
 //! nanoseconds so a completion never fires before its service level is
 //! reached. All arithmetic is sequential `f64`: same inputs, same bits.
 
@@ -38,7 +40,7 @@ use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{component, TraceEvent};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 /// Identifies a link in one [`FluidNetwork`]'s fluid graph.
@@ -108,7 +110,7 @@ pub struct FluidStats {
 }
 
 /// One pending finite flow: finishes when its class's service counter
-/// reaches `finish`. Heap order is (finish level, flow id) — the id
+/// reaches `finish`. The order is (finish level, flow id) — the id
 /// tiebreak keeps simultaneous completions deterministic.
 #[derive(Debug)]
 struct FlowEntry {
@@ -136,6 +138,64 @@ impl Ord for FlowEntry {
     }
 }
 
+/// A class's pending flows, earliest (finish level, flow id) first.
+///
+/// The service counter only grows, so flows of one size get finish levels
+/// in the order they start: sorting them through a heap is sorting a
+/// sorted sequence. A flow whose key exceeds the tail of `run` is appended
+/// to it; any other (a smaller transfer overtaking a larger one) goes to
+/// the heap. `run` is therefore sorted, each structure yields its own
+/// minimum, and the smaller of the two is the class's next completion.
+#[derive(Debug, Default)]
+struct Completions {
+    run: VecDeque<FlowEntry>,
+    heap: BinaryHeap<Reverse<FlowEntry>>,
+}
+
+impl Completions {
+    fn len(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+
+    fn push(&mut self, entry: FlowEntry) {
+        if self.run.back().is_none_or(|tail| entry > *tail) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(Reverse(entry));
+        }
+    }
+
+    /// Whether the next completion is the run's front (else the heap's top).
+    fn run_leads(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(front), Some(Reverse(top))) => front < top,
+            (front, _) => front.is_some(),
+        }
+    }
+
+    fn peek(&self) -> Option<&FlowEntry> {
+        if self.run_leads() {
+            self.run.front()
+        } else {
+            self.heap.peek().map(|Reverse(top)| top)
+        }
+    }
+
+    fn pop(&mut self) -> Option<FlowEntry> {
+        if self.run_leads() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop().map(|Reverse(top)| top)
+        }
+    }
+}
+
+/// A class index as the 8-bit `aux` operand of a trace record. Classes
+/// from 255 up all read as 255: saturated, never aliased onto a low class.
+fn trace_class(ci: usize) -> u8 {
+    u8::try_from(ci).unwrap_or(u8::MAX)
+}
+
 #[derive(Debug)]
 struct ClassState {
     route: Vec<usize>,
@@ -143,7 +203,7 @@ struct ClassState {
     /// Flows that are always active and never finish (the hybrid tier's
     /// standing foreground class, or steady background pressure).
     standing: u64,
-    heap: BinaryHeap<Reverse<FlowEntry>>,
+    pending: Completions,
     /// Cumulative per-flow service in bytes (`S(t)` above).
     service: f64,
     /// Current per-flow rate in bits/s.
@@ -160,7 +220,7 @@ impl MaxMinClass for ClassState {
         &self.route
     }
     fn flows(&self) -> u64 {
-        self.standing + self.heap.len() as u64
+        self.standing + self.pending.len() as u64
     }
     fn cap_bps(&self) -> f64 {
         self.cap_bps
@@ -204,14 +264,15 @@ impl FluidNetwork {
 
     /// Adds a flow class crossing `route`, optionally capped per flow
     /// (e.g. the client's access-link rate, so per-client access links
-    /// need not exist in the fluid graph).
+    /// need not exist in the fluid graph). Trace records carry the class
+    /// index in 8 bits: classes from the 256th on are all recorded as 255.
     pub fn add_class(&mut self, route: &[FluidLinkId], per_flow_cap: Option<Bandwidth>) -> ClassId {
         let id = ClassId(self.classes.len() as u32);
         self.classes.push(ClassState {
             route: route.iter().map(|l| l.index()).collect(),
             cap_bps: per_flow_cap.map_or(f64::INFINITY, |b| b.as_bps() as f64),
             standing: 0,
-            heap: BinaryHeap::new(),
+            pending: Completions::default(),
             service: 0.0,
             rate_bps: 0.0,
             traced_bps: 0,
@@ -269,14 +330,10 @@ impl FluidNetwork {
                 // short still completes its flow (never more than ~a byte
                 // early, and deterministically so).
                 let slack = c.rate_bps / 8e9 + c.service.abs() * 1e-12 + 1e-9;
-                let due = match c.heap.peek() {
-                    Some(Reverse(top)) => top.finish <= c.service + slack,
-                    None => false,
-                };
-                if !due {
+                if !c.pending.peek().is_some_and(|next| next.finish <= c.service + slack) {
                     break;
                 }
-                let Some(Reverse(entry)) = c.heap.pop() else { break };
+                let Some(entry) = c.pending.pop() else { break };
                 let duration = now.saturating_since(entry.started);
                 {
                     let mut st = self.stats.borrow_mut();
@@ -291,7 +348,7 @@ impl FluidNetwork {
                     TraceEvent::flow_finish(
                         now.as_nanos(),
                         comp,
-                        ci as u8,
+                        trace_class(ci),
                         entry.flow,
                         duration.as_nanos(),
                     )
@@ -326,12 +383,12 @@ impl FluidNetwork {
             let rate = self.rates[ci];
             let c = &mut self.classes[ci];
             c.rate_bps = rate;
-            let active = c.standing + c.heap.len() as u64;
+            let active = c.standing + c.pending.len() as u64;
             let quantized = rate.round() as u64;
             if ctx.trace_enabled() && quantized != c.traced_bps {
                 c.traced_bps = quantized;
                 ctx.trace_with(|| {
-                    TraceEvent::flow_rate(now.as_nanos(), comp, ci as u8, active, quantized)
+                    TraceEvent::flow_rate(now.as_nanos(), comp, trace_class(ci), active, quantized)
                 });
             }
             if let Some(coupling) = c.coupling {
@@ -360,8 +417,8 @@ impl FluidNetwork {
             if c.rate_bps <= 0.0 {
                 continue;
             }
-            if let Some(Reverse(top)) = c.heap.peek() {
-                let residual_bytes = (top.finish - c.service).max(0.0);
+            if let Some(next) = c.pending.peek() {
+                let residual_bytes = (next.finish - c.service).max(0.0);
                 let nanos = (residual_bytes * 8.0 / c.rate_bps * 1e9).ceil();
                 // Ceiling to whole nanoseconds guarantees the service
                 // counter has passed the finish level when the timer
@@ -402,20 +459,20 @@ impl Actor for FluidNetwork {
                     self.advance(now);
                     let c = &mut self.classes[start.class.index()];
                     let finish = c.service + start.bytes as f64;
-                    c.heap.push(Reverse(FlowEntry {
+                    c.pending.push(FlowEntry {
                         finish,
                         flow: start.flow,
                         bytes: start.bytes,
                         started: now,
                         notify: start.notify,
-                    }));
+                    });
                     self.stats.borrow_mut().started += 1;
                     let comp = component::actor(ctx.self_id().index());
                     ctx.trace_with(|| {
                         TraceEvent::flow_start(
                             now.as_nanos(),
                             comp,
-                            start.class.index() as u8,
+                            trace_class(start.class.index()),
                             start.flow,
                             start.bytes,
                         )
@@ -543,5 +600,66 @@ mod tests {
             v
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn classes_past_the_trace_operand_saturate_instead_of_aliasing() {
+        let mut sim = Simulator::new(3);
+        sim.enable_flight_recorder(1 << 10);
+        let net_id = sim.reserve_actor();
+        let drv_id = sim.reserve_actor();
+        let mut net = FluidNetwork::new();
+        let l = net.add_link(Bandwidth::from_mbps(8.0));
+        let classes: Vec<ClassId> = (0..300).map(|_| net.add_class(&[l], None)).collect();
+        sim.install_actor(net_id, net);
+        let done = Rc::new(RefCell::new(Vec::new()));
+        sim.install_actor(
+            drv_id,
+            Driver { net: net_id, class: classes[299], flows: 1, bytes: 1_000, done },
+        );
+        sim.run_to_completion();
+        // 299 truncated to eight bits is 43: the flow would read as class
+        // 43's in every record of it.
+        let trace = sim.take_trace();
+        let aux_of = |kind| trace.iter().find(|e| e.kind == kind).map(|e| e.aux);
+        assert_eq!(aux_of(marnet_telemetry::TraceKind::FlowStart), Some(u8::MAX));
+        assert_eq!(aux_of(marnet_telemetry::TraceKind::FlowFinish), Some(u8::MAX));
+        assert_eq!(aux_of(marnet_telemetry::TraceKind::FlowRate), Some(u8::MAX));
+    }
+
+    fn entry(finish: f64, flow: u64) -> FlowEntry {
+        FlowEntry { finish, flow, bytes: 0, started: SimTime::ZERO, notify: None }
+    }
+
+    proptest::proptest! {
+        /// Random pushes and pops on a class's completions against one
+        /// plain binary heap: finish levels on a coarse grid (equal levels
+        /// with different flow ids, ascending stretches that extend the
+        /// run, descending ones that take the heap) leave in the same
+        /// (finish level, flow id) order, and a flow joins the run iff it
+        /// sorts behind the run's tail.
+        #[test]
+        fn completions_match_a_plain_binary_heap(
+            ops in proptest::collection::vec((0u8..3, 0u32..12, 0u64..6), 1..200),
+        ) {
+            let key = |e: &FlowEntry| (e.finish.to_bits(), e.flow);
+            let mut ours = Completions::default();
+            let mut plain: BinaryHeap<Reverse<FlowEntry>> = BinaryHeap::new();
+            for (kind, level, flow) in ops {
+                if kind == 0 {
+                    assert_eq!(ours.pop().as_ref().map(key), plain.pop().map(|Reverse(e)| key(&e)));
+                } else {
+                    let finish = f64::from(level) * 1e3;
+                    let joins = ours.run.back().is_none_or(|tail| entry(finish, flow) > *tail);
+                    let run_before = ours.run.len();
+                    ours.push(entry(finish, flow));
+                    plain.push(Reverse(entry(finish, flow)));
+                    assert_eq!(ours.run.len() - run_before, usize::from(joins));
+                }
+                assert_eq!(ours.len(), plain.len());
+                assert_eq!(ours.peek().map(key), plain.peek().map(|Reverse(e)| key(e)));
+                assert!(ours.run.iter().zip(ours.run.iter().skip(1)).all(|(a, b)| a < b));
+            }
+        }
     }
 }

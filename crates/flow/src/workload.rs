@@ -4,8 +4,9 @@
 //! think/transfer renewal processes: each client waits an exponential
 //! think time, transfers a fixed number of bytes through the fluid tier
 //! as one flow, and on completion starts thinking again. Per-client
-//! state is just the timer tag (= client index), so 10⁵ clients cost
-//! 10⁵ pending timers — no per-client actors, no per-client links (the
+//! state is just the timer tag (= client index), and the think timers wait
+//! in a [`TimerBank`], so 10⁵ clients cost 10⁵ parked 24-byte keys and one
+//! event-queue entry — no per-client actors, no per-client links (the
 //! access-link rate is the class's per-flow cap).
 //!
 //! Randomness: a single ChaCha12 substream derived from the simulation
@@ -18,6 +19,7 @@ use marnet_sim::packet::PayloadPool;
 use marnet_sim::rng::derive_rng;
 use marnet_sim::stats::Histogram;
 use marnet_sim::time::SimDuration;
+use marnet_sim::timers::TimerBank;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::cell::RefCell;
@@ -63,6 +65,8 @@ pub struct BackgroundWorkload {
     /// Recycled [`StartFlow`] payloads — with 10⁵ clients the transfer
     /// hand-off is the tier's dominant message traffic.
     start_pool: PayloadPool<StartFlow>,
+    /// The clients' think timers: at most one per client is pending.
+    thinking: TimerBank,
 }
 
 impl BackgroundWorkload {
@@ -73,6 +77,7 @@ impl BackgroundWorkload {
             rng: None,
             stats: Rc::new(RefCell::new(WorkloadStats::default())),
             start_pool: PayloadPool::new(),
+            thinking: TimerBank::new(),
         }
     }
 
@@ -99,12 +104,14 @@ impl Actor for BackgroundWorkload {
             Event::Start => {
                 self.rng =
                     Some(derive_rng(ctx.seed(), &format!("flow/workload/{}", self.cfg.label)));
+                self.thinking.reserve(usize::try_from(self.cfg.clients).unwrap_or(0));
                 for client in 0..self.cfg.clients {
                     let delay = self.think();
-                    ctx.schedule_timer(delay, client);
+                    self.thinking.schedule(ctx, delay, client);
                 }
             }
             Event::Timer { tag } => {
+                self.thinking.fired(ctx);
                 self.stats.borrow_mut().offered += 1;
                 let msg = StartFlow {
                     class: self.cfg.class,
@@ -125,7 +132,7 @@ impl Actor for BackgroundWorkload {
                         st.duration_ms.record(done.duration.as_millis_f64());
                     }
                     let delay = self.think();
-                    ctx.schedule_timer(delay, done.flow);
+                    self.thinking.schedule(ctx, delay, done.flow);
                 }
             }
             _ => {}

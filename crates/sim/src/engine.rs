@@ -240,6 +240,12 @@ impl SimCtx {
         self.events_processed
     }
 
+    /// The `seq` the next scheduled event will draw.
+    #[cfg(test)]
+    pub(crate) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
     /// Allocates a globally unique packet id.
     #[inline]
     pub fn next_packet_id(&mut self) -> u64 {
@@ -269,7 +275,9 @@ impl SimCtx {
     }
 
     /// Pending cancellable timers (diagnostics). With true removal this is
-    /// live timers only — cancelled timers leave no residue.
+    /// live timers only — cancelled timers leave no residue. Counts event
+    /// queue entries, so a [`crate::timers::TimerBank`] counts once however
+    /// many timers it holds.
     pub fn pending_timers(&self) -> usize {
         self.queue.cancellable_len()
     }
@@ -313,8 +321,9 @@ impl SimCtx {
         self.schedule_timer_for(id, delay, tag)
     }
 
-    /// The queue key of a timer armed now to fire after `delay`.
-    fn timer_key(&mut self, delay: SimDuration) -> (SimTime, u64, Phase) {
+    /// The queue key of a timer armed now to fire after `delay`; draws the
+    /// timer's `seq`.
+    pub(crate) fn timer_key(&mut self, delay: SimDuration) -> (SimTime, u64, Phase) {
         let t = self.now.saturating_add(delay);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -349,6 +358,24 @@ impl SimCtx {
         let (t, seq, phase) = self.timer_key(delay);
         let dest = Dest::Actor { id: self.current_actor, event: Event::Timer { tag } };
         TimerHandle(self.queue.rearm(handle.0, t, seq, self.src, phase, dest))
+    }
+
+    /// Puts a timer of the current actor in the event queue under a key
+    /// [`SimCtx::timer_key`] drew earlier, moving `armed` there if it is
+    /// still pending. A [`crate::timers::TimerBank`] shows the queue its
+    /// earliest timer this way: the entry sorts exactly where that timer's
+    /// own `schedule_timer` entry would have.
+    pub(crate) fn arm_timer_at(
+        &mut self,
+        armed: Option<TimerHandle>,
+        (t, seq, phase): (SimTime, u64, Phase),
+        tag: u64,
+    ) -> TimerHandle {
+        let dest = Dest::Actor { id: self.current_actor, event: Event::Timer { tag } };
+        TimerHandle(match armed {
+            Some(handle) => self.queue.rearm(handle.0, t, seq, self.src, phase, dest),
+            None => self.queue.push_cancellable(t, seq, self.src, phase, dest),
+        })
     }
 
     /// Cancels a pending timer, removing it from the event queue

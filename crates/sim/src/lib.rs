@@ -84,6 +84,7 @@ pub mod region;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod timers;
 
 /// Convenience re-exports of the types needed by almost every simulation.
 pub mod prelude {
@@ -98,4 +99,5 @@ pub mod prelude {
     pub use crate::rng::derive_rng;
     pub use crate::stats::{Histogram, OnlineStats, RateMeter, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};
+    pub use crate::timers::TimerBank;
 }
