@@ -346,15 +346,6 @@ impl ArSender {
         Rc::clone(&self.stats)
     }
 
-    /// The congestion controller of path `idx` (for inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn path_controller(&self, idx: usize) -> &DelayCongestionController {
-        &sender_path(&self.paths, idx).ctrl
-    }
-
     fn path_up(&self, ctx: &SimCtx, idx: usize) -> bool {
         match sender_path(&self.paths, idx).cfg.link {
             Some(l) => ctx.link_is_up(l),

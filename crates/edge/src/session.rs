@@ -79,11 +79,6 @@ impl RestartableServer {
         self
     }
 
-    /// Whether the server is currently dark.
-    pub fn is_down(&self) -> bool {
-        self.down_since.is_some()
-    }
-
     /// Crashes survived so far.
     pub fn crashes(&self) -> u64 {
         self.crashes

@@ -188,7 +188,7 @@ fn run_chaos(
 proptest! {
     // Each case runs a full 5-simulated-second, two-link simulation (twice
     // for the determinism property); the default case count keeps the dev
-    // cycle fast and CI's chaos-smoke job raises it via PROPTEST_CASES.
+    // cycle fast and CI's check job raises it via PROPTEST_CASES.
 
     /// Any random fault plan against live traffic completes without panics,
     /// restores both links to their baseline by the horizon, and conserves

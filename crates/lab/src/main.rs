@@ -5,6 +5,9 @@
 //! marnet-lab <experiment> [--replicates N] [--threads N] [--seed S]
 //!                         [--out PATH] [--baseline PATH]
 //!                         [--trace PATH] [--metrics]
+//! marnet-lab train [--smoke] [...]
+//! marnet-lab racecheck [NAME...] [--seed S] [--replicates N] [--threads N] [--demo]
+//! marnet-lab check [--results DIR]
 //! marnet-lab --list
 //! ```
 //!
@@ -30,6 +33,60 @@ use marnet_telemetry::{file as trace_file, TelemetryOptions, DEFAULT_TRACE_CAPAC
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// One subcommand's argument cursor: the flag loops of the experiment
+/// runner, `train`, `racecheck` and `check` differ only in their `match`.
+struct Flags<'a> {
+    argv: std::slice::Iter<'a, String>,
+    usage: fn() -> String,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String], usage: fn() -> String) -> Self {
+        Flags { argv: args.iter(), usage }
+    }
+
+    /// The next argument; `--help` prints the usage and exits 0.
+    fn next(&mut self) -> Option<&'a str> {
+        let arg = self.argv.next()?.as_str();
+        if matches!(arg, "--help" | "-h") {
+            println!("{}", (self.usage)());
+            std::process::exit(0);
+        }
+        Some(arg)
+    }
+
+    /// The value that must follow `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        let value = self.argv.next().map(String::as_str);
+        value.ok_or_else(|| format!("{flag} needs a value\n{}", (self.usage)()))
+    }
+
+    /// The value that must follow `flag`, parsed.
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(flag)?.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+
+    /// The error for an argument no arm of the loop took.
+    fn unknown(&self, arg: &str) -> String {
+        format!("unknown argument {arg}\n{}", (self.usage)())
+    }
+}
+
+/// A gate's exit code: 0 it holds, 1 findings, 2 usage or I/O error.
+fn gate_exit(verdict: Result<bool, String>, tag: &str) -> ExitCode {
+    match verdict {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(msg) => {
+            eprintln!("[{tag}] {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 struct Args {
     experiment: String,
     replicates: u32,
@@ -47,53 +104,43 @@ fn usage() -> String {
          \u{20}                        [--out PATH] [--baseline PATH]\n\
          \u{20}                        [--trace PATH] [--metrics]\n\
          \u{20}      marnet-lab train [--smoke] [...]   (see `marnet-lab train --help`)\n\
-         \u{20}      marnet-lab racecheck [--quick] [...] (see `marnet-lab racecheck --help`)\n\
+         \u{20}      marnet-lab racecheck [NAME...] [...] (see `marnet-lab racecheck --help`)\n\
+         \u{20}      marnet-lab check [--results DIR]\n\
          \u{20}      marnet-lab --list\n\
          experiments: {}",
         experiments::NAMES.join(", ")
     )
 }
 
-fn parse_args() -> Result<Args, String> {
+fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut experiment = None;
     let mut replicates = 8u32;
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut threads = default_threads();
     let mut seed = 42u64;
     let mut out = None;
     let mut baseline = None;
     let mut trace = None;
     let mut metrics = false;
 
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut value =
-            |flag: &str| argv.next().ok_or_else(|| format!("{flag} needs a value\n{}", usage()));
-        match arg.as_str() {
+    let mut flags = Flags::new(args, usage);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--list" => {
                 println!("{}", experiments::NAMES.join("\n"));
                 std::process::exit(0);
             }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                std::process::exit(0);
-            }
-            "--replicates" => {
-                replicates =
-                    value("--replicates")?.parse().map_err(|e| format!("--replicates: {e}"))?;
-            }
-            "--threads" => {
-                threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--seed" => {
-                seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
+            "--replicates" => replicates = flags.parse(arg)?,
+            "--threads" => threads = flags.parse(arg)?,
+            "--seed" => seed = flags.parse(arg)?,
+            "--out" => out = Some(PathBuf::from(flags.value(arg)?)),
+            "--baseline" => baseline = Some(PathBuf::from(flags.value(arg)?)),
+            "--trace" => trace = Some(PathBuf::from(flags.value(arg)?)),
             "--metrics" => metrics = true,
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other}\n{}", usage()));
-            }
+            other if other.starts_with('-') => return Err(flags.unknown(other)),
             other if experiment.is_none() => experiment = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other}\n{}", usage())),
         }
@@ -109,61 +156,57 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn racecheck_usage() -> String {
-    "usage: marnet-lab racecheck [--seed S] [--replicates N] [--threads N]\n\
-     \u{20}                           [--quick] [--demo] [--no-trace]"
+    "usage: marnet-lab racecheck [NAME...] [--seed S] [--replicates N] [--threads N] [--demo]\n\
+     targets: every experiment of `marnet-lab --list` and train_smoke (default: all of them)"
         .to_string()
 }
 
 /// Parses and runs `marnet-lab racecheck`. Exit codes follow the workspace
-/// convention: 0 ok (schedule-stable), 1 findings (a tie-break policy
-/// changed an artifact), 2 usage error.
+/// convention: 0 ok (no divergence outside `TIE_DEPENDENT`), 1 findings (a
+/// tie-break policy changed an unlisted artifact, or a trial failed),
+/// 2 usage error.
 fn racecheck_main(args: &[String]) -> ExitCode {
     let mut opts = marnet_lab::RacecheckOptions::default();
-
+    let mut flags = Flags::new(args, racecheck_usage);
     let parsed = (|| -> Result<(), String> {
-        let mut argv = args.iter();
-        while let Some(arg) = argv.next() {
-            let mut value = |flag: &str| {
-                argv.next().ok_or_else(|| format!("{flag} needs a value\n{}", racecheck_usage()))
-            };
-            match arg.as_str() {
-                "--help" | "-h" => {
-                    println!("{}", racecheck_usage());
-                    std::process::exit(0);
-                }
-                "--seed" => {
-                    opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--replicates" => {
-                    opts.replicates =
-                        value("--replicates")?.parse().map_err(|e| format!("--replicates: {e}"))?;
-                }
-                "--threads" => {
-                    opts.threads =
-                        value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--quick" => opts.quick = true,
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--seed" => opts.seed = flags.parse(arg)?,
+                "--replicates" => opts.replicates = flags.parse(arg)?,
+                "--threads" => opts.threads = flags.parse(arg)?,
                 "--demo" => opts.demo = true,
-                "--no-trace" => opts.trace = false,
-                other => return Err(format!("unknown argument {other}\n{}", racecheck_usage())),
+                other if other.starts_with('-') => return Err(flags.unknown(other)),
+                name => opts.targets.push(name.to_string()),
+            }
+        }
+        if opts.replicates == 0 || opts.threads == 0 {
+            return Err("--replicates and --threads must be at least 1".into());
+        }
+        Ok(())
+    })();
+    gate_exit(parsed.and_then(|()| marnet_lab::run_racecheck(&opts)), "racecheck")
+}
+
+fn check_usage() -> String {
+    "usage: marnet-lab check [--results DIR]   (default: results)".to_string()
+}
+
+/// Parses and runs `marnet-lab check`: 0 every committed artifact
+/// regenerates and racecheck holds, 1 findings, 2 a missing or unreadable
+/// artifact or a usage error.
+fn check_main(args: &[String]) -> ExitCode {
+    let mut results = PathBuf::from("results");
+    let mut flags = Flags::new(args, check_usage);
+    let parsed = (|| -> Result<(), String> {
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--results" => results = PathBuf::from(flags.value(arg)?),
+                other => return Err(flags.unknown(other)),
             }
         }
         Ok(())
     })();
-    if let Err(msg) = parsed {
-        eprintln!("{msg}");
-        return ExitCode::from(2);
-    }
-    if opts.replicates == 0 || opts.threads == 0 {
-        eprintln!("--replicates and --threads must be at least 1");
-        return ExitCode::from(2);
-    }
-
-    if marnet_lab::run_racecheck(&opts) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    gate_exit(parsed.and_then(|()| marnet_lab::check::run_check(&results)), "check")
 }
 
 fn train_usage() -> String {
@@ -180,87 +223,53 @@ fn train_main(args: &[String]) -> ExitCode {
     let mut population = None;
     let mut elites = None;
     let mut replicates = None;
-    let mut threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut threads = default_threads();
     let mut seed = 42u64;
     let mut out = None;
     let mut baseline = None;
     let mut smoke = false;
 
-    let parsed = (|| -> Result<(), String> {
-        let mut argv = args.iter();
-        while let Some(arg) = argv.next() {
-            let mut value = |flag: &str| {
-                argv.next().ok_or_else(|| format!("{flag} needs a value\n{}", train_usage()))
-            };
-            match arg.as_str() {
-                "--help" | "-h" => {
-                    println!("{}", train_usage());
-                    std::process::exit(0);
-                }
-                "--generations" => {
-                    generations = Some(
-                        value("--generations")?
-                            .parse::<u32>()
-                            .map_err(|e| format!("--generations: {e}"))?,
-                    );
-                }
-                "--population" => {
-                    population = Some(
-                        value("--population")?
-                            .parse::<u32>()
-                            .map_err(|e| format!("--population: {e}"))?,
-                    );
-                }
-                "--elites" => {
-                    elites = Some(
-                        value("--elites")?.parse::<u32>().map_err(|e| format!("--elites: {e}"))?,
-                    );
-                }
-                "--replicates" => {
-                    replicates = Some(
-                        value("--replicates")?
-                            .parse::<u32>()
-                            .map_err(|e| format!("--replicates: {e}"))?,
-                    );
-                }
-                "--threads" => {
-                    threads = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--seed" => {
-                    seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-                }
-                "--out" => out = Some(PathBuf::from(value("--out")?)),
-                "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
+    let mut flags = Flags::new(args, train_usage);
+    let parsed = (|| -> Result<train::TrainOptions, String> {
+        while let Some(arg) = flags.next() {
+            match arg {
+                "--generations" => generations = Some(flags.parse::<u32>(arg)?),
+                "--population" => population = Some(flags.parse::<u32>(arg)?),
+                "--elites" => elites = Some(flags.parse::<u32>(arg)?),
+                "--replicates" => replicates = Some(flags.parse::<u32>(arg)?),
+                "--threads" => threads = flags.parse(arg)?,
+                "--seed" => seed = flags.parse(arg)?,
+                "--out" => out = Some(PathBuf::from(flags.value(arg)?)),
+                "--baseline" => baseline = Some(PathBuf::from(flags.value(arg)?)),
                 "--smoke" => smoke = true,
-                other => return Err(format!("unknown argument {other}\n{}", train_usage())),
+                other => return Err(flags.unknown(other)),
             }
         }
-        Ok(())
+        let defaults =
+            if smoke { train::TrainOptions::smoke() } else { train::TrainOptions::default() };
+        let opts = train::TrainOptions {
+            seed,
+            generations: generations.unwrap_or(defaults.generations),
+            population: population.unwrap_or(defaults.population),
+            elites: elites.unwrap_or(defaults.elites),
+            replicates: replicates.unwrap_or(defaults.replicates),
+            threads,
+            smoke,
+        };
+        if [opts.generations, opts.population, opts.replicates].contains(&0) || opts.threads == 0 {
+            return Err(
+                "--generations/--population/--replicates/--threads must be at least 1".into()
+            );
+        }
+        if opts.elites == 0 || opts.elites > opts.population {
+            return Err("--elites must be in 1..=population".into());
+        }
+        Ok(opts)
     })();
-    if let Err(msg) = parsed {
-        eprintln!("{msg}");
-        return ExitCode::from(2);
-    }
-
-    let defaults =
-        if smoke { train::TrainOptions::smoke() } else { train::TrainOptions::default() };
-    let opts = train::TrainOptions {
-        seed,
-        generations: generations.unwrap_or(defaults.generations),
-        population: population.unwrap_or(defaults.population),
-        elites: elites.unwrap_or(defaults.elites),
-        replicates: replicates.unwrap_or(defaults.replicates),
-        threads,
-        smoke,
+    let opts = match parsed {
+        Ok(opts) => opts,
+        Err(msg) => return gate_exit(Err(msg), "train"),
     };
-    if opts.generations == 0 || opts.population == 0 || opts.replicates == 0 || opts.threads == 0 {
-        eprintln!("--generations, --population, --replicates and --threads must be at least 1");
-        return ExitCode::from(2);
-    }
-    if opts.elites == 0 || opts.elites > opts.population {
-        eprintln!("--elites must be in 1..=population");
-        return ExitCode::from(2);
-    }
 
     println!(
         "[train] cem search: {} generations × {} candidates × {} members × {} replicates \
@@ -287,32 +296,23 @@ fn train_main(args: &[String]) -> ExitCode {
             "lab_train.json"
         })
     });
-    match train::finish(&artifact, &out, baseline.as_deref()) {
-        Ok(false) => ExitCode::SUCCESS,
-        Ok(true) => ExitCode::FAILURE,
-        Err(msg) => {
-            eprintln!("[train] {msg}");
-            ExitCode::from(2)
-        }
-    }
+    let drifted = train::finish(&artifact, &out, baseline.as_deref());
+    gate_exit(drifted.map(|drifted| !drifted), "train")
 }
 
 fn main() -> ExitCode {
-    // The `train` subcommand has its own flag set; peek before the
+    // The subcommands have their own flag sets; peek before the
     // experiment-runner parser claims argv.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("train") {
-        return train_main(&argv[1..]);
+    match argv.first().map(String::as_str) {
+        Some("train") => return train_main(&argv[1..]),
+        Some("racecheck") => return racecheck_main(&argv[1..]),
+        Some("check") => return check_main(&argv[1..]),
+        _ => {}
     }
-    if argv.first().map(String::as_str) == Some("racecheck") {
-        return racecheck_main(&argv[1..]);
-    }
-    let args = match parse_args() {
+    let args = match parse_args(&argv) {
         Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+        Err(msg) => return gate_exit(Err(msg), "lab"),
     };
     let telemetry = TelemetryOptions {
         trace_capacity: args.trace.is_some().then_some(DEFAULT_TRACE_CAPACITY),

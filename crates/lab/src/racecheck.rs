@@ -5,104 +5,99 @@
 //! whose *results* depend on the FIFO tie-break of equal-timestamp events.
 //! That dependence is invisible to normal determinism tests (rerunning the
 //! same binary replays the same tie order), so this module perturbs the
-//! order instead: it replays the four-member policy portfolio
-//! (recovery / offload / faults / fairness) plus the E17 city-scale
-//! canary under every [`TieBreak`] policy — `Fifo` (the reference),
-//! `Lifo`, and two seeded deterministic shuffles — and compares the
-//! resulting lab artifacts **byte for byte**.
+//! order instead: it replays every experiment of the registry
+//! ([`experiments::NAMES`]) plus the smoke training run under every
+//! [`TieBreak`] policy — `Fifo` (the reference), `Lifo`, and two seeded
+//! deterministic shuffles — and compares the resulting artifacts **byte
+//! for byte**, one target at a time.
 //!
 //! The perturbation mechanism is the ambient tie-break scope
 //! ([`with_ambient_tie_break`]): scenario runners construct their
-//! simulators internally via `Simulator::new(seed)`, so each trial body
-//! runs inside a scope that routes the policy to every simulator it
-//! builds. The [`ScenarioSpec`] is *identical* across policies (the
-//! policy is injected by closure capture, never written into the spec),
-//! so the spec hash — and, for tie-order-independent code, every artifact
-//! byte — matches the reference exactly.
+//! simulators internally via `Simulator::new(seed)`, and the lab runner
+//! carries the caller's policy into its workers, so a perturbed replay is
+//! the ordinary run inside a scope. The spec is *identical* across
+//! policies (the policy is never written into it), so the spec hash — and,
+//! for tie-order-independent code, every artifact byte — matches the
+//! reference exactly.
 //!
-//! On a mismatch the detector localizes the fault: each trial also
-//! captures its flight-recorder trace, and the first divergent trial's
-//! traces go through [`marnet_telemetry::first_divergence`] — the same
-//! comparison `marnet-trace diff` uses — so the failure report names the
-//! exact first event where the schedules' behavior (not just their
-//! equal-time ordering) split. Exit codes follow the workspace
-//! convention: 0 tie-order independent, 1 divergence, 2 usage error.
+//! On a mismatch the detector localizes the fault: it names the first
+//! differing artifact line, the first trial whose results moved and the
+//! scalars that moved in it, and — experiments are replayed with the
+//! flight recorder on — passes that trial's two traces through
+//! [`marnet_telemetry::first_divergence`], the comparison `marnet-trace
+//! diff` uses, to name the first event where the schedules split.
 //!
-//! What a clean run proves — and doesn't: tie-order independence is
-//! checked for the *portfolio workloads under the default policy
-//! parameters*, for the specific tie populations those schedules produce.
-//! It is evidence, not a proof over all schedules; see DESIGN §15.
+//! [`TIE_DEPENDENT`] lists the targets whose committed numbers are known
+//! to depend on tie order today. They are replayed and localized like the
+//! rest; only a divergence on a target *not* on the list (or a failed
+//! trial) fails the gate. The list may only shrink: a test holds that
+//! every entry still diverges, so fixing a race means deleting its name.
+//! Exit codes follow the workspace convention: 0 no unlisted divergence,
+//! 1 divergence, 2 usage error.
+//!
+//! What a clean target proves — and doesn't: tie-order independence at
+//! every published grid point, for the tie populations the replayed seeds
+//! produce. It is evidence, not a proof over all schedules; see DESIGN §15.
 
-use std::collections::BTreeMap;
-
+use crate::agg::PointSummary;
 use crate::artifact::Artifact;
-use crate::runner::run_experiment;
-use crate::spec::{ParamValue, ScenarioSpec};
-use crate::train;
-use marnet_core::policy::PolicyParams;
+use crate::experiments::{self, Experiment};
+use crate::runner::{run_experiment, ExperimentRun, TrialCtx, TrialReport};
+use crate::spec::{GridPoint, ScenarioSpec};
+use crate::train::{run_training, TrainOptions};
 use marnet_sim::config::{with_ambient_tie_break, TieBreak};
 use marnet_sim::prelude::*;
 use marnet_sim::rng::derive_rng;
-use marnet_telemetry::{
-    first_divergence, TelemetryCapture, TelemetryOptions, TraceEvent, DEFAULT_TRACE_CAPACITY,
-};
+use marnet_telemetry::{first_divergence, TelemetryOptions, DEFAULT_TRACE_CAPACITY};
 use rand::Rng;
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// The replayed portfolio: the four train members plus the E17 canary.
-pub const PORTFOLIO: [&str; 5] = ["recovery", "offload", "faults", "fairness", "canary"];
+/// The target name of the smoke training run (`train --smoke`, the spec
+/// behind `results/lab_train_smoke.json`).
+pub(crate) const TRAIN_TARGET: &str = "train_smoke";
+
+/// Targets whose artifact moves under a perturbed tie-break policy today
+/// (ROADMAP item 1b: each is a same-instant race to fix with a phase rule
+/// or a model-level tie key). An entry leaves this list in the PR that
+/// fixes its race; none may be added.
+pub const TIE_DEPENDENT: [&str; 7] = [
+    "fig2_anomaly",
+    "fig5_distribution",
+    "sweep_queueing",
+    "sweep_fairness",
+    "sweep_faults",
+    "sweep_variance",
+    TRAIN_TARGET,
+];
 
 /// Resolved options of one racecheck run.
 #[derive(Debug, Clone)]
 pub struct RacecheckOptions {
+    /// Targets to replay, by name; empty means every experiment of the
+    /// registry plus the smoke training run.
+    pub targets: Vec<String>,
     /// Base seed: trial seeds and the two `Seeded` shuffle keys derive
     /// from it.
     pub seed: u64,
-    /// Replicates per portfolio member (each replicate is a distinct
-    /// simulation seed, i.e. a distinct tie population).
+    /// Replicates per grid point (each replicate is a distinct simulation
+    /// seed, i.e. a distinct tie population). The training run keeps its
+    /// own smoke budget.
     pub replicates: u32,
     /// Worker threads for the trial fan-out; the verdict and every line
     /// of the report are independent of this.
     pub threads: usize,
-    /// Use the reduced horizons/population of the quick tier (tests).
-    pub quick: bool,
-    /// Run the intentionally tie-order-dependent demo scenario instead of
-    /// the portfolio — a self-test that must exit 1.
+    /// Replay the intentionally tie-order-dependent demo scenario instead
+    /// — a self-test that must exit 1.
     pub demo: bool,
-    /// Capture flight-recorder traces for divergence localization.
-    pub trace: bool,
 }
 
 impl Default for RacecheckOptions {
     fn default() -> Self {
-        RacecheckOptions {
-            seed: 42,
-            replicates: 1,
-            threads: 1,
-            quick: false,
-            demo: false,
-            trace: true,
-        }
+        RacecheckOptions { targets: Vec::new(), seed: 42, replicates: 1, threads: 1, demo: false }
     }
 }
-
-/// Quick-tier horizons for tests: the shortest schedules that still
-/// exercise every member's machinery (faults needs > 2 s so the outage at
-/// t = 2 s actually fires) with a small canary population.
-const QUICK_TIER: train::Tier = train::Tier {
-    recovery_secs: 2,
-    offload_secs: 2,
-    faults_secs: 3,
-    fairness_secs: 2,
-    canary_secs: 1,
-};
-/// Quick-tier canary population.
-const QUICK_CANARY_CLIENTS: u64 = 2_000;
-/// Smoke-tier canary population (the train canary's).
-const SMOKE_CANARY_CLIENTS: u64 = 25_000;
-/// Canary backhaul, as in the train canary.
-const CANARY_BACKHAUL_GBPS: f64 = 10.0;
 
 /// The four policies a racecheck run compares, reference first. The two
 /// shuffle keys derive from the base seed, so the whole run is a pure
@@ -115,130 +110,245 @@ pub fn policies(seed: u64) -> Vec<TieBreak> {
     out
 }
 
-/// Everything one policy's portfolio replay produced: the artifact bytes
-/// (the comparison gate) plus per-trial traces and failures (the
-/// diagnostics).
-pub struct PolicyOutcome {
-    /// The policy the portfolio ran under.
-    pub policy: TieBreak,
-    /// The lab artifact, serialized — byte-compared against the reference.
-    pub artifact_json: String,
-    /// One record per trial, in spec order.
-    pub trials: Vec<TrialRecord>,
-    /// Panicked trials (`point/replicate: message`).
-    pub failures: Vec<String>,
+/// Something racecheck can replay under a policy.
+enum Target {
+    /// A lab experiment, built with the flight recorder on.
+    Lab(Experiment),
+    /// The training run at these options.
+    Train(TrainOptions),
 }
 
-/// One trial's diagnostics: its scalar results (semantic divergence is
-/// detected here) and its flight-recorder trace (the divergence is then
-/// localized here).
-#[derive(Clone)]
-pub struct TrialRecord {
-    /// Portfolio member name.
-    pub member: String,
-    /// Replicate index.
-    pub replicate: u32,
-    /// The trial's scalar metrics.
-    pub scalars: BTreeMap<String, f64>,
-    /// The trial's captured trace (empty when tracing is off).
-    pub trace: Vec<TraceEvent>,
-}
-
-impl std::fmt::Debug for TrialRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrialRecord")
-            .field("member", &self.member)
-            .field("replicate", &self.replicate)
-            .field("scalars", &self.scalars)
-            .field("trace_events", &self.trace.len())
-            .finish()
+/// Resolves a target name, or `None` for an unknown one.
+fn target(name: &str, opts: &RacecheckOptions) -> Option<Target> {
+    if name == TRAIN_TARGET {
+        let (seed, threads) = (opts.seed, opts.threads);
+        return Some(Target::Train(TrainOptions { seed, threads, ..TrainOptions::smoke() }));
     }
+    let traced = TelemetryOptions { trace_capacity: Some(DEFAULT_TRACE_CAPACITY), metrics: false };
+    experiments::build(name, opts.replicates, opts.seed, &traced).map(Target::Lab)
 }
 
-impl std::fmt::Debug for PolicyOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyOutcome")
-            .field("policy", &self.policy)
-            .field("artifact_bytes", &self.artifact_json.len())
-            .field("trials", &self.trials.len())
-            .field("failures", &self.failures)
-            .finish()
+/// What one replay of a target under one policy produced.
+struct Replay {
+    /// The serialized artifact — the comparison gate.
+    json: String,
+    /// The run behind it, for localization (`None` for the training run,
+    /// whose trials live inside the search).
+    run: Option<ExperimentRun>,
+}
+
+/// Replays `target` with every simulator it builds under `policy`.
+fn replay(target: &Target, policy: TieBreak, threads: usize) -> Replay {
+    with_ambient_tie_break(policy, || match target {
+        Target::Lab(exp) => {
+            let run = run_experiment(&exp.spec, threads, |point, ctx| (exp.trial)(point, ctx));
+            Replay { json: Artifact::from_run(&run).to_json(), run: Some(run) }
+        }
+        Target::Train(opts) => Replay { json: run_training(opts).1.to_json(), run: None },
+    })
+}
+
+/// The panicked trials of a replay, one line each. (A training trial that
+/// panics aborts the search — `run_training` asserts on it — so that
+/// target has no failure list to carry.)
+fn failures(replay: &Replay, policy: TieBreak) -> impl Iterator<Item = String> + '_ {
+    replay.run.iter().flat_map(|run| &run.failures).map(move |f| {
+        let (policy, point, replicate) = (policy.label(), f.point_index, f.replicate);
+        format!("under {policy}: point {point} replicate {replicate}: {}", f.message)
+    })
+}
+
+/// The first line at which two texts differ: its 1-based number and the
+/// line on either side (`<eof>` where one text ended), or `None` when
+/// they are equal.
+pub(crate) fn first_differing_line<'a>(
+    a: &'a str,
+    b: &'a str,
+) -> Option<(usize, &'a str, &'a str)> {
+    if a == b {
+        return None;
     }
-}
-
-/// Replays the portfolio (or the demo) under one tie-break policy.
-/// The spec never mentions the policy, so every policy runs the same
-/// trial seeds; the policy reaches the simulators through the ambient
-/// scope wrapped around each trial body.
-pub fn run_portfolio(policy: TieBreak, opts: &RacecheckOptions) -> PolicyOutcome {
-    let tier = if opts.quick { QUICK_TIER } else { train::SMOKE_TIER };
-    let canary_clients = if opts.quick { QUICK_CANARY_CLIENTS } else { SMOKE_CANARY_CLIENTS };
-    let members: Vec<&str> = if opts.demo { vec!["demo"] } else { PORTFOLIO.to_vec() };
-    let cfgs = train::member_configs(&PolicyParams::default());
-    let telemetry = if opts.trace {
-        TelemetryOptions { trace_capacity: Some(DEFAULT_TRACE_CAPACITY), metrics: false }
-    } else {
-        TelemetryOptions::disabled()
-    };
-
-    let spec = ScenarioSpec::new("racecheck", opts.seed, opts.replicates)
-        .with_axis("member", members.iter().map(|m| ParamValue::Str((*m).to_string())).collect());
-    let run = run_experiment(&spec, opts.threads, |point, ctx| {
-        let member = point.param("member").as_str().expect("str");
-        // The whole trial body runs inside the ambient scope: every
-        // Simulator::new the scenario constructs sees `policy`.
-        with_ambient_tie_break(policy, || {
-            let (scalars, events) = match member {
-                "demo" => demo_scalars(ctx.seed, &telemetry),
-                "canary" => train::canary_scalars(
-                    canary_clients,
-                    CANARY_BACKHAUL_GBPS,
-                    tier.canary_secs,
-                    ctx.seed,
-                    &telemetry,
-                ),
-                _ => {
-                    train::run_member(member, &cfgs, tier.member_secs(member), ctx.seed, &telemetry)
-                }
-            };
-            let mut report = crate::runner::TrialReport::new();
-            for (key, value) in scalars {
-                report.scalar(key, value);
-            }
-            report.capture(TelemetryCapture { events, metrics: None });
-            report
-        })
-    });
-
-    let mut trials = Vec::new();
-    for (pi, member) in members.iter().enumerate() {
-        for (ri, report) in run.reports[pi].iter().enumerate() {
-            trials.push(TrialRecord {
-                member: (*member).to_string(),
-                replicate: ri as u32,
-                scalars: report.as_ref().map(|r| r.scalars.clone()).unwrap_or_default(),
-                trace: report.as_ref().map(|r| r.events.clone()).unwrap_or_default(),
-            });
+    let (mut a_lines, mut b_lines) = (a.lines(), b.lines());
+    let mut number = 1;
+    loop {
+        match (a_lines.next(), b_lines.next()) {
+            (Some(x), Some(y)) if x == y => number += 1,
+            (x, y) => return Some((number, x.unwrap_or("<eof>"), y.unwrap_or("<eof>"))),
         }
     }
-    let failures = run
-        .failures
-        .iter()
-        .map(|f| format!("point {} replicate {}: {}", f.point_index, f.replicate, f.message))
-        .collect();
-    PolicyOutcome { policy, artifact_json: Artifact::from_run(&run).to_json(), trials, failures }
 }
 
-/// The demo member: a deliberately tie-order-dependent scenario proving
+/// Renders where `candidate` left the `reference`: the first differing
+/// artifact line, the first trial whose results moved with its moved
+/// scalars, and the first diverging event of that trial's trace.
+fn localize(reference: &Replay, candidate: &Replay, labels: (&str, &str)) -> String {
+    let mut out = String::new();
+    if let Some((number, a, b)) = first_differing_line(&reference.json, &candidate.json) {
+        let _ = writeln!(out, "first differing artifact line ({number}):");
+        let _ = writeln!(out, "  {}: {}", labels.0, a.trim_start());
+        let _ = writeln!(out, "  {}: {}", labels.1, b.trim_start());
+    }
+    let (Some(r_run), Some(c_run)) = (&reference.run, &candidate.run) else { return out };
+    // Which trial's *results* moved. Trace order alone is not evidence:
+    // the perturbation legitimately reorders equal-time events (and with
+    // them packet-id allocation), so most trials' traces differ even when
+    // every scalar matches. Scalars and samples are the semantic gate.
+    let trials = r_run.points.iter().zip(&r_run.reports).zip(&c_run.reports).flat_map(
+        |((point, r_reps), c_reps)| {
+            r_reps.iter().zip(c_reps).enumerate().map(move |(i, (r, c))| (point, i, r, c))
+        },
+    );
+    for (point, replicate, r, c) in trials {
+        let (Some(r), Some(c)) = (r, c) else { continue };
+        if r.scalars == c.scalars && r.samples == c.samples {
+            continue;
+        }
+        let params: Vec<String> = point.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let _ = writeln!(
+            out,
+            "first divergent trial: point {} ({}) replicate {replicate}",
+            point.index,
+            params.join(" ")
+        );
+        for (key, rv) in &r.scalars {
+            let cv = c.scalars.get(key);
+            if cv != Some(rv) {
+                let cv = cv.map_or("<missing>".to_string(), f64::to_string);
+                let _ = writeln!(out, "  scalar {key}: {rv} -> {cv}");
+            }
+        }
+        for key in r.samples.keys().filter(|&k| r.samples.get(k) != c.samples.get(k)) {
+            let _ = writeln!(out, "  sample stream {key} differs");
+        }
+        let diff = first_divergence(&r.events, &c.events);
+        if !diff.is_identical() {
+            out.push_str(&diff.render(labels.0, labels.1));
+        }
+        break;
+    }
+    out
+}
+
+/// One target's verdict over all perturbed policies.
+struct TargetVerdict {
+    /// Perturbed policies under which the artifact left the reference.
+    moved_under: Vec<TieBreak>,
+    /// Failed trials under any policy, reference included.
+    failures: Vec<String>,
+    /// Localization of the first policy that moved it (empty when none).
+    localization: String,
+}
+
+/// Replays one target under the reference and every perturbed policy,
+/// keeping only the reference run and the one being compared alive.
+fn check_target(target: &Target, policies: &[TieBreak], threads: usize) -> TargetVerdict {
+    let reference = replay(target, policies[0], threads);
+    let mut verdict = TargetVerdict {
+        moved_under: Vec::new(),
+        failures: failures(&reference, policies[0]).collect(),
+        localization: String::new(),
+    };
+    for &policy in &policies[1..] {
+        let candidate = replay(target, policy, threads);
+        verdict.failures.extend(failures(&candidate, policy));
+        if candidate.json != reference.json {
+            if verdict.moved_under.is_empty() {
+                verdict.localization =
+                    localize(&reference, &candidate, (&policies[0].label(), &policy.label()));
+            }
+            verdict.moved_under.push(policy);
+        }
+    }
+    verdict
+}
+
+/// Runs the race check: each target under every policy, each perturbed
+/// replay byte-compared against the FIFO reference. `Ok(true)` when no
+/// trial failed and every target that moved is on [`TIE_DEPENDENT`],
+/// `Ok(false)` otherwise, `Err` for an unknown target name. Output and
+/// verdict are pure functions of `opts` (thread count excluded).
+pub fn run_racecheck(opts: &RacecheckOptions) -> Result<bool, String> {
+    let targets: Vec<(&str, Target)> = if opts.demo {
+        vec![("demo", demo_target(opts))]
+    } else {
+        let all = experiments::NAMES.into_iter().chain([TRAIN_TARGET]);
+        let named = opts.targets.iter().map(String::as_str);
+        let names: Vec<&str> =
+            if opts.targets.is_empty() { all.collect() } else { named.collect() };
+        names
+            .into_iter()
+            .map(|name| match target(name, opts) {
+                Some(target) => Ok((name, target)),
+                None => Err(format!("unknown racecheck target {name:?}")),
+            })
+            .collect::<Result<_, String>>()?
+    };
+
+    let policies = policies(opts.seed);
+    let labels: Vec<String> = policies.iter().map(|p| p.label()).collect();
+    println!(
+        "[racecheck] {} target(s) under {} policies ({}), {} replicate(s), seed {}",
+        targets.len(),
+        policies.len(),
+        labels.join(", "),
+        opts.replicates,
+        opts.seed,
+    );
+
+    let (mut independent, mut listed, mut unlisted) = (0, Vec::new(), Vec::new());
+    for (name, target) in &targets {
+        let verdict = check_target(target, &policies, opts.threads);
+        let on_list = TIE_DEPENDENT.contains(name);
+        if !verdict.failures.is_empty() {
+            println!("[racecheck] {name}: {} trial(s) FAILED", verdict.failures.len());
+            for f in &verdict.failures {
+                println!("  {f}");
+            }
+            unlisted.push(*name);
+        } else if verdict.moved_under.is_empty() {
+            println!(
+                "[racecheck] {name}: byte-identical{}",
+                if on_list {
+                    " — on TIE_DEPENDENT, but did not move at these options"
+                } else {
+                    ""
+                },
+            );
+            independent += 1;
+        } else {
+            let moved: Vec<String> = verdict.moved_under.iter().map(|p| p.label()).collect();
+            println!(
+                "[racecheck] {name}: {} under {}",
+                if on_list { "tie-dependent (on TIE_DEPENDENT)" } else { "DIVERGENCE" },
+                moved.join(", "),
+            );
+            for line in verdict.localization.lines() {
+                println!("  {line}");
+            }
+            if on_list { &mut listed } else { &mut unlisted }.push(*name);
+        }
+    }
+    println!(
+        "[racecheck] verdict: {independent} of {} target(s) tie-order independent, \
+         {} known tie-dependent{}",
+        targets.len(),
+        listed.len(),
+        if unlisted.is_empty() {
+            String::new()
+        } else {
+            format!(", DIVERGENT and not on TIE_DEPENDENT: {}", unlisted.join(", "))
+        },
+    );
+    Ok(unlisted.is_empty())
+}
+
+/// The demo target: a deliberately tie-order-dependent scenario proving
 /// the detector detects. Two equal-size packets leave on two identical
 /// parallel links at t = 0 and arrive in the same instant; the recorded
 /// scalar is the id of whichever arrives first — a pure function of the
 /// tie-break policy, so the artifacts *must* diverge and racecheck must
 /// exit 1.
-fn demo_scalars(
-    seed: u64,
-    telemetry: &TelemetryOptions,
-) -> (BTreeMap<String, f64>, Vec<TraceEvent>) {
+fn demo_target(opts: &RacecheckOptions) -> Target {
     struct Src {
         a: LinkId,
         b: LinkId,
@@ -265,169 +375,65 @@ fn demo_scalars(
         }
     }
 
-    let mut sim = Simulator::new(seed);
-    if let Some(cap) = telemetry.trace_capacity {
-        sim.enable_flight_recorder(cap);
-    }
-    let src = sim.reserve_actor();
-    let dst = sim.reserve_actor();
-    let params = LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(5));
-    let a = sim.add_link(src, dst, params.clone());
-    let b = sim.add_link(src, dst, params);
-    let order = Rc::new(RefCell::new(Vec::new()));
-    sim.install_actor(src, Src { a, b });
-    sim.install_actor(dst, Dst { order: Rc::clone(&order) });
-    sim.run_until(SimTime::from_millis(20));
+    fn trial(_point: &GridPoint, ctx: &TrialCtx) -> TrialReport {
+        let mut sim = Simulator::new(ctx.seed);
+        sim.enable_flight_recorder(DEFAULT_TRACE_CAPACITY);
+        let src = sim.reserve_actor();
+        let dst = sim.reserve_actor();
+        let params = LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(5));
+        let a = sim.add_link(src, dst, params.clone());
+        let b = sim.add_link(src, dst, params);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        sim.install_actor(src, Src { a, b });
+        sim.install_actor(dst, Dst { order: Rc::clone(&order) });
+        sim.run_until(SimTime::from_millis(20));
 
-    let first = order.borrow().first().copied().unwrap_or(u64::MAX) as f64;
-    let scalars = BTreeMap::from([("first_arrival".to_string(), first)]);
-    (scalars, sim.take_trace())
-}
-
-/// One policy's verdict against the reference.
-#[derive(Debug)]
-pub struct PolicyVerdict {
-    /// The perturbed policy.
-    pub policy: TieBreak,
-    /// `true` when the artifact matched the reference byte-for-byte and
-    /// no trial failed.
-    pub clean: bool,
-    /// The human-readable divergence report (empty when clean).
-    pub report: String,
-}
-
-/// Compares one perturbed policy's outcome against the FIFO reference and
-/// renders the divergence report: the first trial whose trace diverges
-/// (localized event-by-event), or the first differing artifact line when
-/// the traces cannot localize it.
-pub fn compare(reference: &PolicyOutcome, candidate: &PolicyOutcome) -> PolicyVerdict {
-    let mut report = String::new();
-    if !candidate.failures.is_empty() {
-        report.push_str(&format!(
-            "{} trial(s) failed under {} (the reference completed cleanly):\n",
-            candidate.failures.len(),
-            candidate.policy.label()
-        ));
-        for f in &candidate.failures {
-            report.push_str(&format!("  {f}\n"));
-        }
-        return PolicyVerdict { policy: candidate.policy, clean: false, report };
-    }
-    if candidate.artifact_json == reference.artifact_json {
-        return PolicyVerdict { policy: candidate.policy, clean: true, report };
-    }
-
-    report.push_str(&format!(
-        "artifact differs from the {} reference under {}\n",
-        reference.policy.label(),
-        candidate.policy.label()
-    ));
-    // Which result moved: the first differing artifact line.
-    let a_lines: Vec<&str> = reference.artifact_json.lines().collect();
-    let b_lines: Vec<&str> = candidate.artifact_json.lines().collect();
-    let i = a_lines
-        .iter()
-        .zip(&b_lines)
-        .position(|(x, y)| x != y)
-        .unwrap_or(a_lines.len().min(b_lines.len()));
-    report.push_str(&format!("first differing artifact line ({}):\n", i + 1));
-    report.push_str(&format!(
-        "  {}: {}\n",
-        reference.policy.label(),
-        a_lines.get(i).map(|l| l.trim_start()).unwrap_or("<eof>")
-    ));
-    report.push_str(&format!(
-        "  {}: {}\n",
-        candidate.policy.label(),
-        b_lines.get(i).map(|l| l.trim_start()).unwrap_or("<eof>")
-    ));
-    // Which trial's *results* moved. Trace order alone is not evidence:
-    // the perturbation legitimately reorders equal-time events (and with
-    // them packet-id allocation), so most trials' traces differ even when
-    // every scalar matches. Scalars are the semantic gate.
-    let divergent =
-        reference.trials.iter().zip(&candidate.trials).find(|(r, c)| r.scalars != c.scalars);
-    let localize = if let Some((r, c)) = divergent {
+        let first = order.borrow().first().copied().unwrap_or(u64::MAX) as f64;
+        let mut report = TrialReport::new();
+        report.scalar("first_arrival", first);
+        report.events = sim.take_trace();
         report
-            .push_str(&format!("first divergent trial: {} replicate {}\n", r.member, r.replicate));
-        for (key, rv) in &r.scalars {
-            let cv = c.scalars.get(key);
-            if cv != Some(rv) {
-                report.push_str(&format!(
-                    "  scalar {key}: {} -> {}\n",
-                    rv,
-                    cv.map_or("<missing>".to_string(), |v| v.to_string())
-                ));
-            }
-        }
-        Some((r, c))
-    } else {
-        // Artifact bytes moved without a scalar change (e.g. sample
-        // streams): point at the first trial whose trace diverges.
-        reference
-            .trials
-            .iter()
-            .zip(&candidate.trials)
-            .find(|(r, c)| !first_divergence(&r.trace, &c.trace).is_identical())
-    };
-    if let Some((r, c)) = localize {
-        let diff = first_divergence(&r.trace, &c.trace);
-        if !diff.is_identical() {
-            report.push_str(&diff.render(&reference.policy.label(), &candidate.policy.label()));
-        }
     }
-    PolicyVerdict { policy: candidate.policy, clean: false, report }
+
+    fn render(_points: &[PointSummary]) {}
+
+    Target::Lab(Experiment {
+        spec: ScenarioSpec::new("demo", opts.seed, opts.replicates),
+        trial: Box::new(trial),
+        render,
+    })
 }
 
-/// Runs the full race check: the portfolio under every policy, each
-/// perturbed run byte-compared against the FIFO reference. Returns `true`
-/// when every policy reproduced the reference artifact exactly. Output
-/// and verdict are pure functions of `opts` (thread count excluded).
-pub fn run_racecheck(opts: &RacecheckOptions) -> bool {
-    let policies = policies(opts.seed);
-    println!(
-        "[racecheck] {} under {} policies ({}), {} member(s) x {} replicate(s), seed {}{}",
-        if opts.demo { "tie-order demo" } else { "portfolio" },
-        policies.len(),
-        policies.iter().map(|p| p.label()).collect::<Vec<_>>().join(", "),
-        if opts.demo { 1 } else { PORTFOLIO.len() },
-        opts.replicates,
-        opts.seed,
-        if opts.quick { ", quick tier" } else { "" },
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let reference = run_portfolio(policies[0], opts);
-    if !reference.failures.is_empty() {
-        println!("[racecheck] reference ({}) run failed:", reference.policy.label());
-        for f in &reference.failures {
-            println!("  {f}");
-        }
-        return false;
+    #[test]
+    fn first_differing_line_names_the_line_and_both_sides() {
+        assert_eq!(first_differing_line("a\nb\n", "a\nb\n"), None);
+        assert_eq!(first_differing_line("a\nb\nc", "a\nx\nc"), Some((2, "b", "x")));
+        assert_eq!(first_differing_line("a\nb", "a"), Some((2, "b", "<eof>")));
+        assert_eq!(first_differing_line("a", "a\nb"), Some((2, "<eof>", "b")));
     }
-    println!(
-        "[racecheck] reference {}: artifact {} bytes, {} trace events",
-        reference.policy.label(),
-        reference.artifact_json.len(),
-        reference.trials.iter().map(|t| t.trace.len()).sum::<usize>(),
-    );
 
-    let mut clean = true;
-    for &policy in &policies[1..] {
-        let outcome = run_portfolio(policy, opts);
-        let verdict = compare(&reference, &outcome);
-        if verdict.clean {
-            println!("[racecheck] {}: artifact byte-identical", policy.label());
-        } else {
-            clean = false;
-            println!("[racecheck] {}: DIVERGENCE", policy.label());
-            for line in verdict.report.lines() {
-                println!("  {line}");
-            }
+    /// The list only shrinks: at most the seven names it started with,
+    /// each a real target, and each still moving at the gate's default
+    /// options — a fixed race that leaves its name behind fails here, as
+    /// a stale pragma fails the lint.
+    #[test]
+    fn tie_dependent_list_only_shrinks_and_every_entry_still_diverges() {
+        assert!(TIE_DEPENDENT.len() <= 7, "TIE_DEPENDENT may only shrink");
+        let opts = RacecheckOptions::default();
+        let policies = policies(opts.seed);
+        for name in TIE_DEPENDENT {
+            let target = target(name, &opts).unwrap_or_else(|| panic!("{name} is not a target"));
+            let verdict = check_target(&target, &policies, 2);
+            assert!(verdict.failures.is_empty(), "{name}: {:?}", verdict.failures);
+            assert!(
+                !verdict.moved_under.is_empty(),
+                "{name} no longer depends on tie order: delete it from TIE_DEPENDENT"
+            );
+            assert!(verdict.localization.contains("first differing artifact line"), "{name}");
         }
     }
-    println!(
-        "[racecheck] verdict: {}",
-        if clean { "tie-order independent (all artifacts byte-identical)" } else { "DIVERGENT" }
-    );
-    clean
 }

@@ -13,8 +13,16 @@
 //! and spec-hash `h` draws from the ChaCha12 substream
 //! `derive_rng(s, "lab/{h:016x}/{p}/{r}")` — replicates are independent,
 //! and editing the spec (which changes `h`) reseeds everything.
+//!
+//! The caller's ambient tie-break policy
+//! ([`marnet_sim::config::with_ambient_tie_break`]) is thread-local, so the
+//! runner carries it across the thread boundary: every trial runs under
+//! the policy that was ambient where [`run_experiment`] was called. A
+//! perturbed replay of a whole experiment is therefore
+//! `with_ambient_tie_break(policy, || run_experiment(..))`.
 
 use crate::spec::{GridPoint, ScenarioSpec};
+use marnet_sim::config::{ambient_tie_break, with_ambient_tie_break};
 use marnet_telemetry::{MetricsSnapshot, TelemetryCapture, TraceEvent};
 use rand_chacha::ChaCha12Rng;
 use std::collections::BTreeMap;
@@ -175,6 +183,7 @@ where
     let next = AtomicUsize::new(0);
     let deposited: Mutex<Vec<Deposit>> = Mutex::new(Vec::with_capacity(total));
     let workers = threads.min(total.max(1));
+    let tie_break = ambient_tie_break();
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -189,8 +198,10 @@ where
                     replicate: (job % replicates) as u32,
                     seed: trial_seed(spec.seed, spec_hash, point.index, (job % replicates) as u32),
                 };
-                let outcome = catch_unwind(AssertUnwindSafe(|| trial(point, &ctx)))
-                    .map_err(|payload| panic_message(payload.as_ref()));
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    with_ambient_tie_break(tie_break, || trial(point, &ctx))
+                }))
+                .map_err(|payload| panic_message(payload.as_ref()));
                 deposited.lock().expect("deposit lock").push((job, outcome));
             });
         }
@@ -296,5 +307,24 @@ mod tests {
         assert!(run.failures[0].message.contains("boom"));
         assert!(run.reports[1][0].is_none());
         assert!(run.reports[1][1].is_some());
+    }
+
+    #[test]
+    fn the_callers_tie_break_policy_reaches_every_trial() {
+        use marnet_sim::config::TieBreak;
+        let spec = demo_spec(4);
+        for threads in [1, 4] {
+            let run = with_ambient_tie_break(TieBreak::Lifo, || {
+                run_experiment(&spec, threads, |_, _| {
+                    let mut report = TrialReport::new();
+                    report.scalar("lifo", f64::from(ambient_tie_break() == TieBreak::Lifo));
+                    report
+                })
+            });
+            let trials: Vec<_> = run.reports.iter().flatten().flatten().collect();
+            assert_eq!(trials.len(), 12);
+            assert!(trials.iter().all(|r| r.scalars["lifo"] == 1.0), "threads {threads}");
+            assert_eq!(ambient_tie_break(), TieBreak::Fifo, "restored on the caller");
+        }
     }
 }

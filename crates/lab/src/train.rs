@@ -40,7 +40,7 @@ use marnet_core::config::{ArConfig, OutageConfig};
 use marnet_core::policy::PolicyParams;
 use marnet_sim::rng::derive_rng;
 use marnet_sim::stats::jain_index;
-use marnet_telemetry::{TelemetryOptions, TraceEvent};
+use marnet_telemetry::TelemetryOptions;
 use marnet_trainer::artifact::fnv1a;
 use marnet_trainer::{
     run_search, select_tuned, ComparisonRow, Evaluated, Evaluation, FrontArtifact, FrontEntry,
@@ -76,35 +76,34 @@ pub const FAIRNESS_BAND: f64 = 0.02;
 
 /// Per-member simulated horizons of one fidelity tier.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub(crate) struct Tier {
-    pub(crate) recovery_secs: u64,
-    pub(crate) offload_secs: u64,
-    pub(crate) faults_secs: u64,
-    pub(crate) fairness_secs: u64,
-    pub(crate) canary_secs: u64,
+struct Tier {
+    recovery_secs: u64,
+    offload_secs: u64,
+    faults_secs: u64,
+    fairness_secs: u64,
+    canary_secs: u64,
 }
 
 impl Tier {
     /// The horizon of one named portfolio member.
-    pub(crate) fn member_secs(&self, member: &str) -> u64 {
+    fn member_secs(&self, member: &str) -> u64 {
         match member {
             "recovery" => self.recovery_secs,
             "offload" => self.offload_secs,
             "faults" => self.faults_secs,
             "fairness" => self.fairness_secs,
-            "canary" => self.canary_secs,
             other => panic!("unknown portfolio member {other:?}"),
         }
     }
 }
 
 /// The default tier: long enough for stable means.
-pub(crate) const FULL_TIER: Tier =
+const FULL_TIER: Tier =
     Tier { recovery_secs: 10, offload_secs: 20, faults_secs: 6, fairness_secs: 10, canary_secs: 2 };
 
 /// The `--smoke` tier: the shortest horizons whose metrics still rank
 /// policies, for CI.
-pub(crate) const SMOKE_TIER: Tier =
+const SMOKE_TIER: Tier =
     Tier { recovery_secs: 4, offload_secs: 8, faults_secs: 4, fairness_secs: 5, canary_secs: 1 };
 
 /// The search engine's label in the artifact and the training spec. CEM
@@ -228,7 +227,7 @@ fn crn_seed(base: u64, member: &str, replicate: u32) -> u64 {
 /// The three configs a candidate is evaluated under: its compiled config
 /// as-is, the fault arm (hardened outage handling on top of the searched
 /// recovery knobs), and the fairness arm (bottleneck-capped rate).
-pub(crate) fn member_configs(params: &PolicyParams) -> (ArConfig, ArConfig, ArConfig) {
+fn member_configs(params: &PolicyParams) -> (ArConfig, ArConfig, ArConfig) {
     let base = params.to_config();
     let faults = ArConfig { outage: OutageConfig::hardened(), ..base.clone() };
     let mut fairness = base.clone();
@@ -237,23 +236,18 @@ pub(crate) fn member_configs(params: &PolicyParams) -> (ArConfig, ArConfig, ArCo
 }
 
 /// Runs one portfolio member under one candidate's configs for `secs`
-/// simulated seconds and returns its scalar contributions plus the
-/// captured trace (empty when `telemetry` disables the recorder).
-///
-/// Shared by the trainer (telemetry off) and by `marnet-lab racecheck`,
-/// which replays the same members under perturbed event-queue tie-break
-/// policies and needs the trace for its first-divergence report.
-pub(crate) fn run_member(
+/// simulated seconds and returns its scalar contributions.
+fn run_member(
     member: &str,
     cfgs: &(ArConfig, ArConfig, ArConfig),
     secs: u64,
     seed: u64,
-    telemetry: &TelemetryOptions,
-) -> (BTreeMap<String, f64>, Vec<TraceEvent>) {
+) -> BTreeMap<String, f64> {
+    let telemetry = &TelemetryOptions::disabled();
     let mut scalars = BTreeMap::new();
-    let events = match member {
+    match member {
         "recovery" => {
-            let (out, _, capture) = run_recovery_config_instrumented(
+            let (out, _, _) = run_recovery_config_instrumented(
                 RECOVERY_RTT_MS,
                 RECOVERY_LOSS,
                 &cfgs.0,
@@ -263,10 +257,9 @@ pub(crate) fn run_member(
             );
             scalars.insert("qoe".to_string(), out.delivered_in_budget_pct);
             scalars.insert("overhead".to_string(), out.overhead_pct);
-            capture.events
         }
         "offload" => {
-            let (out, _, capture) =
+            let (out, _, _) =
                 run_multipath_commute_config_instrumented(&cfgs.0, secs, seed, telemetry);
             let hit_pct = out.receiver.borrow().deadline_hit_ratio() * 100.0;
             let s = out.sender.borrow();
@@ -275,10 +268,9 @@ pub(crate) fn run_member(
                 if total == 0 { 0.0 } else { s.cellular_bytes as f64 / total as f64 * 100.0 };
             scalars.insert("qoe".to_string(), hit_pct);
             scalars.insert("overhead".to_string(), cellular_pct);
-            capture.events
         }
         "faults" => {
-            let (out, _, capture) = run_faults_config_instrumented(
+            let (out, _, _) = run_faults_config_instrumented(
                 FaultScenario::LinkOutage,
                 &cfgs.1,
                 FAULT_MS,
@@ -287,10 +279,9 @@ pub(crate) fn run_member(
                 telemetry,
             );
             scalars.insert("qoe".to_string(), out.qoe_under_fault_pct);
-            capture.events
         }
         "fairness" => {
-            let (out, _, capture) = run_fairness_config_instrumented(
+            let (out, _, _) = run_fairness_config_instrumented(
                 FAIR_BOTTLENECK_MBPS,
                 FAIR_N_TCP,
                 &cfgs.2,
@@ -307,11 +298,10 @@ pub(crate) fn run_member(
                 .collect();
             alloc.push(ar_mbps);
             scalars.insert("fairness".to_string(), jain_index(&alloc));
-            capture.events
         }
         other => panic!("unknown portfolio member {other:?}"),
-    };
-    (scalars, events)
+    }
+    scalars
 }
 
 /// Evaluates one generation's population: candidate × member grid,
@@ -334,14 +324,7 @@ fn evaluate_population(
         let member = point.param("member").as_str().expect("str");
         let seed = crn_seed(base_seed, member, ctx.replicate);
         let mut report = crate::runner::TrialReport::new();
-        let (scalars, _) = run_member(
-            member,
-            &configs[cand],
-            tier.member_secs(member),
-            seed,
-            &TelemetryOptions::disabled(),
-        );
-        for (key, value) in scalars {
+        for (key, value) in run_member(member, &configs[cand], tier.member_secs(member), seed) {
             report.scalar(key, value);
         }
         report
@@ -388,43 +371,27 @@ fn evaluate_population(
         .collect()
 }
 
-/// Runs the E17 city-scale hybrid as an engine-stack canary and returns
-/// its scalars plus the captured trace. Shared by the trainer (full
-/// client population, telemetry off) and `marnet-lab racecheck` (which
-/// perturbs the tie-break policy and compares the scalars byte-for-byte).
-pub(crate) fn canary_scalars(
-    clients: u64,
-    backhaul_gbps: f64,
-    secs: u64,
-    seed: u64,
-    telemetry: &TelemetryOptions,
-) -> (BTreeMap<String, f64>, Vec<TraceEvent>) {
-    let (out, events, capture) =
-        run_cityscale_instrumented(clients, backhaul_gbps, secs, seed, telemetry);
-    let mar = out.mar.borrow();
-    let offered =
-        CITYSCALE_MAR_MBPS * 1e6 / (f64::from(CITYSCALE_MAR_PACKET_BYTES) * 8.0) * secs as f64;
-    let in_budget = mar.latency_ms.values().iter().filter(|&&ms| ms <= FRAME_BUDGET_MS).count();
-    let scalars = BTreeMap::from([
-        ("cityscale/events".to_string(), events as f64),
-        ("cityscale/mar_delivery_pct".to_string(), mar.packets as f64 / offered * 100.0),
-        ("cityscale/mar_in_budget_pct".to_string(), in_budget as f64 / offered * 100.0),
-    ]);
-    (scalars, capture.events)
-}
-
 /// Runs the city-scale hybrid smoke once as a policy-independent
 /// engine-stack canary and returns its scalars for the artifact.
 fn run_canary(seed: u64, tier: &Tier) -> BTreeMap<String, f64> {
     let canary_seed: u64 = derive_rng(seed, "train/canary").gen();
-    canary_scalars(
+    let secs = tier.canary_secs;
+    let (out, events, _) = run_cityscale_instrumented(
         CANARY_CLIENTS,
         CANARY_BACKHAUL_GBPS,
-        tier.canary_secs,
+        secs,
         canary_seed,
         &TelemetryOptions::disabled(),
-    )
-    .0
+    );
+    let mar = out.mar.borrow();
+    let offered =
+        CITYSCALE_MAR_MBPS * 1e6 / (f64::from(CITYSCALE_MAR_PACKET_BYTES) * 8.0) * secs as f64;
+    let in_budget = mar.latency_ms.values().iter().filter(|&&ms| ms <= FRAME_BUDGET_MS).count();
+    BTreeMap::from([
+        ("cityscale/events".to_string(), events as f64),
+        ("cityscale/mar_delivery_pct".to_string(), mar.packets as f64 / offered * 100.0),
+        ("cityscale/mar_in_budget_pct".to_string(), in_budget as f64 / offered * 100.0),
+    ])
 }
 
 /// One archive entry rendered into its artifact form.

@@ -13,9 +13,11 @@ use marnet_telemetry::TelemetryOptions;
 use std::path::Path;
 
 /// `(name, spec_hash)` for every built-in experiment at `--replicates 8
-/// --seed 42`, the configuration the committed reference artifacts use
-/// (Table II's is committed at `--replicates 2`, so its file records
-/// another hash; the test below rebuilds each at its own replicates).
+/// --seed 42`, the CLI defaults and the configuration most committed
+/// reference artifacts use (Table II's is committed at `--replicates 2`
+/// and the six other seed-independent experiments' at 1, so those files
+/// record other hashes; the test below rebuilds each at its own
+/// replicates).
 const GOLDEN_SPEC_HASHES: [(&str, u64); 22] = [
     ("table1_devices", 0x356d_8404_8356_4e75),
     ("table2_rtt", 0x157f_f182_3e33_b013),

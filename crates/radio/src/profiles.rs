@@ -155,11 +155,6 @@ impl RadioProfile {
         self.theoretical_down_mbps / self.measured_down_mbps.mid()
     }
 
-    /// Measured downlink:uplink asymmetry ratio at the midpoints.
-    pub fn asymmetry_ratio(&self) -> f64 {
-        self.measured_down_mbps.mid() / self.measured_up_mbps.mid()
-    }
-
     /// Whether the midpoint RTT meets the paper's 75 ms round-trip budget
     /// for seamless MAR (§III-B).
     pub fn meets_mar_latency_budget(&self) -> bool {
@@ -191,25 +186,6 @@ impl RadioProfile {
             .with_jitter(Jitter::Gaussian { sigma: SimDuration::from_millis_f64(rtt_ms * 0.05) })
             .with_loss(LossModel::Bernoulli { p: self.loss })
             .with_queue(queue)
-    }
-
-    /// Link parameters at the midpoints of the measured ranges
-    /// (deterministic; used by calibration tests and Table II scenarios).
-    pub fn nominal_link_params(&self, dir: LinkDirection) -> LinkParams {
-        let mbps = match dir {
-            LinkDirection::Downlink => self.measured_down_mbps.mid(),
-            LinkDirection::Uplink => self.measured_up_mbps.mid(),
-        };
-        let queue = match dir {
-            LinkDirection::Downlink => QueueConfig::DropTail { cap_packets: 300 },
-            LinkDirection::Uplink => QueueConfig::bloated_uplink(),
-        };
-        LinkParams::new(
-            Bandwidth::from_mbps(mbps),
-            SimDuration::from_millis_f64(self.latency_ms.mid() / 2.0),
-        )
-        .with_loss(LossModel::Bernoulli { p: self.loss })
-        .with_queue(queue)
     }
 }
 

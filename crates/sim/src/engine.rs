@@ -101,10 +101,8 @@ enum Dest {
 }
 
 struct LinkRuntime {
-    src: ActorId,
     dst: ActorId,
     rate: Bandwidth,
-    capacity: Bandwidth,
     delay: SimDuration,
     jitter: Jitter,
     loss: LossModel,
@@ -574,14 +572,6 @@ impl SimCtx {
         link_rt(&self.links, link).rate
     }
 
-    /// Nominal capacity of a link: the rate it was created with. Unlike
-    /// [`SimCtx::link_rate`] this never changes, so hybrid-fidelity
-    /// couplers that modulate the live rate (see `marnet-flow`) can still
-    /// recover the physical capacity they are sharing out.
-    pub fn link_capacity(&self, link: LinkId) -> Bandwidth {
-        link_rt(&self.links, link).capacity
-    }
-
     /// Changes a link's rate. Takes effect for the next serialized packet.
     pub fn set_link_rate(&mut self, link: LinkId, rate: Bandwidth) {
         let l = link_rt_mut(&mut self.links, link);
@@ -634,16 +624,6 @@ impl SimCtx {
     /// uses this for latency-spike episodes.
     pub fn set_link_delay(&mut self, link: LinkId, delay: SimDuration) {
         link_rt_mut(&mut self.links, link).delay = delay;
-    }
-
-    /// The receiving actor of a link.
-    pub fn link_dst(&self, link: LinkId) -> ActorId {
-        link_rt(&self.links, link).dst
-    }
-
-    /// The sending actor of a link.
-    pub fn link_src(&self, link: LinkId) -> ActorId {
-        link_rt(&self.links, link).src
     }
 
     /// `true` while the flight recorder is capturing events. Instrumented
@@ -775,18 +755,18 @@ impl Simulator {
         id
     }
 
-    /// Adds a directed link from `src` to `dst`.
-    pub fn add_link(&mut self, src: ActorId, dst: ActorId, params: LinkParams) -> LinkId {
+    /// Adds a directed link from `src` to `dst`. `src` is for the reader:
+    /// the engine keeps only the receiving end, and delivers there whatever
+    /// any holder of the [`LinkId`] transmits.
+    pub fn add_link(&mut self, _src: ActorId, dst: ActorId, params: LinkParams) -> LinkId {
         let id = LinkId(self.ctx.links.len() as u32);
         if let Some(metrics) = &mut self.ctx.link_metrics {
             metrics.gauges.push(LinkGauges::register(&metrics.registry, id.index()));
         }
         let rng = crate::rng::derive_rng(self.ctx.seed, &format!("sim.link.{}", id.index()));
         self.ctx.links.push(LinkRuntime {
-            src,
             dst,
             rate: params.rate,
-            capacity: params.rate,
             delay: params.delay,
             jitter: params.jitter,
             loss: params.loss,

@@ -74,22 +74,10 @@ impl<const N: usize> ClassUsage<N> {
         self.sent_bytes[Self::idx(class)]
     }
 
-    /// Packets sent in `class` (clamped like the recording methods).
-    #[inline]
-    pub fn sent_packets_for(&self, class: usize) -> u64 {
-        self.sent_packets[Self::idx(class)]
-    }
-
     /// Packets dropped in `class` (clamped like the recording methods).
     #[inline]
     pub fn dropped_packets_for(&self, class: usize) -> u64 {
         self.dropped_packets[Self::idx(class)]
-    }
-
-    /// Bytes dropped in `class` (clamped like the recording methods).
-    #[inline]
-    pub fn dropped_bytes_for(&self, class: usize) -> u64 {
-        self.dropped_bytes[Self::idx(class)]
     }
 
     /// Total bytes sent across all classes.

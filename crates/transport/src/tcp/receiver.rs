@@ -44,7 +44,6 @@ pub struct TcpReceiver {
     rcv_nxt: u64,
     /// Out-of-order segments: start seq → length.
     ooo: BTreeMap<u64, u32>,
-    delayed_ack: bool,
     pending_segments: u32,
     delack_timer: Option<TimerHandle>,
     last_ts: Option<SimTime>,
@@ -63,26 +62,19 @@ impl std::fmt::Debug for TcpReceiver {
 
 impl TcpReceiver {
     /// Creates a receiver for connection `conn`, sending ACKs via `path`.
-    /// Delayed ACKs (one per two segments, 40 ms cap) are on by default.
+    /// In-order data is acknowledged with delayed ACKs (one per two
+    /// segments, 40 ms cap).
     pub fn new(conn: u64, path: TxPath) -> Self {
         TcpReceiver {
             conn,
             path,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
-            delayed_ack: true,
             pending_segments: 0,
             delack_timer: None,
             last_ts: None,
             stats: Rc::new(RefCell::new(TcpReceiverStats::default())),
         }
-    }
-
-    /// Disables delayed ACKs (every segment is acknowledged immediately).
-    #[must_use]
-    pub fn without_delayed_ack(mut self) -> Self {
-        self.delayed_ack = false;
-        self
     }
 
     /// Shared handle to receiver statistics.
@@ -144,7 +136,7 @@ impl TcpReceiver {
         }
         // Ack policy: out-of-order or retransmission → immediate (dup)ACK,
         // in-order → delayed (every 2nd segment or 40 ms).
-        if !advanced || !self.delayed_ack || !self.ooo.is_empty() {
+        if !advanced || !self.ooo.is_empty() {
             self.send_ack(ctx);
         } else {
             self.pending_segments += 1;

@@ -8,19 +8,8 @@ use marnet_sim::engine::{Actor, Event, SimCtx, TimerHandle};
 use marnet_sim::packet::Packet;
 use marnet_sim::stats::TimeSeries;
 use marnet_sim::time::SimTime;
-use marnet_telemetry::{Gauge, MetricsRegistry, TimeHistogram};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Sim-time bucket width for exported sender metric series (100 ms).
-const METRIC_BUCKET_NANOS: u64 = 100_000_000;
-
-/// Optional registry-backed metric handles, updated alongside the in-crate
-/// [`TimeSeries`] samples.
-struct SenderMetrics {
-    cwnd_bytes: Gauge,
-    srtt_ms: TimeHistogram,
-}
 
 const TAG_START: u64 = 1;
 const TAG_RTO: u64 = 2;
@@ -62,7 +51,6 @@ pub struct TcpSender {
     rto_timer: Option<TimerHandle>,
     rto_backoff: u32,
     stats: SharedFlowStats,
-    metrics: Option<SenderMetrics>,
 }
 
 impl std::fmt::Debug for TcpSender {
@@ -93,21 +81,7 @@ impl TcpSender {
             rto_timer: None,
             rto_backoff: 1,
             stats: Rc::new(RefCell::new(TcpFlowStats::default())),
-            metrics: None,
         }
-    }
-
-    /// Also publishes this flow's congestion window (gauge
-    /// `transport.tcp.{name}.cwnd_bytes`) and smoothed RTT (100 ms-bucketed
-    /// series `transport.tcp.{name}.srtt_ms`) into `registry`, builder style.
-    #[must_use]
-    pub fn with_metrics(mut self, registry: &MetricsRegistry, name: &str) -> Self {
-        self.metrics = Some(SenderMetrics {
-            cwnd_bytes: registry.gauge(&format!("transport.tcp.{name}.cwnd_bytes")),
-            srtt_ms: registry
-                .time_histogram(&format!("transport.tcp.{name}.srtt_ms"), METRIC_BUCKET_NANOS),
-        });
-        self
     }
 
     /// Shared handle to this flow's statistics; keep a clone to inspect the
@@ -128,12 +102,6 @@ impl TcpSender {
         st.cwnd_series.push(now, self.cc.cwnd() as f64);
         if let Some(srtt) = self.rtt.srtt() {
             st.srtt_series.push(now, srtt.as_millis_f64());
-        }
-        if let Some(m) = &self.metrics {
-            m.cwnd_bytes.set(self.cc.cwnd() as f64);
-            if let Some(srtt) = self.rtt.srtt() {
-                m.srtt_ms.observe(now.as_nanos(), srtt.as_millis_f64());
-            }
         }
     }
 

@@ -125,19 +125,14 @@ impl Default for UdpSinkStats {
 /// Datagram sink counting packets, bytes and one-way latency.
 #[derive(Debug)]
 pub struct UdpSink {
-    flow: Option<u64>,
+    flow: u64,
     stats: Rc<RefCell<UdpSinkStats>>,
 }
 
 impl UdpSink {
     /// A sink accepting only datagrams of the given flow.
     pub fn new(flow: u64) -> Self {
-        UdpSink { flow: Some(flow), stats: Rc::new(RefCell::new(UdpSinkStats::default())) }
-    }
-
-    /// A sink accepting every arriving datagram.
-    pub fn any_flow() -> Self {
-        UdpSink { flow: None, stats: Rc::new(RefCell::new(UdpSinkStats::default())) }
+        UdpSink { flow, stats: Rc::new(RefCell::new(UdpSinkStats::default())) }
     }
 
     /// Shared handle to the sink's statistics.
@@ -149,7 +144,7 @@ impl UdpSink {
 impl Actor for UdpSink {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
         if let Some(pkt) = unwrap_packet(ev) {
-            if self.flow.is_some_and(|f| f != pkt.flow) {
+            if self.flow != pkt.flow {
                 return;
             }
             let mut st = self.stats.borrow_mut();
