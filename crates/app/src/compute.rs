@@ -97,11 +97,6 @@ impl ExecutionEstimate {
     pub fn feasible(&self) -> bool {
         self.per_frame < self.deadline
     }
-
-    /// Headroom ratio (`deadline / per_frame`); > 1 means feasible.
-    pub fn headroom(&self) -> f64 {
-        self.deadline.as_secs_f64() / self.per_frame.as_secs_f64().max(1e-12)
-    }
 }
 
 /// Evaluates the paper's three execution models for one application.
@@ -247,7 +242,7 @@ mod tests {
         assert!(desktop.feasible());
         let cloud = model.p_local(&DeviceClass::Cloud.spec());
         assert!(cloud.feasible());
-        assert!(cloud.headroom() > desktop.headroom());
+        assert!(cloud.per_frame < desktop.per_frame);
     }
 
     #[test]
@@ -322,12 +317,11 @@ mod tests {
 
     #[test]
     fn headroom_math() {
-        let e = ExecutionEstimate {
-            per_frame: SimDuration::from_millis(25),
-            deadline: SimDuration::from_millis(75),
-        };
+        // Feasible means strictly positive headroom under the deadline.
+        let deadline = SimDuration::from_millis(75);
+        let e = ExecutionEstimate { per_frame: SimDuration::from_millis(25), deadline };
         assert!(e.feasible());
-        assert!((e.headroom() - 3.0).abs() < 1e-9);
+        assert!(!ExecutionEstimate { per_frame: deadline, deadline }.feasible());
     }
 
     #[test]

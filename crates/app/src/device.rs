@@ -111,15 +111,6 @@ pub struct DeviceSpec {
     pub portability: Level,
 }
 
-impl DeviceSpec {
-    /// Whether the device can host ubiquitous MAR at all (portable and
-    /// wireless). Table I's point: the most portable devices are the least
-    /// powerful.
-    pub fn is_mobile(&self) -> bool {
-        self.portability >= Level::Medium && !self.network.is_empty()
-    }
-}
-
 fn spec(class: DeviceClass) -> DeviceSpec {
     match class {
         DeviceClass::SmartGlasses => DeviceSpec {
@@ -246,10 +237,15 @@ mod tests {
 
     #[test]
     fn mobility_flags() {
-        assert!(DeviceClass::SmartGlasses.spec().is_mobile());
-        assert!(DeviceClass::Smartphone.spec().is_mobile());
-        assert!(!DeviceClass::Desktop.spec().is_mobile());
-        assert!(!DeviceClass::Cloud.spec().is_mobile());
+        // Table I's point: only the portable, wireless devices can host
+        // ubiquitous MAR — and they are the least powerful.
+        for class in [DeviceClass::SmartGlasses, DeviceClass::Smartphone] {
+            let s = class.spec();
+            assert!(s.portability >= Level::Medium && !s.network.is_empty(), "{class}");
+        }
+        for class in [DeviceClass::Desktop, DeviceClass::Cloud] {
+            assert!(class.spec().portability < Level::Medium, "{class}");
+        }
     }
 
     #[test]

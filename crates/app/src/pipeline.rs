@@ -388,8 +388,7 @@ mod tests {
         )
         .with_qos_target(client);
         sim.install_actor(c_snd, sender);
-        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(up_fb)])
-            .with_delivery_target(server);
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(up_fb)]).with_delivery_target(server);
         sim.install_actor(s_rcv, receiver);
 
         let r_sender = ArSender::new(
@@ -402,8 +401,8 @@ mod tests {
             }],
         );
         sim.install_actor(s_snd, r_sender);
-        let r_receiver = ArReceiver::new(2, cfg.feedback_interval, vec![TxPath::Link(down_fb)])
-            .with_delivery_target(client);
+        let r_receiver =
+            ArReceiver::new(2, vec![TxPath::Link(down_fb)]).with_delivery_target(client);
         sim.install_actor(c_rcv, r_receiver);
 
         let model = ComputeModel::new(30.0, FrameWork::vision_pipeline())

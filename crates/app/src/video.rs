@@ -112,11 +112,6 @@ impl VideoConfig {
         (self.bitrate().as_bps() as f64 / self.fps / 8.0) as u32
     }
 
-    /// Whether this feed fits the paper's minimal AR bandwidth budget.
-    pub fn needs_at_least_min_ar(&self) -> bool {
-        self.bitrate().as_bps() >= MIN_AR_VIDEO.as_bps()
-    }
-
     /// Sizes of the reference frame and interframes such that the GoP
     /// averages to the configured bitrate: `(ref_bytes, inter_bytes)`.
     pub fn gop_frame_sizes(&self) -> (u32, u32) {
@@ -221,7 +216,6 @@ mod tests {
         let v = VideoConfig::ar_minimal();
         let mbps = v.bitrate().as_mbps();
         assert!((9.0..11.0).contains(&mbps), "{mbps} Mb/s");
-        assert!(v.needs_at_least_min_ar());
     }
 
     #[test]

@@ -27,6 +27,11 @@
 //! a floor the next honest run cannot meet. `--max-trace-overhead-pct <p>`
 //! additionally bounds the headline (arq+fec-k8) recording overhead.
 //!
+//! Exit codes follow the workspace CLI convention: 0 ok, 1 a regression
+//! (ratchet or overhead bound), 2 a usage or I/O error. Every argument is
+//! parsed and the ratchet file read before the matrix runs, so a mistyped
+//! flag or path fails at once and writes nothing.
+//!
 //! The committed `results/BENCH_sim.json` also carries the pre-overhaul
 //! baseline (BinaryHeap + tombstone set, deep-cloned payloads) measured on
 //! the same machine as the post numbers, so the speedup ratio is
@@ -39,6 +44,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -562,40 +568,57 @@ fn ratchet(root: &Value, mode: &str, measurements: &[Measurement]) -> (Value, Ve
     (Value::Object(pairs), failures)
 }
 
-/// Applies [`ratchet`] to the file at `path` and writes the tightened file
-/// back. Returns the regression messages (empty = pass).
-fn apply_ratchet(path: &str, mode: &str, measurements: &[Measurement]) -> Vec<String> {
-    let root: Value = match std::fs::read_to_string(path) {
-        Ok(body) => serde_json::from_str(&body).expect("ratchet file must be valid JSON"),
-        Err(_) => Value::Object(vec![("schema".to_string(), Value::UInt(1))]),
-    };
-    let (root, failures) = ratchet(&root, mode, measurements);
-    let body = serde_json::to_string_pretty(&root).expect("serialize ratchet") + "\n";
-    std::fs::write(path, body).expect("write ratchet file");
-    println!("ratchet      {path} [{mode}] updated");
-    failures
+const USAGE: &str = "usage: perf_report [--smoke] [--ratchet PATH] [--max-trace-overhead-pct P]";
+
+/// The parsed command line.
+struct Args {
+    smoke: bool,
+    max_trace_overhead_pct: Option<f64>,
+    ratchet: Option<String>,
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut max_trace_overhead_pct: Option<f64> = None;
-    let mut ratchet_path: Option<String> = None;
-    {
-        let mut argv = std::env::args().skip(1);
-        while let Some(a) = argv.next() {
-            match a.as_str() {
-                "--max-trace-overhead-pct" => {
-                    let v = argv.next().expect("--max-trace-overhead-pct requires a value");
-                    max_trace_overhead_pct =
-                        Some(v.parse().expect("--max-trace-overhead-pct value must be a number"));
-                }
-                "--ratchet" => {
-                    ratchet_path = Some(argv.next().expect("--ratchet requires a file path"));
-                }
-                _ => {}
+/// Reads and parses the ratchet file.
+fn load_ratchet(path: &str) -> Result<Value, String> {
+    let body = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read ratchet file {path}: {e}"))?;
+    serde_json::from_str(&body).map_err(|e| format!("ratchet file {path} is not JSON: {e}"))
+}
+
+/// Parses the arguments and checks the ratchet file loads, so that a bad
+/// command line fails before the matrix runs. The parsed file is dropped
+/// again: nothing of it may stay live while the matrix measures heap.
+fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args { smoke: false, max_trace_overhead_pct: None, ratchet: None };
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--smoke" => args.smoke = true,
+            "--max-trace-overhead-pct" => {
+                let value = argv.next().ok_or(format!("{arg} needs a value"))?;
+                let pct = value.parse().map_err(|e| format!("{arg} {value}: {e}"))?;
+                args.max_trace_overhead_pct = Some(pct);
             }
+            "--ratchet" => args.ratchet = Some(argv.next().ok_or(format!("{arg} needs a value"))?),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
+    if let Some(path) = &args.ratchet {
+        load_ratchet(path)?;
+    }
+    Ok(args)
+}
+
+/// A usage or I/O error: exit 2 with a message.
+fn exit_two(msg: &str) -> ExitCode {
+    eprintln!("[perf_report] {msg}");
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let Args { smoke, max_trace_overhead_pct, ratchet: ratchet_path } =
+        match parse_args(std::env::args().skip(1)) {
+            Ok(args) => args,
+            Err(msg) => return exit_two(&format!("{msg}\n{USAGE}")),
+        };
     let reps = if smoke { 1 } else { 5 };
     // The recording-tax ratio stabilises quickly; three traced rounds are
     // enough even in full mode.
@@ -663,15 +686,28 @@ fn main() {
         ),
     ]);
 
-    std::fs::create_dir_all("results").expect("create results dir");
     let path = "results/BENCH_sim.json";
     let body = serde_json::to_string_pretty(&report).expect("serialize report") + "\n";
-    std::fs::write(path, body).expect("write BENCH_sim.json");
+    let written = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, body));
+    if let Err(e) = written {
+        return exit_two(&format!("cannot write report {path}: {e}"));
+    }
     println!("wrote {path}");
 
     let mut failed = false;
     if let Some(rp) = &ratchet_path {
-        let failures = apply_ratchet(rp, if smoke { "smoke" } else { "full" }, &measurements);
+        // Tighten the stored bars and write the file back.
+        let root = match load_ratchet(rp) {
+            Ok(root) => root,
+            Err(msg) => return exit_two(&msg),
+        };
+        let mode = if smoke { "smoke" } else { "full" };
+        let (root, failures) = ratchet(&root, mode, &measurements);
+        let body = serde_json::to_string_pretty(&root).expect("serialize ratchet") + "\n";
+        if let Err(e) = std::fs::write(rp, body) {
+            return exit_two(&format!("cannot write ratchet file {rp}: {e}"));
+        }
+        println!("ratchet      {rp} [{mode}] updated");
         for f in &failures {
             eprintln!("PERF REGRESSION: {f}");
         }
@@ -688,7 +724,9 @@ fn main() {
         }
     }
     if failed {
-        std::process::exit(1);
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }
 

@@ -16,7 +16,6 @@ use marnet_edge::session::RestartableServer;
 use marnet_faults::inject::FaultInjector;
 use marnet_faults::schedule::FaultSpec;
 use marnet_flow::fluid::{FluidNetwork, FluidStats};
-use marnet_flow::hybrid::Coupling;
 use marnet_flow::workload::{BackgroundWorkload, WorkloadConfig, WorkloadStats};
 use marnet_radio::coverage::{CoverageActor, CoverageModel};
 use marnet_radio::dcf::{submit, Dot11Params, WifiCell, WifiSetRate, WifiStation};
@@ -28,14 +27,13 @@ use marnet_sim::engine::{Actor, ActorId, Event, QueueStats, SimCtx, Simulator};
 use marnet_sim::link::{Bandwidth, LinkId, LinkParams, LossModel};
 use marnet_sim::packet::{Packet, Payload, PayloadPool};
 use marnet_sim::queue::QueueConfig;
-use marnet_sim::region::{Fidelity, RegionMap};
 use marnet_sim::rng::derive_rng;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{MetricsRegistry, TelemetryCapture, TelemetryOptions};
 use marnet_transport::nic::{Nic, TxPath};
 use marnet_transport::probe::{ProbeClient, ProbeServer, ProbeStats};
 use marnet_transport::tcp::{
-    DataSource, Reno, TcpConfig, TcpFlowStats, TcpReceiver, TcpReceiverStats, TcpSender,
+    DataSource, Reno, TcpConfig, TcpFlowStats, TcpReceiver, TcpReceiverStats, TcpSender, MSS,
 };
 use marnet_transport::udp::{UdpSink, UdpSinkStats, UdpSource};
 use std::cell::RefCell;
@@ -392,7 +390,7 @@ pub fn run_fig3(
     // Flow 1: the download (sender on the ISP side).
     let dl_sender = sim.reserve_actor();
     let dl_receiver = sim.reserve_actor();
-    let s = TcpSender::new(1, TxPath::Nic(bras), TcpConfig::default(), Box::new(Reno::new(1460)));
+    let s = TcpSender::new(1, TxPath::Nic(bras), TcpConfig::default(), Box::new(Reno::new(MSS)));
     sim.install_actor(dl_sender, s);
     let r = TcpReceiver::new(1, TxPath::Nic(cpe));
     let download = r.stats();
@@ -414,7 +412,7 @@ pub fn run_fig3(
             start_at: SimTime::from_secs_f64(start),
             ..TcpConfig::default()
         };
-        let s = TcpSender::new(conn, TxPath::Nic(cpe), cfg, Box::new(Reno::new(1460)));
+        let s = TcpSender::new(conn, TxPath::Nic(cpe), cfg, Box::new(Reno::new(MSS)));
         sim.install_actor(ul_sender, s);
         let r = TcpReceiver::new(conn, TxPath::Nic(bras));
         upload_stats.push(r.stats());
@@ -543,7 +541,7 @@ pub fn run_fairness_config_instrumented(
     );
     let ar_sender = sender.stats();
     sim.install_actor(ar_snd, sender);
-    let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Nic(right)]);
+    let receiver = ArReceiver::new(1, vec![TxPath::Nic(right)]);
     let ar = receiver.stats();
     sim.install_actor(ar_rcv, receiver);
     sim.install_actor(app, VideoFeed::greedy(ar_snd));
@@ -565,7 +563,7 @@ pub fn run_fairness_config_instrumented(
             start_at: SimTime::from_micros(137 * (i as u64 + 1)),
             ..TcpConfig::default()
         };
-        let s = TcpSender::new(conn, TxPath::Nic(left), cfg_tcp, Box::new(Reno::new(1460)));
+        let s = TcpSender::new(conn, TxPath::Nic(left), cfg_tcp, Box::new(Reno::new(MSS)));
         sim.install_actor(s_id, s);
         let r = TcpReceiver::new(conn, TxPath::Nic(right));
         tcp.push(r.stats());
@@ -653,7 +651,7 @@ pub fn run_queueing_instrumented(
         let bulk_s = sim.reserve_actor();
         let bulk_r = sim.reserve_actor();
         let bulk_cfg = TcpConfig { prio: 3, ..TcpConfig::default() };
-        let s = TcpSender::new(flow, TxPath::Nic(cpe), bulk_cfg, Box::new(Reno::new(1460)));
+        let s = TcpSender::new(flow, TxPath::Nic(cpe), bulk_cfg, Box::new(Reno::new(MSS)));
         sim.install_actor(bulk_s, s);
         let r = TcpReceiver::new(flow, TxPath::Nic(isp));
         bulk.push(r.stats());
@@ -846,8 +844,7 @@ pub fn run_recovery_config_instrumented(
     let sender = ArSender::new(1, cfg.clone(), paths);
     let sstats = sender.stats();
     sim.install_actor(snd, sender);
-    let receiver =
-        ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down), TxPath::Link(down)]);
+    let receiver = ArReceiver::new(1, vec![TxPath::Link(down), TxPath::Link(down)]);
     let rstats = receiver.stats();
     sim.install_actor(rcv, receiver);
     sim.add_actor(RefStream::new(snd, 6_000, false));
@@ -1069,8 +1066,7 @@ pub fn run_faults_config_instrumented(
     );
     let sstats = sender.stats();
     sim.install_actor(snd, sender);
-    let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)])
-        .with_delivery_target(monitor);
+    let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]).with_delivery_target(monitor);
     let rstats = receiver.stats();
     let spec = match scenario {
         FaultScenario::LinkOutage => {
@@ -1221,11 +1217,7 @@ pub fn run_multipath_commute_config_instrumented(
     );
     let sender_stats = sender.stats();
     sim.install_actor(snd, sender);
-    let receiver = ArReceiver::new(
-        1,
-        cfg.feedback_interval,
-        vec![TxPath::Link(wifi_down), TxPath::Link(lte_down)],
-    );
+    let receiver = ArReceiver::new(1, vec![TxPath::Link(wifi_down), TxPath::Link(lte_down)]);
     let receiver_stats = receiver.stats();
     sim.install_actor(rcv, receiver);
     sim.install_actor(app, VideoFeed::greedy(snd));
@@ -1278,7 +1270,7 @@ impl SinglePath {
         .with_qos_target(app);
         let sender_stats = sender.stats();
         sim.install_actor(snd, sender);
-        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
         let receiver_stats = receiver.stats();
         sim.install_actor(rcv, receiver);
         let flow = ArFlowOutcome { receiver: receiver_stats, sender: sender_stats };
@@ -1429,7 +1421,7 @@ pub fn run_fig4(
     let rev = sim.add_link(r, s, params);
     modulate_links(sim, vec![fwd], script(), interval);
     let sender =
-        TcpSender::new(2, TxPath::Link(fwd), TcpConfig::default(), Box::new(Reno::new(1460)));
+        TcpSender::new(2, TxPath::Link(fwd), TcpConfig::default(), Box::new(Reno::new(MSS)));
     let tcp = sender.stats();
     sim.install_actor(s, sender);
     let receiver = TcpReceiver::new(2, TxPath::Link(rev));
@@ -1645,8 +1637,6 @@ pub struct CityscaleOutcome {
     pub background: Rc<RefCell<WorkloadStats>>,
     /// Fluid tier aggregates (flow conservation, recompute count).
     pub fluid: Rc<RefCell<FluidStats>>,
-    /// The fidelity partition the scenario was built from.
-    pub regions: RegionMap,
     /// What the event queue did: heap vs. same-instant-lane vs. delay-line
     /// insertions, timer re-arms, peak depth (diagnostics, in no artifact).
     pub queue: QueueStats,
@@ -1704,17 +1694,6 @@ pub fn run_cityscale_instrumented(
     let net_id = sim.reserve_actor();
     let wl_id = sim.reserve_actor();
 
-    let mut regions = RegionMap::new();
-    let cell = regions.add_region("cell", Fidelity::Packet);
-    let metro = regions.add_region("metro", Fidelity::Fluid);
-    for actor in [edge, ue, mar_src] {
-        regions.assign(actor, cell);
-    }
-    for actor in [net_id, wl_id] {
-        regions.assign(actor, metro);
-    }
-    regions.mark_boundary(down);
-
     let mut net = FluidNetwork::new();
     let backhaul = net.add_link(Bandwidth::from_gbps(backhaul_gbps));
     let background = net.add_class(&[backhaul], Some(Bandwidth::from_mbps(CITYSCALE_ACCESS_MBPS)));
@@ -1722,7 +1701,7 @@ pub fn run_cityscale_instrumented(
     net.add_standing_flows(foreground, 1);
     // The boundary link's available rate tracks the foreground class's
     // max-min share, delivered as RateUpdate messages to the owning NIC.
-    net.couple_class(foreground, Coupling::notify(down, edge));
+    net.couple_class(foreground, down, edge);
     let fluid = net.stats();
     sim.install_actor(net_id, net);
 
@@ -1750,7 +1729,7 @@ pub fn run_cityscale_instrumented(
     }
     let capture = finish_telemetry(&mut sim, registry);
     let queue = sim.ctx().queue_stats();
-    let outcome = CityscaleOutcome { mar, background: background_stats, fluid, regions, queue };
+    let outcome = CityscaleOutcome { mar, background: background_stats, fluid, queue };
     (outcome, events, capture)
 }
 
@@ -2023,9 +2002,6 @@ mod tests {
         let fl = heavy.fluid.borrow();
         assert_eq!(fl.started, bg.offered);
         assert!(fl.finished <= fl.started);
-        // The partition is recorded: the cell is packet-level, the fluid
-        // tier fluid, and the downlink is the (only) boundary.
-        assert_eq!(heavy.regions.boundaries().len(), 1);
     }
 
     #[test]

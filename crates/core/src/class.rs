@@ -69,11 +69,6 @@ impl Priority {
         matches!(self, Priority::DropNotDelay(_) | Priority::Lowest(_))
     }
 
-    /// Whether the scheduler may hold this data back under congestion.
-    pub fn can_delay(self) -> bool {
-        matches!(self, Priority::DelayNotDrop(_) | Priority::Lowest(_))
-    }
-
     /// Total order used by the degradation scheduler: lower rank is served
     /// first and shed last. Sublevels refine within each level.
     pub fn rank(self) -> u8 {
@@ -287,16 +282,12 @@ mod tests {
     fn priority_semantics_match_the_paper() {
         // (1) Highest: neither discarded nor delayed.
         assert!(!Priority::Highest.can_drop());
-        assert!(!Priority::Highest.can_delay());
         // (2) Medium 1: delayed but never discarded.
         assert!(!Priority::DelayNotDrop(0).can_drop());
-        assert!(Priority::DelayNotDrop(0).can_delay());
         // (3) Medium 2: discarded but not delayed.
         assert!(Priority::DropNotDelay(0).can_drop());
-        assert!(!Priority::DropNotDelay(0).can_delay());
         // (4) Lowest: completely discardable.
         assert!(Priority::Lowest(0).can_drop());
-        assert!(Priority::Lowest(0).can_delay());
     }
 
     #[test]

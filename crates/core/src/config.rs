@@ -2,48 +2,44 @@
 
 use crate::congestion::CongestionConfig;
 use crate::multipath::MultipathPolicy;
-use crate::recovery::{Backoff, RecoveryPolicy};
+use crate::recovery::RecoveryPolicy;
 use marnet_sim::time::SimDuration;
+
+/// Maximum fragment payload per packet.
+pub const MTU: u32 = 1200;
+/// Pacing-tick interval (budget is released per tick).
+pub const TICK: SimDuration = SimDuration::from_millis(5);
+/// Receiver feedback interval.
+pub const FEEDBACK_INTERVAL: SimDuration = SimDuration::from_millis(15);
+
+/// Feedback silence after which the outage watchdog declares an outage
+/// (data was sent but nothing came back): 4× [`FEEDBACK_INTERVAL`].
+pub const WATCHDOG_SILENCE: SimDuration = SimDuration::from_millis(60);
+/// Congestion-attribution grace after an outage resolves: losses and
+/// delivery-rate samples reported inside this window describe the fault
+/// (packets that died against the dead link or peer, a rate window spanning
+/// the silence), so the congestion controller updates its RTT estimators
+/// but holds its rate instead of collapsing to the floor.
+pub const CONGESTION_GRACE: SimDuration = SimDuration::from_millis(150);
 
 /// Watchdog-driven outage handling at the sender.
 ///
 /// Disabled by default: the hardened behaviour only engages when an
 /// experiment opts in, so existing scenarios (and their artifacts) are
 /// byte-identical with and without this feature compiled in.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OutageConfig {
-    /// Master switch for watchdog detection, outage-aware degradation and
-    /// probe-based recovery.
+    /// Master switch for watchdog detection ([`WATCHDOG_SILENCE`]),
+    /// outage-aware degradation, probe-based recovery
+    /// ([`crate::recovery::probe_backoff`]) and the [`CONGESTION_GRACE`]
+    /// window.
     pub enabled: bool,
-    /// Feedback silence after which the watchdog declares an outage (data
-    /// was sent but nothing came back). Must comfortably exceed the
-    /// feedback interval; the default is 4× the 15 ms default interval.
-    pub watchdog_silence: SimDuration,
-    /// Backoff schedule for recovery probes while the peer is unreachable.
-    pub probe_backoff: Backoff,
-    /// Congestion-attribution grace after an outage resolves: losses and
-    /// delivery-rate samples reported inside this window describe the fault
-    /// (packets that died against the dead link or peer, a rate window
-    /// spanning the silence), so the congestion controller updates its RTT
-    /// estimators but holds its rate instead of collapsing to the floor.
-    pub congestion_grace: SimDuration,
-}
-
-impl Default for OutageConfig {
-    fn default() -> Self {
-        OutageConfig {
-            enabled: false,
-            watchdog_silence: SimDuration::from_millis(60),
-            probe_backoff: Backoff::default(),
-            congestion_grace: SimDuration::from_millis(150),
-        }
-    }
 }
 
 impl OutageConfig {
-    /// The hardened profile: watchdog on with default constants.
+    /// The hardened profile: watchdog on.
     pub fn hardened() -> Self {
-        OutageConfig { enabled: true, ..OutageConfig::default() }
+        OutageConfig { enabled: true }
     }
 }
 
@@ -54,12 +50,6 @@ impl OutageConfig {
 /// reproduces [`ArConfig::default`] exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArConfig {
-    /// Maximum fragment payload per packet.
-    pub mtu: u32,
-    /// Pacing-tick interval (budget is released per tick).
-    pub tick: SimDuration,
-    /// Receiver feedback interval.
-    pub feedback_interval: SimDuration,
     /// Age beyond which droppable data is shed even without a deadline.
     pub stale_after: SimDuration,
     /// Backlog horizon (in ticks of budget) before congestion shedding.
@@ -81,9 +71,6 @@ pub struct ArConfig {
 impl Default for ArConfig {
     fn default() -> Self {
         ArConfig {
-            mtu: 1200,
-            tick: SimDuration::from_millis(5),
-            feedback_interval: SimDuration::from_millis(15),
             stale_after: SimDuration::from_millis(150),
             backlog_ticks: 6.0,
             congestion: CongestionConfig::default(),
@@ -96,11 +83,9 @@ impl Default for ArConfig {
     }
 }
 
-impl ArConfig {
-    /// Bytes of budget released per pacing tick at `rate` bytes/s.
-    pub fn budget_per_tick(&self, rate_bytes_per_sec: f64) -> f64 {
-        rate_bytes_per_sec * self.tick.as_secs_f64()
-    }
+/// Bytes of budget released per pacing tick at `rate` bytes/s.
+pub(crate) fn budget_per_tick(rate_bytes_per_sec: f64) -> f64 {
+    rate_bytes_per_sec * TICK.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -110,14 +95,13 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = ArConfig::default();
-        assert!(c.mtu > 0 && c.mtu <= 1460);
-        assert!(c.tick < c.stale_after);
+        assert!(TICK < c.stale_after);
+        assert!(FEEDBACK_INTERVAL < WATCHDOG_SILENCE);
         assert!(c.fec_group.is_some());
     }
 
     #[test]
     fn budget_math() {
-        let c = ArConfig { tick: SimDuration::from_millis(10), ..Default::default() };
-        assert_eq!(c.budget_per_tick(100_000.0), 1000.0);
+        assert_eq!(budget_per_tick(100_000.0), 500.0);
     }
 }

@@ -31,15 +31,17 @@ pub enum CongestionVerdict {
     LossCongestion,
 }
 
+/// Starting rate in bytes/s (2 Mb/s), clamped to the configured ceiling.
+pub const INITIAL_RATE: f64 = 250_000.0;
+/// Floor in bytes/s below which the rate never drops (80 kb/s, the metadata
+/// floor: keeps critical data moving — graceful degradation must "function
+/// with degraded performance even if no network connectivity is
+/// available").
+pub const MIN_RATE: f64 = 10_000.0;
+
 /// Tuning knobs for [`DelayCongestionController`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionConfig {
-    /// Starting rate in bytes/s.
-    pub initial_rate: f64,
-    /// Floor below which the rate never drops (keeps critical data moving —
-    /// graceful degradation must "function with degraded performance even
-    /// if no network connectivity is available").
-    pub min_rate: f64,
     /// Ceiling on the rate (e.g. the application's maximum media rate).
     pub max_rate: f64,
     /// Queueing-delay budget above the base RTT before we call congestion.
@@ -57,8 +59,6 @@ pub struct CongestionConfig {
 impl Default for CongestionConfig {
     fn default() -> Self {
         CongestionConfig {
-            initial_rate: 250_000.0, // 2 Mb/s
-            min_rate: 10_000.0,      // 80 kb/s — metadata floor
             max_rate: 125_000_000.0, // 1 Gb/s
             latency_threshold: SimDuration::from_millis(15),
             jitter_threshold: SimDuration::from_millis(30),
@@ -84,7 +84,7 @@ impl DelayCongestionController {
     /// Creates a controller with the given configuration.
     pub fn new(cfg: CongestionConfig) -> Self {
         DelayCongestionController {
-            rate: cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate),
+            rate: INITIAL_RATE.clamp(MIN_RATE, cfg.max_rate),
             cfg,
             base_rtt: None,
             srtt: None,
@@ -136,7 +136,7 @@ impl DelayCongestionController {
                 target = target.min(r * 0.85);
             }
         }
-        self.rate = target.max(self.cfg.min_rate);
+        self.rate = target.max(MIN_RATE);
         true
     }
 
@@ -214,8 +214,6 @@ mod tests {
 
     fn cfg() -> CongestionConfig {
         CongestionConfig {
-            initial_rate: 100_000.0,
-            min_rate: 10_000.0,
             max_rate: 1_000_000.0,
             latency_threshold: SimDuration::from_millis(15),
             jitter_threshold: SimDuration::from_millis(30),
@@ -236,7 +234,7 @@ mod tests {
         }
         // 10 feedbacks at one per RTT → ~10 × 10 kB/s growth.
         let rate = c.rate_bytes_per_sec();
-        assert!((rate - 200_000.0).abs() < 15_000.0, "rate {rate}");
+        assert!((rate - (INITIAL_RATE + 100_000.0)).abs() < 15_000.0, "rate {rate}");
     }
 
     #[test]
@@ -268,7 +266,7 @@ mod tests {
         let mut c = DelayCongestionController::new(cfg());
         let v = c.on_feedback(SimDuration::from_millis(20), 3, None, SimTime::from_millis(500));
         assert_eq!(v, CongestionVerdict::LossCongestion);
-        assert!(c.rate_bytes_per_sec() < 100_000.0);
+        assert!(c.rate_bytes_per_sec() < INITIAL_RATE);
     }
 
     #[test]
@@ -300,13 +298,12 @@ mod tests {
             now += SimDuration::from_millis(200);
             c.on_feedback(SimDuration::from_millis(20 + i * 10), 1, None, now);
         }
-        assert_eq!(c.rate_bytes_per_sec(), 10_000.0);
+        assert_eq!(c.rate_bytes_per_sec(), MIN_RATE);
     }
 
     #[test]
     fn rate_caps_at_max() {
         let mut c = DelayCongestionController::new(CongestionConfig {
-            initial_rate: 990_000.0,
             increase_per_rtt: 100_000.0,
             ..cfg()
         });

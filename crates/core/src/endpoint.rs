@@ -10,13 +10,15 @@
 //! FEC-protected; QoS signals flow back to the application.
 
 use crate::class::{KindMap, StreamKind, TrafficClass, ALL_STREAM_KINDS, STREAM_KIND_LABELS};
-use crate::config::ArConfig;
+use crate::config::{
+    budget_per_tick, ArConfig, CONGESTION_GRACE, FEEDBACK_INTERVAL, MTU, TICK, WATCHDOG_SILENCE,
+};
 use crate::congestion::{CongestionVerdict, DelayCongestionController};
 use crate::degradation::{DegradationScheduler, QosSignal, TickOutcome};
 use crate::fec::{FecGroupTracker, FecOutcome};
 use crate::message::ArMessage;
 use crate::multipath::{MultipathScheduler, PathRole, PathSnapshot, Picks};
-use crate::recovery::{FragmentRecord, RetransmitBuffer};
+use crate::recovery::{probe_backoff, FragmentRecord, RetransmitBuffer};
 use crate::wire::{feedback_size, ArFeedback, ArPacket, FecInfo, FragmentId, AR_HEADER_BYTES};
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx};
 use marnet_sim::hash::{FxHashMap, FxHashSet};
@@ -561,8 +563,8 @@ impl ArSender {
                 }
                 continue;
             }
-            let frag_count = front.msg.fragment_count(self.cfg.mtu);
-            let frag_size = front.remaining.min(self.cfg.mtu).max(1);
+            let frag_count = front.msg.fragment_count(MTU);
+            let frag_size = front.remaining.clamp(1, MTU);
             // Copy the fields the selection below needs so the pacer-front
             // borrow ends before the snapshot scratch is refreshed.
             let (msg_class, msg_prio, msg_kind) =
@@ -657,9 +659,9 @@ impl ArSender {
 
     /// Watchdog-driven failure detection (only when `cfg.outage.enabled`):
     /// declares an outage when every path's link is down, or when data was
-    /// sent but no feedback has been heard for `watchdog_silence`. Runs
+    /// sent but no feedback has been heard for [`WATCHDOG_SILENCE`]. Runs
     /// every tick, so an all-paths-down outage is detected within one tick
-    /// (5 ms default) — well inside one RTT.
+    /// ([`TICK`], 5 ms) — well inside one RTT.
     fn check_watchdog(&mut self, ctx: &mut SimCtx) {
         if !self.cfg.outage.enabled || self.outage_since.is_some() {
             return;
@@ -667,9 +669,9 @@ impl ArSender {
         let now = ctx.now();
         let paths_up = (0..self.paths.len()).filter(|&i| self.path_up(ctx, i)).count();
         let heard = self.last_feedback_at.unwrap_or(SimTime::ZERO);
-        let silent = self.last_send_at.is_some_and(|sent| {
-            sent > heard && now.saturating_since(heard) > self.cfg.outage.watchdog_silence
-        });
+        let silent = self
+            .last_send_at
+            .is_some_and(|sent| sent > heard && now.saturating_since(heard) > WATCHDOG_SILENCE);
         if paths_up > 0 && !silent {
             return;
         }
@@ -684,7 +686,7 @@ impl ArSender {
         let comp = component::actor(ctx.self_id().index());
         let silence = now.saturating_since(heard).as_nanos();
         ctx.trace_with(|| TraceEvent::outage_detect(t, comp, silence, paths_up as u64));
-        let delay = self.cfg.outage.probe_backoff.delay(self.probe_attempt, self.conn);
+        let delay = probe_backoff(self.probe_attempt, self.conn);
         ctx.schedule_timer(delay, TAG_PROBE);
     }
 
@@ -737,7 +739,7 @@ impl ArSender {
         }
         self.probes_sent += 1;
         self.stats.borrow_mut().recovery_probes += 1;
-        let delay = self.cfg.outage.probe_backoff.delay(self.probe_attempt, self.conn);
+        let delay = probe_backoff(self.probe_attempt, self.conn);
         let t = ctx.now().as_nanos();
         let comp = component::actor(ctx.self_id().index());
         let (attempt, backoff) = (u64::from(self.probe_attempt), delay.as_nanos());
@@ -775,7 +777,7 @@ impl ArSender {
             .filter(|(i, _)| self.path_up(ctx, *i))
             .map(|(_, p)| p.ctrl.rate_bytes_per_sec())
             .sum();
-        let gross = self.cfg.budget_per_tick(total_rate);
+        let gross = budget_per_tick(total_rate);
         let budget = (gross - self.wire_debt).max(0.0);
         self.wire_debt = (self.wire_debt - gross).max(0.0);
         // Tick into the reused outcome buffers; taken out of `self` so the
@@ -833,7 +835,7 @@ impl ArSender {
             }
         }
 
-        ctx.schedule_timer(self.cfg.tick, TAG_TICK);
+        ctx.schedule_timer(TICK, TAG_TICK);
     }
 
     fn on_feedback(&mut self, ctx: &mut SimCtx, fb: &ArFeedback) {
@@ -849,7 +851,7 @@ impl ArSender {
             // few feedbacks report are the fault's casualties, and the
             // receiver's delivery-rate window still spans the silence.
             self.sched.set_outage(false);
-            self.grace_until = Some(ctx.now() + self.cfg.outage.congestion_grace);
+            self.grace_until = Some(ctx.now() + CONGESTION_GRACE);
             let t = ctx.now().as_nanos();
             let comp = component::actor(ctx.self_id().index());
             let (dur, probes) = (ctx.now().saturating_since(since).as_nanos(), self.probes_sent);
@@ -963,7 +965,7 @@ impl Actor for ArSender {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
         match ev {
             Event::Start => {
-                ctx.schedule_timer(self.cfg.tick, TAG_TICK);
+                ctx.schedule_timer(TICK, TAG_TICK);
             }
             Event::Timer { tag: TAG_TICK } => self.tick(ctx),
             Event::Timer { tag: TAG_PACE } => {
@@ -1217,7 +1219,6 @@ pub struct ArReceiver {
     /// Session epoch, advertised in every feedback packet. Bumped by
     /// [`ArReceiver::reset_session`] after a crash that lost receive state.
     epoch: u32,
-    feedback_interval: SimDuration,
     /// Reverse path per forward path, for feedback.
     reverse: Vec<TxPath>,
     rx: Vec<PathRx>,
@@ -1260,13 +1261,12 @@ impl ArReceiver {
     /// # Panics
     ///
     /// Panics if `reverse` is empty.
-    pub fn new(conn: u64, feedback_interval: SimDuration, reverse: Vec<TxPath>) -> Self {
+    pub fn new(conn: u64, reverse: Vec<TxPath>) -> Self {
         assert!(!reverse.is_empty(), "need at least one path");
         let rx = (0..reverse.len()).map(|_| PathRx::new()).collect();
         ArReceiver {
             conn,
             epoch: 0,
-            feedback_interval,
             reverse,
             rx,
             asm: FxHashMap::default(),
@@ -1613,7 +1613,7 @@ impl ArReceiver {
             reverse.send(ctx, pkt);
             self.stats.borrow_mut().feedback_sent += 1;
         }
-        ctx.schedule_timer(self.feedback_interval, TAG_FEEDBACK);
+        ctx.schedule_timer(FEEDBACK_INTERVAL, TAG_FEEDBACK);
     }
 }
 
@@ -1621,7 +1621,7 @@ impl Actor for ArReceiver {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
         match ev {
             Event::Start => {
-                ctx.schedule_timer(self.feedback_interval, TAG_FEEDBACK);
+                ctx.schedule_timer(FEEDBACK_INTERVAL, TAG_FEEDBACK);
             }
             Event::Timer { tag: TAG_FEEDBACK } => self.send_feedback(ctx),
             other => {
@@ -1730,7 +1730,7 @@ mod tests {
         .with_qos_target(app);
         let sstats = sender.stats();
         sim.install_actor(snd, sender);
-        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
         let rstats = receiver.stats();
         sim.install_actor(rcv, receiver);
         let app_actor = MarApp::new(snd);
@@ -1826,7 +1826,7 @@ mod tests {
         );
         let sstats = sender.stats();
         sim.install_actor(snd, sender);
-        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
         sim.install_actor(rcv, receiver);
 
         struct TwoStreams {
@@ -1912,7 +1912,7 @@ mod tests {
         .with_qos_target(app);
         let sstats = sender.stats();
         sim.install_actor(snd, sender);
-        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
         let rstats = receiver.stats();
         sim.install_actor(rcv, receiver);
         sim.install_actor(app, MarApp::new(snd));

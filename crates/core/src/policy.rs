@@ -115,8 +115,8 @@ impl PolicyParams {
         }
     }
 
-    /// Writes the tunable subset onto `cfg`, leaving everything else (MTU,
-    /// tick, rate bounds, outage handling, ...) untouched.
+    /// Writes the tunable subset onto `cfg`, leaving everything else (rate
+    /// ceiling, outage handling, ...) untouched.
     pub fn apply(&self, cfg: &mut ArConfig) {
         cfg.stale_after = SimDuration::from_millis_f64(self.stale_after_ms);
         cfg.backlog_ticks = self.backlog_ticks;
@@ -130,7 +130,6 @@ impl PolicyParams {
         cfg.recovery = RecoveryPolicy {
             enabled: self.arq != ArqMode::Off,
             deadline_gated: self.arq != ArqMode::Always,
-            ..cfg.recovery
         };
     }
 
@@ -146,6 +145,7 @@ impl PolicyParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::OutageConfig;
 
     #[test]
     fn default_policy_is_the_paper_config() {
@@ -178,15 +178,14 @@ mod tests {
 
     #[test]
     fn apply_leaves_non_tunable_fields_alone() {
-        let tick = SimDuration::from_millis(2);
-        let mut cfg = ArConfig { mtu: 900, tick, ..ArConfig::default() };
+        let mut cfg = ArConfig { outage: OutageConfig::hardened(), ..ArConfig::default() };
+        cfg.congestion.max_rate = 1e6;
         let p = PolicyParams { beta: 0.6, ..PolicyParams::default() };
         p.apply(&mut cfg);
-        assert_eq!(cfg.mtu, 900);
-        assert_eq!(cfg.tick, tick);
+        assert!(cfg.outage.enabled);
         assert_eq!(cfg.congestion.beta, 0.6);
-        // Rate bounds are application properties, not searched policy.
-        assert_eq!(cfg.congestion.min_rate, 10_000.0);
+        // The rate ceiling is an application property, not searched policy.
+        assert_eq!(cfg.congestion.max_rate, 1e6);
     }
 
     #[test]

@@ -42,13 +42,14 @@ pub struct FragmentRecord {
     pub attempts: u32,
 }
 
+/// Hard cap on transmission attempts per fragment.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Safety margin subtracted from the deadline check (processing slack).
+pub const DEADLINE_MARGIN: SimDuration = SimDuration::from_millis(2);
+
 /// The §VI-C retransmission gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Hard cap on transmission attempts per fragment.
-    pub max_attempts: u32,
-    /// Safety margin subtracted from the deadline check (processing slack).
-    pub margin: SimDuration,
     /// If `false`, even deadline-feasible retransmissions are suppressed
     /// (the "never retransmit" ablation).
     pub enabled: bool,
@@ -59,12 +60,7 @@ pub struct RecoveryPolicy {
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            max_attempts: 4,
-            margin: SimDuration::from_millis(2),
-            enabled: true,
-            deadline_gated: true,
-        }
+        RecoveryPolicy { enabled: true, deadline_gated: true }
     }
 }
 
@@ -81,14 +77,14 @@ impl RecoveryPolicy {
         srtt: Option<SimDuration>,
         now: SimTime,
     ) -> bool {
-        if !self.enabled || !frag.class.wants_recovery() || frag.attempts >= self.max_attempts {
+        if !self.enabled || !frag.class.wants_recovery() || frag.attempts >= MAX_ATTEMPTS {
             return false;
         }
         if frag.class.recovery_is_unconditional() || !self.deadline_gated {
             return true;
         }
         match (frag.deadline, srtt) {
-            (Some(deadline), Some(srtt)) => now.saturating_add(srtt + self.margin) <= deadline,
+            (Some(deadline), Some(srtt)) => now.saturating_add(srtt + DEADLINE_MARGIN) <= deadline,
             // No deadline: recovery is harmless. No RTT estimate yet: be
             // optimistic once, the attempt cap bounds the damage.
             _ => true,
@@ -96,60 +92,45 @@ impl RecoveryPolicy {
     }
 }
 
-/// Capped exponential backoff with deterministic jitter, used by the
-/// endpoint watchdog to pace recovery probes during an outage.
+/// Delay of the first recovery probe the endpoint watchdog sends during an
+/// outage.
+pub const PROBE_BACKOFF_BASE: SimDuration = SimDuration::from_millis(25);
+/// Hard cap on the (pre-jitter) probe delay; doubling stops here.
+pub const PROBE_BACKOFF_CAP: SimDuration = SimDuration::from_millis(200);
+/// Jitter added on top of the capped delay, as a percentage in
+/// `[0, PROBE_JITTER_PCT]`.
+pub const PROBE_JITTER_PCT: u64 = 20;
+
+/// `PROBE_BACKOFF_BASE × 2^attempt`, capped at [`PROBE_BACKOFF_CAP`], in
+/// nanoseconds.
+fn capped_backoff(attempt: u32) -> u64 {
+    let raw = PROBE_BACKOFF_BASE.as_nanos().saturating_mul(1u64 << attempt.min(16));
+    raw.min(PROBE_BACKOFF_CAP.as_nanos())
+}
+
+/// The delay before recovery probe `attempt` (0-based): capped exponential
+/// backoff plus deterministic jitter.
 ///
 /// The jitter is a pure function of `(attempt, salt)` — no RNG — so probe
 /// times stay byte-identical across runs while still decorrelating the
 /// probes of different senders (use the connection id as the salt).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Backoff {
-    /// Delay of the first retry.
-    pub base: SimDuration,
-    /// Hard cap on the (pre-jitter) delay; doubling stops here.
-    pub cap: SimDuration,
-    /// Jitter added on top, as a percentage of the capped delay in
-    /// `[0, jitter_pct]`.
-    pub jitter_pct: u32,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff {
-            base: SimDuration::from_millis(25),
-            cap: SimDuration::from_millis(200),
-            jitter_pct: 20,
-        }
+pub fn probe_backoff(attempt: u32, salt: u64) -> SimDuration {
+    let capped = capped_backoff(attempt);
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
+    for b in attempt.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    let jitter = capped / 100 * (h % (PROBE_JITTER_PCT + 1));
+    SimDuration::from_nanos(capped.saturating_add(jitter))
 }
 
-impl Backoff {
-    /// The delay before retry `attempt` (0-based): `base × 2^attempt`,
-    /// capped at `cap`, plus deterministic jitter derived from
-    /// `(attempt, salt)`.
-    pub fn delay(&self, attempt: u32, salt: u64) -> SimDuration {
-        let raw = self.base.as_nanos().saturating_mul(1u64 << attempt.min(16));
-        let capped = raw.min(self.cap.as_nanos());
-        let jitter = if self.jitter_pct == 0 {
-            0
-        } else {
-            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
-            for b in attempt.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            capped / 100 * (h % (u64::from(self.jitter_pct) + 1))
-        };
-        SimDuration::from_nanos(capped.saturating_add(jitter))
-    }
-}
-
-/// Default bound on records a [`RetransmitBuffer`] may hold. During a long
+/// Bound on records a [`RetransmitBuffer`] may hold. During a long
 /// outage the sender keeps pacing recoverable fragments into a dead link;
 /// without a cap the buffer grows without bound (critical and deadline-less
 /// records are never expired). 2048 records ≈ one second of full-rate video
 /// on the default profile — far more than any feasible recovery window.
-pub const DEFAULT_RETRANSMIT_CAP: usize = 2048;
+pub const RETRANSMIT_CAP: usize = 2048;
 
 /// One path's records: a dense sequence-indexed slot ring.
 ///
@@ -258,12 +239,12 @@ impl PathSlots {
 
 /// Sender-side store of unacknowledged fragments, keyed by `(path, seq)`.
 ///
-/// Holds at most `cap` records: inserting at capacity evicts the oldest
+/// Holds at most [`RETRANSMIT_CAP`] records: inserting at capacity evicts the oldest
 /// (lowest-sequence) record from the fullest path, so a link that stays
 /// down longer than the RTO cannot blow the buffer up. Storage is a
 /// per-path slot ring whose capacity is recycled across the connection's
 /// lifetime — steady-state insert/ack/take traffic allocates nothing.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RetransmitBuffer {
     /// Indexed by path id (path ids are small, dense sender-side indexes).
     paths: Vec<PathSlots>,
@@ -273,32 +254,14 @@ pub struct RetransmitBuffer {
     /// expired yet. Kept as a lower bound: records leaving via ack/take may
     /// make it stale (too early), never too late.
     earliest_deadline: Option<SimTime>,
-    /// Hard bound on held records.
-    cap: usize,
     /// Records evicted to enforce the bound (for stats/tests).
     evictions: u64,
 }
 
-impl Default for RetransmitBuffer {
-    fn default() -> Self {
-        RetransmitBuffer {
-            paths: Vec::new(),
-            earliest_deadline: None,
-            cap: DEFAULT_RETRANSMIT_CAP,
-            evictions: 0,
-        }
-    }
-}
-
 impl RetransmitBuffer {
-    /// An empty buffer with the default record cap.
+    /// An empty buffer.
     pub fn new() -> Self {
         RetransmitBuffer::default()
-    }
-
-    /// An empty buffer bounded to `cap` records (`cap` ≥ 1).
-    pub fn with_cap(cap: usize) -> Self {
-        RetransmitBuffer { cap: cap.max(1), ..RetransmitBuffer::default() }
     }
 
     /// Records evicted to enforce the record cap.
@@ -332,7 +295,7 @@ impl RetransmitBuffer {
             self.paths.resize_with(path + 1, PathSlots::default);
         }
         self.paths[path].insert(seq, frag);
-        if self.len() > self.cap {
+        if self.len() > RETRANSMIT_CAP {
             self.evict_oldest();
         }
     }
@@ -437,13 +400,14 @@ mod tests {
     #[test]
     fn paper_rule_37_5ms() {
         // 75 ms budget, loss detected at t=0 (frame creation), so recovery
-        // is feasible iff RTT ≤ 37.5 ms... our gate checks now + srtt ≤
-        // deadline: at now = 37.5 ms (one RTT after sending), srtt = 37.5
-        // ms fits exactly (ignoring margin), 40 ms does not.
-        let policy = RecoveryPolicy { margin: SimDuration::ZERO, ..Default::default() };
+        // is feasible iff RTT ≤ 37.5 ms... our gate checks now + srtt +
+        // margin ≤ deadline: at now = 36.5 ms (one RTT after sending), srtt
+        // = 36.5 ms fits exactly with the 2 ms margin, 40 ms does not.
+        let policy = RecoveryPolicy::default();
         let f = frag(TrafficClass::BestEffortWithRecovery, Some(75));
-        let rtt_ok = SimDuration::from_micros(37_500);
-        assert!(policy.should_retransmit(&f, Some(rtt_ok), SimTime::from_micros(37_500)));
+        let rtt_ok = SimDuration::from_micros(36_500);
+        assert_eq!(rtt_ok * 2 + DEADLINE_MARGIN, SimDuration::from_millis(75));
+        assert!(policy.should_retransmit(&f, Some(rtt_ok), SimTime::from_micros(36_500)));
         assert!(!policy.should_retransmit(
             &f,
             Some(SimDuration::from_millis(40)),
@@ -473,7 +437,7 @@ mod tests {
     fn attempt_cap_stops_retransmission() {
         let policy = RecoveryPolicy::default();
         let mut f = frag(TrafficClass::Critical, None);
-        f.attempts = 4;
+        f.attempts = MAX_ATTEMPTS;
         assert!(!policy.should_retransmit(&f, None, SimTime::ZERO));
     }
 
@@ -537,7 +501,7 @@ mod tests {
         // A link down for longer than the RTO keeps feeding the buffer with
         // critical/deadline-less records that `expire` never removes; the
         // cap must bound the state anyway.
-        let mut b = RetransmitBuffer::with_cap(64);
+        let mut b = RetransmitBuffer::new();
         for seq in 0..10_000u64 {
             let class = if seq % 2 == 0 {
                 TrafficClass::Critical
@@ -545,10 +509,10 @@ mod tests {
                 TrafficClass::BestEffortWithRecovery
             };
             b.insert(0, seq, frag(class, None));
-            assert!(b.len() <= 64, "buffer exceeded its cap at seq {seq}");
+            assert!(b.len() <= RETRANSMIT_CAP, "buffer exceeded its cap at seq {seq}");
         }
-        assert_eq!(b.len(), 64);
-        assert_eq!(b.evictions(), 10_000 - 64);
+        assert_eq!(b.len(), RETRANSMIT_CAP);
+        assert_eq!(b.evictions(), 10_000 - RETRANSMIT_CAP as u64);
         // The newest records survive; the oldest were evicted.
         assert!(b.take(0, 9_999).is_some());
         assert!(b.take(0, 0).is_none());
@@ -556,15 +520,15 @@ mod tests {
 
     #[test]
     fn eviction_prefers_the_fullest_path() {
-        let mut b = RetransmitBuffer::with_cap(4);
+        let mut b = RetransmitBuffer::new();
         b.insert(0, 0, frag(TrafficClass::Critical, None));
-        b.insert(1, 0, frag(TrafficClass::Critical, None));
-        b.insert(1, 1, frag(TrafficClass::Critical, None));
-        b.insert(1, 2, frag(TrafficClass::Critical, None));
-        // Path 1 holds 3 records, path 0 holds 1: the next insert evicts
-        // path 1's oldest, not path 0's only record.
+        for seq in 0..RETRANSMIT_CAP as u64 - 1 {
+            b.insert(1, seq, frag(TrafficClass::Critical, None));
+        }
+        // The buffer is full with path 0 holding one record: the next
+        // insert evicts path 1's oldest, not path 0's only record.
         b.insert(0, 1, frag(TrafficClass::Critical, None));
-        assert_eq!(b.len(), 4);
+        assert_eq!(b.len(), RETRANSMIT_CAP);
         assert!(b.take(0, 0).is_some());
         assert!(b.take(1, 0).is_none());
         assert!(b.take(1, 1).is_some());
@@ -583,30 +547,29 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let bo = Backoff { jitter_pct: 0, ..Default::default() };
-        assert_eq!(bo.delay(0, 1), SimDuration::from_millis(25));
-        assert_eq!(bo.delay(1, 1), SimDuration::from_millis(50));
-        assert_eq!(bo.delay(2, 1), SimDuration::from_millis(100));
-        assert_eq!(bo.delay(3, 1), SimDuration::from_millis(200));
+        let ms = |attempt| SimDuration::from_nanos(capped_backoff(attempt));
+        assert_eq!(ms(0), SimDuration::from_millis(25));
+        assert_eq!(ms(1), SimDuration::from_millis(50));
+        assert_eq!(ms(2), SimDuration::from_millis(100));
+        assert_eq!(ms(3), SimDuration::from_millis(200));
         // Capped from here on, even for huge attempt numbers.
-        assert_eq!(bo.delay(10, 1), SimDuration::from_millis(200));
-        assert_eq!(bo.delay(u32::MAX, 1), SimDuration::from_millis(200));
+        assert_eq!(ms(10), SimDuration::from_millis(200));
+        assert_eq!(ms(u32::MAX), SimDuration::from_millis(200));
     }
 
     #[test]
     fn backoff_jitter_is_deterministic_and_bounded() {
-        let bo = Backoff::default();
         for attempt in 0..8 {
-            let a = bo.delay(attempt, 42);
-            let b = bo.delay(attempt, 42);
+            let a = probe_backoff(attempt, 42);
+            let b = probe_backoff(attempt, 42);
             assert_eq!(a, b, "jitter must be a pure function of (attempt, salt)");
-            let base = Backoff { jitter_pct: 0, ..bo }.delay(attempt, 42);
+            let base = SimDuration::from_nanos(capped_backoff(attempt));
             assert!(a >= base);
             assert!(a <= base + base.mul_f64(0.20) + SimDuration::from_nanos(100));
         }
         // Different salts decorrelate.
         let spread: std::collections::BTreeSet<_> =
-            (0..16u64).map(|salt| bo.delay(4, salt)).collect();
+            (0..16u64).map(|salt| probe_backoff(4, salt)).collect();
         assert!(spread.len() > 1);
     }
 }

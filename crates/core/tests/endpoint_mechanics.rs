@@ -61,7 +61,7 @@ fn run(cfg: ArConfig, loss: f64, msg_size: u32, secs: u64, seed: u64) -> Harness
     );
     let sstats = sender.stats();
     sim.install_actor(snd, sender);
-    let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+    let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
     let rstats = receiver.stats();
     sim.install_actor(rcv, receiver);
     sim.add_actor(RefApp { sender: snd, next_id: 0, size: msg_size });
@@ -132,7 +132,6 @@ fn wire_overhead_stays_near_the_controller_rate() {
     // rate: the controller rate bounds *wire* load, not just payload.
     let cfg = ArConfig {
         congestion: CongestionConfig {
-            initial_rate: 100_000.0,
             max_rate: 100_000.0, // pin the rate: 800 kb/s
             ..CongestionConfig::default()
         },
@@ -174,7 +173,7 @@ fn srtt_converges_to_path_rtt() {
     );
     let sstats = sender.stats();
     sim.install_actor(snd, sender);
-    let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+    let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
     sim.install_actor(rcv, receiver);
     sim.add_actor(RefApp { sender: snd, next_id: 0, size: 2_000 });
     sim.run_until(SimTime::from_secs(10));

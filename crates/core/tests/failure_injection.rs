@@ -111,7 +111,7 @@ fn build(policy: MultipathPolicy, with_lte: bool, loss: LossModel, seed: u64) ->
     let sender = ArSender::new(1, cfg.clone(), paths);
     let sstats = sender.stats();
     sim.install_actor(snd, sender);
-    let receiver = ArReceiver::new(1, cfg.feedback_interval, reverse);
+    let receiver = ArReceiver::new(1, reverse);
     let rstats = receiver.stats();
     sim.install_actor(rcv, receiver);
     sim.add_actor(App { sender: snd, next_id: 0 });

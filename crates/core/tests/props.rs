@@ -173,24 +173,19 @@ proptest! {
 
 mod controller_props {
     use marnet_core::class::StreamKind;
-    use marnet_core::congestion::{CongestionConfig, DelayCongestionController};
+    use marnet_core::congestion::{CongestionConfig, DelayCongestionController, MIN_RATE};
     use marnet_core::multipath::{MultipathPolicy, MultipathScheduler, PathRole, PathSnapshot};
     use marnet_sim::time::{SimDuration, SimTime};
     use proptest::prelude::*;
 
     proptest! {
-        /// The controller's rate stays within [min_rate, max_rate] under any
+        /// The controller's rate stays within [MIN_RATE, max_rate] under any
         /// feedback sequence.
         #[test]
         fn rate_stays_within_configured_bounds(
             events in prop::collection::vec((1u64..2_000, 0u64..4, 0u64..1_000_000), 1..200),
         ) {
-            let cfg = CongestionConfig {
-                initial_rate: 100_000.0,
-                min_rate: 5_000.0,
-                max_rate: 500_000.0,
-                ..CongestionConfig::default()
-            };
+            let cfg = CongestionConfig { max_rate: 500_000.0, ..CongestionConfig::default() };
             let mut c = DelayCongestionController::new(cfg);
             let mut now = SimTime::ZERO;
             for (rtt_ms, losses, recv) in events {
@@ -198,7 +193,7 @@ mod controller_props {
                 let recv_rate = if recv == 0 { None } else { Some(recv as f64) };
                 c.on_feedback(SimDuration::from_millis(rtt_ms), losses, recv_rate, now);
                 let r = c.rate_bytes_per_sec();
-                prop_assert!((5_000.0..=500_000.0).contains(&r), "rate {r}");
+                prop_assert!((MIN_RATE..=500_000.0).contains(&r), "rate {r}");
             }
             // Estimator sanity after the storm.
             prop_assert!(c.base_rtt().unwrap() <= c.srtt().unwrap() + c.jitter() * 8);

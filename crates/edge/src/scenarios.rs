@@ -238,8 +238,7 @@ pub fn run_scenario(scenario: DistributionScenario, seed: u64, secs: u64) -> Sce
         // point at this endpoint's own back link (never selected).
         let mut reverse = vec![TxPath::Link(back); eps.len()];
         reverse[i] = TxPath::Link(back);
-        let receiver = ArReceiver::new(1, ArConfig::default().feedback_interval, reverse)
-            .with_delivery_target(probe);
+        let receiver = ArReceiver::new(1, reverse).with_delivery_target(probe);
         rx_stats.push(receiver.stats());
         sim.install_actor(rcv, receiver);
         sim.install_actor(

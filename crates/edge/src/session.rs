@@ -1,16 +1,15 @@
 //! Crash/restart session management for edge servers.
 //!
 //! An edge server is not a datacenter: it can lose power, reboot for an
-//! upgrade, or get migrated. This module wraps a protocol receiver (and the
-//! object-DB cache colocated with it) in a [`RestartableServer`] that
+//! upgrade, or get migrated. This module wraps a protocol receiver in a
+//! [`RestartableServer`] that
 //! understands the [`EdgeFault`] message injected by `marnet-faults`:
 //!
 //! * while **down**, every packet and timer addressed to the server
 //!   vanishes, exactly as if the process were dead;
 //! * at **restart**, a crash that lost state re-establishes the session —
 //!   the receiver bumps its epoch (advertised in feedback, so the sender
-//!   re-syncs its sequence spaces) and the LRU cache is cleared, modelling
-//!   a cold object DB that must re-warm;
+//!   re-syncs its sequence spaces);
 //! * the receiver's self-rescheduling feedback chain, broken when its timer
 //!   fired into the void, is re-armed so feedback resumes.
 //!
@@ -18,10 +17,6 @@
 //! / [`TraceEvent::edge_restart`]) so `marnet-trace` can reconstruct the
 //! outage timeline.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use marnet_app::db::LruCache;
 use marnet_core::endpoint::ArReceiver;
 use marnet_faults::inject::EdgeFault;
 use marnet_sim::engine::{Actor, Event, SimCtx};
@@ -32,13 +27,10 @@ use marnet_telemetry::event::{component, TraceEvent};
 /// inner timers are never confused with it.
 const TAG_RESTART: u64 = 1000;
 
-/// An edge server (protocol receiver + optional object cache) that can
-/// crash and restart under fault injection.
+/// An edge server (protocol receiver) that can crash and restart under
+/// fault injection.
 pub struct RestartableServer {
     inner: ArReceiver,
-    /// Object-DB cache colocated with the server; cleared on a state-losing
-    /// restart.
-    cache: Option<Rc<RefCell<LruCache>>>,
     /// `Some(crash instant)` while the server is dark.
     down_since: Option<SimTime>,
     /// Whether the pending restart loses receiver/cache state.
@@ -64,19 +56,11 @@ impl RestartableServer {
     pub fn new(inner: ArReceiver) -> Self {
         RestartableServer {
             inner,
-            cache: None,
             down_since: None,
             lose_state: false,
             feedback_swallowed: false,
             crashes: 0,
         }
-    }
-
-    /// Attaches the object cache living on this server, builder style.
-    #[must_use]
-    pub fn with_cache(mut self, cache: Rc<RefCell<LruCache>>) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Crashes survived so far.
@@ -111,9 +95,6 @@ impl RestartableServer {
         };
         if self.lose_state {
             let _ = self.inner.reset_session();
-            if let Some(c) = &self.cache {
-                c.borrow_mut().clear();
-            }
         }
         let t = ctx.now().as_nanos();
         let comp = component::actor(ctx.self_id().index());
@@ -196,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_restart_resyncs_session_and_clears_cache() {
+    fn crash_restart_resyncs_session() {
         let cfg = ArConfig { outage: OutageConfig::hardened(), ..ArConfig::default() };
         let mut sim = Simulator::new(41);
         sim.enable_flight_recorder(1 << 14);
@@ -221,12 +202,9 @@ mod tests {
         let sstats = sender.stats();
         sim.install_actor(snd, sender);
 
-        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
         let rstats = receiver.stats();
-        let cache = Rc::new(RefCell::new(LruCache::new(10_000)));
-        cache.borrow_mut().insert(7, 500);
-        let server = RestartableServer::new(receiver).with_cache(Rc::clone(&cache));
-        sim.install_actor(srv, server);
+        sim.install_actor(srv, RestartableServer::new(receiver));
         sim.install_actor(app, App { sender: snd, next_id: 0 });
 
         // Scripted state-losing crash at 2 s, 300 ms dark.
@@ -240,8 +218,6 @@ mod tests {
         sim.add_actor(FaultInjector::new(schedule));
         sim.run_until(SimTime::from_secs(5));
 
-        // The cache lost its contents across the restart.
-        assert!(cache.borrow().is_empty(), "crash must clear the object DB");
         // The sender noticed the new epoch and re-synced.
         let s = sstats.borrow();
         assert!(s.session_resyncs >= 1, "resyncs {}", s.session_resyncs);
@@ -285,7 +261,7 @@ mod tests {
         );
         let sstats = sender.stats();
         sim.install_actor(snd, sender);
-        let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
         sim.install_actor(srv, RestartableServer::new(receiver));
         sim.install_actor(app, App { sender: snd, next_id: 0 });
 

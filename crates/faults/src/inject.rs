@@ -11,13 +11,13 @@ use marnet_telemetry::event::{component, TraceEvent};
 
 /// Message the injector sends to an edge server's wrapper actor to make it
 /// crash. The wrapper (see `marnet-edge`'s session module) goes dark for
-/// `down_for`, then restarts — dropping its session/object-DB state first
-/// when `lose_state` is set.
+/// `down_for`, then restarts — dropping its session state first when
+/// `lose_state` is set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeFault {
     /// How long the server stays down before restarting.
     pub down_for: SimDuration,
-    /// Whether session and cache state is lost across the restart.
+    /// Whether session state is lost across the restart.
     pub lose_state: bool,
 }
 

@@ -97,7 +97,7 @@ pub enum FaultAction {
         server: ActorId,
         /// How long the server stays down.
         down_for: SimDuration,
-        /// Whether session/object-DB state is lost across the restart.
+        /// Whether session state is lost across the restart.
         lose_state: bool,
     },
 }

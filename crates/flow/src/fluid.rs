@@ -22,6 +22,30 @@
 //! of `O(n)`, which is what makes 10⁵ concurrent clients tractable
 //! (DESIGN §13 gives the argument in full).
 //!
+//! # Hybrid coupling
+//!
+//! A hybrid scenario keeps a packet-level *focus region* — the cell under
+//! study, unchanged engine semantics — inside fluid background load. The
+//! two tiers meet at *boundary links*: physical links whose capacity is
+//! shared between focus-region packet traffic and fluid background flows.
+//! The coupling is one-way and works through a *standing foreground
+//! class* ([`FluidNetwork::couple_class`]): a class with one always-active
+//! flow, capped at the boundary link's nominal capacity, competing max-min
+//! fairly with the background classes on the fluid graph. Whatever rate the
+//! allocator grants that class is the rate the packet tier may use, so
+//! after every recompute the network sends it as a
+//! [`marnet_sim::link::RateUpdate`] to the actor owning the link (the NIC),
+//! which applies it with [`marnet_sim::engine::SimCtx::set_link_rate`].
+//!
+//! Because the foreground class is always active and capped, its
+//! allocation is at least `min(cap, C/n)` of the shared capacity `C` —
+//! never zero — so the packet tier keeps draining (a zero rate would park
+//! queued packets forever). The reverse direction is deliberately
+//! approximate: the packet tier's *offered* load is represented by the
+//! standing class's cap rather than its instantaneous throughput, which
+//! slightly overstates foreground pressure when the cell is idle. DESIGN
+//! §13 quantifies the error; the cross-fidelity validation test bounds it.
+//!
 //! # Determinism
 //!
 //! State lives in `Vec`s ordered by creation; completions order
@@ -29,12 +53,10 @@
 //! nanoseconds so a completion never fires before its service level is
 //! reached. All arithmetic is sequential `f64`: same inputs, same bits.
 
-use crate::hybrid::{Coupling, CouplingMode};
 use crate::maxmin::{max_min_rates_into, MaxMinClass, MaxMinScratch};
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx, TimerHandle};
-use marnet_sim::link::Bandwidth;
+use marnet_sim::link::{Bandwidth, LinkId, RateUpdate};
 use marnet_sim::packet::PayloadPool;
-use marnet_sim::region::RateUpdate;
 use marnet_sim::stats::Histogram;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{component, TraceEvent};
@@ -210,7 +232,9 @@ struct ClassState {
     rate_bps: f64,
     /// Last per-flow rate traced, quantized to whole bits/s.
     traced_bps: u64,
-    coupling: Option<Coupling>,
+    /// The boundary link whose available rate tracks this class's
+    /// allocation, and the actor that owns (and applies updates to) it.
+    coupling: Option<(LinkId, ActorId)>,
     /// Last boundary rate pushed through the coupling, in bits/s.
     coupled_bps: u64,
 }
@@ -290,11 +314,12 @@ impl FluidNetwork {
         self.classes[class.index()].standing += n;
     }
 
-    /// Couples a class's aggregate allocation to a packet-level boundary
-    /// link (see [`crate::hybrid`]). The class should hold at least one
-    /// standing flow so the boundary rate never collapses to zero.
-    pub fn couple_class(&mut self, class: ClassId, coupling: Coupling) {
-        self.classes[class.index()].coupling = Some(coupling);
+    /// Couples a class's aggregate allocation to the packet-level boundary
+    /// `link` (see the module docs): every change is sent to `owner` as a
+    /// [`RateUpdate`]. The class should hold at least one standing flow so
+    /// the boundary rate never collapses to zero.
+    pub fn couple_class(&mut self, class: ClassId, link: LinkId, owner: ActorId) {
+        self.classes[class.index()].coupling = Some((link, owner));
     }
 
     /// Shared handle to the aggregate statistics.
@@ -391,22 +416,16 @@ impl FluidNetwork {
                     TraceEvent::flow_rate(now.as_nanos(), comp, trace_class(ci), active, quantized)
                 });
             }
-            if let Some(coupling) = c.coupling {
+            if let Some((link, owner)) = c.coupling {
                 // The boundary link gets the class's aggregate
                 // allocation, floored at 1 bit/s so the packet tier's
                 // queue never stalls outright.
                 let boundary = ((rate * active as f64).round() as u64).max(1);
                 if boundary != c.coupled_bps {
                     c.coupled_bps = boundary;
-                    let update =
-                        RateUpdate { link: coupling.link, rate: Bandwidth::from_bps(boundary) };
-                    match coupling.via {
-                        CouplingMode::Direct => ctx.set_link_rate(update.link, update.rate),
-                        CouplingMode::Notify(owner) => {
-                            let payload = self.rate_pool.prepare(|| update, |u| *u = update);
-                            ctx.send_message(owner, payload);
-                        }
-                    }
+                    let update = RateUpdate { link, rate: Bandwidth::from_bps(boundary) };
+                    let payload = self.rate_pool.prepare(|| update, |u| *u = update);
+                    ctx.send_message(owner, payload);
                 }
             }
         }

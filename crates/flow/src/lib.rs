@@ -9,7 +9,7 @@
 //! max-min fair rates on a capacitated link graph, and only flow
 //! start / finish / rate-change events are simulated (DESIGN §13).
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`maxmin`] — the pure allocator: progressive filling over *flow
 //!   classes* (homogeneous flows sharing a route and per-flow cap), so
@@ -17,10 +17,10 @@
 //! * [`fluid`] — [`fluid::FluidNetwork`], an [`marnet_sim::engine::Actor`]
 //!   that owns the fluid link graph, advances processor-sharing service
 //!   counters between events, and schedules completion timers into the
-//!   ordinary sim event loop.
-//! * [`hybrid`] — boundary coupling: a packet-level focus region keeps
-//!   full engine semantics while the fluid tier modulates the available
-//!   rate of its boundary links ([`marnet_sim::region::RateUpdate`]).
+//!   ordinary sim event loop. A coupled class
+//!   ([`fluid::FluidNetwork::couple_class`]) hands its allocation to a
+//!   packet-level boundary link ([`marnet_sim::link::RateUpdate`]), so a
+//!   focus region keeps full engine semantics inside fluid load.
 //!
 //! City-scale client populations are driven by [`workload::BackgroundWorkload`],
 //! a single actor that multiplexes N think/transfer renewal processes.
@@ -38,14 +38,12 @@
 #![forbid(unsafe_code)]
 
 pub mod fluid;
-pub mod hybrid;
 pub mod maxmin;
 pub mod workload;
 
 /// Convenience re-exports of the types most scenarios need.
 pub mod prelude {
     pub use crate::fluid::{ClassId, FlowDone, FluidLinkId, FluidNetwork, FluidStats, StartFlow};
-    pub use crate::hybrid::{Coupling, CouplingMode};
     pub use crate::maxmin::{max_min_rates, ClassDemand};
     pub use crate::workload::{BackgroundWorkload, WorkloadConfig, WorkloadStats};
 }

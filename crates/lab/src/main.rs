@@ -212,12 +212,13 @@ fn check_main(args: &[String]) -> ExitCode {
 fn train_usage() -> String {
     "usage: marnet-lab train [--generations N] [--population N] [--elites N]\n\
      \u{20}                       [--replicates N] [--threads N] [--seed S]\n\
-     \u{20}                       [--out PATH] [--baseline PATH] [--smoke]"
+     \u{20}                       [--out PATH] [--smoke]"
         .to_string()
 }
 
 /// Parses and runs `marnet-lab train`. Exit codes follow the workspace
-/// convention: 0 ok, 1 findings (baseline drift), 2 usage or I/O error.
+/// convention: 0 ok, 2 usage or I/O error (a drift check is `marnet-lab
+/// check`).
 fn train_main(args: &[String]) -> ExitCode {
     let mut generations = None;
     let mut population = None;
@@ -226,7 +227,6 @@ fn train_main(args: &[String]) -> ExitCode {
     let mut threads = default_threads();
     let mut seed = 42u64;
     let mut out = None;
-    let mut baseline = None;
     let mut smoke = false;
 
     let mut flags = Flags::new(args, train_usage);
@@ -240,7 +240,6 @@ fn train_main(args: &[String]) -> ExitCode {
                 "--threads" => threads = flags.parse(arg)?,
                 "--seed" => seed = flags.parse(arg)?,
                 "--out" => out = Some(PathBuf::from(flags.value(arg)?)),
-                "--baseline" => baseline = Some(PathBuf::from(flags.value(arg)?)),
                 "--smoke" => smoke = true,
                 other => return Err(flags.unknown(other)),
             }
@@ -296,8 +295,7 @@ fn train_main(args: &[String]) -> ExitCode {
             "lab_train.json"
         })
     });
-    let drifted = train::finish(&artifact, &out, baseline.as_deref());
-    gate_exit(drifted.map(|drifted| !drifted), "train")
+    gate_exit(train::finish(&artifact, &out).map(|()| true), "train")
 }
 
 fn main() -> ExitCode {

@@ -165,8 +165,8 @@ impl TrainOptions {
 /// trajectory and the evaluation conditions. Its FNV-1a hash over the
 /// canonical JSON encoding is the artifact's `train_hash` — editing any
 /// field (space bounds, portfolio constants, budget) changes the hash, so
-/// a baseline comparison can tell "the policy landscape moved" apart from
-/// "the experiment itself changed".
+/// a drifted artifact tells "the policy landscape moved" apart from "the
+/// experiment itself changed".
 #[derive(Debug, Serialize)]
 struct TrainSpec {
     schema_version: u32,
@@ -420,7 +420,6 @@ pub fn run_training(opts: &TrainOptions) -> (TrainResult, FrontArtifact) {
         generations: opts.generations,
         population: opts.population,
         elites: opts.elites,
-        ..TrainConfig::default()
     };
     let result = run_search(&space, &cfg, |generation, points| {
         let params: Vec<PolicyParams> = points.iter().map(|p| space.compile(p)).collect();
@@ -518,39 +517,10 @@ pub fn render(artifact: &FrontArtifact) {
     );
 }
 
-/// Compares a freshly trained artifact against a committed baseline.
-/// Returns the drift findings (empty = byte-identical).
-pub fn diff_baseline(artifact: &FrontArtifact, baseline: &FrontArtifact) -> Vec<String> {
-    let mut drifts = Vec::new();
-    if baseline.train_hash != artifact.train_hash {
-        drifts.push(format!(
-            "train_hash changed: baseline {} vs current {} (the experiment itself differs)",
-            baseline.train_hash, artifact.train_hash
-        ));
-        return drifts;
-    }
-    for (b, c) in baseline.comparison.iter().zip(&artifact.comparison) {
-        if b.metric == c.metric && (b.default != c.default || b.tuned != c.tuned) {
-            drifts.push(format!(
-                "{}: baseline {}/{} vs current {}/{} (default/tuned)",
-                b.metric, b.default, b.tuned, c.default, c.tuned
-            ));
-        }
-    }
-    if baseline.to_json() != artifact.to_json() && drifts.is_empty() {
-        drifts.push("artifact bytes differ from baseline".to_string());
-    }
-    drifts
-}
-
-/// Writes the artifact and runs the optional baseline comparison.
-/// Returns `Ok(true)` when a baseline was given and drifted (exit 1 for
-/// the CLI), `Err` on I/O problems (exit 2).
-pub fn finish(
-    artifact: &FrontArtifact,
-    out: &Path,
-    baseline: Option<&Path>,
-) -> Result<bool, String> {
+/// Writes the artifact to `out`; `Err` on I/O problems (exit 2 for the
+/// CLI). Drift against the committed smoke artifact is `marnet-lab
+/// check`'s question, not this one's.
+pub fn finish(artifact: &FrontArtifact, out: &Path) -> Result<(), String> {
     artifact.write(out).map_err(|e| format!("failed to write artifact {}: {e}", out.display()))?;
     println!(
         "\n[artifact] {} (schema v{}, train spec {})",
@@ -558,18 +528,5 @@ pub fn finish(
         artifact.schema_version,
         artifact.train_hash
     );
-    let Some(baseline_path) = baseline else { return Ok(false) };
-    let baseline = FrontArtifact::load(baseline_path)
-        .map_err(|e| format!("failed to load baseline {}: {e}", baseline_path.display()))?;
-    let drifts = diff_baseline(artifact, &baseline);
-    if drifts.is_empty() {
-        println!("[baseline] no drift vs {} (byte-identical)", baseline_path.display());
-        Ok(false)
-    } else {
-        println!("[baseline] {} drift(s) vs {}:", drifts.len(), baseline_path.display());
-        for d in &drifts {
-            println!("  {d}");
-        }
-        Ok(true)
-    }
+    Ok(())
 }

@@ -2,9 +2,11 @@
 //! line that no longer regenerates (exit 1) and refuses a missing or
 //! unreadable artifact (exit 2). Kept cheap for the debug-profile run by
 //! failing at the registry's first name — `table1_devices` is closed-form
-//! and instant; the full exit-0 pass is the release-mode CI job's.
+//! and instant; the full exit-0 pass is the release-mode CI job's. The
+//! training front goes through the same compare ([`check_train`]), the one
+//! place its drift is checked.
 
-use marnet_lab::check::{check_experiment, CheckError};
+use marnet_lab::check::{check_experiment, check_train, CheckError};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -88,5 +90,32 @@ fn committed_artifacts_regenerate_at_one_thread_and_four() {
             assert!(finding.contains("\"p99\": 9"), "{finding}");
         }
         other => panic!("a doctored p99 must differ: {other:?}"),
+    }
+}
+
+#[test]
+fn an_edited_tuned_value_in_the_training_front_differs_naming_the_line() {
+    let dir = results_copy("check_train_edited");
+    let path = dir.join("lab_train_smoke.json");
+    let text = fs::read_to_string(&path).expect("read training artifact");
+    let line = text.lines().position(|l| l.contains("\"tuned\": 7")).expect("a tuned value") + 1;
+    fs::write(&path, text.replacen("\"tuned\": 7", "\"tuned\": 97", 1)).expect("doctor front");
+    match check_train(&dir, &[1]) {
+        Err(CheckError::Differs(finding)) => {
+            assert!(finding.contains("lab_train_smoke.json does not regenerate"), "{finding}");
+            assert!(finding.contains(&format!("line {line}\n")), "{finding}");
+        }
+        other => panic!("a doctored tuned value must differ: {other:?}"),
+    }
+}
+
+#[test]
+fn a_garbage_training_front_is_unreadable() {
+    let dir = results_copy("check_train_garbage");
+    let path = dir.join("lab_train_smoke.json");
+    fs::write(&path, "not a front").expect("write garbage");
+    match check_train(&dir, &[1]) {
+        Err(CheckError::Unreadable(msg)) => assert!(msg.contains("lab_train_smoke.json"), "{msg}"),
+        other => panic!("a garbage front must be unreadable: {other:?}"),
     }
 }

@@ -63,18 +63,9 @@ impl CoverageModel {
         }
     }
 
-    /// A stationary user on a personal AP: always usable.
-    pub fn always_on() -> Self {
-        CoverageModel {
-            usable_fraction: 1.0,
-            mean_usable: SimDuration::from_secs(3600),
-            handover_gap: SimDuration::ZERO,
-        }
-    }
-
     /// Mean duration of an unusable gap implied by the duty cycle
     /// (excluding the fixed handover add-on).
-    pub fn mean_gap(&self) -> SimDuration {
+    fn mean_gap(&self) -> SimDuration {
         if self.usable_fraction >= 1.0 {
             return SimDuration::ZERO;
         }
@@ -115,21 +106,6 @@ pub struct CoverageTrace {
 }
 
 impl CoverageTrace {
-    /// Builds a trace from explicit intervals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if intervals are not contiguous from time zero.
-    pub fn from_intervals(intervals: Vec<CoverageInterval>) -> Self {
-        let mut t = SimTime::ZERO;
-        for iv in &intervals {
-            assert_eq!(iv.from, t, "intervals must be contiguous");
-            assert!(iv.to >= iv.from, "interval ends before it starts");
-            t = iv.to;
-        }
-        CoverageTrace { intervals }
-    }
-
     /// A trace that is always usable until `horizon`.
     pub fn always(horizon: SimTime) -> Self {
         CoverageTrace {
@@ -140,11 +116,6 @@ impl CoverageTrace {
     /// The intervals of the trace.
     pub fn intervals(&self) -> &[CoverageInterval] {
         &self.intervals
-    }
-
-    /// Whether the network is usable at instant `t` (false past the end).
-    pub fn usable_at(&self, t: SimTime) -> bool {
-        self.intervals.iter().find(|iv| t >= iv.from && t < iv.to).is_some_and(|iv| iv.usable)
     }
 
     /// Fraction of `[0, horizon)` that is usable.
@@ -160,11 +131,6 @@ impl CoverageTrace {
             .map(|iv| (iv.to - iv.from).as_secs_f64())
             .sum();
         usable / total
-    }
-
-    /// Number of usable→unusable transitions (handover events).
-    pub fn gap_count(&self) -> usize {
-        self.intervals.windows(2).filter(|w| w[0].usable && !w[1].usable).count()
     }
 }
 
@@ -211,6 +177,11 @@ mod tests {
     use super::*;
     use marnet_sim::rng::derive_rng;
 
+    /// Number of usable→unusable transitions (handover events).
+    fn gap_count(trace: &CoverageTrace) -> usize {
+        trace.intervals.windows(2).filter(|w| w[0].usable && !w[1].usable).count()
+    }
+
     #[test]
     fn generated_trace_matches_duty_cycle() {
         let model = CoverageModel::wifi_urban_walk();
@@ -218,7 +189,7 @@ mod tests {
         let trace = model.generate(SimTime::from_secs(20_000), &mut rng);
         let frac = trace.usable_fraction();
         assert!((frac - 0.538).abs() < 0.08, "usable fraction {frac}");
-        assert!(trace.gap_count() > 50);
+        assert!(gap_count(&trace) > 50);
     }
 
     #[test]
@@ -232,43 +203,15 @@ mod tests {
     #[test]
     fn always_on_has_no_gaps() {
         let mut rng = derive_rng(13, "coverage3");
-        let trace = CoverageModel::always_on().generate(SimTime::from_secs(1000), &mut rng);
+        let always_on = CoverageModel {
+            usable_fraction: 1.0,
+            mean_usable: SimDuration::from_secs(3600),
+            handover_gap: SimDuration::ZERO,
+        };
+        assert_eq!(always_on.mean_gap(), SimDuration::ZERO);
+        let trace = always_on.generate(SimTime::from_secs(1000), &mut rng);
         assert_eq!(trace.usable_fraction(), 1.0);
-        assert_eq!(trace.gap_count(), 0);
-    }
-
-    #[test]
-    fn usable_at_lookup() {
-        let trace = CoverageTrace::from_intervals(vec![
-            CoverageInterval { from: SimTime::ZERO, to: SimTime::from_secs(10), usable: true },
-            CoverageInterval {
-                from: SimTime::from_secs(10),
-                to: SimTime::from_secs(15),
-                usable: false,
-            },
-            CoverageInterval {
-                from: SimTime::from_secs(15),
-                to: SimTime::from_secs(30),
-                usable: true,
-            },
-        ]);
-        assert!(trace.usable_at(SimTime::from_secs(5)));
-        assert!(!trace.usable_at(SimTime::from_secs(12)));
-        assert!(trace.usable_at(SimTime::from_secs(20)));
-        assert!(!trace.usable_at(SimTime::from_secs(31)));
-        assert_eq!(trace.gap_count(), 1);
-        let frac = trace.usable_fraction();
-        assert!((frac - 25.0 / 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn non_contiguous_intervals_panic() {
-        let _ = CoverageTrace::from_intervals(vec![CoverageInterval {
-            from: SimTime::from_secs(1),
-            to: SimTime::from_secs(2),
-            usable: true,
-        }]);
+        assert_eq!(gap_count(&trace), 0);
     }
 
     #[test]
@@ -284,19 +227,21 @@ mod tests {
         let a = sim.add_actor(Idle);
         let b = sim.add_actor(Idle);
         let l = sim.add_link(a, b, LinkParams::new(Bandwidth::from_mbps(1.0), SimDuration::ZERO));
-        let trace = CoverageTrace::from_intervals(vec![
-            CoverageInterval { from: SimTime::ZERO, to: SimTime::from_secs(1), usable: true },
-            CoverageInterval {
-                from: SimTime::from_secs(1),
-                to: SimTime::from_secs(2),
-                usable: false,
-            },
-            CoverageInterval {
-                from: SimTime::from_secs(2),
-                to: SimTime::from_secs(3),
-                usable: true,
-            },
-        ]);
+        let trace = CoverageTrace {
+            intervals: vec![
+                CoverageInterval { from: SimTime::ZERO, to: SimTime::from_secs(1), usable: true },
+                CoverageInterval {
+                    from: SimTime::from_secs(1),
+                    to: SimTime::from_secs(2),
+                    usable: false,
+                },
+                CoverageInterval {
+                    from: SimTime::from_secs(2),
+                    to: SimTime::from_secs(3),
+                    usable: true,
+                },
+            ],
+        };
         sim.add_actor(CoverageActor::new(trace, vec![l]));
         sim.run_until(SimTime::from_millis(500));
         assert!(sim.ctx().link_is_up(l));
@@ -314,6 +259,5 @@ mod tests {
             handover_gap: SimDuration::ZERO,
         };
         assert_eq!(m.mean_gap(), SimDuration::from_secs(10));
-        assert_eq!(CoverageModel::always_on().mean_gap(), SimDuration::ZERO);
     }
 }

@@ -57,11 +57,6 @@ impl RadioTechnology {
         RadioTechnology::FiveG,
     ];
 
-    /// Whether this is a device-to-device (no-infrastructure) technology.
-    pub fn is_d2d(self) -> bool {
-        matches!(self, RadioTechnology::LteDirect | RadioTechnology::WifiDirect)
-    }
-
     /// The measured/specified characteristics for this technology.
     pub fn profile(self) -> RadioProfile {
         profile(self)
@@ -366,9 +361,6 @@ mod tests {
 
     #[test]
     fn d2d_flags_and_ranges() {
-        assert!(RadioTechnology::LteDirect.is_d2d());
-        assert!(RadioTechnology::WifiDirect.is_d2d());
-        assert!(!RadioTechnology::Lte.is_d2d());
         assert_eq!(RadioTechnology::LteDirect.profile().range_m, Some(1000.0));
         assert_eq!(RadioTechnology::WifiDirect.profile().range_m, Some(200.0));
         assert_eq!(RadioTechnology::FiveG.profile().range_m, None);

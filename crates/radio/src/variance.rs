@@ -158,9 +158,6 @@ pub struct LinkModulator {
     links: Vec<LinkId>,
     process: Box<dyn RateProcess>,
     interval: SimDuration,
-    /// Scale factors applied per link (e.g. uplink = 0.3 × process rate to
-    /// keep the asymmetry ratio while both directions fade together).
-    scales: Vec<f64>,
 }
 
 impl std::fmt::Debug for LinkModulator {
@@ -176,27 +173,13 @@ impl LinkModulator {
     /// Modulates `links` every `interval` with the given process, all links
     /// getting the same rate.
     pub fn new(links: Vec<LinkId>, process: Box<dyn RateProcess>, interval: SimDuration) -> Self {
-        let scales = vec![1.0; links.len()];
-        LinkModulator { links, process, interval, scales }
-    }
-
-    /// Sets per-link scale factors, builder style.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of scales differs from the number of links.
-    #[must_use]
-    pub fn with_scales(mut self, scales: Vec<f64>) -> Self {
-        assert_eq!(scales.len(), self.links.len(), "one scale per link");
-        self.scales = scales;
-        self
+        LinkModulator { links, process, interval }
     }
 
     fn apply(&mut self, ctx: &mut SimCtx) {
         let rate = self.process.rate_at(ctx.now());
-        for (&link, &scale) in self.links.iter().zip(&self.scales) {
-            let scaled = Bandwidth::from_bps((rate.as_bps() as f64 * scale) as u64);
-            ctx.set_link_rate(link, scaled);
+        for &link in &self.links {
+            ctx.set_link_rate(link, rate);
         }
     }
 }
@@ -326,31 +309,5 @@ mod tests {
         assert_eq!(sim.ctx().link_rate(l).as_mbps(), 10.0);
         sim.run_until(SimTime::from_millis(1500));
         assert_eq!(sim.ctx().link_rate(l).as_mbps(), 3.0);
-    }
-
-    #[test]
-    fn modulator_scales_per_link() {
-        use marnet_sim::engine::Simulator;
-        use marnet_sim::link::LinkParams;
-
-        struct Idle;
-        impl Actor for Idle {
-            fn on_event(&mut self, _: &mut SimCtx, _: Event) {}
-        }
-        let mut sim = Simulator::new(9);
-        let a = sim.add_actor(Idle);
-        let b = sim.add_actor(Idle);
-        let down = sim.add_link(a, b, LinkParams::new(Bandwidth::ZERO, SimDuration::ZERO));
-        let up = sim.add_link(b, a, LinkParams::new(Bandwidth::ZERO, SimDuration::ZERO));
-        let m = LinkModulator::new(
-            vec![down, up],
-            Box::new(ConstantRate(Bandwidth::from_mbps(10.0))),
-            SimDuration::from_millis(100),
-        )
-        .with_scales(vec![1.0, 0.25]);
-        sim.add_actor(m);
-        sim.run_until(SimTime::from_millis(50));
-        assert_eq!(sim.ctx().link_rate(down).as_mbps(), 10.0);
-        assert_eq!(sim.ctx().link_rate(up).as_mbps(), 2.5);
     }
 }

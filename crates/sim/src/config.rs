@@ -1,5 +1,5 @@
-//! Simulator configuration: the experiment seed plus the event-queue
-//! tie-break policy.
+//! The event queue's tie-break policy, chosen per thread with
+//! [`with_ambient_tie_break`].
 //!
 //! The engine's determinism invariant is stronger than "same seed, same
 //! artifact": the headline claims (byte-identical artifacts at any
@@ -73,46 +73,6 @@ impl TieBreak {
             TieBreak::Seeded(s) => format!("seeded-{s:016x}"),
         }
     }
-
-    /// Parses a label produced by [`TieBreak::label`] (or the short CLI
-    /// forms `fifo` / `lifo` / `seeded:<u64>`).
-    pub fn parse(s: &str) -> Option<TieBreak> {
-        match s {
-            "fifo" => Some(TieBreak::Fifo),
-            "lifo" => Some(TieBreak::Lifo),
-            _ => {
-                let rest = s.strip_prefix("seeded-").or_else(|| s.strip_prefix("seeded:"))?;
-                let seed = u64::from_str_radix(rest, 16).ok().or_else(|| rest.parse().ok())?;
-                Some(TieBreak::Seeded(seed))
-            }
-        }
-    }
-}
-
-/// The full configuration a [`crate::engine::Simulator`] is built from.
-///
-/// [`crate::engine::Simulator::new`] is shorthand for a `SimConfig` with
-/// the ambient tie-break policy (see [`with_ambient_tie_break`]);
-/// [`crate::engine::Simulator::with_config`] takes the policy explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimConfig {
-    /// The experiment seed all per-link/per-actor substreams derive from.
-    pub seed: u64,
-    /// The equal-timestamp ordering policy for the event queue.
-    pub tie_break: TieBreak,
-}
-
-impl SimConfig {
-    /// A default-policy (FIFO) configuration for `seed`.
-    pub fn new(seed: u64) -> Self {
-        SimConfig { seed, tie_break: TieBreak::Fifo }
-    }
-
-    /// Replaces the tie-break policy (builder style).
-    pub fn tie_break(mut self, policy: TieBreak) -> Self {
-        self.tie_break = policy;
-        self
-    }
 }
 
 thread_local! {
@@ -185,15 +145,6 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), 1000);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for policy in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(0xdead_beef)] {
-            assert_eq!(TieBreak::parse(&policy.label()), Some(policy));
-        }
-        assert_eq!(TieBreak::parse("seeded:42"), Some(TieBreak::Seeded(0x42)));
-        assert_eq!(TieBreak::parse("random"), None);
     }
 
     #[test]

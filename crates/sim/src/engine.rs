@@ -691,18 +691,11 @@ impl Simulator {
     /// `marnet-lab racecheck` perturbs scenario runners that construct
     /// their own simulator internally).
     pub fn new(seed: u64) -> Self {
-        Self::with_config(
-            &crate::config::SimConfig::new(seed).tie_break(crate::config::ambient_tie_break()),
-        )
-    }
-
-    /// Creates an empty simulator from an explicit [`crate::config::SimConfig`].
-    pub fn with_config(config: &crate::config::SimConfig) -> Self {
         Simulator {
             ctx: SimCtx {
                 now: SimTime::ZERO,
-                seed: config.seed,
-                queue: EventQueue::with_tie_break(config.tie_break),
+                seed,
+                queue: EventQueue::with_tie_break(crate::config::ambient_tie_break()),
                 next_seq: 0,
                 next_packet_id: 0,
                 links: Vec::new(),
@@ -772,7 +765,7 @@ impl Simulator {
             loss: params.loss,
             queue: params.queue.build(),
             busy: false,
-            up: params.up,
+            up: true,
             ge_bad: false,
             in_flight: None,
             arrivals: self.ctx.queue.add_line(),
@@ -1135,11 +1128,8 @@ mod tests {
         let mut sim = Simulator::new(1);
         let a = sim.reserve_actor();
         let b = sim.reserve_actor();
-        let l = sim.add_link(
-            a,
-            b,
-            LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::ZERO).initially_down(),
-        );
+        let l = sim.add_link(a, b, LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::ZERO));
+        sim.ctx_mut().set_link_up(l, false);
         struct S {
             link: LinkId,
         }
@@ -1273,27 +1263,20 @@ mod tests {
             sim.add_actor(Sender { peer: r, msgs: &[2, 3] });
             got
         };
-        let run = |cfg: crate::config::SimConfig| {
-            let mut sim = Simulator::with_config(&cfg);
-            let got = build(&mut sim);
-            sim.run_until(SimTime::from_millis(1));
-            let out = got.borrow().clone();
-            out
+        let run = |policy: crate::config::TieBreak| {
+            crate::config::with_ambient_tie_break(policy, || {
+                let mut sim = Simulator::new(1);
+                let got = build(&mut sim);
+                sim.run_until(SimTime::from_millis(1));
+                let out = got.borrow().clone();
+                out
+            })
         };
-        use crate::config::{with_ambient_tie_break, SimConfig, TieBreak};
-        assert_eq!(run(SimConfig::new(1)), vec![1, 2, 3]);
+        use crate::config::TieBreak;
+        assert_eq!(run(TieBreak::Fifo), vec![1, 2, 3]);
         // LIFO: the higher-indexed sender's burst runs first, internally
         // still in program order.
-        assert_eq!(run(SimConfig::new(1).tie_break(TieBreak::Lifo)), vec![2, 3, 1]);
-        // The ambient scope routes the same policy through Simulator::new.
-        let ambient = with_ambient_tie_break(TieBreak::Lifo, || {
-            let mut sim = Simulator::new(1);
-            let got = build(&mut sim);
-            sim.run_until(SimTime::from_millis(1));
-            let out = got.borrow().clone();
-            out
-        });
-        assert_eq!(ambient, vec![2, 3, 1]);
+        assert_eq!(run(TieBreak::Lifo), vec![2, 3, 1]);
     }
 
     #[test]

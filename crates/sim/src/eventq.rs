@@ -408,7 +408,7 @@ pub(crate) struct EventQueue<T> {
 
 impl<T> EventQueue<T> {
     /// A default-policy (FIFO) queue; production callers go through
-    /// [`EventQueue::with_tie_break`] via `Simulator::with_config`.
+    /// [`EventQueue::with_tie_break`] via `Simulator::new`.
     #[cfg(test)]
     pub(crate) fn new() -> Self {
         Self::with_tie_break(TieBreak::Fifo)

@@ -80,7 +80,6 @@ pub use marnet_telemetry as telemetry;
 pub mod link;
 pub mod packet;
 pub mod queue;
-pub mod region;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -88,14 +87,13 @@ pub mod timers;
 
 /// Convenience re-exports of the types needed by almost every simulation.
 pub mod prelude {
-    pub use crate::config::{SimConfig, TieBreak};
+    pub use crate::config::TieBreak;
     pub use crate::engine::{Actor, ActorId, Event, SimCtx, Simulator, TimerHandle};
-    pub use crate::link::{Bandwidth, Jitter, LinkId, LinkParams, LossModel};
+    pub use crate::link::{Bandwidth, Jitter, LinkId, LinkParams, LossModel, RateUpdate};
     pub use crate::packet::{Packet, Payload};
     pub use crate::queue::{
         CoDelQueue, DropTailQueue, FqCoDelQueue, QueueConfig, StrictPriorityQueue,
     };
-    pub use crate::region::{Fidelity, RateUpdate, RegionId, RegionMap};
     pub use crate::rng::derive_rng;
     pub use crate::stats::{Histogram, OnlineStats, RateMeter, TimeSeries};
     pub use crate::time::{SimDuration, SimTime};

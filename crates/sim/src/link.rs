@@ -7,7 +7,7 @@
 //! variance, coverage gaps and handover blackouts.
 
 use crate::queue::QueueConfig;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -26,6 +26,23 @@ impl fmt::Display for LinkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "link#{}", self.0)
     }
+}
+
+/// A boundary-link rate update crossing from the fluid tier to the packet
+/// tier.
+///
+/// The fluid tier (`marnet-flow`) sends this as an
+/// [`crate::engine::Event::Message`] payload to the actor owning a
+/// packet-level boundary link (typically a NIC); the receiver applies it
+/// with [`crate::engine::SimCtx::set_link_rate`]. It lives here — not in
+/// `marnet-flow` — so transports can apply updates without depending on the
+/// fluid model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RateUpdate {
+    /// The packet-level link whose available rate changed.
+    pub link: LinkId,
+    /// The new available rate (capacity minus fluid background load).
+    pub rate: Bandwidth,
 }
 
 /// A data rate.
@@ -156,8 +173,6 @@ pub struct LinkParams {
     pub loss: LossModel,
     /// Queueing discipline at the transmitter.
     pub queue: QueueConfig,
-    /// Whether the link starts up.
-    pub up: bool,
 }
 
 impl LinkParams {
@@ -169,7 +184,6 @@ impl LinkParams {
             jitter: Jitter::None,
             loss: LossModel::None,
             queue: QueueConfig::default(),
-            up: true,
         }
     }
 
@@ -191,13 +205,6 @@ impl LinkParams {
     #[must_use]
     pub fn with_queue(mut self, queue: QueueConfig) -> Self {
         self.queue = queue;
-        self
-    }
-
-    /// Starts the link in the down state, builder style.
-    #[must_use]
-    pub fn initially_down(mut self) -> Self {
-        self.up = false;
         self
     }
 }
@@ -240,31 +247,6 @@ pub struct LinkStats {
     pub drops_down: u64,
 }
 
-impl LinkStats {
-    /// All drops, regardless of cause.
-    pub fn drops_total(&self) -> u64 {
-        self.drops_queue + self.drops_aqm + self.drops_loss + self.drops_down
-    }
-
-    /// Fraction of offered packets that were delivered.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.offered_packets == 0 {
-            1.0
-        } else {
-            self.delivered_packets as f64 / self.offered_packets as f64
-        }
-    }
-
-    /// Mean delivered goodput over the given horizon.
-    pub fn delivered_rate(&self, horizon: SimTime) -> Bandwidth {
-        let secs = horizon.as_secs_f64();
-        if secs <= 0.0 {
-            return Bandwidth::ZERO;
-        }
-        Bandwidth::from_bps((self.delivered_bytes as f64 * 8.0 / secs) as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,27 +281,8 @@ mod tests {
         let p = LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(5))
             .with_loss(LossModel::Bernoulli { p: 0.01 })
             .with_jitter(Jitter::Uniform { max: SimDuration::from_millis(2) })
-            .with_queue(QueueConfig::bloated_uplink())
-            .initially_down();
-        assert!(!p.up);
+            .with_queue(QueueConfig::bloated_uplink());
         assert_eq!(p.loss, LossModel::Bernoulli { p: 0.01 });
         assert_eq!(p.queue, QueueConfig::DropTail { cap_packets: 1000 });
-    }
-
-    #[test]
-    fn stats_ratios() {
-        let s = LinkStats {
-            offered_packets: 10,
-            delivered_packets: 8,
-            delivered_bytes: 1000,
-            drops_queue: 1,
-            drops_loss: 1,
-            ..Default::default()
-        };
-        assert_eq!(s.drops_total(), 2);
-        assert!((s.delivery_ratio() - 0.8).abs() < 1e-12);
-        assert_eq!(s.delivered_rate(SimTime::from_secs(1)).as_bps(), 8000);
-        assert_eq!(s.delivered_rate(SimTime::ZERO), Bandwidth::ZERO);
-        assert_eq!(LinkStats::default().delivery_ratio(), 1.0);
     }
 }

@@ -6,7 +6,7 @@
 //! traffic while keeping other uploads usable. This module provides the four
 //! disciplines the experiments compare:
 //!
-//! * [`DropTailQueue`] — FIFO with a packet or byte cap (the bufferbloat
+//! * [`DropTailQueue`] — FIFO with a packet cap (the bufferbloat
 //!   baseline of Figs. 3 and the E13 queueing sweep);
 //! * [`CoDelQueue`] — the Controlled Delay AQM (RFC 8289);
 //! * [`FqCoDelQueue`] — FlowQueue-CoDel (RFC 8290): DRR across hashed flow
@@ -64,6 +64,19 @@ pub trait Queue: fmt::Debug {
     }
 }
 
+/// CoDel's sojourn-time target (RFC 8289 default).
+const CODEL_TARGET: SimDuration = SimDuration::from_millis(5);
+/// CoDel's sliding interval (RFC 8289 default).
+const CODEL_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// CoDel's hard cap in packets (safety valve above the AQM).
+const CODEL_CAP_PACKETS: usize = 1000;
+/// FQ-CoDel's hash buckets (RFC 8290 default).
+const FQ_CODEL_FLOWS: usize = 1024;
+/// FQ-CoDel's DRR quantum in bytes.
+const FQ_CODEL_QUANTUM: u32 = 1514;
+/// FQ-CoDel's total packet cap across all flow queues.
+const FQ_CODEL_CAP_PACKETS: usize = 10240;
+
 /// Declarative queue configuration, convertible into a boxed [`Queue`].
 ///
 /// Keeping configuration as data lets link parameters be cloned and serialized
@@ -76,33 +89,12 @@ pub enum QueueConfig {
         /// Maximum queued packets.
         cap_packets: usize,
     },
-    /// FIFO capped at a number of bytes.
-    DropTailBytes {
-        /// Maximum queued bytes.
-        cap_bytes: u64,
-    },
-    /// CoDel AQM with FIFO order.
-    CoDel {
-        /// Sojourn-time target (RFC 8289 default: 5 ms).
-        target: SimDuration,
-        /// Sliding interval (RFC 8289 default: 100 ms).
-        interval: SimDuration,
-        /// Hard cap in packets (safety valve above the AQM).
-        cap_packets: usize,
-    },
-    /// FQ-CoDel: DRR over hashed per-flow CoDel queues.
-    FqCoDel {
-        /// Number of hash buckets (RFC 8290 default: 1024).
-        flows: usize,
-        /// DRR quantum in bytes (default: 1514).
-        quantum: u32,
-        /// CoDel target per flow queue.
-        target: SimDuration,
-        /// CoDel interval per flow queue.
-        interval: SimDuration,
-        /// Total packet cap across all flow queues.
-        cap_packets: usize,
-    },
+    /// CoDel AQM with FIFO order, at RFC 8289 defaults (see
+    /// [`QueueConfig::codel_default`]).
+    CoDel,
+    /// FQ-CoDel: DRR over hashed per-flow CoDel queues, at RFC 8290
+    /// defaults (see [`QueueConfig::fq_codel_default`]).
+    FqCoDel,
     /// Strict priority bands indexed by [`Packet::prio`] (0 = served first).
     StrictPriority {
         /// Number of bands; priorities beyond the last band are clamped.
@@ -118,37 +110,32 @@ impl QueueConfig {
         QueueConfig::DropTail { cap_packets: 1000 }
     }
 
-    /// CoDel with RFC 8289 defaults and a 1000-packet hard cap.
+    /// CoDel with RFC 8289 defaults (5 ms target, 100 ms interval) and a
+    /// 1000-packet hard cap.
     pub fn codel_default() -> Self {
-        QueueConfig::CoDel {
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-            cap_packets: 1000,
-        }
+        QueueConfig::CoDel
     }
 
-    /// FQ-CoDel with RFC 8290 defaults.
+    /// FQ-CoDel with RFC 8290 defaults: 1024 flow queues, a 1514-byte
+    /// quantum, CoDel's 5 ms / 100 ms per queue and a 10 240-packet cap.
     pub fn fq_codel_default() -> Self {
-        QueueConfig::FqCoDel {
-            flows: 1024,
-            quantum: 1514,
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-            cap_packets: 10240,
-        }
+        QueueConfig::FqCoDel
     }
 
     /// Builds the stateful queue object for a link instance.
     pub fn build(&self) -> Box<dyn Queue> {
         match *self {
             QueueConfig::DropTail { cap_packets } => Box::new(DropTailQueue::packets(cap_packets)),
-            QueueConfig::DropTailBytes { cap_bytes } => Box::new(DropTailQueue::bytes(cap_bytes)),
-            QueueConfig::CoDel { target, interval, cap_packets } => {
-                Box::new(CoDelQueue::new(target, interval, cap_packets))
+            QueueConfig::CoDel => {
+                Box::new(CoDelQueue::new(CODEL_TARGET, CODEL_INTERVAL, CODEL_CAP_PACKETS))
             }
-            QueueConfig::FqCoDel { flows, quantum, target, interval, cap_packets } => {
-                Box::new(FqCoDelQueue::new(flows, quantum, target, interval, cap_packets))
-            }
+            QueueConfig::FqCoDel => Box::new(FqCoDelQueue::new(
+                FQ_CODEL_FLOWS,
+                FQ_CODEL_QUANTUM,
+                CODEL_TARGET,
+                CODEL_INTERVAL,
+                FQ_CODEL_CAP_PACKETS,
+            )),
             QueueConfig::StrictPriority { bands, cap_packets_per_band } => {
                 Box::new(StrictPriorityQueue::new(bands, cap_packets_per_band))
             }
@@ -173,25 +160,18 @@ pub struct DropTailQueue {
     queue: VecDeque<Packet>,
     bytes: u64,
     cap_packets: usize,
-    cap_bytes: u64,
 }
 
 impl DropTailQueue {
     /// A FIFO capped at `cap` packets.
     pub fn packets(cap: usize) -> Self {
-        DropTailQueue { queue: VecDeque::new(), bytes: 0, cap_packets: cap, cap_bytes: u64::MAX }
-    }
-
-    /// A FIFO capped at `cap` bytes.
-    pub fn bytes(cap: u64) -> Self {
-        DropTailQueue { queue: VecDeque::new(), bytes: 0, cap_packets: usize::MAX, cap_bytes: cap }
+        DropTailQueue { queue: VecDeque::new(), bytes: 0, cap_packets: cap }
     }
 }
 
 impl Queue for DropTailQueue {
     fn enqueue(&mut self, mut pkt: Packet, now: SimTime) -> EnqueueOutcome {
-        if self.queue.len() >= self.cap_packets || self.bytes + u64::from(pkt.size) > self.cap_bytes
-        {
+        if self.queue.len() >= self.cap_packets {
             return EnqueueOutcome::Dropped(pkt);
         }
         pkt.enqueued = now;
@@ -629,16 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn droptail_respects_byte_cap() {
-        let mut q = DropTailQueue::bytes(250);
-        assert!(q.enqueue(pkt(1, 0, 100), SimTime::ZERO).is_enqueued());
-        assert!(q.enqueue(pkt(2, 0, 100), SimTime::ZERO).is_enqueued());
-        assert!(!q.enqueue(pkt(3, 0, 100), SimTime::ZERO).is_enqueued());
-        assert!(q.enqueue(pkt(4, 0, 50), SimTime::ZERO).is_enqueued());
-        assert_eq!(q.len_bytes(), 250);
-    }
-
-    #[test]
     fn codel_passes_low_delay_traffic() {
         let mut q =
             CoDelQueue::new(SimDuration::from_millis(5), SimDuration::from_millis(100), 1000);
@@ -804,8 +774,6 @@ mod tests {
         let q = QueueConfig::fq_codel_default().build();
         assert!(q.is_empty());
         let q = QueueConfig::StrictPriority { bands: 4, cap_packets_per_band: 10 }.build();
-        assert!(q.is_empty());
-        let q = QueueConfig::DropTailBytes { cap_bytes: 1000 }.build();
         assert!(q.is_empty());
     }
 }

@@ -282,16 +282,6 @@ impl RateMeter {
         self.buckets[idx] += bytes;
     }
 
-    /// Rate series as `(bucket start seconds, Mb/s)` pairs.
-    pub fn series_mbps(&self) -> Vec<(f64, f64)> {
-        let w = self.bucket.as_secs_f64();
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| (i as f64 * w, b as f64 * 8.0 / w / 1e6))
-            .collect()
-    }
-
     /// Mean rate in Mb/s across `[from, to)` seconds.
     pub fn mean_mbps(&self, from: f64, to: f64) -> f64 {
         let w = self.bucket.as_secs_f64();
@@ -438,9 +428,8 @@ mod tests {
         m.record(SimTime::from_millis(10), 6_250);
         m.record(SimTime::from_millis(90), 6_250);
         m.record(SimTime::from_millis(150), 25_000);
-        let series = m.series_mbps();
-        assert!((series[0].1 - 1.0).abs() < 1e-9);
-        assert!((series[1].1 - 2.0).abs() < 1e-9);
+        assert!((m.mean_mbps(0.0, 0.1) - 1.0).abs() < 1e-9);
+        assert!((m.mean_mbps(0.1, 0.2) - 2.0).abs() < 1e-9);
         assert!((m.mean_mbps(0.0, 0.2) - 1.5).abs() < 1e-9);
         assert_eq!(m.total_bytes(), 37_500);
     }

@@ -105,7 +105,7 @@ impl TimerBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{SimConfig, TieBreak};
+    use crate::config::{with_ambient_tie_break, TieBreak};
     use crate::engine::{Actor, ActorId, Event, Simulator};
     use crate::link::{Bandwidth, LinkId, LinkParams};
     use crate::packet::{Packet, Payload};
@@ -242,7 +242,8 @@ mod tests {
     /// events processed, and the queue's cancellable entries at the split.
     fn run(plan: &Plan, policy: TieBreak, banked: bool) -> ((Deliveries, u64, u64), usize) {
         let log: Log = Rc::default();
-        let mut sim = Simulator::with_config(&SimConfig::new(7).tie_break(policy));
+        // The queue takes the policy when it is built.
+        let mut sim = with_ambient_tie_break(policy, || Simulator::new(7));
         let ids = [sim.reserve_actor(), sim.reserve_actor()];
         let ticker = sim.reserve_actor();
         // 1250 bytes at 10 Mb/s serialize in one grid step; one more of delay.

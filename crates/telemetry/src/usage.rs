@@ -85,19 +85,9 @@ impl<const N: usize> ClassUsage<N> {
         self.sent_bytes.iter().sum()
     }
 
-    /// Total packets sent across all classes.
-    pub fn total_sent_packets(&self) -> u64 {
-        self.sent_packets.iter().sum()
-    }
-
     /// Total bytes dropped across all classes.
     pub fn total_dropped_bytes(&self) -> u64 {
         self.dropped_bytes.iter().sum()
-    }
-
-    /// Total packets dropped across all classes.
-    pub fn total_dropped_packets(&self) -> u64 {
-        self.dropped_packets.iter().sum()
     }
 
     /// Copies the totals into `registry` as counters named
@@ -134,9 +124,7 @@ mod tests {
         assert_eq!(u.sent_packets, [2, 0, 0, 1]);
         assert_eq!(u.sent_bytes, [150, 0, 0, 10]);
         assert_eq!(u.total_sent_bytes(), 160);
-        assert_eq!(u.total_sent_packets(), 3);
         assert_eq!(u.total_dropped_bytes(), 7);
-        assert_eq!(u.total_dropped_packets(), 1);
     }
 
     #[test]

@@ -15,14 +15,21 @@
 //! paired exactly (the evaluator uses common random numbers, see
 //! `marnet-lab`'s portfolio).
 
-use crate::objective::{pareto_front, Evaluation, ScalarWeights};
+use crate::objective::{pareto_front, Evaluation};
 use crate::space::{PolicyPoint, PolicySpace};
 use marnet_core::policy::PolicyParams;
 use marnet_sim::rng::derive_rng;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 
-/// Budget and hyper-parameters of one search run.
+/// Initial sampling width in the normalized unit cube.
+const INIT_SIGMA: f64 = 0.25;
+/// Floor the per-dimension width never decays below (keeps late
+/// generations exploring).
+const SIGMA_FLOOR: f64 = 0.02;
+
+/// Budget of one search run. Elites are ranked by
+/// [`crate::Objectives::scalarized`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Base seed; every candidate derives its own substream.
@@ -34,26 +41,11 @@ pub struct TrainConfig {
     pub population: u32,
     /// Elite count: the best candidates the distribution is refit to.
     pub elites: u32,
-    /// Initial sampling width in the normalized unit cube.
-    pub init_sigma: f64,
-    /// Floor the per-dimension width never decays below (keeps late
-    /// generations exploring).
-    pub sigma_floor: f64,
-    /// Elite-ranking scalarization weights.
-    pub weights: ScalarWeights,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        TrainConfig {
-            seed: 42,
-            generations: 8,
-            population: 16,
-            elites: 4,
-            init_sigma: 0.25,
-            sigma_floor: 0.02,
-            weights: ScalarWeights::default(),
-        }
+        TrainConfig { seed: 42, generations: 8, population: 16, elites: 4 }
     }
 }
 
@@ -142,7 +134,7 @@ where
 
     // The sampling distribution.
     let mut mean = normalize(space, &incumbent);
-    let mut sigma = vec![cfg.init_sigma; n];
+    let mut sigma = vec![INIT_SIGMA; n];
 
     for g in 0..cfg.generations {
         let population: Vec<PolicyPoint> = (0..cfg.population)
@@ -157,8 +149,7 @@ where
 
         let evals = eval_population(g, &population);
         assert_eq!(evals.len(), population.len(), "evaluator arity mismatch in generation {g}");
-        let scalars: Vec<f64> =
-            evals.iter().map(|e| e.objectives.scalarized(&cfg.weights)).collect();
+        let scalars: Vec<f64> = evals.iter().map(|e| e.objectives.scalarized()).collect();
         for (c, (point, evaluation)) in population.iter().zip(&evals).enumerate() {
             archive.push(Evaluated {
                 generation: g,
@@ -180,7 +171,7 @@ where
             let var = elite_norms.iter().map(|v| (v[d] - m) * (v[d] - m)).sum::<f64>()
                 / elite_norms.len() as f64;
             mean[d] = m;
-            sigma[d] = var.sqrt().max(cfg.sigma_floor);
+            sigma[d] = var.sqrt().max(SIGMA_FLOOR);
         }
     }
 

@@ -36,5 +36,5 @@ pub mod space;
 
 pub use artifact::{ComparisonRow, FrontArtifact, FrontEntry, SCHEMA_VERSION};
 pub use engine::{run_search, select_tuned, Evaluated, TrainConfig, TrainResult};
-pub use objective::{pareto_front, Evaluation, Objectives, ScalarWeights};
+pub use objective::{pareto_front, Evaluation, Objectives};
 pub use space::{DimKind, Dimension, PolicyPoint, PolicySpace};

@@ -36,32 +36,20 @@ impl Objectives {
         ge && gt
     }
 
-    /// The fixed linear scalarization the engine ranks elites by.
-    pub fn scalarized(&self, w: &ScalarWeights) -> f64 {
-        w.qoe * self.qoe + w.fairness * self.fairness - w.overhead * self.overhead
+    /// The fixed linear scalarization the engine ranks elites by. QoE is
+    /// in percent (0..100), fairness in `[0.5, 1]` for one competitor,
+    /// overhead in percent — the weights put roughly 100 scalar points on
+    /// each of QoE and fairness and make 4 points of extra overhead cost
+    /// one point of QoE.
+    pub fn scalarized(&self) -> f64 {
+        self.qoe + FAIRNESS_WEIGHT * self.fairness - OVERHEAD_WEIGHT * self.overhead
     }
 }
 
-/// Weights of the elite-ranking scalarization. QoE is in percent
-/// (0..100), fairness in `[0.5, 1]` for one competitor, overhead in
-/// percent — the defaults put roughly 100 scalar points on each of QoE
-/// and fairness and make 4 points of extra overhead cost one point of
-/// QoE.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScalarWeights {
-    /// Weight on the QoE percentage.
-    pub qoe: f64,
-    /// Weight on the Jain fairness index.
-    pub fairness: f64,
-    /// Weight (cost) on the overhead percentage.
-    pub overhead: f64,
-}
-
-impl Default for ScalarWeights {
-    fn default() -> Self {
-        ScalarWeights { qoe: 1.0, fairness: 100.0, overhead: 0.25 }
-    }
-}
+/// Scalarization weight on the Jain fairness index (QoE's is 1).
+const FAIRNESS_WEIGHT: f64 = 100.0;
+/// Scalarization weight (cost) on the overhead percentage.
+const OVERHEAD_WEIGHT: f64 = 0.25;
 
 /// What the evaluator returns for one candidate: the objective vector
 /// plus named detail scalars (per-scenario breakdowns for the
@@ -156,8 +144,7 @@ mod tests {
 
     #[test]
     fn scalarization_uses_the_weights() {
-        let w = ScalarWeights { qoe: 1.0, fairness: 100.0, overhead: 0.25 };
-        let s = o(90.0, 0.9, 20.0).scalarized(&w);
+        let s = o(90.0, 0.9, 20.0).scalarized();
         assert!((s - (90.0 + 90.0 - 5.0)).abs() < 1e-12);
     }
 }

@@ -210,12 +210,6 @@ impl PolicySpace {
     pub fn default_point(&self) -> PolicyPoint {
         self.encode(&PolicyParams::default())
     }
-
-    /// FNV-1a hash of the canonical JSON encoding of the space.
-    pub fn space_hash(&self) -> u64 {
-        let canonical = serde_json::to_string(self).expect("space serializes");
-        crate::artifact::fnv1a(canonical.as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -268,15 +262,5 @@ mod tests {
         }
         assert_eq!(d.denormalize(2.0), 20.0);
         assert_eq!(d.denormalize(-1.0), 10.0);
-    }
-
-    #[test]
-    fn space_hash_is_stable_and_discriminating() {
-        let a = PolicySpace::ar_default();
-        let b = PolicySpace::ar_default();
-        assert_eq!(a.space_hash(), b.space_hash());
-        let mut c = PolicySpace::ar_default();
-        c.dims[0].hi = 500.0;
-        assert_ne!(a.space_hash(), c.space_hash());
     }
 }

@@ -68,7 +68,6 @@ proptest! {
             generations: 3,
             population: 6,
             elites: 2,
-            ..TrainConfig::default()
         };
         let a = run_search(&space, &cfg, |_, pop| synthetic(pop, target_ms, beta_weight));
         let b = run_search(&space, &cfg, |_, pop| synthetic(pop, target_ms, beta_weight));

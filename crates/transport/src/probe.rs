@@ -2,8 +2,8 @@
 //!
 //! §IV-B of the paper measures the CloudRidAR platform's link RTT in four
 //! scenarios by timing offload transactions. [`ProbeClient`] sends a request
-//! of configurable size, [`ProbeServer`] replies (optionally after a
-//! service delay), and the client records the full round-trip latency.
+//! of configurable size, [`ProbeServer`] replies at once, and the client
+//! records the full round-trip latency.
 
 use crate::nic::{unwrap_packet, TxPath};
 use marnet_sim::engine::{Actor, Event, SimCtx};
@@ -125,34 +125,19 @@ impl Actor for ProbeClient {
     }
 }
 
-/// Echo server answering probes, optionally after a service delay (modelling
-/// server-side computation, as in the CloudRidAR offload transactions).
+/// Echo server answering probes the instant they arrive (Table II times
+/// the link, not server-side computation).
 #[derive(Debug)]
 pub struct ProbeServer {
     flow: u64,
     path: TxPath,
     response_bytes: u32,
-    service_delay: SimDuration,
-    pending: Vec<ProbeMessage>,
 }
 
 impl ProbeServer {
     /// A server replying with `response_bytes` immediately.
     pub fn new(flow: u64, path: TxPath, response_bytes: u32) -> Self {
-        ProbeServer {
-            flow,
-            path,
-            response_bytes,
-            service_delay: SimDuration::ZERO,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Adds a fixed service delay before each response, builder style.
-    #[must_use]
-    pub fn with_service_delay(mut self, delay: SimDuration) -> Self {
-        self.service_delay = delay;
-        self
+        ProbeServer { flow, path, response_bytes }
     }
 
     fn respond(&mut self, ctx: &mut SimCtx, mut msg: ProbeMessage) {
@@ -165,29 +150,14 @@ impl ProbeServer {
 
 impl Actor for ProbeServer {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
-        match ev {
-            Event::Timer { .. } => {
-                if !self.pending.is_empty() {
-                    let msg = self.pending.remove(0);
-                    self.respond(ctx, msg);
-                }
+        if let Some(pkt) = unwrap_packet(ev) {
+            if pkt.flow != self.flow {
+                return;
             }
-            other => {
-                if let Some(pkt) = unwrap_packet(other) {
-                    if pkt.flow != self.flow {
-                        return;
-                    }
-                    if let Some(msg) = pkt.payload.downcast_ref::<ProbeMessage>() {
-                        if !msg.is_response {
-                            let msg = msg.clone();
-                            if self.service_delay == SimDuration::ZERO {
-                                self.respond(ctx, msg);
-                            } else {
-                                self.pending.push(msg);
-                                ctx.schedule_timer(self.service_delay, 0);
-                            }
-                        }
-                    }
+            if let Some(msg) = pkt.payload.downcast_ref::<ProbeMessage>() {
+                if !msg.is_response {
+                    let msg = msg.clone();
+                    self.respond(ctx, msg);
                 }
             }
         }
@@ -200,7 +170,7 @@ mod tests {
     use marnet_sim::engine::Simulator;
     use marnet_sim::link::{Bandwidth, LinkParams};
 
-    fn setup(one_way: SimDuration, service: SimDuration) -> Rc<RefCell<ProbeStats>> {
+    fn setup(one_way: SimDuration) -> Rc<RefCell<ProbeStats>> {
         let mut sim = Simulator::new(5);
         let c = sim.reserve_actor();
         let s = sim.reserve_actor();
@@ -209,17 +179,14 @@ mod tests {
         let client = ProbeClient::new(1, TxPath::Link(fwd), 200, SimDuration::from_millis(50), 50);
         let stats = client.stats();
         sim.install_actor(c, client);
-        sim.install_actor(
-            s,
-            ProbeServer::new(1, TxPath::Link(rev), 200).with_service_delay(service),
-        );
+        sim.install_actor(s, ProbeServer::new(1, TxPath::Link(rev), 200));
         sim.run_until(SimTime::from_secs(10));
         stats
     }
 
     #[test]
     fn rtt_equals_twice_one_way_plus_serialization() {
-        let stats = setup(SimDuration::from_millis(18), SimDuration::ZERO);
+        let stats = setup(SimDuration::from_millis(18));
         let st = stats.borrow();
         assert_eq!(st.sent, 50);
         assert_eq!(st.received, 50);
@@ -227,13 +194,5 @@ mod tests {
         let median = h.median().unwrap();
         // 2×18 ms propagation + 2×16 µs serialization ≈ 36 ms.
         assert!((median - 36.0).abs() < 0.5, "median RTT {median}");
-    }
-
-    #[test]
-    fn service_delay_adds_to_rtt() {
-        let stats = setup(SimDuration::from_millis(4), SimDuration::from_millis(10));
-        let mut h = stats.borrow().rtt_ms.clone();
-        let median = h.median().unwrap();
-        assert!((median - 18.0).abs() < 0.5, "median RTT {median}");
     }
 }

@@ -60,12 +60,6 @@ impl Reno {
         Reno { mss, cwnd: (mss * 10) as f64, ssthresh: f64::INFINITY, min_rtt: None }
     }
 
-    /// Reno with an explicit initial window in segments.
-    pub fn with_initial_window(mss: u32, iw: u32) -> Self {
-        let mss = u64::from(mss);
-        Reno { mss, cwnd: (mss * u64::from(iw)) as f64, ssthresh: f64::INFINITY, min_rtt: None }
-    }
-
     fn hystart_exit(min_rtt: &mut Option<SimDuration>, rtt: Option<SimDuration>) -> bool {
         let Some(rtt) = rtt else { return false };
         let min = match *min_rtt {
@@ -272,19 +266,6 @@ impl Vegas {
             acked_since_adjust: 0,
         }
     }
-
-    /// Overrides the alpha/beta segment targets, builder style.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha > beta` or either is negative.
-    #[must_use]
-    pub fn with_targets(mut self, alpha: f64, beta: f64) -> Self {
-        assert!(alpha >= 0.0 && alpha <= beta, "need 0 ≤ alpha ≤ beta");
-        self.alpha = alpha;
-        self.beta = beta;
-        self
-    }
 }
 
 impl CongestionControl for Vegas {
@@ -370,9 +351,17 @@ mod tests {
         cc.on_ack(n, 0, Some(SimDuration::from_millis(rtt_ms)), SimTime::ZERO);
     }
 
+    /// Reno with a window of `segments` segments.
+    fn reno(segments: u32) -> Reno {
+        let mut r = Reno::new(MSS);
+        r.cwnd = f64::from(segments * MSS);
+        r
+    }
+
     #[test]
     fn reno_slow_start_doubles_per_rtt() {
-        let mut r = Reno::with_initial_window(MSS, 2);
+        assert_eq!(Reno::new(MSS).cwnd(), 10 * u64::from(MSS));
+        let mut r = reno(2);
         assert_eq!(r.cwnd(), 2000);
         // Ack a full window: cwnd doubles.
         ack(&mut r, 2000, 50);
@@ -383,7 +372,7 @@ mod tests {
 
     #[test]
     fn reno_congestion_avoidance_is_linear() {
-        let mut r = Reno::with_initial_window(MSS, 10);
+        let mut r = reno(10);
         r.on_loss(SimTime::ZERO); // ssthresh = cwnd/2 = 5000, cwnd = 5000
         assert_eq!(r.cwnd(), 5000);
         // One full window of ACKs → +1 MSS.
@@ -395,7 +384,7 @@ mod tests {
 
     #[test]
     fn reno_loss_halves_timeout_resets() {
-        let mut r = Reno::with_initial_window(MSS, 20);
+        let mut r = reno(20);
         let before = r.cwnd();
         r.on_loss(SimTime::ZERO);
         assert_eq!(r.cwnd(), before / 2);
@@ -406,7 +395,7 @@ mod tests {
 
     #[test]
     fn reno_floors_at_two_mss() {
-        let mut r = Reno::with_initial_window(MSS, 2);
+        let mut r = reno(2);
         for _ in 0..10 {
             r.on_loss(SimTime::ZERO);
         }
@@ -441,7 +430,7 @@ mod tests {
 
     #[test]
     fn vegas_tracks_base_rtt_and_backs_off() {
-        let mut v = Vegas::new(MSS).with_targets(2.0, 4.0);
+        let mut v = Vegas::new(MSS);
         v.ssthresh = 10_000.0; // force congestion avoidance
         v.cwnd = 10_000.0;
         // RTT = base: diff = 0 < alpha → additive increase.

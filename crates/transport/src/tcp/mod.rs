@@ -24,6 +24,9 @@ use std::rc::Rc;
 /// TCP/IP header overhead added to every segment, in bytes.
 pub const HEADER_BYTES: u32 = 40;
 
+/// Maximum segment size: payload bytes per packet.
+pub const MSS: u32 = 1460;
+
 /// A TCP segment carried as a packet payload.
 #[derive(Debug, Clone)]
 pub struct TcpSegment {
@@ -54,16 +57,10 @@ pub enum DataSource {
     Finite(u64),
 }
 
-/// Sender configuration.
+/// Sender configuration. Segments carry [`MSS`] payload bytes; the
+/// initial window is the congestion controller's (10 segments, RFC 6928).
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per packet).
-    pub mss: u32,
-    /// Initial congestion window in segments (RFC 6928 uses 10; older
-    /// stacks used 2-4).
-    pub initial_window: u32,
-    /// Receive-window clamp in bytes.
-    pub rwnd: u64,
     /// Amount of data to send.
     pub data: DataSource,
     /// When the flow starts.
@@ -75,14 +72,7 @@ pub struct TcpConfig {
 
 impl Default for TcpConfig {
     fn default() -> Self {
-        TcpConfig {
-            mss: 1460,
-            initial_window: 10,
-            rwnd: u64::MAX,
-            data: DataSource::Unlimited,
-            start_at: SimTime::ZERO,
-            prio: 0,
-        }
+        TcpConfig { data: DataSource::Unlimited, start_at: SimTime::ZERO, prio: 0 }
     }
 }
 
@@ -125,7 +115,7 @@ mod tests {
                 .with_queue(big),
         );
         let sender =
-            TcpSender::new(1, TxPath::Link(fwd), TcpConfig::default(), Box::new(Reno::new(1460)));
+            TcpSender::new(1, TxPath::Link(fwd), TcpConfig::default(), Box::new(Reno::new(MSS)));
         let stats = sender.stats();
         sim.install_actor(s, sender);
         let receiver = TcpReceiver::new(1, TxPath::Link(rev));
@@ -157,7 +147,7 @@ mod tests {
         );
         let total = 2_000_000u64;
         let cfg = TcpConfig { data: DataSource::Finite(total), ..TcpConfig::default() };
-        let sender = TcpSender::new(1, TxPath::Link(fwd), cfg, Box::new(Reno::new(1460)));
+        let sender = TcpSender::new(1, TxPath::Link(fwd), cfg, Box::new(Reno::new(MSS)));
         let stats = sender.stats();
         sim.install_actor(s, sender);
         let receiver = TcpReceiver::new(1, TxPath::Link(rev));
@@ -194,7 +184,7 @@ mod tests {
                 conn,
                 TxPath::Nic(nic_a),
                 TcpConfig::default(),
-                Box::new(Reno::new(1460)),
+                Box::new(Reno::new(MSS)),
             );
             sim.install_actor(s, sender);
             let receiver = TcpReceiver::new(conn, TxPath::Nic(nic_b));

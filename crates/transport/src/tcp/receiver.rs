@@ -177,7 +177,7 @@ impl Actor for TcpReceiver {
 mod tests {
     use super::*;
     use crate::nic::TxPath;
-    use crate::tcp::{Reno, TcpConfig, TcpSender};
+    use crate::tcp::{Reno, TcpConfig, TcpSender, MSS};
     use marnet_sim::engine::Simulator;
     use marnet_sim::link::{Bandwidth, LinkParams, LossModel};
     use marnet_sim::time::SimTime;
@@ -217,7 +217,7 @@ mod tests {
         let (s, r, fwd, rev) = duplex(&mut sim, 0.0);
         let cfg =
             TcpConfig { data: super::super::DataSource::Finite(500_000), ..Default::default() };
-        let sender = TcpSender::new(9, TxPath::Link(fwd), cfg, Box::new(Reno::new(1460)));
+        let sender = TcpSender::new(9, TxPath::Link(fwd), cfg, Box::new(Reno::new(MSS)));
         sim.install_actor(s, sender);
         let recv = TcpReceiver::new(9, TxPath::Link(rev));
         let stats = recv.stats();
@@ -234,7 +234,7 @@ mod tests {
         let (s, r, fwd, rev) = duplex(&mut sim, 0.03);
         let cfg =
             TcpConfig { data: super::super::DataSource::Finite(500_000), ..Default::default() };
-        let sender = TcpSender::new(9, TxPath::Link(fwd), cfg, Box::new(Reno::new(1460)));
+        let sender = TcpSender::new(9, TxPath::Link(fwd), cfg, Box::new(Reno::new(MSS)));
         let sstats = sender.stats();
         sim.install_actor(s, sender);
         let recv = TcpReceiver::new(9, TxPath::Link(rev));
@@ -253,13 +253,13 @@ mod tests {
         let (s, r, fwd, rev) = duplex(&mut sim, 0.0);
         let cfg =
             TcpConfig { data: super::super::DataSource::Finite(1_000_000), ..Default::default() };
-        sim.install_actor(s, TcpSender::new(9, TxPath::Link(fwd), cfg, Box::new(Reno::new(1460))));
+        sim.install_actor(s, TcpSender::new(9, TxPath::Link(fwd), cfg, Box::new(Reno::new(MSS))));
         let recv = TcpReceiver::new(9, TxPath::Link(rev));
         let stats = recv.stats();
         sim.install_actor(r, recv);
         sim.run_until(SimTime::from_secs(30));
         let st = stats.borrow();
-        let segments = (1_000_000u64).div_ceil(1460);
+        let segments = (1_000_000u64).div_ceil(u64::from(MSS));
         assert!(
             st.acks_sent < segments * 3 / 4,
             "delayed ACKs should cut ACK volume: {} acks for {} segments",

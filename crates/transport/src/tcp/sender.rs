@@ -2,7 +2,7 @@
 
 use super::cc::CongestionControl;
 use super::rtt::RttEstimator;
-use super::{DataSource, SharedFlowStats, TcpConfig, TcpSegment, HEADER_BYTES};
+use super::{DataSource, SharedFlowStats, TcpConfig, TcpSegment, HEADER_BYTES, MSS};
 use crate::nic::{unwrap_packet, TxPath};
 use marnet_sim::engine::{Actor, Event, SimCtx, TimerHandle};
 use marnet_sim::packet::Packet;
@@ -107,7 +107,7 @@ impl TcpSender {
 
     fn send_segment(&mut self, ctx: &mut SimCtx, seq: u64) {
         let remaining = self.total_bytes().saturating_sub(seq);
-        let len = u64::from(self.cfg.mss).min(remaining) as u32;
+        let len = u64::from(MSS).min(remaining) as u32;
         if len == 0 {
             return;
         }
@@ -129,14 +129,14 @@ impl TcpSender {
     }
 
     fn window_limit(&self) -> u64 {
-        self.snd_una + self.cc.cwnd().min(self.cfg.rwnd)
+        self.snd_una + self.cc.cwnd()
     }
 
     fn try_send(&mut self, ctx: &mut SimCtx) {
         let total = self.total_bytes();
         while self.next_seq < self.window_limit() && self.next_seq < total {
             let seq = self.next_seq;
-            let len = u64::from(self.cfg.mss).min(total - seq);
+            let len = u64::from(MSS).min(total - seq);
             self.send_segment(ctx, seq);
             self.next_seq = seq + len;
         }

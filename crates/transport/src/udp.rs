@@ -9,7 +9,7 @@ use crate::nic::{unwrap_packet, TxPath};
 use marnet_sim::engine::{Actor, Event, SimCtx};
 use marnet_sim::packet::Packet;
 use marnet_sim::stats::{Histogram, RateMeter};
-use marnet_sim::time::{SimDuration, SimTime};
+use marnet_sim::time::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -20,8 +20,6 @@ pub struct UdpSource {
     path: TxPath,
     packet_bytes: u32,
     interval: SimDuration,
-    start_at: SimTime,
-    stop_at: SimTime,
     prio: u8,
     sent: u64,
 }
@@ -34,16 +32,7 @@ impl UdpSource {
     /// Panics if `interval` is zero.
     pub fn new(flow: u64, path: TxPath, packet_bytes: u32, interval: SimDuration) -> Self {
         assert!(interval > SimDuration::ZERO, "interval must be positive");
-        UdpSource {
-            flow,
-            path,
-            packet_bytes,
-            interval,
-            start_at: SimTime::ZERO,
-            stop_at: SimTime::MAX,
-            prio: 0,
-            sent: 0,
-        }
+        UdpSource { flow, path, packet_bytes, interval, prio: 0, sent: 0 }
     }
 
     /// A source with rate expressed in Mb/s instead of an interval.
@@ -52,14 +41,6 @@ impl UdpSource {
         let pps = mbps * 1e6 / (f64::from(packet_bytes) * 8.0);
         let interval = SimDuration::from_secs_f64(1.0 / pps);
         UdpSource::new(flow, path, packet_bytes, interval)
-    }
-
-    /// Restricts the active window, builder style.
-    #[must_use]
-    pub fn active_between(mut self, start: SimTime, stop: SimTime) -> Self {
-        self.start_at = start;
-        self.stop_at = stop;
-        self
     }
 
     /// Marks emitted packets with a priority band, builder style.
@@ -78,14 +59,13 @@ impl UdpSource {
 impl Actor for UdpSource {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
         match ev {
+            // The first datagram leaves on a zero-delay timer, not inline:
+            // every source's start costs one event, which the committed
+            // traces count.
             Event::Start => {
-                let wait = self.start_at.saturating_since(ctx.now());
-                ctx.schedule_timer(wait, 0);
+                ctx.schedule_timer(SimDuration::ZERO, 0);
             }
             Event::Timer { .. } => {
-                if ctx.now() >= self.stop_at {
-                    return;
-                }
                 let id = ctx.next_packet_id();
                 let pkt =
                     Packet::new(id, self.flow, self.packet_bytes, ctx.now()).with_prio(self.prio);
@@ -161,6 +141,7 @@ mod tests {
     use super::*;
     use marnet_sim::engine::Simulator;
     use marnet_sim::link::{Bandwidth, LinkParams};
+    use marnet_sim::time::SimTime;
 
     #[test]
     fn cbr_source_hits_its_rate() {
@@ -183,25 +164,6 @@ mod tests {
         // Latency = serialization (1 ms) + propagation (5 ms).
         let mut lat = st.latency_ms.clone();
         assert!((lat.median().unwrap() - 6.0).abs() < 0.5);
-    }
-
-    #[test]
-    fn active_window_limits_emission() {
-        let mut sim = Simulator::new(3);
-        let s = sim.reserve_actor();
-        let r = sim.reserve_actor();
-        let l = sim.add_link(s, r, LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::ZERO));
-        sim.install_actor(
-            s,
-            UdpSource::new(1, TxPath::Link(l), 100, SimDuration::from_millis(100))
-                .active_between(SimTime::from_secs(1), SimTime::from_secs(2)),
-        );
-        let sink = UdpSink::new(1);
-        let stats = sink.stats();
-        sim.install_actor(r, sink);
-        sim.run_until(SimTime::from_secs(5));
-        let n = stats.borrow().packets;
-        assert!((9..=11).contains(&n), "expected ~10 packets in 1s, got {n}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use marnet_sim::queue::QueueConfig;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_transport::nic::{Nic, TxPath};
 use marnet_transport::tcp::{
-    CongestionControl, Cubic, Reno, TcpConfig, TcpReceiver, TcpSender, Vegas,
+    CongestionControl, Cubic, Reno, TcpConfig, TcpReceiver, TcpSender, Vegas, MSS,
 };
 
 fn run_solo(cc: Box<dyn CongestionControl>, secs: u64) -> (f64, f64) {
@@ -34,9 +34,9 @@ fn run_solo(cc: Box<dyn CongestionControl>, secs: u64) -> (f64, f64) {
 #[test]
 fn every_cc_fills_a_solo_link() {
     for (name, cc) in [
-        ("reno", Box::new(Reno::new(1460)) as Box<dyn CongestionControl>),
-        ("cubic", Box::new(Cubic::new(1460))),
-        ("vegas", Box::new(Vegas::new(1460))),
+        ("reno", Box::new(Reno::new(MSS)) as Box<dyn CongestionControl>),
+        ("cubic", Box::new(Cubic::new(MSS))),
+        ("vegas", Box::new(Vegas::new(MSS))),
     ] {
         let (goodput, _) = run_solo(cc, 20);
         assert!(goodput > 9.5, "{name}: {goodput} Mb/s on a 12 Mb/s link");
@@ -46,8 +46,8 @@ fn every_cc_fills_a_solo_link() {
 #[test]
 fn vegas_runs_at_lower_rtt_than_reno() {
     // Delay-based control's entire point: same goodput, empty queue.
-    let (reno_goodput, reno_srtt) = run_solo(Box::new(Reno::new(1460)), 20);
-    let (vegas_goodput, vegas_srtt) = run_solo(Box::new(Vegas::new(1460)), 20);
+    let (reno_goodput, reno_srtt) = run_solo(Box::new(Reno::new(MSS)), 20);
+    let (vegas_goodput, vegas_srtt) = run_solo(Box::new(Vegas::new(MSS)), 20);
     assert!(vegas_goodput > reno_goodput * 0.85);
     assert!(
         vegas_srtt < reno_srtt * 0.7,
@@ -73,8 +73,8 @@ fn vegas_is_starved_by_reno_on_a_shared_bottleneck() {
 
     let mut stats = Vec::new();
     for (conn, cc) in [
-        (1u64, Box::new(Reno::new(1460)) as Box<dyn CongestionControl>),
-        (2u64, Box::new(Vegas::new(1460))),
+        (1u64, Box::new(Reno::new(MSS)) as Box<dyn CongestionControl>),
+        (2u64, Box::new(Vegas::new(MSS))),
     ] {
         let s = sim.reserve_actor();
         let r = sim.reserve_actor();

@@ -9,7 +9,7 @@ use marnet_sim::time::{SimDuration, SimTime};
 use marnet_transport::nic::TxPath;
 use marnet_transport::tcp::{
     CongestionControl, Cubic, DataSource, Reno, RttEstimator, TcpConfig, TcpReceiver, TcpSender,
-    Vegas,
+    Vegas, MSS,
 };
 use proptest::prelude::*;
 
@@ -100,7 +100,7 @@ proptest! {
                 .with_queue(big),
         );
         let cfg = TcpConfig { data: DataSource::Finite(total), ..Default::default() };
-        let sender = TcpSender::new(1, TxPath::Link(fwd), cfg, Box::new(Reno::new(1460)));
+        let sender = TcpSender::new(1, TxPath::Link(fwd), cfg, Box::new(Reno::new(MSS)));
         let sstats = sender.stats();
         sim.install_actor(s, sender);
         let receiver = TcpReceiver::new(1, TxPath::Link(rev));

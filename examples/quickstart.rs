@@ -80,7 +80,7 @@ fn main() {
     let tx_stats = sender.stats();
     sim.install_actor(phone, sender);
 
-    let receiver = ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down)]);
+    let receiver = ArReceiver::new(1, vec![TxPath::Link(down)]);
     let rx_stats = receiver.stats();
     sim.install_actor(server, receiver);
     sim.install_actor(app, CameraApp { sender: phone, next_id: 0, frame: 0 });

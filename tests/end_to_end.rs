@@ -40,8 +40,7 @@ fn run_pipeline(seed: u64, strategy: OffloadStrategy, up_mbps: f64, one_way_ms: 
     sim.install_actor(c_snd, sender);
     sim.install_actor(
         s_rcv,
-        ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(up_fb)])
-            .with_delivery_target(server),
+        ArReceiver::new(1, vec![TxPath::Link(up_fb)]).with_delivery_target(server),
     );
     sim.install_actor(
         s_snd,
@@ -57,8 +56,7 @@ fn run_pipeline(seed: u64, strategy: OffloadStrategy, up_mbps: f64, one_way_ms: 
     );
     sim.install_actor(
         c_rcv,
-        ArReceiver::new(2, cfg.feedback_interval, vec![TxPath::Link(down_fb)])
-            .with_delivery_target(client),
+        ArReceiver::new(2, vec![TxPath::Link(down_fb)]).with_delivery_target(client),
     );
     let model = ComputeModel::new(30.0, FrameWork::vision_pipeline())
         .with_deadline(SimDuration::from_millis(75));

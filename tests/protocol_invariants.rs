@@ -81,8 +81,7 @@ fn run_hostile(
     );
     let sstats = sender.stats();
     sim.install_actor(snd, sender);
-    let receiver =
-        ArReceiver::new(1, cfg.feedback_interval, vec![TxPath::Link(down), TxPath::Link(down)]);
+    let receiver = ArReceiver::new(1, vec![TxPath::Link(down), TxPath::Link(down)]);
     let rstats = receiver.stats();
     sim.install_actor(rcv, receiver);
     let app = App { sender: snd, next_id: 0 };
