@@ -12,7 +12,9 @@
 //! dense-cell pattern the links' delay lines exist for;
 //! `parked_timers_deep` churns 10⁵ think timers beside one hot timer, with
 //! the think timers in the event queue or in a `TimerBank`, the city-scale
-//! pattern the bank exists for.
+//! pattern the bank exists for; `periodic_timers_deep` re-arms 10³
+//! fixed-rate timers of one period, through the heap or on a tick line,
+//! the dense cell's MAR sources.
 //!
 //! `cargo bench -p marnet-bench --bench engine_hot` measures;
 //! `cargo bench -p marnet-bench --bench engine_hot -- --test` smoke-runs
@@ -340,6 +342,53 @@ fn bench_parked_timers_deep(c: &mut Criterion) {
     g.finish();
 }
 
+/// A thousand fixed-rate actors on one 10 ms period, staggered 10 µs
+/// apart: the dense cell's MAR sources without their packets. Through the
+/// heap every re-arm sifts among the other 999 pending timers; on the
+/// period's tick line each joins behind the one before.
+fn bench_periodic_timers_deep(c: &mut Criterion) {
+    const ACTORS: u64 = 1_000;
+    const EVENTS: u64 = 20_000;
+    const PERIOD: SimDuration = SimDuration::from_millis(10);
+
+    struct Periodic {
+        offset: SimDuration,
+        tick: bool,
+    }
+    impl Actor for Periodic {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            match ev {
+                Event::Start => {
+                    ctx.schedule_timer(self.offset, 0);
+                }
+                Event::Timer { .. } if self.tick => ctx.schedule_tick(PERIOD, 0),
+                Event::Timer { .. } => {
+                    ctx.schedule_timer(PERIOD, 0);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let mut g = c.benchmark_group("periodic_timers_deep");
+    g.throughput(Throughput::Elements(EVENTS));
+    for (label, tick) in [("heap", false), ("tick_line", true)] {
+        g.bench_function(label, |b| {
+            let mut sim = Simulator::new(7);
+            for i in 0..ACTORS {
+                sim.add_actor(Periodic { offset: SimDuration::from_micros(10 * i), tick });
+            }
+            // Past the staggered first timers; every iteration continues
+            // the steady state.
+            sim.run_until(SimTime::from_millis(20));
+            assert_eq!(sim.ctx().pending_events(), ACTORS as usize);
+            sim.set_event_limit(EVENTS);
+            b.iter(|| black_box(sim.run_until(SimTime::MAX)))
+        });
+    }
+    g.finish();
+}
+
 /// XOR parity accumulation over one FEC group of reference frames with
 /// the unrolled u64-lane `xor_into`. The 6 001-byte block keeps a ragged
 /// 1-byte tail in play so the lane path's remainder handling is part of
@@ -409,6 +458,7 @@ criterion_group!(
     bench_same_instant_message_deep,
     bench_in_flight_deep,
     bench_parked_timers_deep,
+    bench_periodic_timers_deep,
     bench_fec_parity_throughput,
     bench_recorder_record_hot,
 );

@@ -2006,11 +2006,12 @@ mod tests {
 
     #[test]
     fn dense_cell_packets_in_flight_wait_in_the_links_lines_not_the_heap() {
-        // The mechanism behind the dense cell's speed: NIC forwards are
-        // same-instant messages, and every departure and (constant-delay)
-        // arrival sorts behind the previous one on its link, so only the
-        // flows' timers are left to the heap — and moving entries between
-        // the queue's structures adds or removes no event.
+        // The mechanism behind the dense cell's speed: NIC hand-offs are
+        // same-instant events, every departure and (constant-delay)
+        // arrival sorts behind the previous one on its link, and every
+        // MAR source's tick behind the previous one of its interval, so
+        // only the TCP flows' timers are left to the heap — and moving
+        // entries between the queue's structures adds or removes no event.
         let metered = TelemetryOptions { trace_capacity: None, metrics: true };
         let queue = QueueConfig::DropTail { cap_packets: 1_000 };
         let (out, events, capture) =
@@ -2019,7 +2020,7 @@ mod tests {
         let q = out.queue;
         let pushes = q.heap_pushes + q.lane_pushes + q.line_pushes;
         assert!(
-            (q.lane_pushes + q.line_pushes) * 100 >= pushes * 55,
+            (q.lane_pushes + q.line_pushes) * 100 >= pushes * 90,
             "only {} lane + {} line of {pushes} pushes bypassed the heap",
             q.lane_pushes,
             q.line_pushes

@@ -973,18 +973,12 @@ impl Actor for ArSender {
                 self.pace_next(ctx);
             }
             Event::Timer { tag: TAG_PROBE } => self.on_probe_timer(ctx),
-            Event::Message { msg, from } => {
+            Event::Message { msg, .. } => {
                 // Submissions may be pooled (shared with the app's slot), so
                 // clone the message out by reference — `ArMessage` has no
                 // heap fields, so the clone is a memcpy.
                 if let Some(m) = msg.map_ref(|s: &Submit| s.0.clone()) {
                     self.sched.submit(m);
-                } else if let Some(pkt) = unwrap_packet(Event::Message { msg, from }) {
-                    if let Some(fb) = pkt.payload.downcast_ref::<ArFeedback>() {
-                        if fb.conn == self.conn {
-                            self.on_feedback(ctx, fb);
-                        }
-                    }
                 }
             }
             other => {

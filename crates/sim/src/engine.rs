@@ -2,9 +2,10 @@
 //!
 //! A [`Simulator`] owns a set of [`Actor`]s (protocol endpoints, traffic
 //! sources, middleboxes) and a set of directed links between them. Actors
-//! react to [`Event`]s — simulation start, packet arrivals, timers and
-//! direct messages — through a mutable [`SimCtx`] that lets them schedule
-//! future events and transmit packets.
+//! react to [`Event`]s — simulation start, packet arrivals, timers, direct
+//! messages and packets handed over by a co-located actor — through a
+//! mutable [`SimCtx`] that lets them schedule future events and transmit
+//! packets.
 //!
 //! Determinism: the event queue orders by `(time, phase, ord, seq)` — the
 //! intra-instant phase (link departures, then work committed from earlier
@@ -21,7 +22,8 @@
 //! packets in flight on a loaded link — each due after the one before —
 //! queue up in a FIFO instead of being sorted through the heap (see
 //! `eventq`; an arrival that jitter or a shortened delay puts out of order
-//! takes the heap as before).
+//! takes the heap as before). Ticks ([`SimCtx::schedule_tick`]) wait the
+//! same way, in one line per interval.
 
 pub use crate::eventq::QueueStats;
 use crate::eventq::{CancelToken, EventQueue, LineId, Phase};
@@ -82,6 +84,14 @@ pub enum Event {
         from: ActorId,
         /// The message body.
         msg: Payload,
+    },
+    /// A packet passed by a co-located actor, no link in between (see
+    /// [`SimCtx::hand_off`]).
+    Handoff {
+        /// The handing actor.
+        from: ActorId,
+        /// The packet itself.
+        packet: Packet,
     },
 }
 
@@ -203,6 +213,9 @@ pub struct SimCtx {
     events_processed: u64,
     trace: TraceSink,
     link_metrics: Option<LinkMetrics>,
+    /// The event queue's delay line for each tick interval in use (see
+    /// [`SimCtx::schedule_tick`]); a handful at most, so a scan finds one.
+    tick_lines: Vec<(SimDuration, LineId)>,
 }
 
 impl fmt::Debug for SimCtx {
@@ -275,7 +288,8 @@ impl SimCtx {
     /// Pending cancellable timers (diagnostics). With true removal this is
     /// live timers only — cancelled timers leave no residue. Counts event
     /// queue entries, so a [`crate::timers::TimerBank`] counts once however
-    /// many timers it holds.
+    /// many timers it holds; ticks ([`SimCtx::schedule_tick`]) are not
+    /// cancellable and are not counted.
     pub fn pending_timers(&self) -> usize {
         self.queue.cancellable_len()
     }
@@ -342,6 +356,27 @@ impl SimCtx {
         TimerHandle(self.queue.push_cancellable(t, seq, self.src, phase, dest))
     }
 
+    /// Schedules an [`Event::Timer`] for the current actor after `delay`
+    /// that cannot be cancelled or moved — a fixed-rate source's tick. It
+    /// draws the key [`SimCtx::schedule_timer`] would have, but waits in a
+    /// delay line shared by every tick of the same `delay`: ticks armed
+    /// one after another for one interval are due one after another, so
+    /// they queue up in a FIFO instead of being sorted through the heap
+    /// (an out-of-order one goes to the heap; see `eventq`).
+    pub fn schedule_tick(&mut self, delay: SimDuration, tag: u64) {
+        let line = match self.tick_lines.iter().find(|(d, _)| *d == delay) {
+            Some(&(_, line)) => line,
+            None => {
+                let line = self.queue.add_line();
+                self.tick_lines.push((delay, line));
+                line
+            }
+        };
+        let (t, seq, phase) = self.timer_key(delay);
+        let dest = Dest::Actor { id: self.current_actor, event: Event::Timer { tag } };
+        self.queue.push_line(line, t, seq, self.src, phase, dest);
+    }
+
     /// Moves a timer: exactly [`SimCtx::cancel_timer`] on `handle` followed
     /// by [`SimCtx::schedule_timer`], but a still-pending timer is re-keyed
     /// where it sits in the event queue instead of being removed and
@@ -396,6 +431,15 @@ impl SimCtx {
         let from = self.current_actor;
         let t = self.now.saturating_add(delay);
         self.push(t, Dest::Actor { id: target, event: Event::Message { from, msg } });
+    }
+
+    /// Hands `packet` to `target` at the current time as an
+    /// [`Event::Handoff`]: [`SimCtx::send_message`] for a packet, under the
+    /// same queue key, with the packet carried in the event itself rather
+    /// than boxed in a [`Payload`].
+    pub fn hand_off(&mut self, target: ActorId, packet: Packet) {
+        let from = self.current_actor;
+        self.push(self.now, Dest::Actor { id: target, event: Event::Handoff { from, packet } });
     }
 
     /// Offers a packet to a link for transmission.
@@ -705,6 +749,7 @@ impl Simulator {
                 events_processed: 0,
                 trace: TraceSink::default(),
                 link_metrics: None,
+                tick_lines: Vec::new(),
             },
             actors: Vec::new(),
             started: Vec::new(),
@@ -976,6 +1021,7 @@ mod tests {
                 Event::Packet { packet, .. } => format!("pkt:{}", packet.id),
                 Event::Timer { tag } => format!("timer:{tag}"),
                 Event::Message { .. } => "msg".to_string(),
+                Event::Handoff { packet, .. } => format!("handoff:{}", packet.id),
             };
             self.log.borrow_mut().push((ctx.now(), entry));
             if let (Some(link), Event::Packet { packet, .. }) = (self.echo_link, &ev) {
@@ -1367,7 +1413,7 @@ mod tests {
                             ctx.stop();
                         }
                     }
-                    Event::Packet { .. } => {}
+                    Event::Packet { .. } | Event::Handoff { .. } => {}
                 }
             }
         }
@@ -1581,7 +1627,7 @@ mod tests {
                         self.seen.borrow_mut().push((message_value(msg), sent));
                     }
                     Event::Packet { .. } => self.seen.borrow_mut().push((3, 1)),
-                    Event::Timer { .. } => {}
+                    Event::Timer { .. } | Event::Handoff { .. } => {}
                 }
             }
         }
@@ -1618,7 +1664,7 @@ mod tests {
                     }
                     Event::Timer { tag } => self.0.note(ctx, tag),
                     Event::Message { msg, .. } => self.0.note(ctx, message_value(msg)),
-                    Event::Packet { .. } => {}
+                    Event::Packet { .. } | Event::Handoff { .. } => {}
                 }
             }
         }
@@ -1629,6 +1675,207 @@ mod tests {
         // Messages wait in the lane, the timers in the heap; the merged
         // order is still the order they were scheduled in.
         assert_eq!(*log.borrow(), vec![(0, 1), (0, 2), (0, 3), (0, 5)]);
+    }
+
+    #[test]
+    fn hand_offs_keep_their_place_among_same_instant_messages_and_timers() {
+        /// Notes `(ms, what)`: a message's value, a timer's tag, a
+        /// hand-off's packet id (it must come from the actor itself).
+        struct Mixed(Recorder);
+        impl Actor for Mixed {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                let me = ctx.self_id();
+                let pkt = |ctx: &SimCtx, id| Packet::new(id, 0, 100, ctx.now());
+                match ev {
+                    Event::Start => {
+                        ctx.send_message(me, Payload::new(1u64));
+                        ctx.hand_off(me, pkt(ctx, 2));
+                        ctx.schedule_timer(SimDuration::ZERO, 3);
+                        ctx.hand_off(me, pkt(ctx, 4));
+                        ctx.send_message(me, Payload::new(5u64));
+                        ctx.schedule_timer(SimDuration::from_millis(1), 6);
+                    }
+                    Event::Timer { tag: 6 } => {
+                        self.0.note(ctx, 6);
+                        ctx.hand_off(me, pkt(ctx, 7));
+                        ctx.schedule_timer(SimDuration::ZERO, 8);
+                        ctx.send_message(me, Payload::new(9u64));
+                    }
+                    Event::Timer { tag } => self.0.note(ctx, tag),
+                    Event::Message { msg, .. } => self.0.note(ctx, message_value(msg)),
+                    Event::Handoff { from, packet } => {
+                        assert_eq!(from, me);
+                        self.0.note(ctx, packet.id);
+                    }
+                    Event::Packet { .. } => {}
+                }
+            }
+        }
+        use crate::config::{with_ambient_tie_break, TieBreak};
+        for policy in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(0xbeef)] {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let mut sim = with_ambient_tie_break(policy, || Simulator::new(1));
+            sim.add_actor(Mixed(Recorder { log: Rc::clone(&log) }));
+            sim.run_until(SimTime::from_secs(1));
+            // One source, so every policy keeps program order: hand-offs,
+            // messages and zero-delay timers leave in the order scheduled.
+            let want = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6), (1, 7), (1, 8), (1, 9)];
+            assert_eq!(*log.borrow(), want, "under {policy:?}");
+            if policy == TieBreak::Fifo {
+                // Hand-offs take the same-instant lane, as messages do.
+                let stats = sim.ctx().queue_stats();
+                assert_eq!((stats.lane_pushes, stats.heap_pushes), (7, 3), "{stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn ticks_of_one_interval_share_one_line_and_skip_the_heap() {
+        /// Ticks every `interval` until 100 ms.
+        struct Metronome {
+            interval: SimDuration,
+        }
+        impl Actor for Metronome {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                if matches!(ev, Event::Start | Event::Timer { .. })
+                    && ctx.now() < SimTime::from_millis(100)
+                {
+                    ctx.schedule_tick(self.interval, 0);
+                }
+            }
+        }
+        let mut sim = Simulator::new(1);
+        let intervals = [5, 7, 10].map(SimDuration::from_millis);
+        for i in 0..900 {
+            sim.add_actor(Metronome { interval: intervals[i % 3] });
+        }
+        sim.run_to_completion();
+        assert_eq!(sim.ctx().tick_lines.len(), 3);
+        // Each source arms a tick at every multiple of its interval below
+        // 100 ms: 20, 15 and 10 of them.
+        let ticks = 300 * (20 + 15 + 10);
+        let stats = sim.ctx().queue_stats();
+        assert_eq!((stats.heap_pushes, stats.line_pushes, stats.lane_pushes), (0, ticks, 900));
+        assert_eq!(sim.ctx().events_processed(), 900 + ticks);
+    }
+
+    /// Every delivery of a tick differential run: `(time, actor, event
+    /// kind, timer tag or packet id)`.
+    type Deliveries = Vec<(SimTime, usize, &'static str, u64)>;
+
+    /// The tick differential's time grid: every delay is a multiple of it,
+    /// so ticks keep landing on each other's nanosecond.
+    const GRID: SimDuration = SimDuration::from_millis(1);
+
+    /// A fixed-rate actor: its first timer after `offset` grid steps (zero
+    /// is a zero-delay timer), then one every `interval` steps until it
+    /// has armed `left`; on some timers it also transmits a packet, hands
+    /// one off or sends a message to its peer. `ticks` picks
+    /// [`SimCtx::schedule_tick`] or, for the reference run,
+    /// [`SimCtx::schedule_timer`] — the one difference between the runs.
+    struct Pacer {
+        ticks: bool,
+        offset: u64,
+        interval: u64,
+        left: u32,
+        fired: u64,
+        peer: ActorId,
+        link: LinkId,
+        log: Rc<RefCell<Deliveries>>,
+    }
+
+    impl Pacer {
+        fn arm(&mut self, ctx: &mut SimCtx, steps: u64) {
+            if self.left == 0 {
+                return;
+            }
+            self.left -= 1;
+            if self.ticks {
+                ctx.schedule_tick(GRID * steps, self.fired);
+            } else {
+                ctx.schedule_timer(GRID * steps, self.fired);
+            }
+        }
+    }
+
+    impl Actor for Pacer {
+        fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+            let (kind, what) = match &ev {
+                Event::Start => ("start", 0),
+                Event::Timer { tag } => ("timer", *tag),
+                Event::Message { .. } => ("message", 0),
+                Event::Packet { packet, .. } => ("packet", packet.id),
+                Event::Handoff { packet, .. } => ("handoff", packet.id),
+            };
+            self.log.borrow_mut().push((ctx.now(), ctx.self_id().index(), kind, what));
+            match ev {
+                Event::Start => self.arm(ctx, self.offset),
+                Event::Timer { .. } => {
+                    self.fired += 1;
+                    let id = ctx.next_packet_id();
+                    let pkt = Packet::new(id, 0, 1250, ctx.now());
+                    match self.fired % 4 {
+                        0 => ctx.transmit(self.link, pkt),
+                        1 => ctx.hand_off(self.peer, pkt),
+                        2 => ctx.send_message(self.peer, Payload::empty()),
+                        _ => {}
+                    }
+                    self.arm(ctx, self.interval);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// One pacer of a differential plan: `(offset, interval, timers)`.
+    type PacerPlan = (u64, u64, u32);
+
+    /// Runs `pacers` with their timers as ticks or as plain timers, the
+    /// run split at `split` quarter grid steps; returns the delivery log,
+    /// `next_seq` and the number of events processed.
+    fn run_pacers(
+        pacers: &[PacerPlan],
+        split: u64,
+        policy: crate::config::TieBreak,
+        ticks: bool,
+    ) -> (Deliveries, u64, u64) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = crate::config::with_ambient_tie_break(policy, || Simulator::new(7));
+        let ids: Vec<ActorId> = pacers.iter().map(|_| sim.reserve_actor()).collect();
+        // 1250 bytes at 10 Mb/s serialize in one grid step; one more of delay.
+        let link = sim.add_link(ids[0], ids[0], LinkParams::new(Bandwidth::from_mbps(10.0), GRID));
+        for (i, &(offset, interval, left)) in pacers.iter().enumerate() {
+            let peer = ids[(i + 1) % ids.len()];
+            let log = Rc::clone(&log);
+            let pacer = Pacer { ticks, offset, interval, left, fired: 0, peer, link, log };
+            sim.install_actor(ids[i], pacer);
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_micros(250) * split);
+        sim.run_until(SimTime::from_secs(1));
+        let deliveries = log.borrow().clone();
+        (deliveries, sim.ctx().next_seq(), sim.ctx().events_processed())
+    }
+
+    proptest::proptest! {
+        /// Fixed-rate actors on a coarse grid, with zero-delay first
+        /// timers, shared and distinct intervals, packets, hand-offs and
+        /// messages between them: with their timers as ticks, every event
+        /// is delivered exactly when and in the order plain timers deliver
+        /// it, and draws the same `seq`.
+        #[test]
+        fn ticks_match_per_timer_scheduling_under_every_policy(
+            pacers in proptest::collection::vec((0u64..4, 1u64..4, 0u32..40), 1..6),
+            split in 0u64..160,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use crate::config::TieBreak;
+            for policy in [TieBreak::Fifo, TieBreak::Lifo, TieBreak::Seeded(seed)] {
+                let timers = run_pacers(&pacers, split, policy, false);
+                let ticks = run_pacers(&pacers, split, policy, true);
+                proptest::prop_assert_eq!(&timers.0, &ticks.0, "deliveries under {:?}", policy);
+                proptest::prop_assert_eq!((timers.1, timers.2), (ticks.1, ticks.2));
+            }
+        }
     }
 
     #[test]

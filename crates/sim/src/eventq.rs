@@ -1,5 +1,6 @@
 //! The engine's event queue: an indexed 4-ary min-heap with true removal,
-//! fronted by a same-instant FIFO lane and per-link delay lines.
+//! fronted by a same-instant FIFO lane and delay lines (two per link, one
+//! per tick interval).
 //!
 //! The run loop pops the earliest `(time, phase, ord, seq)` entry; cancellation (timers
 //! only) removes the entry from the heap immediately in O(log n) instead of
@@ -78,6 +79,9 @@
 //! heap* holds the front key of every non-empty line, so the pop takes the
 //! smallest of heap root, lane front and front-heap root: three structures
 //! that each yield their own minimum, merged by the one total order above.
+//! The engine gives the same shape a second use: fixed-rate sources that
+//! re-arm a non-cancellable tick for `now + interval` push their deadlines
+//! in order too, so every tick of one interval goes through one line.
 //!
 //! Lane and lines are two mechanisms because they exploit two different
 //! facts: the lane's entries share one instant, phase and `ord`, so it
@@ -149,14 +153,14 @@ pub(crate) enum Phase {
 /// part of any metrics artifact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Entries inserted into the heap (fresh timers, future messages, and
-    /// link arrivals and departures that would have broken their delay
-    /// line's order).
+    /// Entries inserted into the heap (cancellable timers, future
+    /// messages, and link arrivals, departures and ticks that would have
+    /// broken their delay line's order).
     pub heap_pushes: u64,
     /// Entries that bypassed the heap through the same-instant lane.
     pub lane_pushes: u64,
     /// Entries that bypassed the heap through a delay line (in-order link
-    /// arrivals and departures).
+    /// arrivals and departures, and ticks).
     pub line_pushes: u64,
     /// Pending timers moved to a new deadline in place.
     pub rearms: u64,

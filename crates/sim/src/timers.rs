@@ -129,6 +129,7 @@ mod tests {
             Event::Timer { tag } => ("timer", *tag),
             Event::Message { .. } => ("message", 0),
             Event::Packet { packet, .. } => ("packet", packet.id),
+            Event::Handoff { packet, .. } => ("handoff", packet.id),
         };
         log.borrow_mut().push((ctx.now(), ctx.self_id().index(), kind, tag));
     }

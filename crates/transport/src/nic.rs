@@ -4,12 +4,14 @@
 //! (often asymmetric) access link: in Fig. 3 a download's ACKs compete with
 //! several uploads' data inside the same uplink queue. A [`Nic`] actor
 //! forwards packets from co-located endpoints onto its WAN link and routes
-//! arriving packets back to endpoints by [`Packet::flow`].
+//! arriving packets back to endpoints by [`Packet::flow`]. Both hops
+//! between NIC and endpoint are [`Event::Handoff`]s: the packet travels in
+//! the event, so crossing a NIC allocates nothing.
 
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx};
 use marnet_sim::hash::FxHashMap;
 use marnet_sim::link::{LinkId, RateUpdate};
-use marnet_sim::packet::{Packet, Payload, PayloadPool};
+use marnet_sim::packet::Packet;
 use marnet_telemetry::{ClassUsage, MetricsRegistry};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,43 +37,22 @@ pub enum TxPath {
 }
 
 impl TxPath {
-    /// Sends a packet along this path.
+    /// Sends a packet along this path: onto the link, or handed to the
+    /// NIC as an [`Event::Handoff`].
     pub fn send(self, ctx: &mut SimCtx, pkt: Packet) {
         match self {
             TxPath::Link(l) => ctx.transmit(l, pkt),
-            TxPath::Nic(n) => ctx.send_message(n, Payload::new(NicForward(pkt))),
+            TxPath::Nic(n) => ctx.hand_off(n, pkt),
         }
     }
 }
 
-/// Message wrapper: "transmit this packet on your WAN link".
-#[derive(Debug, Clone)]
-pub struct NicForward(pub Packet);
-
-/// Message wrapper: "a packet arrived for you".
-///
-/// Endpoints behind a NIC receive their packets as [`Event::Message`]
-/// carrying this wrapper instead of [`Event::Packet`]; use
-/// [`unwrap_packet`] to handle both uniformly.
-#[derive(Debug, Clone)]
-pub struct NicDeliver(pub Packet);
-
-/// Extracts a packet from either a direct link arrival or a NIC delivery.
-/// Returns `None` for unrelated events (timers, other messages).
+/// Extracts a packet from either a direct link arrival or a NIC delivery
+/// (an [`Event::Handoff`]). Returns `None` for unrelated events (timers,
+/// messages).
 pub fn unwrap_packet(ev: Event) -> Option<Packet> {
     match ev {
-        Event::Packet { packet, .. } => Some(packet),
-        Event::Message { mut msg, .. } => {
-            if msg.is_unique() {
-                // Uniquely owned (unpooled) deliveries move the packet out.
-                msg.take::<NicDeliver>().map(|d| d.0)
-            } else {
-                // Pooled deliveries stay shared with the NIC's slot; clone
-                // the packet out by reference — an `Rc` bump on the payload,
-                // not a deep clone.
-                msg.map_ref(|d: &NicDeliver| d.0.clone())
-            }
-        }
+        Event::Packet { packet, .. } | Event::Handoff { packet, .. } => Some(packet),
         _ => None,
     }
 }
@@ -87,19 +68,12 @@ pub struct Nic {
     /// Per-priority-band accounting: bytes/packets forwarded onto the WAN
     /// link ("sent") and arrivals discarded for lack of a route ("dropped").
     usage: SharedNicUsage,
-    /// Slab pool for [`NicDeliver`] wrappers on the receive hot path.
-    deliver_pool: PayloadPool<NicDeliver>,
 }
 
 impl Nic {
     /// Creates a NIC transmitting on `wan`.
     pub fn new(wan: LinkId) -> Self {
-        Nic {
-            wan,
-            routes: FxHashMap::default(),
-            usage: Rc::new(RefCell::new(ClassUsage::new())),
-            deliver_pool: PayloadPool::new(),
-        }
+        Nic { wan, routes: FxHashMap::default(), usage: Rc::new(RefCell::new(ClassUsage::new())) }
     }
 
     /// Registers `endpoint` to receive packets whose flow id is `flow`.
@@ -123,11 +97,14 @@ impl Nic {
 impl Actor for Nic {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
         match ev {
-            Event::Message { mut msg, .. } => {
-                if let Some(NicForward(pkt)) = msg.take::<NicForward>() {
-                    self.usage.borrow_mut().record_sent(usize::from(pkt.prio), u64::from(pkt.size));
-                    ctx.transmit(self.wan, pkt);
-                } else if let Some(update) = msg.map_ref(|u: &RateUpdate| *u) {
+            Event::Handoff { packet, .. } => {
+                self.usage
+                    .borrow_mut()
+                    .record_sent(usize::from(packet.prio), u64::from(packet.size));
+                ctx.transmit(self.wan, packet);
+            }
+            Event::Message { msg, .. } => {
+                if let Some(update) = msg.map_ref(|u: &RateUpdate| *u) {
                     // Hybrid-fidelity coupling: the fluid tier reports how
                     // much of a boundary link the packet tier may use. Read
                     // by reference — the fluid tier pools these payloads.
@@ -136,12 +113,7 @@ impl Actor for Nic {
             }
             Event::Packet { packet, .. } => {
                 if let Some(&dst) = self.routes.get(&packet.flow) {
-                    // Cloning a packet into the pooled wrapper is a header
-                    // memcpy plus an `Rc` bump of its payload.
-                    let payload = self
-                        .deliver_pool
-                        .prepare(|| NicDeliver(packet.clone()), |d| d.0 = packet.clone());
-                    ctx.send_message(dst, payload);
+                    ctx.hand_off(dst, packet);
                 } else {
                     // Unroutable packets are dropped, like a host without a
                     // matching socket — but the discard is accounted.
@@ -163,13 +135,15 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// Records `(packet id, whether it came as a hand-off)`.
     struct Endpoint {
-        got: Rc<RefCell<Vec<u64>>>,
+        got: Rc<RefCell<Vec<(u64, bool)>>>,
     }
     impl Actor for Endpoint {
         fn on_event(&mut self, _ctx: &mut SimCtx, ev: Event) {
+            let handoff = matches!(ev, Event::Handoff { .. });
             if let Some(pkt) = unwrap_packet(ev) {
-                self.got.borrow_mut().push(pkt.id);
+                self.got.borrow_mut().push((pkt.id, handoff));
             }
         }
     }
@@ -199,16 +173,13 @@ mod tests {
         let nic_b = sim.reserve_actor();
         let e1 = sim.add_actor(Endpoint { got: Rc::clone(&got1) });
         let e2 = sim.add_actor(Endpoint { got: Rc::clone(&got2) });
-        let l = sim.add_link(
-            nic_a,
-            nic_b,
-            LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(1)),
-        );
+        let params = LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(1));
+        let l = sim.add_link(nic_a, nic_b, params.clone());
+        let back = sim.add_link(nic_b, nic_a, params);
         let tx_nic = Nic::new(l);
         let tx_usage = tx_nic.usage();
         sim.install_actor(nic_a, tx_nic);
-        // nic_b never transmits in this test; give it the same link id.
-        let mut rx_nic = Nic::new(l);
+        let mut rx_nic = Nic::new(back);
         rx_nic.add_route(7, e1);
         rx_nic.add_route(8, e2);
         let rx_usage = rx_nic.usage();
@@ -217,12 +188,15 @@ mod tests {
         sim.add_actor(Injector { nic: nic_a, flow: 8 });
         sim.add_actor(Injector { nic: nic_a, flow: 99 }); // unroutable
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(got1.borrow().len(), 1);
-        assert_eq!(got2.borrow().len(), 1);
+        // Each endpoint got its packet from the far NIC as a hand-off.
+        assert_eq!(*got1.borrow(), [(0, true)]);
+        assert_eq!(*got2.borrow(), [(1, true)]);
         // All three injected packets crossed the WAN; exactly the unroutable
-        // one was discarded at the far side.
+        // one was discarded at the far side, and nothing came back.
         assert_eq!(tx_usage.borrow().total_sent_bytes(), 1500);
         assert_eq!(rx_usage.borrow().total_dropped_bytes(), 500);
+        assert_eq!(rx_usage.borrow().total_sent_bytes(), 0);
+        assert_eq!(sim.ctx().link_stats(back).offered_packets, 0);
     }
 
     #[test]

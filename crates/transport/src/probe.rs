@@ -7,7 +7,7 @@
 
 use crate::nic::{unwrap_packet, TxPath};
 use marnet_sim::engine::{Actor, Event, SimCtx};
-use marnet_sim::packet::Packet;
+use marnet_sim::packet::{Packet, PayloadPool};
 use marnet_sim::stats::Histogram;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{MetricsRegistry, TimeHistogram};
@@ -47,6 +47,9 @@ pub struct ProbeClient {
     next_seq: u64,
     stats: Rc<RefCell<ProbeStats>>,
     rtt_series: Option<TimeHistogram>,
+    /// Request payloads, reused once the server and the links are done
+    /// with them.
+    pool: PayloadPool<ProbeMessage>,
 }
 
 impl ProbeClient {
@@ -67,6 +70,7 @@ impl ProbeClient {
             next_seq: 0,
             stats: Rc::new(RefCell::new(ProbeStats::default())),
             rtt_series: None,
+            pool: PayloadPool::new(),
         }
     }
 
@@ -91,11 +95,13 @@ impl ProbeClient {
         }
         let msg = ProbeMessage { seq: self.next_seq, sent_at: ctx.now(), is_response: false };
         self.next_seq += 1;
+        let payload = self.pool.prepare(|| msg.clone(), |m| *m = msg.clone());
         let id = ctx.next_packet_id();
-        let pkt = Packet::new(id, self.flow, self.request_bytes, ctx.now()).with_payload(msg);
+        let pkt =
+            Packet::new(id, self.flow, self.request_bytes, ctx.now()).with_shared_payload(payload);
         self.path.send(ctx, pkt);
         self.stats.borrow_mut().sent += 1;
-        ctx.schedule_timer(self.interval, 0);
+        ctx.schedule_tick(self.interval, 0);
     }
 }
 
@@ -132,18 +138,22 @@ pub struct ProbeServer {
     flow: u64,
     path: TxPath,
     response_bytes: u32,
+    /// Response payloads, reused once the client is done with them.
+    pool: PayloadPool<ProbeMessage>,
 }
 
 impl ProbeServer {
     /// A server replying with `response_bytes` immediately.
     pub fn new(flow: u64, path: TxPath, response_bytes: u32) -> Self {
-        ProbeServer { flow, path, response_bytes }
+        ProbeServer { flow, path, response_bytes, pool: PayloadPool::new() }
     }
 
     fn respond(&mut self, ctx: &mut SimCtx, mut msg: ProbeMessage) {
         msg.is_response = true;
+        let payload = self.pool.prepare(|| msg.clone(), |m| *m = msg.clone());
         let id = ctx.next_packet_id();
-        let pkt = Packet::new(id, self.flow, self.response_bytes, ctx.now()).with_payload(msg);
+        let pkt =
+            Packet::new(id, self.flow, self.response_bytes, ctx.now()).with_shared_payload(payload);
         self.path.send(ctx, pkt);
     }
 }

@@ -61,7 +61,8 @@ impl Actor for UdpSource {
         match ev {
             // The first datagram leaves on a zero-delay timer, not inline:
             // every source's start costs one event, which the committed
-            // traces count.
+            // traces count. Every later one leaves on a tick, which is
+            // never cancelled.
             Event::Start => {
                 ctx.schedule_timer(SimDuration::ZERO, 0);
             }
@@ -71,7 +72,7 @@ impl Actor for UdpSource {
                     Packet::new(id, self.flow, self.packet_bytes, ctx.now()).with_prio(self.prio);
                 self.path.send(ctx, pkt);
                 self.sent += 1;
-                ctx.schedule_timer(self.interval, 0);
+                ctx.schedule_tick(self.interval, 0);
             }
             _ => {}
         }
