@@ -5,9 +5,9 @@
 //! think time, transfers a fixed number of bytes through the fluid tier
 //! as one flow, and on completion starts thinking again. Per-client
 //! state is just the timer tag (= client index), and the think timers wait
-//! in a [`TimerBank`], so 10⁵ clients cost 10⁵ parked 24-byte keys and one
-//! event-queue entry — no per-client actors, no per-client links (the
-//! access-link rate is the class's per-flow cap).
+//! in a [`TimerBank`], so 10⁵ clients cost 10⁵ 24-byte nodes on its timing
+//! wheel and one event-queue entry — no per-client actors, no per-client
+//! links (the access-link rate is the class's per-flow cap).
 //!
 //! Randomness: a single ChaCha12 substream derived from the simulation
 //! seed and the workload's label. Draws happen in event order, which the

@@ -25,11 +25,11 @@ fn workspace_is_lint_clean() {
 }
 
 /// Pragmas in product code (`crates/*/src` outside the linter itself) at
-/// the last PR that lowered the count: 14 `panic-path` + 4
+/// the last change that lowered the count: 14 `panic-path` + 2
 /// `hot-path-alloc`. Lower it when a pragma goes; never raise it — prove
 /// the invariant by construction instead (an iterator, a pattern, one
 /// audited accessor).
-const PRAGMA_BUDGET: usize = 18;
+const PRAGMA_BUDGET: usize = 16;
 
 fn count_pragmas(dir: &Path) -> usize {
     let mut n = 0;

@@ -24,21 +24,20 @@ struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder holding at most `capacity` events (min 1).
     ///
-    /// The full ring is reserved up front: on demand-paged systems the
-    /// reservation is address space until written, and pre-sizing keeps
-    /// doubling-growth memcpys out of recorded (timed) runs.
+    /// Nothing is reserved until the first batch arrives, and then the
+    /// whole ring at once: pre-sizing keeps doubling-growth memcpys out of
+    /// recorded (timed) runs, and a recorder that is never written never
+    /// reserves.
     fn new(capacity: usize) -> Self {
-        let cap = capacity.max(1);
-        // marnet-lint: allow(hot-path-alloc): enable-time constructor, once per recorded run
-        FlightRecorder { buf: Vec::with_capacity(cap), cap, next: 0 }
+        FlightRecorder { buf: Vec::new(), cap: capacity.max(1), next: 0 }
     }
 
     /// Takes the held events in chronological (recording) order, leaving
-    /// the recorder empty with a fresh reservation. The buffer is moved
-    /// out, not cloned, so ending a traced run costs at most one in-place
-    /// rotation, not a ring-sized copy.
+    /// the recorder empty with no reservation — the next batch reserves a
+    /// ring again. The buffer is moved out, not cloned, so ending a traced
+    /// run costs at most one in-place rotation, not a ring-sized copy.
     fn take_events(&mut self) -> Vec<TraceEvent> {
-        let mut out = std::mem::replace(&mut self.buf, Vec::with_capacity(self.cap));
+        let mut out = std::mem::take(&mut self.buf);
         if out.len() == self.cap {
             // `next` points at the oldest surviving event once wrapped.
             out.rotate_left(self.next);
@@ -53,8 +52,12 @@ impl FlightRecorder {
     /// against the per-event `record` below — so chunked recording cannot
     /// change artifacts.
     fn record_batch(&mut self, events: &[TraceEvent]) {
+        if events.is_empty() {
+            return;
+        }
         let mut src = events;
         if self.buf.len() < self.cap {
+            self.buf.reserve_exact(self.cap - self.buf.len());
             // Fill phase: `next == buf.len()` here (the ring has never
             // wrapped while the buffer is below capacity).
             let take = src.len().min(self.cap - self.buf.len());
@@ -76,6 +79,18 @@ impl FlightRecorder {
         self.buf[start..start + first].copy_from_slice(&src[..first]);
         self.buf[..src.len() - first].copy_from_slice(&src[first..]);
         self.next = (start + src.len()) % self.cap;
+    }
+
+    /// Moves a full `chunk` into the ring and empties it, reserving it
+    /// whole if it has no room yet (the sink's first event). Out of line:
+    /// it runs once per chunk, and every trace site inlines the sink's
+    /// fast path.
+    #[cold]
+    #[inline(never)]
+    fn flush(&mut self, chunk: &mut Vec<TraceEvent>) {
+        self.record_batch(chunk);
+        chunk.clear();
+        chunk.reserve_exact(CHUNK_EVENTS.min(self.cap));
     }
 
     /// Records one event: the obvious ring write, kept as the test oracle
@@ -104,7 +119,9 @@ pub const CHUNK_EVENTS: usize = 2048;
 ///
 /// The fast path of an enabled sink is a bump write into a small
 /// cache-hot chunk; full chunks are flushed into the backing ring with
-/// bulk copies. Per event this avoids the ring's wrap branch and
+/// bulk copies. The chunk is reserved at the first event and the ring at
+/// the first flush, so a run that records less than a chunk never
+/// reserves a ring. Per event this avoids the ring's wrap branch and
 /// cold-cache write; artifacts are unchanged because the flush is
 /// state-equivalent to per-event recording. [`TraceSink::emit_with`] takes
 /// a closure so the off case skips event construction entirely.
@@ -119,11 +136,7 @@ impl TraceSink {
     /// A sink recording through a chunk-flushed ring of `capacity` events
     /// — what the engine enables for live tracing.
     pub fn chunked(capacity: usize) -> Self {
-        TraceSink {
-            ring: Some(FlightRecorder::new(capacity)),
-            // marnet-lint: allow(hot-path-alloc): enable-time constructor, once per recorded run
-            chunk: Vec::with_capacity(CHUNK_EVENTS.min(capacity.max(1))),
-        }
+        TraceSink { ring: Some(FlightRecorder::new(capacity)), chunk: Vec::new() }
     }
 
     /// `true` while events are being recorded.
@@ -136,20 +149,25 @@ impl TraceSink {
     #[inline]
     pub fn emit_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         if let Some(ring) = &mut self.ring {
-            // The chunk was created with its full capacity, so the push
-            // below never reallocates: a bounds check and a bump write.
+            // The chunk is reserved whole, so the push below never
+            // reallocates: a bounds check and a bump write.
             if self.chunk.len() == self.chunk.capacity() {
-                ring.record_batch(&self.chunk);
-                self.chunk.clear();
+                ring.flush(&mut self.chunk);
             }
             self.chunk.push(f());
         }
     }
 
-    /// Takes the recorded events in chronological order, resetting the sink
-    /// to a fresh ring of the same capacity. Returns an empty vec when off.
+    /// Takes the recorded events in chronological order, leaving the sink
+    /// enabled with an empty ring that holds no reservation. Events that
+    /// never left the chunk are handed back in the chunk itself. Returns an
+    /// empty vec when off.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
         let Some(ring) = &mut self.ring else { return Vec::new() };
+        if ring.buf.is_empty() && self.chunk.len() <= ring.cap {
+            // Nothing was flushed since the last take: the chunk is the run.
+            return std::mem::take(&mut self.chunk);
+        }
         ring.record_batch(&self.chunk);
         self.chunk.clear();
         ring.take_events()
@@ -274,9 +292,28 @@ mod tests {
     }
 
     #[test]
+    fn a_sink_reserves_its_ring_at_the_first_flush_and_gives_it_up_on_take() {
+        let ring_capacity = |s: &TraceSink| s.ring.as_ref().map_or(0, |r| r.buf.capacity());
+        let mut s = TraceSink::chunked(1 << 20);
+        assert!(s.take_events().is_empty());
+        assert_eq!(ring_capacity(&s), 0, "a sink that recorded nothing holds no ring");
+        for i in 0..5 {
+            s.emit_with(|| ev(i));
+        }
+        assert_eq!(times(&s.take_events()), vec![0, 1, 2, 3, 4]);
+        assert_eq!(ring_capacity(&s), 0, "less than a chunk comes back in the chunk");
+        for i in 0..=CHUNK_EVENTS as u64 {
+            s.emit_with(|| ev(i));
+        }
+        assert_eq!(ring_capacity(&s), 1 << 20, "the first flush reserves the whole ring");
+        assert_eq!(s.take_events().len(), CHUNK_EVENTS + 1);
+        assert_eq!(ring_capacity(&s), 0, "a taken sink holds no ring");
+    }
+
+    #[test]
     fn sink_ring_records_and_resets_on_take() {
-        // Fewer events than one chunk: `take_events` must flush the
-        // partial chunk before it moves the ring out.
+        // Fewer events than one chunk: `take_events` must hand back the
+        // partial chunk, which never reached the ring.
         let mut s = TraceSink::chunked(8);
         s.emit_with(|| ev(1));
         s.emit_with(|| ev(2));
