@@ -121,15 +121,6 @@ impl LruCache {
     pub fn prefetch(&mut self, id: ObjectId, bytes: u64) {
         self.insert(id, bytes);
     }
-
-    /// Drops every cached object, modelling state loss when the edge server
-    /// hosting the cache crashes. Hit/miss counters survive so experiments
-    /// can measure the re-warm cost across a restart.
-    pub fn clear(&mut self) {
-        self.order.clear();
-        self.sizes.clear();
-        self.used_bytes = 0;
-    }
 }
 
 /// A Zipf-ish request generator over `n` objects: requests concentrate on
@@ -244,22 +235,6 @@ mod tests {
         c.insert(1, 100);
         assert_eq!(c.used_bytes(), 100);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn clear_loses_state_but_keeps_counters() {
-        let mut c = LruCache::new(1000);
-        c.insert(1, 100);
-        assert!(c.access(1));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.used_bytes(), 0);
-        // The crash forgets the objects, not the experiment's accounting.
-        assert_eq!(c.hits(), 1);
-        assert!(!c.access(1), "cleared object must be a miss");
-        // Reusable after the restart.
-        c.insert(2, 100);
-        assert!(c.access(2));
     }
 
     #[test]

@@ -44,8 +44,6 @@ pub struct MarClient {
     qoe: Rc<RefCell<QoeRecorder>>,
     /// Completion times of purely-local frames, tracked via timers.
     local_pending: VecDeque<SimTime>,
-    /// Quality changes applied (for inspection).
-    quality_changes: u64,
 }
 
 impl std::fmt::Debug for MarClient {
@@ -77,7 +75,6 @@ impl MarClient {
             deadline: SimDuration::from_millis(75),
             qoe: Rc::new(RefCell::new(QoeRecorder::new())),
             local_pending: VecDeque::new(),
-            quality_changes: 0,
         }
     }
 
@@ -184,11 +181,6 @@ impl MarClient {
 
         ctx.schedule_timer(self.video.frame_interval(), TAG_FRAME);
     }
-
-    /// Quality adjustments performed so far (QoS reactions).
-    pub fn quality_changes(&self) -> u64 {
-        self.quality_changes
-    }
 }
 
 impl Actor for MarClient {
@@ -209,13 +201,11 @@ impl Actor for MarClient {
                         QosSignal::Degrade { severity, .. } => {
                             let q = self.video.quality();
                             self.video.set_quality(q * if severity >= 2 { 0.5 } else { 0.7 });
-                            self.quality_changes += 1;
                         }
                         QosSignal::Headroom { .. } => {
                             let q = self.video.quality();
                             if q < 1.0 {
                                 self.video.set_quality((q * 1.1).min(1.0));
-                                self.quality_changes += 1;
                             }
                         }
                     }
@@ -274,11 +264,6 @@ impl MarServer {
             pending: VecDeque::new(),
             processed: 0,
         }
-    }
-
-    /// Frames processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     fn service_time(&self) -> SimDuration {

@@ -33,7 +33,7 @@ use marnet_telemetry::{MetricsRegistry, TelemetryCapture, TelemetryOptions};
 use marnet_transport::nic::{Nic, TxPath};
 use marnet_transport::probe::{ProbeClient, ProbeServer, ProbeStats};
 use marnet_transport::tcp::{
-    DataSource, Reno, TcpConfig, TcpFlowStats, TcpReceiver, TcpReceiverStats, TcpSender, MSS,
+    DataSource, Reno, TcpConfig, TcpFlowStats, TcpReceiver, TcpReceiverStats, TcpSender, Vegas, MSS,
 };
 use marnet_transport::udp::{UdpSink, UdpSinkStats, UdpSource};
 use std::cell::RefCell;
@@ -432,14 +432,25 @@ pub fn run_fig3(
 // Fairness: AR protocol vs TCP on a shared bottleneck (E14)
 // ---------------------------------------------------------------------------
 
+/// The flow that competes with the Reno flows.
+#[derive(Debug, Clone)]
+pub enum Contender {
+    /// The AR protocol under this configuration (the sweep's
+    /// [`fairness_config`], or a `marnet-lab train` candidate).
+    Ar(ArConfig),
+    /// One textbook TCP Vegas flow.
+    Vegas,
+}
+
 /// Outcome of a fairness run.
 #[derive(Debug)]
 pub struct FairnessOutcome {
-    /// AR receiver stats (bytes arrived at the far end).
-    pub ar: Rc<RefCell<ArReceiverStats>>,
-    /// AR sender stats.
-    pub ar_sender: Rc<RefCell<ArSenderStats>>,
-    /// Per-TCP-flow receiver stats.
+    /// Bytes the contender got to the far end: the AR receiver's
+    /// `received_bytes`, or the Vegas receiver's goodput.
+    pub contender_bytes: u64,
+    /// AR sender stats; `None` for a Vegas contender.
+    pub ar_sender: Option<Rc<RefCell<ArSenderStats>>>,
+    /// Per-Reno-flow receiver stats.
     pub tcp: Vec<Rc<RefCell<TcpReceiverStats>>>,
 }
 
@@ -508,13 +519,11 @@ pub fn fairness_config(
     }
 }
 
-/// Runs one AR flow configured by `cfg` (the sweep's [`fairness_config`],
-/// or a `marnet-lab train` candidate) against `n_tcp` Reno flows over a
-/// shared bottleneck.
+/// Runs `contender` against `n_tcp` Reno flows over a shared bottleneck.
 pub fn run_fairness_config_instrumented(
     bottleneck_mbps: f64,
     n_tcp: usize,
-    cfg: &ArConfig,
+    contender: &Contender,
     secs: u64,
     seed: u64,
     telemetry: &TelemetryOptions,
@@ -530,23 +539,47 @@ pub fn run_fairness_config_instrumented(
     let mut left_nic = Nic::new(fwd);
     let mut right_nic = Nic::new(rev);
 
-    // The AR flow.
-    let ar_snd = sim.reserve_actor();
-    let ar_rcv = sim.reserve_actor();
-    let app = sim.reserve_actor();
-    let sender = ArSender::new(
-        1,
-        cfg.clone(),
-        vec![SenderPathConfig { role: PathRole::Wifi, tx: TxPath::Nic(left), link: Some(fwd) }],
-    );
-    let ar_sender = sender.stats();
-    sim.install_actor(ar_snd, sender);
-    let receiver = ArReceiver::new(1, vec![TxPath::Nic(right)]);
-    let ar = receiver.stats();
-    sim.install_actor(ar_rcv, receiver);
-    sim.install_actor(app, VideoFeed::greedy(ar_snd));
-    left_nic.add_route(1, ar_snd);
-    right_nic.add_route(1, ar_rcv);
+    // The contender: flow 1, starting at t = 0.
+    let (contender_bytes, ar_sender): (Box<dyn Fn() -> u64>, _) = match contender {
+        Contender::Ar(cfg) => {
+            let ar_snd = sim.reserve_actor();
+            let ar_rcv = sim.reserve_actor();
+            let app = sim.reserve_actor();
+            let sender = ArSender::new(
+                1,
+                cfg.clone(),
+                vec![SenderPathConfig {
+                    role: PathRole::Wifi,
+                    tx: TxPath::Nic(left),
+                    link: Some(fwd),
+                }],
+            );
+            let ar_sender = sender.stats();
+            sim.install_actor(ar_snd, sender);
+            let receiver = ArReceiver::new(1, vec![TxPath::Nic(right)]);
+            let ar = receiver.stats();
+            sim.install_actor(ar_rcv, receiver);
+            sim.install_actor(app, VideoFeed::greedy(ar_snd));
+            left_nic.add_route(1, ar_snd);
+            right_nic.add_route(1, ar_rcv);
+            (Box::new(move || ar.borrow().received_bytes), Some(ar_sender))
+        }
+        Contender::Vegas => {
+            let s_id = sim.reserve_actor();
+            let r_id = sim.reserve_actor();
+            let vegas = Box::new(Vegas::new(MSS));
+            sim.install_actor(
+                s_id,
+                TcpSender::new(1, TxPath::Nic(left), TcpConfig::default(), vegas),
+            );
+            let r = TcpReceiver::new(1, TxPath::Nic(right));
+            let stats = r.stats();
+            sim.install_actor(r_id, r);
+            left_nic.add_route(1, s_id);
+            right_nic.add_route(1, r_id);
+            (Box::new(move || stats.borrow().goodput_bytes), None)
+        }
+    };
 
     // TCP competitors. Each flow starts at a distinct prime-microsecond
     // offset: independent hosts never transmit in the same nanosecond, and
@@ -576,7 +609,7 @@ pub fn run_fairness_config_instrumented(
     sim.install_actor(right, right_nic);
     let events = sim.run_until(SimTime::from_secs(secs));
     let capture = finish_telemetry(&mut sim, registry);
-    (FairnessOutcome { ar, ar_sender, tcp }, events, capture)
+    (FairnessOutcome { contender_bytes: contender_bytes(), ar_sender, tcp }, events, capture)
 }
 
 // ---------------------------------------------------------------------------
@@ -1082,7 +1115,7 @@ pub fn run_faults_config_instrumented(
             FaultSpec::new().edge_crash(rcv, fault_at, SimDuration::from_millis(fault_ms), false)
         }
     };
-    sim.add_actor(FaultInjector::new(spec.compile(seed, horizon)));
+    sim.add_actor(FaultInjector::new(spec.compile(horizon)));
     let log = Rc::new(RefCell::new(QoeLog::default()));
     sim.install_actor(
         monitor,
@@ -1788,9 +1821,9 @@ mod tests {
         // In loss-only mode (delay signal effectively disabled) the AR
         // protocol competes like an AIMD flow and holds its share; the
         // delay-sensitive mode's starvation is measured by the E14 sweep.
-        let cfg = fairness_config(10.0, true, SimDuration::from_secs(10));
-        let out = run_fairness_config_instrumented(10.0, 1, &cfg, 30, 7, &off()).0;
-        let ar_bytes = out.ar.borrow().received_bytes as f64;
+        let ar = Contender::Ar(fairness_config(10.0, true, SimDuration::from_secs(10)));
+        let out = run_fairness_config_instrumented(10.0, 1, &ar, 30, 7, &off()).0;
+        let ar_bytes = out.contender_bytes as f64;
         let tcp_bytes = out.tcp[0].borrow().goodput_bytes as f64;
         assert!(ar_bytes > 0.0 && tcp_bytes > 0.0);
         // With the loss fallback on, neither flow should be starved: the

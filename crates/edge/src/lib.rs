@@ -1,18 +1,14 @@
-//! # marnet-edge — edge datacenters, multi-server offloading and D2D
+//! # marnet-edge — edge datacenters and edge-server distribution
 //!
 //! §VI-E and §VI-F of the paper push offloading beyond a single cloud
-//! server: use different servers per path, offload latency-critical work to
-//! nearby devices, and place edge datacenters so every user's
-//! `P_offloading` fits the deadline. This crate implements:
+//! server: distribute the work over nearby machines, and place edge
+//! datacenters so every user's `P_offloading` fits the deadline. This crate
+//! implements:
 //!
 //! * [`placement`] — the §VI-F optimisation: minimise the number of edge
 //!   datacenters subject to every user's offload deadline, with a greedy
 //!   set-cover solver, an exact branch-and-bound for small instances, and
 //!   lower bounds;
-//! * [`selection`] — per-path server selection and the n-way inter-server
-//!   synchronisation cost model of §VI-E;
-//! * [`d2d`] — device-to-device offload: LTE-Direct / WiFi-Direct helper
-//!   selection with the energy trade-offs of §IV-A-5;
 //! * [`scenarios`] — builders for the four distribution architectures of
 //!   Fig. 5, returning ready-to-run simulations;
 //! * [`session`] — crash/restart wrappers for edge servers: downtime
@@ -22,10 +18,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod d2d;
 pub mod placement;
 pub mod scenarios;
-pub mod selection;
 pub mod session;
 
 pub use placement::{PlacementProblem, PlacementSolution};

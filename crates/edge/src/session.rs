@@ -63,16 +63,6 @@ impl RestartableServer {
         }
     }
 
-    /// Crashes survived so far.
-    pub fn crashes(&self) -> u64 {
-        self.crashes
-    }
-
-    /// The wrapped receiver (for stats handles and epoch inspection).
-    pub fn receiver(&self) -> &ArReceiver {
-        &self.inner
-    }
-
     fn crash(&mut self, ctx: &mut SimCtx, fault: &EdgeFault) {
         if self.down_since.is_some() {
             // Already dark: a dead process cannot crash harder. The restart
@@ -214,7 +204,7 @@ mod tests {
             SimDuration::from_millis(300),
             true,
         );
-        let schedule = spec.compile(41, SimTime::from_secs(5));
+        let schedule = spec.compile(SimTime::from_secs(5));
         sim.add_actor(FaultInjector::new(schedule));
         sim.run_until(SimTime::from_secs(5));
 
@@ -271,7 +261,7 @@ mod tests {
             SimDuration::from_millis(100),
             false,
         );
-        sim.add_actor(FaultInjector::new(spec.compile(42, SimTime::from_secs(4))));
+        sim.add_actor(FaultInjector::new(spec.compile(SimTime::from_secs(4))));
         sim.run_until(SimTime::from_secs(4));
 
         // State survived: same epoch, so no resync — the gap is handled by

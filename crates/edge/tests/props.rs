@@ -2,7 +2,6 @@
 //! optimality ordering on random instances.
 
 use marnet_edge::placement::synthetic_metro;
-use marnet_edge::selection::{select_per_path, InterServerMatrix, ServerOption};
 use marnet_sim::rng::derive_rng;
 use marnet_sim::time::SimDuration;
 use proptest::prelude::*;
@@ -29,43 +28,5 @@ proptest! {
         prop_assert!(p.lower_bound() <= exact.cost(), "lower bound above optimum");
         // Infeasible sets agree (they depend only on the instance).
         prop_assert_eq!(&greedy.uncovered, &exact.uncovered);
-    }
-
-    /// Per-path selection always picks each path's minimum-RTT option.
-    #[test]
-    fn per_path_selection_minimizes_each_path(
-        rtts in prop::collection::vec((1u64..200, 1u64..200), 1..5),
-    ) {
-        let options: Vec<Vec<ServerOption>> = rtts
-            .iter()
-            .map(|&(a, b)| {
-                vec![
-                    ServerOption {
-                        name: "a".into(),
-                        rtt: SimDuration::from_millis(a),
-                        compute_gflops: 1.0,
-                    },
-                    ServerOption {
-                        name: "b".into(),
-                        rtt: SimDuration::from_millis(b),
-                        compute_gflops: 1.0,
-                    },
-                ]
-            })
-            .collect();
-        let matrix = InterServerMatrix::new(
-            vec!["a".into(), "b".into()],
-            vec![
-                vec![SimDuration::ZERO, SimDuration::from_millis(30)],
-                vec![SimDuration::from_millis(30), SimDuration::ZERO],
-            ],
-        );
-        let plan = select_per_path(&options, &matrix);
-        for (i, &(a, b)) in rtts.iter().enumerate() {
-            prop_assert_eq!(plan.path_rtt[i], SimDuration::from_millis(a.min(b)));
-        }
-        // Sync is charged iff at least two distinct servers were chosen.
-        let distinct = plan.per_path.iter().collect::<std::collections::HashSet<_>>().len();
-        prop_assert_eq!(plan.sync > SimDuration::ZERO, distinct > 1);
     }
 }

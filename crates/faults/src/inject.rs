@@ -25,7 +25,7 @@ pub struct EdgeFault {
 ///
 /// Add it to the simulator alongside the workload actors; it wakes exactly
 /// at each scheduled transition (timer tag 0) and applies the action via
-/// the [`SimCtx`] link setters or an [`EdgeFault`] message.
+/// [`SimCtx::set_link_up`] or an [`EdgeFault`] message.
 #[derive(Debug)]
 pub struct FaultInjector {
     schedule: FaultSchedule,
@@ -55,25 +55,6 @@ impl FaultInjector {
             FaultAction::LinkUp { link, up } => {
                 ctx.set_link_up(link, up);
                 (u64::from(component::link(link.index())), u64::from(up))
-            }
-            FaultAction::LinkLoss { link, loss } => {
-                ctx.set_link_loss(link, loss);
-                let permille = match loss {
-                    marnet_sim::link::LossModel::None => 0,
-                    marnet_sim::link::LossModel::Bernoulli { p } => (p * 1000.0) as u64,
-                    marnet_sim::link::LossModel::GilbertElliott { loss_in_bad, .. } => {
-                        (loss_in_bad * 1000.0) as u64
-                    }
-                };
-                (u64::from(component::link(link.index())), permille)
-            }
-            FaultAction::LinkDelay { link, delay } => {
-                ctx.set_link_delay(link, delay);
-                (u64::from(component::link(link.index())), delay.as_nanos())
-            }
-            FaultAction::LinkRate { link, rate } => {
-                ctx.set_link_rate(link, rate);
-                (u64::from(component::link(link.index())), rate.as_bps())
             }
             FaultAction::EdgeCrash { server, down_for, lose_state } => {
                 ctx.send_message(server, Payload::new(EdgeFault { down_for, lose_state }));
@@ -108,7 +89,7 @@ mod tests {
     use super::*;
     use crate::schedule::FaultSpec;
     use marnet_sim::engine::Simulator;
-    use marnet_sim::link::{Bandwidth, LinkParams, LossModel};
+    use marnet_sim::link::{Bandwidth, LinkParams};
     use marnet_sim::time::SimTime;
     use marnet_telemetry::event::TraceKind;
 
@@ -129,54 +110,12 @@ mod tests {
         );
         let sched = FaultSpec::new()
             .outage(vec![l], SimTime::from_secs(1), SimDuration::from_millis(500))
-            .compile(9, SimTime::from_secs(5));
+            .compile(SimTime::from_secs(5));
         sim.add_actor(FaultInjector::new(sched));
         sim.run_until(SimTime::from_millis(1100));
         assert!(!sim.ctx().link_is_up(l), "link should be down during outage");
         sim.run_until(SimTime::from_secs(2));
         assert!(sim.ctx().link_is_up(l), "link should recover after outage");
-    }
-
-    #[test]
-    fn injector_swaps_loss_and_delay_and_rate() {
-        let mut sim = Simulator::new(10);
-        let a = sim.add_actor(Idle);
-        let b = sim.add_actor(Idle);
-        let l = sim.add_link(
-            a,
-            b,
-            LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(5)),
-        );
-        let sched = FaultSpec::new()
-            .loss_burst(
-                l,
-                SimTime::from_secs(1),
-                SimDuration::from_secs(1),
-                LossModel::Bernoulli { p: 0.3 },
-                LossModel::None,
-            )
-            .latency_spike(
-                l,
-                SimTime::from_secs(1),
-                SimDuration::from_secs(1),
-                SimDuration::from_millis(80),
-                SimDuration::from_millis(5),
-            )
-            .rate_cut(
-                l,
-                SimTime::from_secs(1),
-                SimDuration::from_secs(1),
-                Bandwidth::from_mbps(1.0),
-                Bandwidth::from_mbps(10.0),
-            )
-            .compile(10, SimTime::from_secs(5));
-        sim.add_actor(FaultInjector::new(sched));
-        sim.run_until(SimTime::from_millis(1500));
-        assert_eq!(sim.ctx().link_delay(l), SimDuration::from_millis(80));
-        assert_eq!(sim.ctx().link_rate(l), Bandwidth::from_mbps(1.0));
-        sim.run_until(SimTime::from_secs(3));
-        assert_eq!(sim.ctx().link_delay(l), SimDuration::from_millis(5));
-        assert_eq!(sim.ctx().link_rate(l), Bandwidth::from_mbps(10.0));
     }
 
     #[test]
@@ -191,7 +130,7 @@ mod tests {
         );
         let sched = FaultSpec::new()
             .outage(vec![l], SimTime::from_secs(1), SimDuration::from_millis(500))
-            .compile(11, SimTime::from_secs(5));
+            .compile(SimTime::from_secs(5));
         sim.add_actor(FaultInjector::new(sched));
         sim.enable_flight_recorder(1024);
         sim.run_until(SimTime::from_secs(3));

@@ -2,19 +2,19 @@
 //!
 //! The paper's central claim is that MAR transport must *degrade gracefully
 //! instead of stalling* when the network misbehaves. This crate supplies the
-//! misbehaviour: a seeded, fully deterministic fault layer driven through the
-//! simulator — link outages and flaps (a two-state up/down renewal process
-//! plus scripted one-shot events), handover gaps, burst-loss episodes,
-//! latency spikes, and edge-server crash/restart with configurable state
-//! loss.
+//! misbehaviour E16 (`sweep_faults`) and the trainer's fault member measure,
+//! driven through the simulator: scripted link outages and edge-server
+//! crash/restart with configurable state loss. Random link dynamics live
+//! elsewhere: `marnet-radio`'s coverage renewal process (E12) and rate
+//! processes (X3), and the link layer's loss models.
 //!
 //! Determinism contract (the same invariant as `marnet-lab`): a
-//! [`FaultSpec`] compiles into a [`FaultSchedule`] using only ChaCha12
-//! substreams derived from the trial seed and a per-process label, so the
-//! schedule — and therefore every experiment artifact built on it — is
-//! byte-identical at any `--threads`. Nothing in this crate may touch
-//! wall-clock time or ambient randomness; `marnet-lint`'s determinism rules
-//! (including `unseeded-rng`) audit this crate.
+//! [`FaultSpec`] compiles into a [`FaultSchedule`] as a pure function of
+//! the spec and the horizon, with no random draws, so the schedule — and
+//! therefore every experiment artifact built on it — is byte-identical at
+//! any `--threads`. Nothing in this crate may touch wall-clock time or
+//! ambient randomness; `marnet-lint`'s determinism rules (including
+//! `unseeded-rng`) audit this crate.
 //!
 //! * [`schedule`] — fault taxonomy, the spec builder and the compiler;
 //! * [`inject`] — the [`FaultInjector`] actor that walks a schedule and

@@ -9,7 +9,7 @@ use crate::spec::{GridPoint, ParamValue, ScenarioSpec};
 use marnet_bench::fmt;
 use marnet_bench::scenarios::{
     commute_config, fairness_config, run_fairness_config_instrumented,
-    run_multipath_commute_config_instrumented, run_queueing_instrumented,
+    run_multipath_commute_config_instrumented, run_queueing_instrumented, Contender,
 };
 use marnet_core::class::StreamKind;
 use marnet_core::multipath::MultipathPolicy;
@@ -269,12 +269,14 @@ fn render_queueing(points: &[PointSummary]) {
 // ---------------------------------------------------------------------------
 
 /// The `mode` axis: does the AR flow fall back to reacting to loss, and
-/// the latency threshold of its delay signal in ms.
-const CONGESTION_MODES: [(&str, (bool, u64)); 4] = [
-    ("delay-sensitive (15 ms)", (true, 15)),
-    ("delay-relaxed (60 ms)", (true, 60)),
-    ("loss-only", (true, 10_000)),
-    ("delay-only (no loss fallback)", (false, 15)),
+/// the latency threshold of its delay signal in ms — or `None`, one
+/// textbook TCP Vegas flow in the AR flow's place.
+const CONGESTION_MODES: [(&str, Option<(bool, u64)>); 5] = [
+    ("delay-sensitive (15 ms)", Some((true, 15))),
+    ("delay-relaxed (60 ms)", Some((true, 60))),
+    ("loss-only", Some((true, 10_000))),
+    ("delay-only (no loss fallback)", Some((false, 15))),
+    ("TCP Vegas", None),
 ];
 
 pub(super) fn sweep_fairness(spec: ScenarioSpec, telemetry: TelemetryOptions) -> Experiment {
@@ -284,31 +286,39 @@ pub(super) fn sweep_fairness(spec: ScenarioSpec, telemetry: TelemetryOptions) ->
         .with_axis("mode", labels(&CONGESTION_MODES))
         .with_axis("n_tcp", [1i64, 2, 4].into_iter().map(ParamValue::Int).collect());
     let trial = Box::new(move |point: &GridPoint, ctx: &TrialCtx| {
-        let (react_to_loss, threshold_ms) = labelled(&CONGESTION_MODES, &point.params, "mode");
         let bottleneck = float(point, "bottleneck_mbps");
         let n_tcp = uint(point, "n_tcp") as usize;
         let secs = uint(point, "secs");
-        let cfg =
-            fairness_config(bottleneck, react_to_loss, SimDuration::from_millis(threshold_ms));
-        let (out, _, capture) =
-            run_fairness_config_instrumented(bottleneck, n_tcp, &cfg, secs, ctx.seed, &telemetry);
+        let contender = match labelled(&CONGESTION_MODES, &point.params, "mode") {
+            Some((react_to_loss, threshold_ms)) => Contender::Ar(fairness_config(
+                bottleneck,
+                react_to_loss,
+                SimDuration::from_millis(threshold_ms),
+            )),
+            None => Contender::Vegas,
+        };
+        let (out, _, capture) = run_fairness_config_instrumented(
+            bottleneck, n_tcp, &contender, secs, ctx.seed, &telemetry,
+        );
         let mbps = |bytes: u64| bytes as f64 * 8.0 / secs as f64 / 1e6;
-        let ar_mbps = mbps(out.ar.borrow().received_bytes);
+        let ar_mbps = mbps(out.contender_bytes);
         let mut alloc: Vec<f64> = out.tcp.iter().map(|t| mbps(t.borrow().goodput_bytes)).collect();
         let tcp_mean = alloc.iter().sum::<f64>() / alloc.len() as f64;
         alloc.push(ar_mbps);
         let fair = bottleneck / (n_tcp as f64 + 1.0);
-        let s = out.ar_sender.borrow();
         let mut report = TrialReport::new();
         report
             .scalar("ar_mbps", ar_mbps)
             .scalar("tcp_mbps_each", tcp_mean)
             .scalar("fair_share_mbps", fair)
             .scalar("jain", jain_index(&alloc))
-            .scalar("ar_share_of_fair", ar_mbps / fair)
-            .scalar("delay_events", s.delay_congestion_events as f64)
-            .scalar("loss_events", s.loss_congestion_events as f64);
-        drop(s);
+            .scalar("ar_share_of_fair", ar_mbps / fair);
+        if let Some(sender) = &out.ar_sender {
+            let s = sender.borrow();
+            report
+                .scalar("delay_events", s.delay_congestion_events as f64)
+                .scalar("loss_events", s.loss_congestion_events as f64);
+        }
         report.capture(capture);
         report
     });
@@ -319,7 +329,7 @@ fn render_fairness(points: &[PointSummary]) {
     let bottleneck =
         points.first().map_or_else(String::new, |p| p.params["bottleneck_mbps"].to_string());
     table(
-        &format!("E14 — AR flow vs n TCP flows on a {bottleneck} Mb/s bottleneck"),
+        &format!("E14 — one AR or Vegas flow vs n Reno flows on a {bottleneck} Mb/s bottleneck"),
         each(points),
         &[
             ("Congestion mode", Cell::Param("mode", "")),
@@ -336,6 +346,8 @@ fn render_fairness(points: &[PointSummary]) {
          TCP (AR/fair ≪ 1 — the Vegas problem of §VI-B); relaxing the\n\
          threshold buys back bandwidth; loss-only competes like AIMD. The\n\
          'trade-off between latency and bandwidth requirements' is this\n\
-         table's diagonal."
+         table's diagonal. In the TCP Vegas rows the AR columns are the\n\
+         Vegas flow's: textbook Vegas is starved too, but keeps several\n\
+         times the delay-only AR flow's share."
     );
 }

@@ -32,8 +32,8 @@ use crate::runner::run_experiment;
 use crate::spec::{ParamValue, ScenarioSpec};
 use marnet_bench::scenarios::{
     run_cityscale_instrumented, run_fairness_config_instrumented, run_faults_config_instrumented,
-    run_multipath_commute_config_instrumented, run_recovery_config_instrumented, FaultScenario,
-    CITYSCALE_MAR_MBPS, CITYSCALE_MAR_PACKET_BYTES,
+    run_multipath_commute_config_instrumented, run_recovery_config_instrumented, Contender,
+    FaultScenario, CITYSCALE_MAR_MBPS, CITYSCALE_MAR_PACKET_BYTES,
 };
 use marnet_bench::{fmt, print_table};
 use marnet_core::config::{ArConfig, OutageConfig};
@@ -227,19 +227,19 @@ fn crn_seed(base: u64, member: &str, replicate: u32) -> u64 {
 /// The three configs a candidate is evaluated under: its compiled config
 /// as-is, the fault arm (hardened outage handling on top of the searched
 /// recovery knobs), and the fairness arm (bottleneck-capped rate).
-fn member_configs(params: &PolicyParams) -> (ArConfig, ArConfig, ArConfig) {
+fn member_configs(params: &PolicyParams) -> (ArConfig, ArConfig, Contender) {
     let base = params.to_config();
     let faults = ArConfig { outage: OutageConfig::hardened(), ..base.clone() };
     let mut fairness = base.clone();
     fairness.congestion.max_rate = FAIR_BOTTLENECK_MBPS * 1e6;
-    (base, faults, fairness)
+    (base, faults, Contender::Ar(fairness))
 }
 
 /// Runs one portfolio member under one candidate's configs for `secs`
 /// simulated seconds and returns its scalar contributions.
 fn run_member(
     member: &str,
-    cfgs: &(ArConfig, ArConfig, ArConfig),
+    cfgs: &(ArConfig, ArConfig, Contender),
     secs: u64,
     seed: u64,
 ) -> BTreeMap<String, f64> {
@@ -290,7 +290,7 @@ fn run_member(
                 telemetry,
             );
             let secs = secs as f64;
-            let ar_mbps = out.ar.borrow().received_bytes as f64 * 8.0 / secs / 1e6;
+            let ar_mbps = out.contender_bytes as f64 * 8.0 / secs / 1e6;
             let mut alloc: Vec<f64> = out
                 .tcp
                 .iter()
@@ -313,7 +313,7 @@ fn evaluate_population(
     opts: &TrainOptions,
     tier: &Tier,
 ) -> Vec<Evaluation> {
-    let configs: Vec<(ArConfig, ArConfig, ArConfig)> =
+    let configs: Vec<(ArConfig, ArConfig, Contender)> =
         points_params.iter().map(member_configs).collect();
     let spec = ScenarioSpec::new(format!("train_eval_g{generation}"), opts.seed, opts.replicates)
         .with_axis("candidate", (0..configs.len() as i64).map(ParamValue::Int).collect())

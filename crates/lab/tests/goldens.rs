@@ -32,7 +32,7 @@ const GOLDEN_SPEC_HASHES: [(&str, u64); 22] = [
     ("sweep_recovery", 0xcc61_0c13_0853_e855),
     ("sweep_multipath", 0xbdcc_e9e4_c612_e318),
     ("sweep_queueing", 0xf544_2988_416c_c8b2),
-    ("sweep_fairness", 0x3e8a_e7b1_0550_507e),
+    ("sweep_fairness", 0x526e_1d04_290c_8250),
     ("table_bitrates", 0x0adc_b023_af2c_481c),
     ("sweep_faults", 0xbd12_7632_99a1_e71f),
     ("sweep_cityscale", 0x4512_7ec1_5412_aefc),

@@ -186,6 +186,19 @@ fn e14_relaxing_the_delay_signal_buys_back_fair_share() {
 }
 
 #[test]
+fn e14_textbook_vegas_is_starved_but_less_than_the_delay_only_ar_flow() {
+    let a = committed("sweep_fairness");
+    let modes = ["delay-only (no loss fallback)", "TCP Vegas", "loss-only"];
+    for n_tcp in [1, 2, 4] {
+        let at = [("n_tcp", ParamValue::Int(n_tcp))];
+        let share = along(&a, "mode", &modes, &at, "ar_share_of_fair");
+        assert_increasing(&share, &format!("share of fair against {n_tcp} Reno"));
+        assert!(share[1] > 5.0 * share[0], "Vegas keeps several times more: {share:?}");
+        assert!(share[1] < 0.25, "Vegas still loses to Reno: {share:?}");
+    }
+}
+
+#[test]
 fn x1_each_piece_of_graceful_degradation_earns_its_place() {
     let a = committed("ablation_degradation");
     let variants = [

@@ -34,7 +34,7 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     ("transport", &["sim", "radio", "telemetry"]),
     ("core", &["sim", "radio", "transport", "telemetry"]),
     ("app", &["sim", "radio", "transport", "core", "telemetry"]),
-    ("edge", &["sim", "radio", "transport", "core", "app", "telemetry", "faults"]),
+    ("edge", &["sim", "transport", "core", "app", "telemetry", "faults"]),
     ("privacy", &["sim", "radio", "transport", "core", "app", "telemetry"]),
     // trainer owns the policy search (space, engines, Pareto artifacts)
     // and is generic over the evaluation closure: it may see the policy

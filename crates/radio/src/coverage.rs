@@ -106,13 +106,6 @@ pub struct CoverageTrace {
 }
 
 impl CoverageTrace {
-    /// A trace that is always usable until `horizon`.
-    pub fn always(horizon: SimTime) -> Self {
-        CoverageTrace {
-            intervals: vec![CoverageInterval { from: SimTime::ZERO, to: horizon, usable: true }],
-        }
-    }
-
     /// The intervals of the trace.
     pub fn intervals(&self) -> &[CoverageInterval] {
         &self.intervals

@@ -642,11 +642,6 @@ impl SimCtx {
         }
     }
 
-    /// Changes a link's loss model on the fly.
-    pub fn set_link_loss(&mut self, link: LinkId, loss: LossModel) {
-        link_rt_mut(&mut self.links, link).loss = loss;
-    }
-
     /// Cumulative counters for a link.
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
         link_rt(&self.links, link).stats
@@ -656,18 +651,6 @@ impl SimCtx {
     pub fn link_queue_len(&self, link: LinkId) -> (usize, u64) {
         let l = link_rt(&self.links, link);
         (l.queue.len_packets(), l.queue.len_bytes())
-    }
-
-    /// One-way propagation delay of a link.
-    pub fn link_delay(&self, link: LinkId) -> SimDuration {
-        link_rt(&self.links, link).delay
-    }
-
-    /// Changes a link's one-way propagation delay on the fly. Packets
-    /// already in flight keep the delay they departed with; the fault layer
-    /// uses this for latency-spike episodes.
-    pub fn set_link_delay(&mut self, link: LinkId, delay: SimDuration) {
-        link_rt_mut(&mut self.links, link).delay = delay;
     }
 
     /// `true` while the flight recorder is capturing events. Instrumented
@@ -1480,49 +1463,6 @@ mod tests {
         assert_eq!(stats.lane_pushes, 2, "the two start events");
         assert_eq!(stats.line_pushes + stats.heap_pushes, 400);
         assert!(stats.line_pushes > 200 && stats.heap_pushes > 20, "{stats:?}");
-    }
-
-    #[test]
-    fn shrinking_the_delay_with_packets_in_flight_delivers_in_key_order() {
-        struct Shrinker {
-            link: LinkId,
-        }
-        impl Actor for Shrinker {
-            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
-                match ev {
-                    Event::Start => {
-                        ctx.schedule_timer(SimDuration::from_micros(2_500), 0);
-                    }
-                    Event::Timer { .. } => {
-                        ctx.set_link_delay(self.link, SimDuration::from_millis(1))
-                    }
-                    _ => {}
-                }
-            }
-        }
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = Simulator::new(1);
-        let a = sim.reserve_actor();
-        let b = sim.reserve_actor();
-        // 1 ms per packet: departures at 1..=5 ms, 20 ms of delay at first.
-        let l = sim.add_link(
-            a,
-            b,
-            LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(20)),
-        );
-        sim.install_actor(a, BurstSender { link: l, burst: 5 });
-        sim.install_actor(b, probe(&log));
-        sim.add_actor(Shrinker { link: l });
-        sim.run_to_completion();
-        // Packets 0 and 1 left with the old delay; 2, 3 and 4 overtake them.
-        assert_eq!(
-            deliveries(&log),
-            vec![(4_000, 2), (5_000, 3), (6_000, 4), (21_000, 0), (22_000, 1)]
-        );
-        // The three overtaking arrivals sort below their line's tail (the
-        // 22 ms arrival), so they and the timer are the heap's only entries.
-        let stats = sim.ctx().queue_stats();
-        assert_eq!((stats.heap_pushes, stats.line_pushes, stats.lane_pushes), (4, 7, 3));
     }
 
     #[test]

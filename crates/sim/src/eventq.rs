@@ -73,8 +73,8 @@
 //! heap entries (the payloads stay in the slab, as for the heap) that an
 //! entry pushed through it ([`EventQueue::push_line`]) joins only when its
 //! full key is greater than the line's tail; any other entry — a jittered
-//! arrival that overtakes, a shortened link delay, a perturbing policy's
-//! `ord` — goes to the heap exactly as a plain [`EventQueue::push`] would.
+//! arrival that overtakes, a perturbing policy's `ord` — goes to the heap
+//! exactly as a plain [`EventQueue::push`] would.
 //! Each line is therefore sorted by the full key, and a small 4-ary *front
 //! heap* holds the front key of every non-empty line, so the pop takes the
 //! smallest of heap root, lane front and front-heap root: three structures

@@ -8,8 +8,8 @@
 //!
 //! * [`tcp`] — a packet-level TCP with slow start, congestion avoidance,
 //!   fast retransmit/recovery (NewReno-style), RFC 6298 RTO, delayed ACKs,
-//!   and pluggable congestion control: Reno, Cubic and Vegas (the
-//!   delay-based scheme whose fairness §VI-B worries about);
+//!   and pluggable congestion control: Reno, and Vegas (the delay-based
+//!   scheme whose fairness §VI-B worries about, measured by E14);
 //! * [`nic`] — a simple flow-demultiplexing NIC actor so many endpoints can
 //!   share one access link (needed for the antiparallel-TCP experiments);
 //! * [`udp`] — constant-bit-rate datagram source and counting sink;

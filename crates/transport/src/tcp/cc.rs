@@ -1,10 +1,11 @@
-//! Pluggable TCP congestion control: Reno, Cubic and Vegas.
+//! Pluggable TCP congestion control: Reno and Vegas.
 //!
 //! Fig. 4 of the paper contrasts TCP's congestion *window* with the AR
 //! protocol's graceful degradation; §VI-B cites the Vegas fairness problem
-//! as the caveat of delay-based control. Implementing all three here lets
-//! the E14 fairness sweep compare loss-based and delay-based behaviour on
-//! identical topologies.
+//! as the caveat of delay-based control. Every baseline flow runs Reno; the
+//! E14 fairness sweep puts one Vegas flow against Reno flows on the same
+//! topology as its AR rows, so loss-based and delay-based behaviour are
+//! compared on identical links.
 
 use marnet_sim::time::{SimDuration, SimTime};
 use std::fmt;
@@ -115,115 +116,6 @@ impl CongestionControl for Reno {
 
     fn name(&self) -> &'static str {
         "reno"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cubic
-// ---------------------------------------------------------------------------
-
-/// CUBIC (RFC 8312, simplified): cubic window growth anchored at the last
-/// loss window, giving faster recovery on long-fat paths than Reno.
-#[derive(Debug, Clone)]
-pub struct Cubic {
-    mss: u64,
-    cwnd: f64,
-    ssthresh: f64,
-    w_max: f64,
-    epoch_start: Option<SimTime>,
-    k: f64,
-    /// Unit-less CUBIC constant (segments/s³), conventionally 0.4.
-    c: f64,
-    beta: f64,
-    min_rtt: Option<SimDuration>,
-}
-
-impl Cubic {
-    /// CUBIC with conventional constants (C = 0.4, β = 0.7).
-    pub fn new(mss: u32) -> Self {
-        let mss = u64::from(mss);
-        Cubic {
-            mss,
-            cwnd: (mss * 10) as f64,
-            ssthresh: f64::INFINITY,
-            w_max: 0.0,
-            epoch_start: None,
-            k: 0.0,
-            c: 0.4,
-            beta: 0.7,
-            min_rtt: None,
-        }
-    }
-
-    fn segments(&self, bytes: f64) -> f64 {
-        bytes / self.mss as f64
-    }
-}
-
-impl CongestionControl for Cubic {
-    fn on_ack(&mut self, bytes_acked: u64, _flight: u64, rtt: Option<SimDuration>, now: SimTime) {
-        if self.cwnd < self.ssthresh {
-            if Reno::hystart_exit(&mut self.min_rtt, rtt) {
-                self.ssthresh = self.cwnd;
-            } else {
-                self.cwnd += bytes_acked as f64;
-            }
-            return;
-        }
-        let epoch = match self.epoch_start {
-            Some(e) => e,
-            None => {
-                // New congestion-avoidance epoch.
-                let w_max_seg = self.segments(self.w_max.max(self.cwnd));
-                let cwnd_seg = self.segments(self.cwnd);
-                self.k = ((w_max_seg - cwnd_seg).max(0.0) / self.c).cbrt();
-                self.epoch_start = Some(now);
-                now
-            }
-        };
-        let rtt_s = rtt.map_or(0.0, |r| r.as_secs_f64());
-        let t = now.saturating_since(epoch).as_secs_f64() + rtt_s;
-        let w_max_seg = self.segments(self.w_max.max(self.cwnd));
-        let target_seg = self.c * (t - self.k).powi(3) + w_max_seg;
-        let target = target_seg * self.mss as f64;
-        if target > self.cwnd {
-            // Approach the cubic target over roughly one RTT of ACKs.
-            let step = (target - self.cwnd) * (bytes_acked as f64 / self.cwnd.max(1.0));
-            self.cwnd += step.min(self.mss as f64 * (bytes_acked as f64 / self.mss as f64));
-        } else {
-            // Plateau region: minimal growth to stay responsive.
-            self.cwnd += 0.01 * bytes_acked as f64;
-        }
-    }
-
-    fn on_loss(&mut self, _now: SimTime) {
-        self.w_max = self.cwnd;
-        self.cwnd = (self.cwnd * self.beta).max((2 * self.mss) as f64);
-        self.ssthresh = self.cwnd;
-        self.epoch_start = None;
-    }
-
-    fn on_timeout(&mut self, _now: SimTime) {
-        self.w_max = self.cwnd;
-        self.ssthresh = (self.cwnd * self.beta).max((2 * self.mss) as f64);
-        self.cwnd = self.mss as f64;
-        self.epoch_start = None;
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd as u64
-    }
-
-    fn ssthresh(&self) -> u64 {
-        if self.ssthresh.is_finite() {
-            self.ssthresh as u64
-        } else {
-            u64::MAX
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "cubic"
     }
 }
 
@@ -403,32 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn cubic_grows_past_wmax_over_time() {
-        let mut c = Cubic::new(MSS);
-        // Get into congestion avoidance with a loss at 100 segments.
-        c.cwnd = 100_000.0;
-        c.on_loss(SimTime::ZERO);
-        let after_loss = c.cwnd();
-        assert_eq!(after_loss, 70_000);
-        // Feed ACKs over simulated seconds; window should reach and exceed
-        // the previous maximum (concave then convex growth).
-        let mut now = SimTime::ZERO;
-        for _ in 0..4000 {
-            now += SimDuration::from_millis(10);
-            c.on_ack(1000, 0, Some(SimDuration::from_millis(20)), now);
-        }
-        assert!(c.cwnd() > 100_000, "cubic cwnd {} after recovery period", c.cwnd());
-    }
-
-    #[test]
-    fn cubic_timeout_collapses_window() {
-        let mut c = Cubic::new(MSS);
-        c.cwnd = 50_000.0;
-        c.on_timeout(SimTime::ZERO);
-        assert_eq!(c.cwnd(), u64::from(MSS));
-    }
-
-    #[test]
     fn vegas_tracks_base_rtt_and_backs_off() {
         let mut v = Vegas::new(MSS);
         v.ssthresh = 10_000.0; // force congestion avoidance
@@ -458,7 +324,6 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(Reno::new(MSS).name(), "reno");
-        assert_eq!(Cubic::new(MSS).name(), "cubic");
         assert_eq!(Vegas::new(MSS).name(), "vegas");
     }
 }

@@ -12,7 +12,7 @@ mod receiver;
 mod rtt;
 mod sender;
 
-pub use cc::{CongestionControl, Cubic, Reno, Vegas};
+pub use cc::{CongestionControl, Reno, Vegas};
 pub use receiver::{TcpReceiver, TcpReceiverStats};
 pub use rtt::RttEstimator;
 pub use sender::{TcpFlowStats, TcpSender};

@@ -8,7 +8,7 @@ use marnet_sim::queue::QueueConfig;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_transport::nic::{Nic, TxPath};
 use marnet_transport::tcp::{
-    CongestionControl, Cubic, Reno, TcpConfig, TcpReceiver, TcpSender, Vegas, MSS,
+    CongestionControl, Reno, TcpConfig, TcpReceiver, TcpSender, Vegas, MSS,
 };
 
 fn run_solo(cc: Box<dyn CongestionControl>, secs: u64) -> (f64, f64) {
@@ -35,7 +35,6 @@ fn run_solo(cc: Box<dyn CongestionControl>, secs: u64) -> (f64, f64) {
 fn every_cc_fills_a_solo_link() {
     for (name, cc) in [
         ("reno", Box::new(Reno::new(MSS)) as Box<dyn CongestionControl>),
-        ("cubic", Box::new(Cubic::new(MSS))),
         ("vegas", Box::new(Vegas::new(MSS))),
     ] {
         let (goodput, _) = run_solo(cc, 20);
