@@ -2,7 +2,12 @@
 //! experiments, `perf_report`, the Criterion benches and the integration
 //! tests.
 
-use marnet_core::class::{Priority, StreamKind};
+use marnet_app::compute::{ComputeModel, FrameWork};
+use marnet_app::device::DeviceClass;
+use marnet_app::pipeline::MarClient;
+use marnet_app::strategy::OffloadStrategy;
+use marnet_app::video::{FrameSource, VideoConfig};
+use marnet_core::class::{Priority, StreamKind, STREAM_KIND_LABELS};
 use marnet_core::config::{ArConfig, OutageConfig};
 use marnet_core::congestion::CongestionConfig;
 use marnet_core::degradation::QosSignal;
@@ -28,8 +33,9 @@ use marnet_sim::link::{Bandwidth, LinkId, LinkParams, LossModel};
 use marnet_sim::packet::{Packet, Payload, PayloadPool};
 use marnet_sim::queue::QueueConfig;
 use marnet_sim::rng::derive_rng;
+use marnet_sim::stats::Histogram;
 use marnet_sim::time::{SimDuration, SimTime};
-use marnet_telemetry::{MetricsRegistry, TelemetryCapture, TelemetryOptions};
+use marnet_telemetry::{MetricsSnapshot, TelemetryCapture, TelemetryOptions};
 use marnet_transport::nic::{Nic, TxPath};
 use marnet_transport::probe::{ProbeClient, ProbeServer, ProbeStats};
 use marnet_transport::tcp::{
@@ -43,35 +49,31 @@ use std::rc::Rc;
 // Telemetry wiring shared by every scenario
 // ---------------------------------------------------------------------------
 
-/// The simulator for one run with `telemetry` wired in, plus the registry
-/// its metrics go to when metrics are on. With everything off no recorder
-/// and no registry exist, so the run is the uninstrumented one.
+/// The simulator for one run with `telemetry` wired in, plus the snapshot
+/// its metrics are written into after the run when metrics are on. With
+/// everything off there is no recorder, no link series and no snapshot,
+/// so the run is the uninstrumented one.
 fn instrumented_sim(
     seed: u64,
     telemetry: &TelemetryOptions,
-) -> (Simulator, Option<Rc<MetricsRegistry>>) {
+) -> (Simulator, Option<MetricsSnapshot>) {
     let mut sim = Simulator::new(seed);
     if let Some(cap) = telemetry.trace_capacity {
         sim.enable_flight_recorder(cap);
     }
-    let registry = telemetry.metrics.then(|| {
-        let reg = MetricsRegistry::new();
-        sim.enable_metrics(&reg);
-        reg
-    });
-    (sim, registry)
+    if telemetry.metrics {
+        sim.enable_metrics();
+    }
+    (sim, telemetry.metrics.then(MetricsSnapshot::default))
 }
 
-/// Collects what the run recorded: the trace, and a snapshot of the
-/// registry (the scenario's own counters, if it published any, plus the
-/// link counters and the event queue's `sim.engine.queue.*` counters
-/// added here, after the run).
-fn finish_telemetry(
-    sim: &mut Simulator,
-    registry: Option<Rc<MetricsRegistry>>,
-) -> TelemetryCapture {
-    let metrics = registry.map(|reg| {
-        sim.publish_link_metrics(&reg);
+/// Collects what the run recorded: the trace, and the metrics snapshot —
+/// the scenario's own counters, if it wrote any, plus the link metrics and
+/// the event queue's `sim.engine.queue.*` counters added here, after the
+/// run.
+fn finish_telemetry(sim: &mut Simulator, metrics: Option<MetricsSnapshot>) -> TelemetryCapture {
+    let metrics = metrics.map(|mut snap| {
+        sim.publish_link_metrics(&mut snap);
         let q = sim.ctx().queue_stats();
         for (name, value) in [
             ("heap_pushes", q.heap_pushes),
@@ -81,11 +83,29 @@ fn finish_telemetry(
             ("cancels", q.cancels),
             ("peak_depth", q.peak_depth),
         ] {
-            reg.counter(&format!("sim.engine.queue.{name}")).add(value);
+            snap.count(&format!("sim.engine.queue.{name}"), value);
         }
-        reg.snapshot()
+        snap
     });
     TelemetryCapture { events: sim.take_trace(), metrics }
+}
+
+/// Writes an AR sender's per-sub-stream accounting as the counters
+/// `core.class.{kind}.{sent,dropped}_{packets,bytes}`, zeros omitted.
+fn count_classes(snap: &mut MetricsSnapshot, sender: &ArSenderStats) {
+    let u = &sender.usage;
+    for (i, kind) in STREAM_KIND_LABELS.iter().enumerate() {
+        for (metric, v) in [
+            ("sent_packets", u.sent_packets[i]),
+            ("sent_bytes", u.sent_bytes[i]),
+            ("dropped_packets", u.dropped_packets[i]),
+            ("dropped_bytes", u.dropped_bytes[i]),
+        ] {
+            if v > 0 {
+                snap.count(&format!("core.class.{kind}.{metric}"), v);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -176,7 +196,7 @@ impl Actor for Forwarder {
 /// asked to capture.
 ///
 /// With telemetry disabled the simulator's trace hooks stay on the
-/// disabled branch and no registry is created, so results are
+/// disabled branch and no snapshot is made, so results are
 /// byte-identical to an uninstrumented run — as for every scenario below.
 pub fn run_table2_instrumented(
     scenario: Table2Scenario,
@@ -186,7 +206,7 @@ pub fn run_table2_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (Rc<RefCell<ProbeStats>>, u64, TelemetryCapture) {
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, mut metrics) = instrumented_sim(seed, telemetry);
     let hops = scenario.hops();
     let n = hops.len();
     // Actors: client, (n-1) forwarders each way, server.
@@ -226,15 +246,18 @@ pub fn run_table2_instrumented(
         SimDuration::from_millis(50),
         probes,
     );
-    if let Some(reg) = &registry {
-        probe = probe.with_rtt_series(reg, "table2");
+    if metrics.is_some() {
+        probe = probe.with_rtt_series();
     }
     let stats = probe.stats();
     sim.install_actor(client, probe);
     sim.install_actor(server, ProbeServer::new(1, TxPath::Link(rev_links[0]), response_bytes));
     let events = sim.run_until(SimTime::from_secs(probes / 20 + 30));
 
-    let capture = finish_telemetry(&mut sim, registry);
+    if let (Some(snap), Some(series)) = (&mut metrics, &stats.borrow().rtt_series) {
+        snap.series.insert("transport.probe.table2.rtt_ms".into(), series.to_buckets());
+    }
+    let capture = finish_telemetry(&mut sim, metrics);
     (stats, events, capture)
 }
 
@@ -308,7 +331,7 @@ pub fn run_fig2(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (Fig2Outcome, u64, TelemetryCapture) {
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, metrics) = instrumented_sim(seed, telemetry);
     let cell = sim.reserve_actor();
     let wired = LinkParams::new(Bandwidth::from_gbps(1.0), SimDuration::from_micros(100))
         .with_queue(QueueConfig::DropTail { cap_packets: 10_000 });
@@ -341,7 +364,7 @@ pub fn run_fig2(
         .collect();
     sim.add_actor(Walker { cell, station: 1, schedule, next: 0 });
     let events = sim.run_until(SimTime::from_secs(b_zones_mbps.len() as u64 * phase_secs));
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     (Fig2Outcome { stations: [a, b] }, events, capture)
 }
 
@@ -372,7 +395,7 @@ pub fn run_fig3(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (Fig3Outcome, u64, TelemetryCapture) {
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, metrics) = instrumented_sim(seed, telemetry);
     let cpe = sim.reserve_actor(); // client-side gateway
     let bras = sim.reserve_actor(); // ISP-side gateway
     let (down_params, up_params) = marnet_radio::asymmetry::asymmetric_pair(
@@ -424,7 +447,7 @@ pub fn run_fig3(
     sim.install_actor(cpe, client_nic);
     sim.install_actor(bras, isp_nic);
     let events = sim.run_until(SimTime::from_secs(secs));
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     (Fig3Outcome { download, uploads: upload_stats, upload_starts }, events, capture)
 }
 
@@ -528,7 +551,7 @@ pub fn run_fairness_config_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (FairnessOutcome, u64, TelemetryCapture) {
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, metrics) = instrumented_sim(seed, telemetry);
     let left = sim.reserve_actor();
     let right = sim.reserve_actor();
     let params =
@@ -608,7 +631,7 @@ pub fn run_fairness_config_instrumented(
     sim.install_actor(left, left_nic);
     sim.install_actor(right, right_nic);
     let events = sim.run_until(SimTime::from_secs(secs));
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     (FairnessOutcome { contender_bytes: contender_bytes(), ar_sender, tcp }, events, capture)
 }
 
@@ -627,6 +650,9 @@ pub struct QueueingOutcome {
     /// What the event queue did: heap vs. same-instant-lane vs. delay-line
     /// insertions, peak depth (diagnostics, in no artifact).
     pub queue: QueueStats,
+    /// The uplink's and the downlink's queue occupancy `(packets, bytes)`
+    /// at the end of the run (diagnostics, in no artifact).
+    pub queue_len: [(usize, u64); 2],
 }
 
 /// `n_mar` paced 1.5 Mb/s MAR streams and `n_bulk` greedy TCP uploads
@@ -644,7 +670,7 @@ pub fn run_queueing_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (QueueingOutcome, u64, TelemetryCapture) {
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, metrics) = instrumented_sim(seed, telemetry);
     let cpe = sim.reserve_actor();
     let isp = sim.reserve_actor();
     let up = sim.add_link(
@@ -696,9 +722,10 @@ pub fn run_queueing_instrumented(
     sim.install_actor(cpe, cpe_nic);
     sim.install_actor(isp, isp_nic);
     let events = sim.run_until(SimTime::from_secs(secs));
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     let queue = sim.ctx().queue_stats();
-    (QueueingOutcome { mar, bulk, queue }, events, capture)
+    let queue_len = [up, down].map(|link| sim.ctx().link_queue_len(link));
+    (QueueingOutcome { mar, bulk, queue, queue_len }, events, capture)
 }
 
 // ---------------------------------------------------------------------------
@@ -848,7 +875,7 @@ pub fn run_recovery_config_instrumented(
     telemetry: &TelemetryOptions,
 ) -> (RecoveryOutcome, u64, TelemetryCapture) {
     let duplicate = cfg.duplicate_recovery;
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, mut metrics) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
     let one_way = SimDuration::from_millis_f64(rtt_ms as f64 / 2.0);
@@ -896,13 +923,13 @@ pub fn run_recovery_config_instrumented(
         delivered_total_pct: delivered / offered * 100.0,
         overhead_pct: (sent_bytes as f64 / goodput_bytes.max(1.0) - 1.0) * 100.0,
     };
-    if let Some(reg) = &registry {
-        s.publish_usage(reg, "core.class");
-        reg.counter("core.recovery.fec_recovered").add(r.fec_recovered);
-        reg.counter("core.recovery.duplicates").add(r.duplicates);
-        reg.counter("core.recovery.abandoned_holes").add(r.abandoned_holes);
+    if let Some(snap) = &mut metrics {
+        count_classes(snap, &s);
+        snap.count("core.recovery.fec_recovered", r.fec_recovered);
+        snap.count("core.recovery.duplicates", r.duplicates);
+        snap.count("core.recovery.abandoned_holes", r.abandoned_holes);
     }
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     (outcome, events, capture)
 }
 
@@ -1077,7 +1104,7 @@ pub fn run_faults_config_instrumented(
     let fault_at = SimTime::from_secs(2);
     let fault_end = fault_at + SimDuration::from_millis(fault_ms);
     let horizon = SimTime::from_secs(secs);
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, mut metrics) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
     let monitor = sim.reserve_actor();
@@ -1156,14 +1183,14 @@ pub fn run_faults_config_instrumented(
         recovery_probes: s.recovery_probes,
         session_resyncs: s.session_resyncs,
     };
-    if let Some(reg) = &registry {
-        s.publish_usage(reg, "core.class");
-        reg.counter("core.faults.retransmits").add(s.retransmits);
-        reg.counter("core.faults.outages_detected").add(s.outages_detected);
-        reg.counter("core.faults.recovery_probes").add(s.recovery_probes);
-        reg.counter("core.faults.session_resyncs").add(s.session_resyncs);
+    if let Some(snap) = &mut metrics {
+        count_classes(snap, &s);
+        snap.count("core.faults.retransmits", s.retransmits);
+        snap.count("core.faults.outages_detected", s.outages_detected);
+        snap.count("core.faults.recovery_probes", s.recovery_probes);
+        snap.count("core.faults.session_resyncs", s.session_resyncs);
     }
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     (outcome, events, capture)
 }
 
@@ -1196,7 +1223,7 @@ pub fn run_multipath_commute_config_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (ArFlowOutcome, u64, TelemetryCapture) {
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, metrics) = instrumented_sim(seed, telemetry);
     let snd = sim.reserve_actor();
     let rcv = sim.reserve_actor();
     let app = sim.reserve_actor();
@@ -1256,8 +1283,235 @@ pub fn run_multipath_commute_config_instrumented(
     sim.install_actor(app, VideoFeed::greedy(snd));
 
     let events = sim.run_until(SimTime::from_secs(secs));
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     (ArFlowOutcome { receiver: receiver_stats, sender: sender_stats }, events, capture)
+}
+
+// ---------------------------------------------------------------------------
+// Fig. 5: distribution architectures (E6)
+// ---------------------------------------------------------------------------
+
+/// The four distribution architectures of Fig. 5. Each runs a MAR client
+/// streaming the Fig. 4 sub-streams over the AR protocol with two paths
+/// ending at two different executors. The Aggregate policy steers
+/// latency-bound classes (metadata, reference frames) to the lowest-RTT
+/// path — the nearby executor — and spreads droppable video across both:
+/// the figure's "offload latency-sensitive information to other devices".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DistributionScenario {
+    /// 5a: multipath, one server per path (WiFi → university server, LTE
+    /// → distant cloud).
+    MultipathMultiServer,
+    /// 5b: home WiFi D2D to the user's PC for latency-critical data, cloud
+    /// for the rest.
+    HomeWifiD2d,
+    /// 5c: LTE-Direct D2D to a nearby smartphone helper + LTE to the cloud.
+    LteDirectD2d,
+    /// 5d: WiFi-Direct D2D to a nearby smartphone helper + LTE to the cloud.
+    WifiDirectD2d,
+}
+
+impl DistributionScenario {
+    /// All scenarios in figure order.
+    pub const ALL: [DistributionScenario; 4] = [
+        DistributionScenario::MultipathMultiServer,
+        DistributionScenario::HomeWifiD2d,
+        DistributionScenario::LteDirectD2d,
+        DistributionScenario::WifiDirectD2d,
+    ];
+
+    /// The two paths' far ends, in path order. RTTs are anchored on Table
+    /// II (local WiFi 8 ms, cloud over WiFi 36 ms, university 72 ms, cloud
+    /// over LTE 120 ms); D2D comes from the §IV-A profiles.
+    fn executors(self) -> [Executor; 2] {
+        let cloud_lte = Executor {
+            role: PathRole::Cellular,
+            one_way: SimDuration::from_millis(60),
+            rate: Bandwidth::from_mbps(8.0),
+            gflops: 20_000.0,
+        };
+        match self {
+            DistributionScenario::MultipathMultiServer => [
+                // university
+                Executor {
+                    role: PathRole::Wifi,
+                    one_way: SimDuration::from_millis(5),
+                    rate: Bandwidth::from_mbps(25.0),
+                    gflops: 2_000.0,
+                },
+                cloud_lte,
+            ],
+            DistributionScenario::HomeWifiD2d => [
+                // home PC
+                Executor {
+                    role: PathRole::DeviceToDevice,
+                    one_way: SimDuration::from_millis(2),
+                    rate: Bandwidth::from_mbps(80.0),
+                    gflops: 500.0,
+                },
+                // cloud over the home WiFi
+                Executor {
+                    role: PathRole::Wifi,
+                    one_way: SimDuration::from_millis(18),
+                    rate: Bandwidth::from_mbps(20.0),
+                    gflops: 20_000.0,
+                },
+            ],
+            DistributionScenario::LteDirectD2d => [
+                // phone helper
+                Executor {
+                    role: PathRole::DeviceToDevice,
+                    one_way: SimDuration::from_millis(6),
+                    rate: Bandwidth::from_mbps(100.0),
+                    gflops: 15.0,
+                },
+                cloud_lte,
+            ],
+            DistributionScenario::WifiDirectD2d => [
+                // phone helper
+                Executor {
+                    role: PathRole::DeviceToDevice,
+                    one_way: SimDuration::from_millis(4),
+                    rate: Bandwidth::from_mbps(60.0),
+                    gflops: 15.0,
+                },
+                cloud_lte,
+            ],
+        }
+    }
+}
+
+impl std::fmt::Display for DistributionScenario {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DistributionScenario::MultipathMultiServer => "5a multipath multi-server",
+            DistributionScenario::HomeWifiD2d => "5b home WiFi D2D + cloud",
+            DistributionScenario::LteDirectD2d => "5c LTE-Direct D2D + cloud",
+            DistributionScenario::WifiDirectD2d => "5d WiFi-Direct D2D + cloud",
+        })
+    }
+}
+
+/// One path's far end.
+#[derive(Debug, Clone, Copy)]
+struct Executor {
+    role: PathRole,
+    /// One-way latency of the access path.
+    one_way: SimDuration,
+    /// Path bandwidth (both directions, for simplicity).
+    rate: Bandwidth,
+    /// Executor compute for the latency-critical stage, GFLOPS.
+    gflops: f64,
+}
+
+/// Observes deliveries at one executor and records the estimated full-loop
+/// latency: transport latency + compute there + the return one-way.
+struct ExecutorProbe {
+    service: SimDuration,
+    return_one_way: SimDuration,
+    loop_latency_ms: Rc<RefCell<Histogram>>,
+    critical_latency_ms: Rc<RefCell<Histogram>>,
+}
+
+impl Actor for ExecutorProbe {
+    fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+        if let Event::Message { msg, .. } = ev {
+            if let Some(d) = msg.map_ref(|d: &Delivered| *d) {
+                let transport = ctx.now().saturating_since(d.created);
+                match d.kind {
+                    StreamKind::VideoReference | StreamKind::VideoInter => {
+                        let total = transport + self.service + self.return_one_way;
+                        self.loop_latency_ms.borrow_mut().record(total.as_millis_f64());
+                    }
+                    StreamKind::Metadata => {
+                        self.critical_latency_ms.borrow_mut().record(transport.as_millis_f64());
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+/// What a Fig. 5 run produces.
+#[derive(Debug)]
+pub struct Fig5Outcome {
+    /// Full-loop latency samples of vision frames (ms), both executors.
+    pub loop_latency_ms: Histogram,
+    /// Transport latency samples of critical metadata (ms).
+    pub critical_latency_ms: Histogram,
+    /// Sender statistics (cellular bytes, drops, ...).
+    pub sender: Rc<RefCell<ArSenderStats>>,
+}
+
+/// Runs one Fig. 5 architecture for `secs` of virtual time: a smartphone
+/// MAR client fully offloading its vision pipeline over two paths, the
+/// latency-critical stage (feature extraction) served at whichever
+/// executor a message reaches.
+pub fn run_fig5_instrumented(
+    scenario: DistributionScenario,
+    secs: u64,
+    seed: u64,
+    telemetry: &TelemetryOptions,
+) -> (Fig5Outcome, u64, TelemetryCapture) {
+    let (mut sim, metrics) = instrumented_sim(seed, telemetry);
+    let executors = scenario.executors();
+    let snd = sim.reserve_actor();
+    let client = sim.reserve_actor();
+
+    let mut paths = Vec::new();
+    let loop_hist = Rc::new(RefCell::new(Histogram::new()));
+    let crit_hist = Rc::new(RefCell::new(Histogram::new()));
+    let work = FrameWork::vision_pipeline();
+    for ex in &executors {
+        let rcv = sim.reserve_actor();
+        let probe = sim.reserve_actor();
+        let up = sim.add_link(snd, rcv, LinkParams::new(ex.rate, ex.one_way));
+        let back = sim.add_link(rcv, snd, LinkParams::new(ex.rate, ex.one_way));
+        paths.push(SenderPathConfig { role: ex.role, tx: TxPath::Link(up), link: Some(up) });
+        // The receiver answers on its own back link whichever path id a
+        // packet carries (it only ever sees its own path's).
+        let receiver = ArReceiver::new(1, vec![TxPath::Link(back); executors.len()])
+            .with_delivery_target(probe);
+        sim.install_actor(rcv, receiver);
+        sim.install_actor(
+            probe,
+            ExecutorProbe {
+                service: SimDuration::from_secs_f64(work.extraction_gflop / ex.gflops),
+                return_one_way: ex.one_way,
+                loop_latency_ms: Rc::clone(&loop_hist),
+                critical_latency_ms: Rc::clone(&crit_hist),
+            },
+        );
+    }
+
+    let cfg = ArConfig { policy: MultipathPolicy::Aggregate, ..ArConfig::default() };
+    let sender = ArSender::new(1, cfg, paths).with_qos_target(client);
+    let sender_stats = sender.stats();
+    sim.install_actor(snd, sender);
+
+    let model = ComputeModel::new(30.0, work).with_deadline(SimDuration::from_millis(75));
+    let video = FrameSource::new(VideoConfig::ar_minimal(), 0.05, derive_rng(seed, "fig5.video"));
+    // The client is a smartphone in every scenario: in 5b-5d it stands in
+    // for the glasses+companion pair (the glasses' own contribution is the
+    // display; the measured loop is capture → executor → display).
+    let mar = MarClient::new(
+        snd,
+        DeviceClass::Smartphone.spec(),
+        model,
+        OffloadStrategy::FullOffload { frame_bytes: 0 },
+        video,
+    );
+    sim.install_actor(client, mar);
+
+    let events = sim.run_until(SimTime::from_secs(secs));
+    let capture = finish_telemetry(&mut sim, metrics);
+    let outcome = Fig5Outcome {
+        loop_latency_ms: loop_hist.borrow().clone(),
+        critical_latency_ms: crit_hist.borrow().clone(),
+        sender: sender_stats,
+    };
+    (outcome, events, capture)
 }
 
 // ---------------------------------------------------------------------------
@@ -1271,7 +1525,7 @@ pub fn run_multipath_commute_config_instrumented(
 /// competing flow) and calls [`SinglePath::run`].
 struct SinglePath {
     sim: Simulator,
-    registry: Option<Rc<MetricsRegistry>>,
+    metrics: Option<MetricsSnapshot>,
     /// The AR sender, where the application submits.
     snd: ActorId,
     /// Reserved for the application.
@@ -1289,7 +1543,7 @@ impl SinglePath {
         seed: u64,
         telemetry: &TelemetryOptions,
     ) -> Self {
-        let (mut sim, registry) = instrumented_sim(seed, telemetry);
+        let (mut sim, metrics) = instrumented_sim(seed, telemetry);
         let snd = sim.reserve_actor();
         let rcv = sim.reserve_actor();
         let app = sim.reserve_actor();
@@ -1307,7 +1561,7 @@ impl SinglePath {
         let receiver_stats = receiver.stats();
         sim.install_actor(rcv, receiver);
         let flow = ArFlowOutcome { receiver: receiver_stats, sender: sender_stats };
-        SinglePath { sim, registry, snd, app, up, flow }
+        SinglePath { sim, metrics, snd, app, up, flow }
     }
 
     /// A symmetric path: `mbps` and `one_way` in both directions.
@@ -1324,10 +1578,10 @@ impl SinglePath {
 
     fn run(mut self, secs: u64) -> (ArFlowOutcome, u64, TelemetryCapture) {
         let events = self.sim.run_until(SimTime::from_secs(secs));
-        if let Some(reg) = &self.registry {
-            self.flow.sender.borrow().publish_usage(reg, "core.class");
+        if let Some(snap) = &mut self.metrics {
+            count_classes(snap, &self.flow.sender.borrow());
         }
-        let capture = finish_telemetry(&mut self.sim, self.registry);
+        let capture = finish_telemetry(&mut self.sim, self.metrics);
         (self.flow, events, capture)
     }
 }
@@ -1695,7 +1949,7 @@ pub fn run_cityscale_instrumented(
     seed: u64,
     telemetry: &TelemetryOptions,
 ) -> (CityscaleOutcome, u64, TelemetryCapture) {
-    let (mut sim, registry) = instrumented_sim(seed, telemetry);
+    let (mut sim, mut metrics) = instrumented_sim(seed, telemetry);
 
     // Packet-level focus region: the cell. The edge NIC owns the
     // downlink; the MAR source paces packets through it to the sink.
@@ -1751,16 +2005,16 @@ pub fn run_cityscale_instrumented(
 
     let events = sim.run_until(SimTime::from_secs(secs));
 
-    if let Some(reg) = &registry {
+    if let Some(snap) = &mut metrics {
         let fl = fluid.borrow();
-        reg.counter("flow.started").add(fl.started);
-        reg.counter("flow.finished").add(fl.finished);
-        reg.counter("flow.recomputes").add(fl.recomputes);
+        snap.count("flow.started", fl.started);
+        snap.count("flow.finished", fl.finished);
+        snap.count("flow.recomputes", fl.recomputes);
         let bg = background_stats.borrow();
-        reg.counter("flow.workload.offered").add(bg.offered);
-        reg.counter("flow.workload.completed").add(bg.completed);
+        snap.count("flow.workload.offered", bg.offered);
+        snap.count("flow.workload.completed", bg.completed);
     }
-    let capture = finish_telemetry(&mut sim, registry);
+    let capture = finish_telemetry(&mut sim, metrics);
     let queue = sim.ctx().queue_stats();
     let outcome = CityscaleOutcome { mar, background: background_stats, fluid, queue };
     (outcome, events, capture)
@@ -1788,6 +2042,11 @@ mod tests {
 
     fn cityscale(clients: u64, secs: u64, seed: u64) -> CityscaleOutcome {
         run_cityscale_instrumented(clients, 1.0, secs, seed, &off()).0
+    }
+
+    /// A 6 s Fig. 5 session.
+    fn fig5(scenario: DistributionScenario, seed: u64) -> Fig5Outcome {
+        run_fig5_instrumented(scenario, 6, seed, &off()).0
     }
 
     #[test]
@@ -1851,9 +2110,11 @@ mod tests {
         assert!(prio.bulk[0].borrow().goodput_bytes > 1_000_000);
     }
 
-    /// A metrics-on run carries live queue gauges for its links although
-    /// the scenario enables metrics before it adds them, and turning
-    /// telemetry on changes nothing the run computes.
+    /// A metrics-on run carries queue gauges and series for its links
+    /// although the scenario enables metrics before it adds them, the
+    /// gauges are the final occupancy, the run publishes exactly the
+    /// metrics listed here, and turning telemetry on changes nothing the
+    /// run computes.
     #[test]
     fn metrics_cover_every_link_and_leave_the_run_unchanged() {
         let run = |telemetry: &TelemetryOptions| {
@@ -1866,10 +2127,48 @@ mod tests {
         let metered = TelemetryOptions { trace_capacity: None, metrics: true };
         let (on, on_events, capture) = run(&metered);
         let snap = capture.metrics.expect("metrics on must snapshot");
-        for link in 0..2 {
-            assert!(snap.gauges.contains_key(&format!("sim.link.{link}.queue_packets")));
-            assert!(snap.gauges.contains_key(&format!("sim.link.{link}.queue_bytes")));
+        for (link, (packets, bytes)) in on.queue_len.iter().enumerate() {
+            assert_eq!(snap.gauges[&format!("sim.link.{link}.queue_packets")], *packets as f64);
+            assert_eq!(snap.gauges[&format!("sim.link.{link}.queue_bytes")], *bytes as f64);
         }
+        assert!(on.queue_len[0].0 > 0, "the bloated uplink ends the run backlogged");
+        // Every name the run publishes (the uplink drops nothing in 5 s).
+        fn names<V>(map: &std::collections::BTreeMap<String, V>) -> Vec<&str> {
+            map.keys().map(String::as_str).collect()
+        }
+        assert_eq!(
+            names(&snap.counters),
+            [
+                "sim.engine.queue.cancels",
+                "sim.engine.queue.heap_pushes",
+                "sim.engine.queue.lane_pushes",
+                "sim.engine.queue.line_pushes",
+                "sim.engine.queue.peak_depth",
+                "sim.engine.queue.rearms",
+                "sim.link.0.delivered_bytes",
+                "sim.link.0.delivered_packets",
+                "sim.link.0.offered_bytes",
+                "sim.link.0.offered_packets",
+                "sim.link.0.tx_bytes",
+                "sim.link.0.tx_packets",
+                "sim.link.1.delivered_bytes",
+                "sim.link.1.delivered_packets",
+                "sim.link.1.offered_bytes",
+                "sim.link.1.offered_packets",
+                "sim.link.1.tx_bytes",
+                "sim.link.1.tx_packets",
+            ]
+        );
+        assert_eq!(
+            names(&snap.gauges),
+            [
+                "sim.link.0.queue_bytes",
+                "sim.link.0.queue_packets",
+                "sim.link.1.queue_bytes",
+                "sim.link.1.queue_packets",
+            ]
+        );
+        assert_eq!(names(&snap.series), ["sim.link.0.queue_delay_ms", "sim.link.1.queue_delay_ms"]);
         let delay = &snap.series["sim.link.0.queue_delay_ms"];
         assert!(!delay.is_empty(), "the bloated uplink must record queue delay");
         assert!(delay.iter().any(|b| b.max > 100.0), "bufferbloat shows in the series");
@@ -1878,6 +2177,79 @@ mod tests {
         assert!(bare.metrics.is_none() && bare.events.is_empty());
         assert_eq!(scalars(&on), scalars(&plain));
         assert_eq!(on_events, off_events);
+    }
+
+    #[test]
+    fn all_scenarios_deliver_frames() {
+        for scenario in DistributionScenario::ALL {
+            let out = fig5(scenario, 5);
+            assert!(
+                out.loop_latency_ms.count() > 50,
+                "{scenario}: only {} loops",
+                out.loop_latency_ms.count()
+            );
+            assert!(out.critical_latency_ms.count() > 50, "{scenario}");
+        }
+    }
+
+    #[test]
+    fn nearby_executors_cut_critical_latency() {
+        // 5b (2 ms home PC) must beat 5a (5 ms university) on metadata
+        // latency, and both must beat any cloud-only alternative (~60 ms).
+        let mut a = fig5(DistributionScenario::MultipathMultiServer, 7);
+        let mut b = fig5(DistributionScenario::HomeWifiD2d, 7);
+        let ma = a.critical_latency_ms.median().unwrap();
+        let mb = b.critical_latency_ms.median().unwrap();
+        assert!(mb < ma, "home D2D {mb} ms vs university {ma} ms");
+        assert!(ma < 30.0, "critical data stays on the fast path: {ma} ms");
+    }
+
+    #[test]
+    fn multipath_keeps_latency_data_off_lte() {
+        let out = fig5(DistributionScenario::MultipathMultiServer, 9);
+        let s = out.sender.borrow();
+        let total: u64 = s.total_sent_bytes();
+        assert!(total > 0);
+        // Critical metadata goes to the WiFi/university path; cellular
+        // carries only a share of the droppable bulk.
+        assert!(
+            (s.cellular_bytes as f64) < total as f64 * 0.6,
+            "cellular {} of {total}",
+            s.cellular_bytes
+        );
+    }
+
+    #[test]
+    fn weak_helper_still_serves_critical_data_fast() {
+        // 5c/5d: the phone helper has little compute, but the latency-
+        // critical class still sees single-digit transport latency.
+        let mut out = fig5(DistributionScenario::WifiDirectD2d, 11);
+        let crit = out.critical_latency_ms.median().unwrap();
+        assert!(crit < 20.0, "critical median {crit} ms");
+    }
+
+    #[test]
+    fn display_and_order() {
+        assert_eq!(DistributionScenario::ALL.len(), 4);
+        assert!(DistributionScenario::MultipathMultiServer.to_string().starts_with("5a"));
+    }
+
+    #[test]
+    fn count_classes_writes_stream_kind_counters_skipping_zeros() {
+        let mut sender = ArSenderStats::default();
+        sender.usage.record_sent(StreamKind::Metadata as usize, 100);
+        sender.usage.record_dropped(StreamKind::VideoInter as usize, 30);
+        let mut snap = MetricsSnapshot::default();
+        count_classes(&mut snap, &sender);
+        assert_eq!(
+            snap.counters.into_iter().collect::<Vec<_>>(),
+            [
+                ("core.class.metadata.sent_bytes".to_string(), 100),
+                ("core.class.metadata.sent_packets".to_string(), 1),
+                ("core.class.video-inter.dropped_bytes".to_string(), 30),
+                ("core.class.video-inter.dropped_packets".to_string(), 1),
+            ]
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! recovery-class packets are
 //! FEC-protected; QoS signals flow back to the application.
 
-use crate::class::{KindMap, StreamKind, TrafficClass, ALL_STREAM_KINDS, STREAM_KIND_LABELS};
+use crate::class::{KindMap, StreamKind, TrafficClass, ALL_STREAM_KINDS};
 use crate::config::{
     budget_per_tick, ArConfig, CONGESTION_GRACE, FEEDBACK_INTERVAL, MTU, TICK, WATCHDOG_SILENCE,
 };
@@ -26,7 +26,7 @@ use marnet_sim::link::LinkId;
 use marnet_sim::packet::{Packet, Payload, PayloadPool};
 use marnet_sim::stats::{Histogram, RateMeter, TimeSeries};
 use marnet_sim::time::{SimDuration, SimTime};
-use marnet_telemetry::{component, ClassUsage, DropReason, MetricsRegistry, TraceEvent};
+use marnet_telemetry::{component, ClassUsage, DropReason, TraceEvent};
 use marnet_transport::nic::{unwrap_packet, TxPath};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
@@ -100,10 +100,8 @@ pub struct ArSenderStats {
     /// Base (minimum) RTT over time (ms), across all paths.
     pub base_rtt_series: TimeSeries,
     /// Per-sub-stream sent/shed packet and byte accounting, indexed by
-    /// `StreamKind as usize`. This is the shared telemetry usage table
-    /// (also used by the NIC per priority band) that replaced the ad-hoc
-    /// `*_by_kind` / `dropped_bytes` bookkeeping; see the accessor methods
-    /// for the per-kind views experiment code reads.
+    /// `StreamKind as usize`; see the accessor methods for the per-kind
+    /// views experiment code reads.
     pub usage: ClassUsage<{ ALL_STREAM_KINDS.len() }>,
     /// Send-rate meters per sub-stream (100 ms buckets) — the Fig. 4 series.
     pub send_meters: KindMap<RateMeter>,
@@ -155,12 +153,6 @@ impl ArSenderStats {
     /// Total bytes shed by the degradation scheduler.
     pub fn dropped_bytes(&self) -> u64 {
         self.usage.total_dropped_bytes()
-    }
-
-    /// Publishes the per-kind accounting into `registry` as counters named
-    /// `{prefix}.{kind}.{sent,dropped}_{packets,bytes}`.
-    pub fn publish_usage(&self, registry: &MetricsRegistry, prefix: &str) {
-        self.usage.publish(registry, prefix, &STREAM_KIND_LABELS);
     }
 }
 

@@ -9,8 +9,6 @@
 //!   datacenters subject to every user's offload deadline, with a greedy
 //!   set-cover solver, an exact branch-and-bound for small instances, and
 //!   lower bounds;
-//! * [`scenarios`] — builders for the four distribution architectures of
-//!   Fig. 5, returning ready-to-run simulations;
 //! * [`session`] — crash/restart wrappers for edge servers: downtime
 //!   windows, state loss and session re-establishment under the
 //!   `marnet-faults` injection subsystem.
@@ -19,9 +17,7 @@
 #![forbid(unsafe_code)]
 
 pub mod placement;
-pub mod scenarios;
 pub mod session;
 
 pub use placement::{PlacementProblem, PlacementSolution};
-pub use scenarios::DistributionScenario;
 pub use session::RestartableServer;

@@ -267,9 +267,9 @@ mod tests {
         let run = run_experiment(&spec, 2, |point, ctx| {
             let mut r = TrialReport::new();
             r.scalar("m", 1.0);
-            let reg = marnet_telemetry::MetricsRegistry::new();
-            reg.counter("c").add(point.index as u64 + 1 + u64::from(ctx.replicate));
-            r.metrics = Some(reg.snapshot());
+            let mut snap = marnet_telemetry::MetricsSnapshot::default();
+            snap.count("c", point.index as u64 + 1 + u64::from(ctx.replicate));
+            r.metrics = Some(snap);
             r
         });
         let a = Artifact::from_run(&run);

@@ -104,7 +104,7 @@ pub fn build(
         "fig2_anomaly" => figures::fig2_anomaly(spec, t()),
         "fig3_asymmetry" => figures::fig3_asymmetry(spec, t()),
         "fig4_degradation" => figures::fig4_degradation(spec, t()),
-        "fig5_distribution" => figures::fig5_distribution(spec),
+        "fig5_distribution" => figures::fig5_distribution(spec, t()),
         "table_wireless" => tables::table_wireless(spec),
         "table_asymmetry" => tables::table_asymmetry(spec),
         "sweep_offload" => sweep_offload(spec),
@@ -666,7 +666,7 @@ mod tests {
         let report = (exp.trial)(&points[0], &ctx);
         assert!(!report.events.is_empty(), "tracing on must record events");
         let snap = report.metrics.expect("metrics on must snapshot");
-        assert!(!snap.is_empty());
+        assert!(!snap.counters.is_empty());
         // The same trial with telemetry off reports identical scalars and
         // nothing captured — instrumentation must not perturb results.
         let plain = build("table2_rtt", 1, 7, &TelemetryOptions::disabled()).unwrap();

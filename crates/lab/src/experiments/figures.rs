@@ -1,17 +1,17 @@
 //! The paper's figures — E3 (Fig. 2), E4 (Fig. 3), E5 (Fig. 4) and E6
 //! (Fig. 5). Figs. 2–4 are one simulation per replicate whose phases (B's
 //! zones, the number of active uploads, the link's capacity steps) report
-//! separately named scalars; Fig. 5 is one `marnet-edge` session per
-//! architecture.
+//! separately named scalars; Fig. 5 is one MAR session per architecture.
 
 use super::{each, float, labelled, labels, mean, table, uint, Cell, Experiment};
 use crate::agg::PointSummary;
 use crate::runner::{TrialCtx, TrialReport};
 use crate::spec::{GridPoint, ParamValue, ScenarioSpec};
 use marnet_bench::fmt;
-use marnet_bench::scenarios::{run_fig2, run_fig3, run_fig4};
+use marnet_bench::scenarios::{
+    run_fig2, run_fig3, run_fig4, run_fig5_instrumented, DistributionScenario,
+};
 use marnet_core::class::{StreamKind, ALL_STREAM_KINDS};
-use marnet_edge::scenarios::{run_scenario, DistributionScenario};
 use marnet_radio::dcf::Dot11Params;
 use marnet_telemetry::TelemetryOptions;
 
@@ -270,14 +270,15 @@ const FIG5_SCENARIOS: [(&str, DistributionScenario); 4] = [
     ("5d", DistributionScenario::WifiDirectD2d),
 ];
 
-pub(super) fn fig5_distribution(spec: ScenarioSpec) -> Experiment {
+pub(super) fn fig5_distribution(spec: ScenarioSpec, telemetry: TelemetryOptions) -> Experiment {
     let spec = spec
         .with_param("secs", ParamValue::Int(30))
         .with_param("budget_ms", ParamValue::Float(75.0))
         .with_axis("scenario", labels(&FIG5_SCENARIOS));
-    let trial = Box::new(|point: &GridPoint, ctx: &TrialCtx| {
+    let trial = Box::new(move |point: &GridPoint, ctx: &TrialCtx| {
         let scenario = labelled(&FIG5_SCENARIOS, &point.params, "scenario");
-        let mut out = run_scenario(scenario, ctx.seed, uint(point, "secs"));
+        let (mut out, _, capture) =
+            run_fig5_instrumented(scenario, uint(point, "secs"), ctx.seed, &telemetry);
         let mut report = TrialReport::new();
         report
             .scalar("loops", out.loop_latency_ms.count() as f64)
@@ -290,6 +291,7 @@ pub(super) fn fig5_distribution(spec: ScenarioSpec) -> Experiment {
             .scalar_opt("critical_median_ms", out.critical_latency_ms.median())
             .scalar("cellular_mbytes", out.sender.borrow().cellular_bytes as f64 / 1e6)
             .samples("loop_latency_ms", out.loop_latency_ms.values().to_vec());
+        report.capture(capture);
         report
     });
     Experiment { spec, trial, render: render_fig5 }

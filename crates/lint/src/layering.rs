@@ -34,7 +34,7 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     ("transport", &["sim", "radio", "telemetry"]),
     ("core", &["sim", "radio", "transport", "telemetry"]),
     ("app", &["sim", "radio", "transport", "core", "telemetry"]),
-    ("edge", &["sim", "transport", "core", "app", "telemetry", "faults"]),
+    ("edge", &["sim", "transport", "core", "telemetry", "faults"]),
     ("privacy", &["sim", "radio", "transport", "core", "app", "telemetry"]),
     // trainer owns the policy search (space, engines, Pareto artifacts)
     // and is generic over the evaluation closure: it may see the policy
@@ -42,7 +42,7 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     // scenarios or the runner — the lab implements the inner loop and
     // depends on trainer, not the other way around.
     ("trainer", &["sim", "core"]),
-    ("bench", &["sim", "radio", "transport", "core", "edge", "telemetry", "faults", "flow"]),
+    ("bench", &["sim", "radio", "transport", "core", "app", "edge", "telemetry", "faults", "flow"]),
     (
         "lab",
         &[

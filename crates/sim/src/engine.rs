@@ -31,12 +31,11 @@ use crate::link::{Bandwidth, Jitter, LinkId, LinkParams, LinkStats, LossModel};
 use crate::packet::{Packet, Payload};
 use crate::time::{SimDuration, SimTime};
 use marnet_telemetry::{
-    component, DropReason, Gauge, MetricsRegistry, TimeHistogram, TraceEvent, TraceSink,
+    component, DropReason, MetricsSnapshot, TimeBuckets, TraceEvent, TraceSink,
 };
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use std::fmt;
-use std::rc::Rc;
 
 /// Identifier of an actor within a [`Simulator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -157,33 +156,10 @@ fn actor_slot_mut(
     &mut actors[id.index()]
 }
 
-/// Live metric handles for one link.
-struct LinkGauges {
-    queue_packets: Gauge,
-    queue_bytes: Gauge,
-    queue_delay_ms: TimeHistogram,
-}
-
-impl LinkGauges {
-    fn register(registry: &MetricsRegistry, i: usize) -> Self {
-        LinkGauges {
-            queue_packets: registry.gauge(&format!("sim.link.{i}.queue_packets")),
-            queue_bytes: registry.gauge(&format!("sim.link.{i}.queue_bytes")),
-            // 100 ms buckets: fine enough to see bufferbloat build up,
-            // coarse enough to stay small over multi-minute runs.
-            queue_delay_ms: registry
-                .time_histogram(&format!("sim.link.{i}.queue_delay_ms"), 100_000_000),
-        }
-    }
-}
-
-/// Live link metrics, set by [`Simulator::enable_metrics`]: one gauge set
-/// per link, and the registry [`Simulator::add_link`] registers later
-/// links in.
-struct LinkMetrics {
-    registry: Rc<MetricsRegistry>,
-    gauges: Vec<LinkGauges>,
-}
+/// Bucket width of a link's queue-delay series: 100 ms, fine enough to see
+/// bufferbloat build up, coarse enough to stay small over multi-minute
+/// runs.
+const QUEUE_DELAY_BUCKET_NANOS: u64 = 100_000_000;
 
 /// Tie-break source key of events scheduled outside any handler (setup
 /// code, `deliver_starts`). See [`SimCtx::src`].
@@ -212,7 +188,10 @@ pub struct SimCtx {
     stopped: bool,
     events_processed: u64,
     trace: TraceSink,
-    link_metrics: Option<LinkMetrics>,
+    /// Each link's queue delay over sim time, in ms, indexed by link: the
+    /// delay of every dequeued packet, kept once
+    /// [`Simulator::enable_metrics`] is called.
+    queue_delay_ms: Option<Vec<TimeBuckets>>,
     /// The event queue's delay line for each tick interval in use (see
     /// [`SimCtx::schedule_tick`]); a handful at most, so a scan finds one.
     tick_lines: Vec<(SimDuration, LineId)>,
@@ -486,7 +465,6 @@ impl SimCtx {
                 }
             }
         }
-        self.note_queue_metrics(link, None);
     }
 
     fn start_tx(&mut self, link: LinkId) {
@@ -510,13 +488,16 @@ impl SimCtx {
             self.trace
                 .emit_with(|| TraceEvent::packet_drop(t, comp, DropReason::Aqm, vid, vflow, vsize));
         }
-        let mut dequeue_delay = None;
         match deq.packet {
             Some(pkt) => {
                 let delay = now.saturating_since(pkt.enqueued).as_nanos();
                 let pid = pkt.id;
                 self.trace.emit_with(|| TraceEvent::packet_dequeue(t, comp, pid, delay));
-                dequeue_delay = Some(delay);
+                if let Some(series) =
+                    self.queue_delay_ms.as_mut().and_then(|s| s.get_mut(link.index()))
+                {
+                    series.observe(t, delay as f64 / 1e6);
+                }
                 l.busy = true;
                 if !was_busy {
                     let (qp, qb) = (l.queue.len_packets() as u64, l.queue.len_bytes());
@@ -544,7 +525,6 @@ impl SimCtx {
                 }
             }
         }
-        self.note_queue_metrics(link, dequeue_delay);
     }
 
     fn handle_departure(&mut self, link: LinkId) {
@@ -675,20 +655,6 @@ impl SimCtx {
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.take_events()
     }
-
-    /// Updates the per-link queue gauges (and the queue-delay series when a
-    /// packet was just dequeued). No-op unless metrics were enabled.
-    #[inline]
-    fn note_queue_metrics(&self, link: LinkId, dequeue_delay_nanos: Option<u64>) {
-        let Some(metrics) = &self.link_metrics else { return };
-        let Some(g) = metrics.gauges.get(link.index()) else { return };
-        let l = link_rt(&self.links, link);
-        g.queue_packets.set(l.queue.len_packets() as f64);
-        g.queue_bytes.set(l.queue.len_bytes() as f64);
-        if let Some(d) = dequeue_delay_nanos {
-            g.queue_delay_ms.observe(self.now.as_nanos(), d as f64 / 1e6);
-        }
-    }
 }
 
 /// The simulator: an event loop over a set of actors and links.
@@ -731,7 +697,7 @@ impl Simulator {
                 stopped: false,
                 events_processed: 0,
                 trace: TraceSink::default(),
-                link_metrics: None,
+                queue_delay_ms: None,
                 tick_lines: Vec::new(),
             },
             actors: Vec::new(),
@@ -781,9 +747,6 @@ impl Simulator {
     /// any holder of the [`LinkId`] transmits.
     pub fn add_link(&mut self, _src: ActorId, dst: ActorId, params: LinkParams) -> LinkId {
         let id = LinkId(self.ctx.links.len() as u32);
-        if let Some(metrics) = &mut self.ctx.link_metrics {
-            metrics.gauges.push(LinkGauges::register(&metrics.registry, id.index()));
-        }
         let rng = crate::rng::derive_rng(self.ctx.seed, &format!("sim.link.{}", id.index()));
         self.ctx.links.push(LinkRuntime {
             dst,
@@ -801,6 +764,9 @@ impl Simulator {
             stats: LinkStats::default(),
             rng,
         });
+        if let Some(series) = &mut self.ctx.queue_delay_ms {
+            series.push(TimeBuckets::new(QUEUE_DELAY_BUCKET_NANOS));
+        }
         id
     }
 
@@ -951,35 +917,49 @@ impl Simulator {
         self.ctx.trace.take_events()
     }
 
-    /// Registers per-link queue metrics (occupancy gauges and a queue-delay
-    /// time series) in `registry` and keeps them live during the run, for
-    /// the links that exist now and every link added afterwards.
-    pub fn enable_metrics(&mut self, registry: &Rc<MetricsRegistry>) {
-        let gauges = (0..self.ctx.links.len()).map(|i| LinkGauges::register(registry, i)).collect();
-        self.ctx.link_metrics = Some(LinkMetrics { registry: Rc::clone(registry), gauges });
+    /// Gives every link, present and future, a queue-delay series
+    /// (`sim.link.{i}.queue_delay_ms`, 100 ms buckets) that the run fills
+    /// at each dequeue, for [`Simulator::publish_link_metrics`].
+    pub fn enable_metrics(&mut self) {
+        let links = self.ctx.links.len();
+        self.ctx
+            .queue_delay_ms
+            .get_or_insert_with(Vec::new)
+            .resize_with(links, || TimeBuckets::new(QUEUE_DELAY_BUCKET_NANOS));
     }
 
-    /// Publishes each link's cumulative [`LinkStats`] counters into
-    /// `registry` (`sim.link.{i}.{offered,tx,delivered}_{packets,bytes}`,
-    /// `sim.link.{i}.drops_{queue,aqm,loss,down}`). Intended post-run.
-    pub fn publish_link_metrics(&self, registry: &MetricsRegistry) {
+    /// Writes each link's metrics into `snap`, after the run: the
+    /// cumulative [`LinkStats`] counters
+    /// (`sim.link.{i}.{offered,tx,delivered}_{packets,bytes}`,
+    /// `sim.link.{i}.drops_{queue,aqm,loss,down}`; zeros omitted), the
+    /// final queue occupancy as the gauges `sim.link.{i}.queue_{packets,bytes}`
+    /// and, once [`Simulator::enable_metrics`] was called, the queue-delay
+    /// series.
+    pub fn publish_link_metrics(&self, snap: &mut MetricsSnapshot) {
         for (i, l) in self.ctx.links.iter().enumerate() {
+            let name = |metric: &str| format!("sim.link.{i}.{metric}");
             let st = &l.stats;
-            let add = |name: &str, v: u64| {
+            for (metric, v) in [
+                ("offered_packets", st.offered_packets),
+                ("offered_bytes", st.offered_bytes),
+                ("tx_packets", st.tx_packets),
+                ("tx_bytes", st.tx_bytes),
+                ("delivered_packets", st.delivered_packets),
+                ("delivered_bytes", st.delivered_bytes),
+                ("drops_queue", st.drops_queue),
+                ("drops_aqm", st.drops_aqm),
+                ("drops_loss", st.drops_loss),
+                ("drops_down", st.drops_down),
+            ] {
                 if v > 0 {
-                    registry.counter(&format!("sim.link.{i}.{name}")).add(v);
+                    snap.count(&name(metric), v);
                 }
-            };
-            add("offered_packets", st.offered_packets);
-            add("offered_bytes", st.offered_bytes);
-            add("tx_packets", st.tx_packets);
-            add("tx_bytes", st.tx_bytes);
-            add("delivered_packets", st.delivered_packets);
-            add("delivered_bytes", st.delivered_bytes);
-            add("drops_queue", st.drops_queue);
-            add("drops_aqm", st.drops_aqm);
-            add("drops_loss", st.drops_loss);
-            add("drops_down", st.drops_down);
+            }
+            snap.gauges.insert(name("queue_packets"), l.queue.len_packets() as f64);
+            snap.gauges.insert(name("queue_bytes"), l.queue.len_bytes() as f64);
+            if let Some(series) = self.ctx.queue_delay_ms.as_ref().and_then(|s| s.get(i)) {
+                snap.series.insert(name("queue_delay_ms"), series.to_buckets());
+            }
         }
     }
 }

@@ -20,11 +20,12 @@
 //!   implement [`engine::Actor`] and exchange [`packet::Packet`]s over
 //!   [`link::LinkParams`]-configured links, or direct zero-copy messages for co-located components.
 //! * **Observable** — an optional flight recorder
-//!   ([`engine::Simulator::enable_flight_recorder`]) and metrics registry
-//!   ([`engine::Simulator::enable_metrics`]) from [`marnet_telemetry`]
-//!   (re-exported as [`telemetry`]) capture per-packet queue events and
-//!   occupancy series; both are off by default and cost one predictable
-//!   branch per hook when disabled.
+//!   ([`engine::Simulator::enable_flight_recorder`]) from
+//!   [`marnet_telemetry`] (re-exported as [`telemetry`]) captures
+//!   per-packet queue events, and [`engine::Simulator::enable_metrics`]
+//!   keeps a queue-delay series per link for the post-run metrics; both
+//!   are off by default and cost one predictable branch per hook when
+//!   disabled.
 //!
 //! # Example
 //!

@@ -281,7 +281,9 @@ fn cmd_queues(args: &[String]) -> Result<ExitCode, String> {
     for (comp, list) in &mut delays {
         list.sort_unstable();
         let ms = |v: u64| v as f64 / 1e6;
-        let mean = list.iter().sum::<u64>() as f64 / list.len() as f64 / 1e6;
+        // Summed in u128: two delays of 2^63 ns already overflow a u64.
+        let mean =
+            list.iter().map(|&d| u128::from(d)).sum::<u128>() as f64 / list.len() as f64 / 1e6;
         println!(
             "{:<10} {:>8} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
             component::label(*comp),

@@ -12,10 +12,10 @@
 //!   link busy/idle, class admit/degrade, FEC repair, path switch, offload
 //!   dispatch) stamped with sim time and a component id. The disabled sink
 //!   costs one predictable branch per hook.
-//! * **Metrics registry** ([`MetricsRegistry`]) — named counters, gauges
-//!   and sim-time-bucketed histograms with cheap `Cell`-based handles,
-//!   snapshot into a serializable [`MetricsSnapshot`] that `marnet-lab`
-//!   flushes into schema-v2 artifacts.
+//! * **Metrics** ([`MetricsSnapshot`]) — named counters, gauges and
+//!   sim-time-bucketed series, written once after the run from the stats
+//!   the actors keep (a sampled series is an owned [`TimeBuckets`]);
+//!   `marnet-lab` flushes them into schema-v2 artifacts.
 //! * **Trace files** ([`mod@file`]) — a small binary container
 //!   (`MARTRC01` magic + fixed-size records) read by the `marnet-trace`
 //!   CLI, which dumps/filters traces, reconstructs per-flow timelines,
@@ -38,7 +38,7 @@ pub mod usage;
 
 pub use diff::{first_divergence, TraceDiff};
 pub use event::{component, DropReason, TraceEvent, TraceKind};
-pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, TimeBucket, TimeHistogram};
+pub use metrics::{MetricsSnapshot, TimeBucket, TimeBuckets};
 pub use recorder::TraceSink;
 pub use usage::ClassUsage;
 
@@ -54,7 +54,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 pub struct TelemetryOptions {
     /// Flight-recorder ring capacity in events; `None` disables tracing.
     pub trace_capacity: Option<usize>,
-    /// Whether to register and snapshot metrics.
+    /// Whether to write a metrics snapshot after the run.
     pub metrics: bool,
 }
 
@@ -67,11 +67,6 @@ impl TelemetryOptions {
     /// Tracing on with the given ring capacity, metrics on.
     pub fn full(trace_capacity: usize) -> Self {
         TelemetryOptions { trace_capacity: Some(trace_capacity), metrics: true }
-    }
-
-    /// `true` if any capture is requested.
-    pub fn any(&self) -> bool {
-        self.trace_capacity.is_some() || self.metrics
     }
 }
 

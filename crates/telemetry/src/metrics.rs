@@ -1,67 +1,16 @@
-//! Metrics registry: named counters, gauges and sim-time-bucketed
-//! histograms.
+//! Metrics: a [`MetricsSnapshot`] of named counters, gauges and
+//! sim-time-bucketed series, written once, after the run.
 //!
-//! The registry is shared as `Rc<MetricsRegistry>`; registering a metric
-//! hands back a cheap handle ([`Counter`], [`Gauge`], [`TimeHistogram`])
-//! that instrumented code updates directly — no name lookup on the hot
-//! path, just a `Cell` store (counters/gauges) or a `RefCell` borrow
-//! (histograms). A [`MetricsSnapshot`] freezes everything into sorted maps
-//! for serialization into `marnet-lab` artifacts.
-//!
-//! Registration is get-or-create by name, so two components naming the same
-//! metric share one cell. Names use dotted paths (`"sim.link.0.drops"`).
+//! Nothing here is live. The actors keep their own stats; when metrics
+//! are on, the scenario copies them into a snapshot after the run (see
+//! `bench::scenarios::finish_telemetry`). The one thing a stat cannot
+//! recover afterwards is a value over sim time, so a component that
+//! samples a series owns a [`TimeBuckets`] and hands its buckets over at
+//! the end. Names use dotted paths (`"sim.link.0.drops_queue"`).
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing `u64` counter handle.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().wrapping_add(n));
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A last-value-wins `f64` gauge handle.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Rc<Cell<f64>>);
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-#[derive(Debug, Default)]
-struct HistogramInner {
-    /// bucket index (start = index * width) -> accumulator
-    buckets: BTreeMap<u64, BucketAcc>,
-}
 
 #[derive(Debug, Clone, Copy)]
 struct BucketAcc {
@@ -71,22 +20,26 @@ struct BucketAcc {
     max: f64,
 }
 
-/// A sim-time-bucketed histogram handle: observations are grouped into
-/// fixed-width time buckets, each keeping count/sum/min/max. This is the
-/// "metric over sim time" primitive — cwnd evolution, RTT samples, queue
-/// delay — at bounded memory regardless of sample rate.
+/// Observations grouped into fixed-width sim-time buckets, each keeping
+/// count/sum/min/max: a value over sim time (queue delay, RTT samples) at
+/// bounded memory regardless of sample rate.
 #[derive(Debug, Clone)]
-pub struct TimeHistogram {
-    inner: Rc<RefCell<HistogramInner>>,
+pub struct TimeBuckets {
     bucket_nanos: u64,
+    /// bucket index (start = index * width) -> accumulator
+    buckets: BTreeMap<u64, BucketAcc>,
 }
 
-impl TimeHistogram {
+impl TimeBuckets {
+    /// An empty series of `bucket_nanos`-wide buckets (min 1 ns).
+    pub fn new(bucket_nanos: u64) -> Self {
+        TimeBuckets { bucket_nanos: bucket_nanos.max(1), buckets: BTreeMap::new() }
+    }
+
     /// Records `value` at sim time `t_nanos`.
-    pub fn observe(&self, t_nanos: u64, value: f64) {
+    pub fn observe(&mut self, t_nanos: u64, value: f64) {
         let idx = t_nanos / self.bucket_nanos;
-        let mut inner = self.inner.borrow_mut();
-        match inner.buckets.get_mut(&idx) {
+        match self.buckets.get_mut(&idx) {
             Some(acc) => {
                 acc.count += 1;
                 acc.sum += value;
@@ -98,22 +51,15 @@ impl TimeHistogram {
                 }
             }
             None => {
-                inner
-                    .buckets
+                self.buckets
                     .insert(idx, BucketAcc { count: 1, sum: value, min: value, max: value });
             }
         }
     }
 
-    /// The configured bucket width in nanoseconds.
-    pub fn bucket_nanos(&self) -> u64 {
-        self.bucket_nanos
-    }
-
-    fn to_buckets(&self) -> Vec<TimeBucket> {
-        self.inner
-            .borrow()
-            .buckets
+    /// The buckets in time order, frozen for a [`MetricsSnapshot`].
+    pub fn to_buckets(&self) -> Vec<TimeBucket> {
+        self.buckets
             .iter()
             .map(|(idx, acc)| TimeBucket {
                 start_nanos: idx * self.bucket_nanos,
@@ -126,7 +72,7 @@ impl TimeHistogram {
     }
 }
 
-/// One frozen time bucket of a [`TimeHistogram`].
+/// One frozen time bucket of a [`TimeBuckets`] series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeBucket {
     /// Bucket start, in sim nanoseconds.
@@ -141,80 +87,22 @@ pub struct TimeBucket {
     pub max: f64,
 }
 
-impl TimeBucket {
-    /// Mean of the observations in this bucket.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
-/// A registry of named metrics, shared as `Rc<MetricsRegistry>`.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: RefCell<BTreeMap<String, Counter>>,
-    gauges: RefCell<BTreeMap<String, Gauge>>,
-    series: RefCell<BTreeMap<String, TimeHistogram>>,
-}
-
-impl MetricsRegistry {
-    /// A fresh shared registry.
-    pub fn new() -> Rc<MetricsRegistry> {
-        Rc::new(MetricsRegistry::default())
-    }
-
-    /// Gets or creates the counter named `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.counters.borrow_mut().entry(name.to_string()).or_default().clone()
-    }
-
-    /// Gets or creates the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauges.borrow_mut().entry(name.to_string()).or_default().clone()
-    }
-
-    /// Gets or creates the time histogram named `name` with the given
-    /// bucket width (min 1 ns). The width of the first registration wins.
-    pub fn time_histogram(&self, name: &str, bucket_nanos: u64) -> TimeHistogram {
-        self.series
-            .borrow_mut()
-            .entry(name.to_string())
-            .or_insert_with(|| TimeHistogram {
-                inner: Rc::new(RefCell::new(HistogramInner::default())),
-                bucket_nanos: bucket_nanos.max(1),
-            })
-            .clone()
-    }
-
-    /// Freezes every registered metric into a serializable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self.counters.borrow().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            gauges: self.gauges.borrow().iter().map(|(k, v)| (k.clone(), v.get())).collect(),
-            series: self.series.borrow().iter().map(|(k, v)| (k.clone(), v.to_buckets())).collect(),
-        }
-    }
-}
-
-/// A frozen, serializable view of a [`MetricsRegistry`]. Maps are sorted by
-/// name, so snapshots of identical runs are byte-identical on disk.
+/// A run's metrics. Maps are sorted by name, so snapshots of identical
+/// runs are byte-identical on disk.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Counter values by name.
+    /// Counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
+    /// Gauges (last values) by name.
     pub gauges: BTreeMap<String, f64>,
     /// Time-series buckets by name.
     pub series: BTreeMap<String, Vec<TimeBucket>>,
 }
 
 impl MetricsSnapshot {
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.series.is_empty()
+    /// Adds `v` to the counter `name`, creating it at zero.
+    pub fn count(&mut self, name: &str, v: u64) {
+        *self.counters.entry(name.to_string()).or_insert(0) += v;
     }
 
     /// Merges `other` into `self`: counters add, gauges take the later
@@ -238,31 +126,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_share_by_name() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("x.count");
-        let b = reg.counter("x.count");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        let g = reg.gauge("x.level");
-        g.set(1.5);
-        assert_eq!(reg.gauge("x.level").get(), 1.5);
+    fn count_adds_and_creates_at_zero() {
+        let mut snap = MetricsSnapshot::default();
+        snap.count("x.count", 1);
+        snap.count("x.count", 2);
+        snap.count("x.none", 0);
+        assert_eq!(snap.counters["x.count"], 3);
+        assert_eq!(snap.counters["x.none"], 0);
     }
 
     #[test]
     fn histogram_buckets_by_time() {
-        let reg = MetricsRegistry::new();
-        let h = reg.time_histogram("rtt", 1_000);
+        let mut h = TimeBuckets::new(1_000);
         h.observe(0, 10.0);
         h.observe(999, 30.0);
         h.observe(1_000, 5.0);
-        let snap = reg.snapshot();
-        let buckets = &snap.series["rtt"];
+        let buckets = h.to_buckets();
         assert_eq!(buckets.len(), 2);
         assert_eq!(buckets[0].start_nanos, 0);
         assert_eq!(buckets[0].count, 2);
-        assert_eq!(buckets[0].mean(), 20.0);
+        assert_eq!(buckets[0].sum, 40.0);
         assert_eq!(buckets[0].min, 10.0);
         assert_eq!(buckets[0].max, 30.0);
         assert_eq!(buckets[1].start_nanos, 1_000);
@@ -271,11 +154,12 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_serde() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a").add(7);
-        reg.gauge("b").set(2.25);
-        reg.time_histogram("c", 500).observe(1_250, 3.0);
-        let snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::default();
+        snap.count("a", 7);
+        snap.gauges.insert("b".into(), 2.25);
+        let mut c = TimeBuckets::new(500);
+        c.observe(1_250, 3.0);
+        snap.series.insert("c".into(), c.to_buckets());
         let value = snap.serialize_value();
         let back = MetricsSnapshot::deserialize_value(&value).expect("round trip");
         assert_eq!(snap, back);
@@ -283,23 +167,24 @@ mod tests {
 
     #[test]
     fn merge_adds_counters_and_concatenates_series() {
-        let reg_a = MetricsRegistry::new();
-        reg_a.counter("n").add(1);
-        reg_a.time_histogram("s", 100).observe(0, 1.0);
-        let reg_b = MetricsRegistry::new();
-        reg_b.counter("n").add(2);
-        reg_b.time_histogram("s", 100).observe(50, 2.0);
-        let mut merged = reg_a.snapshot();
-        merged.merge(&reg_b.snapshot());
+        let snapshot = |n: u64, t: u64| {
+            let mut snap = MetricsSnapshot::default();
+            snap.count("n", n);
+            let mut s = TimeBuckets::new(100);
+            s.observe(t, n as f64);
+            snap.series.insert("s".into(), s.to_buckets());
+            snap
+        };
+        let mut merged = snapshot(1, 0);
+        merged.merge(&snapshot(2, 50));
         assert_eq!(merged.counters["n"], 3);
         assert_eq!(merged.series["s"].len(), 2);
     }
 
     #[test]
     fn zero_bucket_width_is_clamped() {
-        let reg = MetricsRegistry::new();
-        let h = reg.time_histogram("z", 0);
+        let mut h = TimeBuckets::new(0);
         h.observe(3, 1.0); // must not divide by zero
-        assert_eq!(h.bucket_nanos(), 1);
+        assert_eq!(h.to_buckets()[0].start_nanos, 3);
     }
 }

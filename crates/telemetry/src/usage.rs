@@ -1,18 +1,10 @@
-//! Shared per-class byte/packet accounting.
+//! Per-class byte/packet accounting.
 //!
-//! [`ClassUsage`] replaces the ad-hoc `*_by_kind` / `dropped_bytes`
-//! bookkeeping that used to be duplicated between the core endpoint (per
-//! stream kind) and the transport NIC (per priority band). Indexing is by
-//! plain `usize` class index, so the same type serves both: the endpoint
-//! uses `ClassUsage<6>` indexed by `StreamKind as usize`, the NIC
-//! `ClassUsage<4>` indexed by priority band.
-//!
+//! [`ClassUsage`] is indexed by plain `usize` class index; the core
+//! endpoint keeps one `ClassUsage<6>` indexed by `StreamKind as usize`.
 //! The arrays are plain `u64`s updated through `&mut self` — recording
-//! costs two adds, no interior mutability, no allocation — and
-//! [`ClassUsage::publish`] copies the totals into a [`MetricsRegistry`]
-//! after a run when metrics are requested.
-
-use crate::metrics::MetricsRegistry;
+//! costs two adds, no interior mutability, no allocation — and are `pub`,
+//! so a scenario copies them into its metrics after the run.
 
 /// Per-class sent/dropped packet and byte totals for `N` classes.
 ///
@@ -89,25 +81,6 @@ impl<const N: usize> ClassUsage<N> {
     pub fn total_dropped_bytes(&self) -> u64 {
         self.dropped_bytes.iter().sum()
     }
-
-    /// Copies the totals into `registry` as counters named
-    /// `{prefix}.{label}.{sent,dropped}_{packets,bytes}`, using
-    /// `labels[i]` for class `i` (falling back to the class index when
-    /// `labels` is short).
-    pub fn publish(&self, registry: &MetricsRegistry, prefix: &str, labels: &[&str]) {
-        for i in 0..N {
-            let label = labels.get(i).map_or_else(|| i.to_string(), |l| (*l).to_string());
-            let add = |metric: &str, v: u64| {
-                if v > 0 {
-                    registry.counter(&format!("{prefix}.{label}.{metric}")).add(v);
-                }
-            };
-            add("sent_packets", self.sent_packets[i]);
-            add("sent_bytes", self.sent_bytes[i]);
-            add("dropped_packets", self.dropped_packets[i]);
-            add("dropped_bytes", self.dropped_bytes[i]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -132,28 +105,5 @@ mod tests {
         let mut u = ClassUsage::<2>::new();
         u.record_sent(99, 5);
         assert_eq!(u.sent_bytes, [0, 5]);
-    }
-
-    #[test]
-    fn publish_writes_named_counters_skipping_zeroes() {
-        let mut u = ClassUsage::<2>::new();
-        u.record_sent(0, 100);
-        u.record_dropped(1, 30);
-        let reg = MetricsRegistry::new();
-        u.publish(&reg, "core.class", &["meta", "bulk"]);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["core.class.meta.sent_bytes"], 100);
-        assert_eq!(snap.counters["core.class.meta.sent_packets"], 1);
-        assert_eq!(snap.counters["core.class.bulk.dropped_bytes"], 30);
-        assert!(!snap.counters.contains_key("core.class.bulk.sent_bytes"));
-    }
-
-    #[test]
-    fn publish_falls_back_to_index_labels() {
-        let mut u = ClassUsage::<2>::new();
-        u.record_sent(1, 1);
-        let reg = MetricsRegistry::new();
-        u.publish(&reg, "nic.band", &[]);
-        assert_eq!(reg.snapshot().counters["nic.band.1.sent_bytes"], 1);
     }
 }

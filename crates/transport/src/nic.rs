@@ -12,19 +12,6 @@ use marnet_sim::engine::{Actor, ActorId, Event, SimCtx};
 use marnet_sim::hash::FxHashMap;
 use marnet_sim::link::{LinkId, RateUpdate};
 use marnet_sim::packet::Packet;
-use marnet_telemetry::{ClassUsage, MetricsRegistry};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Number of priority bands a [`Nic`] accounts separately. Packets with
-/// `prio >= NIC_PRIO_BANDS` are clamped into the last band.
-pub const NIC_PRIO_BANDS: usize = 4;
-
-/// Metric labels for the NIC priority bands.
-pub const NIC_BAND_LABELS: [&str; NIC_PRIO_BANDS] = ["prio0", "prio1", "prio2", "prio3"];
-
-/// Shared handle to a NIC's per-priority-band usage accounting.
-pub type SharedNicUsage = Rc<RefCell<ClassUsage<NIC_PRIO_BANDS>>>;
 
 /// Where an endpoint sends its packets: directly onto a link, or via a
 /// shared [`Nic`].
@@ -65,44 +52,24 @@ pub struct Nic {
     /// deterministic multiply-rotate hasher keeps that probe off the
     /// SipHash setup cost.
     routes: FxHashMap<u64, ActorId>,
-    /// Per-priority-band accounting: bytes/packets forwarded onto the WAN
-    /// link ("sent") and arrivals discarded for lack of a route ("dropped").
-    usage: SharedNicUsage,
 }
 
 impl Nic {
     /// Creates a NIC transmitting on `wan`.
     pub fn new(wan: LinkId) -> Self {
-        Nic { wan, routes: FxHashMap::default(), usage: Rc::new(RefCell::new(ClassUsage::new())) }
+        Nic { wan, routes: FxHashMap::default() }
     }
 
     /// Registers `endpoint` to receive packets whose flow id is `flow`.
     pub fn add_route(&mut self, flow: u64, endpoint: ActorId) {
         self.routes.insert(flow, endpoint);
     }
-
-    /// Shared handle to the per-band usage accounting; keep a clone to
-    /// inspect (or [`ClassUsage::publish`]) after handing the NIC to the
-    /// simulator.
-    pub fn usage(&self) -> SharedNicUsage {
-        Rc::clone(&self.usage)
-    }
-
-    /// Publishes this NIC's usage counters as `{prefix}.{band}.{metric}`.
-    pub fn publish_usage(&self, registry: &MetricsRegistry, prefix: &str) {
-        self.usage.borrow().publish(registry, prefix, &NIC_BAND_LABELS);
-    }
 }
 
 impl Actor for Nic {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
         match ev {
-            Event::Handoff { packet, .. } => {
-                self.usage
-                    .borrow_mut()
-                    .record_sent(usize::from(packet.prio), u64::from(packet.size));
-                ctx.transmit(self.wan, packet);
-            }
+            Event::Handoff { packet, .. } => ctx.transmit(self.wan, packet),
             Event::Message { msg, .. } => {
                 if let Some(update) = msg.map_ref(|u: &RateUpdate| *u) {
                     // Hybrid-fidelity coupling: the fluid tier reports how
@@ -112,14 +79,10 @@ impl Actor for Nic {
                 }
             }
             Event::Packet { packet, .. } => {
+                // Unroutable packets are dropped, like a host without a
+                // matching socket.
                 if let Some(&dst) = self.routes.get(&packet.flow) {
                     ctx.hand_off(dst, packet);
-                } else {
-                    // Unroutable packets are dropped, like a host without a
-                    // matching socket — but the discard is accounted.
-                    self.usage
-                        .borrow_mut()
-                        .record_dropped(usize::from(packet.prio), u64::from(packet.size));
                 }
             }
             _ => {}
@@ -176,13 +139,10 @@ mod tests {
         let params = LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::from_millis(1));
         let l = sim.add_link(nic_a, nic_b, params.clone());
         let back = sim.add_link(nic_b, nic_a, params);
-        let tx_nic = Nic::new(l);
-        let tx_usage = tx_nic.usage();
-        sim.install_actor(nic_a, tx_nic);
+        sim.install_actor(nic_a, Nic::new(l));
         let mut rx_nic = Nic::new(back);
         rx_nic.add_route(7, e1);
         rx_nic.add_route(8, e2);
-        let rx_usage = rx_nic.usage();
         sim.install_actor(nic_b, rx_nic);
         sim.add_actor(Injector { nic: nic_a, flow: 7 });
         sim.add_actor(Injector { nic: nic_a, flow: 8 });
@@ -191,11 +151,9 @@ mod tests {
         // Each endpoint got its packet from the far NIC as a hand-off.
         assert_eq!(*got1.borrow(), [(0, true)]);
         assert_eq!(*got2.borrow(), [(1, true)]);
-        // All three injected packets crossed the WAN; exactly the unroutable
-        // one was discarded at the far side, and nothing came back.
-        assert_eq!(tx_usage.borrow().total_sent_bytes(), 1500);
-        assert_eq!(rx_usage.borrow().total_dropped_bytes(), 500);
-        assert_eq!(rx_usage.borrow().total_sent_bytes(), 0);
+        // All three injected packets crossed the WAN; the unroutable one
+        // was discarded at the far side, and nothing came back.
+        assert_eq!(sim.ctx().link_stats(l).delivered_bytes, 1500);
         assert_eq!(sim.ctx().link_stats(back).offered_packets, 0);
     }
 

@@ -10,7 +10,7 @@ use marnet_sim::engine::{Actor, Event, SimCtx};
 use marnet_sim::packet::{Packet, PayloadPool};
 use marnet_sim::stats::Histogram;
 use marnet_sim::time::{SimDuration, SimTime};
-use marnet_telemetry::{MetricsRegistry, TimeHistogram};
+use marnet_telemetry::TimeBuckets;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -34,6 +34,10 @@ pub struct ProbeStats {
     pub sent: u64,
     /// Responses received.
     pub received: u64,
+    /// RTT samples (ms) over sim time, in 100 ms buckets, when
+    /// [`ProbeClient::with_rtt_series`] asked for them (boxed: only a
+    /// metered run has one, so the others carry one pointer).
+    pub rtt_series: Option<Box<TimeBuckets>>,
 }
 
 /// Periodic prober measuring round-trip latency to a [`ProbeServer`].
@@ -46,7 +50,6 @@ pub struct ProbeClient {
     count: u64,
     next_seq: u64,
     stats: Rc<RefCell<ProbeStats>>,
-    rtt_series: Option<TimeHistogram>,
     /// Request payloads, reused once the server and the links are done
     /// with them.
     pool: PayloadPool<ProbeMessage>,
@@ -69,18 +72,15 @@ impl ProbeClient {
             count,
             next_seq: 0,
             stats: Rc::new(RefCell::new(ProbeStats::default())),
-            rtt_series: None,
             pool: PayloadPool::new(),
         }
     }
 
-    /// Also publishes every RTT sample (milliseconds) into `registry` as the
-    /// sim-time-bucketed series `transport.probe.{name}.rtt_ms`, builder
-    /// style.
+    /// Also keeps every RTT sample over sim time in
+    /// [`ProbeStats::rtt_series`], builder style.
     #[must_use]
-    pub fn with_rtt_series(mut self, registry: &MetricsRegistry, name: &str) -> Self {
-        self.rtt_series =
-            Some(registry.time_histogram(&format!("transport.probe.{name}.rtt_ms"), 100_000_000));
+    pub fn with_rtt_series(self) -> Self {
+        self.stats.borrow_mut().rtt_series = Some(Box::new(TimeBuckets::new(100_000_000)));
         self
     }
 
@@ -120,7 +120,7 @@ impl Actor for ProbeClient {
                             let mut st = self.stats.borrow_mut();
                             st.received += 1;
                             st.rtt_ms.record(rtt.as_millis_f64());
-                            if let Some(series) = &self.rtt_series {
+                            if let Some(series) = &mut st.rtt_series {
                                 series.observe(ctx.now().as_nanos(), rtt.as_millis_f64());
                             }
                         }
