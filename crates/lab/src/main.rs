@@ -379,7 +379,7 @@ fn main() -> ExitCode {
             eprintln!("[lab] failed to write trace {}: {e}", trace_path.display());
             return ExitCode::from(2);
         }
-        println!("[trace] {} ({} events)", trace_path.display(), events.len());
+        println!("[trace] {} ({} records)", trace_path.display(), events.len());
     }
 
     if let Some(baseline_path) = args.baseline {

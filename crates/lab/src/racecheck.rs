@@ -23,9 +23,10 @@
 //! On a mismatch the detector localizes the fault: it names the first
 //! differing artifact line, the first trial whose results moved and the
 //! scalars that moved in it, and — experiments are replayed with the
-//! flight recorder on — passes that trial's two traces through
-//! [`marnet_telemetry::first_divergence`], the comparison `marnet-trace
-//! diff` uses, to name the first event where the schedules split.
+//! flight recorder on — expands that trial's two traces and passes them
+//! through [`marnet_telemetry::first_divergence`], the comparison
+//! `marnet-trace diff` uses, to name the first event where the schedules
+//! split (indices count expanded records, as `marnet-trace` does).
 //!
 //! [`TIE_DEPENDENT`] lists the targets whose committed numbers are known
 //! to depend on tie order today. They are replayed and localized like the
@@ -48,7 +49,7 @@ use crate::train::{run_training, TrainOptions};
 use marnet_sim::config::{with_ambient_tie_break, TieBreak};
 use marnet_sim::prelude::*;
 use marnet_sim::rng::derive_rng;
-use marnet_telemetry::{first_divergence, TelemetryOptions, DEFAULT_TRACE_CAPACITY};
+use marnet_telemetry::{expand, first_divergence, TelemetryOptions, DEFAULT_TRACE_CAPACITY};
 use rand::Rng;
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -220,7 +221,7 @@ fn localize(reference: &Replay, candidate: &Replay, labels: (&str, &str)) -> Str
         for key in r.samples.keys().filter(|&k| r.samples.get(k) != c.samples.get(k)) {
             let _ = writeln!(out, "  sample stream {key} differs");
         }
-        let diff = first_divergence(&r.events, &c.events);
+        let diff = first_divergence(&expand(&r.events), &expand(&c.events));
         if !diff.is_identical() {
             out.push_str(&diff.render(labels.0, labels.1));
         }

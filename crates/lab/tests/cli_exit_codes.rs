@@ -93,6 +93,20 @@ fn usage_and_io_errors_exit_two() {
     let other = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/lab_sweep_recovery.json");
     let st = run_small(&tmp("lab_ec_disjoint.json"), &["--baseline", other]);
     assert_eq!(st.code(), Some(2));
+    // A baseline nested far deeper than the JSON parser's recursion limit
+    // is a parse error, not a stack overflow.
+    let deep = tmp("lab_ec_deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("write deep baseline");
+    let out = lab_bin()
+        .args(["table2_rtt", "--replicates", "1", "--threads", "1", "--out"])
+        .arg(tmp("lab_ec_deep_out.json"))
+        .arg("--baseline")
+        .arg(&deep)
+        .output()
+        .expect("run marnet-lab");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("recursion limit exceeded"), "{stderr}");
     // Telemetry flags on an experiment that runs no simulation: nothing
     // was captured, so neither an empty trace nor an artifact is written.
     let out = tmp("lab_ec_untraced.json");

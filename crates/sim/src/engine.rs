@@ -491,18 +491,30 @@ impl SimCtx {
         match deq.packet {
             Some(pkt) => {
                 let delay = now.saturating_since(pkt.enqueued).as_nanos();
-                let pid = pkt.id;
-                self.trace.emit_with(|| TraceEvent::packet_dequeue(t, comp, pid, delay));
+                if self.trace.is_enabled() {
+                    let pid = pkt.id;
+                    // A packet that found the link idle and empty and left
+                    // at once: its enqueue, this dequeue and the busy
+                    // transition become one send-idle record, but only
+                    // when the sink's last record is that enqueue.
+                    let folded = !was_busy
+                        && delay == 0
+                        && l.queue.is_empty()
+                        && self.trace.fold_last(|last| last.fold_send_idle(t, comp, pid));
+                    if !folded {
+                        self.trace.emit_with(|| TraceEvent::packet_dequeue(t, comp, pid, delay));
+                        if !was_busy {
+                            let (qp, qb) = (l.queue.len_packets() as u64, l.queue.len_bytes());
+                            self.trace.emit_with(|| TraceEvent::link_state(t, comp, true, qp, qb));
+                        }
+                    }
+                }
                 if let Some(series) =
                     self.queue_delay_ms.as_mut().and_then(|s| s.get_mut(link.index()))
                 {
                     series.observe(t, delay as f64 / 1e6);
                 }
                 l.busy = true;
-                if !was_busy {
-                    let (qp, qb) = (l.queue.len_packets() as u64, l.queue.len_bytes());
-                    self.trace.emit_with(|| TraceEvent::link_state(t, comp, true, qp, qb));
-                }
                 let ser = l.rate.serialization_time(pkt.size);
                 l.in_flight = Some(pkt);
                 let line = l.departures;
@@ -650,7 +662,8 @@ impl SimCtx {
         self.trace.emit_with(f);
     }
 
-    /// Takes all recorded trace events in chronological order, leaving the
+    /// Takes all recorded trace events in chronological order, as recorded
+    /// (readers pass them through [`marnet_telemetry::expand`]), leaving the
     /// recorder enabled and empty. Empty when recording is off.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
         self.trace.take_events()
@@ -904,10 +917,13 @@ impl Simulator {
 
     /// Enables the flight recorder with a ring of `capacity` events.
     /// Subsequent engine activity (enqueue/drop/dequeue/deliver, link
-    /// busy/idle) and actor [`SimCtx::trace_with`] calls are recorded.
-    /// Events land in a small write-through chunk that flushes into the
-    /// ring in batches, keeping the per-event cost to a bump-pointer push;
-    /// the observable event stream is identical to an unbuffered ring.
+    /// busy/idle) and actor [`SimCtx::trace_with`] calls are recorded. A
+    /// packet that finds its link idle and empty is recorded as one
+    /// send-idle record; [`marnet_telemetry::expand`] restores the enqueue,
+    /// dequeue and busy records it stands for. Events land in a small
+    /// write-through chunk that flushes into the ring in batches, keeping
+    /// the per-event cost to a bump-pointer push; the observable event
+    /// stream is identical to an unbuffered ring.
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         self.ctx.trace = TraceSink::chunked(capacity);
     }

@@ -9,11 +9,19 @@
 //! *was* enqueued — `enqueue(offered)` + `drop(victim)`. Loss and
 //! link-down drops happen outside the queue (in flight, or before
 //! admission) and must never touch a queued id.
+//!
+//! Every check reads the trace through [`expand`], as every reader does.
+//! A sparse-load property drives links that are mostly idle, so most
+//! packets are recorded as one send-idle record, and checks that the
+//! compact trace loses nothing: on the expanded trace busy and idle
+//! alternate and each carries the replayed occupancy, and on the compact
+//! one no enqueue / zero-delay dequeue / empty busy triple was left
+//! unfolded.
 
 use marnet_sim::engine::{Actor, Event, SimCtx, Simulator};
 use marnet_sim::prelude::*;
 use marnet_sim::queue::QueueConfig;
-use marnet_telemetry::{component, DropReason, TraceKind};
+use marnet_telemetry::{component, expand, DropReason, TraceEvent, TraceKind};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -72,7 +80,7 @@ fn check_reconciliation(
     // Cut mid-run so a non-empty final occupancy is the common case.
     sim.run_until(SimTime::from_micros(cut_us));
 
-    let events = sim.take_trace();
+    let events = expand(&sim.take_trace());
     let comp = component::link(l.index());
     let mut sizes: HashMap<u64, u64> = HashMap::new();
     let mut live: HashSet<u64> = HashSet::new();
@@ -142,7 +150,164 @@ fn check_reconciliation(
     prop_assert_eq!(enq_count + tail_drops, st.offered_packets);
 }
 
+/// `(gap_us, size, prio, flow, link)` per offered packet. At 1 Mb/s a
+/// packet of at most 1500 B serializes in at most 12 ms, against a mean gap
+/// of about 20 ms, so most arrivals find their link idle and empty.
+fn sparse_scripts() -> impl Strategy<Value = Vec<(u64, u32, u8, u64, usize)>> {
+    prop::collection::vec((1_000u64..40_000, 40u32..1500, 0u8..4, 0u64..8, 0usize..2), 1..120)
+}
+
+/// The rate of both links in the sparse-load property.
+fn sparse_rate() -> Bandwidth {
+    Bandwidth::from_mbps(1.0)
+}
+
+/// A window of the script, in packet indices: `(link, first, len)`.
+type Window = (usize, usize, usize);
+
+/// Offers its script of packets, one per timer, on two links. One link's
+/// rate is zero while packets `rate_zero` are offered, and the other link
+/// is down while packets `down` are; restoring either happens right after
+/// the window's end packet is offered on that link at band 0, so the kick
+/// that follows finds that packet just enqueued, at the head of a priority
+/// or fair queue and possibly behind others.
+struct Sparse {
+    links: [LinkId; 2],
+    script: Vec<(u64, u32, u8, u64, usize)>,
+    rate_zero: Window,
+    down: Window,
+    pc: usize,
+}
+
+impl Actor for Sparse {
+    fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+        if matches!(ev, Event::Start | Event::Timer { .. }) {
+            let i = self.pc;
+            let Some(&(gap, size, mut prio, flow, mut link)) = self.script.get(i) else { return };
+            self.pc += 1;
+            let ((rl, r0, rn), (dl, d0, dn)) = (self.rate_zero, self.down);
+            if i == r0 {
+                ctx.set_link_rate(self.links[rl], Bandwidth::ZERO);
+            }
+            if i == d0 {
+                ctx.set_link_up(self.links[dl], false);
+            }
+            let restore_rate = i == r0 + rn;
+            let restore_up = i == d0 + dn;
+            if restore_rate || restore_up {
+                (link, prio) = (if restore_rate { rl } else { dl }, 0);
+            }
+            let id = ctx.next_packet_id();
+            ctx.transmit(self.links[link], Packet::new(id, flow, size, ctx.now()).with_prio(prio));
+            if restore_rate {
+                ctx.set_link_rate(self.links[rl], sparse_rate());
+            }
+            if restore_up {
+                ctx.set_link_up(self.links[dl], true);
+            }
+            ctx.schedule_timer(SimDuration::from_micros(gap), 0);
+        }
+    }
+}
+
+/// `true` if `w` is an enqueue followed by the zero-delay dequeue of the
+/// same packet and an empty busy transition on the same link at the same
+/// instant — the triple the recorder writes as one send-idle record.
+fn unfolded(w: &[TraceEvent]) -> bool {
+    let [enq, deq, busy] = w else { return false };
+    enq.kind == TraceKind::PacketEnqueue
+        && *deq == TraceEvent::packet_dequeue(enq.t, enq.comp, enq.a, 0)
+        && *busy == TraceEvent::link_state(enq.t, enq.comp, true, 0, 0)
+}
+
+fn check_sparse_load(
+    queue: QueueConfig,
+    script: Vec<(u64, u32, u8, u64, usize)>,
+    rate_zero: Window,
+    down: Window,
+    cut_us: u64,
+) {
+    let mut sim = Simulator::new(11);
+    sim.enable_flight_recorder(1 << 16);
+    let a = sim.reserve_actor();
+    let b = sim.reserve_actor();
+    let params = LinkParams::new(sparse_rate(), SimDuration::from_millis(2)).with_queue(queue);
+    let links = [sim.add_link(a, b, params.clone()), sim.add_link(a, b, params)];
+    sim.install_actor(a, Sparse { links, script, rate_zero, down, pc: 0 });
+    sim.install_actor(b, Sink);
+    sim.run_until(SimTime::from_micros(cut_us));
+
+    let compact = sim.take_trace();
+    let send_idle = compact.iter().filter(|e| e.kind == TraceKind::PacketSendIdle).count();
+    prop_assert!(send_idle > 0, "the first packet finds its link idle and empty");
+    prop_assert!(
+        !compact.windows(3).any(unfolded),
+        "an enqueue / dequeue 0 / busy 0/0 triple was recorded unfolded"
+    );
+    let events = expand(&compact);
+    prop_assert_eq!(events.len(), compact.len() + 2 * send_idle);
+
+    for link in links {
+        let comp = component::link(link.index());
+        let mut sizes: HashMap<u64, u64> = HashMap::new();
+        let mut live: HashSet<u64> = HashSet::new();
+        let mut live_bytes = 0u64;
+        let mut busy = false;
+        for ev in events.iter().filter(|e| e.comp == comp) {
+            match ev.kind {
+                TraceKind::PacketEnqueue => {
+                    prop_assert!(live.insert(ev.a), "pkt {} enqueued twice", ev.a);
+                    sizes.insert(ev.a, u64::from(ev.size()));
+                    live_bytes += u64::from(ev.size());
+                }
+                TraceKind::PacketDequeue => {
+                    prop_assert!(live.remove(&ev.a), "pkt {} dequeued but not queued", ev.a);
+                    live_bytes -= sizes[&ev.a];
+                }
+                // A queue-full victim may have been queued (FQ-CoDel); an
+                // AQM victim always was; loss and link-down never were.
+                TraceKind::PacketDrop => {
+                    if live.remove(&ev.a) {
+                        live_bytes -= sizes[&ev.a];
+                    }
+                }
+                TraceKind::LinkBusy | TraceKind::LinkIdle => {
+                    let to_busy = ev.kind == TraceKind::LinkBusy;
+                    prop_assert!(busy != to_busy, "{ev}: busy and idle must alternate");
+                    busy = to_busy;
+                    prop_assert_eq!(
+                        (ev.a, ev.b),
+                        (live.len() as u64, live_bytes),
+                        "{} does not carry the replayed occupancy",
+                        ev
+                    );
+                }
+                TraceKind::PacketDeliver => {}
+                kind => prop_assert!(false, "{kind} on a link"),
+            }
+        }
+        prop_assert_eq!((live.len(), live_bytes), sim.ctx().link_queue_len(link));
+    }
+}
+
 proptest! {
+    #[test]
+    fn sparse_load_compact_trace_is_lossless(
+        script in sparse_scripts(),
+        discipline in 0usize..4,
+        rate_zero in (0usize..2, 1usize..40, 1usize..20),
+        down in (0usize..2, 1usize..40, 1usize..20),
+        cut_us in 100_000u64..3_000_000,
+    ) {
+        let queue = match discipline {
+            0 => QueueConfig::DropTail { cap_packets: 4 },
+            1 => QueueConfig::codel_default(),
+            2 => QueueConfig::fq_codel_default(),
+            _ => QueueConfig::StrictPriority { bands: 4, cap_packets_per_band: 2 },
+        };
+        check_sparse_load(queue, script, rate_zero, down, cut_us);
+    }
+
     #[test]
     fn droptail_events_reconcile(
         script in scripts(), cut_us in 1_000u64..200_000, loss in 0.0f64..0.3,

@@ -12,7 +12,9 @@
 //! distributions (the bufferbloat view); `diff` compares two traces and
 //! localizes the first divergent event — on a deterministic simulator the
 //! first divergence *is* the bug's location. `diff` exits 0 when the
-//! traces are identical and 1 when they diverge.
+//! traces are identical and 1 when they diverge. Every subcommand reads a
+//! trace through [`marnet_telemetry::expand`], so it sees, and `diff`
+//! counts, the records a recorder that never folds would have written.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -142,8 +144,10 @@ fn parse_filter(args: &[String]) -> Result<(Vec<&String>, Filter), String> {
     Ok((positional, filter))
 }
 
+/// Reads and expands the trace at `path`.
 fn load(path: &Path) -> Result<Vec<TraceEvent>, String> {
-    file::read_file(path).map_err(|e| format!("{}: {e}", path.display()))
+    let events = file::read_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(marnet_telemetry::expand(&events))
 }
 
 fn one_trace_arg<'a>(positional: &[&'a String], cmd: &str) -> Result<&'a String, String> {

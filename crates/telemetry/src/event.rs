@@ -51,6 +51,11 @@ pub mod component {
 
 /// What happened. The discriminants are the on-disk encoding; never reuse
 /// or renumber a value.
+///
+/// A record is written only if no earlier record implies it. The one kind
+/// that relies on this, [`TraceKind::PacketSendIdle`], stands for three
+/// records of the other kinds; every reader sees traces through [`expand`],
+/// which restores them, so readers only ever meet the other 22 kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum TraceKind {
@@ -119,11 +124,18 @@ pub enum TraceKind {
     /// aux = flow-class index, `a` = active flows in the class,
     /// `b` = new per-flow rate in bits per second.
     FlowRate = 21,
+    /// A packet reached an idle link with an empty queue and went onto the
+    /// wire in the same instant. It stands for the three records that
+    /// [`expand`] restores: [`TraceKind::PacketEnqueue`] with these
+    /// operands, [`TraceKind::PacketDequeue`] with delay 0 and
+    /// [`TraceKind::LinkBusy`] with 0 packets / 0 bytes queued.
+    /// `a` = packet id, `b` = `flow << 32 | size`, aux = priority band.
+    PacketSendIdle = 22,
 }
 
 impl TraceKind {
     /// All kinds, in discriminant order.
-    pub const ALL: [TraceKind; 22] = [
+    pub const ALL: [TraceKind; 23] = [
         TraceKind::PacketEnqueue,
         TraceKind::PacketDrop,
         TraceKind::PacketDequeue,
@@ -146,6 +158,7 @@ impl TraceKind {
         TraceKind::FlowStart,
         TraceKind::FlowFinish,
         TraceKind::FlowRate,
+        TraceKind::PacketSendIdle,
     ];
 
     /// Decodes a discriminant byte.
@@ -178,6 +191,7 @@ impl TraceKind {
             TraceKind::FlowStart => "flow-start",
             TraceKind::FlowFinish => "flow-finish",
             TraceKind::FlowRate => "flow-rate",
+            TraceKind::PacketSendIdle => "send-idle",
         }
     }
 
@@ -426,6 +440,24 @@ impl TraceEvent {
         TraceEvent { t, comp, kind: TraceKind::FlowRate, aux: class, a: active, b: rate_bps }
     }
 
+    /// Folds the [`TraceKind::PacketDequeue`] (delay 0) and
+    /// [`TraceKind::LinkBusy`] (0 packets / 0 bytes) records that would
+    /// follow this one into it, when this record is the
+    /// [`TraceKind::PacketEnqueue`] of packet `id` on `comp` at `t`: it
+    /// becomes the [`TraceKind::PacketSendIdle`] that [`expand`] turns back
+    /// into all three. Returns `false`, leaving the record as it is,
+    /// otherwise.
+    pub fn fold_send_idle(&mut self, t: u64, comp: u32, id: u64) -> bool {
+        let fold = self.kind == TraceKind::PacketEnqueue
+            && self.t == t
+            && self.comp == comp
+            && self.a == id;
+        if fold {
+            self.kind = TraceKind::PacketSendIdle;
+        }
+        fold
+    }
+
     /// The packet flow id, for kinds whose `b` packs flow and size.
     pub fn flow(&self) -> u64 {
         self.b >> 32
@@ -466,6 +498,26 @@ impl TraceEvent {
     }
 }
 
+/// The trace as readers see it: every [`TraceKind::PacketSendIdle`] record
+/// replaced by the enqueue, dequeue (delay 0) and busy (0 queued) records
+/// it stands for, in that order, and every other record unchanged. On a
+/// recorded trace this is exactly what a recorder that never folds would
+/// have written.
+pub fn expand(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    let folded = events.iter().filter(|e| e.kind == TraceKind::PacketSendIdle).count();
+    let mut out = Vec::with_capacity(events.len() + 2 * folded);
+    for &ev in events {
+        if ev.kind == TraceKind::PacketSendIdle {
+            out.push(TraceEvent { kind: TraceKind::PacketEnqueue, ..ev });
+            out.push(TraceEvent::packet_dequeue(ev.t, ev.comp, ev.a, 0));
+            out.push(TraceEvent::link_state(ev.t, ev.comp, true, 0, 0));
+        } else {
+            out.push(ev);
+        }
+    }
+    out
+}
+
 impl fmt::Display for TraceEvent {
     /// One human-readable line, used by `marnet-trace dump`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -490,6 +542,14 @@ impl fmt::Display for TraceEvent {
                     self.size()
                 )
             }
+            TraceKind::PacketSendIdle => write!(
+                f,
+                "{t_ms:>12.6} ms  {comp:<10} send-idle    pkt {} flow {} size {} prio {}",
+                self.a,
+                self.flow(),
+                self.size(),
+                self.aux
+            ),
             TraceKind::PacketDequeue => write!(
                 f,
                 "{t_ms:>12.6} ms  {comp:<10} dequeue      pkt {} qdelay {:.6} ms",
@@ -652,6 +712,61 @@ mod tests {
         assert_eq!(ev.flow(), 77);
         assert_eq!(ev.size(), 1500);
         assert_eq!(ev.aux, 2);
+    }
+
+    #[test]
+    fn expand_is_the_identity_on_every_other_kind() {
+        let events: Vec<TraceEvent> = TraceKind::ALL
+            .into_iter()
+            .filter(|&k| k != TraceKind::PacketSendIdle)
+            .enumerate()
+            .map(|(i, kind)| TraceEvent {
+                t: i as u64,
+                comp: component::link(i),
+                kind,
+                aux: i as u8,
+                a: i as u64 + 1,
+                b: u64::MAX - i as u64,
+            })
+            .collect();
+        assert_eq!(expand(&events), events);
+        assert!(expand(&[]).is_empty());
+    }
+
+    #[test]
+    fn expand_restores_enqueue_dequeue_busy_in_order() {
+        let link = component::link(3);
+        let before = TraceEvent::packet_deliver(5, component::actor(1), 8, 2, 64);
+        let enqueue = TraceEvent::packet_enqueue(9, link, 42, 7, 1_200, 2);
+        let after = TraceEvent::link_state(20, link, false, 0, 0);
+        let mut send_idle = enqueue;
+        assert!(send_idle.fold_send_idle(9, link, 42));
+        assert_eq!(send_idle.kind, TraceKind::PacketSendIdle);
+        assert_eq!((send_idle.a, send_idle.b, send_idle.aux), (enqueue.a, enqueue.b, enqueue.aux));
+        assert_eq!(
+            expand(&[before, send_idle, after]),
+            vec![
+                before,
+                enqueue,
+                TraceEvent::packet_dequeue(9, link, 42, 0),
+                TraceEvent::link_state(9, link, true, 0, 0),
+                after,
+            ]
+        );
+    }
+
+    #[test]
+    fn fold_send_idle_only_folds_the_matching_enqueue() {
+        let link = component::link(0);
+        let enqueue = TraceEvent::packet_enqueue(9, link, 42, 7, 1_200, 2);
+        for (t, comp, id) in [(8, link, 42), (9, component::link(1), 42), (9, link, 43)] {
+            let mut ev = enqueue;
+            assert!(!ev.fold_send_idle(t, comp, id), "({t}, {comp}, {id})");
+            assert_eq!(ev, enqueue, "a refused fold leaves the record as it is");
+        }
+        let mut drop = TraceEvent::packet_drop(9, link, DropReason::Aqm, 42, 7, 1_200);
+        assert!(!drop.fold_send_idle(9, link, 42), "only an enqueue folds");
+        assert_eq!(drop.kind, TraceKind::PacketDrop);
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub fn encode(events: &[TraceEvent]) -> Vec<u8> {
 
 /// Decodes a trace file's bytes. Rejects a missing/wrong magic, a body
 /// that is not a whole number of records, and records with unknown kinds.
+/// The records come back as written, so `decode(&encode(x)) == x`; readers
+/// pass them through [`crate::expand`].
 pub fn decode(bytes: &[u8]) -> io::Result<Vec<TraceEvent>> {
     let invalid = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let body = bytes

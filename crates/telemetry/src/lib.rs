@@ -11,16 +11,21 @@
 //!   compact 32-byte binary [`TraceEvent`]s (packet enqueue/drop/dequeue,
 //!   link busy/idle, class admit/degrade, FEC repair, path switch, offload
 //!   dispatch) stamped with sim time and a component id. The disabled sink
-//!   costs one predictable branch per hook.
+//!   costs one predictable branch per hook. A record is written only if no
+//!   earlier record implies it: a packet that finds its link idle and
+//!   empty is one [`TraceKind::PacketSendIdle`] record, not an enqueue, a
+//!   zero-delay dequeue and a busy transition. Every reader looks at a
+//!   trace through [`expand()`], which restores those three, so what it
+//!   sees is what a recorder that never folds would have written.
 //! * **Metrics** ([`MetricsSnapshot`]) — named counters, gauges and
 //!   sim-time-bucketed series, written once after the run from the stats
 //!   the actors keep (a sampled series is an owned [`TimeBuckets`]);
 //!   `marnet-lab` flushes them into schema-v2 artifacts.
 //! * **Trace files** ([`mod@file`]) — a small binary container
 //!   (`MARTRC01` magic + fixed-size records) read by the `marnet-trace`
-//!   CLI, which dumps/filters traces, reconstructs per-flow timelines,
-//!   computes queue-delay distributions (the bufferbloat view) and diffs
-//!   two traces.
+//!   CLI, which expands a trace, then dumps/filters it, reconstructs
+//!   per-flow timelines, computes queue-delay distributions (the
+//!   bufferbloat view) and diffs two traces.
 //!
 //! This crate sits below `marnet-sim`: times are raw nanoseconds and
 //! components are raw `u32` ids (see [`event::component`]), so every layer
@@ -37,7 +42,7 @@ pub mod recorder;
 pub mod usage;
 
 pub use diff::{first_divergence, TraceDiff};
-pub use event::{component, DropReason, TraceEvent, TraceKind};
+pub use event::{component, expand, DropReason, TraceEvent, TraceKind};
 pub use metrics::{MetricsSnapshot, TimeBucket, TimeBuckets};
 pub use recorder::TraceSink;
 pub use usage::ClassUsage;

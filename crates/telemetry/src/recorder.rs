@@ -158,6 +158,16 @@ impl TraceSink {
         }
     }
 
+    /// Lets `f` rewrite the most recent record in place; returns what `f`
+    /// returns, or `false` when there is no record to rewrite (the sink is
+    /// off, or nothing was recorded since the last take). The last record
+    /// is always still in the chunk: a flush only happens before the next
+    /// push.
+    #[inline]
+    pub fn fold_last(&mut self, f: impl FnOnce(&mut TraceEvent) -> bool) -> bool {
+        self.chunk.last_mut().is_some_and(f)
+    }
+
     /// Takes the recorded events in chronological order, leaving the sink
     /// enabled with an empty ring that holds no reservation. Events that
     /// never left the chunk are handed back in the chunk itself. Returns an
@@ -276,6 +286,28 @@ mod tests {
         assert_eq!(a.take_events(), b.take_events());
         assert!(a.take_events().is_empty(), "take resets the chunked sink");
         assert!(a.is_enabled(), "sink stays enabled after take");
+    }
+
+    #[test]
+    fn fold_last_rewrites_the_newest_record_across_a_flush() {
+        let mut s = TraceSink::chunked(1 << 16);
+        assert!(!s.fold_last(|_| true), "nothing recorded yet");
+        for i in 0..=CHUNK_EVENTS as u64 {
+            s.emit_with(|| ev(i));
+        }
+        // The chunk was flushed before its last push, so the newest record
+        // is still in it.
+        assert!(s.fold_last(|last| {
+            last.t += 1_000_000;
+            true
+        }));
+        assert!(!s.fold_last(|_| false), "a refusing closure reports false");
+        let events = s.take_events();
+        assert_eq!(events.len(), CHUNK_EVENTS + 1);
+        assert_eq!(events[CHUNK_EVENTS].t, CHUNK_EVENTS as u64 + 1_000_000);
+        assert_eq!(events[CHUNK_EVENTS - 1].t, CHUNK_EVENTS as u64 - 1);
+        assert!(!s.fold_last(|_| true), "a taken sink has no last record");
+        assert!(!TraceSink::default().fold_last(|_| true), "an off sink has none either");
     }
 
     #[test]

@@ -2,19 +2,25 @@
 //! and every `marnet-trace` subcommand must answer without panicking, and
 //! a file that does not decode is a usage/I-O error (exit 2, with a
 //! message). Inputs are arbitrary bytes, truncations and single-bit flips
-//! of a valid encoding, plus committed regression seeds.
+//! of a valid encoding, plus committed regression seeds. Every decoded
+//! trace also goes through [`expand`], as every reader's does.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use marnet_telemetry::{component, file, DropReason, TraceEvent};
+use marnet_telemetry::{component, expand, file, DropReason, TraceEvent, TraceKind};
 use proptest::prelude::*;
 
 /// A small valid trace touching every subcommand's code paths: packet
-/// events of two flows, a queue delay, drops and a link state change.
+/// events of two flows, a send-idle record, a queue delay, drops and link
+/// state changes.
 fn valid() -> Vec<u8> {
     let link = component::link(0);
+    let mut send_idle = TraceEvent::packet_enqueue(5, link, 9, 8, 300, 1);
+    assert!(send_idle.fold_send_idle(5, link, 9));
     file::encode(&[
+        send_idle,
+        TraceEvent::link_state(7, link, false, 0, 0),
         TraceEvent::packet_enqueue(10, link, 1, 7, 1_200, 2),
         TraceEvent::link_state(10, link, true, 1, 1_200),
         TraceEvent::packet_dequeue(30, link, 1, 20),
@@ -50,6 +56,11 @@ fn run(args: &[&Path], cmd: &str) -> (Option<i32>, String) {
 /// problem.
 fn check(bytes: &[u8], name: &str) {
     let decoded = file::decode(bytes);
+    if let Ok(events) = &decoded {
+        let expanded = expand(events);
+        assert!(expanded.iter().all(|e| e.kind != TraceKind::PacketSendIdle));
+        assert!(expanded.len() >= events.len());
+    }
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     let (path, good) = (dir.join(format!("{name}.trace")), dir.join(format!("{name}_valid.trace")));
     std::fs::write(&path, bytes).expect("write trace");
@@ -76,6 +87,14 @@ fn check(bytes: &[u8], name: &str) {
             }
         }
     }
+}
+
+#[test]
+fn the_valid_trace_holds_a_send_idle_record() {
+    let events = file::decode(&valid()).expect("valid trace decodes");
+    assert!(events.iter().any(|e| e.kind == TraceKind::PacketSendIdle));
+    assert_eq!(expand(&events).len(), events.len() + 2);
+    check(&valid(), "hostile_valid");
 }
 
 #[test]
