@@ -29,8 +29,9 @@
 //!
 //! Exit codes follow the workspace CLI convention: 0 ok, 1 a regression
 //! (ratchet or overhead bound), 2 a usage or I/O error. Every argument is
-//! parsed and the ratchet file read before the matrix runs, so a mistyped
-//! flag or path fails at once and writes nothing.
+//! parsed, and the ratchet file read and its section for this mode checked
+//! against the matrix's rows, before the matrix runs, so a mistyped flag,
+//! path or row fails at once and writes nothing.
 //!
 //! The committed `results/BENCH_sim.json` also carries the pre-overhaul
 //! baseline (BinaryHeap + tombstone set, deep-cloned payloads) measured on
@@ -484,32 +485,70 @@ fn json_entry(m: &Measurement, smoke: bool) -> Value {
     obj(&pairs)
 }
 
+/// The three bars of a ratchet row, in the order [`stored_bars`] returns
+/// them.
+const BAR_FIELDS: [&str; 3] = ["events_per_sec_best", "allocs_per_event", "peak_heap_bytes"];
+
+/// The bars `root` stores for `mode`: one `BAR_FIELDS` triple per label
+/// of `labels`, in that order, or `None` when the file has no `mode`
+/// section yet (a first run seeds it). A section that names other rows
+/// than `labels`, or a row without all three numeric fields, is an error
+/// naming the row or field: the rewritten section holds only measured
+/// rows, so an unmatched bar would vanish without failing the gate.
+fn stored_bars(root: &Value, mode: &str, labels: &[&str]) -> Result<Option<Vec<[f64; 3]>>, String> {
+    let root = root.as_object().ok_or("is not a JSON object")?;
+    let Some((_, section)) = root.iter().find(|(k, _)| k == mode) else {
+        return Ok(None);
+    };
+    let section = section.as_object().ok_or(format!("[{mode}] is not an object"))?;
+    if let Some((row, _)) = section.iter().find(|(k, _)| !labels.contains(&k.as_str())) {
+        return Err(format!("[{mode}] row {row} is not a row of the matrix"));
+    }
+    if section.len() > labels.len() {
+        return Err(format!("[{mode}] names a row twice"));
+    }
+    let rows = labels.iter().map(|&label| {
+        let (_, row) = section
+            .iter()
+            .find(|(k, _)| k == label)
+            .ok_or(format!("[{mode}] has no row {label}"))?;
+        let mut bars = [0.0; 3];
+        for (bar, field) in bars.iter_mut().zip(BAR_FIELDS) {
+            *bar = row
+                .as_object()
+                .and_then(|r| r.iter().find(|(k, _)| k == field))
+                .and_then(|(_, v)| v.as_f64())
+                .filter(|v| v.is_finite())
+                .ok_or(format!("[{mode}] row {label}: {field} is missing or not a number"))?;
+        }
+        Ok(bars)
+    });
+    rows.collect::<Result<_, String>>().map(Some)
+}
+
 /// The ratchet gate on a parsed ratchet file: compares each row against
 /// `root`'s entry for this mode and tightens the stored bar on
 /// improvement. Returns the new file contents and the regression messages
-/// (empty = pass).
+/// (empty = pass), or the [`stored_bars`] error of a malformed section.
 ///
 /// The events/s bar (`events_per_sec_best`: the best bar any run has set)
 /// is compared with and raised to the run's *median* rep, so one lucky rep
 /// neither passes a slow run nor leaves a floor later runs cannot meet.
-fn ratchet(root: &Value, mode: &str, measurements: &[Measurement]) -> (Value, Vec<String>) {
-    let lookup = |label: &str| -> Option<Value> {
-        let section = root.as_object()?.iter().find(|(k, _)| k == mode)?.1.as_object()?;
-        section.iter().find(|(k, _)| k == label).map(|(_, v)| v.clone())
-    };
-    let field = |e: &Value, k: &str| -> Option<f64> {
-        e.as_object()?.iter().find(|(key, _)| key == k)?.1.as_f64()
-    };
+fn ratchet(
+    root: &Value,
+    mode: &str,
+    measurements: &[Measurement],
+) -> Result<(Value, Vec<String>), String> {
+    let labels: Vec<&str> = measurements.iter().map(|m| m.label).collect();
+    let stored = stored_bars(root, mode, &labels)?;
 
     let mut failures = Vec::new();
     let mut section: Vec<(String, Value)> = Vec::new();
-    for m in measurements {
+    for (i, m) in measurements.iter().enumerate() {
         let (mut bar, mut allocs, mut peak) =
             (m.median_events_per_sec, m.allocs_per_event, m.peak_heap_bytes as f64);
-        if let Some(e) = lookup(m.label) {
-            let r_bar = field(&e, "events_per_sec_best").unwrap_or(0.0);
-            let r_allocs = field(&e, "allocs_per_event").unwrap_or(f64::INFINITY);
-            let r_peak = field(&e, "peak_heap_bytes").unwrap_or(f64::INFINITY);
+        if let Some(stored) = &stored {
+            let [r_bar, r_allocs, r_peak] = stored[i];
             if m.allocs_per_event > r_allocs + ALLOC_SLACK {
                 failures.push(format!(
                     "{}: allocs/event {:.3} regressed past ratchet {:.3} (+{ALLOC_SLACK} slack)",
@@ -565,7 +604,7 @@ fn ratchet(root: &Value, mode: &str, measurements: &[Measurement]) -> (Value, Ve
     }
     pairs.push((mode.to_string(), Value::Object(section)));
     pairs.sort_by(|a, b| (a.0 != "schema").cmp(&(b.0 != "schema")).then(a.0.cmp(&b.0)));
-    (Value::Object(pairs), failures)
+    Ok((Value::Object(pairs), failures))
 }
 
 const USAGE: &str = "usage: perf_report [--smoke] [--ratchet PATH] [--max-trace-overhead-pct P]";
@@ -584,9 +623,10 @@ fn load_ratchet(path: &str) -> Result<Value, String> {
     serde_json::from_str(&body).map_err(|e| format!("ratchet file {path} is not JSON: {e}"))
 }
 
-/// Parses the arguments and checks the ratchet file loads, so that a bad
-/// command line fails before the matrix runs. The parsed file is dropped
-/// again: nothing of it may stay live while the matrix measures heap.
+/// Parses the arguments and checks that the ratchet file loads and that
+/// its section for this mode matches the matrix, so that a bad command
+/// line fails before the matrix runs. The parsed file is dropped again:
+/// nothing of it may stay live while the matrix measures heap.
 fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut args = Args { smoke: false, max_trace_overhead_pct: None, ratchet: None };
     while let Some(arg) = argv.next() {
@@ -594,7 +634,11 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--smoke" => args.smoke = true,
             "--max-trace-overhead-pct" => {
                 let value = argv.next().ok_or(format!("{arg} needs a value"))?;
-                let pct = value.parse().map_err(|e| format!("{arg} {value}: {e}"))?;
+                let pct: f64 = value.parse().map_err(|e| format!("{arg} {value}: {e}"))?;
+                // `x > NaN` is false: a NaN bound would switch the gate off.
+                if !(pct.is_finite() && pct >= 0.0) {
+                    return Err(format!("{arg} {value}: the bound must be a finite number >= 0"));
+                }
                 args.max_trace_overhead_pct = Some(pct);
             }
             "--ratchet" => args.ratchet = Some(argv.next().ok_or(format!("{arg} needs a value"))?),
@@ -602,9 +646,20 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         }
     }
     if let Some(path) = &args.ratchet {
-        load_ratchet(path)?;
+        let labels: Vec<&str> = workloads(args.smoke).iter().map(|w| w.label).collect();
+        stored_bars(&load_ratchet(path)?, mode(args.smoke), &labels)
+            .map_err(|e| format!("ratchet file {path} {e}"))?;
     }
     Ok(args)
+}
+
+/// The ratchet file's section for a run at this scale.
+fn mode(smoke: bool) -> &'static str {
+    if smoke {
+        "smoke"
+    } else {
+        "full"
+    }
 }
 
 /// A usage or I/O error: exit 2 with a message.
@@ -701,8 +756,11 @@ fn main() -> ExitCode {
             Ok(root) => root,
             Err(msg) => return exit_two(&msg),
         };
-        let mode = if smoke { "smoke" } else { "full" };
-        let (root, failures) = ratchet(&root, mode, &measurements);
+        let mode = mode(smoke);
+        let (root, failures) = match ratchet(&root, mode, &measurements) {
+            Ok(gated) => gated,
+            Err(msg) => return exit_two(&format!("ratchet file {rp} {msg}")),
+        };
         let body = serde_json::to_string_pretty(&root).expect("serialize ratchet") + "\n";
         if let Err(e) = std::fs::write(rp, body) {
             return exit_two(&format!("cannot write ratchet file {rp}: {e}"));
@@ -768,26 +826,65 @@ mod tests {
     #[test]
     fn one_outlier_rep_does_not_move_the_stored_events_bar() {
         let empty = Value::Object(vec![("schema".to_string(), Value::UInt(1))]);
-        let (root, failures) = ratchet(&empty, "full", &[measured("row", &[5e6; 5])]);
+        let (root, failures) = ratchet(&empty, "full", &[measured("row", &[5e6; 5])]).unwrap();
         assert!(failures.is_empty());
         assert_eq!(stored_bar(&root, "full", "row"), Some(5e6));
         // Four honest reps and one lucky one: best-of says 9 M events/s,
         // the bar stays where the honest reps are.
         let lucky = measured("row", &[4.9e6, 9e6, 5e6, 4.8e6, 4.9e6]);
         assert_eq!(lucky.best_events_per_sec, 9e6);
-        let (root, failures) = ratchet(&root, "full", &[lucky]);
+        let (root, failures) = ratchet(&root, "full", &[lucky]).unwrap();
         assert!(failures.is_empty());
         assert_eq!(stored_bar(&root, "full", "row"), Some(5e6));
         // A run that is faster on most reps does tighten it, to its median.
         let faster = measured("row", &[6.1e6, 6e6, 6.3e6, 5.9e6, 6e6]);
-        let (root, _) = ratchet(&root, "full", &[faster]);
+        let (root, _) = ratchet(&root, "full", &[faster]).unwrap();
         assert_eq!(stored_bar(&root, "full", "row"), Some(6e6));
         // One lucky rep does not rescue a run whose median is under the
         // floor either; the smoke section was never touched.
         let slow = measured("row", &[2e6, 2.1e6, 7e6, 2e6, 1.9e6]);
-        let (root, failures) = ratchet(&root, "full", &[slow]);
+        let (root, failures) = ratchet(&root, "full", &[slow]).unwrap();
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert_eq!(stored_bar(&root, "full", "row"), Some(6e6));
         assert_eq!(stored_bar(&root, "smoke", "row"), None);
+    }
+
+    fn parse(json: &str) -> Value {
+        serde_json::from_str(json).expect("test JSON parses")
+    }
+
+    #[test]
+    fn a_section_must_name_exactly_the_matrix_rows_with_numeric_bars() {
+        let bars = r#"{"events_per_sec_best": 5, "allocs_per_event": 0.5, "peak_heap_bytes": 9}"#;
+        let check = |section: &str| {
+            let root = parse(&format!(r#"{{"schema": 1, "smoke": {section}}}"#));
+            stored_bars(&root, "smoke", &["a", "b"])
+        };
+        let both = check(&format!(r#"{{"b": {bars}, "a": {bars}}}"#));
+        assert_eq!(both, Ok(Some(vec![[5.0, 0.5, 9.0]; 2])));
+        // No section for this mode: a first run seeds it.
+        assert_eq!(stored_bars(&parse(r#"{"schema": 1}"#), "full", &["a"]), Ok(None));
+        let err = |section: &str| check(section).expect_err(section);
+        assert!(err(r#"{"rows": 5}"#).contains("row rows is not a row of the matrix"));
+        assert!(err(&format!(r#"{{"a": {bars}}}"#)).contains("has no row b"));
+        assert!(err(&format!(r#"{{"a": {bars}, "a": {bars}, "b": {bars}}}"#)).contains("twice"));
+        let no_peak = r#"{"events_per_sec_best": 5, "allocs_per_event": 0.5}"#;
+        assert!(err(&format!(r#"{{"a": {bars}, "b": {no_peak}}}"#))
+            .contains("row b: peak_heap_bytes is missing or not a number"));
+        let text = r#"{"events_per_sec_best": "5", "allocs_per_event": 0.5, "peak_heap_bytes": 9}"#;
+        assert!(err(&format!(r#"{{"a": {text}, "b": {bars}}}"#))
+            .contains("row a: events_per_sec_best is missing or not a number"));
+        assert!(err("[]").contains("[smoke] is not an object"));
+        assert!(stored_bars(&parse("[]"), "smoke", &["a"]).is_err());
+    }
+
+    #[test]
+    fn the_committed_ratchet_names_the_matrix_rows_in_both_modes() {
+        let root = parse(include_str!("../../../../results/PERF_RATCHET.json"));
+        for smoke in [false, true] {
+            let labels: Vec<&str> = workloads(smoke).iter().map(|w| w.label).collect();
+            let stored = stored_bars(&root, mode(smoke), &labels);
+            assert!(matches!(stored, Ok(Some(_))), "{}: {stored:?}", mode(smoke));
+        }
     }
 }

@@ -999,8 +999,6 @@ impl FaultScenario {
 pub struct FaultsOutcome {
     /// Frames that arrived within the 75 ms budget, % of offered (whole run).
     pub delivered_in_budget_pct: f64,
-    /// Frames that arrived at all, % of offered (whole run).
-    pub delivered_total_pct: f64,
     /// In-budget % over the stress window (fault onset → onset + 1.5 s) —
     /// the QoE-under-fault figure.
     pub qoe_under_fault_pct: f64,
@@ -1167,14 +1165,11 @@ pub fn run_faults_config_instrumented(
     let window_offered = 1.5 * 30.0;
     let r = rstats.borrow();
     let s = sstats.borrow();
-    let ks = r.by_kind.get(&StreamKind::VideoReference);
-    let delivered = ks.map_or(0, |k| k.delivered) as f64;
-    let hits = ks.map_or(0, |k| k.deadline_hits) as f64;
+    let hits = r.by_kind.get(&StreamKind::VideoReference).map_or(0, |k| k.deadline_hits) as f64;
     let lg = log.borrow();
     let w = window.borrow();
     let outcome = FaultsOutcome {
         delivered_in_budget_pct: hits / offered * 100.0,
-        delivered_total_pct: delivered / offered * 100.0,
         qoe_under_fault_pct: lg.window_hits as f64 / window_offered * 100.0,
         recovery_ms: lg.restored_at.map(|t| t.saturating_since(fault_end).as_millis_f64()),
         retransmits_during_fault: w[1].saturating_sub(w[0]),
@@ -2491,21 +2486,26 @@ mod tests {
 
     #[test]
     fn cityscale_replays_bit_identically() {
-        let fingerprint = |o: &CityscaleOutcome| {
+        // The trace's flow records carry every transfer's start and
+        // duration, its packet records every MAR packet's path.
+        let traced = TelemetryOptions { trace_capacity: Some(1 << 16), metrics: false };
+        let run = || {
+            let (o, _, capture) = run_cityscale_instrumented(5_000, 1.0, 4, 29, &traced);
             let mar = o.mar.borrow();
             let bg = o.background.borrow();
-            (
+            let fingerprint = (
                 mar.packets,
                 mar.bytes,
                 mar.latency_ms.values().to_vec(),
                 bg.offered,
                 bg.completed,
-                bg.duration_ms.values().to_vec(),
                 o.fluid.borrow().recomputes,
-            )
+            );
+            (fingerprint, capture.events)
         };
-        let a = cityscale(5_000, 4, 29);
-        let b = cityscale(5_000, 4, 29);
-        assert_eq!(fingerprint(&a), fingerprint(&b));
+        let (a, b) = (run(), run());
+        assert!(a.1.len() < 1 << 16, "the trace ring wrapped");
+        assert!(a.1.iter().any(|e| e.kind == TraceKind::FlowFinish), "no flow finished");
+        assert_eq!(a, b);
     }
 }

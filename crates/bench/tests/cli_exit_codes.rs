@@ -50,6 +50,41 @@ fn a_missing_or_non_numeric_overhead_bound_exits_two() {
 }
 
 #[test]
+fn a_nan_or_negative_overhead_bound_exits_two() {
+    let dir = scratch("perf_bound_value");
+    for bound in ["NaN", "-1", "inf"] {
+        let out = perf_report(&dir, &["--smoke", "--max-trace-overhead-pct", bound]);
+        assert_refused(&dir, &out, "the bound must be a finite number >= 0");
+    }
+}
+
+#[test]
+fn a_ratchet_row_the_matrix_does_not_produce_exits_two_and_keeps_the_file() {
+    let dir = scratch("perf_rows");
+    let body = "{\"schema\":1,\"smoke\":{\"rows\":5}}";
+    fs::write(dir.join("ratchet.json"), body).expect("write ratchet");
+    let out = perf_report(&dir, &["--smoke", "--ratchet", "ratchet.json"]);
+    assert_refused(&dir, &out, "ratchet file ratchet.json [smoke] row rows is not a row");
+    assert_eq!(fs::read_to_string(dir.join("ratchet.json")).expect("read"), body);
+}
+
+#[test]
+fn a_ratchet_row_without_a_numeric_bar_exits_two() {
+    let dir = scratch("perf_fields");
+    let committed = include_str!("../../../results/PERF_RATCHET.json");
+    // The committed file with one bar of the full section made a string.
+    let body = committed.replacen("\"peak_heap_bytes\": ", "\"peak_heap_bytes\": \"", 1).replacen(
+        "\n    },",
+        "\"\n    },",
+        1,
+    );
+    assert_ne!(body, committed);
+    fs::write(dir.join("ratchet.json"), &body).expect("write ratchet");
+    let out = perf_report(&dir, &["--ratchet", "ratchet.json"]);
+    assert_refused(&dir, &out, "[full] row arq+fec-k8: peak_heap_bytes is missing or not a number");
+}
+
+#[test]
 fn a_non_json_ratchet_exits_two_before_the_report_is_written() {
     let dir = scratch("perf_garbage");
     fs::write(dir.join("ratchet.json"), "not json").expect("write garbage");

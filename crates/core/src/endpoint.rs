@@ -24,7 +24,7 @@ use marnet_sim::engine::{Actor, ActorId, Event, SimCtx};
 use marnet_sim::hash::{FxHashMap, FxHashSet};
 use marnet_sim::link::LinkId;
 use marnet_sim::packet::{Packet, Payload, PayloadPool};
-use marnet_sim::stats::{Histogram, RateMeter, TimeSeries};
+use marnet_sim::stats::{Histogram, RateMeter};
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{component, ClassUsage, DropReason, TraceEvent};
 use marnet_transport::nic::{unwrap_packet, TxPath};
@@ -93,12 +93,11 @@ struct SenderPath {
 /// Sender-side statistics shared with experiment code.
 #[derive(Debug, Default)]
 pub struct ArSenderStats {
-    /// Allowed aggregate rate over time (bytes/s).
-    pub rate_series: TimeSeries,
-    /// Smoothed RTT samples over time (ms), across all paths.
-    pub srtt_series: TimeSeries,
-    /// Base (minimum) RTT over time (ms), across all paths.
-    pub base_rtt_series: TimeSeries,
+    /// The latest smoothed RTT (ms), from whichever path fed back last.
+    pub srtt_ms: Option<f64>,
+    /// The latest base (minimum) RTT (ms), from whichever path fed back
+    /// last.
+    pub base_rtt_ms: Option<f64>,
     /// Per-sub-stream sent/shed packet and byte accounting, indexed by
     /// `StreamKind as usize`; see the accessor methods for the per-kind
     /// views experiment code reads.
@@ -107,8 +106,6 @@ pub struct ArSenderStats {
     pub send_meters: KindMap<RateMeter>,
     /// Retransmissions performed.
     pub retransmits: u64,
-    /// NACKs whose retransmission the deadline gate suppressed.
-    pub suppressed_retransmits: u64,
     /// FEC parity packets emitted.
     pub parity_sent: u64,
     /// Delay-congestion events observed.
@@ -125,19 +122,11 @@ pub struct ArSenderStats {
     pub recovery_probes: u64,
     /// Sessions re-established after a peer epoch change (edge restart).
     pub session_resyncs: u64,
-    /// Loss reports absorbed by the post-outage attribution grace window
-    /// instead of being charged to the congestion controller.
-    pub congestion_events_masked: u64,
 }
 
 impl ArSenderStats {
     fn meter(&mut self, kind: StreamKind) -> &mut RateMeter {
         self.send_meters.get_or_insert_with(kind, || RateMeter::new(SimDuration::from_millis(100)))
-    }
-
-    /// Bytes handed to the network for `kind`.
-    pub fn sent_bytes(&self, kind: StreamKind) -> u64 {
-        self.usage.sent_bytes_for(kind as usize)
     }
 
     /// Total bytes handed to the network across all sub-streams.
@@ -427,7 +416,6 @@ impl ArSender {
             ts,
             // An empty covered list never allocates; parity refills in place.
             fec: fec_group.map(|group| FecInfo { group, covered: Vec::new(), is_parity: false }),
-            is_retransmit,
         };
         let payload = self.data_pool.prepare(make, |ar| *ar = make());
         let size = frag_size + AR_HEADER_BYTES;
@@ -511,7 +499,6 @@ impl ArSender {
             deadline: None,
             ts: now,
             fec: None,
-            is_retransmit: false,
         };
         // The parity pool is a field disjoint from the paths, so the
         // recycled slot's coverage list is refilled straight from the
@@ -719,7 +706,6 @@ impl ArSender {
                 deadline: None,
                 ts: ctx.now(),
                 fec: None,
-                is_retransmit: false,
             };
             let id = ctx.next_packet_id();
             let pkt = Packet::new(id, self.conn, AR_HEADER_BYTES, ctx.now())
@@ -802,7 +788,6 @@ impl ArSender {
         self.tick_out = out;
 
         self.rtx.expire(ctx.now());
-        self.stats.borrow_mut().rate_series.push(ctx.now(), total_rate);
 
         // QoS feedback to the application.
         self.ticks_since_signal += 1;
@@ -852,9 +837,6 @@ impl ArSender {
         if let Some(ts) = fb.ts_echo {
             let rtt = ctx.now().saturating_since(ts).saturating_sub(fb.echo_delay);
             let attribute = self.grace_until.is_none_or(|g| ctx.now() > g);
-            if !attribute && fb.new_losses > 0 {
-                self.stats.borrow_mut().congestion_events_masked += 1;
-            }
             let verdict = sender_path_mut(&mut self.paths, path_idx).ctrl.on_feedback_attributed(
                 rtt,
                 fb.new_losses,
@@ -862,17 +844,14 @@ impl ArSender {
                 ctx.now(),
                 attribute,
             );
-            {
-                let ctrl = &sender_path(&self.paths, path_idx).ctrl;
-                let mut st = self.stats.borrow_mut();
-                if let Some(srtt) = ctrl.srtt() {
-                    st.srtt_series.push(ctx.now(), srtt.as_millis_f64());
-                }
-                if let Some(base) = ctrl.base_rtt() {
-                    st.base_rtt_series.push(ctx.now(), base.as_millis_f64());
-                }
-            }
+            let ctrl = &sender_path(&self.paths, path_idx).ctrl;
             let mut st = self.stats.borrow_mut();
+            if let Some(srtt) = ctrl.srtt() {
+                st.srtt_ms = Some(srtt.as_millis_f64());
+            }
+            if let Some(base) = ctrl.base_rtt() {
+                st.base_rtt_ms = Some(base.as_millis_f64());
+            }
             match verdict {
                 CongestionVerdict::DelayCongestion => st.delay_congestion_events += 1,
                 CongestionVerdict::LossCongestion => st.loss_congestion_events += 1,
@@ -946,8 +925,6 @@ impl ArSender {
                     true,
                     rec.attempts + 1,
                 );
-            } else {
-                self.stats.borrow_mut().suppressed_retransmits += 1;
             }
         }
     }
@@ -1004,40 +981,18 @@ pub struct KindStats {
 }
 
 /// Receiver-side statistics shared with experiment code.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ArReceiverStats {
     /// Per-sub-stream delivery stats.
     pub by_kind: KindMap<KindStats>,
     /// Total bytes received (all packets).
     pub received_bytes: u64,
-    /// Delivery-rate meter (100 ms buckets).
-    pub meter: RateMeter,
     /// Duplicate packets discarded (multipath duplication, spurious rtx).
     pub duplicates: u64,
     /// Fragments recovered by FEC parity.
     pub fec_recovered: u64,
     /// Sequence holes abandoned after repeated NACKs.
     pub abandoned_holes: u64,
-    /// Feedback packets sent.
-    pub feedback_sent: u64,
-    /// Packets discarded because they were sent in a dead session epoch
-    /// (in flight across an edge restart).
-    pub stale_epoch_packets: u64,
-}
-
-impl Default for ArReceiverStats {
-    fn default() -> Self {
-        ArReceiverStats {
-            by_kind: KindMap::new(),
-            received_bytes: 0,
-            meter: RateMeter::new(SimDuration::from_millis(100)),
-            duplicates: 0,
-            fec_recovered: 0,
-            abandoned_holes: 0,
-            feedback_sent: 0,
-            stale_epoch_packets: 0,
-        }
-    }
 }
 
 impl ArReceiverStats {
@@ -1399,11 +1354,7 @@ impl ArReceiver {
             return;
         };
         let now = ctx.now();
-        {
-            let mut st = self.stats.borrow_mut();
-            st.received_bytes += u64::from(pkt.size);
-            st.meter.record(now, u64::from(pkt.size));
-        }
+        self.stats.borrow_mut().received_bytes += u64::from(pkt.size);
         let Some(path) = self.rx.get_mut(view.path) else {
             return;
         };
@@ -1418,7 +1369,6 @@ impl ArReceiver {
             // epoch and triggers the sender's resync — but its sequence
             // number belongs to a space this incarnation never saw and
             // would poison loss detection.
-            self.stats.borrow_mut().stale_epoch_packets += 1;
             return;
         }
         if !path.mark(view.seq) {
@@ -1597,7 +1547,6 @@ impl ArReceiver {
                 .with_prio(0)
                 .with_shared_payload(payload);
             reverse.send(ctx, pkt);
-            self.stats.borrow_mut().feedback_sent += 1;
         }
         ctx.schedule_timer(FEEDBACK_INTERVAL, TAG_FEEDBACK);
     }
@@ -2036,7 +1985,6 @@ mod tests {
             deadline: None,
             ts: SimTime::from_millis(n + 4),
             fec: None,
-            is_retransmit: false,
         };
         let long: Vec<_> = (0..8).map(|i| (frag(7, i), 1_200)).collect();
         let short = vec![(frag(9, 0), 800), (frag(9, 1), 640)];

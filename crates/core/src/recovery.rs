@@ -13,6 +13,7 @@
 //! sender-side state needed to act on NACKs.
 
 use crate::class::{StreamKind, TrafficClass};
+use marnet_sim::hash::{fnv1a, FNV_OFFSET_BASIS};
 use marnet_sim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -116,11 +117,7 @@ fn capped_backoff(attempt: u32) -> u64 {
 /// probes of different senders (use the connection id as the salt).
 pub fn probe_backoff(attempt: u32, salt: u64) -> SimDuration {
     let capped = capped_backoff(attempt);
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
-    for b in attempt.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a(&attempt.to_le_bytes(), FNV_OFFSET_BASIS ^ salt);
     let jitter = capped / 100 * (h % (PROBE_JITTER_PCT + 1));
     SimDuration::from_nanos(capped.saturating_add(jitter))
 }

@@ -72,8 +72,6 @@ pub struct ArPacket {
     pub ts: SimTime,
     /// FEC grouping, if the packet participates in FEC.
     pub fec: Option<FecInfo>,
-    /// `true` if this is a retransmission.
-    pub is_retransmit: bool,
 }
 
 /// A feedback packet (receiver → sender), one per path per interval.
@@ -143,7 +141,6 @@ mod tests {
                 covered: vec![FragmentId { seq: 9, msg_id: 4, frag_index: 0 }],
                 is_parity: false,
             }),
-            is_retransmit: false,
         };
         let p = marnet_sim::packet::Payload::new(pkt);
         let q = p.clone();

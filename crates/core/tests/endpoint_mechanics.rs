@@ -178,12 +178,12 @@ fn srtt_converges_to_path_rtt() {
     sim.add_actor(RefApp { sender: snd, next_id: 0, size: 2_000 });
     sim.run_until(SimTime::from_secs(10));
     let s = sstats.borrow();
-    let last_srtt = s.srtt_series.points().last().map(|p| p.1).expect("srtt recorded");
+    let last_srtt = s.srtt_ms.expect("srtt recorded");
     // True RTT = 50 ms propagation + ~1 ms serialization/feedback slop.
     assert!(
         (50.0..54.0).contains(&last_srtt),
         "srtt {last_srtt} must converge near the 50 ms path RTT"
     );
-    let base = s.base_rtt_series.points().last().map(|p| p.1).expect("base recorded");
+    let base = s.base_rtt_ms.expect("base recorded");
     assert!((50.0..52.0).contains(&base), "base rtt {base}");
 }

@@ -57,7 +57,6 @@ use crate::maxmin::{max_min_rates_into, MaxMinClass, MaxMinScratch};
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx, TimerHandle};
 use marnet_sim::link::{Bandwidth, LinkId, RateUpdate};
 use marnet_sim::packet::PayloadPool;
-use marnet_sim::stats::Histogram;
 use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{component, TraceEvent};
 use std::cell::RefCell;
@@ -123,10 +122,6 @@ pub struct FluidStats {
     pub started: u64,
     /// Finite flows completed.
     pub finished: u64,
-    /// Completed-flow durations in milliseconds.
-    pub duration_ms: Histogram,
-    /// Completed-flow mean throughputs in Mb/s.
-    pub flow_mbps: Histogram,
     /// Max-min recomputes performed (one per flow start/finish batch).
     pub recomputes: u64,
 }
@@ -360,15 +355,7 @@ impl FluidNetwork {
                 }
                 let Some(entry) = c.pending.pop() else { break };
                 let duration = now.saturating_since(entry.started);
-                {
-                    let mut st = self.stats.borrow_mut();
-                    st.finished += 1;
-                    st.duration_ms.record(duration.as_millis_f64());
-                    let secs = duration.as_secs_f64();
-                    if secs > 0.0 {
-                        st.flow_mbps.record(entry.bytes as f64 * 8.0 / secs / 1e6);
-                    }
-                }
+                self.stats.borrow_mut().finished += 1;
                 ctx.trace_with(|| {
                     TraceEvent::flow_finish(
                         now.as_nanos(),

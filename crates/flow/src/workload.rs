@@ -17,7 +17,6 @@ use crate::fluid::{ClassId, FlowDone, StartFlow};
 use marnet_sim::engine::{Actor, ActorId, Event, SimCtx};
 use marnet_sim::packet::PayloadPool;
 use marnet_sim::rng::derive_rng;
-use marnet_sim::stats::Histogram;
 use marnet_sim::time::SimDuration;
 use marnet_sim::timers::TimerBank;
 use rand::Rng;
@@ -50,8 +49,6 @@ pub struct WorkloadStats {
     pub offered: u64,
     /// Transfers completed.
     pub completed: u64,
-    /// Completed-transfer durations in milliseconds.
-    pub duration_ms: Histogram,
 }
 
 /// A population of think/transfer background clients (see module docs).
@@ -126,11 +123,7 @@ impl Actor for BackgroundWorkload {
                 // `FlowDone` is `Copy` and may arrive in a pooled payload:
                 // copy it out by reference instead of `take`.
                 if let Some(done) = msg.map_ref(|d: &FlowDone| *d) {
-                    {
-                        let mut st = self.stats.borrow_mut();
-                        st.completed += 1;
-                        st.duration_ms.record(done.duration.as_millis_f64());
-                    }
+                    self.stats.borrow_mut().completed += 1;
                     let delay = self.think();
                     self.thinking.schedule(ctx, delay, done.flow);
                 }
@@ -147,9 +140,13 @@ mod tests {
     use marnet_sim::engine::Simulator;
     use marnet_sim::link::Bandwidth;
     use marnet_sim::time::SimTime;
+    use marnet_telemetry::TraceEvent;
 
-    fn run(seed: u64, clients: u64) -> (u64, u64, Vec<f64>) {
+    /// Offered and completed transfers, and the run's trace, whose flow
+    /// records carry every start and every duration.
+    fn run(seed: u64, clients: u64) -> (u64, u64, Vec<TraceEvent>) {
         let mut sim = Simulator::new(seed);
+        sim.enable_flight_recorder(1 << 16);
         let net_id = sim.reserve_actor();
         let wl_id = sim.reserve_actor();
         let mut net = FluidNetwork::new();
@@ -167,19 +164,18 @@ mod tests {
         let stats = wl.stats();
         sim.install_actor(wl_id, wl);
         sim.run_until(SimTime::from_secs(10));
-        let st = stats.borrow();
-        (st.offered, st.completed, st.duration_ms.values().to_vec())
+        let (offered, completed) = (stats.borrow().offered, stats.borrow().completed);
+        (offered, completed, sim.take_trace())
     }
 
     #[test]
     fn clients_cycle_through_think_and_transfer() {
-        let (offered, completed, durations) = run(5, 40);
+        let (offered, completed, _) = run(5, 40);
         // 40 clients over 10 s with ~0.5 s think + ~0.1–0.2 s transfer:
         // hundreds of cycles, nearly all completing.
         assert!(offered >= 300, "offered {offered}");
         assert!(completed >= 300, "completed {completed}");
         assert!(completed <= offered);
-        assert_eq!(durations.len() as u64, completed);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! equal iff they describe the same experiment — the hash goes into the
 //! artifact provenance and into every trial's seed derivation.
 
+use marnet_sim::hash::{fnv1a, FNV_OFFSET_BASIS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -171,12 +172,7 @@ impl ScenarioSpec {
     /// hash — is stable across runs, platforms and thread counts.
     pub fn spec_hash(&self) -> u64 {
         let canonical = serde_json::to_string(self).expect("spec serializes");
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in canonical.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        fnv1a(canonical.as_bytes(), FNV_OFFSET_BASIS)
     }
 }
 

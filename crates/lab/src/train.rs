@@ -38,10 +38,10 @@ use marnet_bench::scenarios::{
 use marnet_bench::{fmt, print_table};
 use marnet_core::config::{ArConfig, OutageConfig};
 use marnet_core::policy::PolicyParams;
+use marnet_sim::hash::{fnv1a, FNV_OFFSET_BASIS};
 use marnet_sim::rng::derive_rng;
 use marnet_sim::stats::jain_index;
 use marnet_telemetry::TelemetryOptions;
-use marnet_trainer::artifact::fnv1a;
 use marnet_trainer::{
     run_search, select_tuned, ComparisonRow, Evaluated, Evaluation, FrontArtifact, FrontEntry,
     Objectives, PolicySpace, TrainConfig, TrainResult, SCHEMA_VERSION,
@@ -213,7 +213,8 @@ pub fn train_hash(opts: &TrainOptions) -> String {
         fair_n_tcp: FAIR_N_TCP as u64,
         fairness_band: FAIRNESS_BAND,
     };
-    let hash = fnv1a(serde_json::to_string(&train_spec).expect("train spec serializes").as_bytes());
+    let canonical = serde_json::to_string(&train_spec).expect("train spec serializes");
+    let hash = fnv1a(canonical.as_bytes(), FNV_OFFSET_BASIS);
     format!("{hash:016x}")
 }
 

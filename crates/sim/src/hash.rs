@@ -11,6 +11,9 @@
 //!
 //! Not DoS-resistant, which is irrelevant here: keys come from the
 //! simulation itself, never from untrusted input.
+//!
+//! [`fnv1a`] is the workspace's content hash: spec hashes, training-spec
+//! hashes, RNG stream labels and probe jitter all fold their bytes with it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -22,6 +25,28 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// The 64-bit FNV offset basis: the [`fnv1a`] basis of a plain content
+/// hash.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a over `bytes`, starting from `basis` — [`FNV_OFFSET_BASIS`]
+/// for a content hash, or a value mixed with a seed or salt to derive
+/// distinct hashes of the same bytes.
+///
+/// ```
+/// use marnet_sim::hash::{fnv1a, FNV_OFFSET_BASIS};
+/// assert_eq!(fnv1a(b"", FNV_OFFSET_BASIS), FNV_OFFSET_BASIS);
+/// assert_eq!(fnv1a(b"a", FNV_OFFSET_BASIS), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
+    let mut hash = basis;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 /// Multiply-rotate hasher over machine words.
 #[derive(Debug, Clone, Copy, Default)]

@@ -6,6 +6,7 @@
 //! experiments reproducible *and* insulated from each other: adding a new
 //! random component does not perturb the draws of existing ones.
 
+use crate::hash::{fnv1a, FNV_OFFSET_BASIS};
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -26,7 +27,7 @@ use rand_chacha::ChaCha12Rng;
 /// assert_ne!(x, y);
 /// ```
 pub fn derive_rng(seed: u64, label: &str) -> ChaCha12Rng {
-    let h1 = fnv1a(label.as_bytes(), 0xcbf2_9ce4_8422_2325);
+    let h1 = fnv1a(label.as_bytes(), FNV_OFFSET_BASIS);
     let h2 = fnv1a(label.as_bytes(), h1 ^ seed);
     let words = [seed, h1, h2, h1.wrapping_mul(h2) | 1];
     let mut key = [0u8; 32];
@@ -34,16 +35,6 @@ pub fn derive_rng(seed: u64, label: &str) -> ChaCha12Rng {
         chunk.copy_from_slice(&word.to_le_bytes());
     }
     ChaCha12Rng::from_seed(key)
-}
-
-/// FNV-1a hash with a caller-supplied basis, used to mix labels into seeds.
-fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
-    let mut hash = basis;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

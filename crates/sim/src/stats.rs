@@ -202,36 +202,17 @@ impl Histogram {
     }
 }
 
-/// A `(time, value)` series, e.g. throughput over time for the figures.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A `(time, value)` series, e.g. a congestion window over time for
+/// Fig. 4.
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
 }
 
 impl TimeSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
     /// Appends a point at virtual time `t`.
     pub fn push(&mut self, t: SimTime, value: f64) {
         self.points.push((t.as_secs_f64(), value));
-    }
-
-    /// The recorded points as `(seconds, value)` pairs.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if no points were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Mean of the values within `[from, to)` seconds, or `None` if no
@@ -298,11 +279,6 @@ impl RateMeter {
         } else {
             bytes as f64 * 8.0 / span / 1e6
         }
-    }
-
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.buckets.iter().sum()
     }
 }
 
@@ -411,14 +387,13 @@ mod tests {
 
     #[test]
     fn time_series_window() {
-        let mut ts = TimeSeries::new();
+        let mut ts = TimeSeries::default();
         ts.push(SimTime::from_millis(100), 1.0);
         ts.push(SimTime::from_millis(600), 3.0);
         ts.push(SimTime::from_millis(1500), 10.0);
         assert_eq!(ts.window_mean(0.0, 1.0), Some(2.0));
         assert_eq!(ts.window_mean(1.0, 2.0), Some(10.0));
         assert_eq!(ts.window_mean(5.0, 6.0), None);
-        assert_eq!(ts.len(), 3);
     }
 
     #[test]
@@ -431,7 +406,6 @@ mod tests {
         assert!((m.mean_mbps(0.0, 0.1) - 1.0).abs() < 1e-9);
         assert!((m.mean_mbps(0.1, 0.2) - 2.0).abs() < 1e-9);
         assert!((m.mean_mbps(0.0, 0.2) - 1.5).abs() < 1e-9);
-        assert_eq!(m.total_bytes(), 37_500);
     }
 
     #[test]

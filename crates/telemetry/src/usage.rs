@@ -60,12 +60,6 @@ impl<const N: usize> ClassUsage<N> {
         self.dropped_bytes[i] += bytes;
     }
 
-    /// Bytes sent in `class` (clamped like the recording methods).
-    #[inline]
-    pub fn sent_bytes_for(&self, class: usize) -> u64 {
-        self.sent_bytes[Self::idx(class)]
-    }
-
     /// Packets dropped in `class` (clamped like the recording methods).
     #[inline]
     pub fn dropped_packets_for(&self, class: usize) -> u64 {

@@ -21,16 +21,6 @@ use std::path::Path;
 /// Current artifact schema version.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// FNV-1a over raw bytes — the workspace's canonical content hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// One candidate as stored in the artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FrontEntry {
@@ -150,6 +140,7 @@ impl FrontArtifact {
 mod tests {
     use super::*;
     use crate::space::PolicySpace;
+    use marnet_sim::hash::{fnv1a, FNV_OFFSET_BASIS};
 
     fn entry(scalar: f64) -> FrontEntry {
         let space = PolicySpace::ar_default();
@@ -176,7 +167,7 @@ mod tests {
             elites: 2,
             replicates: 2,
             smoke: true,
-            train_hash: format!("{:016x}", fnv1a(b"demo")),
+            train_hash: format!("{:016x}", fnv1a(b"demo", FNV_OFFSET_BASIS)),
             space: PolicySpace::ar_default(),
             evaluations: 8,
             canary: BTreeMap::from([("cityscale_in_budget_pct".to_string(), 99.8)]),
@@ -219,7 +210,7 @@ mod tests {
     #[test]
     fn fnv1a_matches_the_workspace_convention() {
         // Offset basis of the empty input.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        assert_eq!(fnv1a(b"", FNV_OFFSET_BASIS), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a(b"a", FNV_OFFSET_BASIS), fnv1a(b"b", FNV_OFFSET_BASIS));
     }
 }

@@ -17,8 +17,6 @@ const TAG_RTO: u64 = 2;
 /// Observable sender-side statistics, shared with benchmark code.
 #[derive(Debug, Default)]
 pub struct TcpFlowStats {
-    /// Bytes cumulatively acknowledged.
-    pub acked_bytes: u64,
     /// Data segments transmitted (including retransmissions).
     pub segments_sent: u64,
     /// Fast retransmissions triggered by triple duplicate ACKs.
@@ -29,8 +27,8 @@ pub struct TcpFlowStats {
     pub completed_at: Option<SimTime>,
     /// Congestion-window samples over time (bytes).
     pub cwnd_series: TimeSeries,
-    /// Smoothed-RTT samples over time (milliseconds).
-    pub srtt_series: TimeSeries,
+    /// The latest smoothed RTT (milliseconds), once there is one.
+    pub srtt_ms: Option<f64>,
 }
 
 /// A TCP sending endpoint.
@@ -101,7 +99,7 @@ impl TcpSender {
         let mut st = self.stats.borrow_mut();
         st.cwnd_series.push(now, self.cc.cwnd() as f64);
         if let Some(srtt) = self.rtt.srtt() {
-            st.srtt_series.push(now, srtt.as_millis_f64());
+            st.srtt_ms = Some(srtt.as_millis_f64());
         }
     }
 
@@ -163,7 +161,6 @@ impl TcpSender {
             self.snd_una = seg.ack;
             self.dupacks = 0;
             self.rto_backoff = 1;
-            self.stats.borrow_mut().acked_bytes = self.snd_una;
 
             let rtt_sample = seg.ts_echo.map(|ts| ctx.now().saturating_since(ts));
             if let Some(s) = rtt_sample {

@@ -21,7 +21,6 @@ pub struct UdpSource {
     packet_bytes: u32,
     interval: SimDuration,
     prio: u8,
-    sent: u64,
 }
 
 impl UdpSource {
@@ -32,7 +31,7 @@ impl UdpSource {
     /// Panics if `interval` is zero.
     pub fn new(flow: u64, path: TxPath, packet_bytes: u32, interval: SimDuration) -> Self {
         assert!(interval > SimDuration::ZERO, "interval must be positive");
-        UdpSource { flow, path, packet_bytes, interval, prio: 0, sent: 0 }
+        UdpSource { flow, path, packet_bytes, interval, prio: 0 }
     }
 
     /// A source with rate expressed in Mb/s instead of an interval.
@@ -48,11 +47,6 @@ impl UdpSource {
     pub fn with_prio(mut self, prio: u8) -> Self {
         self.prio = prio;
         self
-    }
-
-    /// Datagrams emitted so far.
-    pub fn sent(&self) -> u64 {
-        self.sent
     }
 }
 
@@ -71,7 +65,6 @@ impl Actor for UdpSource {
                 let pkt =
                     Packet::new(id, self.flow, self.packet_bytes, ctx.now()).with_prio(self.prio);
                 self.path.send(ctx, pkt);
-                self.sent += 1;
                 ctx.schedule_tick(self.interval, 0);
             }
             _ => {}

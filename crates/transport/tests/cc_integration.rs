@@ -27,7 +27,7 @@ fn run_solo(cc: Box<dyn CongestionControl>, secs: u64) -> (f64, f64) {
     sim.install_actor(r, receiver);
     sim.run_until(SimTime::from_secs(secs));
     let goodput = rstats.borrow().goodput_bytes as f64 * 8.0 / secs as f64 / 1e6;
-    let srtt = sstats.borrow().srtt_series.points().last().map(|p| p.1).unwrap_or(f64::NAN);
+    let srtt = sstats.borrow().srtt_ms.unwrap_or(f64::NAN);
     (goodput, srtt)
 }
 
