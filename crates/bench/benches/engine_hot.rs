@@ -18,8 +18,9 @@
 //!
 //! `cargo bench -p marnet-bench --bench engine_hot` measures;
 //! `cargo bench -p marnet-bench --bench engine_hot -- --test` smoke-runs
-//! every routine once (CI). JSON numbers for regression tracking come from
-//! `cargo run --release -p marnet-bench --bin perf_report`.
+//! every routine once (CI). End-to-end speed is gated by the benchmark
+//! (`benchmark/README.md`); allocations per event and peak heap by
+//! `tests/alloc_budget.rs`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use marnet_bench::scenarios::{run_recovery_instrumented, RecoveryMechanism, RecoveryOutcome};

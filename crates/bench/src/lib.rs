@@ -1,4 +1,4 @@
-//! # marnet-bench — the scenario library and the perf harness
+//! # marnet-bench — the scenario library
 //!
 //! [`scenarios`] holds every simulated topology of the reproduction, one
 //! entry point each: it takes the scenario's parameters (the AR scenarios
@@ -9,10 +9,11 @@
 //!
 //! The experiments that regenerate the paper's tables and figures are
 //! `marnet-lab` experiments built on these scenarios (DESIGN.md §4 has the
-//! index; `cargo run -p marnet-lab -- <name>`). This crate's one binary is
-//! `perf_report`, the event-core perf matrix; the Criterion
-//! micro-benchmarks live under `benches/`. [`print_table`] and [`fmt`] are
-//! the table printer the lab's renderers use.
+//! index; `cargo run -p marnet-lab -- <name>`). The Criterion
+//! micro-benchmarks live under `benches/`, and `tests/alloc_budget.rs`
+//! holds five scenarios to their allocations per event and peak heap.
+//! [`print_table`] and [`fmt`] are the table printer the lab's renderers
+//! use.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,5 +1,5 @@
 //! The simulated topologies, one entry point each — shared by the lab's
-//! experiments, `perf_report`, the Criterion benches and the integration
+//! experiments, the Criterion benches, the benchmark and the integration
 //! tests.
 
 use marnet_app::compute::{ComputeModel, FrameWork};

@@ -131,22 +131,11 @@ impl Artifact {
         serde_json::to_string_pretty(self).expect("artifact serializes")
     }
 
-    /// Writes the artifact atomically: the body lands in a sibling temp
-    /// file which is renamed into place, so readers never observe a
-    /// half-written artifact.
+    /// Writes the artifact atomically
+    /// ([`marnet_telemetry::file::write_atomic`]), so readers never observe
+    /// a half-written artifact.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                fs::create_dir_all(dir)?;
-            }
-        }
-        let mut tmp = path.to_path_buf();
-        let file_name = path.file_name().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "artifact path has no file name")
-        })?;
-        tmp.set_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
-        fs::write(&tmp, self.to_json())?;
-        fs::rename(&tmp, path)
+        marnet_telemetry::file::write_atomic(path, self.to_json().as_bytes())
     }
 
     /// Loads an artifact, refusing schemas newer than this library knows.

@@ -518,11 +518,13 @@ pub fn render(artifact: &FrontArtifact) {
     );
 }
 
-/// Writes the artifact to `out`; `Err` on I/O problems (exit 2 for the
-/// CLI). Drift against the committed smoke artifact is `marnet-lab
-/// check`'s question, not this one's.
+/// Writes the artifact to `out` atomically
+/// ([`marnet_telemetry::file::write_atomic`]); `Err` on I/O problems (exit
+/// 2 for the CLI). Drift against the committed smoke artifact is
+/// `marnet-lab check`'s question, not this one's.
 pub fn finish(artifact: &FrontArtifact, out: &Path) -> Result<(), String> {
-    artifact.write(out).map_err(|e| format!("failed to write artifact {}: {e}", out.display()))?;
+    marnet_telemetry::file::write_atomic(out, artifact.to_json().as_bytes())
+        .map_err(|e| format!("failed to write artifact {}: {e}", out.display()))?;
     println!(
         "\n[artifact] {} (schema v{}, train spec {})",
         out.display(),

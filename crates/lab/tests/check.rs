@@ -7,6 +7,7 @@
 //! place its drift is checked.
 
 use marnet_lab::check::{check_experiment, check_train, CheckError};
+use marnet_lab::experiments::NAMES;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -70,6 +71,22 @@ fn a_missing_or_garbage_artifact_exits_two() {
     };
     assert_eq!(lab(&["check", "--results"]).code(), Some(2));
     assert_eq!(lab(&["check", "--frob"]).code(), Some(2));
+}
+
+/// `results/` holds exactly what `check` regenerates: one artifact per
+/// experiment plus the smoke training front. A committed file whose
+/// producer is gone fails here rather than going stale.
+#[test]
+fn results_holds_exactly_the_artifacts_check_regenerates() {
+    let mut committed: Vec<String> = fs::read_dir(committed_results())
+        .expect("read results/")
+        .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    committed.sort();
+    let mut expected: Vec<String> = NAMES.iter().map(|name| format!("lab_{name}.json")).collect();
+    expected.push("lab_train_smoke.json".to_owned());
+    expected.sort();
+    assert_eq!(committed, expected);
 }
 
 #[test]

@@ -121,8 +121,8 @@ impl Rule {
             }
             Rule::HotPathAlloc => {
                 "the event-core modules recycle payloads and scratch buffers; a \
-                 fresh allocation per event regresses allocs/event and the \
-                 perf-matrix ratchet"
+                 fresh allocation per event regresses allocs/event past its \
+                 alloc_budget bar"
             }
             Rule::Layering => {
                 "the dependency DAG keeps sim reusable and telemetry leaf-like so \

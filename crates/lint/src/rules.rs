@@ -672,8 +672,9 @@ pub(crate) fn scan_panic_path(
 /// `<Type>::with_capacity(…)` — and should instead recycle through
 /// `PayloadPool` slots or retained scratch buffers. `::new()` of a
 /// collection is not flagged: it cannot allocate, and what the collection
-/// later grows to is measured exactly by the perf matrix's
-/// `allocs_per_event` ratchet, which no lexical rule can stand in for.
+/// later grows to is measured exactly by the `allocs_per_event` bars of
+/// `crates/bench/tests/alloc_budget.rs`, which no lexical rule can stand
+/// in for.
 pub(crate) fn scan_hot_alloc(
     toks: &[Token],
     in_test: &dyn Fn(usize) -> bool,

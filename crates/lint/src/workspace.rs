@@ -66,10 +66,10 @@ pub const HOT_PATH: &[&str] =
     &["crates/sim/src/engine.rs", "crates/core/src/endpoint.rs", "crates/transport/src/nic.rs"];
 
 /// Pooled hot-path modules under the allocation-discipline rule: the
-/// modules whose per-event work the perf matrix holds to near-zero
-/// allocs/event. A `vec!`/`Box::new`/`.to_vec()`/`::with_capacity` here
-/// must either recycle through a pool/scratch buffer or carry a reasoned
-/// pragma naming the cold path.
+/// modules whose per-event work the `alloc_budget` test holds to
+/// near-zero allocs/event. A `vec!`/`Box::new`/`.to_vec()`/
+/// `::with_capacity` here must either recycle through a pool/scratch
+/// buffer or carry a reasoned pragma naming the cold path.
 pub const HOT_ALLOC: &[&str] = &[
     "crates/sim/src/engine.rs",
     "crates/core/src/endpoint.rs",

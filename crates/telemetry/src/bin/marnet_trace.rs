@@ -15,6 +15,7 @@
 //! traces are identical and 1 when they diverge. Every subcommand reads a
 //! trace through [`marnet_telemetry::expand`], so it sees, and `diff`
 //! counts, the records a recorder that never folds would have written.
+//! Each subcommand takes only the flags it uses; any other flag exits 2.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -31,7 +32,8 @@ const USAGE: &str = "usage:
   --kind K   keep only events of kind K (enqueue, drop, dequeue, deliver,
              busy, idle, admit, degrade, fec-repair, path-switch, offload,
              fault-inject, fault-clear, outage-detect, outage-resolve,
-             edge-crash, edge-restart, session-resync, recovery-probe)
+             edge-crash, edge-restart, session-resync, recovery-probe,
+             flow-start, flow-finish, flow-rate)
   --comp C   keep only component C (link#3, actor#7, or a raw id)
   --flow F   keep only packet events of flow F
   --limit N  print at most N events";
@@ -112,19 +114,32 @@ fn parse_comp(s: &str) -> Result<u32, String> {
 }
 
 /// Parses trailing `--flag value` options into a [`Filter`], returning the
-/// positional arguments.
-fn parse_filter(args: &[String]) -> Result<(Vec<&String>, Filter), String> {
+/// positional arguments. `cmd` takes only the flags in `takes`: any other
+/// flag is refused rather than ignored.
+fn parse_filter<'a>(
+    args: &'a [String],
+    cmd: &str,
+    takes: &[&str],
+) -> Result<(Vec<&'a String>, Filter), String> {
     let mut filter = Filter::default();
     let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") && !takes.contains(&arg.as_str()) {
+            return Err(format!("{cmd} does not take `{arg}`\n{USAGE}"));
+        }
         let mut value =
             |name: &str| it.next().ok_or_else(|| format!("{name} needs a value\n{USAGE}"));
         match arg.as_str() {
             "--kind" => {
                 let v = value("--kind")?;
-                filter.kind =
-                    Some(TraceKind::from_name(v).ok_or_else(|| format!("unknown kind `{v}`"))?);
+                let kind = TraceKind::from_name(v).ok_or_else(|| format!("unknown kind `{v}`"))?;
+                if kind == TraceKind::PacketSendIdle {
+                    return Err("no reader sees kind `send-idle`: each such record is read as \
+                         the enqueue, dequeue and busy records it stands for; filter on those"
+                        .to_owned());
+                }
+                filter.kind = Some(kind);
             }
             "--comp" => filter.comp = Some(parse_comp(value("--comp")?)?),
             "--flow" => {
@@ -134,9 +149,6 @@ fn parse_filter(args: &[String]) -> Result<(Vec<&String>, Filter), String> {
             "--limit" => {
                 let v = value("--limit")?;
                 filter.limit = Some(v.parse().map_err(|_| format!("bad limit `{v}`"))?);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag `{other}`\n{USAGE}"));
             }
             _ => positional.push(arg),
         }
@@ -158,7 +170,8 @@ fn one_trace_arg<'a>(positional: &[&'a String], cmd: &str) -> Result<&'a String,
 }
 
 fn cmd_dump(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, filter) = parse_filter(args)?;
+    let (positional, filter) =
+        parse_filter(args, "dump", &["--kind", "--comp", "--flow", "--limit"])?;
     let events = load(Path::new(one_trace_arg(&positional, "dump")?))?;
     let limit = filter.limit.unwrap_or(usize::MAX);
     let mut shown = 0usize;
@@ -193,7 +206,7 @@ struct FlowStats {
 }
 
 fn cmd_flows(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, filter) = parse_filter(args)?;
+    let (positional, filter) = parse_filter(args, "flows", &["--flow"])?;
     let events = load(Path::new(one_trace_arg(&positional, "flows")?))?;
 
     if let Some(flow) = filter.flow {
@@ -258,7 +271,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn cmd_queues(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse_filter(args)?;
+    let (positional, _) = parse_filter(args, "queues", &[])?;
     let events = load(Path::new(one_trace_arg(&positional, "queues")?))?;
 
     // Queue delay per component, from the dequeue events' delay operand.
@@ -309,7 +322,7 @@ fn cmd_queues(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
-    let (positional, _) = parse_filter(args)?;
+    let (positional, _) = parse_filter(args, "diff", &[])?;
     let [path_a, path_b] = positional[..] else {
         return Err(format!("diff takes exactly two trace files\n{USAGE}"));
     };

@@ -6,10 +6,9 @@
 //! deterministic runs of the same seed produce byte-identical files —
 //! which is what makes `marnet-trace diff` meaningful.
 //!
-//! Writes go through a hidden `.{file_name}.tmp` sibling renamed into
-//! place, the same atomic pattern `marnet-lab` uses for artifacts: readers
-//! never observe a half-written trace, and no two targets share a staging
-//! file.
+//! Writes go through [`write_atomic`], which `marnet-lab` also uses for
+//! its artifacts: readers never observe a half-written file, and no two
+//! targets share a staging file.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -51,24 +50,33 @@ pub fn decode(bytes: &[u8]) -> io::Result<Vec<TraceEvent>> {
     Ok(events)
 }
 
-/// Writes `events` to `path` atomically (temp file + rename).
+/// Writes `events` to `path` atomically (see [`write_atomic`]).
 pub fn write_file(path: &Path, events: &[TraceEvent]) -> io::Result<()> {
-    let bytes = encode(events);
-    let file_name = path.file_name().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "trace path has no file name")
-    })?;
+    write_atomic(path, &encode(events))
+}
+
+/// Writes `bytes` to `path` atomically, creating parent directories as
+/// needed: the bytes land in a hidden `.{file_name}.tmp` sibling, are
+/// flushed to disk, and the sibling is renamed into place. A crash leaves
+/// either the old file or the whole new one, never an empty or truncated
+/// file under the final name.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
     let tmp = path.with_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    fs::create_dir_all(dir)?;
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
+        f.write_all(bytes)?;
         f.sync_all()?;
     }
-    fs::rename(&tmp, path)
+    fs::rename(&tmp, path)?;
+    // The rename is durable only once the directory entry is.
+    #[cfg(unix)]
+    fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 /// Reads and decodes the trace file at `path`.

@@ -100,23 +100,6 @@ impl FrontArtifact {
         serde_json::to_string_pretty(self).expect("front artifact serializes")
     }
 
-    /// Writes the artifact atomically (temp file + rename), creating
-    /// parent directories as needed.
-    pub fn write(&self, path: &Path) -> io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-        let mut tmp = path.to_path_buf();
-        tmp.set_file_name(format!(".{}.tmp", file_name.to_string_lossy()));
-        fs::write(&tmp, self.to_json())?;
-        fs::rename(&tmp, path)
-    }
-
     /// Loads an artifact, rejecting encodings newer than this build
     /// understands.
     pub fn load(path: &Path) -> io::Result<Self> {
@@ -141,6 +124,7 @@ mod tests {
     use super::*;
     use crate::space::PolicySpace;
     use marnet_sim::hash::{fnv1a, FNV_OFFSET_BASIS};
+    use marnet_telemetry::file::write_atomic;
 
     fn entry(scalar: f64) -> FrontEntry {
         let space = PolicySpace::ar_default();
@@ -196,14 +180,14 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join("trainer_artifact_test.json");
         let a = artifact();
-        a.write(&path).unwrap();
+        write_atomic(&path, a.to_json().as_bytes()).unwrap();
         assert!(!dir.join(".trainer_artifact_test.json.tmp").exists());
         assert_eq!(FrontArtifact::load(&path).unwrap(), a);
 
         let mut newer = artifact();
         newer.schema_version = SCHEMA_VERSION + 1;
         let path2 = dir.join("trainer_artifact_newer.json");
-        newer.write(&path2).unwrap();
+        write_atomic(&path2, newer.to_json().as_bytes()).unwrap();
         assert!(FrontArtifact::load(&path2).is_err());
     }
 
