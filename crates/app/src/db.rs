@@ -10,7 +10,7 @@
 use marnet_sim::time::SimDuration;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Identifier of a virtual object / reference image.
 pub type ObjectId = u64;
@@ -20,9 +20,12 @@ pub type ObjectId = u64;
 pub struct LruCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    /// Most recent at the back.
-    order: VecDeque<ObjectId>,
-    sizes: BTreeMap<ObjectId, u64>,
+    /// Cached objects by last-use stamp: least recent first.
+    order: BTreeMap<u64, ObjectId>,
+    /// Each cached object's size and last-use stamp.
+    sizes: BTreeMap<ObjectId, (u64, u64)>,
+    /// The stamp the next use gets.
+    next_stamp: u64,
     hits: u64,
     misses: u64,
 }
@@ -33,8 +36,9 @@ impl LruCache {
         LruCache {
             capacity_bytes,
             used_bytes: 0,
-            order: VecDeque::new(),
+            order: BTreeMap::new(),
             sizes: BTreeMap::new(),
+            next_stamp: 0,
             hits: 0,
             misses: 0,
         }
@@ -75,10 +79,13 @@ impl LruCache {
         }
     }
 
+    /// Makes the cached object `id` the most recent one.
     fn touch(&mut self, id: ObjectId) {
-        if let Some(pos) = self.order.iter().position(|&o| o == id) {
-            self.order.remove(pos);
-            self.order.push_back(id);
+        if let Some((_, stamp)) = self.sizes.get_mut(&id) {
+            self.order.remove(stamp);
+            *stamp = self.next_stamp;
+            self.order.insert(*stamp, id);
+            self.next_stamp += 1;
         }
     }
 
@@ -105,16 +112,17 @@ impl LruCache {
             return;
         }
         while self.used_bytes + bytes > self.capacity_bytes {
-            let Some(victim) = self.order.pop_front() else {
+            let Some((_, victim)) = self.order.pop_first() else {
                 break;
             };
-            if let Some(sz) = self.sizes.remove(&victim) {
+            if let Some((sz, _)) = self.sizes.remove(&victim) {
                 self.used_bytes -= sz;
             }
         }
-        self.sizes.insert(id, bytes);
+        self.sizes.insert(id, (bytes, self.next_stamp));
+        self.order.insert(self.next_stamp, id);
+        self.next_stamp += 1;
         self.used_bytes += bytes;
-        self.order.push_back(id);
     }
 
     /// Inserts without counting as an access (prefetching).

@@ -11,7 +11,7 @@
 //! `marnet-lab` experiments built on these scenarios (DESIGN.md §4 has the
 //! index; `cargo run -p marnet-lab -- <name>`). The Criterion
 //! micro-benchmarks live under `benches/`, and `tests/alloc_budget.rs`
-//! holds five scenarios to their allocations per event and peak heap.
+//! holds six scenarios to their allocations per event and peak heap.
 //! [`print_table`] and [`fmt`] are the table printer the lab's renderers
 //! use.
 

@@ -20,8 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use marnet_bench::scenarios::{
-    run_cityscale_instrumented, run_queueing_instrumented, run_recovery_instrumented,
-    run_table2_instrumented, RecoveryMechanism, Table2Scenario,
+    run_cityscale_instrumented, run_faults_config_instrumented, run_queueing_instrumented,
+    run_recovery_instrumented, run_table2_instrumented, FaultScenario, RecoveryMechanism,
+    Table2Scenario,
 };
 use marnet_sim::queue::QueueConfig;
 use marnet_telemetry::TelemetryOptions;
@@ -108,6 +109,20 @@ fn rows() -> Vec<Row> {
             allocs_per_event: 0.001008,
             peak_bytes: 619_060,
             run: Box::new(move || run_cityscale_instrumented(20_000, 10.0, 2, 42, &off()).1),
+        },
+        // The hardened stack through a link outage, a cold and a warm edge
+        // restart: the watchdog, probe and resync paths no other row runs.
+        Row {
+            label: "faults-hardened",
+            allocs_per_event: 0.028187,
+            peak_bytes: 29_643,
+            run: Box::new(move || {
+                let cfg = FaultScenario::stack_config(true);
+                FaultScenario::ALL
+                    .into_iter()
+                    .map(|s| run_faults_config_instrumented(s, &cfg, 500, 4, 42, &off()).1)
+                    .sum()
+            }),
         },
     ]
 }

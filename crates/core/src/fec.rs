@@ -90,7 +90,6 @@ impl XorEncoder {
 /// assert_eq!(lost, b"world");
 /// ```
 pub fn recover_single(received: &[&[u8]], parity: &[u8], missing_len: usize) -> Vec<u8> {
-    // marnet-lint: allow(hot-path-alloc): the copy is the recovered block returned to the caller
     let mut out = parity.to_vec();
     for block in received {
         xor_into(&mut out, block);

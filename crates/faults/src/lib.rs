@@ -13,8 +13,8 @@
 //! the spec and the horizon, with no random draws, so the schedule — and
 //! therefore every experiment artifact built on it — is byte-identical at
 //! any `--threads`. Nothing in this crate may touch wall-clock time or
-//! ambient randomness; `marnet-lint`'s determinism rules (including
-//! `unseeded-rng`) audit this crate.
+//! ambient randomness: `marnet-lint`'s determinism rules audit this
+//! crate, and the vendored `rand` has no entropy source to draw from.
 //!
 //! * [`schedule`] — fault taxonomy, the spec builder and the compiler;
 //! * [`inject`] — the [`FaultInjector`] actor that walks a schedule and

@@ -1,13 +1,11 @@
 //! A conservative intra-workspace call graph, built from the same lossy
 //! token streams the rules scan (see [`crate::tokens`]).
 //!
-//! The graph exists so rule families whose scope is a *set of entry
-//! points* — panic-safety in the event-core hot path, allocation
-//! discipline in the pooled modules, seeded randomness in sim-facing
-//! code — can follow calls out of those entry points and audit the
-//! helpers they lean on, instead of trusting a hand-maintained file
-//! list. The graph lives in memory for the length of one pass; nothing
-//! is exported.
+//! The graph exists so the panic-safety family, whose scope is a *set of
+//! entry points* in the event-core hot path, can follow calls out of
+//! those entry points and audit the helpers they lean on, instead of
+//! trusting a hand-maintained file list. The graph lives in memory for
+//! the length of one pass; nothing is exported.
 //!
 //! ## Soundness model (token-level, no type information)
 //!

@@ -1,15 +1,7 @@
-//! Diagnostics: the rule identifiers and the machine/human renderings.
-//!
-//! The JSON encoding is hand-rolled (two dozen lines) so the auditor
-//! stays dependency-free; the schema is versioned and the goldens in
-//! `tests/goldens.rs` pin it byte-for-byte.
+//! Diagnostics: the rule identifiers and the `file:line` rendering,
+//! which the golden in `tests/goldens.rs` pins byte-for-byte.
 
 use std::fmt;
-
-/// JSON schema version emitted by [`render_json`]. v2 added the
-/// `float-order` rule and call-graph-propagated findings (which carry a
-/// "reachable from" witness in their message).
-pub const SCHEMA_VERSION: u32 = 2;
 
 /// Every rule the pass knows, with its kebab-case wire name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,10 +16,6 @@ pub enum Rule {
     /// Iteration over a default-hasher `HashMap`/`HashSet` in sim-facing
     /// crates (construction and point lookups stay legal).
     MapIter,
-    /// Unseeded randomness (`thread_rng`, `from_entropy`, `OsRng`,
-    /// `rand::random`) in sim-facing crates; all randomness must flow
-    /// from `derive_rng(seed, label)` substreams.
-    UnseededRng,
     /// Order-sensitive float operations in sim-facing crates: a sort /
     /// min / max comparator built on `partial_cmp` (NaN makes the order
     /// undefined), or float accumulation over default-hasher map
@@ -36,10 +24,6 @@ pub enum Rule {
     /// `unwrap()`/`expect()`/`panic!`-family/slice-indexing in the
     /// event-core hot-path modules.
     PanicPath,
-    /// A call that allocates (`Box::new`, `vec!`, `.to_vec()`,
-    /// `::with_capacity`) in the event-core hot-path modules, which
-    /// recycle buffers through pools and scratch vectors.
-    HotPathAlloc,
     /// A crate dependency that violates the workspace layering DAG.
     Layering,
     /// A crate root missing `#![forbid(unsafe_code)]`.
@@ -56,10 +40,8 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::ThreadId,
     Rule::EnvRead,
     Rule::MapIter,
-    Rule::UnseededRng,
     Rule::FloatOrder,
     Rule::PanicPath,
-    Rule::HotPathAlloc,
     Rule::Layering,
     Rule::UnsafeHygiene,
     Rule::BadPragma,
@@ -67,17 +49,15 @@ pub const ALL_RULES: &[Rule] = &[
 ];
 
 impl Rule {
-    /// The kebab-case name used in pragmas, `--list-rules`, and JSON.
+    /// The kebab-case name used in pragmas, `--list-rules` and reports.
     pub fn name(self) -> &'static str {
         match self {
             Rule::WallClock => "wall-clock",
             Rule::ThreadId => "thread-id",
             Rule::EnvRead => "env-read",
             Rule::MapIter => "map-iter",
-            Rule::UnseededRng => "unseeded-rng",
             Rule::FloatOrder => "float-order",
             Rule::PanicPath => "panic-path",
-            Rule::HotPathAlloc => "hot-path-alloc",
             Rule::Layering => "layering",
             Rule::UnsafeHygiene => "unsafe-hygiene",
             Rule::BadPragma => "bad-pragma",
@@ -106,10 +86,6 @@ impl Rule {
                 "default-hasher iteration order varies per process; any order \
                  reaching an artifact breaks byte-identical replication"
             }
-            Rule::UnseededRng => {
-                "fault schedules and every other stochastic input must come from \
-                 derive_rng substreams; OS entropy makes trials unreplayable"
-            }
             Rule::FloatOrder => {
                 "float comparisons via partial_cmp and float sums over hashed maps \
                  make artifact bytes depend on NaN handling and visitation order; \
@@ -118,11 +94,6 @@ impl Rule {
             Rule::PanicPath => {
                 "the event-core hot path must degrade, not abort: a panic mid-run \
                  loses the trial and poisons parallel replication"
-            }
-            Rule::HotPathAlloc => {
-                "the event-core modules recycle payloads and scratch buffers; a \
-                 fresh allocation per event regresses allocs/event past its \
-                 alloc_budget bar"
             }
             Rule::Layering => {
                 "the dependency DAG keeps sim reusable and telemetry leaf-like so \
@@ -172,48 +143,6 @@ pub fn sort(diags: &mut [Diagnostic]) {
     diags.sort_by(|a, b| a.key().cmp(&b.key()));
 }
 
-/// Escapes a string for JSON.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as one stable JSON document.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"findings\": ["));
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            d.rule,
-            json_escape(&d.file),
-            d.line,
-            json_escape(&d.message)
-        ));
-    }
-    if diags.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-    out.push_str(&format!("  \"total\": {}\n}}\n", diags.len()));
-    out
-}
-
 /// Renders findings for humans, one `file:line` anchor per line.
 pub fn render_text(diags: &[Diagnostic]) -> String {
     let mut out = String::new();
@@ -241,29 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_stable_and_escaped() {
-        let mut d = vec![
-            Diagnostic {
-                rule: Rule::WallClock,
-                file: "b.rs".into(),
-                line: 2,
-                message: "say \"hi\"\n".into(),
-            },
-            Diagnostic { rule: Rule::EnvRead, file: "a.rs".into(), line: 9, message: "m".into() },
-        ];
-        sort(&mut d);
-        let json = render_json(&d);
-        assert!(json.starts_with("{\n  \"schema_version\": 2"));
-        assert!(json.contains("\\\"hi\\\"\\n"));
-        let a = json.find("a.rs").unwrap();
-        let b = json.find("b.rs").unwrap();
-        assert!(a < b, "sorted by file");
-        assert!(json.ends_with("\"total\": 2\n}\n"));
-    }
-
-    #[test]
     fn empty_report_renders() {
-        assert!(render_json(&[]).contains("\"total\": 0"));
         assert_eq!(render_text(&[]), "0 finding(s)\n");
     }
 }

@@ -7,10 +7,14 @@
 //! recorder-off configuration is provably zero-overhead — nothing it
 //! could call back into exists below it.
 //!
-//! Only `[dependencies]` sections are read; dev-dependencies are test
+//! Only normal dependencies are read — `[dependencies]`, its
+//! `[target.'cfg(…)'.dependencies]` twins and the one-dependency tables
+//! `[dependencies.<name>]` under either; dev-dependencies are test
 //! harness wiring (and an upward dev-dependency would be a cargo cycle
-//! error anyway). Non-`marnet-*` dependencies are ignored: the vendored
-//! stand-ins are outside the DAG.
+//! error anyway). A dependency counts by the package it names, so a
+//! rename (`x = { package = "marnet-lab", … }`) is the edge to `lab`.
+//! Non-`marnet-*` dependencies are ignored: the vendored stand-ins are
+//! outside the DAG.
 
 use crate::diag::{Diagnostic, Rule};
 
@@ -82,40 +86,96 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     ),
 ];
 
-/// One `marnet-*` entry found in a `[dependencies]` section.
+/// One `marnet-*` entry found in a dependencies section.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dep {
     /// Short name (`sim`, not `marnet-sim`).
     pub name: String,
-    /// 1-based line of the dependency entry.
+    /// 1-based line of the dependency entry (of the header, for a
+    /// `[dependencies.<name>]` table).
     pub line: usize,
 }
 
-/// Extracts the `marnet-*` dependencies of a manifest. Handles the forms
-/// the workspace uses: `marnet-sim.workspace = true`,
-/// `marnet-bench = { path = "../bench" }`, and plain `marnet-x = "…"`.
+/// Extracts the `marnet-*` dependencies of a manifest: every entry of a
+/// `[dependencies]` or `[target.….dependencies]` section
+/// (`marnet-sim.workspace = true`, `marnet-bench = { path = "../bench" }`,
+/// `marnet-x = "…"`), and every `[dependencies.<name>]` /
+/// `[target.….dependencies.<name>]` table. An entry that names a
+/// `package` counts as that package.
 pub fn parse_deps(manifest: &str) -> Vec<Dep> {
     let mut deps = Vec::new();
     let mut in_deps = false;
+    // The open `[dependencies.<name>]` table: its package so far, and line.
+    let mut table: Option<(String, usize)> = None;
     for (idx, raw) in manifest.lines().enumerate() {
         let line = raw.trim();
         if line.starts_with('[') {
-            // Section header; exactly `[dependencies]` counts (not
-            // `[dev-dependencies]`, `[workspace.dependencies]`, or
-            // `[target.….dependencies]`).
-            in_deps = line == "[dependencies]";
+            deps.extend(table.take().and_then(|(package, line)| marnet_dep(&package, line)));
+            let segs = header_segments(line);
+            // `[target.<cfg>.…]` reads like the same header without it.
+            let segs = match segs.as_slice() {
+                [target, _, rest @ ..] if target == "target" => rest,
+                all => all,
+            };
+            in_deps = segs == ["dependencies"];
+            if let [deps_key, name] = segs {
+                if deps_key == "dependencies" {
+                    table = Some((name.clone(), idx + 1));
+                }
+            }
             continue;
         }
-        if !in_deps || line.is_empty() || line.starts_with('#') {
+        if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        // Key = everything before `=` or the `.workspace` shorthand dot.
-        let key: &str = line.split(['=', '.', ' ', '\t']).next().unwrap_or("");
-        if let Some(short) = key.strip_prefix("marnet-") {
-            deps.push(Dep { name: short.to_string(), line: idx + 1 });
+        if let Some((package, _)) = &mut table {
+            if let Some(renamed) = package_key(line) {
+                *package = renamed.to_string();
+            }
+        } else if in_deps {
+            // Key = everything before `=` or the `.workspace` shorthand dot.
+            let key = line.split(['=', '.', ' ', '\t']).next().unwrap_or("");
+            deps.extend(marnet_dep(package_key(line).unwrap_or(key), idx + 1));
         }
     }
+    deps.extend(table.and_then(|(package, line)| marnet_dep(&package, line)));
     deps
+}
+
+/// A [`Dep`] for `package` when it is a `marnet-*` crate.
+fn marnet_dep(package: &str, line: usize) -> Option<Dep> {
+    package.strip_prefix("marnet-").map(|short| Dep { name: short.to_string(), line })
+}
+
+/// The dotted segments of a `[a.'b.c'.d]` section header, quotes
+/// stripped; a dot inside quotes (a `cfg(…)` target) does not split.
+fn header_segments(header: &str) -> Vec<String> {
+    let inner = header.trim_start_matches('[').trim_end_matches(']');
+    let mut segs = vec![String::new()];
+    let mut quote: Option<char> = None;
+    for c in inner.chars() {
+        match (quote, c) {
+            (None, '"' | '\'') => quote = Some(c),
+            (Some(q), _) if c == q => quote = None,
+            (None, '.') => segs.push(String::new()),
+            (None, c) if c.is_whitespace() => {}
+            (_, c) => {
+                if let Some(seg) = segs.last_mut() {
+                    seg.push(c);
+                }
+            }
+        }
+    }
+    segs
+}
+
+/// The value of a `package = "…"` key on `line`, inline-table or bare.
+fn package_key(line: &str) -> Option<&str> {
+    line.match_indices("package").find_map(|(at, _)| {
+        let rest = line[at + "package".len()..].trim_start().strip_prefix('=')?;
+        let value = rest.trim_start().strip_prefix('"')?;
+        value.split('"').next()
+    })
 }
 
 /// Checks one crate's manifest against the DAG. `crate_name` is the
@@ -197,6 +257,57 @@ marnet-bench.workspace = true
 marnet-sim = { path = \"crates/sim\" }
 ";
         assert!(parse_deps(manifest).is_empty());
+    }
+
+    #[test]
+    fn target_specific_dependencies_are_read() {
+        let manifest = "
+[target.'cfg(target_os = \"linux\")'.dependencies]
+marnet-bench = { path = \"../bench\" }
+
+[target.'cfg(unix)'.dev-dependencies]
+marnet-lab.workspace = true
+";
+        let d = check_crate("sim", manifest, "crates/sim/Cargo.toml");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 3);
+        assert!(d[0].message.contains("marnet-bench"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn dependency_tables_are_read() {
+        let manifest = "
+[dependencies.marnet-telemetry]
+path = \"../telemetry\"
+
+[dependencies.marnet-lab]
+path = \"../lab\"
+
+[dev-dependencies.marnet-bench]
+path = \"../bench\"
+";
+        let d = check_crate("sim", manifest, "crates/sim/Cargo.toml");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 5);
+        assert!(d[0].message.contains("marnet-lab"), "{}", d[0].message);
+    }
+
+    #[test]
+    fn renamed_dependencies_count_as_their_package() {
+        let manifest = "
+[dependencies]
+lab = { package = \"marnet-lab\", path = \"../lab\" }
+marnet-telemetry = { package = \"serde\", path = \"../package\" }
+
+[dependencies.engine]
+package = \"marnet-bench\"
+path = \"../bench\"
+";
+        let d = check_crate("sim", manifest, "crates/sim/Cargo.toml");
+        let found: Vec<(usize, bool)> =
+            d.iter().map(|d| (d.line, d.message.contains("marnet-lab"))).collect();
+        assert_eq!(found, [(3, true), (6, false)], "{d:?}");
+        assert!(d[1].message.contains("marnet-bench"), "{}", d[1].message);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The `marnet-lint` CLI.
 //!
 //! ```text
-//! marnet-lint [--root PATH] [--format text|json] [--list-rules]
+//! marnet-lint [--root PATH] [--list-rules]
 //! ```
 //!
 //! Every rule is denied: any finding fails the run. Exit codes follow
@@ -11,16 +11,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use marnet_lint::{find_workspace_root, lint_workspace, render_json, render_text, ALL_RULES};
+use marnet_lint::{find_workspace_root, lint_workspace, render_text, ALL_RULES};
 
-const USAGE: &str = "usage: marnet-lint [--root PATH] [--format text|json] [--list-rules]
+const USAGE: &str = "usage: marnet-lint [--root PATH] [--list-rules]
 
 exit codes: 0 ok, 1 findings, 2 usage error";
-
-enum Format {
-    Text,
-    Json,
-}
 
 fn main() -> ExitCode {
     match run() {
@@ -34,7 +29,6 @@ fn main() -> ExitCode {
 
 fn run() -> Result<ExitCode, String> {
     let mut root: Option<PathBuf> = None;
-    let mut format = Format::Text;
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -42,13 +36,6 @@ fn run() -> Result<ExitCode, String> {
             |flag: &str| argv.next().ok_or_else(|| format!("{flag} needs a value\n{USAGE}"));
         match arg.as_str() {
             "--root" => root = Some(PathBuf::from(value("--root")?)),
-            "--format" => {
-                format = match value("--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format `{other}`\n{USAGE}")),
-                }
-            }
             "--list-rules" => {
                 for rule in ALL_RULES {
                     println!("{rule}: {}", rule.rationale());
@@ -76,19 +63,14 @@ fn run() -> Result<ExitCode, String> {
     }
 
     let report = lint_workspace(&root).map_err(|e| format!("scanning {}: {e}", root.display()))?;
-    match format {
-        Format::Text => {
-            print!("{}", render_text(&report.findings));
-            eprintln!(
-                "scanned {} files across {} crates; call graph: {} fns, {} call edges",
-                report.files_scanned,
-                report.crates_checked,
-                report.call_graph.fns.len(),
-                report.call_graph.edges.len()
-            );
-        }
-        Format::Json => print!("{}", render_json(&report.findings)),
-    }
+    print!("{}", render_text(&report.findings));
+    eprintln!(
+        "scanned {} files across {} crates; call graph: {} fns, {} call edges",
+        report.files_scanned,
+        report.crates_checked,
+        report.call_graph.fns.len(),
+        report.call_graph.edges.len()
+    );
 
     Ok(if report.findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }

@@ -29,8 +29,6 @@ pub struct FileScope {
     pub determinism: bool,
     /// Panic-safety rules: one of the event-core hot-path modules.
     pub panic_path: bool,
-    /// Allocation-discipline rule: one of the pooled hot-path modules.
-    pub hot_alloc: bool,
     /// Hygiene rule (`#![forbid(unsafe_code)]`): a crate root.
     pub hygiene: bool,
 }
@@ -143,9 +141,6 @@ pub(crate) fn scan_stream(
     }
     if scope.panic_path {
         scan_panic_path(toks, &in_test, &mut push);
-    }
-    if scope.hot_alloc {
-        scan_hot_alloc(toks, &in_test, &mut push);
     }
     if scope.hygiene && !has_forbid_unsafe(toks) {
         push(Rule::UnsafeHygiene, 1, "crate root is missing `#![forbid(unsafe_code)]`".into());
@@ -313,50 +308,8 @@ fn scan_determinism(
             );
         }
     }
-    scan_unseeded_rng(toks, in_test, push);
     scan_map_iteration(toks, in_test, push);
     scan_float_order(toks, in_test, push);
-}
-
-/// Unseeded randomness: OS-entropy constructors and the convenience
-/// global. `derive_rng(seed, label)` is the only legal source. Separate
-/// from the rest of the determinism family so the workspace walker can
-/// propagate it alone through the call graph.
-pub(crate) fn scan_unseeded_rng(
-    toks: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    push: &mut dyn FnMut(Rule, usize, String),
-) {
-    for i in 0..toks.len() {
-        let line = toks[i].line;
-        if in_test(line) {
-            continue;
-        }
-        if toks[i].kind == TokenKind::Word
-            && ["thread_rng", "from_entropy", "from_os_rng", "OsRng"]
-                .contains(&toks[i].text.as_str())
-        {
-            push(
-                Rule::UnseededRng,
-                line,
-                format!(
-                    "`{}` draws OS entropy; use derive_rng(seed, label) so the \
-                     trial replays byte-identically",
-                    toks[i].text
-                ),
-            );
-        }
-        if word_at(toks, i, "rand") && punct_at(toks, i + 1, "::") && word_at(toks, i + 2, "random")
-        {
-            push(
-                Rule::UnseededRng,
-                line,
-                "`rand::random` uses the unseeded thread-local generator; use \
-                 derive_rng(seed, label)"
-                    .into(),
-            );
-        }
-    }
 }
 
 /// Sort / min / max adapters whose comparator decides an order the
@@ -667,63 +620,12 @@ pub(crate) fn scan_panic_path(
     }
 }
 
-/// The allocation-discipline family for pooled hot-path modules: calls
-/// that allocate when they run — `Box::new`, `vec![…]`, `.to_vec()` and
-/// `<Type>::with_capacity(…)` — and should instead recycle through
-/// `PayloadPool` slots or retained scratch buffers. `::new()` of a
-/// collection is not flagged: it cannot allocate, and what the collection
-/// later grows to is measured exactly by the `allocs_per_event` bars of
-/// `crates/bench/tests/alloc_budget.rs`, which no lexical rule can stand
-/// in for.
-pub(crate) fn scan_hot_alloc(
-    toks: &[Token],
-    in_test: &dyn Fn(usize) -> bool,
-    push: &mut dyn FnMut(Rule, usize, String),
-) {
-    const ADVICE: &str = "in a pooled hot-path module; recycle through a pool or scratch \
-                          buffer (or pragma a cold path)";
-    for i in 0..toks.len() {
-        let line = toks[i].line;
-        if in_test(line) {
-            continue;
-        }
-        if word_at(toks, i, "Box") && punct_at(toks, i + 1, "::") && word_at(toks, i + 2, "new") {
-            push(Rule::HotPathAlloc, line, format!("`Box::new` allocates {ADVICE}"));
-        }
-        if word_at(toks, i, "vec") && punct_at(toks, i + 1, "!") {
-            push(Rule::HotPathAlloc, line, format!("`vec!` allocates per call {ADVICE}"));
-        }
-        if punct_at(toks, i, ".") && word_at(toks, i + 1, "to_vec") && punct_at(toks, i + 2, "(") {
-            push(Rule::HotPathAlloc, toks[i + 1].line, format!("`.to_vec()` deep-copies {ADVICE}"));
-        }
-        if punct_at(toks, i, "::")
-            && word_at(toks, i + 1, "with_capacity")
-            && punct_at(toks, i + 2, "(")
-        {
-            push(
-                Rule::HotPathAlloc,
-                toks[i + 1].line,
-                format!("`::with_capacity` allocates up front {ADVICE}"),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn scan(src: &str, determinism: bool, panic_path: bool, hygiene: bool) -> Vec<Diagnostic> {
-        scan_file(
-            src,
-            &FileScope {
-                rel_path: "x.rs".into(),
-                determinism,
-                panic_path,
-                hot_alloc: panic_path,
-                hygiene,
-            },
-        )
+        scan_file(src, &FileScope { rel_path: "x.rs".into(), determinism, panic_path, hygiene })
     }
 
     #[test]
@@ -756,25 +658,6 @@ mod tests {
             }
         ";
         assert!(scan(src, true, true, false).is_empty());
-    }
-
-    #[test]
-    fn unseeded_randomness_is_flagged() {
-        let src = "
-            fn f() -> f64 {
-                let mut rng = rand::thread_rng();
-                let a: f64 = rand::random();
-                let b = SmallRng::from_entropy();
-                let mut c = [0u8; 8];
-                OsRng.fill_bytes(&mut c);
-                a
-            }
-            fn ok(seed: u64) { let rng = derive_rng(seed, \"faults/0/outage\"); }
-        ";
-        let d = scan(src, true, false, false);
-        assert_eq!(d.len(), 4, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == Rule::UnseededRng));
-        assert!(scan(src, false, false, false).is_empty());
     }
 
     #[test]
@@ -868,31 +751,6 @@ mod tests {
         let d = scan(src, false, true, false);
         let rules: Vec<Rule> = d.iter().map(|d| d.rule).collect();
         assert_eq!(rules, vec![Rule::PanicPath; 3], "{d:?}");
-    }
-
-    #[test]
-    fn hot_path_allocs_are_flagged_and_pragma_suppresses() {
-        for (src, hits) in [
-            ("fn f() { let a: Vec<u8> = Vec::new(); }", 0),
-            ("fn f() { let q: VecDeque<u8> = VecDeque::new(); }", 0),
-            ("fn f() { let s = String::new(); }", 0),
-            ("fn f(n: usize) { let a: Vec<u8> = Vec::with_capacity(n); }", 1),
-            ("fn f(n: usize) { let q = VecDeque::<u8>::with_capacity(n); }", 1),
-            ("fn f(n: usize) { let b = vec![0u8; n]; }", 1),
-            ("fn f(x: u32) { let c = Box::new(x); }", 1),
-            ("fn f(s: &[u8]) -> Vec<u8> { s.to_vec() }", 1),
-        ] {
-            let d = scan(src, false, true, false);
-            assert_eq!(d.len(), hits, "{src}: {d:?}");
-            assert!(d.iter().all(|d| d.rule == Rule::HotPathAlloc), "{src}: {d:?}");
-            // Without hot-path scope the family stays silent.
-            assert!(scan(src, true, false, false).is_empty(), "{src}");
-        }
-        let cold = "
-            // marnet-lint: allow(hot-path-alloc): constructor runs once per sim, not per event
-            fn cold() -> Vec<u8> { vec![0; 4] }
-        ";
-        assert!(scan(cold, false, true, false).is_empty());
     }
 
     #[test]

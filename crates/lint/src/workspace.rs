@@ -8,10 +8,9 @@
 //!   determinism family over their library sources. `src/bin/` is exempt:
 //!   binaries are CLI entry points that legitimately read
 //!   `std::env::args`.
-//! * **Hot-path modules** (the PR 2 event-core set: `sim::engine`,
+//! * **Hot-path modules** (the event-core set: `sim::engine`,
 //!   `core::endpoint`, `transport::nic`) additionally get the
-//!   panic-safety family, and the pooled set (those three plus
-//!   `core::fec` and `flow::fluid`) the allocation-discipline rule.
+//!   panic-safety family.
 //! * **Every crate root** (`src/lib.rs`) gets the hygiene rule, and
 //!   every crate manifest the layering rule.
 //! * `tests/`, `benches/`, `examples/`, and `#[cfg(test)]` items are
@@ -19,17 +18,15 @@
 //!
 //! The pass is two-phase. Phase one scans each file under its direct
 //! scope, exactly as above. Phase two builds the workspace call graph
-//! ([`crate::callgraph`]) and *propagates* the entry-point-scoped
-//! families along it: a helper outside the hot-path file list that a
-//! hot-path function calls (directly, via a path, or via an unambiguous
-//! same-crate method name) is audited with the same panic-safety /
-//! allocation / seeded-randomness rules, and its findings carry a
-//! "reachable from"
-//! witness. Pragmas in the helper's file suppress propagated findings
-//! the same way they suppress direct ones, and only after propagation is
-//! the stale-pragma audit run: a pragma that neither the direct scan nor
-//! any reached span consumed is an `unused-pragma` finding, whichever
-//! file it sits in.
+//! ([`crate::callgraph`]) and *propagates* the panic-safety family along
+//! it: a helper outside the hot-path file list that a hot-path function
+//! calls (directly, via a path, or via an unambiguous same-crate method
+//! name) is audited with the same rules, and its findings carry a
+//! "reachable from" witness. Pragmas in the helper's file suppress
+//! propagated findings the same way they suppress direct ones, and only
+//! after propagation is the stale-pragma audit run: a pragma that neither
+//! the direct scan nor any reached span consumed is an `unused-pragma`
+//! finding, whichever file it sits in.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -44,8 +41,8 @@ use crate::tokens::{tokenize, TokenStream};
 
 /// Crates whose library code faces the simulator and must stay
 /// deterministic. `trainer` is here because its sampling loop feeds the
-/// byte-identical artifact contract: an unseeded RNG or wall-clock read
-/// in the search would silently break reproducibility.
+/// byte-identical artifact contract: a wall-clock or environment read in
+/// the search would silently break reproducibility.
 pub const SIM_FACING: &[&str] = &[
     "sim",
     "core",
@@ -65,19 +62,6 @@ pub const SIM_FACING: &[&str] = &[
 pub const HOT_PATH: &[&str] =
     &["crates/sim/src/engine.rs", "crates/core/src/endpoint.rs", "crates/transport/src/nic.rs"];
 
-/// Pooled hot-path modules under the allocation-discipline rule: the
-/// modules whose per-event work the `alloc_budget` test holds to
-/// near-zero allocs/event. A `vec!`/`Box::new`/`.to_vec()`/
-/// `::with_capacity` here must either recycle through a pool/scratch
-/// buffer or carry a reasoned pragma naming the cold path.
-pub const HOT_ALLOC: &[&str] = &[
-    "crates/sim/src/engine.rs",
-    "crates/core/src/endpoint.rs",
-    "crates/core/src/fec.rs",
-    "crates/transport/src/nic.rs",
-    "crates/flow/src/fluid.rs",
-];
-
 /// The result of a whole-workspace pass.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -87,7 +71,7 @@ pub struct Report {
     pub files_scanned: usize,
     /// Crate manifests checked for layering.
     pub crates_checked: usize,
-    /// The workspace call graph the propagated families walked.
+    /// The workspace call graph the panic-safety family was propagated along.
     pub call_graph: CallGraph,
 }
 
@@ -145,80 +129,60 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     Ok(report)
 }
 
-/// Scanner signature shared by the propagated rules: tokens, a span
-/// filter, and the finding sink (the scanner stamps its own [`Rule`]).
-type FamilyScan =
-    fn(&[crate::tokens::Token], &dyn Fn(usize) -> bool, &mut dyn FnMut(Rule, usize, String));
-
-/// One propagated rule family: which scope flag covers a file directly,
-/// and which scanner audits a reached helper.
-struct Family {
-    covered: fn(&FileScope) -> bool,
-    scan: FamilyScan,
-}
-
-/// Phase two: for each entry-point-scoped family, walk the call graph
-/// from every function defined in a directly-covered file and audit the
-/// helpers it reaches in files the family does not directly cover.
+/// Phase two: walk the call graph from every function defined in a
+/// hot-path file and audit the helpers it reaches in other files with the
+/// panic-safety family.
 fn propagate(graph: &CallGraph, scanned: &mut [ScannedFile], findings: &mut Vec<Diagnostic>) {
-    let families: &[Family] = &[
-        Family { covered: |s| s.panic_path, scan: rules::scan_panic_path },
-        Family { covered: |s| s.hot_alloc, scan: rules::scan_hot_alloc },
-        Family { covered: |s| s.determinism, scan: rules::scan_unseeded_rng },
-    ];
-    for family in families {
-        let roots: Vec<usize> = (0..graph.fns.len())
-            .filter(|&i| (family.covered)(&scanned[graph.fns[i].file_idx].scope))
-            .collect();
-        let reached = graph.reachable(&roots, |e| graph.follows_for_propagation(e));
-        // Deterministic order: visit reached fns by (file, line).
-        let mut targets: Vec<(usize, usize)> = reached
-            .into_iter()
-            .filter(|&(def, _)| !(family.covered)(&scanned[graph.fns[def].file_idx].scope))
-            .collect();
-        targets.sort_by_key(|&(def, _)| (graph.fns[def].file_idx, graph.fns[def].line));
+    let roots: Vec<usize> =
+        (0..graph.fns.len()).filter(|&i| scanned[graph.fns[i].file_idx].scope.panic_path).collect();
+    let reached = graph.reachable(&roots, |e| graph.follows_for_propagation(e));
+    // Deterministic order: visit reached fns by (file, line).
+    let mut targets: Vec<(usize, usize)> = reached
+        .into_iter()
+        .filter(|&(def, _)| !scanned[graph.fns[def].file_idx].scope.panic_path)
+        .collect();
+    targets.sort_by_key(|&(def, _)| (graph.fns[def].file_idx, graph.fns[def].line));
 
-        // Group by file: findings are de-duplicated per file.
-        let mut by_file: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for (def, root) in targets {
-            let fi = graph.fns[def].file_idx;
-            match by_file.last_mut() {
-                Some((last, list)) if *last == fi => list.push((def, root)),
-                _ => by_file.push((fi, vec![(def, root)])),
-            }
+    // Group by file: findings are de-duplicated per file.
+    let mut by_file: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+    for (def, root) in targets {
+        let fi = graph.fns[def].file_idx;
+        match by_file.last_mut() {
+            Some((last, list)) if *last == fi => list.push((def, root)),
+            _ => by_file.push((fi, vec![(def, root)])),
         }
-        for (fi, defs) in by_file {
-            let file = &mut scanned[fi];
-            let mut seen: BTreeSet<(usize, Rule)> = BTreeSet::new();
-            for (def, root) in defs {
-                let d = &graph.fns[def];
-                let (s, e) = d.tok_span;
-                if s >= e {
-                    continue;
-                }
-                let mut raw: Vec<Diagnostic> = Vec::new();
-                let witness = &graph.fns[root].path;
-                {
-                    let mut push = |rule: Rule, line: usize, message: String| {
-                        raw.push(Diagnostic {
-                            rule,
-                            file: file.rel_path.clone(),
-                            line,
-                            message: format!(
-                                "{message} (in `{}`, reachable from `{witness}` via the call graph)",
-                                d.path
-                            ),
-                        });
-                    };
-                    let in_test = |line: usize| file.pragmas.in_test(line);
-                    (family.scan)(&file.stream.tokens[s..e], &in_test, &mut push);
-                }
-                for f in file.pragmas.suppress(raw) {
-                    // Nested fns are contained in their parent's span;
-                    // dedup so a finding is not reported per enclosure.
-                    if seen.insert((f.line, f.rule)) {
-                        findings.push(f);
-                    }
+    }
+    for (fi, defs) in by_file {
+        let file = &mut scanned[fi];
+        let mut seen: BTreeSet<usize> = BTreeSet::new();
+        for (def, root) in defs {
+            let d = &graph.fns[def];
+            let (s, e) = d.tok_span;
+            if s >= e {
+                continue;
+            }
+            let mut raw: Vec<Diagnostic> = Vec::new();
+            let witness = &graph.fns[root].path;
+            {
+                let mut push = |rule: Rule, line: usize, message: String| {
+                    raw.push(Diagnostic {
+                        rule,
+                        file: file.rel_path.clone(),
+                        line,
+                        message: format!(
+                            "{message} (in `{}`, reachable from `{witness}` via the call graph)",
+                            d.path
+                        ),
+                    });
+                };
+                let in_test = |line: usize| file.pragmas.in_test(line);
+                rules::scan_panic_path(&file.stream.tokens[s..e], &in_test, &mut push);
+            }
+            for f in file.pragmas.suppress(raw) {
+                // Nested fns are contained in their parent's span;
+                // dedup so a finding is not reported per enclosure.
+                if seen.insert(f.line) {
+                    findings.push(f);
                 }
             }
         }
@@ -254,7 +218,6 @@ fn scan_crate(
         let scope = FileScope {
             determinism: determinism && !in_bin,
             panic_path: HOT_PATH.contains(&rel_path.as_str()),
-            hot_alloc: HOT_ALLOC.contains(&rel_path.as_str()),
             hygiene: file == src.join("lib.rs"),
             rel_path,
         };

@@ -18,8 +18,7 @@ fn fixture_root() -> PathBuf {
 
 #[test]
 fn clean_workspace_exits_zero() {
-    let st =
-        lint_bin().args(["--format", "json", "--root"]).arg(repo_root()).status().expect("run");
+    let st = lint_bin().arg("--root").arg(repo_root()).status().expect("run");
     assert_eq!(st.code(), Some(0), "the tree at HEAD must lint clean");
 }
 
@@ -33,10 +32,11 @@ fn seeded_violations_exit_one() {
 fn usage_errors_exit_two() {
     // Unknown flag.
     assert_eq!(lint_bin().arg("--frob").status().expect("run").code(), Some(2));
-    // The severity and export switches are gone: all four are unknown flags.
+    // The severity, export and format switches are gone: all five are
+    // unknown flags.
     let st = lint_bin().args(["--deny", "warp-drive"]).status().expect("run");
     assert_eq!(st.code(), Some(2));
-    for gone in ["--deny-all", "--allow", "--call-graph"] {
+    for gone in ["--deny-all", "--allow", "--call-graph", "--format"] {
         assert_eq!(lint_bin().arg(gone).status().expect("run").code(), Some(2), "{gone}");
     }
     // Dangling flag value.

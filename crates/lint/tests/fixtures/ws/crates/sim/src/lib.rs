@@ -33,11 +33,6 @@ pub fn stale() -> u64 {
     0
 }
 
-pub fn unseeded() -> u64 {
-    let mut rng = rand::thread_rng();
-    rng.gen()
-}
-
 pub fn float_sort(xs: &mut Vec<f64>) {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }

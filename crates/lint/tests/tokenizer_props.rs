@@ -30,7 +30,6 @@ fn determinism_scope() -> FileScope {
         rel_path: "crates/sim/src/fake.rs".into(),
         determinism: true,
         panic_path: true,
-        hot_alloc: true,
         hygiene: false,
     }
 }

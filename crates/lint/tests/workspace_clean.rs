@@ -1,7 +1,7 @@
 //! The repo lints itself: `cargo test` fails on any undocumented
-//! violation anywhere in the workspace, which is the same gate CI runs
-//! via `cargo run -p marnet-lint -- --format json` — and on any growth of
-//! the suppression inventory.
+//! violation anywhere in the workspace — the lint gate itself; the
+//! `marnet-lint` binary runs the same pass (`tests/cli_exit_codes.rs`) —
+//! and on any growth of the suppression inventory.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,11 +25,10 @@ fn workspace_is_lint_clean() {
 }
 
 /// Pragmas in product code (`crates/*/src` outside the linter itself) at
-/// the last change that lowered the count: 14 `panic-path` + 2
-/// `hot-path-alloc`. Lower it when a pragma goes; never raise it — prove
-/// the invariant by construction instead (an iterator, a pattern, one
-/// audited accessor).
-const PRAGMA_BUDGET: usize = 16;
+/// the last change that lowered the count: 14 `panic-path`. Lower it when
+/// a pragma goes; never raise it — prove the invariant by construction
+/// instead (an iterator, a pattern, one audited accessor).
+const PRAGMA_BUDGET: usize = 14;
 
 fn count_pragmas(dir: &Path) -> usize {
     let mut n = 0;

@@ -744,7 +744,6 @@ impl Simulator {
     pub fn install_actor<A: Actor + 'static>(&mut self, id: ActorId, actor: A) {
         let slot = actor_slot_mut(&mut self.actors, id);
         assert!(slot.is_none(), "actor slot {id} already filled");
-        // marnet-lint: allow(hot-path-alloc): actor installation happens at topology build, not per event
         *slot = Some(Box::new(actor));
     }
 
