@@ -82,8 +82,8 @@ fn rows() -> Vec<Row> {
         run: Box::new(move || run_recovery_instrumented(40, 0.05, mechanism, 2, 11, &off()).1),
     };
     vec![
-        recovery("arq+fec-k8", 0.133227, 33_272, RecoveryMechanism::ArqFecK8),
-        recovery("duplicate", 0.058361, 20_204, RecoveryMechanism::Duplicate),
+        recovery("arq+fec-k8", 0.126858, 32_932, RecoveryMechanism::ArqFecK8),
+        recovery("duplicate", 0.039282, 17_620, RecoveryMechanism::Duplicate),
         Row {
             label: "offload-wifi",
             allocs_per_event: 0.028825,
@@ -114,8 +114,8 @@ fn rows() -> Vec<Row> {
         // restart: the watchdog, probe and resync paths no other row runs.
         Row {
             label: "faults-hardened",
-            allocs_per_event: 0.028187,
-            peak_bytes: 29_643,
+            allocs_per_event: 0.020635,
+            peak_bytes: 24_358,
             run: Box::new(move || {
                 let cfg = FaultScenario::stack_config(true);
                 FaultScenario::ALL

@@ -7,7 +7,18 @@
 //! [`MultipathScheduler`]. Losses reported by receiver feedback go through
 //! the deadline-gated [`RecoveryPolicy`](crate::recovery::RecoveryPolicy);
 //! recovery-class packets are
-//! FEC-protected; QoS signals flow back to the application.
+//! FEC-protected; QoS signals flow back to the application. The sender
+//! keeps a retransmit record only for a fragment the policy could ever
+//! resend: with recovery off, no record is kept at all.
+//!
+//! The receiver keeps each path's loss state in one sequence window, a
+//! slot per sequence number from the cumulative point to the highest one
+//! received, each slot either received or the NACK rounds its hole has
+//! survived. Every feedback round walks it once: the lowest 64 holes are
+//! NACKed, those reported for the first time counted as new losses, and
+//! those past `ABANDON_AFTER` rounds abandoned. The window spans at most
+//! `WINDOW_SPAN` sequence numbers; one farther ahead gives up the oldest
+//! holes instead of growing it.
 
 use crate::class::{KindMap, StreamKind, TrafficClass, ALL_STREAM_KINDS};
 use crate::config::{
@@ -29,7 +40,7 @@ use marnet_sim::time::{SimDuration, SimTime};
 use marnet_telemetry::{component, ClassUsage, DropReason, TraceEvent};
 use marnet_transport::nic::{unwrap_packet, TxPath};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 const TAG_TICK: u64 = 1;
@@ -445,7 +456,9 @@ impl ArSender {
             }
         }
 
-        if msg.class.wants_recovery() {
+        // A record the policy could never resend is not kept: with recovery
+        // off, every NACK would take it only to refuse it.
+        if self.cfg.recovery.can_resend(msg.class) {
             self.rtx.insert(
                 path_idx,
                 seq,
@@ -1008,15 +1021,129 @@ impl ArReceiverStats {
     }
 }
 
-struct PathRx {
+/// Slot of a received (or abandoned) sequence number in a [`SeqWindow`];
+/// any other slot value counts the NACK rounds its hole has survived.
+const RECEIVED: u8 = u8::MAX;
+
+/// NACK rounds a hole survives before the receiver abandons it.
+const ABANDON_AFTER: u8 = 8;
+
+/// Most sequence numbers a [`SeqWindow`] spans. A sequence number this far
+/// or farther above the cumulative point first slides the window up: every
+/// hole below `seq + 1 - WINDOW_SPAN` is given up unreported and uncounted,
+/// as if abandoned, so a hostile or corrupt sequence number costs at most
+/// `WINDOW_SPAN` bytes. No real run comes near it: the widest window of
+/// any committed experiment spans under a thousand slots.
+const WINDOW_SPAN: u64 = 1 << 20;
+
+/// The loss state of one receive path: one slot per sequence number from
+/// the cumulative point `cum_next` up to the highest sequence received.
+///
+/// A slot is [`RECEIVED`] or the NACK rounds its hole has survived (0: not
+/// reported yet, so the first round counts it in `new_losses`). The front
+/// slot is always a hole and the back slot always received, so an empty
+/// window means no hole is in flight and an in-order packet only moves
+/// `cum_next`. The ring keeps its capacity, so marking allocates nothing
+/// once it has grown to the widest gap of the run.
+#[derive(Debug, Default)]
+struct SeqWindow {
     /// Next expected sequence number.
     cum_next: u64,
-    /// Received (or abandoned) sequences above the cumulative point.
-    above: BTreeSet<u64>,
-    /// NACK rounds each missing seq has survived.
-    nack_rounds: FxHashMap<u64, u32>,
-    /// Missing seqs already counted in `new_losses`.
-    reported: BTreeSet<u64>,
+    /// Slot of `cum_next + i` at index `i`.
+    slots: VecDeque<u8>,
+}
+
+impl SeqWindow {
+    /// Marks a sequence received; returns `false` for duplicates (and for
+    /// abandoned holes, which count as received).
+    fn mark(&mut self, seq: u64) -> bool {
+        if seq == self.cum_next && self.slots.is_empty() {
+            self.cum_next += 1;
+            return true;
+        }
+        let Some(mut off) = seq.checked_sub(self.cum_next) else {
+            return false;
+        };
+        if off >= WINDOW_SPAN {
+            self.slide_to(seq - (WINDOW_SPAN - 1));
+            off = seq - self.cum_next;
+        }
+        // Below `WINDOW_SPAN` (2²⁰), so the cast keeps every bit.
+        let off = off as usize;
+        match self.slots.get_mut(off) {
+            Some(&mut RECEIVED) => return false,
+            Some(slot) => *slot = RECEIVED,
+            None => {
+                self.slots.resize(off, 0);
+                self.slots.push_back(RECEIVED);
+            }
+        }
+        if off == 0 {
+            self.advance();
+        }
+        true
+    }
+
+    /// Pops received slots off the front, moving the cumulative point.
+    fn advance(&mut self) {
+        while self.slots.front() == Some(&RECEIVED) {
+            self.slots.pop_front();
+            self.cum_next += 1;
+        }
+    }
+
+    /// Gives up every hole below `floor` (above `cum_next`).
+    fn slide_to(&mut self, floor: u64) {
+        let len = self.slots.len();
+        let gone = usize::try_from(floor - self.cum_next).map_or(len, |d| d.min(len));
+        self.slots.drain(..gone);
+        self.cum_next = floor;
+        self.advance();
+    }
+
+    /// One feedback round: lists the lowest 64 holes in `nacks`, adds a
+    /// round to each, and abandons (marks received) the ones that have now
+    /// survived more than `abandon_after` rounds, listing them in
+    /// `abandoned`. Returns how many holes were reported for the first
+    /// time. Both buffers are cleared first; the feedback loop reuses them
+    /// across paths and rounds.
+    ///
+    /// One walk does both jobs: a hole's rank among the holes never rises
+    /// (holes below it only fill), so every hole that has survived a round
+    /// is still among the lowest 64 and gets its next round here.
+    fn nack_round(
+        &mut self,
+        abandon_after: u8,
+        nacks: &mut Vec<u64>,
+        abandoned: &mut Vec<u64>,
+    ) -> u64 {
+        nacks.clear();
+        abandoned.clear();
+        let mut new_losses = 0;
+        for (seq, slot) in (self.cum_next..).zip(self.slots.iter_mut()) {
+            if *slot == RECEIVED {
+                continue;
+            }
+            if *slot == 0 {
+                new_losses += 1;
+            }
+            *slot += 1;
+            if *slot > abandon_after {
+                *slot = RECEIVED;
+                abandoned.push(seq);
+            }
+            nacks.push(seq);
+            if nacks.len() >= 64 {
+                break;
+            }
+        }
+        self.advance();
+        new_losses
+    }
+}
+
+struct PathRx {
+    seqs: SeqWindow,
     last_ts: Option<SimTime>,
     /// Local arrival time of the packet behind `last_ts`.
     last_rx_at: Option<SimTime>,
@@ -1028,6 +1155,8 @@ struct PathRx {
     /// 15 ms interval sees 0-2 packets, far too noisy to anchor the
     /// congestion controller on.
     rate_history: VecDeque<(SimTime, u64)>,
+    /// Sum of the bytes in `rate_history`.
+    rate_bytes: u64,
     active: bool,
     fec: FecGroupTracker,
     /// Parity coverage lists seen, for mapping recovered seqs to fragments.
@@ -1037,68 +1166,16 @@ struct PathRx {
 impl PathRx {
     fn new() -> Self {
         PathRx {
-            cum_next: 0,
-            above: BTreeSet::new(),
-            nack_rounds: FxHashMap::default(),
-            reported: BTreeSet::new(),
+            seqs: SeqWindow::default(),
             last_ts: None,
             last_rx_at: None,
             bytes_since_feedback: 0,
             last_feedback_at: None,
             rate_history: VecDeque::new(),
+            rate_bytes: 0,
             active: false,
             fec: FecGroupTracker::new(),
             parity_frags: VecDeque::new(),
-        }
-    }
-
-    /// Marks a sequence received; returns `false` for duplicates.
-    fn mark(&mut self, seq: u64) -> bool {
-        // In-order fast path: with no holes in flight there is nothing in
-        // any tracking set, so advancing the cumulative edge is a bare
-        // increment instead of four ordered-set operations per packet.
-        if seq == self.cum_next
-            && self.above.is_empty()
-            && self.nack_rounds.is_empty()
-            && self.reported.is_empty()
-        {
-            self.cum_next += 1;
-            return true;
-        }
-        if seq < self.cum_next || self.above.contains(&seq) {
-            return false;
-        }
-        self.above.insert(seq);
-        while self.above.remove(&self.cum_next) {
-            self.cum_next += 1;
-        }
-        self.nack_rounds.remove(&seq);
-        self.reported.remove(&seq);
-        true
-    }
-
-    fn max_seq(&self) -> Option<u64> {
-        self.above.iter().next_back().copied().or(if self.cum_next > 0 {
-            Some(self.cum_next - 1)
-        } else {
-            None
-        })
-    }
-
-    /// Fills `out` with up to 64 missing sequences (cleared first); the
-    /// feedback loop reuses one buffer across paths and rounds.
-    fn missing_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        let Some(max) = self.max_seq() else {
-            return;
-        };
-        for seq in self.cum_next..max {
-            if !self.above.contains(&seq) {
-                out.push(seq);
-                if out.len() >= 64 {
-                    break;
-                }
-            }
         }
     }
 }
@@ -1168,8 +1245,6 @@ pub struct ArReceiver {
     /// runs once per received fragment.
     completed: FxHashSet<u64>,
     completed_order: VecDeque<u64>,
-    /// Missing-seq NACK rounds before a hole is abandoned.
-    abandon_after: u32,
     /// Application actor notified of completed messages, if any.
     delivery_target: Option<ActorId>,
     stats: Rc<RefCell<ArReceiverStats>>,
@@ -1213,7 +1288,6 @@ impl ArReceiver {
             asm: FxHashMap::default(),
             completed: FxHashSet::default(),
             completed_order: VecDeque::new(),
-            abandon_after: 8,
             delivery_target: None,
             stats: Rc::new(RefCell::new(ArReceiverStats::default())),
             fb_pool: PayloadPool::new(),
@@ -1278,18 +1352,24 @@ impl ArReceiver {
         origin: Option<SimTime>,
         deadline: Option<SimTime>,
     ) -> Option<Delivered> {
-        if self.completed.contains(&msg_id) {
-            self.stats.borrow_mut().duplicates += 1;
-            return None;
-        }
-        let entry = self.asm.entry(msg_id).or_insert_with(|| {
-            // Recycle a retired bitmap when one is available; `resize`
-            // only allocates when the fragment count outgrows it.
-            let mut received = self.asm_free.pop().unwrap_or_default();
-            received.clear();
-            received.resize(frag_count as usize, false);
-            MsgAsm { frag_count, received, got: 0, created, deadline, kind }
-        });
+        // An id is never both assembling and completed, so the completed
+        // set is consulted only when no assembly is in flight.
+        let entry = match self.asm.get_mut(&msg_id) {
+            Some(entry) => entry,
+            None if self.completed.contains(&msg_id) => {
+                self.stats.borrow_mut().duplicates += 1;
+                return None;
+            }
+            None => {
+                // Recycle a retired bitmap when one is available; `resize`
+                // only allocates when the fragment count outgrows it.
+                let mut received = self.asm_free.pop().unwrap_or_default();
+                received.clear();
+                received.resize(frag_count as usize, false);
+                let asm = MsgAsm { frag_count, received, got: 0, created, deadline, kind };
+                self.asm.entry(msg_id).or_insert(asm)
+            }
+        };
         let idx = frag_index as usize;
         let seen = entry.received.get_mut(idx)?;
         if *seen {
@@ -1371,7 +1451,7 @@ impl ArReceiver {
             // would poison loss detection.
             return;
         }
-        if !path.mark(view.seq) {
+        if !path.seqs.mark(view.seq) {
             self.stats.borrow_mut().duplicates += 1;
             return;
         }
@@ -1417,7 +1497,7 @@ impl ArReceiver {
 
         if let Some(fid) = recovered {
             if let Some(p) = self.rx.get_mut(view.path) {
-                p.mark(fid.seq);
+                p.seqs.mark(fid.seq);
             }
             self.stats.borrow_mut().fec_recovered += 1;
             let t = now.as_nanos();
@@ -1477,25 +1557,12 @@ impl ArReceiver {
             if !path.active {
                 continue;
             }
-            path.missing_into(&mut self.nack_scratch);
-            let mut new_losses = 0;
-            for &seq in &self.nack_scratch {
-                if path.reported.insert(seq) {
-                    new_losses += 1;
-                }
-                let rounds = path.nack_rounds.entry(seq).or_insert(0);
-                *rounds += 1;
-            }
-            // Abandon holes that survived too many NACK rounds.
-            let abandon_after = self.abandon_after;
-            self.abandon_scratch.clear();
-            self.abandon_scratch.extend(
-                path.nack_rounds.iter().filter(|(_, &r)| r > abandon_after).map(|(&s, _)| s),
+            let new_losses = path.seqs.nack_round(
+                ABANDON_AFTER,
+                &mut self.nack_scratch,
+                &mut self.abandon_scratch,
             );
-            for &seq in &self.abandon_scratch {
-                path.mark(seq);
-                self.stats.borrow_mut().abandoned_holes += 1;
-            }
+            self.stats.borrow_mut().abandoned_holes += self.abandon_scratch.len() as u64;
 
             let echo_delay =
                 path.last_rx_at.map_or(SimDuration::ZERO, |t| ctx.now().saturating_since(t));
@@ -1504,18 +1571,19 @@ impl ArReceiver {
             let now = ctx.now();
             if path.last_feedback_at.is_some() {
                 path.rate_history.push_back((now, path.bytes_since_feedback));
+                path.rate_bytes += path.bytes_since_feedback;
             }
-            while path
-                .rate_history
-                .front()
-                .is_some_and(|&(t, _)| now.saturating_since(t) > SimDuration::from_millis(200))
-            {
+            while let Some(&(t, b)) = path.rate_history.front() {
+                if now.saturating_since(t) <= SimDuration::from_millis(200) {
+                    break;
+                }
                 path.rate_history.pop_front();
+                path.rate_bytes -= b;
             }
             let recv_rate = match (path.rate_history.front(), path.last_feedback_at) {
                 (Some(&(oldest, _)), Some(prev)) if path.rate_history.len() >= 3 => {
                     let span = now.saturating_since(oldest.min(prev)).as_secs_f64();
-                    let bytes: u64 = path.rate_history.iter().map(|&(_, b)| b).sum();
+                    let bytes = path.rate_bytes;
                     if span > 0.02 && bytes > 0 {
                         Some(bytes as f64 / span)
                     } else {
@@ -1526,7 +1594,7 @@ impl ArReceiver {
             };
             path.bytes_since_feedback = 0;
             path.last_feedback_at = Some(now);
-            let cum_seq = if path.cum_next > 0 { Some(path.cum_next - 1) } else { None };
+            let cum_seq = path.seqs.cum_next.checked_sub(1);
             let ts_echo = path.last_ts;
             let head = ArFeedback {
                 conn: self.conn,
@@ -1956,6 +2024,163 @@ mod tests {
         sender.on_feedback(ctx, &fb);
         sender.on_feedback(ctx, &fb);
         assert_eq!(sstats.borrow().session_resyncs, 0);
+    }
+
+    /// The receive path's loss state as three sets — sequences received
+    /// above the cumulative point, NACK rounds per hole, holes already
+    /// counted as losses — and one feedback round over them: the obvious
+    /// model, kept as the oracle [`SeqWindow`] is compared against.
+    #[derive(Default)]
+    struct SeqSets {
+        cum_next: u64,
+        above: std::collections::BTreeSet<u64>,
+        nack_rounds: FxHashMap<u64, u32>,
+        reported: std::collections::BTreeSet<u64>,
+    }
+
+    impl SeqSets {
+        fn mark(&mut self, seq: u64) -> bool {
+            if seq < self.cum_next || self.above.contains(&seq) {
+                return false;
+            }
+            self.above.insert(seq);
+            while self.above.remove(&self.cum_next) {
+                self.cum_next += 1;
+            }
+            self.nack_rounds.remove(&seq);
+            self.reported.remove(&seq);
+            true
+        }
+
+        /// Lists up to 64 holes in `nacks`, counts the new ones, adds a
+        /// round to each, then abandons every hole past `abandon_after`
+        /// rounds into `abandoned` (in hash order).
+        fn nack_round(
+            &mut self,
+            abandon_after: u32,
+            nacks: &mut Vec<u64>,
+            abandoned: &mut Vec<u64>,
+        ) -> u64 {
+            nacks.clear();
+            let max = self.above.iter().next_back().copied().unwrap_or(self.cum_next);
+            for seq in self.cum_next..max {
+                if !self.above.contains(&seq) {
+                    nacks.push(seq);
+                    if nacks.len() >= 64 {
+                        break;
+                    }
+                }
+            }
+            let mut new_losses = 0;
+            for &seq in nacks.iter() {
+                if self.reported.insert(seq) {
+                    new_losses += 1;
+                }
+                *self.nack_rounds.entry(seq).or_insert(0) += 1;
+            }
+            abandoned.clear();
+            abandoned.extend(
+                self.nack_rounds.iter().filter(|(_, &r)| r > abandon_after).map(|(&s, _)| s),
+            );
+            for &seq in abandoned.iter() {
+                self.mark(seq);
+            }
+            new_losses
+        }
+    }
+
+    /// One step of a receive path: the next packet in order, or after a
+    /// gap of `skip` lost ones; a packet `back` below the highest one sent
+    /// (reordered, retransmitted, recovered or duplicate); a feedback round.
+    #[derive(Debug, Clone, Copy)]
+    enum RxOp {
+        Next { skip: u64 },
+        Late { back: u64 },
+        Round,
+    }
+
+    fn rx_op() -> impl proptest::strategy::Strategy<Value = RxOp> {
+        use proptest::strategy::Strategy;
+        // Mostly in order, some short gaps, the odd burst longer than the
+        // 64 holes one round reports; late arrivals reach past it too.
+        (0u8..12, 0u64..4, 0u64..160).prop_map(|(kind, small, big)| match kind {
+            0..=4 => RxOp::Next { skip: 0 },
+            5 | 6 => RxOp::Next { skip: small },
+            7 => RxOp::Next { skip: big },
+            8 | 9 => RxOp::Late { back: big },
+            _ => RxOp::Round,
+        })
+    }
+
+    proptest::proptest! {
+        /// Random arrivals (in order, after gaps, reordered, duplicated)
+        /// interleaved with feedback rounds at every abandonment depth:
+        /// the window gives the three-set oracle's verdicts, cumulative
+        /// point, NACK lists, new-loss counts and abandoned holes.
+        #[test]
+        fn seq_window_matches_the_three_set_oracle(
+            ops in proptest::collection::vec(rx_op(), 1..600),
+            abandon_after in 0u8..10,
+        ) {
+            let (mut window, mut sets) = (SeqWindow::default(), SeqSets::default());
+            let (mut nacks, mut abandoned) = (Vec::new(), Vec::new());
+            let (mut want_nacks, mut want_abandoned) = (Vec::new(), Vec::new());
+            let mut head = 0u64;
+            for op in ops {
+                match op {
+                    RxOp::Next { skip } => {
+                        let seq = head + skip;
+                        head = seq + 1;
+                        proptest::prop_assert_eq!(window.mark(seq), sets.mark(seq), "seq {}", seq);
+                    }
+                    RxOp::Late { back } => {
+                        let seq = head.saturating_sub(back + 1);
+                        proptest::prop_assert_eq!(window.mark(seq), sets.mark(seq), "seq {}", seq);
+                    }
+                    RxOp::Round => {
+                        let got = window.nack_round(abandon_after, &mut nacks, &mut abandoned);
+                        let want = sets.nack_round(
+                            u32::from(abandon_after),
+                            &mut want_nacks,
+                            &mut want_abandoned,
+                        );
+                        want_abandoned.sort_unstable();
+                        proptest::prop_assert_eq!(&nacks, &want_nacks);
+                        proptest::prop_assert_eq!(got, want);
+                        proptest::prop_assert_eq!(&abandoned, &want_abandoned);
+                    }
+                }
+                proptest::prop_assert_eq!(window.cum_next, sets.cum_next);
+            }
+        }
+    }
+
+    #[test]
+    fn a_far_ahead_sequence_slides_the_window_instead_of_sizing_it() {
+        let mut w = SeqWindow::default();
+        for seq in [0, 1, 3, 5] {
+            assert!(w.mark(seq));
+        }
+        assert_eq!(w.cum_next, 2, "2 and 4 are holes");
+        // The farthest sequence the window holds without sliding.
+        let edge = w.cum_next + WINDOW_SPAN - 1;
+        assert!(w.mark(edge));
+        assert_eq!((w.cum_next, w.slots.len() as u64), (2, WINDOW_SPAN));
+        // One past it gives up the oldest hole (2); the received 3 then
+        // moves the cumulative point to the next hole (4), still reported.
+        assert!(w.mark(edge + 1));
+        assert_eq!((w.cum_next, w.slots.len() as u64), (4, WINDOW_SPAN - 1));
+        let (mut nacks, mut abandoned) = (Vec::new(), Vec::new());
+        assert_eq!(w.nack_round(ABANDON_AFTER, &mut nacks, &mut abandoned), 64);
+        assert_eq!(nacks[..3], [4, 6, 7]);
+        assert!(!w.mark(2), "a given-up hole counts as received");
+        // A hostile sequence number costs the span, not its distance: every
+        // hole below the new span is given up at once.
+        let far = w.cum_next + (1 << 40);
+        assert!(w.mark(far));
+        assert_eq!(w.cum_next, far - (WINDOW_SPAN - 1));
+        assert_eq!(w.slots.len() as u64, WINDOW_SPAN);
+        assert!(!w.mark(edge), "below the slid span: a duplicate");
     }
 
     // The two `prepare` sites that keep part of a retired slot (its list

@@ -66,6 +66,12 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
+    /// Whether a fragment of `class` could ever be retransmitted: the
+    /// sender keeps a retransmit record only when this holds.
+    pub fn can_resend(&self, class: TrafficClass) -> bool {
+        self.enabled && class.wants_recovery()
+    }
+
     /// Decides whether a NACKed fragment should be retransmitted at `now`,
     /// given the current smoothed RTT estimate.
     ///
@@ -78,7 +84,7 @@ impl RecoveryPolicy {
         srtt: Option<SimDuration>,
         now: SimTime,
     ) -> bool {
-        if !self.enabled || !frag.class.wants_recovery() || frag.attempts >= MAX_ATTEMPTS {
+        if !self.can_resend(frag.class) || frag.attempts >= MAX_ATTEMPTS {
             return false;
         }
         if frag.class.recovery_is_unconditional() || !self.deadline_gated {

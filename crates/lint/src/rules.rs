@@ -416,7 +416,8 @@ fn scan_float_order(
 
 /// Identifiers declared or assigned as default-hasher
 /// `HashMap`/`HashSet` in this file (shared by the map-iter and
-/// float-order rules).
+/// float-order rules). The type may be path-qualified
+/// (`std::collections::HashMap`).
 fn collect_map_vars(toks: &[Token]) -> Vec<&str> {
     let mut map_vars: Vec<&str> = Vec::new();
     for i in 0..toks.len() {
@@ -425,22 +426,28 @@ fn collect_map_vars(toks: &[Token]) -> Vec<&str> {
             continue;
         }
         let is_map = t.text == "HashMap";
+        // `p` is the first token of the type's path: skip `segment::`
+        // pairs back from the type name.
+        let mut p = i;
+        while p >= 2 && punct_at(toks, p - 1, "::") && toks[p - 2].kind == TokenKind::Word {
+            p -= 2;
+        }
         // `name: HashMap<…>` — declaration with a type annotation.
-        let annotated = i >= 2
-            && punct_at(toks, i - 1, ":")
-            && toks[i - 2].kind == TokenKind::Word
+        let annotated = p >= 2
+            && punct_at(toks, p - 1, ":")
+            && toks[p - 2].kind == TokenKind::Word
             && punct_at(toks, i + 1, "<")
             && default_hasher(toks, i + 1, is_map);
         // `name = HashMap::new()` — inferred binding to a constructor
         // (an annotated binding never matches: the token before `=` is
         // the annotation's closing `>`, not the name).
-        let constructed = i >= 2
-            && punct_at(toks, i - 1, "=")
-            && toks[i - 2].kind == TokenKind::Word
+        let constructed = p >= 2
+            && punct_at(toks, p - 1, "=")
+            && toks[p - 2].kind == TokenKind::Word
             && punct_at(toks, i + 1, "::")
             && toks.get(i + 2).is_some_and(|c| DEFAULT_CTORS.contains(&c.text.as_str()));
         if annotated || constructed {
-            let name = toks[i - 2].text.as_str();
+            let name = toks[p - 2].text.as_str();
             if !map_vars.contains(&name) {
                 map_vars.push(name);
             }
@@ -672,6 +679,34 @@ mod tests {
         let d = scan(src, true, false, false);
         assert_eq!(d.len(), 2, "{d:?}");
         assert!(d.iter().all(|d| d.rule == Rule::MapIter));
+    }
+
+    #[test]
+    fn path_qualified_annotations_are_tracked() {
+        let src = "
+            fn f() -> f64 {
+                let m: std::collections::HashMap<u32, f64> = Default::default();
+                for (k, v) in m.iter() { drop((k, v)); }
+                m.values().sum::<f64>()
+            }
+        ";
+        let d = scan(src, true, false, false);
+        let rules: Vec<Rule> = d.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, [Rule::MapIter, Rule::MapIter, Rule::FloatOrder], "{d:?}");
+    }
+
+    #[test]
+    fn path_qualified_constructors_are_tracked() {
+        let src = "
+            fn f() -> f64 {
+                let m = std::collections::HashMap::new();
+                for (k, v) in m.iter() { drop((k, v)); }
+                m.values().fold(0.0, |acc, v| acc + v)
+            }
+        ";
+        let d = scan(src, true, false, false);
+        let rules: Vec<Rule> = d.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, [Rule::MapIter, Rule::MapIter, Rule::FloatOrder], "{d:?}");
     }
 
     #[test]

@@ -244,14 +244,17 @@ impl<T: Any + Clone + fmt::Debug> PayloadPool<T> {
     /// below its slot cap retains a clone so later calls can reuse it.
     pub fn prepare(&mut self, init: impl FnOnce() -> T, update: impl FnOnce(&mut T)) -> Payload {
         let n = self.slots.len();
-        for step in 0..n {
-            let i = (self.cursor + step) % n;
-            // `% n` keeps `i` inside the n-long `slots`.
+        // The cursor stays below `n` (slots are never removed), and the
+        // wrap branch keeps `i` inside the n-long `slots`.
+        let mut i = self.cursor;
+        for _ in 0..n {
+            let next = if i + 1 == n { 0 } else { i + 1 };
             if let Some(value) = self.slots[i].try_mut::<T>() {
                 update(value);
-                self.cursor = (i + 1) % n;
+                self.cursor = next;
                 return self.slots[i].clone();
             }
+            i = next;
         }
         let mut value = init();
         update(&mut value);
