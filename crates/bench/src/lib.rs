@@ -9,8 +9,7 @@
 //!
 //! The experiments that regenerate the paper's tables and figures are
 //! `marnet-lab` experiments built on these scenarios (DESIGN.md §4 has the
-//! index; `cargo run -p marnet-lab -- <name>`). The Criterion
-//! micro-benchmarks live under `benches/`, and `tests/alloc_budget.rs`
+//! index; `cargo run -p marnet-lab -- <name>`), and `tests/alloc_budget.rs`
 //! holds six scenarios to their allocations per event and peak heap.
 //! [`print_table`] and [`fmt`] are the table printer the lab's renderers
 //! use.

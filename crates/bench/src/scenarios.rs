@@ -1,6 +1,5 @@
 //! The simulated topologies, one entry point each — shared by the lab's
-//! experiments, the Criterion benches, the benchmark and the integration
-//! tests.
+//! experiments, the benchmark and the integration tests.
 
 use marnet_app::compute::{ComputeModel, FrameWork};
 use marnet_app::device::DeviceClass;

@@ -677,7 +677,6 @@ pub struct Simulator {
     ctx: SimCtx,
     actors: Vec<Option<Box<dyn Actor>>>,
     started: Vec<bool>,
-    event_limit: u64,
 }
 
 impl fmt::Debug for Simulator {
@@ -715,15 +714,7 @@ impl Simulator {
             },
             actors: Vec::new(),
             started: Vec::new(),
-            event_limit: u64::MAX,
         }
-    }
-
-    /// Caps the number of events a single `run_*` call may process; exceeded
-    /// budgets abort the run (guards against zero-delay event loops in
-    /// actor bugs).
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Reserves an actor slot so links can reference the actor before it is
@@ -818,8 +809,8 @@ impl Simulator {
         self.ctx.src = SRC_SETUP;
     }
 
-    /// Runs the event loop until virtual time `end`, the event budget is
-    /// exhausted, an actor calls [`SimCtx::stop`], or no events remain.
+    /// Runs the event loop until virtual time `end`, an actor calls
+    /// [`SimCtx::stop`], or no events remain.
     /// Returns the number of events processed by this call.
     ///
     /// # Panics
@@ -829,7 +820,7 @@ impl Simulator {
         self.deliver_starts();
         self.ctx.stopped = false;
         let mut processed = 0;
-        while processed < self.event_limit && !self.ctx.stopped {
+        while !self.ctx.stopped {
             let Some((time, _seq, dest)) = self.ctx.queue.pop_at_most(end) else {
                 break;
             };
@@ -863,7 +854,7 @@ impl Simulator {
                             TraceEvent::packet_deliver(time.as_nanos(), comp, pid, pflow, psize)
                         });
                         self.dispatch_to_actor(dst, Event::Packet { link, packet });
-                        if processed >= self.event_limit || self.ctx.stopped {
+                        if self.ctx.stopped {
                             break;
                         }
                         let next = self.ctx.queue.pop_at_most_if(
@@ -885,17 +876,13 @@ impl Simulator {
             }
         }
         // Advance the clock to the horizon so stats over `end` are meaningful.
-        if !self.ctx.stopped
-            && processed < self.event_limit
-            && self.ctx.now < end
-            && end != SimTime::MAX
-        {
+        if !self.ctx.stopped && self.ctx.now < end && end != SimTime::MAX {
             self.ctx.now = end;
         }
         processed
     }
 
-    /// Runs until no events remain (or the event budget is exhausted).
+    /// Runs until no events remain or an actor calls [`SimCtx::stop`].
     pub fn run_to_completion(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
     }
@@ -1301,22 +1288,6 @@ mod tests {
         // LIFO: the higher-indexed sender's burst runs first, internally
         // still in program order.
         assert_eq!(run(TieBreak::Lifo), vec![2, 3, 1]);
-    }
-
-    #[test]
-    fn event_limit_halts_runaway() {
-        struct Loopy;
-        impl Actor for Loopy {
-            fn on_event(&mut self, ctx: &mut SimCtx, _: Event) {
-                let me = ctx.self_id();
-                ctx.send_message(me, Payload::empty());
-            }
-        }
-        let mut sim = Simulator::new(1);
-        sim.add_actor(Loopy);
-        sim.set_event_limit(1000);
-        let processed = sim.run_until(SimTime::from_secs(1));
-        assert_eq!(processed, 1000);
     }
 
     #[test]

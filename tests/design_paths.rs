@@ -1,9 +1,37 @@
 //! DESIGN.md names modules as `crate::module` (with `crate::{a,b}` and
 //! `crate::*` forms); each such path must resolve to a source file, so the
 //! design document cannot keep describing a module after it is renamed or
-//! deleted.
+//! deleted. Likewise every repository path that DESIGN.md, README.md or
+//! EXPERIMENTS.md puts in backticks must name a file or directory that
+//! exists.
 
 use std::path::Path;
+
+/// The inline code spans of a Markdown document: its odd `-separated
+/// pieces, with fenced blocks left out.
+fn code_spans(doc: &str) -> Vec<String> {
+    let mut fenced = false;
+    let prose: Vec<&str> = doc
+        .lines()
+        .filter(|line| {
+            fenced ^= line.starts_with("```");
+            !fenced && !line.starts_with("```")
+        })
+        .collect();
+    prose.join("\n").split('`').skip(1).step_by(2).map(str::to_string).collect()
+}
+
+/// Top-level directories whose paths the documents name from the
+/// repository root.
+const ROOTED: [&str; 6] = ["crates/", "results/", "tests/", "examples/", "vendor/", ".github/"];
+
+/// The words of `span` that are repository-rooted paths: each starts with
+/// one of [`ROOTED`]. Templated paths (`<name>`, `*`, `{a,b}`) are skipped.
+fn repo_paths(span: &str) -> impl Iterator<Item = &str> {
+    span.split_whitespace()
+        .filter(|word| ROOTED.iter().any(|root| word.starts_with(root)))
+        .filter(|word| !word.contains(['<', '*', '{']))
+}
 
 /// The `crate::…` heads of `span`, where `crate` is a directory under
 /// `crates/`: one `(crate, segment)` per module the span names, with
@@ -40,20 +68,9 @@ fn every_module_design_names_has_a_source_file() {
         .expect("read crates/")
         .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
         .collect();
-    // Prose outside fenced blocks; its odd `-separated pieces are the
-    // inline code spans.
-    let mut fenced = false;
-    let prose: Vec<&str> = design
-        .lines()
-        .filter(|line| {
-            fenced ^= line.starts_with("```");
-            !fenced && !line.starts_with("```")
-        })
-        .collect();
-    let prose = prose.join("\n");
-    let spans = prose.split('`').skip(1).step_by(2);
 
-    let named: Vec<(String, String)> = spans.flat_map(|s| module_paths(s, &crates)).collect();
+    let named: Vec<(String, String)> =
+        code_spans(&design).iter().flat_map(|s| module_paths(s, &crates)).collect();
     assert!(named.len() > 40, "found only {} module paths in DESIGN.md", named.len());
     let missing: Vec<String> = named
         .iter()
@@ -69,4 +86,22 @@ fn every_module_design_names_has_a_source_file() {
         .map(|(krate, module)| format!("{krate}::{module}"))
         .collect();
     assert!(missing.is_empty(), "DESIGN.md names modules with no source file: {missing:?}");
+}
+
+#[test]
+fn every_repository_path_the_docs_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in ["DESIGN.md", "README.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("read a document");
+        for path in code_spans(&text).iter().flat_map(|s| repo_paths(s)) {
+            checked += 1;
+            if !root.join(path).exists() {
+                missing.push(format!("{doc}: {path}"));
+            }
+        }
+    }
+    assert!(checked > 30, "found only {checked} repository paths in the documents");
+    assert!(missing.is_empty(), "the documents name paths that do not exist: {missing:?}");
 }
