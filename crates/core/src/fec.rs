@@ -3,101 +3,17 @@
 //! Recovery through retransmission costs at least one RTT, which the 75 ms
 //! budget rarely affords; the paper recommends "introduc\[ing\] some
 //! redundancy in the data flow either by performing network coding \[or\]
-//! forward error correction". This module implements the classic (k, 1)
-//! XOR parity code — one parity block per k data blocks, recovering any
-//! single loss per group — on real byte buffers, plus a group tracker the
-//! protocol endpoint uses at packet granularity.
+//! forward error correction". This module models the classic (k, 1) XOR
+//! parity code — one parity packet per k data packets, recovering any
+//! single loss per group: its overhead and residual loss in closed form,
+//! and the group tracker the protocol endpoint uses at packet granularity
+//! (the simulated endpoint never XORs payload bytes). [`xor_into`] is the
+//! byte-level parity kernel, kept for the benchmark's parity-throughput
+//! drive.
 //!
 //! Overhead is `1/k`; residual loss is the probability of ≥2 losses per
 //! group. The E11 experiment sweeps `k` against loss rate and RTT to map
 //! the FEC-vs-ARQ frontier.
-
-/// Encoder producing one parity block per `k` data blocks.
-///
-/// ```
-/// use marnet_core::fec::XorEncoder;
-/// let mut enc = XorEncoder::new(3);
-/// assert!(enc.push(b"abc").is_none());
-/// assert!(enc.push(b"de").is_none());
-/// let parity = enc.push(b"fghi").expect("third block completes the group");
-/// assert_eq!(parity.len(), 4); // longest block in the group
-/// ```
-#[derive(Debug, Clone)]
-pub struct XorEncoder {
-    k: usize,
-    parity: Vec<u8>,
-    in_group: usize,
-}
-
-impl XorEncoder {
-    /// A (k, 1) encoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "group size must be positive");
-        XorEncoder { k, parity: Vec::new(), in_group: 0 }
-    }
-
-    /// The group size `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Blocks accumulated in the current (incomplete) group.
-    pub fn pending(&self) -> usize {
-        self.in_group
-    }
-
-    /// Adds a data block; returns the parity block when the group completes.
-    pub fn push(&mut self, block: &[u8]) -> Option<Vec<u8>> {
-        xor_into(&mut self.parity, block);
-        self.in_group += 1;
-        if self.in_group == self.k {
-            self.in_group = 0;
-            Some(std::mem::take(&mut self.parity))
-        } else {
-            None
-        }
-    }
-
-    /// Abandons the current group (e.g. at a flush boundary), returning the
-    /// partial parity if any blocks were pending.
-    pub fn flush(&mut self) -> Option<Vec<u8>> {
-        if self.in_group == 0 {
-            return None;
-        }
-        self.in_group = 0;
-        Some(std::mem::take(&mut self.parity))
-    }
-}
-
-/// Recovers a single missing block of a group from the survivors + parity.
-///
-/// `received` holds the `k - 1` surviving data blocks (any order); `parity`
-/// is the group's parity block. The missing block is returned trimmed to
-/// `missing_len` bytes (block lengths are carried out of band, as a real
-/// packetization would in its headers).
-///
-/// ```
-/// use marnet_core::fec::{recover_single, XorEncoder};
-/// let mut enc = XorEncoder::new(3);
-/// enc.push(b"hello");
-/// enc.push(b"world");
-/// let parity = enc.push(b"!").unwrap();
-/// let lost = recover_single(&[b"hello".as_slice(), b"!".as_slice()], &parity, 5);
-/// assert_eq!(lost, b"world");
-/// ```
-pub fn recover_single(received: &[&[u8]], parity: &[u8], missing_len: usize) -> Vec<u8> {
-    let mut out = parity.to_vec();
-    for block in received {
-        xor_into(&mut out, block);
-    }
-    out.truncate(missing_len);
-    out.resize(missing_len, 0);
-    out
-}
 
 /// Number of bytes one unrolled `xor_into` iteration processes: 4 lanes
 /// of `u64`.
@@ -278,47 +194,30 @@ mod tests {
 
     #[test]
     fn round_trip_recovers_any_single_loss() {
-        let blocks: Vec<Vec<u8>> = vec![
-            b"the quick".to_vec(),
-            b"brown fox jumps".to_vec(),
-            b"over".to_vec(),
-            b"the lazy dog".to_vec(),
-        ];
-        let mut enc = XorEncoder::new(blocks.len());
-        let mut parity = None;
-        for b in &blocks {
-            parity = enc.push(b);
+        // The parity of a group is the XOR of its blocks; XORing it with
+        // the k - 1 survivors gives back the missing block, zero-padded to
+        // the longest block.
+        let blocks: [&[u8]; 4] = [b"the quick", b"brown fox jumps", b"over", b"the lazy dog"];
+        let mut parity = Vec::new();
+        for b in blocks {
+            xor_into(&mut parity, b);
         }
-        let parity = parity.expect("group complete");
         for missing in 0..blocks.len() {
-            let survivors: Vec<&[u8]> = blocks
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != missing)
-                .map(|(_, b)| b.as_slice())
-                .collect();
-            let rec = recover_single(&survivors, &parity, blocks[missing].len());
+            let mut rec = parity.clone();
+            for (_, b) in blocks.iter().enumerate().filter(|(i, _)| *i != missing) {
+                xor_into(&mut rec, b);
+            }
+            rec.truncate(blocks[missing].len());
             assert_eq!(rec, blocks[missing], "failed to recover block {missing}");
         }
     }
 
     #[test]
     fn parity_length_is_longest_block() {
-        let mut enc = XorEncoder::new(2);
-        enc.push(&[1, 2, 3]);
-        let parity = enc.push(&[0xff]).unwrap();
+        let mut parity = Vec::new();
+        xor_into(&mut parity, &[1, 2, 3]);
+        xor_into(&mut parity, &[0xff]);
         assert_eq!(parity, vec![1 ^ 0xff, 2, 3]);
-    }
-
-    #[test]
-    fn flush_emits_partial_group() {
-        let mut enc = XorEncoder::new(4);
-        assert!(enc.flush().is_none());
-        enc.push(b"ab");
-        assert_eq!(enc.pending(), 1);
-        let p = enc.flush().unwrap();
-        assert_eq!(p, b"ab".to_vec());
-        assert_eq!(enc.pending(), 0);
     }
 
     #[test]
@@ -402,6 +301,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_group_size_panics() {
-        let _ = XorEncoder::new(0);
+        let _ = overhead(0);
     }
 }

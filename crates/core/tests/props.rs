@@ -1,40 +1,16 @@
-//! Property-based tests for the AR protocol's invariants: FEC round trips,
-//! priority ordering, scheduler conservation and the recovery gate.
+//! Property-based tests for the AR protocol's invariants: FEC residual
+//! loss, priority ordering, scheduler conservation and the recovery gate.
 
 use marnet_core::class::TrafficClass;
 use marnet_core::class::{Priority, StreamKind};
 use marnet_core::degradation::DegradationScheduler;
-use marnet_core::fec::{recover_single, residual_loss, XorEncoder};
+use marnet_core::fec::residual_loss;
 use marnet_core::message::ArMessage;
 use marnet_core::recovery::{FragmentRecord, RecoveryPolicy};
 use marnet_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    /// XOR FEC recovers ANY single missing block of ANY group, for
-    /// arbitrary block contents and lengths.
-    #[test]
-    fn fec_recovers_any_single_loss(
-        blocks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..600), 2..10),
-        missing_idx in any::<prop::sample::Index>(),
-    ) {
-        let missing = missing_idx.index(blocks.len());
-        let mut enc = XorEncoder::new(blocks.len());
-        let mut parity = None;
-        for b in &blocks {
-            parity = enc.push(b);
-        }
-        let parity = parity.expect("full group emits parity");
-        let survivors: Vec<&[u8]> = blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != missing)
-            .map(|(_, b)| b.as_slice())
-            .collect();
-        let rec = recover_single(&survivors, &parity, blocks[missing].len());
-        prop_assert_eq!(&rec, &blocks[missing]);
-    }
-
     #[test]
     fn fec_residual_loss_is_probability_and_monotone_in_k(
         p in 0.0f64..=1.0,

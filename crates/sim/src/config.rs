@@ -3,13 +3,12 @@
 //!
 //! The engine's determinism invariant is stronger than "same seed, same
 //! artifact": the headline claims (byte-identical artifacts at any
-//! `--threads`, the tuned-vs-default policy tables, the perf ratchet) must
-//! not depend on *which order equal-timestamp events happen to run in*.
-//! Today that order is FIFO by insertion sequence; the planned hybrid
-//! fidelity sharding work will reorder exactly those ties at inter-region
-//! boundaries. [`TieBreak`] makes the tie order an explicit, perturbable
-//! policy so `marnet-lab racecheck` can replay whole experiments under
-//! adversarial tie orders and fail loudly if any artifact byte moves.
+//! `--threads`, the tuned-vs-default policy tables) must not depend on
+//! *which order equal-timestamp events happen to run in*. By default that
+//! order is FIFO by insertion sequence within an intra-instant phase.
+//! [`TieBreak`] makes the tie order an explicit, perturbable policy so
+//! `marnet-lab racecheck` can replay whole experiments under adversarial
+//! tie orders and fail loudly if any artifact byte moves.
 //!
 //! Every policy is itself deterministic: given the same seed and the same
 //! policy, a run is bit-for-bit reproducible. The policies differ only in
@@ -19,11 +18,12 @@ use std::cell::Cell;
 
 /// How the event queue orders entries that share a timestamp.
 ///
-/// The heap's comparison key is `(time, ord, seq)` where `ord` is computed
-/// at push time from the *scheduling source* — the component (actor, link,
-/// or setup code) whose handler scheduled the entry — and `seq` is the raw
-/// insertion sequence (kept as the final component so every policy yields
-/// a *total* order even when `ord` collides).
+/// The heap's comparison key is `(time, phase, ord, seq)`: `phase` is the
+/// intra-instant phase every policy agrees on (see `eventq`), `ord` is
+/// computed at push time from the *scheduling source* — the component
+/// (actor, link, or setup code) whose handler scheduled the entry — and
+/// `seq` is the raw insertion sequence (kept as the final component so
+/// every policy yields a *total* order even when `ord` collides).
 ///
 /// Perturbation is source-granular on purpose: events scheduled by the
 /// same component at the same instant form a causal chain (a burst of
@@ -31,9 +31,9 @@ use std::cell::Cell;
 /// reorder, so every policy preserves their program order (`ord` equal,
 /// `seq` decides). Only the interleaving *across* components — the part an
 /// execution schedule genuinely does not fix — is permuted. Under
-/// [`TieBreak::Fifo`] `ord` is constant, so the key degenerates to the
-/// classic `(time, seq)` order and default-policy runs are bit-identical
-/// to the pre-policy engine.
+/// [`TieBreak::Fifo`] `ord` is constant, so the key degenerates to
+/// `(time, phase, seq)` and default-policy runs are bit-identical to the
+/// pre-policy engine.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TieBreak {
     /// Equal-time entries run in insertion order. The default, and the

@@ -24,6 +24,14 @@
 //! `eventq`; an arrival that jitter or a shortened delay puts out of order
 //! takes the heap as before). Ticks ([`SimCtx::schedule_tick`]) wait the
 //! same way, in one line per interval.
+//!
+//! The run loop pops one entry at a time and dispatches it once; a packet
+//! being serialized travels in its departure entry, so the link holds no
+//! copy of it. No fast path drains back-to-back arrivals on one link:
+//! counted on the benchmark's workloads, the peek it needs never hits on
+//! the Table II ping-pong, the dense cells or the city run (0.2–0.44 peeks
+//! per event), and a hit saves nothing a plain pop does not do (DESIGN
+//! §7.1).
 
 pub use crate::eventq::QueueStats;
 use crate::eventq::{CancelToken, EventQueue, LineId, Phase};
@@ -103,9 +111,12 @@ pub trait Actor {
     fn on_event(&mut self, ctx: &mut SimCtx, ev: Event);
 }
 
+/// What a queue entry does when popped. A `LinkDeparture` ends the
+/// serialization of the packet it carries, so a packet on the wire has no
+/// other home.
 enum Dest {
     Actor { id: ActorId, event: Event },
-    LinkDeparture { link: LinkId },
+    LinkDeparture { link: LinkId, packet: Packet },
     LinkArrival { link: LinkId, packet: Packet },
 }
 
@@ -119,7 +130,6 @@ struct LinkRuntime {
     busy: bool,
     up: bool,
     ge_bad: bool,
-    in_flight: Option<Packet>,
     /// The event queue's delay lines for this link's packet arrivals and
     /// for its (at most one pending) departure.
     arrivals: LineId,
@@ -516,7 +526,6 @@ impl SimCtx {
                 }
                 l.busy = true;
                 let ser = l.rate.serialization_time(pkt.size);
-                l.in_flight = Some(pkt);
                 let line = l.departures;
                 // Departures drain a transmit queue (freeing a slot), and
                 // `Drain` leads its instant: a slot freed at `t` is visible
@@ -527,7 +536,7 @@ impl SimCtx {
                     line,
                     now.saturating_add(ser),
                     Phase::Drain,
-                    Dest::LinkDeparture { link },
+                    Dest::LinkDeparture { link, packet: pkt },
                 );
             }
             None => {
@@ -539,7 +548,7 @@ impl SimCtx {
         }
     }
 
-    fn handle_departure(&mut self, link: LinkId) {
+    fn handle_departure(&mut self, link: LinkId, pkt: Packet) {
         // Arrivals and follow-on departures scheduled here are the link's
         // own doing, not the current actor's: stamp them with the link's
         // source key so tie-break perturbation treats the link as an
@@ -547,8 +556,6 @@ impl SimCtx {
         self.src = link_src_key(link.index());
         let now = self.now;
         let l = link_rt_mut(&mut self.links, link);
-        // marnet-lint: allow(panic-path): departure events are only scheduled by start_tx after setting in_flight
-        let pkt = l.in_flight.take().expect("departure without in-flight packet");
         l.stats.tx_packets += 1;
         l.stats.tx_bytes += u64::from(pkt.size);
 
@@ -761,7 +768,6 @@ impl Simulator {
             busy: false,
             up: true,
             ge_bad: false,
-            in_flight: None,
             arrivals: self.ctx.queue.add_line(),
             departures: self.ctx.queue.add_line(),
             stats: LinkStats::default(),
@@ -800,7 +806,7 @@ impl Simulator {
         // to the actor table, so `on_event` cannot alias the slot.
         let actor = actor_slot_mut(&mut self.actors, id)
             .as_mut()
-            // marnet-lint: allow(panic-path): delivering to a removed actor violates the documented take_actor contract
+            // marnet-lint: allow(panic-path): an event reaches only actors that were reserved, and a reserved slot left uninstalled is the documented panic of `run_until`
             .unwrap_or_else(|| panic!("event for uninstalled {id}"));
         self.ctx.current_actor = id;
         self.ctx.src = u64::from(id.0);
@@ -829,49 +835,18 @@ impl Simulator {
             processed += 1;
             match dest {
                 Dest::Actor { id, event } => self.dispatch_to_actor(id, event),
-                Dest::LinkDeparture { link } => self.ctx.handle_departure(link),
+                Dest::LinkDeparture { link, packet } => self.ctx.handle_departure(link, packet),
                 Dest::LinkArrival { link, packet } => {
-                    // Coalesce back-to-back deliveries on the same link: the
-                    // destination and component id are loop-invariant, and a
-                    // bulk sender keeps the heap root parked on this link, so
-                    // draining it here skips the outer-loop re-dispatch per
-                    // packet. Per-packet stats, trace order and `now`
-                    // advancement are identical to the uncoalesced loop.
-                    let (dst, comp) = {
-                        let l = link_rt(&self.ctx.links, link);
-                        (l.dst, component::link(link.index()))
-                    };
-                    let mut time = time;
-                    let mut packet = packet;
-                    loop {
-                        {
-                            let l = link_rt_mut(&mut self.ctx.links, link);
-                            l.stats.delivered_packets += 1;
-                            l.stats.delivered_bytes += u64::from(packet.size);
-                        }
-                        let (pid, pflow, psize) = (packet.id, packet.flow, packet.size);
-                        self.ctx.trace.emit_with(|| {
-                            TraceEvent::packet_deliver(time.as_nanos(), comp, pid, pflow, psize)
-                        });
-                        self.dispatch_to_actor(dst, Event::Packet { link, packet });
-                        if self.ctx.stopped {
-                            break;
-                        }
-                        let next = self.ctx.queue.pop_at_most_if(
-                            end,
-                            |_, d| matches!(d, Dest::LinkArrival { link: l2, .. } if *l2 == link),
-                        );
-                        match next {
-                            Some((t2, _seq, Dest::LinkArrival { packet: p2, .. })) => {
-                                self.ctx.now = t2;
-                                self.ctx.events_processed += 1;
-                                processed += 1;
-                                time = t2;
-                                packet = p2;
-                            }
-                            _ => break,
-                        }
-                    }
+                    let l = link_rt_mut(&mut self.ctx.links, link);
+                    l.stats.delivered_packets += 1;
+                    l.stats.delivered_bytes += u64::from(packet.size);
+                    let dst = l.dst;
+                    let comp = component::link(link.index());
+                    let (pid, pflow, psize) = (packet.id, packet.flow, packet.size);
+                    self.ctx.trace.emit_with(|| {
+                        TraceEvent::packet_deliver(time.as_nanos(), comp, pid, pflow, psize)
+                    });
+                    self.dispatch_to_actor(dst, Event::Packet { link, packet });
                 }
             }
         }
@@ -891,14 +866,6 @@ impl Simulator {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.ctx.now
-    }
-
-    /// Removes an actor from the simulation, returning it for inspection.
-    ///
-    /// The slot becomes empty; events still targeting it will panic, so only
-    /// extract actors once the simulation is finished.
-    pub fn take_actor(&mut self, id: ActorId) -> Option<Box<dyn Actor>> {
-        actor_slot_mut(&mut self.actors, id).take()
     }
 
     /// Enables the flight recorder with a ring of `capacity` events.
@@ -1168,6 +1135,52 @@ mod tests {
         assert_eq!(st.drops_down, 1);
         assert_eq!(st.delivered_packets, 1);
         assert_eq!(log.borrow().iter().filter(|(_, e)| e.starts_with("pkt")).count(), 1);
+    }
+
+    #[test]
+    fn a_link_down_mid_serialization_drops_the_packet_on_the_wire_at_its_departure() {
+        /// Sends four 1 ms packets at start and takes the link down at
+        /// 0.5 ms, while packet 0 is on the wire.
+        struct CutMidPacket {
+            link: LinkId,
+        }
+        impl Actor for CutMidPacket {
+            fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
+                match ev {
+                    Event::Start => {
+                        BurstSender { link: self.link, burst: 4 }.on_event(ctx, Event::Start);
+                        ctx.schedule_timer(SimDuration::from_micros(500), 0);
+                    }
+                    Event::Timer { .. } => ctx.set_link_up(self.link, false),
+                    _ => {}
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        sim.enable_flight_recorder(1 << 10);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        let l = sim.add_link(a, b, LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::ZERO));
+        sim.install_actor(a, CutMidPacket { link: l });
+        sim.install_actor(b, probe(&log));
+        sim.run_until(SimTime::from_secs(1));
+        // The packet on the wire and the three queued behind it each finish
+        // serializing and are dropped at that departure instant.
+        let st = sim.ctx().link_stats(l);
+        assert_eq!((st.tx_packets, st.drops_down, st.delivered_packets), (4, 4, 0));
+        assert!(log.borrow().iter().all(|(_, e)| !e.starts_with("pkt")));
+        let drops: Vec<(u64, u64)> = sim
+            .take_trace()
+            .iter()
+            .filter(|e| {
+                e.kind == marnet_telemetry::TraceKind::PacketDrop
+                    && e.aux == DropReason::LinkDown as u8
+            })
+            .map(|e| (e.t, e.a))
+            .collect();
+        assert_eq!(drops, [(1_000_000, 0), (2_000_000, 1), (3_000_000, 2), (4_000_000, 3)]);
+        assert_eq!(sim.ctx().pending_events(), 0);
     }
 
     #[test]

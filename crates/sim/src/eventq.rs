@@ -356,13 +356,6 @@ impl DelayLines {
         }
     }
 
-    /// The entry with the smallest key in any line: the front of the line
-    /// the front heap's root is the key of.
-    fn front(&mut self) -> Option<&Entry> {
-        let line = self.fronts.first()?.slot;
-        self.line(line).front()
-    }
-
     /// Removes the entry with the smallest key, putting its line's next
     /// key (if any) in its place in the front heap.
     fn pop(&mut self) -> Entry {
@@ -642,34 +635,10 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes the earliest entry if its time is `<= end` — the run loop's
-    /// fused peek-and-pop.
+    /// fused peek-and-pop, one `front()` per event.
     pub(crate) fn pop_at_most(&mut self, end: SimTime) -> Option<(SimTime, u64, T)> {
         let (time, front) = self.front()?;
         if time > end {
-            return None;
-        }
-        Some(self.pop_front(front))
-    }
-
-    /// Removes the earliest entry if its time is `<= end` *and* `pred`
-    /// accepts it. The run loop uses this to coalesce back-to-back
-    /// deliveries on one link: the entry is inspected in place, so a
-    /// declined peek costs a comparison and no heap movement.
-    pub(crate) fn pop_at_most_if(
-        &mut self,
-        end: SimTime,
-        pred: impl FnOnce(SimTime, &T) -> bool,
-    ) -> Option<(SimTime, u64, T)> {
-        let (time, front) = self.front()?;
-        if time > end {
-            return None;
-        }
-        let slab = match front {
-            Front::Lane => self.lane_head as usize,
-            Front::Heap => self.heap.first()?.slab(),
-            Front::Line => self.lines.front()?.slab(),
-        };
-        if !pred(time, slot_ref(&self.slots, slab).item.as_ref()?) {
             return None;
         }
         Some(self.pop_front(front))
@@ -910,27 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_inspects_the_root_without_disturbing_it() {
-        let mut q = EventQueue::new();
-        q.push(t(10), 0, 0, Phase::Spawn, "a");
-        q.push(t(20), 1, 1, Phase::Spawn, "b");
-        // Declined predicate: nothing removed, order intact.
-        assert!(q.pop_at_most_if(t(50), |_, v| *v == "z").is_none());
-        assert_eq!(q.len(), 2);
-        // Past the horizon: predicate never runs.
-        assert!(q.pop_at_most_if(t(5), |_, _| true).is_none());
-        // Accepted: pops exactly the root.
-        let (time, _, v) = q
-            .pop_at_most_if(t(50), |time, v| {
-                assert_eq!(time, t(10));
-                *v == "a"
-            })
-            .unwrap();
-        assert_eq!((time, v), (t(10), "a"));
-        assert_eq!(q.pop().map(|(_, _, v)| v), Some("b"));
-    }
-
-    #[test]
     fn same_instant_spawns_bypass_the_heap_and_still_count() {
         let mut q = EventQueue::new();
         let tok = q.push_cancellable(t(10), 0, 0, Phase::Carry, "timer");
@@ -954,23 +902,6 @@ mod tests {
         assert_eq!(order, ["drain", "m1", "m2", "zero-delay", "m3", "later"]);
         assert!(!q.cancel(zero));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_if_inspects_the_lane_front_without_disturbing_it() {
-        let mut q = EventQueue::new();
-        q.push(t(10), 0, 0, Phase::Spawn, "a");
-        q.push(t(10), 1, 0, Phase::Spawn, "b");
-        assert_eq!(q.stats().lane_pushes, 2);
-        assert!(q.pop_at_most_if(t(50), |_, v| *v == "b").is_none());
-        assert!(q.pop_at_most_if(t(5), |_, _| true).is_none());
-        assert!(q.pop_at_most(t(5)).is_none());
-        assert_eq!(q.len(), 2);
-        assert_eq!(
-            q.pop_at_most_if(t(10), |time, v| time == t(10) && *v == "a"),
-            Some((t(10), 0, "a"))
-        );
-        assert_eq!(q.pop(), Some((t(10), 1, "b")));
     }
 
     #[test]
@@ -1007,7 +938,6 @@ mod tests {
         Cancel { pick: usize },
         Rearm { pick: usize, dt: u64, phase: Phase, src: u64 },
         Pop { dt: u64 },
-        PopIf { dt: u64, parity: u64 },
     }
 
     /// Delay lines in the differential test.
@@ -1027,8 +957,7 @@ mod tests {
                     3 => Op::PushCancellable { dt, phase, src },
                     4 => Op::Cancel { pick },
                     5 => Op::Rearm { pick, dt, phase, src },
-                    6 => Op::Pop { dt },
-                    7 => Op::PopIf { dt, parity: src % 2 },
+                    6..=7 => Op::Pop { dt },
                     _ => Op::PushLine { line: pick % LINES, dt, phase, src },
                 }
             },
@@ -1116,14 +1045,6 @@ mod tests {
                     let due = model.first().is_some_and(|(k, _)| k.0 <= at(now, dt));
                     let want = due.then(|| take_first(&mut model, &mut in_line));
                     assert_eq!(q.pop_at_most(at(now, dt)), want);
-                    now = want.map_or(now, |(time, _, _)| time);
-                }
-                Op::PopIf { dt, parity } => {
-                    let due = model
-                        .first()
-                        .is_some_and(|(k, item)| k.0 <= at(now, dt) && item % 2 == parity);
-                    let want = due.then(|| take_first(&mut model, &mut in_line));
-                    assert_eq!(q.pop_at_most_if(at(now, dt), |_, item| item % 2 == parity), want);
                     now = want.map_or(now, |(time, _, _)| time);
                 }
             }
