@@ -23,7 +23,9 @@ use std::cell::Cell;
 /// computed at push time from the *scheduling source* — the component
 /// (actor, link, or setup code) whose handler scheduled the entry — and
 /// `seq` is the raw insertion sequence (kept as the final component so
-/// every policy yields a *total* order even when `ord` collides).
+/// every policy yields a *total* order even when `ord` collides). The
+/// queue packs `phase` and `ord` into one word, so `ord` is below 2⁶² under
+/// every policy.
 ///
 /// Perturbation is source-granular on purpose: events scheduled by the
 /// same component at the same instant form a causal chain (a burst of
@@ -46,22 +48,32 @@ pub enum TieBreak {
     Lifo,
     /// Equal-time entries from different sources run in a deterministic
     /// pseudo-random source order keyed by the carried seed: each source
-    /// key is mixed through SplitMix64, so two runs with the same
-    /// `Seeded(s)` agree exactly and two different seeds disagree almost
-    /// everywhere.
+    /// key is mixed through SplitMix64 and the top 62 bits of the mix are
+    /// the `ord`, so two runs with the same `Seeded(s)` agree exactly and
+    /// two different seeds disagree almost everywhere. Two sources share an
+    /// `ord` only if their mixes agree in all 62 bits (chance 2⁻⁶² per
+    /// pair); they then keep program order.
     Seeded(u64),
 }
 
 impl TieBreak {
     /// Computes the tie-order component of the heap key for an entry
-    /// scheduled by source `src` under this policy. SplitMix64 is
-    /// bijective, so distinct sources always map to distinct `ord`s.
+    /// scheduled by source `src` under this policy; it is below 2⁶².
+    ///
+    /// `Lifo` is `(2⁶² − 1) − squash(src)`, where `squash` moves bit 63 to
+    /// bit 61 above the low 61 bits. That is strictly monotone over every
+    /// source key the engine mints (actor indices, link keys with bit 63
+    /// set, and the setup key `u64::MAX`), so their order is exactly
+    /// reversed. `Seeded` keeps the top 62 bits of a bijective SplitMix64
+    /// mix: the order is the mix's order, except that two sources whose
+    /// mixes agree in those bits (chance 2⁻⁶² per pair) tie and keep
+    /// program order.
     #[inline]
     pub fn ord_of(self, src: u64) -> u64 {
         match self {
             TieBreak::Fifo => 0,
-            TieBreak::Lifo => !src,
-            TieBreak::Seeded(s) => splitmix64(src ^ s),
+            TieBreak::Lifo => (u64::MAX >> 2) - squash(src),
+            TieBreak::Seeded(s) => splitmix64(src ^ s) >> 2,
         }
     }
 
@@ -108,10 +120,20 @@ pub fn with_ambient_tie_break<R>(policy: TieBreak, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// A source key in 62 bits: bit 63 (set on link keys and the setup key)
+/// moves to bit 61 above the low 61 bits. Strictly monotone over keys whose
+/// bits 61 and 62 are clear — every actor index and link key — and the
+/// setup key `u64::MAX`, which maps to the largest value, 2⁶² − 1.
+#[inline]
+fn squash(src: u64) -> u64 {
+    (src >> 63) << 61 | (src & ((1 << 61) - 1))
+}
+
 /// SplitMix64's output mixer: a bijective avalanche over `u64`, used to
 /// shuffle source keys under [`TieBreak::Seeded`]. Bijectivity means
-/// distinct sources keep distinct `ord`s, so the shuffled order is a true
-/// permutation of the tied sources.
+/// distinct sources get distinct mixes, so the shuffled order is a
+/// permutation of the tied sources up to the 62-bit truncation in
+/// [`TieBreak::ord_of`].
 #[inline]
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -134,17 +156,47 @@ mod tests {
         assert!(TieBreak::Lifo.ord_of(1) > TieBreak::Lifo.ord_of(2));
     }
 
+    /// Every kind of source key the engine mints, in ascending order: actor
+    /// indices, link keys and the setup key.
+    fn engine_sources() -> Vec<u64> {
+        use crate::engine::{link_src_key, SRC_SETUP};
+        vec![0, 1, u64::from(u32::MAX), link_src_key(0), link_src_key(1), SRC_SETUP]
+    }
+
+    #[test]
+    fn lifo_strictly_reverses_every_engine_source_kind() {
+        let ords: Vec<u64> =
+            engine_sources().into_iter().map(|s| TieBreak::Lifo.ord_of(s)).collect();
+        assert!(ords.iter().all(|&o| o < 1 << 62), "{ords:?}");
+        assert!(ords.windows(2).all(|w| w[0] > w[1]), "not strictly reversed: {ords:?}");
+        assert_eq!(ords.last(), Some(&0), "the setup key runs last under LIFO");
+    }
+
+    #[test]
+    fn seeded_ords_fit_62_bits_and_keep_the_full_mix_order() {
+        use crate::engine::link_src_key;
+        let sources: Vec<u64> =
+            (0..10_000).chain((0..1_000).map(link_src_key)).chain(engine_sources()).collect();
+        for seed in [0, 1, 0xfeed, u64::MAX] {
+            let policy = TieBreak::Seeded(seed);
+            let mut by_mix = sources.clone();
+            by_mix.sort_unstable_by_key(|&s| splitmix64(s ^ seed));
+            by_mix.dedup();
+            let ords: Vec<u64> = by_mix.iter().map(|&s| policy.ord_of(s)).collect();
+            assert!(ords.iter().all(|&o| o < 1 << 62), "seed {seed:#x}");
+            assert!(
+                ords.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed:#x}: the 62-bit ords must be distinct and in the full mix's order"
+            );
+        }
+    }
+
     #[test]
     fn seeded_ord_is_seed_dependent_and_reproducible() {
         let a = TieBreak::Seeded(1);
         let b = TieBreak::Seeded(2);
         assert_eq!(a.ord_of(5), a.ord_of(5));
         assert_ne!(a.ord_of(5), b.ord_of(5));
-        // Bijective mix: no collisions over a small prefix.
-        let mut seen: Vec<u64> = (0..1000).map(|s| a.ord_of(s)).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 1000);
     }
 
     #[test]

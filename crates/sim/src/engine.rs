@@ -173,11 +173,11 @@ const QUEUE_DELAY_BUCKET_NANOS: u64 = 100_000_000;
 
 /// Tie-break source key of events scheduled outside any handler (setup
 /// code, `deliver_starts`). See [`SimCtx::src`].
-const SRC_SETUP: u64 = u64::MAX;
+pub(crate) const SRC_SETUP: u64 = u64::MAX;
 
 /// Tie-break source key of events scheduled by link `index`'s internal
 /// machinery (bit 63 keeps links disjoint from actor indices).
-const fn link_src_key(index: usize) -> u64 {
+pub(crate) const fn link_src_key(index: usize) -> u64 {
     (1u64 << 63) | index as u64
 }
 

@@ -9,12 +9,16 @@
 //! outlives its cancellation — and removes the per-pop tombstone lookup the
 //! previous `BinaryHeap + HashSet` scheme paid on *every* event.
 //!
-//! The heap itself orders only 32-byte `(time, phase, ord, seq, slot)` keys;
-//! event payloads are parked in a pooled slot slab and never move during sifts.
-//! With payloads the size of a `Packet` plus its `Event` wrapper, sifting
-//! keys instead of nodes is the difference between one cache line per level
-//! and several. Slab slots are recycled through a free list, so steady-state
-//! scheduling allocates nothing.
+//! The heap itself orders only 24-byte keys, three `u64` words compared in
+//! turn: `time`, `tie = phase << 62 | ord` and `seq_slot = seq << 24 |
+//! cancel bit | slot` (see [`Entry`]); event payloads are parked in a pooled
+//! slot slab and never move during sifts. With payloads the size of a
+//! `Packet` plus its `Event` wrapper, sifting keys instead of nodes is the
+//! difference between one cache line per level and several. Slab slots are
+//! recycled through a free list, so steady-state scheduling allocates
+//! nothing. The packing sets two limits, both checked with `assert!`: fewer
+//! than 2⁴⁰ pushes per run (`seq < 2⁴⁰`, about 10 hours at 30 M events/s)
+//! and fewer than 2²³ entries pending at once (8 388 608 slab slots).
 //!
 //! Ordering is by `(time, phase, ord, seq)`. The [`Phase`] is intra-instant
 //! *semantics*, not a tie — it encodes two orderings every schedule must
@@ -86,7 +90,7 @@
 //! Lane and lines are two mechanisms because they exploit two different
 //! facts: the lane's entries share one instant, phase and `ord`, so it
 //! stores no keys at all (a head and a tail index into the slab), while a
-//! line's entries differ in time and need their 32-byte keys kept.
+//! line's entries differ in time and need their 24-byte keys kept.
 //!
 //! # Slots and tokens
 //!
@@ -111,11 +115,27 @@ const NO_SLOT: u32 = u32::MAX;
 /// Sentinel sequence marking a slab slot as free.
 const FREE: u64 = u64::MAX;
 
-/// High bit of [`Entry::slot`]: set when the entry is cancellable. Only
+/// Position of the `seq` in [`Entry::seq_slot`], above the cancel bit and
+/// the slot.
+const SEQ_SHIFT: u32 = 24;
+
+/// Pushes per run: a `seq` must fit the 40 bits above [`SEQ_SHIFT`].
+const SEQ_LIMIT: u64 = 1 << (64 - SEQ_SHIFT);
+
+/// Bit of [`Entry::seq_slot`] set when the entry is cancellable. Only
 /// cancellable entries need their heap position mirrored into the slab
 /// (that is what [`EventQueue::cancel`] looks up), so sift moves of plain
 /// entries touch nothing but the heap array itself.
-const CANCEL_BIT: u32 = 1 << 31;
+const CANCEL_BIT: u64 = 1 << 23;
+
+/// The slot bits of [`Entry::seq_slot`], below the cancel bit.
+const SLOT_MASK: u64 = CANCEL_BIT - 1;
+
+/// Slab slots (and delay lines): an index must fit [`SLOT_MASK`].
+const SLOT_LIMIT: usize = CANCEL_BIT as usize;
+
+/// Position of the [`Phase`] in [`Entry::tie`], above the 62-bit `ord`.
+const PHASE_SHIFT: u32 = 62;
 
 /// Proof-of-registration for a cancellable entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,33 +190,89 @@ pub struct QueueStats {
     pub peak_depth: u64,
 }
 
-/// The full ordering key.
-type Key = (SimTime, Phase, u64, u64);
+/// The full ordering key `(time, phase, ord, seq)` as the heap compares
+/// it: `(time, tie, seq_slot)`, see [`Entry`].
+type PackedKey = (SimTime, u64, u64);
 
-/// A heap or delay-line element: the ordering key plus the slab slot of its
-/// payload (in the front heap: the index of the line the key is the front
-/// of). `ord` is the policy-computed tie-break component (zero under FIFO),
-/// fixed at insertion so sifts never re-derive it. The `phase` rides in
-/// what was padding, so the entry stays 32 bytes.
+/// A heap or delay-line element, 24 bytes: the full key packed into three
+/// words that compare in the same order, plus the slab slot of its payload
+/// (in the front heap: the index of the line the key is the front of).
+///
+/// `tie` is `phase << 62 | ord`, where `ord` is the policy-computed
+/// tie-break component (zero under FIFO, below 2⁶² under every policy),
+/// fixed at insertion so sifts never re-derive it. `seq_slot` is
+/// `seq << 24 | cancel bit | slot`; `seq` is unique, so the bits below it
+/// never decide a comparison. The phase stays out of the time word because
+/// [`SimTime::MAX`] is a reachable time: a zero-rate link's departure
+/// saturates to it.
 #[derive(Clone, Copy)]
 struct Entry {
     time: SimTime,
-    ord: u64,
-    seq: u64,
-    slot: u32,
-    phase: Phase,
+    tie: u64,
+    seq_slot: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 24);
+
+/// Panics unless `seq` fits the 40 bits the packed key gives it.
+#[inline]
+fn check_seq(seq: u64) {
+    assert!(seq < SEQ_LIMIT, "event queue: seq {seq} is past the limit of 2^40 pushes per run");
+}
+
+/// `index` as a slab slot or line index, which the packed key gives 23 bits.
+#[inline]
+fn slot_index(index: usize) -> u32 {
+    assert!(index < SLOT_LIMIT, "event queue: slot {index} is past the limit of 2^23 slots");
+    index as u32
+}
+
+/// The middle word of a packed key.
+#[inline]
+fn tie(phase: Phase, ord: u64) -> u64 {
+    debug_assert!(ord < 1 << PHASE_SHIFT, "ord {ord} overlaps the phase bits");
+    (phase as u64) << PHASE_SHIFT | ord
 }
 
 impl Entry {
+    /// A plain entry for the key `(time, phase, ord, seq)` with slot 0.
     #[inline]
-    fn key(&self) -> Key {
-        (self.time, self.phase, self.ord, self.seq)
+    fn new(time: SimTime, phase: Phase, ord: u64, seq: u64) -> Entry {
+        check_seq(seq);
+        Entry { time, tie: tie(phase, ord), seq_slot: seq << SEQ_SHIFT }
     }
 
-    /// Slab index, with the cancellable tag stripped.
+    /// The same entry, tagged cancellable.
+    #[inline]
+    fn cancellable(self) -> Entry {
+        Entry { seq_slot: self.seq_slot | CANCEL_BIT, ..self }
+    }
+
+    /// The same entry over slot `slot`.
+    #[inline]
+    fn with_slot(self, slot: u32) -> Entry {
+        Entry { seq_slot: (self.seq_slot & !SLOT_MASK) | u64::from(slot), ..self }
+    }
+
+    #[inline]
+    fn key(&self) -> PackedKey {
+        (self.time, self.tie, self.seq_slot)
+    }
+
+    #[inline]
+    fn seq(&self) -> u64 {
+        self.seq_slot >> SEQ_SHIFT
+    }
+
+    #[inline]
+    fn is_cancellable(&self) -> bool {
+        self.seq_slot & CANCEL_BIT != 0
+    }
+
+    /// Slab index (the front heap's line index), with the cancel bit stripped.
     #[inline]
     fn slab(&self) -> usize {
-        (self.slot & !CANCEL_BIT) as usize
+        (self.seq_slot & SLOT_MASK) as usize
     }
 }
 
@@ -245,7 +321,7 @@ fn set_entry(heap: &mut [Entry], i: usize, entry: Entry) {
 /// (no one looks up the position of a plain entry).
 #[inline]
 fn note_pos<T>(slots: &mut [Slot<T>], entry: Entry, i: usize) {
-    if entry.slot & CANCEL_BIT != 0 {
+    if entry.is_cancellable() {
         slot_mut(slots, entry.slab()).pos = i as u32;
     }
 }
@@ -315,7 +391,7 @@ struct DelayLines {
     /// The lines, each sorted by the full key.
     lines: Vec<VecDeque<Entry>>,
     /// 4-ary min-heap of the front key of every non-empty line; the
-    /// entry's `slot` is the line's index.
+    /// entry's slot is the line's index.
     fronts: Vec<Entry>,
     /// Entries in all lines together.
     len: usize,
@@ -323,8 +399,9 @@ struct DelayLines {
 
 impl DelayLines {
     fn add(&mut self) -> LineId {
+        let line = LineId(slot_index(self.lines.len()));
         self.lines.push(VecDeque::new());
-        LineId((self.lines.len() - 1) as u32)
+        line
     }
 
     /// Resolves a line index held by a [`LineId`] or a front-heap entry.
@@ -337,7 +414,7 @@ impl DelayLines {
 
     /// The key an entry must exceed to join `line`; `None` while it is empty.
     #[inline]
-    fn tail_key(&mut self, line: LineId) -> Option<Key> {
+    fn tail_key(&mut self, line: LineId) -> Option<PackedKey> {
         self.line(line.0).back().map(Entry::key)
     }
 
@@ -351,7 +428,7 @@ impl DelayLines {
         self.len += 1;
         if first {
             let pos = self.fronts.len();
-            self.fronts.push(Entry { slot: line.0, ..entry });
+            self.fronts.push(entry.with_slot(line.0));
             sift_up(&mut self.fronts, pos, |_, _| {});
         }
     }
@@ -359,12 +436,12 @@ impl DelayLines {
     /// Removes the entry with the smallest key, putting its line's next
     /// key (if any) in its place in the front heap.
     fn pop(&mut self) -> Entry {
-        let line = entry_at(&self.fronts, 0).slot;
+        let line = entry_at(&self.fronts, 0).slab() as u32;
         let entries = self.line(line);
         // A line is non-empty while the front heap holds its key.
         let entry = entries.pop_front().expect("non-empty line");
         match entries.front() {
-            Some(&next) => set_entry(&mut self.fronts, 0, Entry { slot: line, ..next }),
+            Some(&next) => set_entry(&mut self.fronts, 0, next.with_slot(line)),
             None => {
                 self.fronts.swap_remove(0);
             }
@@ -461,7 +538,7 @@ impl<T> EventQueue<T> {
         if phase == Phase::Spawn && ord == 0 && self.lane_accepts(time, seq) {
             self.push_lane(time, seq, item);
         } else {
-            self.insert(time, seq, ord, phase, item, 0);
+            self.insert(Entry::new(time, phase, ord, seq), item);
         }
     }
 
@@ -478,14 +555,14 @@ impl<T> EventQueue<T> {
         phase: Phase,
         item: T,
     ) {
-        let ord = self.tie_break.ord_of(src);
-        let tail = self.lines.tail_key(line);
-        if tail.is_some_and(|tail| (time, phase, ord, seq) <= tail) {
-            self.insert(time, seq, ord, phase, item, 0);
+        let entry = Entry::new(time, phase, self.tie_break.ord_of(src), seq);
+        // Keys differ in `seq`, so the slot bits never decide this test.
+        if self.lines.tail_key(line).is_some_and(|tail| entry.key() <= tail) {
+            self.insert(entry, item);
             return;
         }
         let slot = self.alloc_slot(item, NO_SLOT, seq);
-        self.lines.push(line, Entry { time, ord, seq, slot, phase });
+        self.lines.push(line, entry.with_slot(slot));
         self.stats.line_pushes += 1;
     }
 
@@ -500,8 +577,8 @@ impl<T> EventQueue<T> {
         phase: Phase,
         item: T,
     ) -> CancelToken {
-        let ord = self.tie_break.ord_of(src);
-        let slot = self.insert(time, seq, ord, phase, item, CANCEL_BIT);
+        let entry = Entry::new(time, phase, self.tie_break.ord_of(src), seq).cancellable();
+        let slot = self.insert(entry, item);
         self.n_cancellable += 1;
         CancelToken { slot, seq }
     }
@@ -513,8 +590,9 @@ impl<T> EventQueue<T> {
     fn alloc_slot(&mut self, item: T, pos: u32, seq: u64) -> u32 {
         match self.free_head {
             NO_SLOT => {
+                let slot = slot_index(self.slots.len());
                 self.slots.push(Slot { item: Some(item), pos, seq });
-                (self.slots.len() - 1) as u32
+                slot
             }
             head => {
                 let s = slot_mut(&mut self.slots, head as usize);
@@ -539,18 +617,12 @@ impl<T> EventQueue<T> {
         (item, pos, seq)
     }
 
-    fn insert(
-        &mut self,
-        time: SimTime,
-        seq: u64,
-        ord: u64,
-        phase: Phase,
-        item: T,
-        tag: u32,
-    ) -> u32 {
+    /// Parks `item` and pushes `entry` over its slot onto the heap; returns
+    /// the slot.
+    fn insert(&mut self, entry: Entry, item: T) -> u32 {
         let pos = self.heap.len();
-        let slot = self.alloc_slot(item, pos as u32, seq);
-        self.heap.push(Entry { time, ord, seq, slot: slot | tag, phase });
+        let slot = self.alloc_slot(item, pos as u32, entry.seq());
+        self.heap.push(entry.with_slot(slot));
         self.stats.heap_pushes += 1;
         self.sift_up(pos);
         slot
@@ -570,6 +642,7 @@ impl<T> EventQueue<T> {
     /// of them (measured on the Table II ping-pong, which never uses it).
     #[inline(never)]
     fn push_lane(&mut self, time: SimTime, seq: u64, item: T) {
+        check_seq(seq);
         let slot = self.alloc_slot(item, NO_SLOT, seq);
         match self.lane_tail {
             NO_SLOT => {
@@ -596,7 +669,7 @@ impl<T> EventQueue<T> {
     fn pop_line(&mut self) -> (SimTime, u64, T) {
         let entry = self.lines.pop();
         let (item, _, _) = self.release_slot(entry.slab());
-        (entry.time, entry.seq, item)
+        (entry.time, entry.seq(), item)
     }
 
     /// The time of the earliest pending entry and where it sits: whichever
@@ -612,7 +685,7 @@ impl<T> EventQueue<T> {
         }
         if self.lane_head != NO_SLOT {
             let lane_seq = slot_ref(&self.slots, self.lane_head as usize).seq;
-            let lane_key: Key = (self.lane_time, Phase::Spawn, 0, lane_seq);
+            let lane_key: PackedKey = (self.lane_time, tie(Phase::Spawn, 0), lane_seq << SEQ_SHIFT);
             if best.is_none_or(|(key, _)| lane_key < key) {
                 best = Some((lane_key, Front::Lane));
             }
@@ -652,7 +725,7 @@ impl<T> EventQueue<T> {
             return None;
         }
         let pos = slot.pos as usize;
-        debug_assert_eq!(entry_at(&self.heap, pos).seq, token.seq);
+        debug_assert_eq!(entry_at(&self.heap, pos).seq(), token.seq);
         Some(pos)
     }
 
@@ -687,12 +760,8 @@ impl<T> EventQueue<T> {
         let slot = slot_mut(&mut self.slots, token.slot as usize);
         slot.item = Some(item);
         slot.seq = seq;
-        let ord = self.tie_break.ord_of(src);
-        set_entry(
-            &mut self.heap,
-            pos,
-            Entry { time, ord, seq, slot: token.slot | CANCEL_BIT, phase },
-        );
+        let entry = Entry::new(time, phase, self.tie_break.ord_of(src), seq);
+        set_entry(&mut self.heap, pos, entry.cancellable().with_slot(token.slot));
         if !self.sift_up(pos) {
             self.sift_down(pos);
         }
@@ -705,7 +774,7 @@ impl<T> EventQueue<T> {
     fn remove_at(&mut self, pos: usize) -> (SimTime, u64, T) {
         let entry = self.heap.swap_remove(pos);
         let (item, _, _) = self.release_slot(entry.slab());
-        if entry.slot & CANCEL_BIT != 0 {
+        if entry.is_cancellable() {
             self.n_cancellable -= 1;
         }
         if pos < self.heap.len() {
@@ -715,7 +784,7 @@ impl<T> EventQueue<T> {
                 self.sift_down(pos);
             }
         }
-        (entry.time, entry.seq, item)
+        (entry.time, entry.seq(), item)
     }
 
     /// [`sift_up`] on the main heap.
@@ -738,6 +807,9 @@ impl<T> EventQueue<T> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The full key unpacked, as the differential test's model sorts it.
+    type Key = (SimTime, Phase, u64, u64);
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -927,6 +999,49 @@ mod tests {
         let tok4 = q.rearm(tok3, t(70), 67, 0, Phase::Carry, 1003);
         assert_eq!((q.stats().rearms, q.len()), (2, 1));
         assert!(q.cancel(tok4));
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_seq_past_2_pow_40_panics_on_every_push_path() {
+        let last = SEQ_LIMIT - 1;
+        let mut q = EventQueue::new();
+        let line = q.add_line();
+        q.push(t(1), last, 0, Phase::Carry, "last");
+        assert_eq!(q.pop(), Some((t(1), last, "last")), "2^40 - 1 still round-trips");
+        let over = 1u64 << 40;
+        // Heap, lane, delay line, cancellable entry.
+        for path in 0..4 {
+            let msg = panic_message(|| match path {
+                0 => q.push(t(2), over, 0, Phase::Carry, "heap"),
+                1 => q.push(t(2), over, 0, Phase::Spawn, "lane"),
+                2 => q.push_line(line, t(2), over, 0, Phase::Carry, "line"),
+                _ => {
+                    q.push_cancellable(t(2), over, 0, Phase::Carry, "timer");
+                }
+            });
+            assert!(msg.contains("limit of 2^40 pushes per run"), "path {path}: {msg}");
+        }
+        assert!(q.is_empty(), "a rejected push leaves nothing behind");
+    }
+
+    #[test]
+    fn a_slot_past_2_pow_23_panics() {
+        assert_eq!(slot_index((1 << 23) - 1), (1 << 23) - 1);
+        let msg = panic_message(|| {
+            slot_index(1 << 23);
+        });
+        assert!(msg.contains("limit of 2^23 slots"), "{msg}");
     }
 
     /// One step of the differential test below.

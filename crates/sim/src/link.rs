@@ -103,6 +103,18 @@ impl Bandwidth {
         if self.0 == 0 {
             return SimDuration::MAX;
         }
+        // Bit-nanoseconds fit a `u64` up to 2 305 843 009 bytes, so every
+        // packet takes the 64-bit division; only larger sizes widen, and
+        // both paths give the same quotient.
+        match u64::from(bytes).checked_mul(8_000_000_000) {
+            Some(bit_nanos) => SimDuration::from_nanos(bit_nanos / self.0),
+            None => self.wide_serialization_time(bytes),
+        }
+    }
+
+    /// [`Bandwidth::serialization_time`] in `u128`, saturating.
+    #[cold]
+    fn wide_serialization_time(self, bytes: u32) -> SimDuration {
         let nanos = (u128::from(bytes) * 8 * 1_000_000_000) / u128::from(self.0);
         SimDuration::from_nanos(nanos.min(u128::from(u64::MAX)) as u64)
     }
@@ -250,6 +262,7 @@ pub struct LinkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bandwidth_conversions() {
@@ -267,6 +280,45 @@ mod tests {
         assert_eq!(Bandwidth::ZERO.serialization_time(1), SimDuration::MAX);
         // Zero-size packets serialize instantly.
         assert_eq!(Bandwidth::from_mbps(1.0).serialization_time(0), SimDuration::ZERO);
+    }
+
+    /// The `u128` formula `serialization_time` is held to.
+    fn reference_serialization_time(bytes: u32, bps: u64) -> SimDuration {
+        let nanos = (u128::from(bytes) * 8 * 1_000_000_000) / u128::from(bps);
+        SimDuration::from_nanos(nanos.min(u128::from(u64::MAX)) as u64)
+    }
+
+    #[test]
+    fn serialization_time_matches_the_u128_formula_across_the_u64_boundary() {
+        // 2 305 843 009 is the last size whose bit-nanoseconds fit a u64.
+        assert!(2_305_843_009u64.checked_mul(8_000_000_000).is_some());
+        assert!(2_305_843_010u64.checked_mul(8_000_000_000).is_none());
+        for bytes in [2_305_843_009, 2_305_843_010, u32::MAX] {
+            for bps in [1, 3, 1_000_000, 999_999_937, 8_000_000_000, u64::MAX] {
+                assert_eq!(
+                    Bandwidth::from_bps(bps).serialization_time(bytes),
+                    reference_serialization_time(bytes, bps),
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+        }
+        // At 1 b/s the largest sizes saturate.
+        assert_eq!(Bandwidth::from_bps(1).serialization_time(u32::MAX), SimDuration::MAX);
+    }
+
+    proptest! {
+        /// The `u64` path and its `u128` fallback give the reference
+        /// formula's result for every size and nonzero rate.
+        #[test]
+        fn serialization_time_matches_the_u128_formula(
+            bytes in prop_oneof![any::<u32>(), 0u32..65_536],
+            bps in prop_oneof![1..=u64::MAX, 1u64..=100_000_000_000],
+        ) {
+            prop_assert_eq!(
+                Bandwidth::from_bps(bps).serialization_time(bytes),
+                reference_serialization_time(bytes, bps)
+            );
+        }
     }
 
     #[test]
