@@ -86,7 +86,7 @@ fn rows() -> Vec<Row> {
         recovery("duplicate", 0.039282, 17_620, RecoveryMechanism::Duplicate),
         Row {
             label: "offload-wifi",
-            allocs_per_event: 0.028825,
+            allocs_per_event: 0.026608,
             peak_bytes: 8_728,
             run: Box::new(move || {
                 run_table2_instrumented(Table2Scenario::CloudServerWifi, 200, 400, 400, 42, &off())

@@ -32,6 +32,11 @@
 //! the Table II ping-pong, the dense cells or the city run (0.2–0.44 peeks
 //! per event), and a hit saves nothing a plain pop does not do (DESIGN
 //! §7.1).
+//!
+//! A packet that finds its link idle and the queue empty goes on the wire
+//! without entering the queue when the discipline keeps no state while
+//! empty ([`crate::queue::QueueConfig::is_plain_when_empty`]): the queue
+//! would hand it straight back. The same records are written either way.
 
 pub use crate::eventq::QueueStats;
 use crate::eventq::{CancelToken, EventQueue, LineId, Phase};
@@ -127,6 +132,11 @@ struct LinkRuntime {
     jitter: Jitter,
     loss: LossModel,
     queue: Box<dyn crate::queue::Queue>,
+    /// [`crate::queue::QueueConfig::is_plain_when_empty`] of the link's
+    /// discipline: a packet that finds the link idle and the queue empty
+    /// goes on the wire without the queue round trip, and a departure
+    /// that leaves the queue empty skips its dequeue.
+    plain_when_empty: bool,
     busy: bool,
     up: bool,
     ge_bad: bool,
@@ -436,7 +446,7 @@ impl SimCtx {
     /// The packet is queued at the transmitter; drops (queue full, link down)
     /// are reflected in [`SimCtx::link_stats`], not reported to the caller —
     /// like a real kernel socket buffer, senders learn of loss end-to-end.
-    pub fn transmit(&mut self, link: LinkId, pkt: Packet) {
+    pub fn transmit(&mut self, link: LinkId, mut pkt: Packet) {
         let now = self.now;
         let t = now.as_nanos();
         let comp = component::link(link.index());
@@ -449,6 +459,13 @@ impl SimCtx {
             self.trace.emit_with(|| {
                 TraceEvent::packet_drop(t, comp, DropReason::LinkDown, pid, pflow, psize)
             });
+            return;
+        }
+        if l.plain_when_empty && !l.busy && l.rate != Bandwidth::ZERO && l.queue.is_empty() {
+            // The queue would hand the packet straight back, stamped.
+            pkt.enqueued = now;
+            self.trace.emit_with(|| TraceEvent::packet_enqueue(t, comp, pid, pflow, psize, pprio));
+            self.put_on_wire(link, pkt, false);
             return;
         }
         match l.queue.enqueue(pkt, now) {
@@ -491,54 +508,22 @@ impl SimCtx {
             }
             return;
         }
-        let deq = l.queue.dequeue(now);
-        l.stats.drops_aqm += deq.dropped.len() as u64;
-        for victim in &deq.dropped {
-            let (vid, vflow, vsize) = (victim.id, victim.flow, victim.size);
-            self.trace
-                .emit_with(|| TraceEvent::packet_drop(t, comp, DropReason::Aqm, vid, vflow, vsize));
-        }
-        match deq.packet {
-            Some(pkt) => {
-                let delay = now.saturating_since(pkt.enqueued).as_nanos();
-                if self.trace.is_enabled() {
-                    let pid = pkt.id;
-                    // A packet that found the link idle and empty and left
-                    // at once: its enqueue, this dequeue and the busy
-                    // transition become one send-idle record, but only
-                    // when the sink's last record is that enqueue.
-                    let folded = !was_busy
-                        && delay == 0
-                        && l.queue.is_empty()
-                        && self.trace.fold_last(|last| last.fold_send_idle(t, comp, pid));
-                    if !folded {
-                        self.trace.emit_with(|| TraceEvent::packet_dequeue(t, comp, pid, delay));
-                        if !was_busy {
-                            let (qp, qb) = (l.queue.len_packets() as u64, l.queue.len_bytes());
-                            self.trace.emit_with(|| TraceEvent::link_state(t, comp, true, qp, qb));
-                        }
-                    }
-                }
-                if let Some(series) =
-                    self.queue_delay_ms.as_mut().and_then(|s| s.get_mut(link.index()))
-                {
-                    series.observe(t, delay as f64 / 1e6);
-                }
-                l.busy = true;
-                let ser = l.rate.serialization_time(pkt.size);
-                let line = l.departures;
-                // Departures drain a transmit queue (freeing a slot), and
-                // `Drain` leads its instant: a slot freed at `t` is visible
-                // to every arrival at `t` under any equal-timestamp order —
-                // without it, a departure/arrival tie at a full drop-tail
-                // queue decides admit-vs-drop by schedule accident.
-                self.push_line(
-                    line,
-                    now.saturating_add(ser),
-                    Phase::Drain,
-                    Dest::LinkDeparture { link, packet: pkt },
-                );
+        let packet = if l.plain_when_empty && l.queue.is_empty() {
+            // Nothing to send, and the dequeue would change nothing.
+            None
+        } else {
+            let deq = l.queue.dequeue(now);
+            l.stats.drops_aqm += deq.dropped.len() as u64;
+            for victim in &deq.dropped {
+                let (vid, vflow, vsize) = (victim.id, victim.flow, victim.size);
+                self.trace.emit_with(|| {
+                    TraceEvent::packet_drop(t, comp, DropReason::Aqm, vid, vflow, vsize)
+                });
             }
+            deq.packet
+        };
+        match packet {
+            Some(pkt) => self.put_on_wire(link, pkt, was_busy),
             None => {
                 l.busy = false;
                 if was_busy {
@@ -546,6 +531,53 @@ impl SimCtx {
                 }
             }
         }
+    }
+
+    /// Starts serializing `pkt`, the packet `link` sends next (dequeued,
+    /// or passed by an idle link with an empty queue): records the dequeue
+    /// and, unless `was_busy`, the busy transition, samples its queue
+    /// delay, marks the link busy and schedules the departure.
+    fn put_on_wire(&mut self, link: LinkId, pkt: Packet, was_busy: bool) {
+        let now = self.now;
+        let t = now.as_nanos();
+        let comp = component::link(link.index());
+        let l = link_rt_mut(&mut self.links, link);
+        let delay = now.saturating_since(pkt.enqueued).as_nanos();
+        if self.trace.is_enabled() {
+            let pid = pkt.id;
+            // A packet that found the link idle and empty and left
+            // at once: its enqueue, this dequeue and the busy
+            // transition become one send-idle record, but only
+            // when the sink's last record is that enqueue.
+            let folded = !was_busy
+                && delay == 0
+                && l.queue.is_empty()
+                && self.trace.fold_last(|last| last.fold_send_idle(t, comp, pid));
+            if !folded {
+                self.trace.emit_with(|| TraceEvent::packet_dequeue(t, comp, pid, delay));
+                if !was_busy {
+                    let (qp, qb) = (l.queue.len_packets() as u64, l.queue.len_bytes());
+                    self.trace.emit_with(|| TraceEvent::link_state(t, comp, true, qp, qb));
+                }
+            }
+        }
+        if let Some(series) = self.queue_delay_ms.as_mut().and_then(|s| s.get_mut(link.index())) {
+            series.observe(t, delay as f64 / 1e6);
+        }
+        l.busy = true;
+        let ser = l.rate.serialization_time(pkt.size);
+        let line = l.departures;
+        // Departures drain a transmit queue (freeing a slot), and
+        // `Drain` leads its instant: a slot freed at `t` is visible
+        // to every arrival at `t` under any equal-timestamp order —
+        // without it, a departure/arrival tie at a full drop-tail
+        // queue decides admit-vs-drop by schedule accident.
+        self.push_line(
+            line,
+            now.saturating_add(ser),
+            Phase::Drain,
+            Dest::LinkDeparture { link, packet: pkt },
+        );
     }
 
     fn handle_departure(&mut self, link: LinkId, pkt: Packet) {
@@ -765,6 +797,7 @@ impl Simulator {
             jitter: params.jitter,
             loss: params.loss,
             queue: params.queue.build(),
+            plain_when_empty: params.queue.is_plain_when_empty(),
             busy: false,
             up: true,
             ge_bad: false,
@@ -1215,6 +1248,77 @@ mod tests {
             log.borrow().iter().filter(|(_, e)| e.starts_with("pkt")).map(|(t, _)| *t).collect();
         // Stalled until t=50ms, then 10 ms serialization.
         assert_eq!(times, vec![SimTime::from_millis(60)]);
+    }
+
+    #[test]
+    fn a_zero_cap_drop_tail_link_drops_every_offered_packet() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        let params = LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::ZERO)
+            .with_queue(crate::queue::QueueConfig::DropTail { cap_packets: 0 });
+        let l = sim.add_link(a, b, params);
+        sim.install_actor(a, BurstSender { link: l, burst: 3 });
+        sim.install_actor(b, probe(&log));
+        sim.run_until(SimTime::from_secs(1));
+        let st = sim.ctx().link_stats(l);
+        assert_eq!((st.offered_packets, st.drops_queue), (3, 3));
+        assert_eq!((st.tx_packets, st.delivered_packets), (0, 0));
+        assert_eq!(sim.ctx().link_queue_len(l), (0, 0));
+        assert!(log.borrow().iter().all(|(_, e)| !e.starts_with("pkt")));
+    }
+
+    #[test]
+    fn a_zero_rate_link_holds_an_offered_packet_until_its_rate_is_set() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        let l = sim.add_link(a, b, LinkParams::new(Bandwidth::ZERO, SimDuration::ZERO));
+        sim.install_actor(a, BurstSender { link: l, burst: 1 });
+        sim.install_actor(b, probe(&log));
+        sim.run_until(SimTime::from_millis(10));
+        assert_eq!(sim.ctx().link_queue_len(l), (1, 1250));
+        assert_eq!(sim.ctx().link_stats(l).tx_packets, 0);
+        sim.ctx_mut().set_link_rate(l, Bandwidth::from_mbps(1.0));
+        assert_eq!(sim.ctx().link_queue_len(l), (0, 0));
+        sim.run_until(SimTime::from_secs(1));
+        // Held until 10 ms, then 10 ms of serialization.
+        assert_eq!(deliveries(&log), [(20_000, 0)]);
+    }
+
+    #[test]
+    fn a_burst_on_an_idle_link_folds_only_its_first_packet() {
+        use marnet_telemetry::TraceKind::*;
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new(1);
+        sim.enable_flight_recorder(1 << 10);
+        let a = sim.reserve_actor();
+        let b = sim.reserve_actor();
+        let l = sim.add_link(a, b, LinkParams::new(Bandwidth::from_mbps(1.0), SimDuration::ZERO));
+        sim.install_actor(a, BurstSender { link: l, burst: 3 });
+        sim.install_actor(b, probe(&log));
+        sim.run_until(SimTime::from_secs(1));
+        let records: Vec<_> =
+            sim.take_trace().iter().map(|e| (e.t / 1_000_000, e.kind, e.a)).collect();
+        // The first packet finds the link idle and empty: one send-idle
+        // record. The other two wait behind it: enqueue, then a dequeue at
+        // the departure ahead of them, with no busy transition in between.
+        assert_eq!(
+            records,
+            [
+                (0, PacketSendIdle, 0),
+                (0, PacketEnqueue, 1),
+                (0, PacketEnqueue, 2),
+                (10, PacketDequeue, 1),
+                (10, PacketDeliver, 0),
+                (20, PacketDequeue, 2),
+                (20, PacketDeliver, 1),
+                (30, LinkIdle, 0),
+                (30, PacketDeliver, 2),
+            ]
+        );
     }
 
     #[test]

@@ -13,6 +13,17 @@
 //!   queues, each running CoDel, with the new-flow priority boost;
 //! * [`StrictPriorityQueue`] — static priority bands driven by
 //!   [`Packet::prio`], the "latency queueing" building block.
+//!
+//! Empty-queue contract. [`QueueConfig::is_plain_when_empty`] certifies
+//! that, for an empty queue of its discipline, an arriving packet is
+//! admitted and handed straight back by the next [`Queue::dequeue`] (with
+//! `enqueued` stamped to the arrival time), and a dequeue of the empty
+//! queue changes nothing. Then the round trip through the queue is the
+//! identity, so the engine puts a packet that finds its link idle and
+//! the queue empty on the wire without it, and skips the dequeue of a
+//! queue it knows is empty. DropTail and strict priority keep the
+//! contract whenever they can hold a packet at all; CoDel and FQ-CoDel
+//! do not.
 
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
@@ -120,6 +131,22 @@ impl QueueConfig {
     /// quantum, CoDel's 5 ms / 100 ms per queue and a 10 240-packet cap.
     pub fn fq_codel_default() -> Self {
         QueueConfig::FqCoDel
+    }
+
+    /// `true` when the discipline keeps no state while empty: an empty
+    /// queue admits an arriving packet and hands it straight back at the
+    /// next dequeue, and a dequeue of the empty queue changes nothing (the
+    /// module's empty-queue contract). A zero cap admits nothing, so it
+    /// does not qualify.
+    pub fn is_plain_when_empty(&self) -> bool {
+        match *self {
+            QueueConfig::DropTail { cap_packets } => cap_packets > 0,
+            QueueConfig::StrictPriority { cap_packets_per_band, .. } => cap_packets_per_band > 0,
+            // CoDel's dequeue at sojourn 0 resets `first_above_time` and
+            // leaves the dropping state; FQ-CoDel's dequeue of an empty
+            // queue detaches flows from its new and old lists.
+            QueueConfig::CoDel | QueueConfig::FqCoDel => false,
+        }
     }
 
     /// Builds the stateful queue object for a link instance.

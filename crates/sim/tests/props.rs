@@ -317,3 +317,194 @@ proptest! {
         prop_assert_eq!(&moved_in_place, &run(&script, false));
     }
 }
+
+/// One step in the life of a link's transmitter, as the engine drives its
+/// queue.
+#[derive(Debug, Clone)]
+enum LinkOp {
+    /// A packet `(flow, prio, size)` is offered (`SimCtx::transmit`).
+    Arrive(u64, u8, u32),
+    /// The packet on the wire finishes serializing.
+    Depart,
+    /// The rate drops to zero (`true`) or comes back (`false`).
+    Stall(bool),
+    /// Virtual time moves on by this many microseconds.
+    Gap(u64),
+}
+
+/// What one step showed: the packet put on the wire with its `enqueued`
+/// stamp, the ids dropped, and the occupancy after the step.
+#[derive(Debug, Default, PartialEq)]
+struct Seen {
+    sent: Option<(u64, SimTime)>,
+    dropped: Vec<u64>,
+    len: (usize, u64),
+    busy: bool,
+}
+
+/// A queue behind a transmitter, driven as `SimCtx::transmit` and
+/// `start_tx` drive it. With `bypass` it takes the engine's idle-link
+/// path: a packet that finds the link idle and the queue empty is stamped
+/// and put on the wire without the queue, and a dequeue of an empty queue
+/// is skipped.
+struct Twin {
+    q: Box<dyn Queue>,
+    bypass: bool,
+    busy: bool,
+    stalled: bool,
+    now: SimTime,
+}
+
+impl Twin {
+    fn new(config: &QueueConfig, bypass: bool) -> Self {
+        Twin { q: config.build(), bypass, busy: false, stalled: false, now: SimTime::ZERO }
+    }
+
+    fn start_tx(&mut self, seen: &mut Seen) {
+        if self.stalled || (self.bypass && self.q.is_empty()) {
+            self.busy = false;
+            return;
+        }
+        let out = self.q.dequeue(self.now);
+        seen.dropped.extend(out.dropped.iter().map(|p| p.id));
+        self.busy = out.packet.is_some();
+        seen.sent = out.packet.map(|p| (p.id, p.enqueued));
+    }
+
+    /// Runs `op`; an arriving packet gets id `id`.
+    fn step(&mut self, op: &LinkOp, id: u64) -> Seen {
+        let mut seen = Seen::default();
+        match *op {
+            LinkOp::Arrive(flow, prio, size) => {
+                let mut pkt = Packet::new(id, flow, size, self.now).with_prio(prio);
+                if self.bypass && !self.busy && !self.stalled && self.q.is_empty() {
+                    pkt.enqueued = self.now;
+                    seen.sent = Some((pkt.id, pkt.enqueued));
+                    self.busy = true;
+                } else {
+                    match self.q.enqueue(pkt, self.now) {
+                        EnqueueOutcome::Dropped(victim) => seen.dropped.push(victim.id),
+                        EnqueueOutcome::Enqueued if !self.busy => self.start_tx(&mut seen),
+                        EnqueueOutcome::Enqueued => {}
+                    }
+                }
+            }
+            LinkOp::Depart if self.busy => self.start_tx(&mut seen),
+            LinkOp::Depart => {}
+            LinkOp::Stall(on) => {
+                self.stalled = on;
+                if !on && !self.busy && !self.q.is_empty() {
+                    self.start_tx(&mut seen);
+                }
+            }
+            LinkOp::Gap(us) => self.now += SimDuration::from_micros(us),
+        }
+        seen.len = (self.q.len_packets(), self.q.len_bytes());
+        seen.busy = self.busy;
+        seen
+    }
+}
+
+/// Index and observations of the first step at which the bypassing twin
+/// and the plain twin disagree, if any.
+fn first_divergence(config: &QueueConfig, script: &[LinkOp]) -> Option<(usize, Seen, Seen)> {
+    let (mut bypass, mut plain) = (Twin::new(config, true), Twin::new(config, false));
+    script.iter().enumerate().find_map(|(i, op)| {
+        let (b, p) = (bypass.step(op, i as u64), plain.step(op, i as u64));
+        (b != p).then_some((i, b, p))
+    })
+}
+
+fn link_ops() -> impl Strategy<Value = Vec<LinkOp>> {
+    // Four arrivals, three departures, one stall toggle and two gaps in ten.
+    let op = (0u8..10, 0u64..4, 0u8..4, 40u32..2000, 0u64..20_000).prop_map(
+        |(kind, flow, prio, size, us)| match kind {
+            0..=3 => LinkOp::Arrive(flow, prio, size),
+            4..=6 => LinkOp::Depart,
+            7 => LinkOp::Stall(us % 2 == 0),
+            _ => LinkOp::Gap(us),
+        },
+    );
+    prop::collection::vec(op, 1..200)
+}
+
+proptest! {
+    /// The empty-queue contract `QueueConfig::is_plain_when_empty`
+    /// certifies: wherever it holds, skipping the queue on an idle link
+    /// and skipping the dequeue of an empty queue is invisible — the same
+    /// packets leave with the same stamps, the same ones are dropped, and
+    /// the occupancy is the same after every step.
+    #[test]
+    fn idle_link_bypass_matches_the_queue_round_trip(
+        script in link_ops(),
+        cap in 0usize..5,
+        bands in 1usize..4,
+    ) {
+        let configs = [
+            QueueConfig::DropTail { cap_packets: cap },
+            QueueConfig::DropTail { cap_packets: 1000 },
+            QueueConfig::StrictPriority { bands, cap_packets_per_band: cap },
+            QueueConfig::codel_default(),
+            QueueConfig::fq_codel_default(),
+        ];
+        for config in configs.iter().filter(|c| c.is_plain_when_empty()) {
+            prop_assert_eq!(first_divergence(config, &script), None, "{:?}", config);
+        }
+    }
+}
+
+/// CoDel is not plain when empty: its dequeue at sojourn 0 resets
+/// `first_above_time`, so a bypassed packet leaves a stale one behind and
+/// the bypassing twin enters the dropping state where the plain one does
+/// not.
+#[test]
+fn idle_link_bypass_would_skip_codels_first_above_time_reset() {
+    use LinkOp::*;
+    let config = QueueConfig::codel_default();
+    assert!(!config.is_plain_when_empty());
+    let big = Arrive(0, 0, 3000);
+    let script = [
+        big.clone(), // 0: on the wire at once
+        big.clone(), // 1: waits
+        Gap(10_000),
+        Depart, // 3: sojourn 10 ms above target: first_above_time = 110 ms
+        Gap(10_000),
+        Depart, // 5: the queue is empty, the link goes idle
+        Gap(10_000),
+        big.clone(), // 7: finds the link idle; only the plain twin resets
+        big.clone(),
+        big,
+        Gap(90_000),
+        Depart, // 11: at 120 ms, past the stale 110 ms
+    ];
+    let (at, bypass, plain) = first_divergence(&config, &script).expect("the twins diverge");
+    assert_eq!(at, 11);
+    assert_eq!((plain.sent.map(|s| s.0), plain.dropped), (Some(8), vec![]));
+    assert_eq!((bypass.sent.map(|s| s.0), bypass.dropped), (Some(9), vec![8]));
+}
+
+/// FQ-CoDel is not plain when empty: its dequeue of an empty queue detaches
+/// the flow still on the new list, so skipping it keeps that flow's spent
+/// deficit, and the bypassing twin rotates the flow out of turn.
+#[test]
+fn idle_link_bypass_would_skip_fq_codels_flow_detachment() {
+    use LinkOp::*;
+    let config = QueueConfig::fq_codel_default();
+    assert!(!config.is_plain_when_empty());
+    let script = [
+        Arrive(3, 0, 100),  // 0: on the wire at once
+        Arrive(1, 0, 1500), // 1: waits; flow 1 joins the new list
+        Depart,             // 2: flow 1 served, deficit 1514 - 1500 = 14
+        Depart,             // 3: empty; only the plain twin detaches flow 1
+        Arrive(1, 0, 1000), // 4: finds the link idle
+        Arrive(1, 0, 100),
+        Arrive(1, 0, 1000),
+        Arrive(2, 0, 1000),
+        Depart, // 8: packet 5 either way
+        Depart, // 9: flow 1 has quantum left only in the plain twin
+    ];
+    let (at, bypass, plain) = first_divergence(&config, &script).expect("the twins diverge");
+    assert_eq!(at, 9);
+    assert_eq!(plain.sent.map(|s| s.0), Some(6));
+    assert_eq!(bypass.sent.map(|s| s.0), Some(7));
+}
