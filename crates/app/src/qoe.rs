@@ -15,9 +15,6 @@ pub const MAX_LATENCY: SimDuration = SimDuration::from_millis(75);
 /// The Abrash AR/VR latency target.
 pub const ABRASH_TARGET: SimDuration = SimDuration::from_millis(20);
 
-/// The "holy grail" latency.
-pub const HOLY_GRAIL: SimDuration = SimDuration::from_millis(7);
-
 /// Maximum frame-to-frame jitter at 30 FPS before a frame is skipped.
 pub const MAX_JITTER_30FPS: SimDuration = SimDuration::from_millis(30);
 

@@ -24,8 +24,6 @@ pub enum PathRole {
     Cellular,
     /// A device-to-device path (free, short range).
     DeviceToDevice,
-    /// A wired/reference path.
-    Wired,
 }
 
 /// The §VI-D usage policies.

@@ -23,17 +23,16 @@
 //! stack), a fairness-to-TCP scenario (Jain index on a shared
 //! bottleneck), and tracks byte overhead — folded into the
 //! `(qoe, fairness, overhead)` objective vector the engine ranks. The
-//! city-scale hybrid smoke runs **once per training run** as an
-//! engine-stack canary recorded in the artifact: its outcome is
-//! policy-independent (no AR endpoint in that scenario), so putting it in
-//! the per-candidate objective would only add constant noise.
+//! trainer measures only the policy: the city-scale capacity argument
+//! (E17) has no AR endpoint for a policy to act on, and
+//! `sweep_cityscale` measures it.
 
 use crate::runner::run_experiment;
 use crate::spec::{ParamValue, ScenarioSpec};
 use marnet_bench::scenarios::{
-    run_cityscale_instrumented, run_fairness_config_instrumented, run_faults_config_instrumented,
+    run_fairness_config_instrumented, run_faults_config_instrumented,
     run_multipath_commute_config_instrumented, run_recovery_config_instrumented, Contender,
-    FaultScenario, CITYSCALE_MAR_MBPS, CITYSCALE_MAR_PACKET_BYTES,
+    FaultScenario,
 };
 use marnet_bench::{fmt, print_table};
 use marnet_core::config::{ArConfig, OutageConfig};
@@ -64,12 +63,6 @@ const FAULT_MS: u64 = 500;
 const FAIR_BOTTLENECK_MBPS: f64 = 12.0;
 /// Fairness member: competing Reno flows.
 const FAIR_N_TCP: usize = 2;
-/// Canary: city-scale background clients (the light E17 point).
-const CANARY_CLIENTS: u64 = 25_000;
-/// Canary: backhaul capacity in Gb/s.
-const CANARY_BACKHAUL_GBPS: f64 = 10.0;
-/// MAR frame budget for the canary's in-budget column, as in E11/E17.
-const FRAME_BUDGET_MS: f64 = 75.0;
 /// Jain-index band the tuned policy may not degrade fairness beyond —
 /// matches the CI drift tolerance used for the fairness sweep.
 pub const FAIRNESS_BAND: f64 = 0.02;
@@ -81,7 +74,6 @@ struct Tier {
     offload_secs: u64,
     faults_secs: u64,
     fairness_secs: u64,
-    canary_secs: u64,
 }
 
 impl Tier {
@@ -99,17 +91,12 @@ impl Tier {
 
 /// The default tier: long enough for stable means.
 const FULL_TIER: Tier =
-    Tier { recovery_secs: 10, offload_secs: 20, faults_secs: 6, fairness_secs: 10, canary_secs: 2 };
+    Tier { recovery_secs: 10, offload_secs: 20, faults_secs: 6, fairness_secs: 10 };
 
 /// The `--smoke` tier: the shortest horizons whose metrics still rank
 /// policies, for CI.
 const SMOKE_TIER: Tier =
-    Tier { recovery_secs: 4, offload_secs: 8, faults_secs: 4, fairness_secs: 5, canary_secs: 1 };
-
-/// The search engine's label in the artifact and the training spec. CEM
-/// is the only engine; the field stays so schema v1 and the golden train
-/// hash do not move.
-const ENGINE_LABEL: &str = "cem";
+    Tier { recovery_secs: 4, offload_secs: 8, faults_secs: 4, fairness_secs: 5 };
 
 /// Resolved options of one training run.
 #[derive(Debug, Clone)]
@@ -171,7 +158,6 @@ impl TrainOptions {
 struct TrainSpec {
     schema_version: u32,
     space: PolicySpace,
-    engine: String,
     seed: u64,
     generations: u32,
     population: u32,
@@ -197,7 +183,6 @@ pub fn train_hash(opts: &TrainOptions) -> String {
     let train_spec = TrainSpec {
         schema_version: SCHEMA_VERSION,
         space: PolicySpace::ar_default(),
-        engine: ENGINE_LABEL.to_string(),
         seed: opts.seed,
         generations: opts.generations,
         population: opts.population,
@@ -372,29 +357,6 @@ fn evaluate_population(
         .collect()
 }
 
-/// Runs the city-scale hybrid smoke once as a policy-independent
-/// engine-stack canary and returns its scalars for the artifact.
-fn run_canary(seed: u64, tier: &Tier) -> BTreeMap<String, f64> {
-    let canary_seed: u64 = derive_rng(seed, "train/canary").gen();
-    let secs = tier.canary_secs;
-    let (out, events, _) = run_cityscale_instrumented(
-        CANARY_CLIENTS,
-        CANARY_BACKHAUL_GBPS,
-        secs,
-        canary_seed,
-        &TelemetryOptions::disabled(),
-    );
-    let mar = out.mar.borrow();
-    let offered =
-        CITYSCALE_MAR_MBPS * 1e6 / (f64::from(CITYSCALE_MAR_PACKET_BYTES) * 8.0) * secs as f64;
-    let in_budget = mar.latency_ms.values().iter().filter(|&&ms| ms <= FRAME_BUDGET_MS).count();
-    BTreeMap::from([
-        ("cityscale/events".to_string(), events as f64),
-        ("cityscale/mar_delivery_pct".to_string(), mar.packets as f64 / offered * 100.0),
-        ("cityscale/mar_in_budget_pct".to_string(), in_budget as f64 / offered * 100.0),
-    ])
-}
-
 /// One archive entry rendered into its artifact form.
 fn entry(e: &Evaluated) -> FrontEntry {
     FrontEntry {
@@ -427,7 +389,6 @@ pub fn run_training(opts: &TrainOptions) -> (TrainResult, FrontArtifact) {
         evaluate_population(generation, &params, opts, &tier)
     });
 
-    let canary = run_canary(opts.seed, &tier);
     let tuned_index = select_tuned(&result, FAIRNESS_BAND);
     let default = entry(&result.archive[result.default_index]);
     let tuned = entry(&result.archive[tuned_index]);
@@ -463,7 +424,6 @@ pub fn run_training(opts: &TrainOptions) -> (TrainResult, FrontArtifact) {
     let artifact = FrontArtifact {
         schema_version: SCHEMA_VERSION,
         experiment: "train".to_string(),
-        engine: ENGINE_LABEL.to_string(),
         seed: opts.seed,
         generations: opts.generations,
         population: opts.population,
@@ -473,7 +433,6 @@ pub fn run_training(opts: &TrainOptions) -> (TrainResult, FrontArtifact) {
         train_hash,
         space,
         evaluations: result.archive.len() as u32,
-        canary,
         front: result.front.iter().map(|&i| entry(&result.archive[i])).collect(),
         default,
         tuned,
@@ -499,8 +458,8 @@ pub fn render(artifact: &FrontArtifact) {
         .collect();
     print_table(
         &format!(
-            "E18 — tuned vs paper-default policy ({} engine, CRN-paired, {} candidates)",
-            artifact.engine, artifact.evaluations
+            "E18 — tuned vs paper-default policy (CEM, CRN-paired, {} candidates)",
+            artifact.evaluations
         ),
         &["Metric", "Default", "Tuned", "Δ"],
         &rows,

@@ -33,10 +33,11 @@
 //! per event), and a hit saves nothing a plain pop does not do (DESIGN
 //! §7.1).
 //!
-//! A packet that finds its link idle and the queue empty goes on the wire
+//! A packet that finds its link idle at a nonzero rate goes on the wire
 //! without entering the queue when the discipline keeps no state while
-//! empty ([`crate::queue::QueueConfig::is_plain_when_empty`]): the queue
-//! would hand it straight back. The same records are written either way.
+//! empty ([`crate::queue::QueueConfig::is_plain_when_empty`]): such a
+//! link's queue is empty (see `LinkRuntime`), so the queue would hand the
+//! packet straight back. The same records are written either way.
 
 pub use crate::eventq::QueueStats;
 use crate::eventq::{CancelToken, EventQueue, LineId, Phase};
@@ -125,6 +126,16 @@ enum Dest {
     LinkArrival { link: LinkId, packet: Packet },
 }
 
+/// One link's transmitter and wire.
+///
+/// Invariant: a link that is idle (`!busy`) at a nonzero rate has an
+/// empty queue. Every transition keeps it. The idle-link bypass marks
+/// the link busy. An enqueue on an idle link at a nonzero rate is followed
+/// by `start_tx`, which dequeues the packet or has the AQM drop it. After
+/// a departure `start_tx` leaves the link busy, or idle with a queue
+/// whose `dequeue` returned `None`, which empties it. `set_link_rate`
+/// kicks a non-empty idle queue, and `set_link_up` changes none of busy,
+/// rate or queue. So only a zero-rate link holds packets while idle.
 struct LinkRuntime {
     dst: ActorId,
     rate: Bandwidth,
@@ -206,7 +217,6 @@ pub struct SimCtx {
     /// events use [`link_src_key`], setup code uses [`SRC_SETUP`].
     src: u64,
     stopped: bool,
-    events_processed: u64,
     trace: TraceSink,
     /// Each link's queue delay over sim time, in ms, indexed by link: the
     /// delay of every dequeued packet, kept once
@@ -243,11 +253,6 @@ impl SimCtx {
     #[inline]
     pub fn self_id(&self) -> ActorId {
         self.current_actor
-    }
-
-    /// Total events processed so far (diagnostics).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     /// The `seq` the next scheduled event will draw.
@@ -328,8 +333,9 @@ impl SimCtx {
 
     /// Schedules a [`Event::Timer`] for the current actor after `delay`.
     pub fn schedule_timer(&mut self, delay: SimDuration, tag: u64) -> TimerHandle {
-        let id = self.current_actor;
-        self.schedule_timer_for(id, delay, tag)
+        let (t, seq, phase) = self.timer_key(delay);
+        let dest = Dest::Actor { id: self.current_actor, event: Event::Timer { tag } };
+        TimerHandle(self.queue.push_cancellable(t, seq, self.src, phase, dest))
     }
 
     /// The queue key of a timer armed now to fire after `delay`; draws the
@@ -341,18 +347,6 @@ impl SimCtx {
         // A timer for a future instant is that instant's `Carry` work; a
         // zero-delay timer fires within the current instant, i.e. `Spawn`.
         (t, seq, self.phase_at(t))
-    }
-
-    /// Schedules a [`Event::Timer`] for an arbitrary actor after `delay`.
-    pub fn schedule_timer_for(
-        &mut self,
-        target: ActorId,
-        delay: SimDuration,
-        tag: u64,
-    ) -> TimerHandle {
-        let (t, seq, phase) = self.timer_key(delay);
-        let dest = Dest::Actor { id: target, event: Event::Timer { tag } };
-        TimerHandle(self.queue.push_cancellable(t, seq, self.src, phase, dest))
     }
 
     /// Schedules an [`Event::Timer`] for the current actor after `delay`
@@ -452,6 +446,11 @@ impl SimCtx {
         let comp = component::link(link.index());
         let (pid, pflow, psize, pprio) = (pkt.id, pkt.flow, pkt.size, pkt.prio);
         let l = link_rt_mut(&mut self.links, link);
+        debug_assert!(
+            l.busy || l.rate == Bandwidth::ZERO || l.queue.is_empty(),
+            "link {} is idle at a nonzero rate with packets queued",
+            link.index()
+        );
         l.stats.offered_packets += 1;
         l.stats.offered_bytes += u64::from(pkt.size);
         if !l.up {
@@ -461,8 +460,9 @@ impl SimCtx {
             });
             return;
         }
-        if l.plain_when_empty && !l.busy && l.rate != Bandwidth::ZERO && l.queue.is_empty() {
-            // The queue would hand the packet straight back, stamped.
+        if l.plain_when_empty && !l.busy && l.rate != Bandwidth::ZERO {
+            // The queue is empty (the `LinkRuntime` invariant) and would
+            // hand the packet straight back, stamped.
             pkt.enqueued = now;
             self.trace.emit_with(|| TraceEvent::packet_enqueue(t, comp, pid, pflow, psize, pprio));
             self.put_on_wire(link, pkt, false);
@@ -662,15 +662,13 @@ impl SimCtx {
         link_rt(&self.links, link).up
     }
 
-    /// Brings a link up or down. While down, offered and departing packets
-    /// are dropped; queued packets are held.
+    /// Brings a link up or down. While down, offered packets are dropped,
+    /// and a busy link keeps serializing its queue and drops each packet
+    /// at its own departure. Only a zero-rate link holds its queue. Bringing
+    /// the link up restarts nothing: an idle link at a nonzero rate has an
+    /// empty queue (see `LinkRuntime`).
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        let l = link_rt_mut(&mut self.links, link);
-        l.up = up;
-        let kick = up && !l.busy && !l.queue.is_empty();
-        if kick {
-            self.start_tx(link);
-        }
+        link_rt_mut(&mut self.links, link).up = up;
     }
 
     /// Cumulative counters for a link.
@@ -746,7 +744,6 @@ impl Simulator {
                 current_actor: ActorId(u32::MAX),
                 src: SRC_SETUP,
                 stopped: false,
-                events_processed: 0,
                 trace: TraceSink::default(),
                 queue_delay_ms: None,
                 tick_lines: Vec::new(),
@@ -864,7 +861,6 @@ impl Simulator {
                 break;
             };
             self.ctx.now = time;
-            self.ctx.events_processed += 1;
             processed += 1;
             match dest {
                 Dest::Actor { id, event } => self.dispatch_to_actor(id, event),
@@ -1172,6 +1168,7 @@ mod tests {
 
     #[test]
     fn a_link_down_mid_serialization_drops_the_packet_on_the_wire_at_its_departure() {
+        use marnet_telemetry::TraceKind::*;
         /// Sends four 1 ms packets at start and takes the link down at
         /// 0.5 ms, while packet 0 is on the wire.
         struct CutMidPacket {
@@ -1194,26 +1191,37 @@ mod tests {
         sim.enable_flight_recorder(1 << 10);
         let a = sim.reserve_actor();
         let b = sim.reserve_actor();
+        // The default queue: drop-tail.
         let l = sim.add_link(a, b, LinkParams::new(Bandwidth::from_mbps(10.0), SimDuration::ZERO));
         sim.install_actor(a, CutMidPacket { link: l });
         sim.install_actor(b, probe(&log));
-        sim.run_until(SimTime::from_secs(1));
+        sim.run_until(SimTime::from_millis(10));
         // The packet on the wire and the three queued behind it each finish
-        // serializing and are dropped at that departure instant.
+        // serializing and are dropped at that departure instant; down is not
+        // a stall, so the link ends idle with nothing queued.
         let st = sim.ctx().link_stats(l);
         assert_eq!((st.tx_packets, st.drops_down, st.delivered_packets), (4, 4, 0));
         assert!(log.borrow().iter().all(|(_, e)| !e.starts_with("pkt")));
+        assert_eq!(sim.ctx().link_queue_len(l), (0, 0));
+        assert!(!link_rt(&sim.ctx().links, l).busy);
         let drops: Vec<(u64, u64)> = sim
             .take_trace()
             .iter()
-            .filter(|e| {
-                e.kind == marnet_telemetry::TraceKind::PacketDrop
-                    && e.aux == DropReason::LinkDown as u8
-            })
+            .filter(|e| e.kind == PacketDrop && e.aux == DropReason::LinkDown as u8)
             .map(|e| (e.t, e.a))
             .collect();
         assert_eq!(drops, [(1_000_000, 0), (2_000_000, 1), (3_000_000, 2), (4_000_000, 3)]);
         assert_eq!(sim.ctx().pending_events(), 0);
+        // Back up, the link has nothing to restart: the next packet finds it
+        // idle and empty and leaves as one send-idle record.
+        sim.ctx_mut().set_link_up(l, true);
+        let (id, now) = (sim.ctx_mut().next_packet_id(), sim.now());
+        sim.ctx_mut().transmit(l, Packet::new(id, 0, 1250, now));
+        sim.run_until(SimTime::from_secs(1));
+        let records: Vec<_> =
+            sim.take_trace().iter().map(|e| (e.t / 1_000_000, e.kind, e.a)).collect();
+        assert_eq!(records, [(10, PacketSendIdle, 4), (11, LinkIdle, 0), (11, PacketDeliver, 4)]);
+        assert_eq!(deliveries(&log), [(11_000, 4)]);
     }
 
     #[test]
@@ -1453,16 +1461,23 @@ mod tests {
 
     #[test]
     fn stop_mid_instant_keeps_the_lane_for_the_next_run() {
+        /// Arms a 1 ms timer and sends its peer three messages at start;
+        /// notes the timer in the log it shares with the peer.
         struct Burst {
             peer: ActorId,
+            rec: Recorder,
         }
         impl Actor for Burst {
             fn on_event(&mut self, ctx: &mut SimCtx, ev: Event) {
-                if matches!(ev, Event::Start) {
-                    ctx.schedule_timer_for(self.peer, SimDuration::from_millis(1), 9);
-                    for m in 1..=3u64 {
-                        ctx.send_message(self.peer, Payload::new(m));
+                match ev {
+                    Event::Start => {
+                        ctx.schedule_timer(SimDuration::from_millis(1), 9);
+                        for m in 1..=3u64 {
+                            ctx.send_message(self.peer, Payload::new(m));
+                        }
                     }
+                    Event::Timer { tag } => self.rec.note(ctx, tag),
+                    _ => {}
                 }
             }
         }
@@ -1486,7 +1501,7 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulator::new(1);
         let peer = sim.reserve_actor();
-        sim.add_actor(Burst { peer });
+        sim.add_actor(Burst { peer, rec: Recorder { log: Rc::clone(&log) } });
         sim.install_actor(peer, StopOnFirst(Recorder { log: Rc::clone(&log) }));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(*log.borrow(), vec![(0, 100), (0, 1)]);
@@ -1772,14 +1787,14 @@ mod tests {
         for i in 0..900 {
             sim.add_actor(Metronome { interval: intervals[i % 3] });
         }
-        sim.run_to_completion();
+        let events = sim.run_to_completion();
         assert_eq!(sim.ctx().tick_lines.len(), 3);
         // Each source arms a tick at every multiple of its interval below
         // 100 ms: 20, 15 and 10 of them.
         let ticks = 300 * (20 + 15 + 10);
         let stats = sim.ctx().queue_stats();
         assert_eq!((stats.heap_pushes, stats.line_pushes, stats.lane_pushes), (0, ticks, 900));
-        assert_eq!(sim.ctx().events_processed(), 900 + ticks);
+        assert_eq!(events, 900 + ticks);
     }
 
     /// Every delivery of a tick differential run: `(time, actor, event
@@ -1873,10 +1888,10 @@ mod tests {
             let pacer = Pacer { ticks, offset, interval, left, fired: 0, peer, link, log };
             sim.install_actor(ids[i], pacer);
         }
-        sim.run_until(SimTime::ZERO + SimDuration::from_micros(250) * split);
-        sim.run_until(SimTime::from_secs(1));
+        let events = sim.run_until(SimTime::ZERO + SimDuration::from_micros(250) * split)
+            + sim.run_until(SimTime::from_secs(1));
         let deliveries = log.borrow().clone();
-        (deliveries, sim.ctx().next_seq(), sim.ctx().events_processed())
+        (deliveries, sim.ctx().next_seq(), events)
     }
 
     proptest::proptest! {

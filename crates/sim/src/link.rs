@@ -221,19 +221,6 @@ impl LinkParams {
     }
 }
 
-/// Why a packet never reached the far end of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DropCause {
-    /// The queue rejected it (full, or AQM at enqueue).
-    QueueFull,
-    /// An AQM discarded it at dequeue time (CoDel-style).
-    Aqm,
-    /// The random loss process ate it on the wire.
-    Loss,
-    /// The link was administratively down.
-    LinkDown,
-}
-
 /// Cumulative counters for one directed link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LinkStats {

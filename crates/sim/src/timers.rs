@@ -477,12 +477,12 @@ mod tests {
         let ticker_actor =
             Ticker { scale: plan.scale, link, peer: ids[1], ticks: 0, log: Rc::clone(&log) };
         sim.install_actor(ticker, ticker_actor);
-        sim.run_until(SimTime::ZERO + grid / 4 * plan.split);
+        let events = sim.run_until(SimTime::ZERO + grid / 4 * plan.split);
         let pending = sim.ctx().pending_timers();
-        sim.run_until(SimTime::ZERO + grid * horizon);
+        let events = events + sim.run_until(SimTime::ZERO + grid * horizon);
         let deliveries = log.borrow().clone();
         Run {
-            seen: (deliveries, sim.ctx().next_seq(), sim.ctx().events_processed()),
+            seen: (deliveries, sim.ctx().next_seq(), events),
             pending,
             calls: calls.map(|c| c.take()),
         }

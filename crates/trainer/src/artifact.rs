@@ -1,7 +1,7 @@
 //! The versioned Pareto-front artifact.
 //!
-//! Schema v1: run provenance (engine, seed, budget, the serialized
-//! space and the FNV-1a `train_hash` over the full training spec), the
+//! Schema v1: run provenance (seed, budget, the serialized space and the
+//! FNV-1a `train_hash` over the full training spec), the
 //! non-dominated front, the incumbent and tuned policies, and the
 //! tuned-vs-default comparison table. The encoding is canonical JSON
 //! (sorted map keys, shortest-round-trip floats), so a run's artifact is
@@ -58,9 +58,6 @@ pub struct FrontArtifact {
     pub schema_version: u32,
     /// Artifact kind tag, always `"train"`.
     pub experiment: String,
-    /// Engine label; always `cem`, the one search engine, kept so schema
-    /// v1 artifacts and spec hashes do not move.
-    pub engine: String,
     /// Base seed of the run.
     pub seed: u64,
     /// Generations run.
@@ -73,16 +70,14 @@ pub struct FrontArtifact {
     pub replicates: u32,
     /// Whether the run used the reduced CI smoke tier.
     pub smoke: bool,
-    /// FNV-1a hash over the canonical training spec (space + engine
-    /// config + portfolio), hex-encoded; pins the provenance like the
+    /// FNV-1a hash over the canonical training spec (space + search
+    /// budget + portfolio), hex-encoded; pins the provenance like the
     /// lab's spec hash.
     pub train_hash: String,
     /// The searched space.
     pub space: PolicySpace,
     /// Total candidates evaluated.
     pub evaluations: u32,
-    /// Engine-stack canary scalars (the cityscale-hybrid smoke run).
-    pub canary: BTreeMap<String, f64>,
     /// The non-dominated front, canonical order.
     pub front: Vec<FrontEntry>,
     /// The paper-default incumbent's measurement.
@@ -144,7 +139,6 @@ mod tests {
         FrontArtifact {
             schema_version: SCHEMA_VERSION,
             experiment: "train".to_string(),
-            engine: "cem".to_string(),
             seed: 42,
             generations: 2,
             population: 4,
@@ -154,7 +148,6 @@ mod tests {
             train_hash: format!("{:016x}", fnv1a(b"demo", FNV_OFFSET_BASIS)),
             space: PolicySpace::ar_default(),
             evaluations: 8,
-            canary: BTreeMap::from([("cityscale_in_budget_pct".to_string(), 99.8)]),
             front: vec![entry(181.0)],
             default: entry(180.0),
             tuned: entry(181.0),
@@ -189,6 +182,22 @@ mod tests {
         let path2 = dir.join("trainer_artifact_newer.json");
         write_atomic(&path2, newer.to_json().as_bytes()).unwrap();
         assert!(FrontArtifact::load(&path2).is_err());
+    }
+
+    #[test]
+    fn keys_this_build_no_longer_writes_are_ignored_on_load() {
+        // Older v1 artifacts carry an `engine` label and a map of scalars
+        // this build dropped; the loader skips unknown keys, so they still
+        // load and the schema version did not move.
+        let a = artifact();
+        let json = a.to_json().replacen(
+            "{\n",
+            "{\n  \"dropped\": {\"cityscale/events\": 1.0},\n  \"engine\": \"cem\",\n",
+            1,
+        );
+        let path = std::env::temp_dir().join("trainer_artifact_dropped_keys.json");
+        write_atomic(&path, json.as_bytes()).unwrap();
+        assert_eq!(FrontArtifact::load(&path).unwrap(), a);
     }
 
     #[test]
