@@ -396,12 +396,22 @@ impl FluidNetwork {
             let c = &mut self.classes[ci];
             c.rate_bps = rate;
             let active = c.standing + c.pending.len() as u64;
-            let quantized = rate.round() as u64;
-            if ctx.trace_enabled() && quantized != c.traced_bps {
-                c.traced_bps = quantized;
-                ctx.trace_with(|| {
-                    TraceEvent::flow_rate(now.as_nanos(), comp, trace_class(ci), active, quantized)
-                });
+            if ctx.trace_enabled() {
+                // Rounded only for the record: an untraced run skips the
+                // libm call.
+                let quantized = rate.round() as u64;
+                if quantized != c.traced_bps {
+                    c.traced_bps = quantized;
+                    ctx.trace_with(|| {
+                        TraceEvent::flow_rate(
+                            now.as_nanos(),
+                            comp,
+                            trace_class(ci),
+                            active,
+                            quantized,
+                        )
+                    });
+                }
             }
             if let Some((link, owner)) = c.coupling {
                 // The boundary link gets the class's aggregate

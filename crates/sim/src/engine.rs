@@ -902,10 +902,11 @@ impl Simulator {
     /// busy/idle) and actor [`SimCtx::trace_with`] calls are recorded. A
     /// packet that finds its link idle and empty is recorded as one
     /// send-idle record; [`marnet_telemetry::expand`] restores the enqueue,
-    /// dequeue and busy records it stands for. Events land in a small
-    /// write-through chunk that flushes into the ring in batches, keeping
-    /// the per-event cost to a bump-pointer push; the observable event
-    /// stream is identical to an unbuffered ring.
+    /// dequeue and busy records it stands for. Each event is written
+    /// straight into the ring, which is reserved whole at the first event;
+    /// at [`marnet_telemetry::DEFAULT_TRACE_CAPACITY`] the allocator hands a
+    /// dropped trace's block to the next traced run, so a run pays for its
+    /// records, not for fresh pages.
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         self.ctx.trace = TraceSink::chunked(capacity);
     }

@@ -48,9 +48,24 @@ pub use recorder::TraceSink;
 pub use usage::ClassUsage;
 
 /// Default flight-recorder ring capacity used by CLI `--trace` flags:
-/// 2^20 events = 32 MiB, enough to hold every event of the stock
-/// experiment binaries without wrapping.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
+/// 2^20 − 256 events = 32 MiB − 8 KiB, enough to hold every event of the
+/// stock experiment binaries without wrapping.
+///
+/// The size is what lets glibc's allocator recycle the ring. glibc maps
+/// fresh pages for a request above its dynamic mmap threshold; when such a
+/// mapping is freed it raises the threshold to the mapping's size, but
+/// only while that size, page-rounded and with its "mapped" flag bit set,
+/// is at most 32 MiB. A ring of 2^20 events maps a chunk one page past that
+/// ceiling, so every traced run would fault in every page it writes anew
+/// (one fault per 128 records); this one raises the threshold when the
+/// first run's trace is dropped, and every later ring is reused heap.
+pub const DEFAULT_TRACE_CAPACITY: usize = (1 << 20) - 256;
+
+// The ring, plus glibc's chunk header rounded up to a 4 KiB page, must map
+// a page below the 32 MiB ceiling (`DEFAULT_MMAP_THRESHOLD_MAX`), since
+// the ceiling is compared with the flag bit set.
+const _: () =
+    assert!(DEFAULT_TRACE_CAPACITY * std::mem::size_of::<TraceEvent>() + 2 * 4096 <= 32 << 20);
 
 /// What a scenario should capture, threaded from CLI flags down to the
 /// simulator. Both knobs default to off so instrumented code paths are

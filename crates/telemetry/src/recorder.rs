@@ -2,9 +2,9 @@
 //!
 //! The simulator stores `Box<dyn Actor>`s and cannot grow a type
 //! parameter, so it holds one concrete [`TraceSink`]: off, or recording
-//! through a small cache-hot chunk into a fixed-capacity ring. Every hook
-//! goes through [`TraceSink::emit_with`], whose off case costs one load
-//! and one predictable branch.
+//! straight into a fixed-capacity ring. Every hook goes through
+//! [`TraceSink::emit_with`], whose off case costs one load and one
+//! predictable branch.
 
 use crate::event::TraceEvent;
 
@@ -13,18 +13,20 @@ use crate::event::TraceEvent;
 /// Once full, the newest event overwrites the oldest — a crash or a
 /// surprising result always leaves the *last* `capacity` events, which is
 /// what post-mortem debugging wants. Recording never allocates after the
-/// ring is full.
+/// first event.
 #[derive(Debug)]
 struct FlightRecorder {
     buf: Vec<TraceEvent>,
     cap: usize,
+    /// The slot the next event overwrites once the ring is full, which is
+    /// the oldest event's; 0 until the ring first fills.
     next: usize,
 }
 
 impl FlightRecorder {
     /// A recorder holding at most `capacity` events (min 1).
     ///
-    /// Nothing is reserved until the first batch arrives, and then the
+    /// Nothing is reserved until the first event arrives, and then the
     /// whole ring at once: pre-sizing keeps doubling-growth memcpys out of
     /// recorded (timed) runs, and a recorder that is never written never
     /// reserves.
@@ -32,111 +34,90 @@ impl FlightRecorder {
         FlightRecorder { buf: Vec::new(), cap: capacity.max(1), next: 0 }
     }
 
-    /// Takes the held events in chronological (recording) order, leaving
-    /// the recorder empty with no reservation — the next batch reserves a
-    /// ring again. The buffer is moved out, not cloned, so ending a traced
-    /// run costs at most one in-place rotation, not a ring-sized copy.
-    fn take_events(&mut self) -> Vec<TraceEvent> {
-        let mut out = std::mem::take(&mut self.buf);
-        if out.len() == self.cap {
-            // `next` points at the oldest surviving event once wrapped.
-            out.rotate_left(self.next);
+    /// Records the event `f` builds: a push while the ring fills, then an
+    /// overwrite of the oldest slot. Only the push is inlined into trace
+    /// sites, so an untraced run's hot functions carry no more than that,
+    /// and `f` builds the event in place in the ring rather than on the
+    /// stack.
+    #[inline]
+    fn record_with(&mut self, f: impl FnOnce() -> TraceEvent) {
+        let len = self.buf.len();
+        if len < self.cap && len < self.buf.capacity() {
+            self.buf.push(f());
+        } else {
+            self.record_slow(f());
         }
-        self.next = 0;
-        out
     }
 
-    /// Records a batch of events with bulk slice copies. The resulting
-    /// recorder state (`buf`, `next`) is *identical* to recording the
-    /// events one at a time — the batch-equivalence unit test pins this
-    /// against the per-event `record` below — so chunked recording cannot
-    /// change artifacts.
-    fn record_batch(&mut self, events: &[TraceEvent]) {
-        if events.is_empty() {
+    /// The rest of [`FlightRecorder::record_with`]: the first push after
+    /// a reservation, and every write once the ring is full.
+    #[inline(never)]
+    fn record_slow(&mut self, ev: TraceEvent) {
+        if self.buf.len() < self.cap {
+            self.reserve();
+            self.buf.push(ev);
             return;
         }
-        let mut src = events;
-        if self.buf.len() < self.cap {
-            self.buf.reserve_exact(self.cap - self.buf.len());
-            // Fill phase: `next == buf.len()` here (the ring has never
-            // wrapped while the buffer is below capacity).
-            let take = src.len().min(self.cap - self.buf.len());
-            self.buf.extend_from_slice(&src[..take]);
-            self.next = (self.next + take) % self.cap;
-            src = &src[take..];
-            if src.is_empty() {
-                return;
-            }
-        }
-        // Wrap phase: the buffer is at capacity. A batch longer than the
-        // ring leaves only its last `cap` events, with `next` advanced by
-        // the full batch length modulo `cap` — exactly what per-event
-        // recording would do.
-        let skip = src.len().saturating_sub(self.cap);
-        let start = (self.next + skip) % self.cap;
-        let src = &src[skip..];
-        let first = (self.cap - start).min(src.len());
-        self.buf[start..start + first].copy_from_slice(&src[..first]);
-        self.buf[..src.len() - first].copy_from_slice(&src[first..]);
-        self.next = (start + src.len()) % self.cap;
-    }
-
-    /// Moves a full `chunk` into the ring and empties it, reserving it
-    /// whole if it has no room yet (the sink's first event). Out of line:
-    /// it runs once per chunk, and every trace site inlines the sink's
-    /// fast path.
-    #[cold]
-    #[inline(never)]
-    fn flush(&mut self, chunk: &mut Vec<TraceEvent>) {
-        self.record_batch(chunk);
-        chunk.clear();
-        chunk.reserve_exact(CHUNK_EVENTS.min(self.cap));
-    }
-
-    /// Records one event: the obvious ring write, kept as the test oracle
-    /// that `record_batch` and the chunked sink are compared against.
-    #[cfg(test)]
-    fn record(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
+        if let Some(slot) = self.buf.get_mut(self.next) {
+            *slot = ev;
         }
         self.next += 1;
         if self.next == self.cap {
             self.next = 0;
         }
     }
+
+    /// Reserves the whole ring; runs at the first event after
+    /// [`FlightRecorder::new`] or a take.
+    #[cold]
+    #[inline(never)]
+    fn reserve(&mut self) {
+        self.buf.reserve_exact(self.cap - self.buf.len());
+    }
+
+    /// The most recent event, or `None` when nothing was recorded since
+    /// the last take.
+    fn newest_mut(&mut self) -> Option<&mut TraceEvent> {
+        match self.next.checked_sub(1) {
+            Some(newest) => self.buf.get_mut(newest),
+            None => self.buf.last_mut(),
+        }
+    }
+
+    /// Takes the held events in chronological (recording) order, leaving
+    /// the recorder empty with no reservation — the next event reserves a
+    /// ring again. The buffer is moved out, not cloned, so ending a traced
+    /// run costs at most one in-place rotation, not a ring-sized copy.
+    fn take_events(&mut self) -> Vec<TraceEvent> {
+        let mut out = std::mem::take(&mut self.buf);
+        out.rotate_left(self.next);
+        self.next = 0;
+        out
+    }
 }
 
-/// Events per chunk of an enabled [`TraceSink`]: 2048 × 32-byte events =
-/// 64 KiB, the top of the 4–64 KiB window that stays resident in L1/L2
-/// while amortizing the flush into the (potentially tens-of-MiB) ring.
-pub const CHUNK_EVENTS: usize = 2048;
-
-/// The engine-facing sink: off (the default), or recording through a
-/// chunk-flushed ring.
+/// The engine-facing sink: off (the default), or recording into a ring.
 ///
-/// The fast path of an enabled sink is a bump write into a small
-/// cache-hot chunk; full chunks are flushed into the backing ring with
-/// bulk copies. The chunk is reserved at the first event and the ring at
-/// the first flush, so a run that records less than a chunk never
-/// reserves a ring. Per event this avoids the ring's wrap branch and
-/// cold-cache write; artifacts are unchanged because the flush is
-/// state-equivalent to per-event recording. [`TraceSink::emit_with`] takes
-/// a closure so the off case skips event construction entirely.
+/// An enabled sink writes each event straight into its ring: a bump push
+/// while the ring fills, an overwrite of the oldest slot once it is full.
+/// The ring is reserved whole at the first event, so the only allocation
+/// of a traced run is one ring-sized block that the allocator can hand to
+/// the next run (see [`crate::DEFAULT_TRACE_CAPACITY`]).
+/// [`TraceSink::emit_with`] takes a closure so the off case skips event
+/// construction entirely.
 #[derive(Debug, Default)]
 pub struct TraceSink {
     /// `None` while recording is off.
     ring: Option<FlightRecorder>,
-    chunk: Vec<TraceEvent>,
 }
 
 impl TraceSink {
-    /// A sink recording through a chunk-flushed ring of `capacity` events
-    /// — what the engine enables for live tracing.
+    /// A sink recording into a ring of `capacity` events — what the engine
+    /// enables for live tracing. The name is kept from the staging-chunk
+    /// sink this one replaced, because the benchmark's recorder drive
+    /// calls it.
     pub fn chunked(capacity: usize) -> Self {
-        TraceSink { ring: Some(FlightRecorder::new(capacity)), chunk: Vec::new() }
+        TraceSink { ring: Some(FlightRecorder::new(capacity)) }
     }
 
     /// `true` while events are being recorded.
@@ -149,43 +130,30 @@ impl TraceSink {
     #[inline]
     pub fn emit_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         if let Some(ring) = &mut self.ring {
-            // The chunk is reserved whole, so the push below never
-            // reallocates: a bounds check and a bump write.
-            if self.chunk.len() == self.chunk.capacity() {
-                ring.flush(&mut self.chunk);
-            }
-            self.chunk.push(f());
+            ring.record_with(f);
         }
     }
 
     /// Lets `f` rewrite the most recent record in place; returns what `f`
     /// returns, or `false` when there is no record to rewrite (the sink is
-    /// off, or nothing was recorded since the last take). The last record
-    /// is always still in the chunk: a flush only happens before the next
-    /// push.
+    /// off, or nothing was recorded since the last take).
     #[inline]
     pub fn fold_last(&mut self, f: impl FnOnce(&mut TraceEvent) -> bool) -> bool {
-        self.chunk.last_mut().is_some_and(f)
+        self.ring.as_mut().and_then(FlightRecorder::newest_mut).is_some_and(f)
     }
 
     /// Takes the recorded events in chronological order, leaving the sink
-    /// enabled with an empty ring that holds no reservation. Events that
-    /// never left the chunk are handed back in the chunk itself. Returns an
+    /// enabled with an empty ring that holds no reservation. Returns an
     /// empty vec when off.
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        let Some(ring) = &mut self.ring else { return Vec::new() };
-        if ring.buf.is_empty() && self.chunk.len() <= ring.cap {
-            // Nothing was flushed since the last take: the chunk is the run.
-            return std::mem::take(&mut self.chunk);
-        }
-        ring.record_batch(&self.chunk);
-        self.chunk.clear();
-        ring.take_events()
+        self.ring.as_mut().map_or_else(Vec::new, FlightRecorder::take_events)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use crate::event::component;
 
@@ -195,12 +163,100 @@ mod tests {
 
     fn drive(r: &mut FlightRecorder, n: u64) {
         for i in 0..n {
-            r.record(ev(i));
+            r.record_with(|| ev(i));
         }
     }
 
     fn times(events: &[TraceEvent]) -> Vec<u64> {
         events.iter().map(|e| e.t).collect()
+    }
+
+    /// What every sink must behave like: the newest `cap` events, in
+    /// order, with no ring arithmetic at all.
+    struct Newest {
+        cap: usize,
+        events: VecDeque<TraceEvent>,
+    }
+
+    impl Newest {
+        fn new(cap: usize) -> Self {
+            Newest { cap: cap.max(1), events: VecDeque::new() }
+        }
+
+        fn emit(&mut self, e: TraceEvent) {
+            if self.events.len() == self.cap {
+                self.events.pop_front();
+            }
+            self.events.push_back(e);
+        }
+
+        fn fold_last(&mut self, f: impl FnOnce(&mut TraceEvent) -> bool) -> bool {
+            self.events.back_mut().is_some_and(f)
+        }
+
+        fn take(&mut self) -> Vec<TraceEvent> {
+            self.events.drain(..).collect()
+        }
+    }
+
+    /// Moves `last` a second later, or refuses when `accept` is false.
+    fn bump(accept: bool) -> impl FnOnce(&mut TraceEvent) -> bool {
+        move |last| {
+            if accept {
+                last.t += 1_000_000_000;
+            }
+            accept
+        }
+    }
+
+    #[test]
+    fn sink_matches_the_newest_cap_model() {
+        // A fixed pseudo-random script of emits, folds (accepted or
+        // refused) and takes, each take followed by a second one. Takes
+        // are rare enough that every capacity wraps between them, and the
+        // script is long enough that folds land before and after a wrap.
+        for cap in [1usize, 3, 4, 8, 16, 64] {
+            let mut sink = TraceSink::chunked(cap);
+            let mut model = Newest::new(cap);
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64 ^ cap as u64;
+            let (mut since_take, mut i) = (0usize, 0u64);
+            let (mut folds_filling, mut folds_wrapped) = (0, 0);
+            for step in 0..20_000 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                match (state >> 33) % 1_000 {
+                    0..=4 => {
+                        let (got, want) = (sink.take_events(), model.take());
+                        assert_eq!(got, want, "cap {cap}, take at step {step}");
+                        assert!(sink.take_events().is_empty(), "cap {cap}, take after take");
+                        since_take = 0;
+                    }
+                    5..=104 => {
+                        let accept = state & 1 == 0;
+                        let (got, want) =
+                            (sink.fold_last(bump(accept)), model.fold_last(bump(accept)));
+                        assert_eq!(got, want, "cap {cap}, fold at step {step}");
+                        if since_take > cap {
+                            folds_wrapped += 1;
+                        } else if since_take > 0 {
+                            folds_filling += 1;
+                        }
+                    }
+                    _ => {
+                        sink.emit_with(|| ev(i));
+                        model.emit(ev(i));
+                        i += 1;
+                        since_take += 1;
+                    }
+                }
+            }
+            assert_eq!(sink.take_events(), model.take(), "cap {cap}, final take");
+            assert!(folds_wrapped > 0, "cap {cap}: no fold after a wrap");
+            if cap > 1 {
+                assert!(folds_filling > 0, "cap {cap}: no fold before a wrap");
+            }
+        }
     }
 
     #[test]
@@ -221,45 +277,9 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped() {
         let mut r = FlightRecorder::new(0);
-        r.record(ev(1));
-        r.record(ev(2));
+        r.record_with(|| ev(1));
+        r.record_with(|| ev(2));
         assert_eq!(times(&r.take_events()), vec![2]);
-    }
-
-    #[test]
-    fn record_batch_state_matches_per_event_recording() {
-        // Sweep capacities and adversarial batch shapes (empty, tiny,
-        // exactly-capacity, longer-than-capacity) and require the full
-        // recorder state to match per-event recording.
-        let batches: Vec<usize> = vec![0, 1, 3, 4, 5, 7, 8, 16, 31];
-        for cap in [1usize, 3, 4, 8, 16] {
-            let mut batched = FlightRecorder::new(cap);
-            let mut reference = FlightRecorder::new(cap);
-            let mut i = 0u64;
-            for &n in &batches {
-                let chunk: Vec<TraceEvent> = (0..n as u64).map(|j| ev(i + j)).collect();
-                i += n as u64;
-                batched.record_batch(&chunk);
-                for &e in &chunk {
-                    reference.record(e);
-                }
-                assert_eq!(batched.buf, reference.buf, "cap {cap} after {i} events");
-                assert_eq!(batched.next, reference.next, "internal cursor must match too");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_recorder_matches_plain_ring() {
-        for total in [0u64, 5, CHUNK_EVENTS as u64, CHUNK_EVENTS as u64 * 3 + 17] {
-            let mut chunked = TraceSink::chunked(64);
-            let mut plain = FlightRecorder::new(64);
-            for i in 0..total {
-                chunked.emit_with(|| ev(i));
-                plain.record(ev(i));
-            }
-            assert_eq!(chunked.take_events(), plain.take_events(), "after {total} events");
-        }
     }
 
     #[test]
@@ -274,38 +294,36 @@ mod tests {
 
     #[test]
     fn chunked_sink_take_matches_ring_sink() {
-        // A chunk smaller than the run and a ring smaller than the chunk
-        // total: the sink flushes mid-run and the ring wraps.
+        // The sink against the model over a run that wraps a 16-slot ring
+        // several times, then a take right after the take.
         let mut a = TraceSink::chunked(16);
-        let mut b = FlightRecorder::new(16);
+        let mut b = Newest::new(16);
         assert!(a.is_enabled());
         for i in 0..100 {
             a.emit_with(|| ev(i));
-            b.record(ev(i));
+            b.emit(ev(i));
         }
-        assert_eq!(a.take_events(), b.take_events());
-        assert!(a.take_events().is_empty(), "take resets the chunked sink");
+        assert_eq!(a.take_events(), b.take());
+        assert!(a.take_events().is_empty(), "take resets the sink");
         assert!(a.is_enabled(), "sink stays enabled after take");
     }
 
     #[test]
-    fn fold_last_rewrites_the_newest_record_across_a_flush() {
-        let mut s = TraceSink::chunked(1 << 16);
+    fn fold_last_rewrites_the_newest_record_before_and_after_a_wrap() {
+        let mut s = TraceSink::chunked(4);
         assert!(!s.fold_last(|_| true), "nothing recorded yet");
-        for i in 0..=CHUNK_EVENTS as u64 {
+        for i in 0..3 {
             s.emit_with(|| ev(i));
         }
-        // The chunk was flushed before its last push, so the newest record
-        // is still in it.
-        assert!(s.fold_last(|last| {
-            last.t += 1_000_000;
-            true
-        }));
+        assert!(s.fold_last(bump(true)), "before the wrap");
         assert!(!s.fold_last(|_| false), "a refusing closure reports false");
-        let events = s.take_events();
-        assert_eq!(events.len(), CHUNK_EVENTS + 1);
-        assert_eq!(events[CHUNK_EVENTS].t, CHUNK_EVENTS as u64 + 1_000_000);
-        assert_eq!(events[CHUNK_EVENTS - 1].t, CHUNK_EVENTS as u64 - 1);
+        for i in 3..6 {
+            s.emit_with(|| ev(i));
+        }
+        // The ring wrapped: the newest record sits in the slot before the
+        // oldest one, not at the end of the buffer.
+        assert!(s.fold_last(bump(true)), "after the wrap");
+        assert_eq!(times(&s.take_events()), vec![1_000_000_002, 3, 4, 1_000_000_005]);
         assert!(!s.fold_last(|_| true), "a taken sink has no last record");
         assert!(!TraceSink::default().fold_last(|_| true), "an off sink has none either");
     }
@@ -324,28 +342,23 @@ mod tests {
     }
 
     #[test]
-    fn a_sink_reserves_its_ring_at_the_first_flush_and_gives_it_up_on_take() {
+    fn a_sink_reserves_its_ring_at_the_first_event_and_gives_it_up_on_take() {
         let ring_capacity = |s: &TraceSink| s.ring.as_ref().map_or(0, |r| r.buf.capacity());
         let mut s = TraceSink::chunked(1 << 20);
         assert!(s.take_events().is_empty());
         assert_eq!(ring_capacity(&s), 0, "a sink that recorded nothing holds no ring");
-        for i in 0..5 {
+        s.emit_with(|| ev(0));
+        assert_eq!(ring_capacity(&s), 1 << 20, "the first event reserves the whole ring");
+        for i in 1..5 {
             s.emit_with(|| ev(i));
         }
+        assert_eq!(ring_capacity(&s), 1 << 20, "later events reserve nothing");
         assert_eq!(times(&s.take_events()), vec![0, 1, 2, 3, 4]);
-        assert_eq!(ring_capacity(&s), 0, "less than a chunk comes back in the chunk");
-        for i in 0..=CHUNK_EVENTS as u64 {
-            s.emit_with(|| ev(i));
-        }
-        assert_eq!(ring_capacity(&s), 1 << 20, "the first flush reserves the whole ring");
-        assert_eq!(s.take_events().len(), CHUNK_EVENTS + 1);
         assert_eq!(ring_capacity(&s), 0, "a taken sink holds no ring");
     }
 
     #[test]
     fn sink_ring_records_and_resets_on_take() {
-        // Fewer events than one chunk: `take_events` must hand back the
-        // partial chunk, which never reached the ring.
         let mut s = TraceSink::chunked(8);
         s.emit_with(|| ev(1));
         s.emit_with(|| ev(2));
