@@ -7,25 +7,47 @@
 //! device can serve locally; "caching and prefetching mechanisms can reduce
 //! the network overhead".
 
+use marnet_sim::hash::FxHashMap;
 use marnet_sim::time::SimDuration;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use std::collections::BTreeMap;
 
 /// Identifier of a virtual object / reference image.
 pub type ObjectId = u64;
 
+/// The end of a recency list, or no slot.
+const NIL: u32 = u32::MAX;
+
+/// One cached object in [`LruCache`]'s slab, linked to its neighbours in
+/// recency order. A free slot is linked through `next` only.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    id: ObjectId,
+    bytes: u64,
+    /// The neighbour towards the least recent end.
+    prev: u32,
+    /// The neighbour towards the most recent end.
+    next: u32,
+}
+
 /// An LRU cache over virtual objects, capacity in bytes.
+///
+/// Every operation is O(1): a slab of nodes in one doubly linked list
+/// from least to most recently used, indexed by object id.
 #[derive(Debug)]
 pub struct LruCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    /// Cached objects by last-use stamp: least recent first.
-    order: BTreeMap<u64, ObjectId>,
-    /// Each cached object's size and last-use stamp.
-    sizes: BTreeMap<ObjectId, (u64, u64)>,
-    /// The stamp the next use gets.
-    next_stamp: u64,
+    /// Each cached object's slot in `nodes`; looked up, never iterated.
+    index: FxHashMap<ObjectId, u32>,
+    /// Cached objects and free slots.
+    nodes: Vec<Node>,
+    /// The least recently used slot (`NIL` when empty): the next victim.
+    lru: u32,
+    /// The most recently used slot (`NIL` when empty).
+    mru: u32,
+    /// The first free slot, linked through `next` (`NIL` if none).
+    free: u32,
     hits: u64,
     misses: u64,
 }
@@ -36,9 +58,11 @@ impl LruCache {
         LruCache {
             capacity_bytes,
             used_bytes: 0,
-            order: BTreeMap::new(),
-            sizes: BTreeMap::new(),
-            next_stamp: 0,
+            index: FxHashMap::default(),
+            nodes: Vec::new(),
+            lru: NIL,
+            mru: NIL,
+            free: NIL,
             hits: 0,
             misses: 0,
         }
@@ -51,12 +75,12 @@ impl LruCache {
 
     /// Objects currently cached.
     pub fn len(&self) -> usize {
-        self.sizes.len()
+        self.index.len()
     }
 
     /// `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.sizes.is_empty()
+        self.index.is_empty()
     }
 
     /// Cache hits so far.
@@ -79,21 +103,44 @@ impl LruCache {
         }
     }
 
-    /// Makes the cached object `id` the most recent one.
-    fn touch(&mut self, id: ObjectId) {
-        if let Some((_, stamp)) = self.sizes.get_mut(&id) {
-            self.order.remove(stamp);
-            *stamp = self.next_stamp;
-            self.order.insert(*stamp, id);
-            self.next_stamp += 1;
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.lru = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.mru = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Puts `slot` at the most recent end of the recency list.
+    fn link_mru(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        node.prev = self.mru;
+        node.next = NIL;
+        match self.mru {
+            NIL => self.lru = slot,
+            m => self.nodes[m as usize].next = slot,
+        }
+        self.mru = slot;
+    }
+
+    /// Makes the object in `slot` the most recent one.
+    fn touch(&mut self, slot: u32) {
+        if slot != self.mru {
+            self.unlink(slot);
+            self.link_mru(slot);
         }
     }
 
     /// Looks an object up, updating recency and hit/miss counters.
     pub fn access(&mut self, id: ObjectId) -> bool {
-        if self.sizes.contains_key(&id) {
+        if let Some(&slot) = self.index.get(&id) {
             self.hits += 1;
-            self.touch(id);
+            self.touch(slot);
             true
         } else {
             self.misses += 1;
@@ -102,26 +149,42 @@ impl LruCache {
     }
 
     /// Inserts an object (after fetching it), evicting LRU entries to fit.
-    /// Objects larger than the whole cache are not cached.
+    /// Objects larger than the whole cache are not cached; re-inserting a
+    /// cached object only makes it the most recent one.
     pub fn insert(&mut self, id: ObjectId, bytes: u64) {
         if bytes > self.capacity_bytes {
             return;
         }
-        if self.sizes.contains_key(&id) {
-            self.touch(id);
+        if let Some(&slot) = self.index.get(&id) {
+            self.touch(slot);
             return;
         }
-        while self.used_bytes + bytes > self.capacity_bytes {
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            if let Some((sz, _)) = self.sizes.remove(&victim) {
-                self.used_bytes -= sz;
-            }
+        while self.used_bytes + bytes > self.capacity_bytes && self.lru != NIL {
+            let victim = self.lru;
+            self.unlink(victim);
+            let node = &mut self.nodes[victim as usize];
+            self.used_bytes -= node.bytes;
+            self.index.remove(&node.id);
+            node.next = self.free;
+            self.free = victim;
         }
-        self.sizes.insert(id, (bytes, self.next_stamp));
-        self.order.insert(self.next_stamp, id);
-        self.next_stamp += 1;
+        let node = Node { id, bytes, prev: NIL, next: NIL };
+        let slot = match self.free {
+            NIL => {
+                // The slab grows one slot at a time, so this stops it at `NIL`.
+                let slot = self.nodes.len() as u32;
+                assert!(slot != NIL, "an LRU cache holds under 2^32 - 1 objects");
+                self.nodes.push(node);
+                slot
+            }
+            slot => {
+                self.free = self.nodes[slot as usize].next;
+                self.nodes[slot as usize] = node;
+                slot
+            }
+        };
+        self.link_mru(slot);
+        self.index.insert(id, slot);
         self.used_bytes += bytes;
     }
 
@@ -200,6 +263,7 @@ pub fn db_overhead_per_frame(
 mod tests {
     use super::*;
     use marnet_sim::rng::derive_rng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn lru_evicts_oldest() {
@@ -243,6 +307,131 @@ mod tests {
         c.insert(1, 100);
         assert_eq!(c.used_bytes(), 100);
         assert_eq!(c.len(), 1);
+    }
+
+    /// The cache as two sorted maps — cached ids by last-use stamp, and
+    /// each id's size and stamp: the representation [`LruCache`]'s slab
+    /// replaced, kept as its oracle.
+    #[derive(Default)]
+    struct TwoMapLru {
+        capacity_bytes: u64,
+        used_bytes: u64,
+        order: BTreeMap<u64, ObjectId>,
+        sizes: BTreeMap<ObjectId, (u64, u64)>,
+        next_stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl TwoMapLru {
+        fn touch(&mut self, id: ObjectId) {
+            if let Some((_, stamp)) = self.sizes.get_mut(&id) {
+                self.order.remove(stamp);
+                *stamp = self.next_stamp;
+                self.order.insert(*stamp, id);
+                self.next_stamp += 1;
+            }
+        }
+
+        fn access(&mut self, id: ObjectId) -> bool {
+            if self.sizes.contains_key(&id) {
+                self.hits += 1;
+                self.touch(id);
+                true
+            } else {
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn insert(&mut self, id: ObjectId, bytes: u64) {
+            if bytes > self.capacity_bytes {
+                return;
+            }
+            if self.sizes.contains_key(&id) {
+                self.touch(id);
+                return;
+            }
+            while self.used_bytes + bytes > self.capacity_bytes {
+                let Some((_, victim)) = self.order.pop_first() else {
+                    break;
+                };
+                if let Some((sz, _)) = self.sizes.remove(&victim) {
+                    self.used_bytes -= sz;
+                }
+            }
+            self.sizes.insert(id, (bytes, self.next_stamp));
+            self.order.insert(self.next_stamp, id);
+            self.next_stamp += 1;
+            self.used_bytes += bytes;
+        }
+    }
+
+    /// One cache operation on one of `IDS` objects.
+    #[derive(Debug, Clone, Copy)]
+    enum CacheOp {
+        Access(ObjectId),
+        Insert(ObjectId, u64),
+        Prefetch(ObjectId, u64),
+    }
+
+    const IDS: ObjectId = 48;
+
+    /// Mostly accesses and inserts of objects up to a tenth of the largest
+    /// capacity, so that the cache fills, re-inserts and evicts one victim
+    /// at a time; some objects up to twice that capacity, which free
+    /// several victims at once or are too large to cache; some prefetches
+    /// under 10 bytes, empty ones included, which fit the tiny capacities.
+    fn cache_op() -> impl proptest::strategy::Strategy<Value = CacheOp> {
+        use proptest::strategy::Strategy;
+        (0u8..10, 0..IDS, 0u64..1_000, 0u64..20_000).prop_map(|(kind, id, small, big)| match kind {
+            0..=3 => CacheOp::Access(id),
+            4..=6 => CacheOp::Insert(id, small),
+            7 => CacheOp::Insert(id, big),
+            8 => CacheOp::Prefetch(id, small),
+            _ => CacheOp::Prefetch(id, small / 100),
+        })
+    }
+
+    proptest::proptest! {
+        /// Random access, insert and prefetch scripts at capacities from 0
+        /// to 10⁴ bytes: after every step the slab cache gives the two-map
+        /// oracle's access verdict, counters, bytes, length and cached set.
+        #[test]
+        fn lru_matches_the_two_map_oracle(
+            capacity in proptest::prop_oneof![0u64..=10, 0u64..=10_000],
+            ops in proptest::collection::vec(cache_op(), 1..400),
+        ) {
+            let mut cache = LruCache::new(capacity);
+            let mut oracle = TwoMapLru { capacity_bytes: capacity, ..TwoMapLru::default() };
+            for op in ops {
+                match op {
+                    CacheOp::Access(id) => {
+                        proptest::prop_assert_eq!(cache.access(id), oracle.access(id), "{:?}", op);
+                    }
+                    CacheOp::Insert(id, bytes) => {
+                        cache.insert(id, bytes);
+                        oracle.insert(id, bytes);
+                    }
+                    CacheOp::Prefetch(id, bytes) => {
+                        cache.prefetch(id, bytes);
+                        oracle.insert(id, bytes);
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    (cache.hits(), cache.misses(), cache.used_bytes(), cache.len()),
+                    (oracle.hits, oracle.misses, oracle.used_bytes, oracle.sizes.len()),
+                    "after {:?}", op
+                );
+                for id in 0..IDS {
+                    proptest::prop_assert_eq!(
+                        cache.index.contains_key(&id),
+                        oracle.sizes.contains_key(&id),
+                        "id {} after {:?}", id, op
+                    );
+                }
+            }
+        }
     }
 
     #[test]

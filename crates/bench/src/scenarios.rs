@@ -1647,7 +1647,8 @@ impl Actor for Fig4App {
 /// its own copy of the same scripted link.
 #[derive(Debug)]
 pub struct Fig4Outcome {
-    /// TCP sender stats (its `cwnd_series` is the figure's upper panel).
+    /// TCP sender stats (its `cwnd_series`, the window summed per second, is
+    /// the figure's upper panel).
     pub tcp: Rc<RefCell<TcpFlowStats>>,
     /// TCP receiver stats (goodput meter).
     pub tcp_receiver: Rc<RefCell<TcpReceiverStats>>,

@@ -97,10 +97,20 @@ fn rows() -> Vec<Row> {
         // uplink: 1000 routed flows through a single NIC pair.
         Row {
             label: "cell-1k",
-            allocs_per_event: 0.046030,
-            peak_bytes: 5_264_672,
+            allocs_per_event: 0.045867,
+            peak_bytes: 4_811_288,
             run: Box::new(move || {
                 let cell = QueueConfig::bloated_uplink();
+                run_queueing_instrumented(2_000.0, cell, 0, 900, 100, 2, 7, &off()).1
+            }),
+        },
+        // The same cell under FQ-CoDel: flow hashing and per-flow queues.
+        Row {
+            label: "cell-1k-fq",
+            allocs_per_event: 0.088716,
+            peak_bytes: 5_611_896,
+            run: Box::new(move || {
+                let cell = QueueConfig::fq_codel_default();
                 run_queueing_instrumented(2_000.0, cell, 0, 900, 100, 2, 7, &off()).1
             }),
         },

@@ -191,12 +191,12 @@ pub(super) fn fig4_degradation(spec: ScenarioSpec, telemetry: TelemetryOptions) 
         let mut report = TrialReport::new();
         for n in 1..=rates.len() as u64 {
             // Skip the 4 s in which both flows find the new capacity.
-            let from = ((n - 1) * phase) as f64 + 4.0;
-            let to = (n * phase) as f64;
+            let (from_s, to_s) = ((n - 1) * phase + 4, n * phase);
+            let (from, to) = (from_s as f64, to_s as f64);
             report
                 .scalar_opt(
                     format!("phase{n}.tcp_cwnd_kb"),
-                    tcp.cwnd_series.window_mean(from, to).map(|bytes| bytes / 1000.0),
+                    tcp.cwnd_series.window_mean(from_s, to_s).map(|bytes| bytes / 1000.0),
                 )
                 .scalar(
                     format!("phase{n}.tcp_goodput_mbps"),

@@ -202,35 +202,47 @@ impl Histogram {
     }
 }
 
-/// A `(time, value)` series, e.g. a congestion window over time for
-/// Fig. 4.
+/// Integer samples over virtual time, kept as one `(sum, count)` per
+/// second — e.g. a congestion window for Fig. 4.
+///
+/// The series grows with the run's length in seconds, not with its sample
+/// rate, and [`TimeSeries::window_mean`] answers over whole seconds. Its
+/// mean is the one a list of `(seconds, value as f64)` points gives, bit
+/// for bit, as long as every partial sum stays below 2⁵³:
+/// - an `f64` sum of integers below 2⁵³ is exact, so it equals the `u64`
+///   sum in any order, and the final division has the same two operands;
+/// - a whole-second bound selects the same samples: `nanos as f64 / 1e9 >=
+///   k` holds exactly when `nanos >= k·10⁹`, because the division is
+///   monotone, maps `k·10⁹` to `k` and maps `k·10⁹ − 1` below `k` for
+///   every `k` under 2²³ s.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
-    points: Vec<(f64, f64)>,
+    /// `(sum, count)` of the samples in second `i`, at index `i`.
+    seconds: Vec<(u64, u64)>,
 }
 
 impl TimeSeries {
-    /// Appends a point at virtual time `t`.
-    pub fn push(&mut self, t: SimTime, value: f64) {
-        self.points.push((t.as_secs_f64(), value));
+    /// Adds `value` to the sum of the second that holds virtual time `t`.
+    pub fn push(&mut self, t: SimTime, value: u64) {
+        let second = (t.as_nanos() / 1_000_000_000) as usize;
+        if second >= self.seconds.len() {
+            self.seconds.resize(second + 1, (0, 0));
+        }
+        let (sum, count) = &mut self.seconds[second];
+        *sum += value;
+        *count += 1;
     }
 
-    /// Mean of the values within `[from, to)` seconds, or `None` if no
-    /// points fall in the window.
-    pub fn window_mean(&self, from: f64, to: f64) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for &(t, v) in &self.points {
-            if t >= from && t < to {
-                sum += v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(sum / n as f64)
-        }
+    /// Mean of the samples within seconds `[from_s, to_s)`, or `None` if
+    /// none fall in the window. The bounds are whole seconds by type.
+    pub fn window_mean(&self, from_s: u64, to_s: u64) -> Option<f64> {
+        let (sum, count) = self
+            .seconds
+            .iter()
+            .take(to_s as usize)
+            .skip(from_s as usize)
+            .fold((0u64, 0u64), |(sum, count), &(s, c)| (sum + s, count + c));
+        (count > 0).then(|| sum as f64 / count as f64)
     }
 }
 
@@ -388,12 +400,88 @@ mod tests {
     #[test]
     fn time_series_window() {
         let mut ts = TimeSeries::default();
-        ts.push(SimTime::from_millis(100), 1.0);
-        ts.push(SimTime::from_millis(600), 3.0);
-        ts.push(SimTime::from_millis(1500), 10.0);
-        assert_eq!(ts.window_mean(0.0, 1.0), Some(2.0));
-        assert_eq!(ts.window_mean(1.0, 2.0), Some(10.0));
-        assert_eq!(ts.window_mean(5.0, 6.0), None);
+        ts.push(SimTime::from_millis(100), 1);
+        ts.push(SimTime::from_millis(600), 3);
+        ts.push(SimTime::from_millis(1500), 10);
+        assert_eq!(ts.window_mean(0, 1), Some(2.0));
+        assert_eq!(ts.window_mean(1, 2), Some(10.0));
+        assert_eq!(ts.window_mean(0, 2), Some(14.0 / 3.0));
+        assert_eq!(ts.window_mean(5, 6), None);
+        assert_eq!(ts.window_mean(1, 0), None);
+    }
+
+    #[test]
+    fn samples_within_one_second_share_one_bucket() {
+        let mut ts = TimeSeries::default();
+        for i in 0..100_000u64 {
+            ts.push(SimTime::from_nanos(i * 9_999), i);
+        }
+        assert_eq!(ts.seconds.len(), 1);
+        assert_eq!(ts.seconds[0], ((0..100_000).sum(), 100_000));
+        assert_eq!(ts.window_mean(0, 1), Some(49_999.5));
+    }
+
+    /// The series as a list of `(seconds, value)` points averaged by a
+    /// scan: the representation [`TimeSeries`] replaced, kept as its oracle.
+    #[derive(Default)]
+    struct PointSeries {
+        points: Vec<(f64, f64)>,
+    }
+
+    impl PointSeries {
+        fn push(&mut self, t: SimTime, value: f64) {
+            self.points.push((t.as_secs_f64(), value));
+        }
+
+        fn window_mean(&self, from: f64, to: f64) -> Option<f64> {
+            let mut sum = 0.0;
+            let mut n = 0usize;
+            for &(t, v) in &self.points {
+                if t >= from && t < to {
+                    sum += v;
+                    n += 1;
+                }
+            }
+            if n == 0 {
+                None
+            } else {
+                Some(sum / n as f64)
+            }
+        }
+    }
+
+    /// An instant in the first minute: on a second boundary, one
+    /// nanosecond before one, or anywhere.
+    fn instant() -> impl proptest::strategy::Strategy<Value = SimTime> {
+        use proptest::strategy::Strategy;
+        (0u8..3, 1u64..60, 0u64..60_000_000_000).prop_map(|(kind, k, nanos)| match kind {
+            0 => SimTime::from_secs(k),
+            1 => SimTime::from_nanos(k * 1_000_000_000 - 1),
+            _ => SimTime::from_nanos(nanos),
+        })
+    }
+
+    proptest::proptest! {
+        /// Random integer samples up to 2³² at random instants, boundary
+        /// ones included, pushed in time order: every whole-second window
+        /// gives the point list's mean, bit for bit.
+        #[test]
+        fn window_mean_matches_the_point_list(
+            mut samples in proptest::collection::vec((instant(), 0u64..=1 << 32), 0..400),
+            windows in proptest::collection::vec((0u64..62, 0u64..62), 1..20),
+        ) {
+            samples.sort_by_key(|&(t, _)| t);
+            let (mut series, mut points) = (TimeSeries::default(), PointSeries::default());
+            for &(t, v) in &samples {
+                series.push(t, v);
+                points.push(t, v as f64);
+            }
+            for (from, to) in windows {
+                let got = series.window_mean(from, to).map(f64::to_bits);
+                let want = points.window_mean(from as f64, to as f64).map(f64::to_bits);
+                proptest::prop_assert_eq!(got, want, "window [{}, {})", from, to);
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub struct TcpFlowStats {
     pub timeouts: u64,
     /// When a [`DataSource::Finite`] flow finished, if it did.
     pub completed_at: Option<SimTime>,
-    /// Congestion-window samples over time (bytes).
+    /// The congestion window (bytes) at the start and after every new ACK,
+    /// loss and timeout, summed per second.
     pub cwnd_series: TimeSeries,
     /// The latest smoothed RTT (milliseconds), once there is one.
     pub srtt_ms: Option<f64>,
@@ -97,7 +98,7 @@ impl TcpSender {
 
     fn record_cwnd(&self, now: SimTime) {
         let mut st = self.stats.borrow_mut();
-        st.cwnd_series.push(now, self.cc.cwnd() as f64);
+        st.cwnd_series.push(now, self.cc.cwnd());
         if let Some(srtt) = self.rtt.srtt() {
             st.srtt_ms = Some(srtt.as_millis_f64());
         }
