@@ -654,10 +654,19 @@ pub struct QueueingOutcome {
     pub queue_len: [(usize, u64); 2],
 }
 
-/// `n_mar` paced 1.5 Mb/s MAR streams and `n_bulk` greedy TCP uploads
-/// share a `up_mbps` uplink governed by `queue`; returns every flow's
-/// outcome. With `(1, 1)` this is the paper's E13 household; larger
+/// Paced rate of each MAR stream of [`run_queueing_instrumented`].
+pub const QUEUEING_MAR_MBPS: f64 = 1.5;
+/// Packet size of each MAR stream of [`run_queueing_instrumented`], in
+/// bytes.
+pub const QUEUEING_MAR_PACKET_BYTES: u32 = 1_200;
+
+/// `n_mar` paced [`QUEUEING_MAR_MBPS`] MAR streams and `n_bulk` greedy TCP
+/// uploads share a `up_mbps` uplink governed by `queue`; returns every
+/// flow's outcome. With `(1, 1)` this is the paper's E13 household; larger
 /// counts give the multi-tenant uplink E17-style scenarios reuse.
+///
+/// Each MAR sink is sized for everything its stream sends within `secs`
+/// ([`UdpSink::sized_for`]), so no sink's record grows during the run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_queueing_instrumented(
     up_mbps: f64,
@@ -686,17 +695,22 @@ pub fn run_queueing_instrumented(
     let mut cpe_nic = Nic::new(up);
     let mut isp_nic = Nic::new(down);
 
-    // MAR streams: 1200-byte packets at 1.5 Mb/s each, flows 1..=n_mar.
+    // MAR streams, flows 1..=n_mar.
+    let horizon = SimTime::from_secs(secs);
     let mut mar = Vec::new();
     for i in 0..n_mar {
         let flow = 1 + i as u64;
         let mar_src = sim.reserve_actor();
         let mar_sink_id = sim.reserve_actor();
-        sim.install_actor(
-            mar_src,
-            UdpSource::with_rate_mbps(flow, TxPath::Nic(cpe), 1200, 1.5).with_prio(mar_prio),
-        );
-        let sink = UdpSink::new(flow);
+        let source = UdpSource::with_rate_mbps(
+            flow,
+            TxPath::Nic(cpe),
+            QUEUEING_MAR_PACKET_BYTES,
+            QUEUEING_MAR_MBPS,
+        )
+        .with_prio(mar_prio);
+        let sink = UdpSink::sized_for(&source, horizon);
+        sim.install_actor(mar_src, source);
         mar.push(sink.stats());
         sim.install_actor(mar_sink_id, sink);
         isp_nic.add_route(flow, mar_sink_id);
@@ -720,7 +734,7 @@ pub fn run_queueing_instrumented(
 
     sim.install_actor(cpe, cpe_nic);
     sim.install_actor(isp, isp_nic);
-    let events = sim.run_until(SimTime::from_secs(secs));
+    let events = sim.run_until(horizon);
     let capture = finish_telemetry(&mut sim, metrics);
     let queue = sim.ctx().queue_stats();
     let queue_len = [up, down].map(|link| sim.ctx().link_queue_len(link));

@@ -10,6 +10,7 @@ use marnet_bench::fmt;
 use marnet_bench::scenarios::{
     commute_config, fairness_config, run_fairness_config_instrumented,
     run_multipath_commute_config_instrumented, run_queueing_instrumented, Contender,
+    QUEUEING_MAR_MBPS, QUEUEING_MAR_PACKET_BYTES,
 };
 use marnet_core::class::StreamKind;
 use marnet_core::multipath::MultipathPolicy;
@@ -196,9 +197,8 @@ fn queues() -> [(&'static str, (QueueConfig, u8)); 5] {
     ]
 }
 
-/// The paced MAR stream of `run_queueing_instrumented`: 1.5 Mb/s in
-/// 1200-byte packets.
-const MAR_PACKETS_PER_SEC: f64 = 1.5e6 / (1200.0 * 8.0);
+/// Packets per second of one MAR stream of `run_queueing_instrumented`.
+const MAR_PACKETS_PER_SEC: f64 = QUEUEING_MAR_MBPS * 1e6 / (QUEUEING_MAR_PACKET_BYTES as f64 * 8.0);
 
 pub(super) fn sweep_queueing(spec: ScenarioSpec, telemetry: TelemetryOptions) -> Experiment {
     let spec = spec

@@ -118,6 +118,12 @@ impl Histogram {
         Histogram { values: Vec::new(), sorted: true }
     }
 
+    /// An empty histogram with room for `n` samples: the first `n`
+    /// [`Histogram::record`]s allocate nothing.
+    pub fn with_capacity(n: usize) -> Self {
+        Histogram { values: Vec::with_capacity(n), sorted: true }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, value: f64) {
         self.values.push(value);
@@ -264,6 +270,21 @@ impl RateMeter {
     pub fn new(bucket: SimDuration) -> Self {
         assert!(bucket > SimDuration::ZERO, "bucket width must be positive");
         RateMeter { bucket, buckets: Vec::new() }
+    }
+
+    /// A meter with room for every delivery at or before `horizon`, i.e.
+    /// for `horizon / bucket + 1` buckets: no [`RateMeter::record`] up to
+    /// the horizon allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is zero, or if the room exceeds `isize::MAX`
+    /// bytes.
+    pub fn with_horizon(bucket: SimDuration, horizon: SimTime) -> Self {
+        let mut meter = RateMeter::new(bucket);
+        let buckets = (horizon.as_nanos() / bucket.as_nanos()).saturating_add(1);
+        meter.buckets.reserve_exact(usize::try_from(buckets).unwrap_or(usize::MAX));
+        meter
     }
 
     /// Records `bytes` delivered at time `t`.
@@ -494,6 +515,30 @@ mod tests {
         assert!((m.mean_mbps(0.0, 0.1) - 1.0).abs() < 1e-9);
         assert!((m.mean_mbps(0.1, 0.2) - 2.0).abs() < 1e-9);
         assert!((m.mean_mbps(0.0, 0.2) - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_histogram_with_capacity_records_that_many_in_place() {
+        let mut h = Histogram::with_capacity(313);
+        let room = h.values.as_ptr();
+        for i in 0..313 {
+            h.record(f64::from(i));
+        }
+        assert_eq!((h.values.capacity(), h.values.as_ptr()), (313, room));
+        assert_eq!(Histogram::with_capacity(0).values.capacity(), 0);
+    }
+
+    #[test]
+    fn a_meter_with_a_horizon_has_a_bucket_up_to_it() {
+        let bucket = SimDuration::from_millis(100);
+        let mut m = RateMeter::with_horizon(bucket, SimTime::from_secs(2));
+        assert_eq!(m.buckets.capacity(), 21);
+        for ms in (0..=2_000).step_by(50) {
+            m.record(SimTime::from_millis(ms), 1);
+        }
+        assert_eq!((m.buckets.len(), m.buckets.capacity()), (21, 21));
+        let m = RateMeter::with_horizon(bucket, SimTime::from_nanos(99_999_999));
+        assert_eq!(m.buckets.capacity(), 1);
     }
 
     #[test]

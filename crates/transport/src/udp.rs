@@ -9,7 +9,7 @@ use crate::nic::{unwrap_packet, TxPath};
 use marnet_sim::engine::{Actor, Event, SimCtx};
 use marnet_sim::packet::Packet;
 use marnet_sim::stats::{Histogram, RateMeter};
-use marnet_sim::time::SimDuration;
+use marnet_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -40,6 +40,17 @@ impl UdpSource {
         let pps = mbps * 1e6 / (f64::from(packet_bytes) * 8.0);
         let interval = SimDuration::from_secs_f64(1.0 / pps);
         UdpSource::new(flow, path, packet_bytes, interval)
+    }
+
+    /// Datagrams this source emits strictly before `horizon`:
+    /// `ceil(horizon / interval)`, 0 at horizon zero.
+    ///
+    /// The `k`-th datagram (from 0) leaves at `k · interval`, so a sink
+    /// behind a path that takes any time at all receives at most this many
+    /// by the horizon. The count uses the interval in force, i.e. after
+    /// [`UdpSource::with_rate_mbps`]' rounding.
+    pub fn sends_before(&self, horizon: SimTime) -> u64 {
+        horizon.as_nanos().div_ceil(self.interval.as_nanos())
     }
 
     /// Marks emitted packets with a priority band, builder style.
@@ -85,13 +96,16 @@ pub struct UdpSinkStats {
     pub meter: RateMeter,
 }
 
+/// Width of a sink's [`UdpSinkStats::meter`] buckets.
+const METER_BUCKET: SimDuration = SimDuration::from_millis(100);
+
 impl Default for UdpSinkStats {
     fn default() -> Self {
         UdpSinkStats {
             packets: 0,
             bytes: 0,
             latency_ms: Histogram::new(),
-            meter: RateMeter::new(SimDuration::from_millis(100)),
+            meter: RateMeter::new(METER_BUCKET),
         }
     }
 }
@@ -107,6 +121,25 @@ impl UdpSink {
     /// A sink accepting only datagrams of the given flow.
     pub fn new(flow: u64) -> Self {
         UdpSink { flow, stats: Rc::new(RefCell::new(UdpSinkStats::default())) }
+    }
+
+    /// A sink for `source`'s datagrams whose records have room for all it
+    /// can receive by `horizon`: one latency sample per datagram the source
+    /// sends before it ([`UdpSource::sends_before`]) and a meter bucket up
+    /// to it, so neither grows during a run to that horizon. If the source
+    /// sends nothing before the horizon, nothing is reserved.
+    ///
+    /// The room is the offered count: prefer [`UdpSink::new`] where most
+    /// datagrams are lost on the way.
+    pub fn sized_for(source: &UdpSource, horizon: SimTime) -> Self {
+        let datagrams = source.sends_before(horizon);
+        let mut stats = UdpSinkStats::default();
+        if datagrams > 0 {
+            stats.latency_ms =
+                Histogram::with_capacity(usize::try_from(datagrams).unwrap_or(usize::MAX));
+            stats.meter = RateMeter::with_horizon(METER_BUCKET, horizon);
+        }
+        UdpSink { flow: source.flow, stats: Rc::new(RefCell::new(stats)) }
     }
 
     /// Shared handle to the sink's statistics.
@@ -175,6 +208,50 @@ mod tests {
         sim.install_actor(r, sink);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(stats.borrow().packets, 0);
+    }
+
+    proptest::proptest! {
+        /// A CBR source over one link into a sized sink: the sink never
+        /// receives more than the source sends before the horizon, and
+        /// that count is exactly what left strictly before it.
+        #[test]
+        fn a_sink_receives_at_most_what_its_source_sends_before_the_horizon(
+            source_mbps in 0.05f64..50.0,
+            packet_bytes in 1u32..=1500,
+            link_mbps in 0.05f64..1000.0,
+            delay_us in 0u64..50_000,
+            horizon_kind in 0u8..4,
+            k in 1u64..400,
+            anywhere_ns in 0u64..3_000_000_000,
+        ) {
+            let mut sim = Simulator::new(5);
+            let s = sim.reserve_actor();
+            let r = sim.reserve_actor();
+            let l = sim.add_link(
+                s,
+                r,
+                LinkParams::new(Bandwidth::from_mbps(link_mbps), SimDuration::from_micros(delay_us)),
+            );
+            let src = UdpSource::with_rate_mbps(9, TxPath::Link(l), packet_bytes, source_mbps);
+            // Zero, on a send instant, one nanosecond before one, or anywhere.
+            let at_send = k * src.interval.as_nanos();
+            let horizon_ns = [0, at_send, at_send - 1, anywhere_ns][usize::from(horizon_kind)];
+            let horizon = SimTime::from_nanos(horizon_ns);
+            let count = src.sends_before(horizon);
+            // The run delivers events at the horizon itself, so a datagram
+            // due exactly then has left too.
+            let due_at_horizon = u64::from(horizon_ns.is_multiple_of(src.interval.as_nanos()));
+            let sink = UdpSink::sized_for(&src, horizon);
+            let stats = sink.stats();
+            sim.install_actor(s, src);
+            sim.install_actor(r, sink);
+            sim.run_until(horizon);
+            proptest::prop_assert!(stats.borrow().packets <= count);
+            proptest::prop_assert_eq!(sim.ctx().link_stats(l).offered_packets, count + due_at_horizon);
+            if horizon_ns == 0 {
+                proptest::prop_assert_eq!(count, 0);
+            }
+        }
     }
 
     #[test]
